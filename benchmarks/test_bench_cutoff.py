@@ -39,7 +39,7 @@ from conftest import write_report
 
 from repro.analysis.paramcheck import check_parameterized
 from repro.check.explorer import explore
-from repro.check.parallel import SystemSpec, build_system
+from repro.check.spec import SystemSpec, build_system
 from repro.protocols import (
     invalidate_protocol,
     mesi_protocol,

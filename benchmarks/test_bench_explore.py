@@ -52,7 +52,7 @@ import pytest
 from conftest import write_report
 
 from repro.check.explorer import explore
-from repro.check.parallel import SystemSpec, build_system
+from repro.check.spec import SystemSpec, build_system
 from repro.check.store import make_partitioned_store
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_explore.json"

@@ -1,18 +1,19 @@
-"""Experiment (infrastructure): parallel frontier expansion, measured honestly.
+"""Experiment (infrastructure): multi-process exploration, measured honestly.
 
-Level-synchronous BFS parallelizes per frontier chunk — the classic
-distributed-model-checking split.  In CPython the per-state successor
-computation is microseconds while inter-process pickling is not, so the
-technique only pays on hosts with real cores and on spaces with large
-frontiers.  Following the optimisation-guide adage ("no optimisation
-without measuring"), this benchmark records the actual speedup on the
-current host rather than asserting one: on a single-core container the
-parallel run is pure overhead, and the report says so.
+The owner-computes driver shards the visited set across worker
+processes and exchanges cross-partition successors once per BFS level.
+In CPython the per-state successor computation is microseconds while
+inter-process pickling is not, so the split only pays on hosts with real
+cores and on spaces with large frontiers.  Following the
+optimisation-guide adage ("no optimisation without measuring"), this
+benchmark records the actual speedup on the current host rather than
+asserting one, and the report says "wins" or "loses" from the measured
+ratio.
 
 What *is* asserted: bit-identical state/transition counts between the
-sequential and parallel engines — including budget-truncated runs — and
-between the exact and fingerprint stores; those are the correctness
-contracts that make the engines usable at all.  Each engine's run is
+sequential and owner-computes drivers — including budget-truncated runs
+— and between the exact and fingerprint stores; those are the
+correctness contracts that make the drivers usable at all.  Each run is
 also profiled through :class:`repro.check.observe.JsonProfileWriter`,
 so ``benchmarks/results/`` carries machine-readable per-level traces
 (frontier sizes, states/sec, dedup ratio, memory) alongside the prose
@@ -29,7 +30,8 @@ from conftest import write_report
 
 from repro.check.explorer import explore
 from repro.check.observe import JsonProfileWriter
-from repro.check.parallel import SystemSpec, build_system, explore_parallel
+from repro.check.partitioned import explore_partitioned
+from repro.check.spec import SystemSpec, build_system
 
 
 def test_parallel_matches_and_measures(benchmark, results_dir, state_budget,
@@ -43,12 +45,12 @@ def test_parallel_matches_and_measures(benchmark, results_dir, state_budget,
                          observer=JsonProfileWriter(seq_profile), **budgets)
     t_seq = time.perf_counter() - t0
 
-    workers = max(2, (os.cpu_count() or 1))
+    partitions = max(2, (os.cpu_count() or 1))
     par_profile = results_dir / "parallel_explorer_par_profile.json"
     t0 = time.perf_counter()
-    parallel = explore_parallel(spec, workers=workers, chunk_size=256,
-                                observer=JsonProfileWriter(par_profile),
-                                **budgets)
+    parallel = explore_partitioned(spec, partitions=partitions,
+                                   observer=JsonProfileWriter(par_profile),
+                                   **budgets)
     t_par = time.perf_counter() - t0
 
     assert parallel.n_states == sequential.n_states
@@ -61,17 +63,17 @@ def test_parallel_matches_and_measures(benchmark, results_dir, state_budget,
     peak_frontier = max((lvl["frontier"] for lvl in levels), default=0)
 
     speedup = t_seq / t_par if t_par else float("inf")
-    verdict = ("parallel wins" if speedup > 1.1 else
-               "parallel loses (expected on few/1 cores: pickling "
-               "dominates microsecond state expansions)")
+    verdict = ("owner-computes wins" if speedup > 1.1 else
+               "owner-computes loses (per-level batch pickling outweighs "
+               "microsecond state expansions on this host)")
     report = "\n".join([
-        "Parallel frontier expansion (async migratory, n=4):",
+        "Owner-computes partitioned exploration (async migratory, n=4):",
         "",
         f"  host cpus: {os.cpu_count()}",
         f"  budget: {state_budget} states / {time_budget}s",
         f"  sequential: {sequential.n_states} states in {t_seq:.2f}s",
-        f"  parallel ({workers} workers): {parallel.n_states} states "
-        f"in {t_par:.2f}s",
+        f"  owner-computes ({partitions} partitions): "
+        f"{parallel.n_states} states in {t_par:.2f}s",
         f"  peak frontier: {peak_frontier} states across "
         f"{len(levels)} levels",
         f"  speedup: {speedup:.2f}x -> {verdict}",

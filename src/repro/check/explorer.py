@@ -13,15 +13,15 @@ state or time budget runs out — our stand-in for the paper's 64 MB memory
 cap that produced the "Unfinished" cells of Table 3.
 
 The sweep is level-synchronous (the visit order of a FIFO queue, made
-explicit), which buys two things shared with the parallel driver in
-:mod:`repro.check.parallel`:
+explicit), which buys two things shared with the multi-process
+owner-computes driver in :mod:`repro.check.partitioned`:
 
 * a per-level :class:`~repro.check.observe.LevelEvent` stream for
   progress rendering and JSON profiles (``observer=``);
 * one :class:`ExplorationCore` holding the budget/count bookkeeping, so
-  the sequential and parallel engines *cannot* drift: both consult the
-  same budget checks before every single state expansion, and truncated
-  runs report identical counts.
+  the two drivers *cannot* drift: both consult the same budget checks
+  before every single state expansion, and truncated runs report
+  identical counts.
 
 The visited set is pluggable (``store=``): the default exact store keeps
 full states plus BFS parent pointers, so every reported violation comes

@@ -1,16 +1,14 @@
 """Owner-computes partitioned exploration (distributed-SPIN style).
 
-The classic parallel driver (:mod:`repro.check.parallel`) keeps ONE
-visited store in the master process and replays every worker's
-expansion results through it — workers are pure successor functions, so
-the master's dict insertions and the master's RAM bound the whole run.
-This module inverts the ownership: the visited set is sharded by
-fingerprint range (:func:`repro.check.store.partition_index`) and each
-worker process *owns* one partition outright — its hot dict, its mmap
+The sequential explorer (:func:`repro.check.explorer.explore`) keeps ONE
+visited store in one process, so that process's dict insertions and RAM
+bound the whole run.  This module shards the visited set by fingerprint
+range (:func:`repro.check.store.partition_index`) and gives each
+worker process one partition to *own* outright — its hot dict, its mmap
 spill file, its admission decisions.  The master never touches a state.
 
 One BFS level proceeds in four beats, all at the level-synchronous
-barrier the replay driver already established:
+barrier the sequential sweep makes explicit:
 
 1. **Expand.**  Every worker expands its slice of the frontier (each
    frontier state carries a global index ``g`` fixed at the previous
@@ -43,13 +41,14 @@ are **byte-identical** to :func:`repro.check.explorer.explore`,
 including runs truncated mid-level by ``max_states``.  (Wall-clock and
 memory budgets remain machine-dependent, as in every driver.)
 
-The payoff over master-replay: per-state memory lives only in the
-owning worker (each bounded by its hot tier + spill threshold), and the
-master's per-level work is O(frontier) integers instead of O(frontier)
-state insertions — the master bottleneck is gone.  On a single-CPU
-machine the speedup is nil (this is Python; use the in-process
-partitioned store via ``--partitions`` *without* ``--parallel`` there),
-but the memory ceiling still drops to the largest single partition.
+The payoff: per-state memory lives only in the owning worker (each
+bounded by its hot tier + spill threshold), and the master's per-level
+work is O(frontier) integers.  The cost is one pickled batch per peer
+per level; on the hosts measured so far (1 and 2 cpus, EXPERIMENTS.md)
+that costs more than the second process earns, so the sequential
+explorer is faster there — use the in-process partitioned store via
+``--partitions`` *without* ``--parallel`` when only the memory ceiling
+matters.
 """
 
 from __future__ import annotations
@@ -59,9 +58,10 @@ import os
 from queue import Empty
 from typing import Any, Hashable, Optional, Sequence, Union
 
+from ..errors import CheckError
 from .explorer import ExplorationCore, expand_state, explore
 from .observe import RunObserver
-from .parallel import SystemSpec, build_system, shippable_spec
+from .spec import SystemSpec, build_system, shippable_spec
 from .stats import ExplorationResult
 from .store import (PartitionedExactStore, PartitionedFingerprintStore,
                     StateStore, fingerprint, make_partitioned_store,
@@ -112,7 +112,7 @@ class _Mailbox:
             except Empty:
                 if self._procs is not None and not all(
                         p.is_alive() for p in self._procs):
-                    raise RuntimeError(
+                    raise CheckError(
                         "a partition worker died; partitioned "
                         "exploration cannot continue") from None
                 continue
@@ -240,7 +240,7 @@ def explore_partitioned(
     ``max_states``-truncated runs — see the module docstring for the
     admission-ordering argument.  Traces are not built (the states live
     sharded across processes); invariant checking stays a sequential
-    feature, as in the replay driver.
+    feature.
 
     :param partitions: worker/partition count; defaults to CPU count - 1
         (floor 2).  ``1`` degenerates to the sequential explorer over a
@@ -381,6 +381,11 @@ def explore_partitioned(
             msg = master.take(("rows",))
             rows_by_wid[msg[1]] = msg[2]
         view.rows = [rows_by_wid[wid] for wid in range(partitions)]
+    except BaseException:
+        # a worker blocked on a batch from a dead peer never reads "exit"
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for inbox in inboxes:
             try:

@@ -8,7 +8,8 @@ Commands:
   ``--store fingerprint`` for SPIN-style hash compaction (~16 bytes/state,
   collision-counted), ``--engine compiled`` for the protocol-specialized
   step engine (identical counts, several times faster on async spaces),
-  ``--parallel``/``--workers`` for multi-process frontier expansion,
+  ``--parallel`` for the multi-process owner-computes sweep
+  (``--partitions P`` worker processes),
   ``--levels`` for per-level progress lines, and ``--profile out.json``
   for a machine-readable run profile.
 * ``lint``     — run the static-analysis suite (section 2.4 restrictions,
@@ -59,23 +60,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
 from .check.explorer import explore
 from .check.properties import check_progress
 from .check.store import STORE_NAMES
 from .check.simulation import check_simulation
+from .errors import ReproError
+from .protocols import LIBRARY_PROTOCOLS as PROTOCOLS
 from .protocols.handwritten import handwritten_migratory
-from .protocols.invalidate import invalidate_protocol
 from .protocols.invariants import (
     COHERENCE_SPECS,
     async_structural_invariants,
     coherence_invariants,
 )
-from .protocols.mesi import mesi_protocol
-from .protocols.migratory import migratory_protocol
-from .protocols.msi import msi_protocol
 from .refine.engine import refine
 from .refine.plan import RefinementConfig
 from .semantics.asynchronous import ENGINE_NAMES, AsyncSystem
@@ -85,12 +84,6 @@ from .sim.workload import HotLineWorkload, SyntheticWorkload
 from .viz.ascii import process_ascii, protocol_summary, refined_ascii
 from .viz.dot import refined_dot
 
-PROTOCOLS: dict[str, Callable] = {
-    "mesi": mesi_protocol,
-    "migratory": migratory_protocol,
-    "invalidate": invalidate_protocol,
-    "msi": msi_protocol,
-}
 
 def _build(name: str):
     try:
@@ -142,11 +135,15 @@ def cmd_verify(args) -> int:
         print(violation.describe())
     for deadlock in result.deadlocks[:1]:
         print(deadlock.describe())
+    ok = result.ok
     if args.progress:
         # SCC-based progress distinguishes remote identities in its edge
         # labels, so it always runs on the unreduced system.
-        print(check_progress(base_system, max_states=args.budget).describe())
-    return 0 if result.ok else 1
+        progress = check_progress(base_system, max_states=args.budget,
+                                  max_seconds=args.timeout)
+        print(progress.describe())
+        ok = ok and progress.ok
+    return 0 if ok else 1
 
 
 def _reject_rendezvous_por(args) -> None:
@@ -187,10 +184,17 @@ def parse_bytes(text: str) -> int:
     return int(digits) * _SIZE_UNITS[unit]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def cmd_check(args) -> int:
     from .check.observe import JsonProfileWriter, MultiObserver, ProgressRenderer
-    from .check.parallel import SystemSpec, build_system, explore_parallel
     from .check.partitioned import explore_partitioned
+    from .check.spec import SystemSpec, build_system
     from .check.store import make_partitioned_store
 
     _reject_rendezvous_por(args)
@@ -221,37 +225,25 @@ def cmd_check(args) -> int:
                       config=config if args.level == "async" else (),
                       symmetry=args.symmetry, por=args.por,
                       engine=args.engine)
-    parallel = args.parallel or args.workers is not None
-    if args.partitions is not None and parallel:
+    if args.parallel:
         # owner-computes: one worker process owns each partition
         result = explore_partitioned(
             spec, partitions=args.partitions, max_states=args.budget,
             max_seconds=args.timeout, max_bytes=max_bytes,
             store=args.store, spill_dir=args.spill_dir,
             spill_threshold=args.spill_threshold, observer=observer)
-    elif args.partitions is not None:
-        # in-process sharding: one store, P fingerprint ranges
-        result = explore(
-            build_system(spec),
-            name=f"{args.protocol}-{args.level}-{args.nodes}",
-            max_states=args.budget, max_seconds=args.timeout,
-            max_bytes=max_bytes,
-            store=make_partitioned_store(
-                args.store, args.partitions, spill_dir=args.spill_dir,
-                spill_threshold=args.spill_threshold),
-            observer=observer, reductions=spec.reductions())
-    elif parallel:
-        result = explore_parallel(spec, workers=args.workers,
-                                  max_states=args.budget,
-                                  max_seconds=args.timeout,
-                                  max_bytes=max_bytes,
-                                  store=args.store, observer=observer)
     else:
+        store = args.store
+        if args.partitions is not None:
+            # in-process sharding: one store, P fingerprint ranges
+            store = make_partitioned_store(
+                args.store, args.partitions, spill_dir=args.spill_dir,
+                spill_threshold=args.spill_threshold)
         result = explore(build_system(spec),
                          name=f"{args.protocol}-{args.level}-{args.nodes}",
                          max_states=args.budget, max_seconds=args.timeout,
                          max_bytes=max_bytes,
-                         store=args.store, observer=observer,
+                         store=store, observer=observer,
                          reductions=spec.reductions())
     print(result.describe())
     if args.profile:
@@ -262,7 +254,7 @@ def cmd_check(args) -> int:
 def cmd_lint(args) -> int:
     from .analysis import Severity, analyze_protocol, analyze_refined
     from .analysis.diagnostics import expand_codes
-    from .errors import RefinementError, ValidationError
+    from .errors import ValidationError
 
     try:
         selected = expand_codes(args.select)
@@ -276,10 +268,7 @@ def cmd_lint(args) -> int:
         raise SystemExit(
             f"code(s) both selected and ignored: {', '.join(overlap)}")
     names = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    try:
-        config = _config(args)
-    except RefinementError as exc:
-        raise SystemExit(str(exc)) from None
+    config = _config(args)
     fmt = args.format if args.format != "text" or not args.json else "json"
     worst: Optional[Severity] = None
     reports = []
@@ -323,13 +312,9 @@ def cmd_flows(args) -> int:
 
     from .analysis.flows import derive_flows
     from .analysis.paramcheck import check_parameterized
-    from .errors import RefinementError
 
     names = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    try:
-        config = _config(args)
-    except RefinementError as exc:
-        raise SystemExit(str(exc)) from None
+    config = _config(args)
     all_discharged = True
     outputs = []
     for name in names:
@@ -376,14 +361,10 @@ def cmd_paramverify(args) -> int:
 
     from .analysis.coherencecheck import check_coherence
     from .analysis.flows import derive_flows
-    from .errors import RefinementError
     from .viz.msc import render_counterexample_msc
 
     names = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    try:
-        config = _config(args)
-    except RefinementError as exc:
-        raise SystemExit(str(exc)) from None
+    config = _config(args)
     all_discharged = True
     outputs = []
     for name in names:
@@ -574,17 +555,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", action="store_true",
                    help="print one progress line per BFS level")
     p.add_argument("--parallel", action="store_true",
-                   help="expand frontiers across a process pool")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker process count (implies --parallel; "
-                        "default: cpu count - 1)")
-    p.add_argument("--partitions", type=int, default=None, metavar="P",
+                   help="owner-computes sweep: one worker process per "
+                        "visited-set partition")
+    p.add_argument("--partitions", type=_positive_int, default=None,
+                   metavar="P",
                    help="shard the visited set into P fingerprint-range "
                         "partitions; with --parallel, each partition is "
-                        "OWNED by a dedicated worker process "
-                        "(owner-computes), otherwise one in-process "
-                        "partitioned store (counts are byte-identical to "
-                        "the unsharded drivers either way)")
+                        "OWNED by a dedicated worker process (default "
+                        "there: cpu count - 1, at least 2), otherwise one "
+                        "in-process partitioned store (counts are "
+                        "byte-identical to the unsharded sweep either way)")
     p.add_argument("--spill-dir", metavar="DIR", default=None,
                    help="spill cold partitions to mmap-backed sorted "
                         "fingerprint files under DIR (fingerprint store "
@@ -762,7 +742,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

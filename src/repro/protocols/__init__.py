@@ -23,7 +23,17 @@ from .symmetry import (
     symmetry_spec_for,
 )
 
+#: The library protocols by name — the one table the CLI's protocol
+#: choices and :func:`repro.check.spec.build_system` both read.
+LIBRARY_PROTOCOLS = {
+    "mesi": mesi_protocol,
+    "migratory": migratory_protocol,
+    "invalidate": invalidate_protocol,
+    "msi": msi_protocol,
+}
+
 __all__ = [
+    "LIBRARY_PROTOCOLS",
     "CoherenceSpec", "HAND_CONFIG", "INVALIDATE_MSGS", "INVALIDATE_SPEC",
     "MIGRATORY_MSGS", "MIGRATORY_SPEC", "MSI_MSGS", "MSI_SPEC",
     "async_structural_invariants", "coherence_invariants",

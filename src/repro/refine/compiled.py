@@ -1471,7 +1471,7 @@ def compile_system(refined: RefinedProtocol, table: StepTable,
 
     Deterministic: the same protocol structure + table + plan always
     yields the same module source, so spawn workers rebuilding a
-    :class:`~repro.check.parallel.SystemSpec` reconstruct bit-identical
+    :class:`~repro.check.spec.SystemSpec` reconstruct bit-identical
     step functions (callables are re-enumerated in the same walk).
     """
     source, funcs = _generate(refined, table)

@@ -1,15 +1,12 @@
-"""Differential parity: sequential vs parallel vs fingerprint explorers.
+"""Differential parity: sequential vs multi-process vs fingerprint explorers.
 
-The acceptance bar for the parallel rewrite is *byte-identical counts*:
-for the same system and the same budgets, ``explore_parallel`` and the
-fingerprint-store explorer must report exactly the ``n_states``,
-``n_transitions``, ``deadlock_count`` and ``stop_reason`` of the
-sequential exact-store run — including runs truncated mid-level by
-``max_states``.  These tests pin that contract at hand-picked exact
-boundaries and at hypothesis-randomized budgets.
-
-Parallel runs here force small ``fanout_threshold``/``chunk_size`` so
-the pool actually engages on these miniature state spaces.
+The acceptance bar for the multi-process driver is *byte-identical
+counts*: for the same system and the same budgets,
+``explore_partitioned`` and the fingerprint-store explorer must report
+exactly the ``n_states``, ``n_transitions``, ``deadlock_count`` and
+``stop_reason`` of the sequential exact-store run — including runs
+truncated mid-level by ``max_states``.  These tests pin that contract at
+hand-picked exact boundaries and at hypothesis-randomized budgets.
 """
 
 import pytest
@@ -17,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check.explorer import explore
-from repro.check.parallel import SystemSpec, build_system, explore_parallel
+from repro.check.partitioned import explore_partitioned
+from repro.check.spec import SystemSpec, build_system
 
 SPECS = [
     SystemSpec("migratory", "rendezvous", 3),
@@ -46,13 +44,11 @@ class TestUnbudgetedParity:
         assert fp.fingerprint_collisions == 0
 
     def test_parallel_matches_sequential(self, spec):
-        par = explore_parallel(spec, workers=2, fanout_threshold=4,
-                               chunk_size=16)
+        par = explore_partitioned(spec, partitions=2)
         assert counts(par) == counts(_FULL[spec])
 
     def test_parallel_fingerprint_matches_too(self, spec):
-        par = explore_parallel(spec, workers=2, fanout_threshold=4,
-                               chunk_size=16, store="fingerprint")
+        par = explore_partitioned(spec, partitions=2, store="fingerprint")
         assert counts(par) == counts(_FULL[spec])
 
 
@@ -65,8 +61,7 @@ class TestExactBudgetBoundaries:
     def test_boundary(self, spec, delta):
         budget = _FULL[spec].n_states + delta
         seq = sequential(spec, max_states=budget)
-        par = explore_parallel(spec, workers=2, fanout_threshold=4,
-                               chunk_size=16, max_states=budget)
+        par = explore_partitioned(spec, partitions=2, max_states=budget)
         fp = explore(build_system(spec), name="parity",
                      store="fingerprint", max_states=budget)
         assert counts(par) == counts(seq)
@@ -81,8 +76,7 @@ class TestExactBudgetBoundaries:
     def test_tiny_budgets(self, budget):
         spec = SPECS[0]
         seq = sequential(spec, max_states=budget)
-        par = explore_parallel(spec, workers=2, fanout_threshold=1,
-                               chunk_size=2, max_states=budget)
+        par = explore_partitioned(spec, partitions=2, max_states=budget)
         assert counts(par) == counts(seq)
 
 
@@ -94,32 +88,18 @@ class TestRandomizedBudgets:
     def test_state_budget_parity(self, spec_idx, budget):
         spec = SPECS[spec_idx]
         seq = sequential(spec, max_states=budget)
-        par = explore_parallel(spec, workers=2, fanout_threshold=4,
-                               chunk_size=16, max_states=budget)
+        par = explore_partitioned(spec, partitions=2, max_states=budget)
         fp = explore(build_system(spec), name="parity",
                      store="fingerprint", max_states=budget)
         assert counts(par) == counts(seq)
         assert counts(fp) == counts(seq)
-
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(budget=st.integers(0, 200),
-           chunk=st.integers(1, 64),
-           threshold=st.integers(1, 32))
-    def test_chunking_never_changes_counts(self, budget, chunk, threshold):
-        spec = SPECS[1]
-        seq = sequential(spec, max_states=budget)
-        par = explore_parallel(spec, workers=2, fanout_threshold=threshold,
-                               chunk_size=chunk, max_states=budget)
-        assert counts(par) == counts(seq)
 
 
 class TestTimeBudget:
     def test_zero_time_budget_same_stop_reason(self):
         spec = SPECS[1]
         seq = sequential(spec, max_seconds=0.0)
-        par = explore_parallel(spec, workers=2, fanout_threshold=1,
-                               chunk_size=2, max_seconds=0.0)
+        par = explore_partitioned(spec, partitions=2, max_seconds=0.0)
         assert not seq.completed and not par.completed
         assert seq.stop_reason == par.stop_reason == \
             "time budget 0.0s exceeded"
@@ -128,8 +108,7 @@ class TestTimeBudget:
 
 class TestMemoryAccounting:
     def test_parallel_reports_approx_bytes(self):
-        par = explore_parallel(SPECS[0], workers=2, fanout_threshold=4,
-                               chunk_size=16)
+        par = explore_partitioned(SPECS[0], partitions=2)
         assert par.approx_bytes > 0
 
     def test_fingerprint_leaner_than_exact(self):

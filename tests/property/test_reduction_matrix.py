@@ -1,14 +1,14 @@
 """Driver/store/reduction/engine parity matrix.
 
 :mod:`tests.property.test_explorer_parity` pins byte-identical counts
-between the sequential and parallel drivers on unreduced systems.  The
-reductions and the compiled step engine must not break that contract:
-for every cell of
+between the sequential and multi-process drivers on unreduced systems.
+The reductions and the compiled step engine must not break that
+contract: for every cell of
 
-    {interpreted, compiled} x {sequential, parallel, partitioned}
+    {interpreted, compiled} x {sequential, partitioned}
         x {exact, fingerprint} x {symmetry off, on} x {por off, on}
 
-the twelve engine/driver/store variants of the *same* reduction
+the eight engine/driver/store variants of the *same* reduction
 combination must report identical ``n_states``/``n_transitions``/
 ``deadlock_count``/``stop_reason`` — including runs truncated mid-level
 by a state budget, where a single out-of-order expansion (or a single
@@ -17,14 +17,15 @@ Across combinations, reduction only ever shrinks the state count.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check.explorer import explore
-from repro.check.parallel import SystemSpec, build_system, explore_parallel
 from repro.check.partitioned import explore_partitioned
+from repro.check.spec import SystemSpec, build_system
 
 PROTOCOLS = [("migratory", 2), ("invalidate", 2)]
 REDUCTIONS = [(False, False), (False, True), (True, False), (True, True)]
@@ -40,24 +41,24 @@ def counts(result):
             result.completed, result.stop_reason)
 
 
+# every build_system call pays refine(); the in-process runs of one
+# (engine, reductions) cell share one system object across the module
+system_for = lru_cache(maxsize=None)(build_system)
+
+
 def variants(spec, **budgets):
-    """The twelve engine/driver/store runs of one reduction combination:
-    {sequential, work-stealing parallel, owner-computes partitioned}
-    x {exact, fingerprint} x {interpreted, compiled}."""
+    """The eight engine/driver/store runs of one reduction combination:
+    {sequential, owner-computes partitioned} x {exact, fingerprint}
+    x {interpreted, compiled}."""
     runs = {}
     for engine in ENGINES:
         espec = replace(spec, engine=engine)
+        system = system_for(espec)
         runs[f"{engine}-seq-exact"] = explore(
-            build_system(espec), name="matrix",
-            reductions=espec.reductions(), **budgets)
+            system, name="matrix", reductions=espec.reductions(), **budgets)
         runs[f"{engine}-seq-fingerprint"] = explore(
-            build_system(espec), name="matrix", store="fingerprint",
+            system, name="matrix", store="fingerprint",
             reductions=espec.reductions(), **budgets)
-        runs[f"{engine}-par-exact"] = explore_parallel(
-            espec, workers=2, fanout_threshold=4, chunk_size=16, **budgets)
-        runs[f"{engine}-par-fingerprint"] = explore_parallel(
-            espec, workers=2, fanout_threshold=4, chunk_size=16,
-            store="fingerprint", **budgets)
         runs[f"{engine}-part-exact"] = explore_partitioned(
             espec, partitions=2, **budgets)
         runs[f"{engine}-part-fingerprint"] = explore_partitioned(
@@ -91,8 +92,8 @@ class TestFullRuns:
             assert result.n_enabled >= result.n_transitions
 
     def test_por_alone_shrinks_states(self, protocol, n):
-        full = explore(build_system(spec_for(protocol, n, False, False)))
-        por = explore(build_system(spec_for(protocol, n, False, True)))
+        full = explore(system_for(spec_for(protocol, n, False, False)))
+        por = explore(system_for(spec_for(protocol, n, False, True)))
         assert por.n_states < full.n_states
         assert por.deadlock_count == full.deadlock_count
 

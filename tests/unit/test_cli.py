@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import cli
+from repro.check.properties import ProgressReport
 from repro.cli import build_parser, main
 
 
@@ -46,6 +48,24 @@ class TestVerifyCommand:
     def test_progress_flag(self, capsys):
         assert main(["verify", "migratory", "-n", "2", "--progress"]) == 0
         assert "PROGRESS GUARANTEED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("report", [
+        ProgressReport(ok=False, n_states=9, n_sccs=3, n_terminal_sccs=1,
+                       livelocks=[(2, None)]),
+        ProgressReport(ok=False, n_states=9, n_sccs=0, n_terminal_sccs=0,
+                       completed=False, stop_reason="state budget 8 exceeded"),
+    ], ids=["fails", "incomplete"])
+    def test_progress_verdict_sets_exit_code(self, monkeypatch, capsys,
+                                             report):
+        # the safety sweep passes; only the progress report is bad
+        monkeypatch.setattr(cli, "check_progress", lambda *a, **kw: report)
+        assert main(["verify", "migratory", "-n", "2", "--progress"]) == 1
+        assert report.describe() in capsys.readouterr().out
+
+    def test_progress_honours_timeout(self, capsys):
+        assert main(["verify", "migratory", "-n", "2", "--progress",
+                     "--timeout", "0"]) == 1
+        assert "progress check incomplete" in capsys.readouterr().out
 
 
 class TestRefineCommand:
@@ -150,7 +170,7 @@ class TestCheckCommand:
         assert main(["check", "migratory", "-n", "3",
                      "--profile", str(seq)]) == 0
         assert main(["check", "migratory", "-n", "3", "--parallel",
-                     "--workers", "2", "--profile", str(par)]) == 0
+                     "--partitions", "2", "--profile", str(par)]) == 0
         seq_doc = json.loads(seq.read_text())
         par_doc = json.loads(par.read_text())
         for key in ("n_states", "n_transitions", "deadlocks", "stop_reason"):
@@ -161,6 +181,12 @@ class TestCheckCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "migratory",
                                        "--store", "bloom"])
+
+    def test_zero_partitions_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "migratory", "--partitions", "0"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 class TestPorFlag:
@@ -251,3 +277,19 @@ class TestTable3Command:
         assert "Table 3" in out
         assert "Migratory" in out and "Invalidate" in out
         assert "Unfinished" in out  # the tiny budget forces some cells
+
+
+class TestErrorsAreOneLine:
+    """A library error ends a command with a message, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "check", "soundness",
+                                         "simulate", "lint", "flows",
+                                         "paramverify"])
+    def test_bad_buffer_capacity(self, command, capsys):
+        argv = [command, "invalidate", "--buffer", "1"]
+        if command in ("verify", "check"):
+            argv += ["--level", "async"]
+        assert main(argv) == 1  # returned, not raised: no traceback
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1

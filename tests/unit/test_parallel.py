@@ -1,12 +1,14 @@
-"""Unit tests for the parallel explorer (repro.check.parallel)."""
+"""Unit tests for the ``--parallel`` path: picklable system descriptions
+(repro.check.spec) and the multi-process driver that ships them
+(repro.check.partitioned) against the sequential explorer."""
 
 import pytest
 
 from repro.check.explorer import explore
-from repro.check.parallel import (
+from repro.check.partitioned import explore_partitioned
+from repro.check.spec import (
     SystemSpec,
     build_system,
-    explore_parallel,
     register_factory,
     shippable_spec,
 )
@@ -57,53 +59,51 @@ class TestParallelMatchesSequential:
     ])
     def test_counts_identical(self, spec):
         sequential = explore(build_system(spec))
-        parallel = explore_parallel(spec, workers=2, fanout_threshold=8,
-                                    chunk_size=32)
+        parallel = explore_partitioned(spec, partitions=2)
         assert parallel.n_states == sequential.n_states
         assert parallel.n_transitions == sequential.n_transitions
         assert parallel.completed
 
     def test_workers_one_falls_back_to_sequential(self):
         spec = SystemSpec("migratory", "rendezvous", 3)
-        result = explore_parallel(spec, workers=1)
+        result = explore_partitioned(spec, partitions=1)
         assert result.completed
         assert result.n_states == explore(build_system(spec)).n_states
 
     def test_budget_respected(self):
         spec = SystemSpec("migratory", "async", 4)
-        result = explore_parallel(spec, workers=2, max_states=500,
-                                  fanout_threshold=8)
+        result = explore_partitioned(spec, partitions=2, max_states=500)
         assert not result.completed
         assert "budget" in result.stop_reason
 
     def test_symmetric_parallel(self):
         spec = SystemSpec("migratory", "async", 3, symmetry=True)
         sequential = explore(build_system(spec))
-        parallel = explore_parallel(spec, workers=2, fanout_threshold=8)
+        parallel = explore_partitioned(spec, partitions=2)
         assert parallel.n_states == sequential.n_states
 
     def test_truncated_counts_identical(self):
-        # the historical divergence: budgets used to be checked per level,
-        # so a parallel run overshot max_states by up to a whole frontier
+        # budgets are checked per source state, not per level: a
+        # multi-process run must not overshoot max_states by a frontier
         spec = SystemSpec("migratory", "async", 3)
         for budget in (50, 123, 500):
             sequential = explore(build_system(spec), max_states=budget)
-            parallel = explore_parallel(spec, workers=2, max_states=budget,
-                                        fanout_threshold=8, chunk_size=32)
+            parallel = explore_partitioned(spec, partitions=2,
+                                           max_states=budget)
             assert parallel.n_states == sequential.n_states
             assert parallel.n_transitions == sequential.n_transitions
             assert parallel.deadlock_count == sequential.deadlock_count
             assert parallel.stop_reason == sequential.stop_reason
 
     def test_parallel_reports_memory(self):
-        result = explore_parallel(SystemSpec("migratory", "rendezvous", 3),
-                                  workers=2, fanout_threshold=4, chunk_size=8)
+        result = explore_partitioned(
+            SystemSpec("migratory", "rendezvous", 3), partitions=2)
         assert result.approx_bytes > 0
 
     def test_fingerprint_store_in_parallel(self):
         spec = SystemSpec("migratory", "rendezvous", 3)
-        result = explore_parallel(spec, workers=2, fanout_threshold=4,
-                                  chunk_size=8, store="fingerprint")
+        result = explore_partitioned(spec, partitions=2,
+                                     store="fingerprint")
         assert result.store == "fingerprint"
         assert result.fingerprint_collisions == 0
         assert result.n_states == explore(build_system(spec)).n_states
@@ -135,8 +135,8 @@ class TestSpawnWorkers:
         register_factory("spawn-migratory", migratory_protocol)
         spec = SystemSpec("spawn-migratory", "rendezvous", 2)
         sequential = explore(build_system(spec))
-        parallel = explore_parallel(spec, workers=2, fanout_threshold=1,
-                                    chunk_size=4, start_method="spawn")
+        parallel = explore_partitioned(spec, partitions=2,
+                                       start_method="spawn")
         assert parallel.n_states == sequential.n_states
         assert parallel.n_transitions == sequential.n_transitions
 
@@ -145,6 +145,6 @@ class TestSpawnWorkers:
             "anything", "rendezvous", 2,
             factory="repro.protocols.invalidate:invalidate_protocol")
         sequential = explore(build_system(spec))
-        parallel = explore_parallel(spec, workers=2, fanout_threshold=1,
-                                    chunk_size=4, start_method="spawn")
+        parallel = explore_partitioned(spec, partitions=2,
+                                       start_method="spawn")
         assert parallel.n_states == sequential.n_states

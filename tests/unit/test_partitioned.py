@@ -3,15 +3,22 @@
 The parity matrix in :mod:`tests.property.test_reduction_matrix` pins
 the driver against the sequential oracle across reductions and engines;
 here we cover the driver-specific machinery: partition statistics,
-budget truncation, spill wiring, start methods and input validation.
+budget truncation, spill wiring, start methods, a worker dying
+mid-level, and input validation.
 """
+
+import multiprocessing
+import os
+import time
 
 import pytest
 
+from repro.check import partitioned
 from repro.check.explorer import explore
-from repro.check.parallel import SystemSpec, build_system
 from repro.check.partitioned import explore_partitioned
+from repro.check.spec import SystemSpec, build_system
 from repro.check.store import make_partitioned_store
+from repro.errors import CheckError
 
 SPEC = SystemSpec("migratory", "async", 2)
 
@@ -52,6 +59,27 @@ class TestParity:
         result = explore_partitioned(SPEC, partitions=1)
         assert counts(result) == counts(sequential)
         assert len(result.partition_stats) == 1
+
+
+class TestWorkerDeath:
+    def test_worker_killed_mid_level(self, monkeypatch):
+        # fork workers inherit the patched module: partition 1 dies the
+        # first time it has a frontier slice to expand, while its peer
+        # is blocked waiting for its candidate batch
+        expand_state = partitioned.expand_state
+
+        def dying(system, state):
+            if multiprocessing.current_process().name == "partition-1":
+                os._exit(1)
+            return expand_state(system, state)
+
+        monkeypatch.setattr(partitioned, "expand_state", dying)
+        monkeypatch.setattr(partitioned, "_POLL_SECONDS", 0.2)
+        started = time.perf_counter()
+        with pytest.raises(CheckError, match="partition worker died"):
+            explore_partitioned(SPEC, partitions=2, start_method="fork")
+        assert time.perf_counter() - started < 30
+        assert not multiprocessing.active_children()
 
 
 class TestStatistics:
