@@ -50,9 +50,8 @@ execution raises is reported as a :class:`SchemaFault`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Union, cast
 
 from ..csp.ast import Input, Protocol
 from ..errors import SemanticsError
@@ -114,23 +113,13 @@ def enumerate_contexts(protocol: Protocol, *,
                        max_states: int = 4096,
                        ) -> tuple[list[RvState], bool]:
     """Reachable rendezvous states at ``n = 2``, plus a completeness flag."""
-    system = RendezvousSystem(protocol, 2)
-    init = system.initial_state()
-    seen: set[RvState] = {init}
-    order: list[RvState] = [init]
-    frontier: deque[RvState] = deque([init])
-    complete = True
-    while frontier:
-        state = frontier.popleft()
-        if len(seen) > max_states:
-            complete = False
-            break
-        for _action, nxt in system.successors(state):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                frontier.append(nxt)
-    return order, complete
+    from ..check.explorer import explore
+    from ..check.store import ExactStore
+
+    store = ExactStore()  # iterates in BFS discovery order
+    result = explore(RendezvousSystem(protocol, 2), store=store,
+                     allow_deadlock=True, max_states=max_states)
+    return cast("list[RvState]", list(store)), result.completed
 
 
 def embed(system: AsyncSystem, context: RvState) -> AsyncState:

@@ -24,18 +24,21 @@ the failure mode the paper's progress-buffer reservation exists to prevent
 (section 3.2: "If no such reservation is made, a livelock can result"),
 and the ablation benchmark reproduces it by switching the reservation off.
 
-The SCC computation is an iterative Tarjan (explicit stack, so deep graphs
-cannot hit Python's recursion limit).
+Progress is an *analysis of the reachable graph*, not a second graph
+builder: :func:`check_progress` makes one
+:func:`~repro.check.explorer.explore` call (``keep_graph=True``) and reads
+the verdict off what it returned, so its budgets and stop reasons are the
+exploration core's.  The SCC computation is an iterative Tarjan (explicit
+stack, so deep graphs cannot hit Python's recursion limit).
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Optional
 
 from ..errors import BudgetExceeded, PropertyViolation
+from .explorer import explore
 from .stats import ExplorationResult
 
 __all__ = ["assert_safe", "ProgressReport", "check_progress", "tarjan_sccs"]
@@ -117,78 +120,40 @@ def check_progress(
     (asynchronous level — progress edges are those completing a rendezvous)
     or ``successors`` + ``is_progress`` (rendezvous level).
     """
-    t0 = time.perf_counter()
-    states: dict[Hashable, int] = {}
-    adjacency: list[list[tuple[int, bool]]] = []
-    expand = _expander(system)
-
-    init = system.initial_state()
-    states[init] = 0
-    adjacency.append([])
-    order: list[Hashable] = [init]
-    frontier: deque[int] = deque([0])
-    deadlocks: list[Any] = []
-    completed, stop_reason = True, None
-
-    while frontier:
-        if max_states is not None and len(states) > max_states:
-            completed, stop_reason = False, f"state budget {max_states} exceeded"
-            break
-        if max_seconds is not None and time.perf_counter() - t0 > max_seconds:
-            completed, stop_reason = False, f"time budget {max_seconds}s exceeded"
-            break
-        idx = frontier.popleft()
-        succs = expand(order[idx])
-        if not succs:
-            deadlocks.append(order[idx])
-        edges: list[tuple[int, bool]] = []
-        for nxt, progress in succs:
-            j = states.get(nxt)
-            if j is None:
-                j = len(order)
-                states[nxt] = j
-                order.append(nxt)
-                adjacency.append([])
-                frontier.append(j)
-            edges.append((j, progress))
-        adjacency[idx] = edges
-
-    if not completed:
-        return ProgressReport(ok=False, n_states=len(states), n_sccs=0,
+    if not (hasattr(system, "steps") or hasattr(system, "is_progress")):
+        raise TypeError("system supports neither steps() nor "
+                        "successors()+is_progress()")
+    result = explore(_WithCompletes(system), max_states=max_states,
+                     max_seconds=max_seconds, keep_graph=True,
+                     allow_deadlock=True)
+    if not result.completed:
+        return ProgressReport(ok=False, n_states=result.n_states, n_sccs=0,
                               n_terminal_sccs=0, completed=False,
-                              stop_reason=stop_reason)
+                              stop_reason=result.stop_reason)
 
-    sccs = tarjan_sccs([[j for j, _p in edges] for edges in adjacency])
-    comp_of = [0] * len(order)
-    for comp_idx, comp in enumerate(sccs):
-        for node in comp:
-            comp_of[node] = comp_idx
+    order, edges, sccs, comp_of = _labelled_sccs(
+        result.graph or {},
+        lambda _state, _action, completes, _next: bool(completes))
+    deadlocks = [order[i] for i, out in enumerate(edges) if not out]
 
     terminal = [True] * len(sccs)
     has_progress = [False] * len(sccs)
-    has_internal_edge = [False] * len(sccs)
-    for src, edges in enumerate(adjacency):
-        for dst, progress in edges:
+    for src, out in enumerate(edges):
+        for dst, progress in out:
             if comp_of[src] != comp_of[dst]:
                 terminal[comp_of[src]] = False
-            else:
-                has_internal_edge[comp_of[src]] = True
-                if progress:
-                    has_progress[comp_of[src]] = True
+            elif progress:
+                has_progress[comp_of[src]] = True
 
-    livelocks: list[tuple[int, Any]] = []
-    for comp_idx, comp in enumerate(sccs):
-        if not terminal[comp_idx]:
-            continue
-        if not has_internal_edge[comp_idx]:
-            continue  # a terminal singleton without self-loop is a deadlock,
-            # already recorded above
-        if not has_progress[comp_idx]:
-            livelocks.append((len(comp), order[comp[0]]))
+    # a terminal SCC without any edge is a deadlock state, recorded above
+    livelocks = [(len(comp), order[comp[0]])
+                 for comp_idx, comp in enumerate(sccs)
+                 if terminal[comp_idx] and not has_progress[comp_idx]
+                 and edges[comp[0]]]
 
     return ProgressReport(
         ok=not deadlocks and not livelocks,
-        n_states=len(states),
+        n_states=result.n_states,
         n_sccs=len(sccs),
         n_terminal_sccs=sum(terminal),
         deadlocks=deadlocks,
@@ -196,18 +161,58 @@ def check_progress(
     )
 
 
-def _expander(system: Any) -> Callable[[Hashable], list[tuple[Hashable, bool]]]:
-    if hasattr(system, "steps"):
-        def expand(state: Hashable) -> list[tuple[Hashable, bool]]:
-            return [(s.state, bool(s.completes)) for s in system.steps(state)]
-        return expand
-    if hasattr(system, "is_progress"):
-        def expand(state: Hashable) -> list[tuple[Hashable, bool]]:
-            return [(nxt, system.is_progress(action))
-                    for action, nxt in system.successors(state)]
-        return expand
-    raise TypeError("system supports neither steps() nor "
-                    "successors()+is_progress()")
+class _WithCompletes:
+    """``inner`` with what each step completed riding in the action slot.
+
+    ``successors()`` drops the ``completes`` observable that progress and
+    leads-to label edges by; this view yields ``((action, completes),
+    next)`` so one ``explore(keep_graph=True)`` sweep keeps it — from
+    ``steps()``, or at the rendezvous level from ``successors()``, where a
+    rendezvous completes itself and an action ``is_progress`` rules out (a
+    tau) completes nothing.
+    """
+
+    def __init__(self, inner: Any) -> None:
+        self.inner = inner  # the name system_engine() unwraps
+
+    def initial_state(self) -> Hashable:
+        return self.inner.initial_state()
+
+    def successors(self, state: Hashable) -> list[tuple[Any, Hashable]]:
+        inner = self.inner
+        if hasattr(inner, "steps"):
+            return [((s.action, s.completes), s.state)
+                    for s in inner.steps(state)]
+        is_progress = getattr(inner, "is_progress", lambda _action: True)
+        return [((action, (action,) if is_progress(action) else ()), nxt)
+                for action, nxt in inner.successors(state)]
+
+
+def _labelled_sccs(
+    graph: dict[Any, list[tuple[Any, Any]]],
+    label: Callable[[Any, Any, tuple[Any, ...], Any], bool],
+    *,
+    drop_labelled: bool = False,
+) -> tuple[list[Any], list[list[tuple[int, bool]]], list[list[int]], list[int]]:
+    """Index the graph of a completed :class:`_WithCompletes` sweep; SCCs.
+
+    Dict order of ``graph`` is BFS discovery order, so position is index.
+    Returns the states in that order, per state its out-edges as ``(target
+    index, label(state, action, completes, next))``, the SCCs (of the
+    subgraph without labelled edges when ``drop_labelled``) and each
+    state's SCC number.
+    """
+    index = {state: i for i, state in enumerate(graph)}
+    edges = [[(index[nxt], label(state, action, completes, nxt))
+              for (action, completes), nxt in succs]
+             for state, succs in graph.items()]
+    sccs = tarjan_sccs([[dst for dst, flag in out
+                         if not (drop_labelled and flag)] for out in edges])
+    comp_of = [0] * len(edges)
+    for comp_idx, comp in enumerate(sccs):
+        for node in comp:
+            comp_of[node] = comp_idx
+    return list(graph), edges, sccs, comp_of
 
 
 def tarjan_sccs(adjacency: list[list[int]]) -> list[list[int]]:

@@ -5,7 +5,10 @@ keeps completing rendezvous.  Protocol designers usually also want the
 per-transaction temporal property "whenever P requests, P is eventually
 answered" — which, as the paper notes, holds per-remote only with enough
 buffering (strong fairness), and holds in the weak some-remote form with
-k = 2.  This module checks such properties on the reachable graph:
+k = 2.  This module checks such properties on the reachable graph — the
+one :func:`~repro.check.explorer.explore` returns under ``keep_graph=True``,
+indexed and SCC-decomposed by the helper it shares with
+:func:`~repro.check.properties.check_progress`:
 
     REQUEST leads-to RESPONSE   (LTL: G (request -> F response))
 
@@ -30,12 +33,11 @@ k = 2, while "remote 0's request is always eventually granted" fails
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Optional
 
-from .properties import tarjan_sccs
+from .explorer import explore
+from .properties import _labelled_sccs, _WithCompletes
 
 __all__ = ["ResponseReport", "check_response", "grant_edge", "remote_in_state"]
 
@@ -77,48 +79,16 @@ def check_response(
     """Check ``request leads-to response`` over the reachable graph.
 
     ``system`` must expose ``steps`` (asynchronous level) or ``successors``
-    plus rendezvous actions (rendezvous level); completes default to the
-    action itself at the rendezvous level.
+    (rendezvous level, where ``completes`` is the action itself, or empty
+    for an action the system's ``is_progress`` rules out).
     """
-    t0 = time.perf_counter()
-    expand = _expander(system)
-
-    index: dict[Hashable, int] = {}
-    order: list[Hashable] = []
-    adjacency: list[list[tuple[int, bool]]] = []
-
-    init = system.initial_state()
-    index[init] = 0
-    order.append(init)
-    adjacency.append([])
-    frontier = deque([0])
-    completed, stop_reason = True, None
-
-    while frontier:
-        if max_states is not None and len(order) > max_states:
-            completed, stop_reason = False, f"budget {max_states} exceeded"
-            break
-        if max_seconds is not None and time.perf_counter() - t0 > max_seconds:
-            completed, stop_reason = False, "time budget exceeded"
-            break
-        current = frontier.popleft()
-        edges: list[tuple[int, bool]] = []
-        for action, completes, nxt in expand(order[current]):
-            j = index.get(nxt)
-            if j is None:
-                j = len(order)
-                index[nxt] = j
-                order.append(nxt)
-                adjacency.append([])
-                frontier.append(j)
-            edges.append((j, response(order[current], action,
-                                      completes, nxt)))
-        adjacency[current] = edges
-
-    if not completed:
-        return ResponseReport(ok=False, n_states=len(order),
+    result = explore(_WithCompletes(system), max_states=max_states,
+                     max_seconds=max_seconds, keep_graph=True,
+                     allow_deadlock=True)
+    if not result.completed:
+        return ResponseReport(ok=False, n_states=result.n_states,
                               n_request_states=0, completed=False,
-                              stop_reason=stop_reason)
+                              stop_reason=result.stop_reason)
 
     # "can dodge" set: states from which some maximal path avoids every
     # response edge.  Computed as a greatest fixpoint:  dodge(s) iff
@@ -126,49 +96,35 @@ def check_response(
     #   exists a non-response edge s -> t with dodge(t), or
     #   s lies on a response-free cycle (an SCC with an internal
     #   non-response edge and no escape obligation).
-    # Implement by building the "response-free" subgraph and finding
-    # states that can reach either a deadlock or a cycle inside it.
+    # Implement by taking the SCCs of the "response-free" subgraph and
+    # finding states that can reach either a deadlock or a cycle inside it.
+    order, edges, sccs, comp_of = _labelled_sccs(
+        result.graph or {}, response, drop_labelled=True)
     n = len(order)
-    free_adjacency: list[list[int]] = [
-        [dst for dst, is_resp in edges if not is_resp]
-        for edges in adjacency
-    ]
-    deadlock = [not edges for edges in adjacency]
-
-    sccs = tarjan_sccs(free_adjacency)
-    comp_of = [0] * n
-    for comp_index, comp in enumerate(sccs):
-        for node in comp:
-            comp_of[node] = comp_index
-    cyclic = [False] * len(sccs)
-    for comp_index, comp in enumerate(sccs):
-        if len(comp) > 1:
-            cyclic[comp_index] = True
-    for src in range(n):
-        for dst in free_adjacency[src]:
-            if dst == src:
-                cyclic[comp_of[src]] = True
+    cyclic = [len(comp) > 1 for comp in sccs]
 
     # bad = can reach (in the response-free subgraph) a deadlock or a
     # response-free cycle; propagate each flavour backwards separately so
     # the report can say *how* the response gets dodged
     reverse: list[list[int]] = [[] for _ in range(n)]
-    for src in range(n):
-        for dst in free_adjacency[src]:
-            reverse[dst].append(src)
+    for src, out in enumerate(edges):
+        for dst, is_response in out:
+            if not is_response:
+                reverse[dst].append(src)
+                if dst == src:
+                    cyclic[comp_of[src]] = True
 
     def backward_closure(seed: list[bool]) -> list[bool]:
         closed = list(seed)
-        queue = deque(i for i in range(n) if closed[i])
-        while queue:
-            node = queue.popleft()
-            for back in reverse[node]:
+        pending = [i for i in range(n) if closed[i]]
+        while pending:
+            for back in reverse[pending.pop()]:
                 if not closed[back]:
                     closed[back] = True
-                    queue.append(back)
+                    pending.append(back)
         return closed
 
-    bad_dead = backward_closure([deadlock[i] for i in range(n)])
+    bad_dead = backward_closure([not out for out in edges])
     bad_cycle = backward_closure([cyclic[comp_of[i]] for i in range(n)])
 
     witness = None
@@ -188,19 +144,6 @@ def check_response(
         witness=witness,
         failure_kind=witness_kind,
     )
-
-
-def _expander(system: Any) -> Callable[[Any], list[tuple[Any, Any, Any]]]:
-    if hasattr(system, "steps"):
-        def expand_async(state: Any) -> list[tuple[Any, Any, Any]]:
-            return [(s.action, s.completes, s.state)
-                    for s in system.steps(state)]
-        return expand_async
-
-    def expand_rv(state: Any) -> list[tuple[Any, Any, Any]]:
-        return [(action, (action,), nxt)
-                for action, nxt in system.successors(state)]
-    return expand_rv
 
 
 # -- convenience predicates ---------------------------------------------------

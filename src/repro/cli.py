@@ -351,14 +351,6 @@ def cmd_flows(args) -> int:
 def cmd_paramverify(args) -> int:
     import json
 
-    if args.engine == "compiled":
-        raise SystemExit(
-            "--engine compiled specializes the asynchronous transition "
-            "table; paramverify explores the environment abstraction at "
-            "the rendezvous level, where only the interpreted engine "
-            "exists (use 'repro check --level async --engine compiled' "
-            "for concrete sweeps)")
-
     from .analysis.coherencecheck import check_coherence
     from .analysis.flows import derive_flows
     from .viz.msc import render_counterexample_msc
@@ -497,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the section 3.3 optimization")
         p.add_argument("--no-progress-buffer", action="store_true",
                        help="ablation: drop the progress-buffer reservation")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_positive_int, default=None,
                        help="state budget (emulates a memory cap)")
         p.add_argument("--timeout", type=float, default=None,
                        help="wall-clock budget in seconds")
@@ -569,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spill cold partitions to mmap-backed sorted "
                         "fingerprint files under DIR (fingerprint store "
                         "+ --partitions only)")
-    p.add_argument("--spill-threshold", type=int, default=1 << 20,
+    p.add_argument("--spill-threshold", type=_positive_int,
+                   default=1 << 20,
                    metavar="N",
                    help="hot-tier entries per partition before a merge "
                         "to the spill file (default: %(default)s)")
@@ -680,14 +673,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the section 3.3 optimization")
     p.add_argument("--no-progress-buffer", action="store_true",
                    help=argparse.SUPPRESS)  # accepted for _config() parity
-    p.add_argument("--budget", type=int, default=50_000,
+    p.add_argument("--budget", type=_positive_int, default=50_000,
                    help="state budget per abstract exploration "
                         "(default 50000)")
-    p.add_argument("--engine", choices=list(ENGINE_NAMES),
-                   default="interpreted",
-                   help="accepted for CLI uniformity; the abstraction "
-                        "runs at the rendezvous level, so 'compiled' is "
-                        "rejected with a pointer to 'repro check'")
     p.add_argument("--json", action="store_true",
                    help="emit one JSON verdict per protocol")
     p.add_argument("--strict", action="store_true",
@@ -722,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_soundness)
 
     p = sub.add_parser("table3", help="regenerate the paper's Table 3")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=_positive_int, default=100_000,
                    help="state budget standing in for the 64 MB cap")
     p.add_argument("--timeout", type=float, default=120.0)
     p.set_defaults(func=cmd_table3)
@@ -730,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="multi-line shared-buffer-pool study "
                                     "(paper section 6)")
     common(p, default_nodes=8)
-    p.add_argument("--lines", type=int, default=32,
+    p.add_argument("--lines", type=_positive_int, default=32,
                    help="number of concurrently simulated lines")
     p.add_argument("--until", type=float, default=10_000.0)
     p.add_argument("--seed", type=int, default=0)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.simulation import CertificateReport, check_certificate
+from repro.analysis.symbolic import enumerate_contexts
 from repro.errors import CertificateError, RefinementError
 from repro.protocols.handwritten import handwritten_migratory
 from repro.protocols.invalidate import invalidate_protocol
@@ -174,6 +175,23 @@ class TestRefineGate:
 
     def test_certificate_error_is_a_refinement_error(self):
         assert issubclass(CertificateError, RefinementError)
+
+
+class TestContexts:
+    @pytest.mark.parametrize("factory, n_contexts, n_truncated", [
+        (invalidate_protocol, 723, 5), (mesi_protocol, 803, 5),
+        (migratory_protocol, 15, 4), (msi_protocol, 1026, 5),
+    ])
+    def test_context_counts_are_pinned(self, factory, n_contexts,
+                                       n_truncated):
+        """The n = 2 rendezvous reachable set, in BFS discovery order; a
+        budget cuts it where the explorer's state budget does."""
+        protocol = factory()
+        contexts, complete = enumerate_contexts(protocol)
+        assert (len(contexts), complete) == (n_contexts, True)
+        assert len(set(contexts)) == n_contexts
+        truncated, complete = enumerate_contexts(protocol, max_states=3)
+        assert (truncated, complete) == (contexts[:n_truncated], False)
 
 
 class TestBudgets:

@@ -9,7 +9,12 @@ from repro.check.properties import (
     check_progress,
     tarjan_sccs,
 )
+from repro.check.response import check_response
 from repro.errors import PropertyViolation
+from repro.protocols import LIBRARY_PROTOCOLS
+from repro.refine.engine import refine
+from repro.semantics.asynchronous import AsyncSystem
+from repro.semantics.rendezvous import RendezvousSystem
 
 
 class GraphSystem:
@@ -111,6 +116,54 @@ class TestCheckProgress:
         report = check_progress(system, max_states=10)
         assert not report.completed
         assert "budget" in report.describe()
+
+    def test_deadlocks_and_livelocks_hold_states(self):
+        # dead ends 4 and 1, discovered in that order; progress-free
+        # terminal SCCs {3, 6}, {2, 5} and the self-looping {7}
+        system = GraphSystem({
+            0: [(4, True), (3, True), (1, True), (2, True), (7, True)],
+            1: [], 2: [(5, False)], 3: [(6, False)],
+            4: [], 5: [(2, False)], 6: [(3, False)], 7: [(7, False)],
+        })
+        report = check_progress(system)
+        assert report.deadlocks == [4, 1]  # states, in BFS order
+        assert report.livelocks == [(2, 6), (2, 5), (1, 7)]
+        assert (report.n_states, report.n_sccs,
+                report.n_terminal_sccs) == (8, 6, 5)
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_truncation_is_the_explorers(self, invalidate_refined, budget):
+        """The checkers go through explore(), so a budget that cuts a BFS
+        level short stops all three at the same state with the same words."""
+        system = AsyncSystem(invalidate_refined, 2)
+        swept = explore(system, max_states=budget, allow_deadlock=True)
+        assert not swept.completed
+        progress = check_progress(system, max_states=budget)
+        response = check_response(system, request=lambda s: True,
+                                  response=lambda *edge: True,
+                                  max_states=budget)
+        for report in (progress, response):
+            assert not report.completed
+            assert (report.n_states, report.stop_reason) \
+                == (swept.n_states, swept.stop_reason)
+
+    @pytest.mark.parametrize("name, level, n, states, sccs, terminal", [
+        ("invalidate", "async", 2, 5262, 156, 1),
+        ("mesi", "async", 2, 13356, 179, 1),
+        ("migratory", "async", 2, 127, 1, 1),
+        ("msi", "async", 2, 9162, 216, 1),
+        ("invalidate", "rendezvous", 3, 8597, 173, 1),
+        ("migratory", "rendezvous", 3, 34, 1, 1),
+    ])
+    def test_library_counts_are_pinned(self, name, level, n, states, sccs,
+                                       terminal):
+        protocol = LIBRARY_PROTOCOLS[name]()
+        system = (AsyncSystem(refine(protocol), n) if level == "async"
+                  else RendezvousSystem(protocol, n))
+        report = check_progress(system)
+        assert report.ok
+        assert (report.n_states, report.n_sccs,
+                report.n_terminal_sccs) == (states, sccs, terminal)
 
     def test_rendezvous_system_protocol_progress(self, migratory_rv2):
         assert check_progress(migratory_rv2).ok
