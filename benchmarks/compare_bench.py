@@ -124,15 +124,28 @@ def _check_cross_engine(section: str, runs: list, errors: list) -> None:
                         f"vs {row.get('engine')}={row.get(field)}")
 
 
-#: per-protocol fields of the cutoff artifact that must match exactly
-CUTOFF_EXACT = ("static_verdict", "discharged", "complete_cover",
-                "n_flows", "n_invariants", "stabilizes_at", "agreement")
-#: per-(protocol, n) exploration fields held to the drift tolerance
-CUTOFF_STRICT = ("n_states", "n_transitions", "deadlocks")
+#: The two verdict artifacts share one shape — per-protocol verdict
+#: fields over an ``exploration`` list of per-n cross-check runs — and
+#: differ only in which fields they carry: schema -> (per-protocol fields
+#: that must match exactly, per-protocol counts held to the drift
+#: tolerance, per-(protocol, n) exploration fields held to it).
+VERDICT_FIELDS = {
+    "repro.bench_cutoff/1": (
+        ("static_verdict", "discharged", "complete_cover", "n_flows",
+         "n_invariants", "stabilizes_at", "agreement"),
+        (),
+        ("n_states", "n_transitions", "deadlocks")),
+    "repro.bench_param/1": (
+        ("static_verdict", "discharged", "candidates", "validated",
+         "n_lemmas", "iterations", "agreement"),
+        ("abstract_states",),
+        ("n_states", "n_transitions", "violations")),
+}
 
 
-def _compare_cutoff(baseline: dict, candidate: dict, tolerance: float,
-                    errors: list, notes: list) -> None:
+def _compare_verdicts(baseline: dict, candidate: dict, tolerance: float,
+                      errors: list, notes: list) -> None:
+    exact, drifting, strict = VERDICT_FIELDS[baseline["schema"]]
     old_by, new_by = ({p["protocol"]: p for p in doc["protocols"]}
                       for doc in (baseline, candidate))
     if set(old_by) != set(new_by):
@@ -142,66 +155,16 @@ def _compare_cutoff(baseline: dict, candidate: dict, tolerance: float,
         return
     for name in sorted(old_by):
         old, new = old_by[name], new_by[name]
-        for field in CUTOFF_EXACT:
+        for field in exact:
             if old.get(field) != new.get(field):
                 errors.append(f"{name}: {field} {old.get(field)} -> "
                               f"{new.get(field)}")
-        old_runs = {r["n"]: r for r in old["exploration"]}
-        new_runs = {r["n"]: r for r in new["exploration"]}
-        if set(old_runs) != set(new_runs):
-            errors.append(f"{name}: exploration sizes differ: "
-                          f"{sorted(old_runs)} -> {sorted(new_runs)}")
-            continue
-        for n in sorted(old_runs):
-            o, c = old_runs[n], new_runs[n]
-            label = f"{name}-n{n}"
-            if o["completed"] != c["completed"]:
-                errors.append(f"{label}: completed "
-                              f"{o['completed']} -> {c['completed']}")
-            if o.get("verdict") != c.get("verdict"):
-                errors.append(f"{label}: verdict {o.get('verdict')} -> "
-                              f"{c.get('verdict')}")
-            for field in CUTOFF_STRICT:
-                drift = _rel_drift(o[field], c[field])
-                if drift > tolerance:
-                    errors.append(f"{label}: {field} {o[field]} -> "
-                                  f"{c[field]} ({drift:.1%} > "
-                                  f"{tolerance:.0%})")
-            drift = _rel_drift(o.get("seconds", 0), c.get("seconds", 0))
+        for field in drifting:
+            drift = _rel_drift(old.get(field, 0), new.get(field, 0))
             if drift > tolerance:
-                notes.append(f"{label}: seconds {o.get('seconds')} -> "
-                             f"{c.get('seconds')} (informational)")
-
-
-#: per-protocol fields of the param artifact that must match exactly
-PARAM_EXACT = ("static_verdict", "discharged", "candidates", "validated",
-               "n_lemmas", "iterations", "agreement")
-#: per-(protocol, n) exploration fields held to the drift tolerance
-PARAM_STRICT = ("n_states", "n_transitions", "violations")
-
-
-def _compare_param(baseline: dict, candidate: dict, tolerance: float,
-                   errors: list, notes: list) -> None:
-    old_by, new_by = ({p["protocol"]: p for p in doc["protocols"]}
-                      for doc in (baseline, candidate))
-    if set(old_by) != set(new_by):
-        errors.append(f"protocols: row sets differ: "
-                      f"missing={sorted(set(old_by) - set(new_by))} "
-                      f"extra={sorted(set(new_by) - set(old_by))}")
-        return
-    for name in sorted(old_by):
-        old, new = old_by[name], new_by[name]
-        for field in PARAM_EXACT:
-            if old.get(field) != new.get(field):
                 errors.append(f"{name}: {field} {old.get(field)} -> "
-                              f"{new.get(field)}")
-        drift = _rel_drift(old.get("abstract_states", 0),
-                           new.get("abstract_states", 0))
-        if drift > tolerance:
-            errors.append(f"{name}: abstract_states "
-                          f"{old.get('abstract_states')} -> "
-                          f"{new.get('abstract_states')} "
-                          f"({drift:.1%} > {tolerance:.0%})")
+                              f"{new.get(field)} "
+                              f"({drift:.1%} > {tolerance:.0%})")
         old_runs = {r["n"]: r for r in old["exploration"]}
         new_runs = {r["n"]: r for r in new["exploration"]}
         if set(old_runs) != set(new_runs):
@@ -217,7 +180,7 @@ def _compare_param(baseline: dict, candidate: dict, tolerance: float,
             if o.get("verdict") != c.get("verdict"):
                 errors.append(f"{label}: verdict {o.get('verdict')} -> "
                               f"{c.get('verdict')}")
-            for field in PARAM_STRICT:
+            for field in strict:
                 drift = _rel_drift(o[field], c[field])
                 if drift > tolerance:
                     errors.append(f"{label}: {field} {o[field]} -> "
@@ -300,11 +263,8 @@ def compare(baseline: dict, candidate: dict,
                       f"{candidate.get('budget')}: budgeted sections are "
                       "only comparable at equal budgets")
         return errors, notes
-    if baseline.get("schema") == "repro.bench_cutoff/1":
-        _compare_cutoff(baseline, candidate, tolerance, errors, notes)
-        return errors, notes
-    if baseline.get("schema") == "repro.bench_param/1":
-        _compare_param(baseline, candidate, tolerance, errors, notes)
+    if baseline.get("schema") in VERDICT_FIELDS:
+        _compare_verdicts(baseline, candidate, tolerance, errors, notes)
         return errors, notes
     _compare_runs("runs", baseline["runs"], candidate["runs"],
                   tolerance, errors, notes)

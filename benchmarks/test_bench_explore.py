@@ -24,8 +24,8 @@ Two sections with two regeneration policies:
   walks it with the plain fingerprint store, while the interpreted row
   — Unfinished at any practical budget before the partitioned stores
   existed — runs over a 4-partition spill-backed fingerprint store
-  (``make_partitioned_store``) so the visited set stays inside a
-  bounded resident budget for the ~25-minute walk.
+  (``make_store("fingerprint", 4, spill_dir=...)``) so the visited set
+  stays inside a bounded resident budget for the ~25-minute walk.
 
 The acceptance claims asserted here, against whichever headline data is
 active:
@@ -53,7 +53,7 @@ from conftest import write_report
 
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
-from repro.check.store import make_partitioned_store
+from repro.check.store import make_store
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_explore.json"
 BENCH_SCHEMA = "repro.bench_explore/2"
@@ -139,8 +139,8 @@ def headline_store(protocol, n, config):
     """
     if (protocol, n, config) == ("invalidate", 4, "full"):
         spill = tempfile.mkdtemp(prefix="repro-bench-spill-")
-        return make_partitioned_store("fingerprint", 4, spill_dir=spill,
-                                      spill_threshold=1_000_000)
+        return make_store("fingerprint", 4, spill_dir=spill,
+                          spill_threshold=1_000_000)
     return "fingerprint"
 
 

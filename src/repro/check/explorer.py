@@ -248,8 +248,9 @@ def explore(
     :param max_bytes: memory cap on the visited store's own footprint
         estimate; crossing it ends the run as a well-formed "Unfinished"
         result (the paper's 64 MB allotment, minus the OOM kill).  The
-        estimate is Python-object sizes, so unlike ``max_states`` the
-        truncation point is machine-dependent.
+        estimate is Python-object sizes of the store's own containers, so
+        unlike ``max_states`` the truncation point is machine-dependent
+        (and the process grows several times more: EXPERIMENTS.md).
     :param keep_graph: retain full adjacency for SCC/progress analysis
         (memory-heavy; only for small systems or livelock checks).
     :param stop_on_violation: stop at the first invariant violation instead
@@ -260,7 +261,8 @@ def explore(
     :param store: visited-state store — ``"exact"`` (default),
         ``"fingerprint"`` (SPIN-style hash compaction: ~16 bytes/state, no
         traces, collisions detected and counted), or a ready
-        :class:`~repro.check.store.StateStore`.  With a trace-free store,
+        :class:`~repro.check.store.StateStore` from
+        :func:`~repro.check.store.make_store`.  With a trace-free store,
         deadlocks are counted (not witnessed) and violation
         counterexamples carry only the violating state.
     :param observer: a :class:`~repro.check.observe.RunObserver` receiving

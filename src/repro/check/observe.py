@@ -63,7 +63,9 @@ partitioned-exploration observability: ``run.partitions`` and
 ``partitions`` list (one row per visited-set partition: states owned,
 membership probes, detected collisions, resident and spilled bytes,
 merge count, dedup ratio — plus the batch-exchange counters when the
-owner-computes driver produced the row; empty for unpartitioned runs),
+owner-computes driver produced the row; empty for the classic exact
+store, and *one* row for an unsharded ``--store fingerprint`` run, whose
+store is the sharded class at one partition),
 and the result's ``spill_bytes``/``approx_bytes_detail`` (the exact
 store's entries-vs-memo-cache split; null for stores without one).
 Readers of older schemas keep working unchanged.
@@ -269,6 +271,8 @@ class ProgressRenderer:
                   f"{result.fingerprint_collisions} (lower bound on "
                   f"states hash compaction may have merged)",
                   file=self.stream)
+        if len(result.partition_stats) < 2:
+            return  # a lone row repeats the totals of the "done" line above
         for row in result.partition_stats:
             line = (f"  partition {row['partition']}: "
                     f"owned {row['owned']}  probes {row['probes']}  "

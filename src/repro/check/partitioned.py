@@ -63,27 +63,13 @@ from .explorer import ExplorationCore, expand_state, explore
 from .observe import RunObserver
 from .spec import SystemSpec, build_system, shippable_spec
 from .stats import ExplorationResult
-from .store import (PartitionedExactStore, PartitionedFingerprintStore,
-                    StateStore, fingerprint, make_partitioned_store,
-                    partition_index)
+from .store import fingerprint, make_store, partition_index
 
 __all__ = ["explore_partitioned"]
 
 #: seconds the master waits on its queue before re-checking that all
 #: partition workers are still alive
 _POLL_SECONDS = 2.0
-
-
-def _make_worker_store(kind: str, wid: int, bits: int,
-                       spill_dir: Optional[str],
-                       spill_threshold: int) -> StateStore:
-    """The single-partition store a worker owns (one range, one process)."""
-    if kind == "exact":
-        return PartitionedExactStore(1)
-    worker_dir = (os.path.join(spill_dir, f"worker-{wid:04d}")
-                  if spill_dir is not None else None)
-    return PartitionedFingerprintStore(
-        1, bits=bits, spill_dir=worker_dir, spill_threshold=spill_threshold)
 
 
 class _Mailbox:
@@ -130,7 +116,11 @@ def _partition_worker(wid: int, partitions: int, spec: SystemSpec,
                       master_queue: Any) -> None:
     """Own one visited-set partition for the whole run (process main)."""
     system = build_system(spec)
-    store = _make_worker_store(kind, wid, bits, spill_dir, spill_threshold)
+    # one range, one process: a single-partition store in a private directory
+    store = make_store(
+        kind, 1, bits=bits, spill_threshold=spill_threshold,
+        spill_dir=(None if spill_dir is None
+                   else os.path.join(spill_dir, f"worker-{wid:04d}")))
     inbox = _Mailbox(inboxes[wid])
     exchanged_batches = 0
     exchanged_states = 0
@@ -264,15 +254,14 @@ def explore_partitioned(
                          "delta-compressed exact store keeps keys resident")
     partitions = partitions or max(2, (os.cpu_count() or 2) - 1)
     name = f"{spec.protocol}-{spec.level}-{spec.n_remotes}-partitioned"
+    spill_path = None if spill_dir is None else os.fspath(spill_dir)
     if partitions == 1:
         return explore(
             build_system(spec), name=name, max_states=max_states,
             max_seconds=max_seconds, max_bytes=max_bytes,
             allow_deadlock=allow_deadlock,
-            store=make_partitioned_store(
-                store, 1, bits=bits,
-                spill_dir=None if spill_dir is None else os.fspath(spill_dir),
-                spill_threshold=spill_threshold),
+            store=make_store(store, 1, bits=bits, spill_dir=spill_path,
+                             spill_threshold=spill_threshold),
             observer=observer, reductions=spec.reductions(),
             engine=spec.engine)
 
@@ -285,7 +274,6 @@ def explore_partitioned(
                            max_bytes=max_bytes, workers=partitions,
                            reductions=spec.reductions(), engine=spec.engine)
     shipped = shippable_spec(spec)
-    spill_path = None if spill_dir is None else os.fspath(spill_dir)
     procs = [
         context.Process(
             target=_partition_worker,

@@ -3,8 +3,8 @@
 A :class:`SpillFile` is the cold tier of one visited-set partition: a
 flat, sorted array of ``(fingerprint, check)`` pairs on disk, memory-
 mapped for lookups.  The hot tier (a dict in
-:class:`~repro.check.store.PartitionedFingerprintStore`) absorbs new
-states; when it crosses the spill threshold it is *merged* into the
+:class:`~repro.check.store.FingerprintStore`) absorbs new states;
+when it crosses the spill threshold it is *merged* into the
 file — a single sequential two-way merge of the existing records with
 the sorted hot entries, written to a temp file and atomically renamed —
 and the hot tier starts over empty.  Lookups binary-search the mapping
@@ -33,7 +33,9 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Optional, Union
+
+from ..errors import CheckError
 
 __all__ = ["SpillFile", "MAGIC", "RECORD_SIZE"]
 
@@ -48,8 +50,9 @@ HEADER_SIZE = _HEADER.size
 class SpillFile:
     """One partition's sorted on-disk fingerprint array.
 
-    Opening an existing path validates the header and maps the records;
-    a missing path starts empty (the file is created by the first
+    Opening an existing path validates the header and maps the records
+    (:class:`~repro.errors.CheckError` when it is not a spill file); a
+    missing path starts empty (the file is created by the first
     :meth:`merge`).
     """
 
@@ -68,16 +71,16 @@ class SpillFile:
         header = fh.read(HEADER_SIZE)
         if len(header) != HEADER_SIZE:
             fh.close()
-            raise ValueError(f"{self.path}: truncated spill header")
+            raise CheckError(f"{self.path}: truncated spill header")
         magic, count = _HEADER.unpack(header)
         if magic != MAGIC:
             fh.close()
-            raise ValueError(f"{self.path}: bad spill magic {magic!r}")
+            raise CheckError(f"{self.path}: bad spill magic {magic!r}")
         expected = HEADER_SIZE + count * RECORD_SIZE
         actual = os.fstat(fh.fileno()).st_size
         if actual != expected:
             fh.close()
-            raise ValueError(
+            raise CheckError(
                 f"{self.path}: spill file is {actual} bytes, header "
                 f"promises {expected} ({count} records)")
         self._file = fh
@@ -123,15 +126,6 @@ class SpillFile:
 
     def __contains__(self, fingerprint: int) -> bool:
         return self.lookup(fingerprint) is not None
-
-    def fingerprints(self) -> Iterator[int]:
-        """All stored fingerprints, ascending (filter (re)seeding)."""
-        mm = self._mm
-        if mm is None:
-            return
-        unpack = _RECORD.unpack_from
-        for i in range(self._count):
-            yield int(unpack(mm, HEADER_SIZE + i * RECORD_SIZE)[0])
 
     # -- mutation ----------------------------------------------------------
 

@@ -98,8 +98,9 @@ class ExplorationResult:
     #: one statistics row per visited-set partition (profile/4 rows:
     #: ``partition``/``owned``/``probes``/``collisions``/``approx_bytes``
     #: /``spill_bytes``/``spill_merges``/``dedup_ratio``, plus the batch
-    #: exchange counters under the owner-computes driver); empty for
-    #: unpartitioned stores
+    #: exchange counters under the owner-computes driver); empty only
+    #: for the classic exact store, one row for an unsharded fingerprint
+    #: store
     partition_stats: tuple[dict[str, Any], ...] = ()
     #: bytes the store spilled to disk (mmap cold tier); 0 for purely
     #: resident stores
@@ -150,7 +151,7 @@ class ExplorationResult:
             extra += f", ~{_fmt_bytes(self.approx_bytes)} visited set"
             if self.spill_bytes:
                 extra += f" + {_fmt_bytes(self.spill_bytes)} spilled"
-        if self.partition_stats:
+        if len(self.partition_stats) > 1:
             extra += f", {len(self.partition_stats)} partition(s)"
         return (f"{self.system_name}: {self.n_states} states, "
                 f"{self.n_transitions} transitions in {self.seconds:.2f}s "

@@ -195,13 +195,10 @@ def cmd_check(args) -> int:
     from .check.observe import JsonProfileWriter, MultiObserver, ProgressRenderer
     from .check.partitioned import explore_partitioned
     from .check.spec import SystemSpec, build_system
-    from .check.store import make_partitioned_store
+    from .check.store import make_store
 
     _reject_rendezvous_por(args)
     _reject_rendezvous_engine(args)
-    if args.spill_dir is not None and args.partitions is None:
-        raise SystemExit("--spill-dir needs --partitions (only partitioned "
-                         "stores have a disk tier)")
     if args.spill_dir is not None and args.store != "fingerprint":
         raise SystemExit("--spill-dir applies to --store fingerprint; the "
                          "delta-compressed exact store keeps keys resident")
@@ -233,18 +230,21 @@ def cmd_check(args) -> int:
             store=args.store, spill_dir=args.spill_dir,
             spill_threshold=args.spill_threshold, observer=observer)
     else:
-        store = args.store
-        if args.partitions is not None:
-            # in-process sharding: one store, P fingerprint ranges
-            store = make_partitioned_store(
-                args.store, args.partitions, spill_dir=args.spill_dir,
-                spill_threshold=args.spill_threshold)
-        result = explore(build_system(spec),
-                         name=f"{args.protocol}-{args.level}-{args.nodes}",
-                         max_states=args.budget, max_seconds=args.timeout,
-                         max_bytes=max_bytes,
-                         store=store, observer=observer,
-                         reductions=spec.reductions())
+        # in-process sharding: one store, --partitions fingerprint ranges
+        store = make_store(args.store, args.partitions,
+                           spill_dir=args.spill_dir,
+                           spill_threshold=args.spill_threshold)
+        try:
+            result = explore(build_system(spec),
+                             name=f"{args.protocol}-{args.level}-{args.nodes}",
+                             max_states=args.budget, max_seconds=args.timeout,
+                             max_bytes=max_bytes,
+                             store=store, observer=observer,
+                             reductions=spec.reductions())
+        finally:
+            close = getattr(store, "close", None)  # mmaps + file handles
+            if callable(close):
+                close()
     print(result.describe())
     if args.profile:
         print(f"[profile written to {args.profile}]")
@@ -560,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spill-dir", metavar="DIR", default=None,
                    help="spill cold partitions to mmap-backed sorted "
                         "fingerprint files under DIR (fingerprint store "
-                        "+ --partitions only)")
+                        "only)")
     p.add_argument("--spill-threshold", type=_positive_int,
                    default=1 << 20,
                    metavar="N",

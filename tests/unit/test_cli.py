@@ -191,6 +191,36 @@ class TestCheckCommand:
             assert par_doc["result"][key] == seq_doc["result"][key]
         assert par_doc["run"]["workers"] == 2
 
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]],
+                             ids=["sequential", "parallel"])
+    def test_same_spill_dir_twice(self, parallel, tmp_path, capsys):
+        # the first run's spill files are the first run's visited set: a
+        # store that adopted them once called 400 of 1614 states "complete"
+        argv = ["check", "migratory", "--level", "async", "-n", "3",
+                "--store", "fingerprint", "--partitions", "2"] + parallel
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert "1614 states, 4344 transitions" in plain
+        for _ in range(2):
+            assert main(argv + ["--spill-dir", str(tmp_path),
+                                "--spill-threshold", "200"]) == 0
+            out = capsys.readouterr().out
+            assert "1614 states, 4344 transitions" in out
+            assert "[complete]" in out and "spilled" in out
+
+    def test_unsharded_fingerprint_output_names_no_partitions(
+            self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        assert main(["check", "migratory", "-n", "2", "--store",
+                     "fingerprint", "--levels", "--profile", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "partition" not in captured.out + captured.err
+        # the profile does carry the store's one row (additive in /4)
+        doc = json.loads(path.read_text())
+        assert doc["run"]["partitions"] == 1
+        assert [row["owned"] for row in doc["partitions"]] \
+            == [doc["result"]["n_states"]]
+
     def test_unknown_store_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check", "migratory",
@@ -307,5 +337,16 @@ class TestErrorsAreOneLine:
             argv += ["--level", "async"]
         assert main(argv) == 1  # returned, not raised: no traceback
         err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_spill_dir_under_a_regular_file(self, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("not a directory")
+        assert main(["check", "migratory", "--level", "async", "-n", "2",
+                     "--store", "fingerprint", "--partitions", "2",
+                     "--spill-dir", str(a_file / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot use spill directory")
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1

@@ -17,7 +17,7 @@ from repro.check import partitioned
 from repro.check.explorer import explore
 from repro.check.partitioned import explore_partitioned
 from repro.check.spec import SystemSpec, build_system
-from repro.check.store import make_partitioned_store
+from repro.check.store import make_store
 from repro.errors import CheckError
 
 SPEC = SystemSpec("migratory", "async", 2)
@@ -133,21 +133,20 @@ class TestValidation:
 
 
 class TestInProcessPartitionedStore:
-    """`explore(store=make_partitioned_store(...))`: the sequential
+    """`explore(store=make_store(kind, P, ...))`: the sequential
     driver over a sharded store — the single-CPU configuration."""
 
     def test_counts_match_plain_fingerprint(self, tmp_path):
         plain = explore(build_system(SPEC), name="x", store="fingerprint")
         sharded = explore(
             build_system(SPEC), name="x",
-            store=make_partitioned_store("fingerprint", 4,
-                                         spill_dir=tmp_path,
-                                         spill_threshold=16))
+            store=make_store("fingerprint", 4, spill_dir=tmp_path,
+                             spill_threshold=16))
         assert counts(sharded) == counts(plain)
         assert len(sharded.partition_stats) == 4
         assert sharded.spill_bytes > 0
 
     def test_exact_partitioned_store_supports_traces(self, sequential):
         result = explore(build_system(SPEC), name="x",
-                         store=make_partitioned_store("exact", 2))
+                         store=make_store("exact", 2))
         assert counts(result) == counts(sequential)

@@ -11,6 +11,7 @@ from repro.check.spill import (
     RECORD_SIZE,
     SpillFile,
 )
+from repro.errors import CheckError
 
 
 @pytest.fixture
@@ -52,8 +53,11 @@ class TestRoundTrip:
         spill = SpillFile(path)
         spill.merge({5: 1, 1: 1, 9: 1})
         spill.merge({3: 1, 7: 1})
-        assert list(spill.fingerprints()) == [1, 3, 5, 7, 9]
         spill.close()
+        # the sorted order is the file's, not an iterator's: read it raw
+        raw = path.read_bytes()[HEADER_SIZE:]
+        assert [fp for fp, _check in struct.iter_unpack(">QQ", raw)] \
+            == [1, 3, 5, 7, 9]
 
     def test_file_size_matches_record_math(self, path):
         spill = SpillFile(path)
@@ -106,7 +110,12 @@ class TestMerge:
 class TestCorruption:
     def test_bad_magic_rejected(self, path):
         path.write_bytes(b"NOTSPILL" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(CheckError, match="magic"):
+            SpillFile(path)
+
+    def test_truncated_header_rejected(self, path):
+        path.write_bytes(b"garbage")
+        with pytest.raises(CheckError, match="truncated spill header"):
             SpillFile(path)
 
     def test_truncated_body_rejected(self, path):
@@ -115,7 +124,7 @@ class TestCorruption:
         spill.close()
         data = path.read_bytes()
         path.write_bytes(data[:-4])
-        with pytest.raises(ValueError, match="header promises"):
+        with pytest.raises(CheckError, match="header promises"):
             SpillFile(path)
 
     def test_header_count_is_authoritative(self, path):

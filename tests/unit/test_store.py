@@ -1,13 +1,16 @@
 """Unit tests for the pluggable visited-state stores (repro.check.store)."""
 
 import pickle
+import random
 
 import pytest
 
+import repro.check.store as store_module
+from repro.check.explorer import explore
+from repro.check.spec import SystemSpec, build_system
 from repro.check.store import (
     ExactStore,
     FingerprintStore,
-    canonical,
     fingerprint,
     make_store,
 )
@@ -30,6 +33,26 @@ class TestMakeStore:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown store"):
             make_store("bloom")
+
+    def test_sharded_spilling_store_counts_like_the_plain_one(self, tmp_path):
+        # one factory: sharding and spilling are arguments, not a second
+        # constructor, and neither changes what the store admits
+        plain = make_store("fingerprint")
+        sharded = make_store("fingerprint", 4, spill_dir=tmp_path / "a",
+                             spill_threshold=16)
+        alias = store_module.make_partitioned_store(
+            "fingerprint", 4, spill_dir=tmp_path / "b", spill_threshold=16)
+        for state in [("state", i % 700) for i in range(2000)]:
+            verdict = plain.add(state)
+            assert sharded.add(state) == alias.add(state) == verdict
+        assert len(plain) == len(sharded) == len(alias) == 700
+        assert sharded.spill_bytes() > 0
+        sharded.close()
+        alias.close()
+
+    def test_exact_has_no_disk_tier(self, tmp_path):
+        with pytest.raises(ValueError, match="spill"):
+            make_store("exact", spill_dir=tmp_path)
 
 
 class TestExactStore:
@@ -105,20 +128,50 @@ class TestFingerprintStore:
         assert compact.approx_bytes() < exact.approx_bytes() / 3
 
 
+class TestNothingPinnedPerState:
+    def test_fingerprint_sweep_leaves_no_per_state_memo(self):
+        # "~16 bytes per state" is only true if the encoding layer keeps
+        # nothing alive per state: no blob on the state object, no entry
+        # per state in the subtree cache
+        class Recording:
+            def __init__(self, inner):
+                self.inner, self.expanded = inner, []
+
+            def initial_state(self):
+                return self.inner.initial_state()
+
+            def successors(self, state):
+                self.expanded.append(state)
+                return self.inner.successors(state)
+
+        system = Recording(build_system(SystemSpec("invalidate", "async", 2)))
+        store_module._ENC_CACHE.clear()
+        result = explore(system, name="x", store="fingerprint")
+        assert result.completed and result.n_states >= 2000
+        assert len(system.expanded) == result.n_states
+        assert not any("_blob_cache" in vars(state)
+                       for state in system.expanded)
+        assert len(store_module._ENC_CACHE) < result.n_states // 2
+
+
 class TestCanonicalEncoding:
     def test_plain_hashables_pass_through(self):
-        assert canonical(7) == 7
-        assert canonical(("a", 1)) == ("a", 1)
+        # no canonical_key(): the value itself is what gets encoded
+        assert fingerprint(7) != fingerprint("7")
+        assert fingerprint(("a", 1)) != fingerprint(("a", "1"))
+        assert fingerprint(("a", 1)) == fingerprint(("a",) + (1,))
 
     def test_frozensets_are_ordered(self):
         e1 = Env({"S": frozenset(["a", "b", "c"]), "o": None})
         e2 = Env({"S": frozenset(["c", "a", "b"]), "o": None})
         p1, p2 = ProcState("s", e1), ProcState("s", e2)
-        assert canonical(p1) == canonical(p2)
         assert fingerprint(p1) == fingerprint(p2)
+        assert fingerprint(frozenset(["a", "b", "c"])) == \
+            fingerprint(frozenset(["c", "b", "a"]))
 
     def test_frozenset_distinct_from_tuple(self):
-        assert canonical(frozenset({1})) != canonical((1,))
+        assert fingerprint(frozenset({1})) != fingerprint((1,))
+        assert fingerprint((frozenset({1}),)) != fingerprint(((1,),))
 
     def test_fingerprint_is_64_bit_and_stable_across_pickle(self):
         state = RvState(home=ProcState("h", Env({"o": 2})),
@@ -145,8 +198,6 @@ class TestCanonicalEncoding:
 
 from repro.check.store import (  # noqa: E402
     PartitionedExactStore,
-    PartitionedFingerprintStore,
-    make_partitioned_store,
     partition_index,
     partition_of,
 )
@@ -182,17 +233,28 @@ class TestPartitionRouter:
 
 class TestPartitionedFingerprintStore:
     def test_membership_matches_unsharded_store(self):
-        plain = FingerprintStore()
-        sharded = PartitionedFingerprintStore(3)
+        # one shuffled list, the same verdict sequence and collision count
+        # at any partition count: sharding is not part of the semantics
         states = [("state", i % 700) for i in range(2000)]
+        random.Random(14).shuffle(states)
+        plain, sharded = FingerprintStore(), FingerprintStore(3)
         for state in states:
             assert plain.add(state) == sharded.add(state)
         assert len(plain) == len(sharded) == 700
         assert sharded.collisions == plain.collisions == 0
+        # Truncated keys are the exception, by design: routing uses the
+        # full fingerprint, so two states sharing an 8-bit key collide
+        # only when they share a partition.  The numbers are the ones the
+        # two separate classes gave before they were merged.
+        for partitions, size, collisions in ((1, 240, 1304), (3, 458, 683)):
+            store = FingerprintStore(partitions, bits=8)
+            for state in states:
+                store.add(state)
+            assert (len(store), store.collisions) == (size, collisions)
 
     def test_membership_matches_with_spill(self, tmp_path):
         plain = FingerprintStore()
-        sharded = PartitionedFingerprintStore(
+        sharded = FingerprintStore(
             3, spill_dir=tmp_path, spill_threshold=16)
         states = [("state", i % 700) for i in range(2000)]
         for state in states:
@@ -203,7 +265,7 @@ class TestPartitionedFingerprintStore:
         sharded.close()
 
     def test_truncated_bits_detect_collisions(self):
-        store = PartitionedFingerprintStore(4, bits=8)
+        store = FingerprintStore(4, bits=8)
         for i in range(1000):
             store.add(("state", i))
         # bits only truncates the *stored* key; routing uses the full
@@ -214,7 +276,7 @@ class TestPartitionedFingerprintStore:
         assert store.collisions == sum(r["collisions"] for r in rows)
 
     def test_probe_predicts_add_without_mutation(self):
-        store = PartitionedFingerprintStore(2)
+        store = FingerprintStore(2)
         key, present = store.probe("s")
         assert not present
         assert len(store) == 0  # probe never admits
@@ -224,7 +286,7 @@ class TestPartitionedFingerprintStore:
         assert store.partition_rows()[partition_of("s", 2)]["probes"] == 1
 
     def test_rows_partition_owned_sums_to_len(self, tmp_path):
-        store = PartitionedFingerprintStore(
+        store = FingerprintStore(
             4, spill_dir=tmp_path, spill_threshold=8)
         for i in range(300):
             store.add(("state", i))
@@ -233,8 +295,8 @@ class TestPartitionedFingerprintStore:
         store.close()
 
     def test_approx_bytes_excludes_spill(self, tmp_path):
-        resident = PartitionedFingerprintStore(1)
-        spilling = PartitionedFingerprintStore(
+        resident = FingerprintStore(1)
+        spilling = FingerprintStore(
             1, spill_dir=tmp_path, spill_threshold=8)
         for i in range(500):
             resident.add(("state", i))
@@ -249,14 +311,14 @@ class TestPartitionedFingerprintStore:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="partitions"):
-            PartitionedFingerprintStore(0)
+            FingerprintStore(0)
         with pytest.raises(ValueError, match="bits"):
-            PartitionedFingerprintStore(2, bits=65)
+            FingerprintStore(2, bits=65)
         with pytest.raises(ValueError, match="threshold"):
-            PartitionedFingerprintStore(2, spill_threshold=0)
+            FingerprintStore(2, spill_threshold=0)
 
     def test_no_parent_pointers(self):
-        store = PartitionedFingerprintStore(2)
+        store = FingerprintStore(2)
         store.add("s")
         with pytest.raises(KeyError):
             store.parent_of("s")
@@ -286,17 +348,14 @@ class TestPartitionedExactStore:
     def test_compression_shrinks_similar_states(self):
         # reachable states are small deltas of the initial state; the
         # zdict-deflate keys must exploit that
-        compressed = PartitionedExactStore(1, compress=True)
-        raw = PartitionedExactStore(1, compress=False)
+        compressed = PartitionedExactStore(1)
         base = tuple(("component", "idle", i) for i in range(30))
         for i in range(200):
             state = base[:15] + (("component", "busy", i),) + base[16:]
             compressed.add(state)
-            raw.add(state)
-        assert len(compressed) == len(raw) == 200
+        assert len(compressed) == 200
         # ratio is raw canonical bytes / stored key bytes (>= 1 = winning)
         assert compressed.compression_ratio() > 2.0
-        assert compressed.approx_bytes() < raw.approx_bytes()
 
     def test_approx_bytes_far_below_classic_exact(self):
         class Obj:
@@ -326,27 +385,29 @@ class TestPartitionedExactStore:
 
 
 class TestMakePartitionedStore:
+    """``make_store`` with a partition count (the former second factory)."""
+
     def test_kinds(self):
-        assert isinstance(make_partitioned_store("exact", 2),
-                          PartitionedExactStore)
-        fp = make_partitioned_store("fingerprint", 3)
-        assert isinstance(fp, PartitionedFingerprintStore)
+        assert isinstance(make_store("exact", 2), PartitionedExactStore)
+        fp = make_store("fingerprint", 3)
+        assert isinstance(fp, FingerprintStore)
         assert fp.partitions == 3
+        assert make_store("fingerprint").partitions == 1
 
     def test_exact_rejects_spill(self, tmp_path):
         with pytest.raises(ValueError, match="spill"):
-            make_partitioned_store("exact", 2, spill_dir=tmp_path)
+            make_store("exact", 2, spill_dir=tmp_path)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown store"):
-            make_partitioned_store("bloom", 2)
+            make_store("bloom", 2)
 
 
 class TestExactStoreCacheMetering:
     def test_state_caches_metered_for_real_states(self):
-        # the encoding layer pins _blob_cache/_key_cache/_hash_cache on
-        # state __dict__s; approx_bytes must charge for them (they were
-        # the 2-3x undercount before the detail split existed)
+        # the semantics classes pin _key_cache/_hash_cache on state
+        # __dict__s; approx_bytes must charge for them (they were the
+        # 2-3x undercount before the detail split existed)
         store = ExactStore()
         states = [ProcState("s", Env({"o": i})) for i in range(50)]
         for state in states:
