@@ -20,6 +20,8 @@ magnitude costlier than the rendezvous one.
 
 from __future__ import annotations
 
+import os
+
 from conftest import write_report
 
 from repro.check.explorer import explore
@@ -74,19 +76,24 @@ def test_rendezvous_reduction(benchmark, results_dir, state_budget,
 def test_async_reduction(benchmark, results_dir, state_budget, time_budget):
     refined = refine(migratory_protocol())
     lines = ["Symmetry reduction, asynchronous level (migratory):", "",
-             f"{'N':>3} {'full':>12} {'reduced':>12}"]
+             f"  host cpus: {os.cpu_count()}", "",
+             f"{'N':>3} {'full':>12} {'reduced':>12} "
+             f"{'full st/s':>10} {'reduced st/s':>13}"]
     for n in (3, 4):
         full = explore(AsyncSystem(refined, n))
         reduced = explore(SymmetricSystem(AsyncSystem(refined, n),
                                           MIGRATORY_SYMMETRY))
-        lines.append(f"{n:>3} {full.n_states:>12} {reduced.n_states:>12}")
+        lines.append(f"{n:>3} {full.n_states:>12} {reduced.n_states:>12} "
+                     f"{full.n_states / full.seconds:>10.0f} "
+                     f"{reduced.n_states / reduced.seconds:>13.0f}")
         assert reduced.n_states * 5 < full.n_states
     # the cliff moves out but does not vanish: the asynchronous protocol
     # is still exponentially costlier than the rendezvous one
     n6 = explore(SymmetricSystem(AsyncSystem(refined, 6),
                                  MIGRATORY_SYMMETRY),
                  max_states=state_budget, max_seconds=time_budget)
-    lines.append(f"{6:>3} {'Unfinished':>12} {n6.cell():>12}")
+    lines.append(f"{6:>3} {'Unfinished':>12} {n6.cell():>12} {'':>10} "
+                 f"{n6.n_states / n6.seconds:>13.0f}")
     rv6 = explore(SymmetricSystem(RendezvousSystem(migratory_protocol(), 6),
                                   MIGRATORY_SYMMETRY))
     lines.append("")

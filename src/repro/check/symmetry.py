@@ -15,7 +15,15 @@ guaranteed to merge every orbit when signatures tie, but any consistent
 orbit member is **sound** — the reduced system reaches a state orbit iff
 the full system reaches the orbit — so reachability, deadlock and
 *symmetric* invariants (all of ours quantify over remotes) are preserved.
-Ties only cost extra states, never correctness.
+Ties only cost extra states, never correctness.  The total order is
+pinned, though: POR picks its ample set on the representative, so another
+order gives other (equally sound) counts.
+
+The signature's pieces are rendered strings.  Each is built once per
+distinct remote node, channel queue and home environment and looked up
+after that, so a successor costs a few dictionary probes and one small
+sort; a state that already is its representative is returned as is, and
+relabelling rebuilds only the parts that moved.
 
 The home's variables that hold remote ids (or sets of them) must be
 declared via :class:`SymmetrySpec` — the semantics cannot tell an id-typed
@@ -29,12 +37,17 @@ use reduction: their edge labels distinguish remote identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Optional, Union
 
 from ..csp.env import Env, Value
 from ..errors import CheckError
-from ..semantics.asynchronous import AsyncState, BufEntry, HomeNode
-from ..semantics.network import Channels
+from ..semantics.asynchronous import (
+    AsyncState,
+    BufEntry,
+    HomeNode,
+    RemoteNode,
+)
+from ..semantics.network import Channels, Msg
 from ..semantics.state import ProcState, RvState
 
 __all__ = ["SymmetrySpec", "SymmetricSystem", "normalize"]
@@ -52,60 +65,65 @@ class SymmetrySpec:
     set_vars: frozenset[str] = frozenset()
 
 
-#: Bound on the per-system representative memo (see
-#: :meth:`SymmetricSystem._normalize`); cleared, not evicted, past this.
-_MEMO_LIMIT = 1 << 20
+#: Bound on each per-system key table (:func:`_queue_key`,
+#: :func:`_home_refs`); cleared, not evicted, past this — the rule the
+#: compiled engine's intern tables follow.
+_TABLE_LIMIT = 1 << 20
+
+_State = Union[RvState, AsyncState]
+#: ``(singles, members)``: the id variables equal to one remote and the
+#: set variables containing it, each in name order.
+_Refs = tuple[tuple[str, ...], tuple[str, ...]]
+_QueueKeys = dict[tuple[Msg, ...], tuple[str, ...]]
+_HomeRefs = dict[Env, tuple[_Refs, ...]]
 
 
 class SymmetricSystem:
     """Wrap a system so the explorer sees one representative per orbit.
 
     Works with both :class:`~repro.semantics.rendezvous.RendezvousSystem`
-    and :class:`~repro.semantics.asynchronous.AsyncSystem`.  Remote-node
-    environments must themselves be id-free (true for the whole library:
-    remotes only hold data), which is asserted when possible.
+    and :class:`~repro.semantics.asynchronous.AsyncSystem`, bare or under
+    a wrapper that exposes them as ``inner`` (``PORSystem``).  Construction
+    raises :class:`~repro.errors.CheckError` when ``spec`` names a variable
+    the home process does not declare.  Not checked: that the named
+    variables really hold remote ids, that no unnamed home variable does,
+    and that remote-node environments are id-free (true for the whole
+    library: remotes only hold data).
 
-    Representatives are memoized per state: computing a signature per
-    remote (channel renderings, buffer slots, home id-references) on
-    every successor made the symmetry driver ~3x slower per state than
-    unreduced exploration, yet most successors are duplicates whose
-    representative was already computed.  The memo is value-keyed (state
-    hashes are themselves memoized on the semantics classes), returns
-    the *identical* representative object for equal queries, and is
-    bounded the same way the compiled engine's intern tables are, so a
-    10^7-state run cannot pin two copies of the space.
+    Nothing is memoized per state; the two key tables that are not
+    instance caches (:func:`_queue_key`, :func:`_home_refs`) belong to
+    this object and are bounded by :data:`_TABLE_LIMIT`.
     """
 
     def __init__(self, inner: Any, spec: SymmetrySpec) -> None:
+        base = inner
+        while hasattr(base, "inner"):
+            base = base.inner
+        declared = base.protocol.home.initial_env
+        missing = sorted(var for var in spec.id_vars | spec.set_vars
+                         if var not in declared)
+        if missing:
+            raise CheckError(
+                f"symmetry spec names {', '.join(map(repr, missing))}, which "
+                f"the home process of {base.protocol.name!r} does not "
+                f"declare (it has {', '.join(declared) or 'no variables'})")
         self.inner = inner
         self.spec = spec
         self.n = inner.n_remotes
-        self._memo: dict[Union[RvState, AsyncState],
-                         Union[RvState, AsyncState]] = {}
+        self._queue_keys: _QueueKeys = {}
+        self._home_refs: _HomeRefs = {}
 
-    def _normalize(self,
-                   state: Union[RvState, AsyncState],
-                   ) -> Union[RvState, AsyncState]:
-        memo = self._memo
-        rep = memo.get(state)
-        if rep is None:
-            rep = normalize(state, self.spec)
-            if len(memo) > _MEMO_LIMIT:
-                memo.clear()
-            memo[state] = rep
-        return rep
+    def _normalize(self, state: _State) -> _State:
+        return _representative(state, self.spec, self._queue_keys,
+                               self._home_refs)
 
-    def initial_state(self) -> Union[RvState, AsyncState]:
+    def initial_state(self) -> _State:
         return self._normalize(self.inner.initial_state())
 
-    def successors(self, state: Union[RvState, AsyncState],
-                   ) -> list[tuple[Any, Union[RvState, AsyncState]]]:
-        _normalize = self._normalize
-        return [(action, _normalize(nxt))
-                for action, nxt in self.inner.successors(state)]
+    def successors(self, state: _State) -> list[tuple[Any, _State]]:
+        return self.expand(state)[0]
 
-    def expand(self, state: Union[RvState, AsyncState],
-               ) -> tuple[list[tuple[Any, Union[RvState, AsyncState]]], int]:
+    def expand(self, state: _State) -> tuple[list[tuple[Any, _State]], int]:
         """Successors plus the inner system's enabled count (forwarded
         from a reducing inner system such as
         :class:`~repro.check.por.PORSystem`)."""
@@ -120,110 +138,151 @@ class SymmetricSystem:
                  for action, nxt in succs], enabled)
 
 
-def normalize(state: Union[RvState, AsyncState],
-              spec: SymmetrySpec) -> Union[RvState, AsyncState]:
-    """Map ``state`` to its orbit representative."""
-    if isinstance(state, RvState):
-        return _normalize_rv(state, spec)
+def normalize(state: _State, spec: SymmetrySpec) -> _State:
+    """Map ``state`` to its orbit representative (``state`` itself, the
+    same object, when it already is one)."""
+    return _representative(state, spec, {}, {})
+
+
+def _representative(state: _State, spec: SymmetrySpec,
+                    queue_keys: _QueueKeys, home_refs: _HomeRefs) -> _State:
     if isinstance(state, AsyncState):
-        return _normalize_async(state, spec)
+        return _normalize_async(state, spec, queue_keys, home_refs)
+    if isinstance(state, RvState):
+        return _normalize_rv(state, spec, home_refs)
     raise CheckError(f"cannot normalize states of type {type(state)!r}")
 
 
 # ---------------------------------------------------------------------------
 
 
-def _env_key(env: Env) -> tuple[tuple[str, str], ...]:
-    return tuple((k, repr(v)) for k, v in env.items())
+def _node_key(node: Union[ProcState, RemoteNode]) -> tuple[object, ...]:
+    """The part of a remote's sort key the node alone decides, built once
+    per node object (cached like ``_hash_cache``: instance ``__dict__``,
+    never pickled)."""
+    key: Optional[tuple[object, ...]] = node.__dict__.get("_sym_cache")
+    if key is None:
+        env = tuple((k, repr(v)) for k, v in node.env.items())
+        if isinstance(node, RemoteNode):
+            key = (node.state, node.mode, node.pending_out or -1,
+                   node.buf.describe() if node.buf else "", env)
+        else:
+            key = (node.state, env)
+        object.__setattr__(node, "_sym_cache", key)
+    return key
 
 
-def _home_refs(env: Env, spec: SymmetrySpec,
-               i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """How the home's id-typed variables point at remote ``i``."""
-    singles = tuple(sorted(var for var in spec.id_vars
-                           if var in env and env[var] == i))
-    members = tuple(sorted(
-        var for var in spec.set_vars
-        if isinstance(val := env.get(var), frozenset) and i in val))
-    return singles, members
+def _queue_key(queue: tuple[Msg, ...], table: _QueueKeys) -> tuple[str, ...]:
+    """One channel's rendering, built once per distinct queue."""
+    key = table.get(queue)
+    if key is None:
+        key = tuple(m.describe() for m in queue)
+        if len(table) > _TABLE_LIMIT:
+            table.clear()
+        table[queue] = key
+    return key
+
+
+def _home_refs(env: Env, spec: SymmetrySpec, n: int,
+               table: _HomeRefs) -> tuple[_Refs, ...]:
+    """How the home's id-typed variables point at each of the ``n``
+    remotes, built once per distinct home environment."""
+    refs = table.get(env)
+    if refs is None:
+        singles: list[tuple[str, ...]] = [()] * n
+        members: list[tuple[str, ...]] = [()] * n
+        for var, val in env.canonical_key():  # in name order
+            if var in spec.id_vars:
+                if isinstance(val, int) and 0 <= val < n:
+                    singles[val] += (var,)
+            elif var in spec.set_vars and isinstance(val, frozenset):
+                for i in range(n):
+                    if i in val:
+                        members[i] += (var,)
+        refs = tuple((singles[i], members[i]) for i in range(n))
+        if len(table) > _TABLE_LIMIT:
+            table.clear()
+        table[env] = refs
+    return refs
 
 
 def _relabel_env(env: Env, spec: SymmetrySpec,
                  relabel: dict[int, int]) -> Env:
     changes: dict[str, Value] = {}
-    for var in spec.id_vars:
-        val = env.get(var)
-        if isinstance(val, int) and val in relabel:
-            changes[var] = relabel[val]
-    for var in spec.set_vars:
-        val = env.get(var)
-        if isinstance(val, frozenset):
-            changes[var] = frozenset(relabel.get(m, m) for m in val)
+    for var, val in env.canonical_key():
+        if var in spec.id_vars:
+            if isinstance(val, int) and relabel.get(val, val) != val:
+                changes[var] = relabel[val]
+        elif var in spec.set_vars and isinstance(val, frozenset):
+            moved = frozenset(relabel.get(m, m) for m in val)
+            if moved != val:
+                changes[var] = moved
     return env.update(changes) if changes else env
 
 
-def _apply_order(order: list[int]) -> dict[int, int]:
-    """old index -> new index, given the chosen representative order."""
-    return {old: new for new, old in enumerate(order)}
-
-
-def _normalize_rv(state: RvState, spec: SymmetrySpec) -> RvState:
-    def signature(i: int) -> tuple[Any, ...]:
-        proc = state.remotes[i]
-        return (proc.state, _env_key(proc.env),
-                _home_refs(state.home.env, spec, i))
-
-    order = sorted(range(state.n_remotes), key=signature)
-    if order == list(range(state.n_remotes)):
+def _normalize_rv(state: RvState, spec: SymmetrySpec,
+                  home_refs: _HomeRefs) -> RvState:
+    n = len(state.remotes)
+    refs = _home_refs(state.home.env, spec, n, home_refs)
+    keys = [(_node_key(proc), refs[i])
+            for i, proc in enumerate(state.remotes)]
+    order = sorted(range(n), key=keys.__getitem__)
+    if order == list(range(n)):
         return state  # already the representative
-    relabel = _apply_order(order)
-    remotes = tuple(state.remotes[old] for old in order)
-    home = ProcState(state.home.state,
-                     _relabel_env(state.home.env, spec, relabel))
-    return RvState(home=home, remotes=remotes)
+    relabel = {old: new for new, old in enumerate(order)}
+    env = _relabel_env(state.home.env, spec, relabel)
+    home = (state.home if env is state.home.env
+            else ProcState(state.home.state, env))
+    return RvState(home=home,
+                   remotes=tuple(state.remotes[old] for old in order))
 
 
-def _normalize_async(state: AsyncState, spec: SymmetrySpec) -> AsyncState:
+def _normalize_async(state: AsyncState, spec: SymmetrySpec,
+                     queue_keys: _QueueKeys,
+                     home_refs: _HomeRefs) -> AsyncState:
     home = state.home
-
-    def signature(i: int) -> tuple[Any, ...]:
-        node = state.remotes[i]
-        down = tuple(m.describe()
-                     for m in state.channels.queues[Channels.to_remote(i)])
-        up = tuple(m.describe()
-                   for m in state.channels.queues[Channels.to_home(i)])
-        buffer_slots = tuple(pos for pos, entry in enumerate(home.buffer)
-                             if entry.sender == i)
-        note_slots = tuple(pos for pos, entry in enumerate(home.buffer)
-                           if entry.sender == i and entry.note)
-        return (node.state, node.mode, node.pending_out or -1,
-                node.buf.describe() if node.buf else "",
-                _env_key(node.env), down, up, buffer_slots, note_slots,
-                home.awaiting == i,
-                _home_refs(home.env, spec, i))
-
-    order = sorted(range(len(state.remotes)), key=signature)
-    if order == list(range(len(state.remotes))):
+    queues = state.channels.queues
+    n = len(state.remotes)
+    refs = _home_refs(home.env, spec, n, home_refs)
+    slots: list[tuple[int, ...]] = [()] * n
+    notes: list[tuple[int, ...]] = [()] * n
+    for pos, entry in enumerate(home.buffer):
+        if isinstance(entry.sender, int):
+            slots[entry.sender] += (pos,)
+            if entry.note:
+                notes[entry.sender] += (pos,)
+    awaiting = home.awaiting
+    keys = []
+    for i, node in enumerate(state.remotes):
+        down, up = queues[2 * i], queues[2 * i + 1]
+        keys.append((_node_key(node),
+                     _queue_key(down, queue_keys) if down else (),
+                     _queue_key(up, queue_keys) if up else (),
+                     slots[i], notes[i], awaiting == i, refs[i]))
+    order = sorted(range(n), key=keys.__getitem__)
+    if order == list(range(n)):
         return state
-    relabel = _apply_order(order)
+    relabel = {old: new for new, old in enumerate(order)}
 
-    remotes = tuple(state.remotes[old] for old in order)
-    queues = list(state.channels.queues)
-    new_queues = list(queues)
-    for old, new in relabel.items():
-        new_queues[Channels.to_remote(new)] = queues[Channels.to_remote(old)]
-        new_queues[Channels.to_home(new)] = queues[Channels.to_home(old)]
+    # Only what moved is rebuilt.  Channels.to_remote(i)/.to_home(i) are
+    # 2i/2i + 1, so the new queue tuple is the old pairs in the new order.
+    new_queues = tuple(q for old in order
+                       for q in (queues[2 * old], queues[2 * old + 1]))
+    channels = (state.channels if new_queues == queues
+                else Channels(queues=new_queues))
     buffer = tuple(
-        BufEntry(sender=relabel.get(e.sender, e.sender)
-                 if isinstance(e.sender, int) else e.sender,
-                 msg=e.msg, payload=e.payload, note=e.note)
+        BufEntry(sender=relabel[e.sender], msg=e.msg, payload=e.payload,
+                 note=e.note)
+        if isinstance(e.sender, int) and relabel[e.sender] != e.sender else e
         for e in home.buffer)
-    awaiting = (relabel[home.awaiting]
-                if isinstance(home.awaiting, int) else home.awaiting)
-    new_home = HomeNode(state=home.state,
-                        env=_relabel_env(home.env, spec, relabel),
-                        mode=home.mode, out_idx=home.out_idx,
-                        awaiting=awaiting, pending_out=home.pending_out,
-                        buffer=buffer)
-    return AsyncState(home=new_home, remotes=remotes,
-                      channels=Channels(queues=tuple(new_queues)))
+    env = _relabel_env(home.env, spec, relabel)
+    if isinstance(awaiting, int):
+        awaiting = relabel[awaiting]
+    if (env is not home.env or awaiting != home.awaiting
+            or buffer != home.buffer):
+        home = HomeNode(state=home.state, env=env, mode=home.mode,
+                        out_idx=home.out_idx, awaiting=awaiting,
+                        pending_out=home.pending_out, buffer=buffer)
+    return AsyncState(home=home,
+                      remotes=tuple(state.remotes[old] for old in order),
+                      channels=channels)

@@ -25,6 +25,8 @@ from repro import (
     msi_protocol,
     refine,
 )
+from repro.check.por import PORSystem
+from repro.check.symmetry import SymmetricSystem
 from repro.csp.ast import Output, Tau
 from repro.protocols.symmetry import symmetry_spec_for
 from repro.sim.policy import SEND, TAU, workload_spec_for
@@ -56,6 +58,15 @@ class TestLibraryContract:
         declared = set(protocol.home.initial_env)
         assert symmetry.id_vars <= declared
         assert symmetry.set_vars <= declared
+
+    def test_symmetric_system_accepts_library_spec(self, name, build, spec):
+        """Both levels, with and without POR in between."""
+        protocol = build()
+        symmetry = symmetry_spec_for(name)
+        inner = AsyncSystem(refine(protocol), 2)
+        for system in (RendezvousSystem(protocol, 2), inner,
+                       PORSystem(inner)):
+            assert SymmetricSystem(system, symmetry).inner is system
 
     def test_workload_spec_gates_every_remote_decision(self, name, build,
                                                        spec):

@@ -272,6 +272,16 @@ class TestPorFlag:
         por_states = int(por_out.split(" states")[0].rsplit()[-1])
         assert por_states < full_states
 
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_symmetry_por_counts_pinned(self, engine, capsys):
+        """Normalization is not canonical on ties and POR reduces the
+        representative: these counts move if the order over remotes does
+        (``perf/expected.json`` pins the same cell)."""
+        assert main(["check", "invalidate", "--level", "async", "-n", "3",
+                     "--symmetry", "--por", "--engine", engine,
+                     "--store", "fingerprint"]) == 0
+        assert "23180 states, 62568 transitions" in capsys.readouterr().out
+
 
 class TestEngineFlag:
     def test_check_compiled_matches_interpreted(self, capsys):

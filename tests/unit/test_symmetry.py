@@ -7,7 +7,8 @@ from repro import (
     RendezvousSystem,
     explore,
 )
-from repro.check.symmetry import SymmetricSystem, normalize
+from repro.check.por import PORSystem
+from repro.check.symmetry import SymmetricSystem, SymmetrySpec, normalize
 from repro.errors import CheckError
 from repro.protocols.symmetry import (
     INVALIDATE_SYMMETRY,
@@ -138,3 +139,24 @@ class TestReductionPower:
             SymmetricSystem(AsyncSystem(migratory_refined, 4),
                             MIGRATORY_SYMMETRY)).n_states
         assert reduced * 10 < full
+
+
+class TestSpecValidation:
+    """A spec naming a variable the home does not declare is a typo, not
+    a variable that happens to hold no id."""
+
+    def test_mistyped_id_var_rejected(self, migratory, migratory_refined):
+        typo = SymmetrySpec(id_vars=frozenset({"ownr"}))
+        for inner in (RendezvousSystem(migratory, 2),
+                      AsyncSystem(migratory_refined, 2),
+                      PORSystem(AsyncSystem(migratory_refined, 2))):
+            with pytest.raises(CheckError, match="'ownr'"):
+                SymmetricSystem(inner, typo)
+
+    def test_every_missing_name_is_listed(self, migratory):
+        spec = SymmetrySpec(id_vars=frozenset({"o", "ownr"}),
+                            set_vars=frozenset({"S"}))
+        with pytest.raises(CheckError) as err:
+            SymmetricSystem(RendezvousSystem(migratory, 2), spec)
+        assert "'S'" in str(err.value) and "'ownr'" in str(err.value)
+        assert "'o'" not in str(err.value)
