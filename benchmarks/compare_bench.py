@@ -8,8 +8,9 @@ The comparison dispatches on the document's ``schema`` field:
 
 * ``repro.bench_explore/2`` (``BENCH_explore.json``) — exploration
   throughput and reduction effectiveness, one row per (protocol, n,
-  config, engine); ``/1`` (no ``engine`` field, interpreted-only
-  baselines) is still accepted;
+  config); files written while there were two step engines carry an
+  ``engine`` field and one row per engine, and still compare row for
+  row;
 * ``repro.bench_cutoff/1`` (``BENCH_cutoff.json``) — the parameterized
   (P45xx) static verdict per protocol plus the bounded-exploration
   cross-check at n = 2..4 and the stabilization cutoff;
@@ -28,18 +29,11 @@ Exit status 1 when any *deterministic* field drifts more than the
 tolerance (default 25%): state/transition/enabled counts, BFS depth,
 deadlock counts, completion flags, verdicts, stabilization cutoffs and
 the headline reduction ratios.  BFS order is deterministic at a fixed
-budget, so on an unchanged exploration engine these fields match
-exactly; the tolerance is headroom for legitimate engine changes, which
-must ship with a regenerated baseline once they exceed it.  Timing
-fields (``seconds``, ``states_per_sec``) and store byte sizes
-(``approx_bytes`` — Python-version dependent) are reported but never
-fail the diff.
-
-For ``/2`` explore documents an additional *cross-engine* invariant is
-enforced within each document: rows that differ only in ``engine`` must
-have **exactly** equal deterministic fields — the compiled engine is
-required to reproduce the interpreter's counts byte-for-byte, with no
-tolerance.  Only the timing fields may differ between engines.
+budget, so on an unchanged explorer these fields match exactly; the
+tolerance is headroom for legitimate changes, which must ship with a
+regenerated baseline once they exceed it.  Timing fields (``seconds``,
+``states_per_sec``) and store byte sizes (``approx_bytes`` —
+Python-version dependent) are reported but never fail the diff.
 """
 
 from __future__ import annotations
@@ -54,9 +48,8 @@ INFO_FIELDS = ("states_per_sec", "approx_bytes", "seconds")
 
 
 def _key(run: dict[str, Any]) -> tuple:
-    # /1 rows predate the step engines; they were all interpreted
-    return (run["protocol"], run["n"], run["config"],
-            run.get("engine", "interpreted"))
+    # older files have one row per step engine
+    return (run["protocol"], run["n"], run["config"], run.get("engine", ""))
 
 
 def _rel_drift(old: float, new: float) -> float:
@@ -77,7 +70,8 @@ def _compare_runs(section: str, old_runs: list, new_runs: list,
         return
     for key in sorted(old_by):
         old, new = old_by[key], new_by[key]
-        label = f"{section} {key[0]}-n{key[1]}-{key[2]}-{key[3]}"
+        label = (f"{section} {key[0]}-n{key[1]}-{key[2]}"
+                 + (f"-{key[3]}" if key[3] else ""))
         if old["completed"] != new["completed"]:
             errors.append(f"{label}: completed "
                           f"{old['completed']} -> {new['completed']}")
@@ -97,31 +91,6 @@ def _compare_runs(section: str, old_runs: list, new_runs: list,
             if drift > tolerance:
                 notes.append(f"{label}: {field} {old.get(field)} -> "
                              f"{new.get(field)} (informational)")
-
-
-#: deterministic per-row fields that must agree *exactly* across engines
-#: (the compiled engine's whole contract is byte-identical counts)
-CROSS_ENGINE_EXACT = STRICT_FIELDS + ("completed", "transition_pruning")
-
-
-def _check_cross_engine(section: str, runs: list, errors: list) -> None:
-    """Within one document, rows differing only in engine must have
-    exactly equal deterministic fields (no tolerance)."""
-    by_cell: dict[tuple, list[dict]] = {}
-    for run in runs:
-        by_cell.setdefault(_key(run)[:3], []).append(run)
-    for cell, rows in sorted(by_cell.items()):
-        if len(rows) < 2:
-            continue
-        reference = rows[0]
-        for row in rows[1:]:
-            for field in CROSS_ENGINE_EXACT:
-                if row.get(field) != reference.get(field):
-                    errors.append(
-                        f"{section} {cell[0]}-n{cell[1]}-{cell[2]}: "
-                        f"{field} differs across engines: "
-                        f"{reference.get('engine')}={reference.get(field)} "
-                        f"vs {row.get('engine')}={row.get(field)}")
 
 
 #: The two verdict artifacts share one shape — per-protocol verdict
@@ -232,7 +201,7 @@ def _compare_profiles(baseline: dict, candidate: dict,
             notes.append(f"levels: {field} drifted on {count}/"
                          f"{len(old_levels)} level(s) (informational)")
     old_run, new_run = baseline.get("run") or {}, candidate.get("run") or {}
-    for field in ("workers", "partitions", "store", "engine"):
+    for field in ("workers", "partitions", "store"):
         if old_run.get(field) != new_run.get(field):
             notes.append(f"run.{field}: {old_run.get(field)} -> "
                          f"{new_run.get(field)} (layout, informational)")
@@ -270,11 +239,6 @@ def compare(baseline: dict, candidate: dict,
                   tolerance, errors, notes)
     _compare_runs("headline", baseline["headline"]["runs"],
                   candidate["headline"]["runs"], tolerance, errors, notes)
-    if baseline.get("schema") == "repro.bench_explore/2":
-        for label, doc in (("baseline", baseline), ("candidate", candidate)):
-            _check_cross_engine(f"{label} runs", doc["runs"], errors)
-            _check_cross_engine(f"{label} headline",
-                                doc["headline"]["runs"], errors)
     old_red = baseline["headline"]["reductions"]
     new_red = candidate["headline"]["reductions"]
     for name in sorted(set(old_red) | set(new_red)):

@@ -7,25 +7,22 @@ the paper's two protocols — plus the human-readable
 
 Two sections with two regeneration policies:
 
-* ``runs`` — every (protocol, n, config, engine) cell explored at a
-  *pinned* state budget (``REPRO_BENCH_EXPLORE_BUDGET``, default 4000,
-  exact store).  BFS order is deterministic and engine-independent, so
-  every count in this section is bit-reproducible across machines and
-  Python versions; CI regenerates it and diffs against the committed
-  file (``compare_bench.py``, ±25% on deterministic fields, timing and
-  byte sizes exempt, counts *exactly* equal across engines).
+* ``runs`` — every (protocol, n, config) cell explored at a *pinned*
+  state budget (``REPRO_BENCH_EXPLORE_BUDGET``, default 4000, exact
+  store).  BFS order is deterministic, so every count in this section
+  is bit-reproducible across machines and Python versions; CI
+  regenerates it and diffs against the committed file
+  (``compare_bench.py``, ±25% on deterministic fields, timing and byte
+  sizes exempt).
 * ``headline`` — the *complete* explorations behind the prose claims
-  (invalidate n=4 takes ~10 minutes under symmetry alone with the
-  interpreter).  Regenerated only under ``REPRO_BENCH_FULL=1``;
-  otherwise carried over verbatim from the committed artifact so a
-  default benchmark run never silently replaces a 10-minute measurement
-  with a truncated one.  Both engines' headline rows include the
-  unreduced invalidate n=4 cell (~10^7 states): the compiled engine
-  walks it with the plain fingerprint store, while the interpreted row
-  — Unfinished at any practical budget before the partitioned stores
-  existed — runs over a 4-partition spill-backed fingerprint store
+  (invalidate n=4 takes minutes under symmetry alone).  Regenerated
+  only under ``REPRO_BENCH_FULL=1``; otherwise carried over verbatim
+  from the committed artifact so a default benchmark run never silently
+  replaces a 10-minute measurement with a truncated one.  The rows
+  include the unreduced invalidate n=4 cell (~10^7 states), walked over
+  a 4-partition spill-backed fingerprint store
   (``make_store("fingerprint", 4, spill_dir=...)``) so the visited set
-  stays inside a bounded resident budget for the ~25-minute walk.
+  stays inside a bounded resident budget.
 
 The acceptance claims asserted here, against whichever headline data is
 active:
@@ -60,28 +57,20 @@ BENCH_SCHEMA = "repro.bench_explore/2"
 
 PROTOCOLS = ("migratory", "invalidate")
 SIZES = (3, 4)
-ENGINES = ("interpreted", "compiled")
 CONFIGS = {
     "full": dict(),
     "por": dict(por=True),
     "symmetry": dict(symmetry=True),
     "symmetry+por": dict(symmetry=True, por=True),
 }
-#: (protocol, n, config, engine) — every interpreted row has a compiled
-#: twin.  Unreduced invalidate n=4 (~10^7 states) was compiled-only
-#: until the partitioned spill-backed fingerprint store bounded the
-#: interpreted walk's resident memory; both engines complete it now.
+#: (protocol, n, config) of the complete explorations
 HEADLINE_ROWS = [
-    (p, n, c, engine)
-    for engine in ENGINES
-    for p, n, c in [
-        ("migratory", 3, "full"), ("migratory", 3, "por"),
-        ("migratory", 4, "full"), ("migratory", 4, "por"),
-        ("invalidate", 3, "full"), ("invalidate", 3, "por"),
-        ("invalidate", 4, "symmetry"), ("invalidate", 4, "symmetry+por"),
-    ]
-] + [("invalidate", 4, "full", "compiled"),
-     ("invalidate", 4, "full", "interpreted")]
+    ("migratory", 3, "full"), ("migratory", 3, "por"),
+    ("migratory", 4, "full"), ("migratory", 4, "por"),
+    ("invalidate", 3, "full"), ("invalidate", 3, "por"),
+    ("invalidate", 4, "symmetry"), ("invalidate", 4, "symmetry+por"),
+    ("invalidate", 4, "full"),
+]
 
 
 class _Levels:
@@ -100,14 +89,12 @@ class _Levels:
         pass
 
 
-def measure(protocol, n, config, engine="interpreted", *,
-            max_states=None, store="exact"):
-    spec = SystemSpec(protocol, "async", n, engine=engine,
-                      **CONFIGS[config])
+def measure(protocol, n, config, *, max_states=None, store="exact"):
+    spec = SystemSpec(protocol, "async", n, **CONFIGS[config])
     levels = _Levels()
     t0 = time.perf_counter()
     result = explore(build_system(spec),
-                     name=f"{protocol}-{n}-{config}-{engine}",
+                     name=f"{protocol}-{n}-{config}",
                      max_states=max_states, store=store, observer=levels,
                      reductions=spec.reductions())
     seconds = time.perf_counter() - t0
@@ -115,7 +102,7 @@ def measure(protocol, n, config, engine="interpreted", *,
     if result.n_enabled > result.n_transitions:
         pruning = 1.0 - result.n_transitions / result.n_enabled
     return {
-        "protocol": protocol, "n": n, "config": config, "engine": engine,
+        "protocol": protocol, "n": n, "config": config,
         "n_states": result.n_states,
         "n_transitions": result.n_transitions,
         "n_enabled": result.n_enabled,
@@ -161,18 +148,20 @@ def explore_budget() -> int:
 
 
 def test_bench_explore(benchmark, results_dir, explore_budget):
-    runs = [measure(protocol, n, config, engine, max_states=explore_budget)
-            for protocol in PROTOCOLS for n in SIZES for config in CONFIGS
-            for engine in ENGINES]
+    runs = [measure(protocol, n, config, max_states=explore_budget)
+            for protocol in PROTOCOLS for n in SIZES for config in CONFIGS]
 
     # -- headline: complete runs, regenerated only on request ----------------
     if os.environ.get("REPRO_BENCH_FULL") == "1":
-        headline = [measure(p, n, c, e, store=headline_store(p, n, c))
-                    for p, n, c, e in HEADLINE_ROWS]
+        headline = [measure(p, n, c, store=headline_store(p, n, c))
+                    for p, n, c in HEADLINE_ROWS]
+        timing = "measured here"
     else:
         committed = json.loads(BENCH_PATH.read_text())
         assert committed["schema"] == BENCH_SCHEMA
         headline = committed["headline"]["runs"]
+        timing = ("st/s carried over from the committed file, taken "
+                  "before steps() replayed deltas")
 
     reductions = {
         "migratory_n3_por_vs_full":
@@ -199,13 +188,13 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
 
     # -- human-readable summary ----------------------------------------------
     lines = ["Ample-set POR: expanded states, complete explorations:", "",
-             f"{'protocol':<12} {'N':>3} {'config':<14} {'engine':<12} "
+             f"  host cpus: {os.cpu_count()} ({timing})", "",
+             f"{'protocol':<12} {'N':>3} {'config':<14} "
              f"{'states':>10} {'transitions':>12} {'st/s':>8} {'pruned':>8}"]
     for r in headline:
         pruned = (f"{r['transition_pruning']:.1%}"
                   if r["transition_pruning"] else "-")
         lines.append(f"{r['protocol']:<12} {r['n']:>3} {r['config']:<14} "
-                     f"{r.get('engine', 'interpreted'):<12} "
                      f"{r['n_states']:>10} {r['n_transitions']:>12} "
                      f"{r['states_per_sec']:>8} {pruned:>8}")
     lines.append("")
@@ -214,11 +203,9 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
         rendered = f"{value:.1%}" if value is not None else "n/a"
         lines.append(f"  {name:<44} {rendered}")
     lines.append("")
-    lines.append("unreduced invalidate n=4 (~8.3M states) needs the "
-                 "compiled engine or the partitioned spill-backed "
-                 "fingerprint store (both rows above complete; the "
-                 "interpreted row was Unfinished before the spill tier "
-                 "bounded its resident memory); the n=4 POR comparison "
+    lines.append("unreduced invalidate n=4 (~8.3M states) runs over the "
+                 "partitioned spill-backed fingerprint store, which "
+                 "bounds its resident memory; the n=4 POR comparison "
                  "keeps the symmetry-reduced space as baseline.")
     write_report(results_dir, "por_reduction.txt", "\n".join(lines))
 
@@ -230,23 +217,13 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
     for r in runs:
         if "por" in r["config"]:
             assert r["transition_pruning"] > 0
-    # the compiled engine must reproduce the interpreter's counts
-    # byte-for-byte in every budgeted cell (the /2 cross-engine contract)
-    cells: dict[tuple, set] = {}
-    for r in runs:
-        cells.setdefault((r["protocol"], r["n"], r["config"]), set()).add(
-            (r["n_states"], r["n_transitions"], r["n_enabled"],
-             r["depth"], r["completed"]))
-    for cell, observed in cells.items():
-        assert len(observed) == 1, f"engines disagree on {cell}: {observed}"
     # reduction never grows the state count at equal budget+depth: compare
     # cumulative states only when the reduced run is complete (otherwise
     # depths differ and raw counts are not comparable)
-    by_key = {(r["protocol"], r["n"], r["config"], r["engine"]): r
-              for r in runs}
-    for (protocol, n, config, engine), r in by_key.items():
+    by_key = {(r["protocol"], r["n"], r["config"]): r for r in runs}
+    for (protocol, n, config), r in by_key.items():
         if config == "por" and r["completed"]:
-            full = by_key[(protocol, n, "full", engine)]
+            full = by_key[(protocol, n, "full")]
             if full["completed"]:
                 assert r["n_states"] <= full["n_states"]
 

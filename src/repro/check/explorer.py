@@ -40,7 +40,7 @@ from .stats import Counterexample, ExplorationResult, _fmt_bytes
 from .store import StateStore, StoreSpec, make_store
 
 __all__ = ["System", "Invariant", "ExplorationCore", "expand_state",
-           "explore", "system_engine", "replay_actions"]
+           "explore", "replay_actions"]
 
 
 def _store_spill_bytes(store: StateStore) -> int:
@@ -58,25 +58,6 @@ class System(Protocol):
 
 #: An invariant is a named predicate over single states.
 Invariant = tuple[str, Callable[[Any], bool]]
-
-
-def system_engine(system: System) -> str:
-    """The step-engine name of ``system``, for run provenance.
-
-    Unwraps reduction wrappers (:class:`~repro.check.por.PORSystem`,
-    :class:`~repro.check.symmetry.SymmetricSystem`) through their
-    ``inner`` attribute; systems without an engine notion (rendezvous,
-    toy test systems) report ``"interpreted"``.
-    """
-    obj: Any = system
-    for _ in range(8):  # defensive bound on wrapper depth
-        engine = getattr(obj, "engine", None)
-        if isinstance(engine, str):
-            return engine
-        obj = getattr(obj, "inner", None)
-        if obj is None:
-            break
-    return "interpreted"
 
 
 def expand_state(system: System,
@@ -117,8 +98,7 @@ class ExplorationCore:
                  max_seconds: Optional[float] = None,
                  max_bytes: Optional[int] = None,
                  workers: int = 1,
-                 reductions: tuple[str, ...] = (),
-                 engine: str = "interpreted") -> None:
+                 reductions: tuple[str, ...] = ()) -> None:
         self.name = name
         self.store: StateStore = make_store(store)
         self.observer: RunObserver = (observer if observer is not None
@@ -128,7 +108,6 @@ class ExplorationCore:
         self.max_bytes = max_bytes
         self.workers = workers
         self.reductions = reductions
-        self.engine = engine
         self.t0 = time.perf_counter()
         self.n_transitions = 0
         #: transitions enabled before reduction (== n_transitions when no
@@ -142,7 +121,7 @@ class ExplorationCore:
         self.observer.on_start(RunInfo(
             name=self.name, store=self.store.name, workers=self.workers,
             max_states=self.max_states, max_seconds=self.max_seconds,
-            reductions=self.reductions, engine=self.engine,
+            reductions=self.reductions,
             partitions=int(getattr(self.store, "partitions", 1)),
             max_bytes=self.max_bytes))
 
@@ -237,7 +216,6 @@ def explore(
     store: StoreSpec = "exact",
     observer: Optional[RunObserver] = None,
     reductions: tuple[str, ...] = (),
-    engine: Optional[str] = None,
 ) -> ExplorationResult:
     """Breadth-first reachability analysis of ``system``.
 
@@ -270,20 +248,13 @@ def explore(
     :param reductions: names of the state-space reductions baked into
         ``system`` (e.g. ``("symmetry", "por")``), recorded in the run
         info and the result for profile provenance.
-    :param engine: step-engine name for run provenance
-        (``"interpreted"``/``"compiled"``); defaults to what
-        :func:`system_engine` detects on ``system``.  Engine selection
-        itself happens at system construction
-        (``AsyncSystem(..., engine=...)``) — this only records it.
     :returns: an :class:`~repro.check.stats.ExplorationResult`; never raises
         for budget exhaustion, deadlocks, or violations — callers decide how
         strict to be (:func:`repro.check.properties.assert_safe` raises).
     """
     core = ExplorationCore(name=name, store=store, observer=observer,
                            max_states=max_states, max_seconds=max_seconds,
-                           max_bytes=max_bytes, reductions=reductions,
-                           engine=(engine if engine is not None
-                                   else system_engine(system)))
+                           max_bytes=max_bytes, reductions=reductions)
     core.start()
     visited = core.store
     init = system.initial_state()

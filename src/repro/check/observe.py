@@ -20,8 +20,7 @@ Profile JSON schema (``repro.profile/4``)::
               "workers": int, "max_states": int|null,
               "max_seconds": float|null, "max_bytes": int|null,
               "partitions": int,
-              "reductions": ["symmetry"?, "por"?],
-              "engine": "interpreted"|"compiled"},
+              "reductions": ["symmetry"?, "por"?]},
       "levels": [ {"level": int, "frontier": int, "expanded": int,
                    "candidates": int, "enabled": int,
                    "new_states": int,
@@ -52,12 +51,9 @@ Profile JSON schema (``repro.profile/4``)::
 provenance (``run.reductions``, ``result.reductions``), the
 enabled-before-reduction transition counts (``levels[].enabled``,
 ``result.n_enabled`` — equal to the taken counts when no reduction is
-active) and the derived ``levels[].reduction_ratio``.  ``/3`` adds only
-``run.engine`` — which step engine produced the successors
-(``"interpreted"``, the guard-AST interpreter, or ``"compiled"``, the
-protocol-specialized module from :mod:`repro.refine.compiled`).  Counts
-are engine-independent by construction; the field exists so throughput
-numbers are never compared across engines by accident.  ``/4`` adds the
+active) and the derived ``levels[].reduction_ratio``.  ``/3`` added one
+``run`` field that is no longer written (older files carry it, nothing
+reads it).  ``/4`` adds the
 partitioned-exploration observability: ``run.partitions`` and
 ``run.max_bytes``, per-level ``spill_bytes``, the top-level
 ``partitions`` list (one row per visited-set partition: states owned,
@@ -113,9 +109,6 @@ class RunInfo:
     #: active state-space reductions, inner wrapper first (e.g.
     #: ``("por", "symmetry")``); empty for full exploration
     reductions: tuple[str, ...] = ()
-    #: step engine that produced the successors ("interpreted" or
-    #: "compiled"); counts never depend on it, throughput does
-    engine: str = "interpreted"
     #: visited-set partitions (1 = classic unsharded store); either
     #: in-process ranges or one owner process per partition
     partitions: int = 1
@@ -244,8 +237,7 @@ class ProgressRenderer:
         sharding = (f", partitions={run.partitions}"
                     if run.partitions > 1 else "")
         print(f"exploring {run.name} (store={run.store}, "
-              f"workers={run.workers}{sharding}, "
-              f"engine={run.engine}){suffix}",
+              f"workers={run.workers}{sharding}){suffix}",
               file=self.stream)
 
     def on_level(self, event: LevelEvent) -> None:

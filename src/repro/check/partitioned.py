@@ -262,8 +262,7 @@ def explore_partitioned(
             allow_deadlock=allow_deadlock,
             store=make_store(store, 1, bits=bits, spill_dir=spill_path,
                              spill_threshold=spill_threshold),
-            observer=observer, reductions=spec.reductions(),
-            engine=spec.engine)
+            observer=observer, reductions=spec.reductions())
 
     context = multiprocessing.get_context(start_method)
     inboxes = [context.Queue() for _ in range(partitions)]
@@ -272,7 +271,7 @@ def explore_partitioned(
     core = ExplorationCore(name=name, store=view, observer=observer,
                            max_states=max_states, max_seconds=max_seconds,
                            max_bytes=max_bytes, workers=partitions,
-                           reductions=spec.reductions(), engine=spec.engine)
+                           reductions=spec.reductions())
     shipped = shippable_spec(spec)
     procs = [
         context.Process(

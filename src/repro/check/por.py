@@ -155,7 +155,7 @@ class PORSystem:
 
     def successors(self, state: AsyncState,
                    ) -> list[tuple[AsyncAction, AsyncState]]:
-        return [(s.action, s.state) for s in self.steps(state)]
+        return self.expand(state)[0]
 
     def expand(self, state: AsyncState,
                ) -> tuple[list[tuple[AsyncAction, AsyncState]], int]:

@@ -173,7 +173,7 @@ class _WithCompletes:
     """
 
     def __init__(self, inner: Any) -> None:
-        self.inner = inner  # the name system_engine() unwraps
+        self.inner = inner
 
     def initial_state(self) -> Hashable:
         return self.inner.initial_state()

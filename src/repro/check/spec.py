@@ -48,13 +48,6 @@ class SystemSpec:
     #: ample-set partial-order reduction (async level only; counts-preset
     #: — ``repro check`` sweeps verify no state predicates)
     por: bool = False
-    #: step engine for the async level ("interpreted" or "compiled").
-    #: Only the *name* ships to workers: each spawn worker regenerates
-    #: and compiles the specialized module itself in :func:`build_system`
-    #: (generation is deterministic, so every worker runs bit-identical
-    #: step functions; the shared on-disk source cache makes rebuilds a
-    #: file read).
-    engine: str = "interpreted"
 
     def config_dict(self) -> dict[str, Any]:
         return dict(self.config)
@@ -145,15 +138,10 @@ def build_system(spec: SystemSpec) -> Any:
             raise ValueError(
                 "--por prunes asynchronous message interleavings; the "
                 "rendezvous level has none (use --level async)")
-        if spec.engine != "interpreted":
-            raise ValueError(
-                "the compiled step engine specializes the asynchronous "
-                "transition table; the rendezvous level has only the "
-                "interpreted engine (use --level async)")
         system = RendezvousSystem(protocol, spec.n_remotes)
     elif spec.level == "async":
         refined = refine(protocol, RefinementConfig(**spec.config_dict()))
-        system = AsyncSystem(refined, spec.n_remotes, engine=spec.engine)
+        system = AsyncSystem(refined, spec.n_remotes)
     else:
         raise ValueError(f"unknown level {spec.level!r}")
     if spec.por:

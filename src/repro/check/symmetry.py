@@ -66,8 +66,7 @@ class SymmetrySpec:
 
 
 #: Bound on each per-system key table (:func:`_queue_key`,
-#: :func:`_home_refs`); cleared, not evicted, past this — the rule the
-#: compiled engine's intern tables follow.
+#: :func:`_home_refs`); cleared, not evicted, past this.
 _TABLE_LIMIT = 1 << 20
 
 _State = Union[RvState, AsyncState]

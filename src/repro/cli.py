@@ -6,8 +6,7 @@ Commands:
   (``--symmetry`` explores one representative per remote-permutation orbit).
 * ``check``    — the raw reachability sweep with the performance knobs:
   ``--store fingerprint`` for SPIN-style hash compaction (~16 bytes/state,
-  collision-counted), ``--engine compiled`` for the protocol-specialized
-  step engine (identical counts, several times faster on async spaces),
+  collision-counted),
   ``--parallel`` for the multi-process owner-computes sweep
   (``--partitions P`` worker processes),
   ``--levels`` for per-level progress lines, and ``--profile out.json``
@@ -38,7 +37,7 @@ Examples::
     repro verify migratory --level rendezvous -n 8 --progress
     repro verify invalidate -n 6 --symmetry
     repro check migratory --level async -n 3 --store fingerprint --levels
-    repro check invalidate --level async -n 3 --engine compiled --levels
+    repro check invalidate --level async -n 3 --symmetry --por --levels
     repro check migratory --level async -n 4 --parallel --profile out.json
     repro lint migratory --json
     repro lint all -n 8 --strict
@@ -77,7 +76,7 @@ from .protocols.invariants import (
 )
 from .refine.engine import refine
 from .refine.plan import RefinementConfig
-from .semantics.asynchronous import ENGINE_NAMES, AsyncSystem
+from .semantics.asynchronous import AsyncSystem
 from .semantics.rendezvous import RendezvousSystem
 from .sim.engine import Simulator
 from .sim.workload import HotLineWorkload, SyntheticWorkload
@@ -106,7 +105,6 @@ def _config(args) -> RefinementConfig:
 
 def cmd_verify(args) -> int:
     _reject_rendezvous_por(args)
-    _reject_rendezvous_engine(args)
     protocol = _build(args.protocol)
     invariants = list(coherence_invariants(COHERENCE_SPECS[args.protocol]))
     if args.level == "rendezvous":
@@ -114,7 +112,7 @@ def cmd_verify(args) -> int:
     else:
         refined = refine(protocol, _config(args))
         invariants += async_structural_invariants(args.buffer)
-        system = AsyncSystem(refined, args.nodes, engine=args.engine)
+        system = AsyncSystem(refined, args.nodes)
     base_system = system
     reductions = []
     if args.por:
@@ -151,14 +149,6 @@ def _reject_rendezvous_por(args) -> None:
         raise SystemExit(
             "--por prunes asynchronous message interleavings; the "
             "rendezvous level has none (use --level async, or drop --por)")
-
-
-def _reject_rendezvous_engine(args) -> None:
-    if args.engine == "compiled" and args.level == "rendezvous":
-        raise SystemExit(
-            "--engine compiled specializes the asynchronous transition "
-            "table; the rendezvous level has only the interpreted engine "
-            "(use --level async, or drop --engine)")
 
 
 _SIZE_UNITS = {"": 1, "B": 1,
@@ -198,7 +188,6 @@ def cmd_check(args) -> int:
     from .check.store import make_store
 
     _reject_rendezvous_por(args)
-    _reject_rendezvous_engine(args)
     if args.spill_dir is not None and args.store != "fingerprint":
         raise SystemExit("--spill-dir applies to --store fingerprint; the "
                          "delta-compressed exact store keeps keys resident")
@@ -220,8 +209,7 @@ def cmd_check(args) -> int:
     spec = SystemSpec(protocol=args.protocol, level=args.level,
                       n_remotes=args.nodes,
                       config=config if args.level == "async" else (),
-                      symmetry=args.symmetry, por=args.por,
-                      engine=args.engine)
+                      symmetry=args.symmetry, por=args.por)
     if args.parallel:
         # owner-computes: one worker process owns each partition
         result = explore_partitioned(
@@ -494,16 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=None,
                        help="wall-clock budget in seconds")
 
+    def engine_flag(p):
+        # kept for perf/workloads.py:67 (passes it) and perf/child.py:70
+        p.add_argument("--engine", choices=["interpreted", "compiled"],
+                       default="interpreted",
+                       help="accepted for old command lines and selects "
+                            "nothing: there is one step engine")
+
     p = sub.add_parser("verify", help="model-check a protocol")
     common(p)
     p.add_argument("--level", choices=["rendezvous", "async"],
                    default="rendezvous")
-    p.add_argument("--engine", choices=list(ENGINE_NAMES),
-                   default="interpreted",
-                   help="step engine for the async level: interpreted "
-                        "(guard-AST interpreter, the differential ground "
-                        "truth) or compiled (protocol-specialized module; "
-                        "identical counts, several times faster)")
+    engine_flag(p)
     p.add_argument("--progress", action="store_true",
                    help="also run the weak-fairness progress check")
     p.add_argument("--symmetry", action="store_true",
@@ -529,13 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--level", choices=["rendezvous", "async"],
                    default="rendezvous")
-    p.add_argument("--engine", choices=list(ENGINE_NAMES),
-                   default="interpreted",
-                   help="step engine for the async level: interpreted "
-                        "(ground truth) or compiled (specialized module, "
-                        "identical counts, several times faster); spawn "
-                        "workers rebuild the compiled module from the "
-                        "spec")
+    engine_flag(p)
     p.add_argument("--store", choices=list(STORE_NAMES), default="exact",
                    help="visited-state store: exact (traces, default) or "
                         "fingerprint (SPIN-style hash compaction)")

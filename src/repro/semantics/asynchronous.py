@@ -48,10 +48,7 @@ core through :meth:`AsyncSystem.steps`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..refine.compiled import CompiledEngine
+from typing import Any, Iterator, Optional
 
 from ..csp.ast import Input, Output, ProcessDef, Protocol, StateDef
 from ..csp.env import Env, Value
@@ -87,7 +84,6 @@ __all__ = [
     "AsyncAction",
     "Step",
     "StepFootprint",
-    "ENGINE_NAMES",
     "AsyncSystem",
 ]
 
@@ -461,31 +457,120 @@ class Step:
 # ---------------------------------------------------------------------------
 
 
-#: Step-engine choices for :class:`AsyncSystem`.  ``interpreted`` walks
-#: the guard AST per expansion and is the differential ground truth;
-#: ``compiled`` runs the protocol-specialized module generated by
-#: :mod:`repro.refine.compiled` (byte-identical steps and successors,
-#: typically several times faster).
-ENGINE_NAMES = ("interpreted", "compiled")
+#: Entry bound of one :class:`AsyncSystem`'s delta memo; the memo is
+#: cleared, not evicted, when it fills (the 241,339 states of
+#: invalidate n = 3 need about 21,000 entries).
+_MEMO_LIMIT = 1 << 16
+
+#: One channel's change, as :meth:`Channels.replay` takes it.
+_ChannelOp = tuple[int, int, tuple[Msg, ...], tuple[tuple, ...]]
+#: One memoized step: ``(action, new home | None, (j, new remote) | None,
+#: channel ops, completes, sends)``.
+_Delta = tuple[AsyncAction, Optional[HomeNode],
+               Optional[tuple[int, RemoteNode]], tuple[_ChannelOp, ...],
+               tuple[RendezvousStep, ...], tuple[Msg, ...]]
+#: What replay hands :meth:`AsyncSystem.steps`/``successors``.
+_Outcome = tuple[AsyncAction, AsyncState, tuple[RendezvousStep, ...],
+                 tuple[Msg, ...]]
+
+
+def _fresh(cls: type, fields: dict[str, Any]) -> Any:
+    """A frozen-dataclass instance over a *fresh* attribute dict.
+
+    Skips the generated ``__init__`` (one ``object.__setattr__`` per
+    field).  ``fields`` must be new: a copied instance ``__dict__`` could
+    carry another object's ``_hash_cache``/``_key_cache``.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _channel_ops(old: tuple[tuple[Msg, ...], ...],
+                 new: tuple[tuple[Msg, ...], ...],
+                 ) -> Optional[tuple[_ChannelOp, ...]]:
+    """``new`` as head pops and tail pushes on ``old``, or None."""
+    ops = []
+    for c, (before, after) in enumerate(zip(old, new)):
+        if after == before:
+            continue
+        kept = len(before)
+        if after[:kept] == before:
+            popped = 0
+        elif after[:kept - 1] == before[1:]:
+            popped = 1
+        else:
+            return None
+        pushed = after[kept - popped:]
+        ops.append((c, popped, pushed,
+                    tuple(m.canonical_key() for m in pushed)))
+    return tuple(ops)
+
+
+def _deltas(state: AsyncState, owner: ProcId,
+            steps: list[Step]) -> Optional[tuple[_Delta, ...]]:
+    """The steps of one family at ``state`` as replayable deltas.
+
+    None — the family stays on :meth:`AsyncSystem.interpret` — unless
+    every step rewrites only the node its memo key holds (``owner``: the
+    home, or remote ``i``) and changes channels by pops and pushes.
+    Nodes are diffed by value: a rebuilt-but-equal node recorded as a
+    replacement would carry this state's node into every replay.
+    """
+    out = []
+    for step in steps:
+        new = step.state
+        ops = _channel_ops(state.channels.queues, new.channels.queues)
+        if ops is None:
+            return None
+        home = None if new.home == state.home else new.home
+        moved = [(j, node) for j, (old, node)
+                 in enumerate(zip(state.remotes, new.remotes))
+                 if node != old]
+        if owner == HOME_ID:
+            if moved:
+                return None
+        elif home is not None or any(j != owner for j, _ in moved):
+            return None
+        out.append((step.action, home, moved[0] if moved else None, ops,
+                    step.completes, step.sends))
+    return tuple(out)
 
 
 class AsyncSystem:
-    """Executable asynchronous semantics for a refined protocol."""
+    """Executable asynchronous semantics for a refined protocol.
+
+    :meth:`interpret` enumerates a state's steps directly from Tables
+    1/2.  :meth:`steps` and :meth:`successors` give the same answer by
+    replaying memoized *deltas*: every table row reads one node plus the
+    head of one channel and writes that node plus channel ends, so the
+    outcome of a step family is a function of a small key —
+
+    * ``(i, home, head)`` for the delivery of remote ``i``'s message to
+      the home, ``(i, remote, head)`` for a delivery to remote ``i``;
+    * ``home`` for the home's decision and taus, ``(i, remote)`` for
+      remote ``i``'s local steps
+
+    — and is recorded once per key as the replaced node plus channel
+    pops and pushes (:func:`_deltas`).  The memo belongs to the instance
+    (the table, the plan and ``n_remotes`` are part of what a key means)
+    and holds nodes and messages only, never a state or a
+    :class:`Channels`.
+    """
+
+    #: read by ``perf/spans.py:251`` to name this layer's spans
+    engine = "interpreted"
 
     def __init__(self, refined: RefinedProtocol, n_remotes: int, *,
                  table: Optional[StepTable] = None,
-                 engine: str = "interpreted") -> None:
+                 # accepted and ignored: perf/child.py:75, perf/layers.py:182
+                 engine: Optional[str] = None) -> None:
         if n_remotes < 1:
             raise SemanticsError("need at least one remote node")
-        if engine not in ENGINE_NAMES:
-            raise SemanticsError(
-                f"unknown engine {engine!r}; choose from "
-                f"{', '.join(ENGINE_NAMES)}")
         self.refined = refined
         self.protocol: Protocol = refined.protocol
         self.plan = refined.plan
         self.n_remotes = n_remotes
-        self.engine = engine
         self.capacity = self.plan.config.home_buffer_capacity
         # The Tables 1/2 control data (rewind/fast-forward/reply targets,
         # request kinds) comes from the step table, the same record the
@@ -498,13 +583,7 @@ class AsyncSystem:
         self._notes = self.table.notes
         self._remote_fused = self.table.fused_requests(REMOTE_ROLE)
         self._home_fused = self.table.fused_requests(HOME_ROLE)
-        self._compiled: Optional[CompiledEngine] = None
-        if engine == "compiled":
-            # Lazy import: the compiler depends on this module.  The
-            # engine is built from the *same* (possibly mutated) table,
-            # so fault injection behaves identically in both engines.
-            from ..refine.compiled import compile_system
-            self._compiled = compile_system(refined, self.table, n_remotes)
+        self._memo: dict[Any, tuple[_Delta, ...]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -518,44 +597,111 @@ class AsyncSystem:
 
     # -- public enumeration API ----------------------------------------------
 
-    def steps(self, state: AsyncState) -> list[Step]:
-        """All enabled transitions, with completion/send observables."""
-        if self._compiled is not None:
-            return self._compiled.steps(state)
+    def interpret(self, state: AsyncState) -> list[Step]:
+        """All enabled transitions, enumerated directly from the tables:
+        what :meth:`steps` replays, and the reference it is tested
+        against."""
         out: list[Step] = []
         for i in range(self.n_remotes):
             if state.channels.head_to_home(i) is not None:
                 out.append(self._deliver_to_home(state, i))
             if state.channels.head_to_remote(i) is not None:
                 out.append(self._deliver_to_remote(state, i))
-        # One StateDef lookup per node per state; the guard helpers reuse
-        # it instead of re-fetching per decision.
         if state.home.mode == IDLE:
-            home_def = self.protocol.home.state(state.home.state)
-            home_step = self._home_decision(state, home_def)
-            if home_step is not None:
-                out.append(home_step)
-            out.extend(self._home_taus(state, home_def))
+            out.extend(self._home_steps(state))
         for i in range(self.n_remotes):
-            node = state.remotes[i]
-            if node.mode == IDLE:
-                out.extend(self._remote_steps(
-                    state, i, self.protocol.remote.state(node.state)))
+            if state.remotes[i].mode == IDLE:
+                out.extend(self._remote_steps(state, i))
         return out
 
+    def steps(self, state: AsyncState) -> list[Step]:
+        """All enabled transitions, with completion/send observables."""
+        return [_fresh(Step, {"action": action, "state": nxt,
+                              "completes": completes, "sends": sends})
+                for action, nxt, completes, sends in self._outcomes(state)]
+
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
-        # The compiled engine's lean path skips Step construction (and
-        # the completes/sends observables) entirely; order and states
-        # are byte-identical to the interpreted enumeration.
-        if self._compiled is not None:
-            return self._compiled.successors(state)
-        return [(s.action, s.state) for s in self.steps(state)]
+        return [(action, nxt) for action, nxt, _, _ in self._outcomes(state)]
 
     def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
         for step in self.steps(state):
             if step.action == action:
                 return step.state
         raise SemanticsError(f"action {action!r} not enabled")
+
+    # -- delta replay ----------------------------------------------------------
+
+    def _outcomes(self, state: AsyncState) -> list[_Outcome]:
+        """:meth:`interpret`, family by family through the memo."""
+        out: list[_Outcome] = []
+        memo = self._memo
+        home = state.home
+        remotes = state.remotes
+        queues = state.channels.queues
+        for i in range(self.n_remotes):
+            queue = queues[2 * i + 1]
+            if queue:
+                key: Any = (i, home, queue[0])
+                family = memo.get(key)
+                if family is None:
+                    family = self._learn(key, state, HOME_ID, out, [
+                        self._deliver_to_home(state, i)])
+                self._replay(state, family, out)
+            queue = queues[2 * i]
+            if queue:
+                key = (i, remotes[i], queue[0])
+                family = memo.get(key)
+                if family is None:
+                    family = self._learn(key, state, i, out, [
+                        self._deliver_to_remote(state, i)])
+                self._replay(state, family, out)
+        if home.mode == IDLE:
+            family = memo.get(home)
+            if family is None:
+                family = self._learn(home, state, HOME_ID, out,
+                                     self._home_steps(state))
+            self._replay(state, family, out)
+        for i in range(self.n_remotes):
+            node = remotes[i]
+            if node.mode == IDLE:
+                key = (i, node)
+                family = memo.get(key)
+                if family is None:
+                    family = self._learn(key, state, i, out,
+                                         self._remote_steps(state, i))
+                self._replay(state, family, out)
+        return out
+
+    def _learn(self, key: Any, state: AsyncState, owner: ProcId,
+               out: list[_Outcome], steps: list[Step]) -> tuple[_Delta, ...]:
+        """Memoize one interpreted family; returns what is left to replay
+        (nothing, with the steps themselves in ``out``, if it is refused).
+        """
+        family = _deltas(state, owner, steps)
+        if family is None:
+            out.extend((s.action, s.state, s.completes, s.sends)
+                       for s in steps)
+            return ()
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = family
+        return family
+
+    @staticmethod
+    def _replay(state: AsyncState, family: tuple[_Delta, ...],
+                out: list[_Outcome]) -> None:
+        for action, home, moved, ops, completes, sends in family:
+            channels = state.channels
+            if ops:
+                channels = channels.replay(ops)
+            remotes = state.remotes
+            if moved is not None:
+                j, node = moved
+                remotes = remotes[:j] + (node,) + remotes[j + 1:]
+            out.append((action, _fresh(AsyncState, {
+                "home": state.home if home is None else home,
+                "remotes": remotes, "channels": channels}),
+                completes, sends))
 
     # -- home: message delivery ----------------------------------------------
 
@@ -682,6 +828,14 @@ class AsyncSystem:
                     sends=(nack,))
 
     # -- home: decisions -------------------------------------------------------
+
+    def _home_steps(self, state: AsyncState) -> list[Step]:
+        """The idle home's decision, then its taus."""
+        state_def = self.protocol.home.state(state.home.state)
+        decision = self._home_decision(state, state_def)
+        out = [] if decision is None else [decision]
+        out.extend(self._home_taus(state, state_def))
+        return out
 
     def _home_decision(self, state: AsyncState,
                        state_def: StateDef) -> Optional[Step]:
@@ -888,23 +1042,26 @@ class AsyncSystem:
 
     # -- remote: decisions -------------------------------------------------------
 
-    def _remote_steps(self, state: AsyncState, i: int,
-                      state_def: StateDef) -> Iterator[Step]:
+    def _remote_steps(self, state: AsyncState, i: int) -> list[Step]:
+        """Idle remote ``i``'s local steps: send, or C3 then taus."""
         node = state.remotes[i]
+        state_def = self.protocol.remote.state(node.state)
         outputs = state_def.outputs
         if outputs:
             guard = outputs[0]  # validated: active states have exactly one
             if guard.enabled(node.env):
-                yield self._remote_send(state, i, guard)
-            return
+                return [self._remote_send(state, i, guard)]
+            return []
+        out: list[Step] = []
         if node.buf is not None and state_def.is_communication:
-            yield self._remote_c3(state, i, state_def)
+            out.append(self._remote_c3(state, i, state_def))
         for guard in state_def.taus:
             if guard.enabled(node.env):
                 new_node = replace(node, state=guard.to,
                                    env=guard.apply_update(node.env))
-                yield Step(action=RemoteTau(remote=i, label=guard.label),
-                           state=state.with_remote(i, new_node))
+                out.append(Step(action=RemoteTau(remote=i, label=guard.label),
+                                state=state.with_remote(i, new_node)))
+        return out
 
     def _remote_send(self, state: AsyncState, i: int, guard: Output) -> Step:
         """Rows C1/C2 of Table 1 (plus the fire-and-forget extension)."""

@@ -50,10 +50,9 @@ class Msg:
     def __hash__(self) -> int:
         # Same formula as the dataclass-generated hash (the field tuple),
         # memoized: every visited-store probe re-hashes the channel
-        # contents, and message objects are widely shared across states
-        # (the compiled engine interns them outright).  __getstate__
-        # pickles only the fields, so the cache never crosses a process
-        # boundary.
+        # contents, and message objects are widely shared across states.
+        # __getstate__ pickles only the fields, so the cache never
+        # crosses a process boundary.
         cached = self.__dict__.get("_hash_cache")
         if cached is None:
             cached = hash((self.kind, self.msg, self.payload))
@@ -73,8 +72,8 @@ class Msg:
     def describe(self) -> str:
         # Memoized: the symmetry driver renders every in-flight message
         # once per remote signature, and message objects are shared
-        # across states (interned outright by the compiled engine).
-        # __getstate__ pickles fields only, so the cache stays local.
+        # across states.  __getstate__ pickles fields only, so the cache
+        # stays local.
         cached = self.__dict__.get("_desc_cache")
         if cached is None:
             if self.kind in (ACK, NACK):
@@ -183,6 +182,30 @@ class Channels:
         queues = list(self.queues)
         queues[channel] = queue[1:]
         return queue[0], Channels(queues=tuple(queues))
+
+    def replay(self, ops: tuple[tuple[int, int, tuple[Msg, ...],
+                                      tuple[tuple, ...]], ...]) -> "Channels":
+        """Apply ``(channel, messages popped off the head, messages
+        pushed onto the tail, their canonical keys)`` ops in one step.
+
+        If this object has computed its canonical key, the result's
+        follows from it by the same pops and pushes — a store that
+        fingerprints asks every successor state for its key, and queues
+        barely change from a state to its successors.
+        """
+        queues = self.queues
+        for c, popped, pushed, _ in ops:
+            queues = (queues[:c] + (queues[c][popped:] + pushed,)
+                      + queues[c + 1:])
+        fields = {"queues": queues}
+        key = self.__dict__.get("_key_cache")
+        if key is not None:
+            for c, popped, _, pushed_keys in ops:
+                key = key[:c] + (key[c][popped:] + pushed_keys,) + key[c + 1:]
+            fields["_key_cache"] = key
+        new = object.__new__(Channels)
+        object.__setattr__(new, "__dict__", fields)
+        return new
 
     def send_to_remote(self, i: int, msg: Msg) -> "Channels":
         return self.push(self.to_remote(i), msg)

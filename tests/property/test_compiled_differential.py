@@ -1,25 +1,30 @@
-"""Compiled-engine differential: the interpreter is the ground truth.
+"""Delta-replay differential: ``interpret()`` is the ground truth.
 
-:mod:`repro.refine.compiled` generates a protocol-specialized successor
-module from the same :class:`~repro.refine.transitions.StepTable` the
-interpreter consults.  Its only correctness argument is agreement with
-the interpreted semantics, so this suite cross-checks the two engines
-on *randomly generated* protocols (the strongest evidence available —
-the library protocols alone would only exercise the table rows they
-happen to contain):
+:meth:`AsyncSystem.steps` and :meth:`AsyncSystem.successors` replay
+memoized per-node deltas; :meth:`AsyncSystem.interpret` enumerates the
+same transitions directly from Tables 1/2.  Replay's only correctness
+argument is agreement with the direct enumeration, so this suite
+cross-checks the two on the library protocols and on *randomly
+generated* ones (the library alone exercises only the table rows it
+happens to contain):
 
 * state/transition/deadlock counts, including budget-truncated runs
   (identical counts under truncation require identical successor
   *order*, not just identical sets);
 * invariant and progress verdicts;
 * step-level observables (``completes``/``sends``), which carry the
-  payload values — this is also the regression assertion for the
-  hot-path bug where ``eval_payload`` ran more than once per guard: the
-  value sent with a request and the value observed at its completion
-  must be the same;
+  payload values — also the regression assertion for the hot-path bug
+  where ``eval_payload`` ran more than once per guard: the value sent
+  with a request and the value observed at its completion must be the
+  same;
 * a seeded :meth:`StepTable.mutate` fault injection: a corrupted table
-  row must be flagged by the compiled engine exactly as the interpreter
-  flags it (same exception, same message), never silently absorbed.
+  row must surface through replay exactly as through the direct
+  enumeration (same exception, same message), never silently absorbed;
+* the memo itself: clearing it mid-run changes nothing, a replayed state
+  carries no other object's caches, and two systems never share one.
+
+(The file keeps its name, and the tests their IDs, from when the second
+implementation was a generated module.)
 """
 
 import pytest
@@ -31,9 +36,11 @@ from repro.check.explorer import explore
 from repro.check.properties import check_progress
 from repro.errors import SemanticsError
 from repro.gen import GeneratorParams, random_protocol
+from repro.protocols import LIBRARY_PROTOCOLS
 from repro.protocols.invariants import async_structural_invariants
 from repro.protocols.migratory import migratory_protocol
 from repro.refine.transitions import build_step_table
+from repro.semantics import asynchronous
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
                         n_remote_msgs=2, n_home_msgs=2)
@@ -50,10 +57,19 @@ def protocols(draw):
     return random_protocol(seed, SMALL)
 
 
-def engine_pair(protocol, n=2):
-    refined = refine(protocol)
-    return (AsyncSystem(refined, n),
-            AsyncSystem(refined, n, engine="compiled"))
+class Interpreted(AsyncSystem):
+    """The reference: every expansion is the direct enumeration."""
+
+    def steps(self, state):
+        return self.interpret(state)
+
+    def successors(self, state):
+        return [(s.action, s.state) for s in self.interpret(state)]
+
+
+def reference_pair(refined, n=2, **kwargs):
+    return (Interpreted(refined, n, **kwargs),
+            AsyncSystem(refined, n, **kwargs))
 
 
 def counts(result):
@@ -61,33 +77,46 @@ def counts(result):
             result.completed, result.stop_reason)
 
 
+def assert_steps_equal(system, state):
+    expected = system.interpret(state)
+    replayed = system.steps(state)
+    assert len(replayed) == len(expected)
+    for a, b in zip(expected, replayed):
+        assert a.action == b.action
+        assert a.state == b.state
+        assert a.completes == b.completes
+        assert a.sends == b.sends
+    assert system.successors(state) == [(s.action, s.state)
+                                        for s in expected]
+
+
 class TestRandomProtocolDifferential:
     @lenient
     @given(protocols())
     def test_counts_and_deadlocks_agree(self, protocol):
-        interp, comp = engine_pair(protocol)
+        interp, replay = reference_pair(refine(protocol))
         # State budgets only: a wall-clock budget would truncate the two
         # runs at different frontiers and void the comparison.
         a = explore(interp, max_states=2500, allow_deadlock=True)
-        b = explore(comp, max_states=2500, allow_deadlock=True)
+        b = explore(replay, max_states=2500, allow_deadlock=True)
         assert counts(a) == counts(b)
 
     @lenient
     @given(protocols(), st.integers(0, 500))
     def test_truncated_budgets_agree(self, protocol, budget):
-        interp, comp = engine_pair(protocol)
+        interp, replay = reference_pair(refine(protocol))
         a = explore(interp, max_states=budget, allow_deadlock=True)
-        b = explore(comp, max_states=budget, allow_deadlock=True)
+        b = explore(replay, max_states=budget, allow_deadlock=True)
         assert counts(a) == counts(b)
 
     @lenient
     @given(protocols())
     def test_invariant_verdicts_agree(self, protocol):
-        interp, comp = engine_pair(protocol)
+        interp, replay = reference_pair(refine(protocol))
         invs = async_structural_invariants(2)
         a = explore(interp, max_states=2500, invariants=invs,
                     allow_deadlock=True)
-        b = explore(comp, max_states=2500, invariants=invs,
+        b = explore(replay, max_states=2500, invariants=invs,
                     allow_deadlock=True)
         assert counts(a) == counts(b)
         assert [v.property_name for v in a.violations] \
@@ -96,9 +125,9 @@ class TestRandomProtocolDifferential:
     @lenient
     @given(protocols())
     def test_progress_verdicts_agree(self, protocol):
-        interp, comp = engine_pair(protocol)
+        interp, replay = reference_pair(refine(protocol))
         a = check_progress(interp, max_states=2500)
-        b = check_progress(comp, max_states=2500)
+        b = check_progress(replay, max_states=2500)
         assume(a.completed and b.completed)
         assert (a.ok, a.n_states, a.n_sccs, a.n_terminal_sccs,
                 len(a.deadlocks), len(a.livelocks)) \
@@ -107,39 +136,84 @@ class TestRandomProtocolDifferential:
 
 
 class TestStepObservableParity:
-    """Byte-level agreement of the full ``steps()`` enumeration.
+    """Field-by-field agreement of ``steps()`` with ``interpret()``.
 
     Beyond (action, state) pairs this compares the ``completes`` and
-    ``sends`` observables, whose payload fields are the values the
-    engines evaluated from the guard payload expressions — the
-    "both sites agree" assertion for the eval-once bugfix.
+    ``sends`` observables, whose payload fields are the values evaluated
+    from the guard payload expressions — the "both sites agree"
+    assertion for the eval-once bugfix.
     """
 
     @lenient
     @given(protocols())
     def test_steps_identical_on_reachable_states(self, protocol):
-        interp, comp = engine_pair(protocol)
-        result = explore(interp, max_states=400, keep_graph=True,
+        system = AsyncSystem(refine(protocol), 2)
+        result = explore(system, max_states=400, keep_graph=True,
                          allow_deadlock=True)
         for state in list(result.graph or {})[:200]:
-            a = interp.steps(state)
-            b = comp.steps(state)
-            assert len(a) == len(b)
-            for sa, sb in zip(a, b):
-                assert sa.action == sb.action
-                assert sa.state == sb.state
-                assert sa.completes == sb.completes
-                assert sa.sends == sb.sends
+            assert_steps_equal(system, state)
+
+    @pytest.mark.parametrize("name", sorted(LIBRARY_PROTOCOLS))
+    def test_library_protocols_on_every_reachable_state(self, name):
+        system = AsyncSystem(refine(LIBRARY_PROTOCOLS[name]()), 2)
+        result = explore(system, keep_graph=True)
+        assert result.completed
+        for state in result.graph:
+            assert_steps_equal(system, state)
+
+
+class TestMemo:
+    def test_bound_of_eight_clears_mid_run(self, monkeypatch):
+        """With room for eight of its hundreds of families the memo is
+        cleared over and over in one sweep; nothing else changes."""
+        refined = refine(migratory_protocol())
+        interp, unbounded = reference_pair(refined, 3)
+        reference = explore(interp, max_states=3000)
+        explore(unbounded, max_states=3000)
+        assert len(unbounded._memo) > 80
+        monkeypatch.setattr(asynchronous, "_MEMO_LIMIT", 8)
+        bounded = AsyncSystem(refined, 3)
+        result = explore(bounded, max_states=3000, keep_graph=True)
+        assert counts(result) == counts(reference)
+        for state in result.graph:
+            assert_steps_equal(bounded, state)
+            assert len(bounded._memo) <= 8
+
+    def test_replayed_state_has_exactly_its_fields(self):
+        """A replayed state is built over a fresh ``__dict__``: copying
+        the origin's would hand it the origin's hash and key caches."""
+        system = AsyncSystem(refine(migratory_protocol()), 2)
+        frontier = [system.initial_state()]
+        for _ in range(6):
+            for state in frontier:
+                hash(state), state.canonical_key()  # fill the caches
+            frontier = [nxt for state in frontier
+                        for _action, nxt in system.successors(state)]
+            for nxt in frontier:
+                assert list(vars(nxt)) == ["home", "remotes", "channels"]
+        assert frontier
+
+    def test_systems_never_share_a_memo(self):
+        """A delta is only right for the table it was learnt under."""
+        refined = refine(migratory_protocol())
+        healthy = AsyncSystem(refined, 2)
+        mutant = AsyncSystem(refined, 2, table=build_step_table(
+            refined).mutate(role="remote", state="I", out_index=0,
+                            reply_to="I"))
+        assert explore(healthy, allow_deadlock=True).completed
+        with pytest.raises(SemanticsError):
+            explore(mutant, allow_deadlock=True)
+        assert explore(healthy, allow_deadlock=True).completed
 
 
 class TestSeededMutant:
     """Fault injection through :meth:`StepTable.mutate`.
 
     Each corrupted row drives the semantics into an inconsistency that
-    the interpreter reports as a :class:`SemanticsError`; the compiled
-    engine bakes the same (mutated) table into its generated module and
-    must raise the identical error — a mutant silently absorbed by the
-    compiled engine would mean its specialization dropped a check.
+    the direct enumeration reports as a :class:`SemanticsError`.  Replay
+    runs the same (mutated) table on every memo miss and must raise the
+    identical error — a mutant silently absorbed would mean a memoized
+    delta stood in for a check.
     """
 
     MUTATIONS = [
@@ -159,19 +233,16 @@ class TestSeededMutant:
     def test_mutant_flagged_identically(self, name, where, changes):
         refined = refine(migratory_protocol())
         mutant = build_step_table(refined).mutate(**where, **changes)
-        errors = {}
-        for engine in ("interpreted", "compiled"):
-            system = AsyncSystem(refined, 2, table=mutant, engine=engine)
+        errors = []
+        for system in reference_pair(refined, table=mutant):
             with pytest.raises(SemanticsError) as exc:
                 explore(system, max_states=4000, allow_deadlock=True)
-            errors[engine] = str(exc.value)
-        assert errors["interpreted"] == errors["compiled"]
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
     def test_healthy_table_not_flagged(self):
         refined = refine(migratory_protocol())
         table = build_step_table(refined)
-        for engine in ("interpreted", "compiled"):
-            result = explore(AsyncSystem(refined, 2, table=table,
-                                         engine=engine),
-                             max_states=4000, allow_deadlock=True)
+        for system in reference_pair(refined, table=table):
+            result = explore(system, max_states=4000, allow_deadlock=True)
             assert result.completed

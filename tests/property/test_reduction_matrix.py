@@ -1,22 +1,24 @@
-"""Driver/store/reduction/engine parity matrix.
+"""Driver/store/reduction parity matrix.
 
 :mod:`tests.property.test_explorer_parity` pins byte-identical counts
 between the sequential and multi-process drivers on unreduced systems.
-The reductions and the compiled step engine must not break that
+The reductions and the delta replay inside
+:class:`~repro.semantics.asynchronous.AsyncSystem` must not break that
 contract: for every cell of
 
-    {interpreted, compiled} x {sequential, partitioned}
-        x {exact, fingerprint} x {symmetry off, on} x {por off, on}
+    {sequential, partitioned} x {exact, fingerprint}
+        x {symmetry off, on} x {por off, on}
 
-the eight engine/driver/store variants of the *same* reduction
-combination must report identical ``n_states``/``n_transitions``/
-``deadlock_count``/``stop_reason`` — including runs truncated mid-level
+the four driver/store variants of the *same* reduction combination must
+report the ``n_states``/``n_transitions``/``deadlock_count``/
+``stop_reason`` of one reference run — the same reductions over a
+system that expands every state with ``interpret()``, explored
+sequentially with the exact store — including runs truncated mid-level
 by a state budget, where a single out-of-order expansion (or a single
-reordered successor from the compiled engine) would shift the counts.
-Across combinations, reduction only ever shrinks the state count.
+reordered replayed successor) would shift the counts.  Across
+combinations, reduction only ever shrinks the state count.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -26,10 +28,12 @@ from hypothesis import strategies as st
 from repro.check.explorer import explore
 from repro.check.partitioned import explore_partitioned
 from repro.check.spec import SystemSpec, build_system
+from repro.semantics.asynchronous import AsyncSystem
+
+from .test_compiled_differential import Interpreted
 
 PROTOCOLS = [("migratory", 2), ("invalidate", 2)]
 REDUCTIONS = [(False, False), (False, True), (True, False), (True, True)]
-ENGINES = ("interpreted", "compiled")
 
 
 def spec_for(protocol, n, symmetry, por):
@@ -42,28 +46,41 @@ def counts(result):
 
 
 # every build_system call pays refine(); the in-process runs of one
-# (engine, reductions) cell share one system object across the module
+# reduction combination share one system object across the module
 system_for = lru_cache(maxsize=None)(build_system)
 
 
+@lru_cache(maxsize=None)
+def reference_for(spec):
+    """``build_system(spec)`` with :class:`Interpreted` innermost."""
+    system = build_system(spec)
+    if isinstance(system, AsyncSystem):
+        return Interpreted(system.refined, system.n_remotes)
+    wrapper = system
+    while not isinstance(wrapper.inner, AsyncSystem):
+        wrapper = wrapper.inner
+    wrapper.inner = Interpreted(wrapper.inner.refined,
+                                wrapper.inner.n_remotes)
+    return system
+
+
 def variants(spec, **budgets):
-    """The eight engine/driver/store runs of one reduction combination:
-    {sequential, owner-computes partitioned} x {exact, fingerprint}
-    x {interpreted, compiled}."""
-    runs = {}
-    for engine in ENGINES:
-        espec = replace(spec, engine=engine)
-        system = system_for(espec)
-        runs[f"{engine}-seq-exact"] = explore(
-            system, name="matrix", reductions=espec.reductions(), **budgets)
-        runs[f"{engine}-seq-fingerprint"] = explore(
-            system, name="matrix", store="fingerprint",
-            reductions=espec.reductions(), **budgets)
-        runs[f"{engine}-part-exact"] = explore_partitioned(
-            espec, partitions=2, **budgets)
-        runs[f"{engine}-part-fingerprint"] = explore_partitioned(
-            espec, partitions=2, store="fingerprint", **budgets)
-    return runs
+    """The reference run plus the four driver/store runs of one
+    reduction combination: {sequential, owner-computes partitioned}
+    x {exact, fingerprint}."""
+    system = system_for(spec)
+    return {
+        "reference": explore(reference_for(spec), name="matrix",
+                             reductions=spec.reductions(), **budgets),
+        "seq-exact": explore(system, name="matrix",
+                             reductions=spec.reductions(), **budgets),
+        "seq-fingerprint": explore(system, name="matrix",
+                                   store="fingerprint",
+                                   reductions=spec.reductions(), **budgets),
+        "part-exact": explore_partitioned(spec, partitions=2, **budgets),
+        "part-fingerprint": explore_partitioned(
+            spec, partitions=2, store="fingerprint", **budgets),
+    }
 
 
 @pytest.mark.parametrize("protocol,n", PROTOCOLS,
@@ -74,15 +91,15 @@ class TestFullRuns:
         for symmetry, por in REDUCTIONS:
             spec = spec_for(protocol, n, symmetry, por)
             runs = variants(spec)
-            reference = counts(runs["interpreted-seq-exact"])
+            reference = counts(runs["reference"])
             for name, result in runs.items():
                 assert counts(result) == reference, \
                     f"{name} diverges on {spec} ({symmetry=}, {por=})"
                 assert result.completed
             if baseline_states is None:
-                # (off, off) cell of the interpreted oracle
-                baseline_states = runs["interpreted-seq-exact"].n_states
-            assert runs["interpreted-seq-exact"].n_states <= baseline_states
+                # (off, off) cell of the reference
+                baseline_states = runs["reference"].n_states
+            assert runs["reference"].n_states <= baseline_states
 
     def test_reductions_recorded(self, protocol, n):
         spec = spec_for(protocol, n, symmetry=True, por=True)
@@ -107,12 +124,12 @@ class TestTruncatedRuns:
     def test_fixed_budgets(self, symmetry, por, budget):
         spec = spec_for("migratory", 2, symmetry, por)
         runs = variants(spec, max_states=budget)
-        reference = counts(runs["interpreted-seq-exact"])
+        reference = counts(runs["reference"])
         for name, result in runs.items():
             assert counts(result) == reference, f"{name} diverges"
         if reference[0] >= budget:
-            assert not runs["interpreted-seq-exact"].completed
-            assert runs["interpreted-seq-exact"].stop_reason \
+            assert not runs["reference"].completed
+            assert runs["reference"].stop_reason \
                 == f"state budget {budget} exceeded"
 
     @settings(max_examples=12, deadline=None,
@@ -125,6 +142,6 @@ class TestTruncatedRuns:
         protocol, n = PROTOCOLS[proto]
         spec = spec_for(protocol, n, symmetry, por)
         runs = variants(spec, max_states=budget)
-        reference = counts(runs["interpreted-seq-exact"])
+        reference = counts(runs["reference"])
         for name, result in runs.items():
             assert counts(result) == reference, f"{name} diverges"

@@ -284,6 +284,9 @@ class TestPorFlag:
 
 
 class TestEngineFlag:
+    """``--engine`` still parses on check/verify (``perf/`` passes it)
+    and selects nothing: there is one step engine."""
+
     def test_check_compiled_matches_interpreted(self, capsys):
         counts = {}
         for engine in ("interpreted", "compiled"):
@@ -298,21 +301,6 @@ class TestEngineFlag:
                      "-n", "2", "--engine", "compiled"]) == 0
         assert "complete" in capsys.readouterr().out
 
-    def test_profile_records_engine(self, tmp_path):
-        path = tmp_path / "profile.json"
-        assert main(["check", "migratory", "--level", "async", "-n", "2",
-                     "--engine", "compiled", "--profile", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        assert doc["run"]["engine"] == "compiled"
-
-    @pytest.mark.parametrize("command", ["check", "verify"])
-    def test_compiled_rejects_rendezvous_level(self, command):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "migratory", "-n", "2",
-                  "--engine", "compiled"])
-        assert "rendezvous level has only the interpreted engine" \
-            in str(excinfo.value)
-
     def test_paramverify_rejects_compiled(self):
         """paramverify has no --engine flag at all (the abstraction runs
         at the rendezvous level): argparse refuses it."""
@@ -321,9 +309,10 @@ class TestEngineFlag:
         assert excinfo.value.code == 2
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["check", "migratory",
                                        "--engine", "jit"])
+        assert excinfo.value.code == 2
 
 
 class TestTable3Command:
