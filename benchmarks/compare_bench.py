@@ -19,11 +19,13 @@ The comparison dispatches on the document's ``schema`` field:
   exploration cross-check at n = 2..4;
 * ``repro.profile/*`` (``--profile`` output of ``repro check``) — two
   profiles of the *same model*, typically produced by different drivers
-  (sequential vs owner-computes partitioned).  Every deterministic
-  count — final result fields and every per-level count — must agree
+  (sequential vs owner-computes partitioned) or stores (exact, the
+  oracle, vs fingerprint).  Every deterministic count — final result
+  fields, detected collisions and every per-level count — must agree
   **exactly** (no tolerance): the partitioned driver's whole contract
-  is byte-identical counts.  Timing, byte sizes, worker/partition
-  layout and the per-partition statistics rows are informational.
+  is byte-identical counts.  Timing, byte sizes, store kind,
+  worker/partition layout and the per-partition statistics rows are
+  informational.
 
 Exit status 1 when any *deterministic* field drifts more than the
 tolerance (default 25%): state/transition/enabled counts, BFS depth,
@@ -163,9 +165,11 @@ def _compare_verdicts(baseline: dict, candidate: dict, tolerance: float,
 
 #: result fields of a profile document that must agree exactly across
 #: drivers of the same model (the byte-identical-counts contract)
+#: — and across stores: an exact-store profile is the oracle of a
+#: fingerprint-store one, whose detected collisions must equal its 0
 PROFILE_RESULT_EXACT = ("n_states", "n_transitions", "n_enabled",
                         "deadlocks", "completed", "stop_reason",
-                        "reductions", "store", "fingerprint_collisions")
+                        "reductions", "fingerprint_collisions")
 #: per-level fields held to exact equality; seconds/bytes are not
 PROFILE_LEVEL_EXACT = ("level", "frontier", "expanded", "candidates",
                        "new_states", "n_states", "n_transitions",
@@ -205,6 +209,9 @@ def _compare_profiles(baseline: dict, candidate: dict,
         if old_run.get(field) != new_run.get(field):
             notes.append(f"run.{field}: {old_run.get(field)} -> "
                          f"{new_run.get(field)} (layout, informational)")
+    if old_res.get("store") != new_res.get("store"):
+        notes.append(f"result.store: {old_res.get('store')} -> "
+                     f"{new_res.get('store')} (layout, informational)")
 
 
 def compare(baseline: dict, candidate: dict,

@@ -63,7 +63,7 @@ from .explorer import ExplorationCore, expand_state, explore
 from .observe import RunObserver
 from .spec import SystemSpec, build_system, shippable_spec
 from .stats import ExplorationResult
-from .store import fingerprint, make_store, partition_index
+from .store import make_store, partition_of
 
 __all__ = ["explore_partitioned"]
 
@@ -102,6 +102,8 @@ class _Mailbox:
                         "a partition worker died; partitioned "
                         "exploration cannot continue") from None
                 continue
+            if msg[0] == "error":  # a worker's CheckError, in its words
+                raise CheckError(msg[1])
             if msg[0] in kinds:
                 return msg
             pending.append(msg)
@@ -114,7 +116,7 @@ def _partition_worker(wid: int, partitions: int, spec: SystemSpec,
                       kind: str, bits: int, spill_dir: Optional[str],
                       spill_threshold: int, inboxes: Sequence[Any],
                       master_queue: Any) -> None:
-    """Own one visited-set partition for the whole run (process main)."""
+    """Own one visited-set partition for the whole run."""
     system = build_system(spec)
     # one range, one process: a single-partition store in a private directory
     store = make_store(
@@ -129,7 +131,7 @@ def _partition_worker(wid: int, partitions: int, spec: SystemSpec,
     # seed: the initial state belongs to exactly one owner
     init = system.initial_state()
     frontier_slice: list[tuple[int, Hashable]] = []
-    if partition_index(fingerprint(init), partitions) == wid:
+    if partition_of(init, partitions) == wid:
         store.add(init, None)
         frontier_slice = [(0, init)]
 
@@ -155,8 +157,7 @@ def _partition_worker(wid: int, partitions: int, spec: SystemSpec,
             successors, enabled = expand_state(system, state)
             source_stats.append((g, enabled, len(successors)))
             for j, (_action, nxt) in enumerate(successors):
-                dest = partition_index(fingerprint(nxt), partitions)
-                outbound[dest].append((g, j, nxt))
+                outbound[partition_of(nxt, partitions)].append((g, j, nxt))
         for peer in range(partitions):
             if peer == wid:
                 continue
@@ -202,6 +203,14 @@ def _partition_worker(wid: int, partitions: int, spec: SystemSpec,
         # partition contributed
         indices = inbox.take(("assign",))[1]
         frontier_slice = list(zip(indices, new_states))
+
+
+def _worker_main(*args: Any) -> None:
+    """Process main: a :class:`CheckError` here is the master's to raise."""
+    try:
+        _partition_worker(*args)
+    except CheckError as exc:
+        args[-1].put(("error", str(exc)))  # args[-1]: the master's queue
 
 
 # -- driver ------------------------------------------------------------------
@@ -275,7 +284,7 @@ def explore_partitioned(
     shipped = shippable_spec(spec)
     procs = [
         context.Process(
-            target=_partition_worker,
+            target=_worker_main,
             args=(wid, partitions, shipped, store, bits, spill_path,
                   spill_threshold, inboxes, master_queue),
             daemon=True, name=f"partition-{wid}")

@@ -22,18 +22,19 @@ and shared by the sequential and owner-computes drivers:
 Why three and not two is measured in EXPERIMENTS.md ("Store
 head-to-head").
 
-Fingerprints are computed over a *canonical encoding* of the state
-(:func:`_enc`): bytes in which unordered containers (``frozenset``
-values in variable environments, e.g. sharer sets) are sorted.
-Canonicalisation matters because two equal frozensets built in
-different insertion orders may iterate — and therefore ``repr`` —
-differently; hashing the raw ``repr`` would split one state into two.
-States advertise an encoding by exposing ``canonical_key()`` (see
-:mod:`repro.semantics.state` / :mod:`repro.semantics.asynchronous`);
-plain hashable states (ints in the unit-test toy systems) are used as-is.
-The encoding layer caches nothing per state: a memo that lives as long
-as the state does makes the "16 bytes per state" store as large as the
-exact one in real memory.
+Every hash rests on a *canonical encoding* (:func:`_enc`): bytes in
+which unordered containers (``frozenset`` values in variable
+environments, e.g. sharer sets) are sorted.  Canonicalisation matters
+because two equal frozensets built in different insertion orders may
+iterate — and therefore ``repr`` — differently; hashing the raw ``repr``
+would split one state into two.  States advertise an encoding by
+exposing ``canonical_key()`` (see :mod:`repro.semantics.state` /
+:mod:`repro.semantics.asynchronous`); plain hashable states (ints in the
+unit-test toy systems) are used as-is.  A state that also exposes
+``components()`` is fingerprinted component-wise (:func:`_summary`):
+each part is digested once, a probe hashes the digests.  Nothing is
+cached per state: a memo that lives as long as the state does makes the
+"16 bytes per state" store as large as the exact one.
 
 Every store meters its own containers via
 :meth:`StateStore.approx_bytes`, so the Table 3 "Unfinished" narration
@@ -43,6 +44,7 @@ several times larger (EXPERIMENTS.md has the numbers).
 
 from __future__ import annotations
 
+import struct
 import sys
 import zlib
 from array import array
@@ -92,8 +94,9 @@ def _enc(obj: Any) -> bytes:
 
     Tuples become ``t(...)``, frozensets ``f(...)`` with elements sorted
     by their encodings (equal sets encode equally regardless of
-    insertion/iteration order), leaves their ``repr`` — whose quoting
-    and escaping keep string contents from masquerading as structure.
+    insertion/iteration order), an object with a ``canonical_key()``
+    that key's encoding, other leaves their ``repr`` — whose quoting and
+    escaping keep string contents from masquerading as structure.
     Unlike ``hash()``, the result is stable across processes.
     """
     if type(obj) is tuple:
@@ -106,11 +109,13 @@ def _enc(obj: Any) -> bytes:
         return cached
     if isinstance(obj, frozenset):
         return b"f(" + b",".join(sorted(_enc(x) for x in obj)) + b")"
-    return repr(obj).encode()
+    key = getattr(obj, "canonical_key", None)
+    return _enc(key()) if callable(key) else repr(obj).encode()
 
 
 def _encode(state: Hashable) -> bytes:
     """Canonical byte encoding of ``state``: canonical key -> bytes.
+    The delta-compressed store's blobs and :func:`_summary`'s fallback.
 
     Subtree chunks come out of the bounded ``_ENC_CACHE``; the root
     tuple is joined here without an entry of its own, because it is
@@ -124,15 +129,56 @@ def _encode(state: Hashable) -> bytes:
     return _enc(root)
 
 
-def fingerprint(state: Hashable, *, salt: bytes = b"") -> int:
-    """A 64-bit fingerprint of ``state``'s canonical encoding.
+#: Digests of ``(tag, arity, network)`` summary heads, keyed by value (a
+#: sweep meets far fewer networks than states); bounded like ``_ENC_CACHE``.
+_HEAD_DIGESTS: dict[tuple, bytes] = {}
 
-    blake2b over the ``repr`` of the canonical encoding: deterministic
-    across processes and runs (unlike ``hash()``, which is seeded per
-    process), uniform, and fast enough for the state rates this library
-    reaches.  ``salt`` keys an independent second fingerprint.
+
+def _digest(part: Any) -> bytes:
+    """The 16 bytes that stand for ``part`` in the summary of every
+    state holding it: blake2b over its canonical encoding."""
+    return blake2b(_enc(part), digest_size=16).digest()
+
+
+def _summary(state: Hashable) -> bytes:
+    """The bytes every hash of ``state`` is taken over.
+
+    For a state that exposes ``components()`` — ``(tag, nodes,
+    network)`` — one 16-byte digest of tag, arity and network, then one
+    per node in order, so position is hashed (80 bytes at n = 3).  A
+    node's digest is kept in the node's own ``__dict__``: it dies with
+    the node and is never pickled or copied.  Anything else is its whole
+    canonical encoding (:func:`_encode`).
     """
-    digest = blake2b(_encode(state), digest_size=8, key=salt).digest()
+    components = getattr(state, "components", None)
+    if components is None:
+        return _encode(state)
+    tag, nodes, network = components()
+    head = (tag, len(nodes), network)
+    digest = _HEAD_DIGESTS.get(head)
+    if digest is None:
+        if len(_HEAD_DIGESTS) > _ENC_LIMIT:
+            _HEAD_DIGESTS.clear()
+        digest = _HEAD_DIGESTS[head] = _digest(head)
+    parts = [digest]
+    for node in nodes:
+        digest = node.__dict__.get("_digest_cache")
+        if digest is None:
+            digest = _digest(node)
+            object.__setattr__(node, "_digest_cache", digest)
+        parts.append(digest)
+    return b"".join(parts)
+
+
+def fingerprint(state: Hashable, *, salt: bytes = b"") -> int:
+    """A 64-bit fingerprint of ``state``.
+
+    blake2b over :func:`_summary`: deterministic across processes and
+    runs (unlike ``hash()``, which is seeded per process), uniform, and
+    fast enough for the state rates this library reaches.  ``salt`` keys
+    an independent second fingerprint.
+    """
+    digest = blake2b(_summary(state), digest_size=8, key=salt).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -222,10 +268,10 @@ class ExactStore:
 
         Deliberately rough — it narrates the Table 3 memory-budget story,
         it does not meter CPython precisely.  It samples the parent-pointer
-        payload (a two-tuple per non-initial state) *and* the per-state
-        memo caches the semantics classes pin on states (``_key_cache``/
-        ``_hash_cache``): both are real, per-state memory that lives
-        exactly as long as the store does.
+        payload (a two-tuple per non-initial state) *and* the instance
+        dict and hash memo (``_hash_cache``) the semantics classes pin on
+        states: both are real, per-state memory that lives exactly as
+        long as the store does.
         """
         detail = self.approx_bytes_detail()
         return detail["entries"] + detail["state_caches"]
@@ -245,10 +291,8 @@ class ExactStore:
         d = getattr(state, "__dict__", None)
         if d is not None:
             per_cache = sys.getsizeof(d)
-            for attr in ("_key_cache", "_hash_cache"):
-                value = d.get(attr)
-                if value is not None:
-                    per_cache += sys.getsizeof(value)
+            if "_hash_cache" in d:
+                per_cache += sys.getsizeof(d["_hash_cache"])
         n = len(self._parents)
         return {"entries": sys.getsizeof(self._parents) + n * per_state,
                 "state_caches": n * per_cache}
@@ -269,6 +313,9 @@ def _partition_row(p: int, owned: int, probes: int, approx: int, *,
         "dedup_ratio": round(1.0 - owned / probes, 4) if probes else 0.0,
     }
 
+
+#: a 16-byte digest as two big-endian 64-bit words
+_TWO_WORDS = struct.Struct(">QQ").unpack
 
 #: front-filter size per spilled partition: 2 MiB = 2^24 one-bit buckets.
 #: Only allocated once a partition has actually spilled; before that the
@@ -349,16 +396,15 @@ class FingerprintStore:
     def _locate(self, state: Hashable) -> tuple[int, int, int]:
         """(partition, masked fingerprint key, check hash) of ``state``.
 
-        One encoding pass and one digest feed both hashes: the primary
+        One :func:`_summary` and one digest feed both hashes: the primary
         fingerprint is the first 8 bytes of a 16-byte blake2b, the check
         hash the last 8 — independent bits of one hash call.  Routing
         uses the *untruncated* primary fingerprint so the ``bits`` test
         hook cannot collapse every key into partition 0.
         """
-        digest = blake2b(_encode(state), digest_size=16).digest()
-        fp = int.from_bytes(digest[:8], "big")
-        return (partition_index(fp, self.partitions), fp & self._mask,
-                int.from_bytes(digest[8:], "big"))
+        fp, check = _TWO_WORDS(
+            blake2b(_summary(state), digest_size=16).digest())
+        return partition_index(fp, self.partitions), fp & self._mask, check
 
     def _lookup(self, p: int, key: int) -> Optional[int]:
         """Check hash stored under ``key`` in partition ``p``, else None."""

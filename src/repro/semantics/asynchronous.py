@@ -48,7 +48,7 @@ core through :meth:`AsyncSystem.steps`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 from ..csp.ast import Input, Output, ProcessDef, Protocol, StateDef
 from ..csp.env import Env, Value
@@ -152,16 +152,9 @@ class HomeNode:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        # Memoized like AsyncState.__hash__: store probes recompute the
-        # key on every lookup, and the cache lives outside _FIELDS so the
-        # compact __getstate__ never pickles it.
-        cached = self.__dict__.get("_key_cache")
-        if cached is None:
-            cached = (self.state, self.env.canonical_key(), self.mode,
-                      self.out_idx, self.awaiting, self.pending_out,
-                      tuple(e.canonical_key() for e in self.buffer))
-            object.__setattr__(self, "_key_cache", cached)
-        return cached
+        return (self.state, self.env.canonical_key(), self.mode,
+                self.out_idx, self.awaiting, self.pending_out,
+                tuple(e.canonical_key() for e in self.buffer))
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
@@ -199,13 +192,9 @@ class RemoteNode:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        cached = self.__dict__.get("_key_cache")
-        if cached is None:
-            cached = (self.state, self.env.canonical_key(), self.mode,
-                      self.pending_out,
-                      None if self.buf is None else self.buf.canonical_key())
-            object.__setattr__(self, "_key_cache", cached)
-        return cached
+        return (self.state, self.env.canonical_key(), self.mode,
+                self.pending_out,
+                None if self.buf is None else self.buf.canonical_key())
 
     def __getstate__(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
@@ -217,6 +206,20 @@ class RemoteNode:
     def describe(self) -> str:
         tag = self.state if self.mode == IDLE else f"{self.state}*"
         return tag + (f"{{{self.buf.describe()}}}" if self.buf else "")
+
+
+def _node_key(node: Any) -> tuple:
+    """``node.canonical_key()``, memoized on the node (outside _FIELDS,
+    so never pickled) for the delta-compressed store, which asks per
+    probe.  The fingerprint store asks the node itself, once, and leaves
+    no key behind: CPython lays an instance out for its fields plus two,
+    and a third memo beside ``_hash_cache`` and ``_digest_cache`` costs
+    every node a dict of its own (+330 bytes)."""
+    cached = node.__dict__.get("_key_cache")
+    if cached is None:
+        cached = node.canonical_key()
+        object.__setattr__(node, "_key_cache", cached)
+    return cached
 
 
 @dataclass(frozen=True)
@@ -244,21 +247,23 @@ class AsyncState:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        """Compact primitive encoding for fingerprinting (see
-        :mod:`repro.check.store`).
+        """Compact primitive encoding (the delta-compressed exact store
+        keeps it).  Memoized per node and per network, not here: a key
+        cached on the state would live as long as the state."""
+        return ("async", _node_key(self.home),
+                tuple(_node_key(r) for r in self.remotes),
+                self.channels.canonical_key())
 
-        Memoized exactly like ``__hash__`` — the fingerprint store calls
-        this on every probe, and rebuilding the nested key tuple used to
-        dominate its profiles.  ``__getstate__`` keeps the cache out of
-        pickles.
+    def components(self) -> tuple[str, tuple[Any, ...], Hashable]:
+        """``(tag, nodes, network)``: the parts a step replaces one at a
+        time, nodes in canonical order (home, remotes 0..n-1).
+
+        The fingerprint store (:mod:`repro.check.store`) digests each
+        node once, as ``_digest_cache`` beside ``_hash_cache`` (never
+        pickled by ``__getstate__``, never copied by :func:`_fresh` or
+        ``replace``), and the network by value.
         """
-        cached = self.__dict__.get("_key_cache")
-        if cached is None:
-            cached = ("async", self.home.canonical_key(),
-                      tuple(r.canonical_key() for r in self.remotes),
-                      self.channels.canonical_key())
-            object.__setattr__(self, "_key_cache", cached)
-        return cached
+        return "async", (self.home,) + self.remotes, self.channels.queues
 
     def __getstate__(self) -> tuple:
         return (self.home, self.remotes, self.channels)
@@ -479,7 +484,7 @@ def _fresh(cls: type, fields: dict[str, Any]) -> Any:
 
     Skips the generated ``__init__`` (one ``object.__setattr__`` per
     field).  ``fields`` must be new: a copied instance ``__dict__`` could
-    carry another object's ``_hash_cache``/``_key_cache``.
+    carry another object's ``_hash_cache``/``_key_cache``/``_digest_cache``.
     """
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)

@@ -109,7 +109,7 @@ class Channels:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        # Memoized (the fingerprint store rebuilds state keys on every
+        # Memoized (the delta-compressed store encodes whole keys on every
         # probe); __getstate__ pickles only ``queues``, never the cache.
         cached = self.__dict__.get("_key_cache")
         if cached is None:
@@ -189,9 +189,9 @@ class Channels:
         pushed onto the tail, their canonical keys)`` ops in one step.
 
         If this object has computed its canonical key, the result's
-        follows from it by the same pops and pushes — a store that
-        fingerprints asks every successor state for its key, and queues
-        barely change from a state to its successors.
+        follows from it by the same pops and pushes — the delta-compressed
+        store asks every successor state for its key (the fingerprint
+        store never does), and queues barely change from state to successor.
         """
         queues = self.queues
         for c, popped, pushed, _ in ops:

@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -339,13 +340,17 @@ class TestErrorsAreOneLine:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_spill_dir_under_a_regular_file(self, tmp_path, capsys):
+    def test_spill_dir_under_a_regular_file(self, tmp_path, capfd):
+        # capfd, not capsys: under --parallel the store is built in worker
+        # processes, whose tracebacks would go straight to file descriptor 2
         a_file = tmp_path / "a_file"
         a_file.write_text("not a directory")
-        assert main(["check", "migratory", "--level", "async", "-n", "2",
-                     "--store", "fingerprint", "--partitions", "2",
-                     "--spill-dir", str(a_file / "sub")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("repro: cannot use spill directory")
-        assert "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        for driver in ([], ["--parallel"]):
+            assert main(["check", "migratory", "--level", "async", "-n", "2",
+                         "--store", "fingerprint", "--partitions", "2",
+                         "--spill-dir", str(a_file / "sub")] + driver) == 1
+            err = capfd.readouterr().err
+            assert err.startswith("repro: cannot use spill directory")
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+            assert not multiprocessing.active_children()

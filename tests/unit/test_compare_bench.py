@@ -411,6 +411,17 @@ class TestCompareProfiles:
         assert errors == []
         assert notes  # layout drift reported, never fatal
 
+    def test_exact_store_profile_gates_a_fingerprint_one(self):
+        # CI's cross-store step: the store kind is layout, a detected
+        # collision is not (the exact side always reports 0)
+        base, cand = make_profile_doc(), make_profile_doc()
+        base["run"]["store"] = base["result"]["store"] = "exact"
+        errors, notes = compare_bench.compare(base, cand)
+        assert errors == [] and any("result.store" in n for n in notes)
+        cand["result"]["fingerprint_collisions"] = 1
+        errors, _ = compare_bench.compare(base, cand)
+        assert any("fingerprint_collisions" in e for e in errors)
+
     def test_schema_versions_may_differ_between_profiles(self):
         # a /3 sequential baseline still gates a /4 partitioned run
         base, cand = make_profile_doc(), make_profile_doc()

@@ -8,6 +8,7 @@ side conditions, and the satellite optimizations (memoized canonical
 keys, tuple-sliced ``with_remote``) behave.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -207,16 +208,20 @@ class TestConstruction:
 
 
 class TestCanonicalKeyMemoization:
-    """Satellite: canonical_key caches like __hash__ and the cache never
-    leaks through pickling (fingerprints are process-seed dependent in
-    spirit; the cache is simply recomputed on the other side)."""
+    """Satellite: node and network keys cache like __hash__ and the cache
+    never leaks through pickling (it is simply recomputed on the other
+    side); the state's own key is assembled from them on demand and
+    nothing is memoized per state."""
 
     def test_cached_and_stable(self, mig2):
         state = mig2.initial_state()
-        assert "_key_cache" not in vars(state)
         key = state.canonical_key()
-        assert vars(state)["_key_cache"] is key
-        assert state.canonical_key() is key  # same object, no recompute
+        assert "_key_cache" not in vars(state)  # nothing pinned per state
+        again = state.canonical_key()
+        assert again == key and again is not key
+        # ... but the parts it is assembled from are the cached objects
+        assert again[1] is key[1] is vars(state.home)["_key_cache"]
+        assert again[3] is key[3] is vars(state.channels)["_key_cache"]
 
     def test_pickle_drops_cache(self, mig2):
         state = mig2.steps(mig2.initial_state())[0].state
@@ -229,13 +234,20 @@ class TestCanonicalKeyMemoization:
         assert clone.canonical_key() == key
 
     def test_node_and_channel_keys_cached(self, mig2):
+        # a state's key is rebuilt per call from parts that are not: the
+        # network memoizes its own key, the state memoizes its nodes'
         state = mig2.initial_state()
-        assert state.home.canonical_key() \
-            is state.home.canonical_key()
+        first, second = state.canonical_key(), state.canonical_key()
+        assert first[1] is second[1]
+        assert first[2][0] is second[2][0]
         assert state.channels.canonical_key() \
             is state.channels.canonical_key()
-        assert state.remotes[0].canonical_key() \
-            is state.remotes[0].canonical_key()
+        # asked directly, a node builds its key afresh and keeps nothing:
+        # the fingerprint store digests it once and must not pin it
+        node = dataclasses.replace(state.remotes[0])
+        assert node.canonical_key() == first[2][0]
+        assert node.canonical_key() is not node.canonical_key()
+        assert "_key_cache" not in vars(node)
 
 
 class TestWithRemote:

@@ -1,5 +1,6 @@
 """Unit tests for the pluggable visited-state stores (repro.check.store)."""
 
+import dataclasses
 import pickle
 import random
 
@@ -14,7 +15,10 @@ from repro.check.store import (
     fingerprint,
     make_store,
 )
+from repro.check.symmetry import normalize
 from repro.csp.env import Env
+from repro.protocols import symmetry_spec_for
+from repro.semantics.network import Channels
 from repro.semantics.state import ProcState, RvState
 
 
@@ -129,10 +133,10 @@ class TestFingerprintStore:
 
 
 class TestNothingPinnedPerState:
-    def test_fingerprint_sweep_leaves_no_per_state_memo(self):
+    def test_fingerprint_sweep_leaves_no_per_state_memo(self, monkeypatch):
         # "~16 bytes per state" is only true if the encoding layer keeps
-        # nothing alive per state: no blob on the state object, no entry
-        # per state in the subtree cache
+        # nothing alive per state: no blob or key on the state object, no
+        # entry per state in the subtree cache
         class Recording:
             def __init__(self, inner):
                 self.inner, self.expanded = inner, []
@@ -144,14 +148,31 @@ class TestNothingPinnedPerState:
                 self.expanded.append(state)
                 return self.inner.successors(state)
 
+        digested = []
+        digest = store_module._digest
+        store_module._HEAD_DIGESTS.clear()
+        monkeypatch.setattr(store_module, "_digest",
+                            lambda node: digested.append(node) or digest(node))
         system = Recording(build_system(SystemSpec("invalidate", "async", 2)))
         store_module._ENC_CACHE.clear()
         result = explore(system, name="x", store="fingerprint")
         assert result.completed and result.n_states >= 2000
         assert len(system.expanded) == result.n_states
-        assert not any("_blob_cache" in vars(state)
-                       for state in system.expanded)
+        fields = {"home", "remotes", "channels"}
+        for state in system.expanded:
+            assert fields <= set(vars(state)) <= fields | {"_hash_cache"}
+            # nor a key on its nodes: digested once, then dropped (a third
+            # memo attribute costs every node a dict of its own)
+            for node in (state.home,) + state.remotes:
+                assert "_digest_cache" in vars(node)
+                assert "_key_cache" not in vars(node)
         assert len(store_module._ENC_CACHE) < result.n_states // 2
+        # every probe (the initial state, then one per transition) looks
+        # up one digest for its network and one per node; a digest is
+        # computed only for a network value or a node object no earlier
+        # probe has met
+        lookups = (1 + result.n_transitions) * 4
+        assert 0 < len(digested) <= lookups // 20
 
 
 class TestCanonicalEncoding:
@@ -190,6 +211,116 @@ class TestCanonicalEncoding:
                           remotes=(ProcState("r", Env()),))
                   for i in range(100)]
         assert len({fingerprint(s) for s in states}) == 100
+
+
+class TestComponentFingerprints:
+    """An ``AsyncState`` is hashed over one cached digest per node plus
+    one for its network, not over its whole canonical key: a cached
+    digest must never outlive or misrepresent the node it was taken of,
+    and position must still be hashed."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(SystemSpec("invalidate", "async", 3))
+
+    @pytest.fixture(scope="class")
+    def states(self, system):
+        store = ExactStore()
+        explore(system, name="x", store=store, max_states=1500)
+        return list(store)
+
+    @staticmethod
+    def digest_of(node):
+        return vars(node).get("_digest_cache")
+
+    def test_replace_never_inherits_a_digest(self, states):
+        state = states[-1]
+        fp = fingerprint(state)
+        for i, node in enumerate(state.remotes):
+            assert self.digest_of(node) is not None
+            changed = dataclasses.replace(node, pending_out=7)
+            assert self.digest_of(changed) is None
+            assert fingerprint(state.with_remote(i, changed)) != fp
+            assert self.digest_of(changed) != self.digest_of(node)
+        home = dataclasses.replace(state.home, out_idx=state.home.out_idx + 1)
+        assert self.digest_of(home) is None
+        assert fingerprint(state.with_home(home)) != fp
+        assert self.digest_of(home) != self.digest_of(state.home)
+
+    def test_replayed_nodes_carry_their_own_digest(self, system, states):
+        # successors() replays memoized deltas through _fresh(): whatever
+        # digest a node of a replayed state holds is that node's own
+        for state in states[::7]:
+            fingerprint(state)
+            for _action, nxt in system.successors(state):
+                fingerprint(nxt)
+                for node in (nxt.home,) + nxt.remotes:
+                    cold = pickle.loads(pickle.dumps(node))
+                    assert self.digest_of(cold) is None
+                    assert self.digest_of(node) == store_module._digest(cold)
+
+    def test_symmetry_relabelling_never_inherits_a_digest(self, states):
+        spec = symmetry_spec_for("invalidate")
+        rebuilt = 0
+        for state in states:
+            fingerprint(state)
+            image = normalize(state, spec)
+            if image.home is not state.home:
+                rebuilt += 1
+                assert self.digest_of(image.home) is None
+                if image.home != state.home:
+                    fingerprint(image)
+                    assert self.digest_of(image.home) != \
+                        self.digest_of(state.home)
+            cold = pickle.loads(pickle.dumps(image))
+            assert fingerprint(image) == fingerprint(cold)
+        assert rebuilt  # the relabel path was exercised
+
+    def test_position_is_hashed(self, states):
+        state = next(s for s in states if s.remotes[0] != s.remotes[1])
+        a, b, c = state.remotes
+        swapped = dataclasses.replace(state, remotes=(b, a, c))
+        assert fingerprint(swapped) != fingerprint(state)
+        # same messages, same nodes: only *which* queue holds one differs
+        state = next(s for s in states
+                     if s.channels.queues[0] and not s.channels.queues[2])
+        queues = list(state.channels.queues)
+        queues[0], queues[2] = queues[2], queues[0]
+        moved = state.with_channels(Channels(queues=tuple(queues)))
+        assert fingerprint(moved) != fingerprint(state)
+        store = FingerprintStore()
+        assert store.add(state) and store.add(moved) and store.add(swapped)
+        assert store.collisions == 0
+
+    def test_route_probe_add_encode_each_component_once(self, states,
+                                                        monkeypatch):
+        # what the owner-computes driver does to a routed candidate: the
+        # sender routes it, the owner probes it, then admits it
+        calls = {"digest": 0, "encode": 0}
+        digest, encode = store_module._digest, store_module._encode
+
+        def counting(name, inner):
+            def wrapper(arg):
+                calls[name] += 1
+                return inner(arg)
+            return wrapper
+
+        monkeypatch.setattr(store_module, "_digest",
+                            counting("digest", digest))
+        monkeypatch.setattr(store_module, "_encode",
+                            counting("encode", encode))
+        candidate = pickle.loads(pickle.dumps(states[-1]))  # arrives cold
+        store_module._ENC_CACHE.clear()
+        store_module._HEAD_DIGESTS.clear()
+        store = FingerprintStore()
+        owner = partition_of(candidate, 2)
+        encoded = len(store_module._ENC_CACHE)
+        assert not store.probe(candidate)[1]
+        assert store.add(candidate)
+        assert partition_of(candidate, 2) == owner
+        # the head (tag, arity, network), the home and each remote: once
+        assert calls == {"digest": 2 + len(candidate.remotes), "encode": 0}
+        assert len(store_module._ENC_CACHE) == encoded
 
 
 # ---------------------------------------------------------------------------
