@@ -18,14 +18,13 @@ The comparison dispatches on the document's ``schema`` field:
   coherence (P46xx) verdict per protocol plus the single-writer/SWMR
   exploration cross-check at n = 2..4;
 * ``repro.profile/*`` (``--profile`` output of ``repro check``) — two
-  profiles of the *same model*, typically produced by different drivers
-  (sequential vs owner-computes partitioned) or stores (exact, the
-  oracle, vs fingerprint).  Every deterministic count — final result
-  fields, detected collisions and every per-level count — must agree
-  **exactly** (no tolerance): the partitioned driver's whole contract
-  is byte-identical counts.  Timing, byte sizes, store kind,
-  worker/partition layout and the per-partition statistics rows are
-  informational.
+  profiles of the *same model*, typically produced over different
+  stores (exact, the oracle, vs fingerprint; unsharded vs sharded and
+  spilling) or under different hash seeds.  Every deterministic count —
+  final result fields, detected collisions and every per-level count —
+  must agree **exactly** (no tolerance): a store's whole contract is
+  byte-identical counts.  Timing, byte sizes, store kind, partition
+  layout and the per-partition statistics rows are informational.
 
 Exit status 1 when any *deterministic* field drifts more than the
 tolerance (default 25%): state/transition/enabled counts, BFS depth,
@@ -164,9 +163,9 @@ def _compare_verdicts(baseline: dict, candidate: dict, tolerance: float,
 
 
 #: result fields of a profile document that must agree exactly across
-#: drivers of the same model (the byte-identical-counts contract)
-#: — and across stores: an exact-store profile is the oracle of a
-#: fingerprint-store one, whose detected collisions must equal its 0
+#: stores of the same model (the byte-identical-counts contract): an
+#: exact-store profile is the oracle of a fingerprint-store one, whose
+#: detected collisions must equal its 0
 PROFILE_RESULT_EXACT = ("n_states", "n_transitions", "n_enabled",
                         "deadlocks", "completed", "stop_reason",
                         "reductions", "fingerprint_collisions")
@@ -205,7 +204,7 @@ def _compare_profiles(baseline: dict, candidate: dict,
             notes.append(f"levels: {field} drifted on {count}/"
                          f"{len(old_levels)} level(s) (informational)")
     old_run, new_run = baseline.get("run") or {}, candidate.get("run") or {}
-    for field in ("workers", "partitions", "store"):
+    for field in ("partitions", "store"):
         if old_run.get(field) != new_run.get(field):
             notes.append(f"run.{field}: {old_run.get(field)} -> "
                          f"{new_run.get(field)} (layout, informational)")
@@ -221,8 +220,8 @@ def compare(baseline: dict, candidate: dict,
     notes: list[str] = []
     schema = str(baseline.get("schema") or "")
     if schema.startswith("repro.profile/"):
-        # two profiles of the same model (e.g. sequential vs
-        # partitioned driver): schema versions may differ, counts not
+        # two profiles of the same model (e.g. unsharded vs sharded
+        # store): schema versions may differ, counts not
         if not str(candidate.get("schema") or "").startswith(
                 "repro.profile/"):
             errors.append(f"schema {baseline.get('schema')} -> "

@@ -13,15 +13,13 @@ state or time budget runs out — our stand-in for the paper's 64 MB memory
 cap that produced the "Unfinished" cells of Table 3.
 
 The sweep is level-synchronous (the visit order of a FIFO queue, made
-explicit), which buys two things shared with the multi-process
-owner-computes driver in :mod:`repro.check.partitioned`:
-
-* a per-level :class:`~repro.check.observe.LevelEvent` stream for
-  progress rendering and JSON profiles (``observer=``);
-* one :class:`ExplorationCore` holding the budget/count bookkeeping, so
-  the two drivers *cannot* drift: both consult the same budget checks
-  before every single state expansion, and truncated runs report
-  identical counts.
+explicit), which gives every run a per-level
+:class:`~repro.check.observe.LevelEvent` stream for progress rendering
+and JSON profiles (``observer=``).  :func:`explore` is the one loop;
+its budget, count and event bookkeeping lives in one
+:class:`ExplorationCore` per run, so where a budget is checked, what a
+truncated run reports and when an observer hears of it are each decided
+in one place.
 
 The visited set is pluggable (``store=``): the default exact store keeps
 full states plus BFS parent pointers, so every reported violation comes
@@ -68,9 +66,8 @@ def expand_state(system: System,
     a :class:`~repro.check.symmetry.SymmetricSystem`) expose ``expand``,
     returning the pruned successor list next to how many transitions were
     enabled before pruning; plain systems report ``len(successors)`` for
-    both.  Every driver expands through this helper so the
-    enabled-vs-taken accounting (the per-level reduction ratio) cannot
-    drift between them.
+    both — the enabled-vs-taken accounting behind the per-level
+    reduction ratio.
     """
     expand = getattr(system, "expand", None)
     if expand is not None:
@@ -81,15 +78,14 @@ def expand_state(system: System,
 
 
 class ExplorationCore:
-    """Budget, count, and event bookkeeping shared by every driver.
+    """Budget, count, and event bookkeeping of one :func:`explore` run.
 
-    One instance per run.  Drivers call :meth:`should_stop` before each
-    state expansion (that ordering *is* the budget semantics: a run may
-    overshoot ``max_states`` by at most the successors of the expansion
-    in flight, identically in every driver), feed counts through the
-    public attributes, close each level with :meth:`level_done`, and
-    finish with :meth:`result` — which also emits the observer's
-    ``on_finish``.
+    The loop calls :meth:`should_stop` before each state expansion (that
+    ordering *is* the budget semantics: a run may overshoot
+    ``max_states`` by at most the successors of the expansion in
+    flight), feeds counts through the public attributes, closes each
+    level with :meth:`level_done`, and finishes with :meth:`result` —
+    which also emits the observer's ``on_finish``.
     """
 
     def __init__(self, *, name: str, store: StoreSpec = "exact",
@@ -97,7 +93,6 @@ class ExplorationCore:
                  max_states: Optional[int] = None,
                  max_seconds: Optional[float] = None,
                  max_bytes: Optional[int] = None,
-                 workers: int = 1,
                  reductions: tuple[str, ...] = ()) -> None:
         self.name = name
         self.store: StateStore = make_store(store)
@@ -106,7 +101,6 @@ class ExplorationCore:
         self.max_states = max_states
         self.max_seconds = max_seconds
         self.max_bytes = max_bytes
-        self.workers = workers
         self.reductions = reductions
         self.t0 = time.perf_counter()
         self.n_transitions = 0
@@ -119,7 +113,7 @@ class ExplorationCore:
 
     def start(self) -> None:
         self.observer.on_start(RunInfo(
-            name=self.name, store=self.store.name, workers=self.workers,
+            name=self.name, store=self.store.name,
             max_states=self.max_states, max_seconds=self.max_seconds,
             reductions=self.reductions,
             partitions=int(getattr(self.store, "partitions", 1)),
@@ -131,11 +125,11 @@ class ExplorationCore:
     def should_stop(self) -> bool:
         """Check every budget; record the stop reason on the first trip.
 
-        The state budget is exact and driver-independent; the memory
-        budget compares the store's own footprint estimate (Python
-        object sizes, so machine/version-dependent — a *graceful* stand-
-        in for the paper's 64 MB memory allotment, which killed SPIN
-        outright); the time budget is wall clock.
+        The state budget is exact; the memory budget compares the
+        store's own footprint estimate (Python object sizes, so
+        machine/version-dependent — a *graceful* stand-in for the
+        paper's 64 MB memory allotment, which killed SPIN outright); the
+        time budget is wall clock.
         """
         if (self.max_states is not None
                 and len(self.store) > self.max_states):
@@ -251,6 +245,11 @@ def explore(
     :returns: an :class:`~repro.check.stats.ExplorationResult`; never raises
         for budget exhaustion, deadlocks, or violations — callers decide how
         strict to be (:func:`repro.check.properties.assert_safe` raises).
+    :raises BaseException: whatever interrupts the sweep — Ctrl-C, an
+        error out of ``system`` or the store — is re-raised, but only
+        after the run was closed like a truncated one: the level in
+        flight is reported, ``stop_reason`` is ``"interrupted"`` or
+        ``"error: <message>"``, and ``observer`` gets its ``on_finish``.
     """
     core = ExplorationCore(name=name, store=store, observer=observer,
                            max_states=max_states, max_seconds=max_seconds,
@@ -316,44 +315,61 @@ def explore(
 
     level: list[Hashable] = [init] if not stopped else []
     level_index = 0
+    failure: Optional[BaseException] = None
     while level:
         next_level: list[Hashable] = []
         expanded = candidates = new_states = enabled = 0
-        for state in level:
-            if core.should_stop():
-                stopped = True
-                break
-            succs, n_enabled = expand_state(system, state)
-            expanded += 1
-            core.n_enabled += n_enabled
-            enabled += n_enabled
-            if graph is not None:
-                graph[state] = succs
-            if not succs and not allow_deadlock:
-                deadlock_states.append(state)
-                core.deadlock_count += 1
-            for action, nxt in succs:
-                core.n_transitions += 1
-                candidates += 1
-                if add(nxt, (state, action) if track_parents else None):
-                    new_states += 1
-                    if has_invariants and not check_invariants(nxt):
-                        core.stop("invariant violated")
-                        stopped = True
-                        break
-                    next_level.append(nxt)
-            if stopped:
-                break
+        try:
+            for state in level:
+                if core.should_stop():
+                    stopped = True
+                    break
+                succs, n_enabled = expand_state(system, state)
+                expanded += 1
+                core.n_enabled += n_enabled
+                enabled += n_enabled
+                if graph is not None:
+                    graph[state] = succs
+                if not succs and not allow_deadlock:
+                    deadlock_states.append(state)
+                    core.deadlock_count += 1
+                for action, nxt in succs:
+                    core.n_transitions += 1
+                    candidates += 1
+                    if add(nxt, (state, action) if track_parents else None):
+                        new_states += 1
+                        if has_invariants and not check_invariants(nxt):
+                            core.stop("invariant violated")
+                            stopped = True
+                            break
+                        next_level.append(nxt)
+                if stopped:
+                    break
+        except BaseException as exc:
+            # Close the run before the exception leaves: the level in
+            # flight and on_finish go out below exactly as for a budget
+            # stop (so the profile is written), then it is re-raised —
+            # Ctrl-C included, or a caller's next sweep would start.
+            failure = exc
+            core.stop("interrupted" if isinstance(exc, KeyboardInterrupt)
+                      else f"error: {exc}")
+            stopped = True
+            # deadlocks stay counted but go unwitnessed: a trace may be
+            # rebuilt through the very system that just raised
+            deadlock_states.clear()
         core.level_done(level_index, len(level), expanded, candidates,
                         new_states, enabled)
         level_index += 1
         level = [] if stopped else next_level
 
-    return core.result(
+    result = core.result(
         deadlocks=[_with_trace(build_trace, s) for s in deadlock_states],
         violations=violations,
         graph=graph,
     )
+    if failure is not None:
+        raise failure
+    return result
 
 
 def _with_trace(build_trace: Callable[[Hashable], tuple[list[Hashable],

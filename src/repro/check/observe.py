@@ -2,7 +2,7 @@
 
 Long reachability sweeps — the paper's Table 3 runs took SPIN minutes to
 hours — are miserable to babysit blind.  This module defines the
-:class:`RunObserver` protocol both explorers emit to, plus the two
+:class:`RunObserver` protocol the explorer emits to, plus the two
 consumers the CLI and benchmarks use:
 
 * :class:`ProgressRenderer` prints one line per BFS level (frontier
@@ -17,7 +17,7 @@ Profile JSON schema (``repro.profile/4``)::
     {
       "schema": "repro.profile/4",
       "run": {"name": ..., "store": "exact"|"fingerprint",
-              "workers": int, "max_states": int|null,
+              "max_states": int|null,
               "max_seconds": float|null, "max_bytes": int|null,
               "partitions": int,
               "reductions": ["symmetry"?, "por"?]},
@@ -33,10 +33,7 @@ Profile JSON schema (``repro.profile/4``)::
       "partitions": [ {"partition": int, "owned": int, "probes": int,
                        "collisions": int, "approx_bytes": int,
                        "spill_bytes": int, "spill_merges": int,
-                       "dedup_ratio": float,
-                       ("exchanged_batches": int,
-                        "exchanged_states": int,
-                        "received_candidates": int)?}, ... ],
+                       "dedup_ratio": float}, ... ],
       "result": {"system": str, "store": str, "n_states": int,
                  "n_transitions": int, "n_enabled": int,
                  "reductions": [str, ...], "deadlocks": int,
@@ -54,23 +51,26 @@ enabled-before-reduction transition counts (``levels[].enabled``,
 active) and the derived ``levels[].reduction_ratio``.  ``/3`` added one
 ``run`` field that is no longer written (older files carry it, nothing
 reads it).  ``/4`` adds the
-partitioned-exploration observability: ``run.partitions`` and
+sharded-store observability: ``run.partitions`` and
 ``run.max_bytes``, per-level ``spill_bytes``, the top-level
 ``partitions`` list (one row per visited-set partition: states owned,
 membership probes, detected collisions, resident and spilled bytes,
-merge count, dedup ratio — plus the batch-exchange counters when the
-owner-computes driver produced the row; empty for the classic exact
+merge count, dedup ratio; empty for the classic exact
 store, and *one* row for an unsharded ``--store fingerprint`` run, whose
 store is the sharded class at one partition),
 and the result's ``spill_bytes``/``approx_bytes_detail`` (the exact
 store's entries-vs-memo-cache split; null for stores without one).
+``/4`` files written while there was a multi-process driver also carry
+``run.workers`` and three ``exchanged_*``/``received_*`` counters per
+partition row; neither is written any more and nothing reads them.
 Readers of older schemas keep working unchanged.
 
-``levels`` includes the partial level in flight when a budget truncates
-the run, so profiles of "Unfinished" cells show exactly where the wall
-was hit.  Every event carries *cumulative* totals (``n_states`` etc.)
-next to the per-level deltas (``frontier``/``candidates``/``new_states``)
-so consumers need no reduction pass.
+``levels`` includes the partial level in flight when a budget, Ctrl-C
+or an error ends the run (``result.stop_reason`` says which), so
+profiles of "Unfinished" cells show exactly where the wall was hit.
+Every event carries *cumulative* totals (``n_states`` etc.) next to the
+per-level deltas (``frontier``/``candidates``/``new_states``) so
+consumers need no reduction pass.
 """
 
 from __future__ import annotations
@@ -103,14 +103,12 @@ class RunInfo:
 
     name: str
     store: str
-    workers: int = 1
     max_states: Optional[int] = None
     max_seconds: Optional[float] = None
     #: active state-space reductions, inner wrapper first (e.g.
     #: ``("por", "symmetry")``); empty for full exploration
     reductions: tuple[str, ...] = ()
-    #: visited-set partitions (1 = classic unsharded store); either
-    #: in-process ranges or one owner process per partition
+    #: visited-set partitions (1 = classic unsharded store)
     partitions: int = 1
     #: memory budget on the store footprint estimate, None = unbounded
     max_bytes: Optional[int] = None
@@ -172,10 +170,11 @@ class LevelEvent:
 
 
 class RunObserver(Protocol):
-    """What an exploration driver reports to.  All methods are optional
-    work for the consumer; drivers call every one exactly as documented:
-    ``on_start`` once, ``on_level`` per (possibly partial) level in
-    order, ``on_finish`` once with the final result."""
+    """What :func:`~repro.check.explorer.explore` reports to.  All
+    methods are optional work for the consumer; the explorer calls every
+    one exactly as documented: ``on_start`` once, ``on_level`` per
+    (possibly partial) level in order, ``on_finish`` once with the final
+    result — also when the run ends in an exception."""
 
     def on_start(self, run: RunInfo) -> None: ...
 
@@ -236,9 +235,8 @@ class ProgressRenderer:
             suffix += f" [reductions: {'+'.join(run.reductions)}]"
         sharding = (f", partitions={run.partitions}"
                     if run.partitions > 1 else "")
-        print(f"exploring {run.name} (store={run.store}, "
-              f"workers={run.workers}{sharding}){suffix}",
-              file=self.stream)
+        print(f"exploring {run.name} (store={run.store}{sharding})"
+              f"{suffix}", file=self.stream)
 
     def on_level(self, event: LevelEvent) -> None:
         line = (f"  level {event.level:3d}: frontier {event.frontier:7d}  "

@@ -37,8 +37,8 @@ Ample rule
 ----------
 
 At state ``s``, for the lowest remote ``i`` (ascending scan — the choice
-must be a pure function of ``s`` so the sequential and parallel drivers
-agree byte-for-byte) such that
+must be a pure function of ``s`` so every run of a model reports the
+same counts) such that
 
 * ``DeliverToRemote(i)`` is enabled and is the *only* enabled ``P(i)``
   step (C1: by the class argument, nothing dependent on it can fire
@@ -56,8 +56,7 @@ Cycle proviso (C3)
 ------------------
 
 The textbook in-stack check is DFS-bound and depends on visit order —
-useless for a level-synchronous BFS whose parallel workers must stay
-byte-identical with the sequential driver.  We use a *measure* proviso
+useless for a level-synchronous BFS.  We use a *measure* proviso
 instead: every ample step pops one message and pushes none, so it
 strictly decreases ``channels.total_in_flight``.  A cycle of the reduced
 graph therefore cannot consist of ample steps alone, i.e. every cycle
@@ -120,7 +119,7 @@ class PORSystem:
     """Wrap an :class:`AsyncSystem` so the explorer sees ample sets.
 
     Exposes the same ``initial_state``/``steps``/``successors`` surface
-    as the inner system plus :meth:`expand`, which the drivers use to
+    as the inner system plus :meth:`expand`, which the explorer uses to
     report the full enabled count next to the reduced successor list
     (the per-level reduction ratio in ``repro.profile/4``).  Compose
     with symmetry as ``SymmetricSystem(PORSystem(inner), spec)`` —

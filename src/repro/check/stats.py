@@ -65,13 +65,12 @@ class ExplorationResult:
     completed: bool
     #: why the run stopped early, when ``completed`` is False
     stop_reason: Optional[str] = None
-    #: states with no outgoing transitions (deadlocks at this level);
-    #: parallel/aggregated runs may report counts only (see
+    #: states with no outgoing transitions (deadlocks at this level); a
+    #: run closed by an interrupt or an error reports the count only (see
     #: ``deadlock_count``), keeping this list empty
     deadlocks: list[Any] = field(default_factory=list)
     #: number of deadlocked states found; authoritative even when the
-    #: ``deadlocks`` witness list is empty (workers report counts, not
-    #: traces)
+    #: ``deadlocks`` witness list is empty
     deadlock_count: int = 0
     #: first counterexample per violated invariant
     violations: list[Counterexample] = field(default_factory=list)
@@ -80,7 +79,7 @@ class ExplorationResult:
     graph: Optional[dict[Any, list[tuple[Any, Any]]]] = None
     #: rough memory footprint of the visited-state set, for the Table 3
     #: memory-budget narrative (Python object sizes, not SPIN's); metered
-    #: by the store (:mod:`repro.check.store`) in every driver
+    #: by the store (:mod:`repro.check.store`)
     approx_bytes: int = 0
     #: which visited-state store ran: ``"exact"`` or ``"fingerprint"``
     store: str = "exact"
@@ -97,8 +96,7 @@ class ExplorationResult:
     reductions: tuple[str, ...] = ()
     #: one statistics row per visited-set partition (profile/4 rows:
     #: ``partition``/``owned``/``probes``/``collisions``/``approx_bytes``
-    #: /``spill_bytes``/``spill_merges``/``dedup_ratio``, plus the batch
-    #: exchange counters under the owner-computes driver); empty only
+    #: /``spill_bytes``/``spill_merges``/``dedup_ratio``); empty only
     #: for the classic exact store, one row for an unsharded fingerprint
     #: store
     partition_stats: tuple[dict[str, Any], ...] = ()
@@ -146,8 +144,8 @@ class ExplorationResult:
                 pruned = 1.0 - self.n_transitions / self.n_enabled
                 extra += f" (pruned {pruned:.1%} of enabled transitions)"
         if self.approx_bytes:
-            # the store's own footprint estimate — the same number every
-            # driver's memory budget is checked against
+            # the store's own footprint estimate — the same number the
+            # memory budget is checked against
             extra += f", ~{_fmt_bytes(self.approx_bytes)} visited set"
             if self.spill_bytes:
                 extra += f" + {_fmt_bytes(self.spill_bytes)} spilled"

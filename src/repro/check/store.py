@@ -3,8 +3,7 @@
 The visited set is the memory bottleneck of explicit-state model checking
 — the very bottleneck the paper's Table 3 "Unfinished" cells dramatize.
 This module factors it behind a small :class:`StateStore` interface with
-three representations, one class each, all built by :func:`make_store`
-and shared by the sequential and owner-computes drivers:
+three representations, one class each, all built by :func:`make_store`:
 
 * :class:`ExactStore` — full states plus BFS parent pointers, so traces
   can be rebuilt.  The default, and the oracle the other two are tested
@@ -37,8 +36,8 @@ cached per state: a memo that lives as long as the state does makes the
 "16 bytes per state" store as large as the exact one.
 
 Every store meters its own containers via
-:meth:`StateStore.approx_bytes`, so the Table 3 "Unfinished" narration
-is computed the same way in every driver; the process's real growth is
+:meth:`StateStore.approx_bytes`, which is what the Table 3 "Unfinished"
+narration and ``--memory-limit`` read; the process's real growth is
 several times larger (EXPERIMENTS.md has the numbers).
 """
 
@@ -65,7 +64,6 @@ __all__ = [
     "StoreSpec",
     "fingerprint",
     "partition_index",
-    "partition_of",
     "make_store",
 ]
 
@@ -188,17 +186,10 @@ def partition_index(fp: int, partitions: int) -> int:
     ``(fp * partitions) >> 64`` maps the fingerprint space onto
     ``range(partitions)`` in contiguous, near-equal ranges (Lemire's
     multiply-shift reduction).  A pure function of the fingerprint — no
-    per-process salt, no ``hash()`` — so every process and every
-    multiprocessing start method routes a given state to the same owner:
-    the property the owner-computes driver
-    (:mod:`repro.check.partitioned`) relies on.
+    per-process salt, no ``hash()`` — so a state lands in the same
+    partition, and a spill file holds the same records, in every run.
     """
     return (fp * partitions) >> 64
-
-
-def partition_of(state: Hashable, partitions: int) -> int:
-    """The owning partition of ``state`` (fingerprint + range router)."""
-    return partition_index(fingerprint(state), partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +342,8 @@ class FingerprintStore:
 
     Membership does not depend on ``partitions`` or on spilling (same
     double blake2b fingerprints, same detected-collision counting), so
-    neither can change exploration counts.  ``partitions=1`` is both the
-    plain unsharded store and the worker-side configuration of the
-    owner-computes driver: one process, one owned range.
+    neither can change exploration counts.  ``partitions=1`` is the
+    plain unsharded store.
 
     ``bits`` truncates the stored key (never the routing), which exists to
     make collisions reproducible in tests; production use keeps all 64.
@@ -440,14 +430,6 @@ class FingerprintStore:
             self._merge(p)
         return True
 
-    def probe(self, state: Hashable) -> tuple[int, bool]:
-        """(membership key, already present?) — no mutation, no collision
-        accounting.  The owner-computes driver's admission *simulation*
-        uses this to predict what :meth:`add` will decide without
-        perturbing the store or its statistics."""
-        p, key, _check = self._locate(state)
-        return key, self._lookup(p, key) is not None
-
     def _merge(self, p: int) -> None:
         assert self._spill_dir is not None
         hot = self._hot[p]
@@ -474,7 +456,10 @@ class FingerprintStore:
         return self._len
 
     def __contains__(self, state: Hashable) -> bool:
-        return self.probe(state)[1]
+        # no mutation, no probe or collision accounting: what add() would
+        # find, without perturbing the store or its statistics
+        p, key, _check = self._locate(state)
+        return self._lookup(p, key) is not None
 
     def parent_of(self, state: Hashable) -> ParentEntry:
         raise KeyError(
@@ -629,18 +614,12 @@ class PartitionedExactStore:
         self._memo_gid = gid
         return gid
 
-    def probe(self, state: Hashable) -> tuple[bytes, bool]:
-        """(membership key, already present?) — no mutation; the
-        owner-computes driver's admission simulation."""
-        p, blob = self._locate(state)
-        key = self._key_for(blob)
-        return key, key in self._ids[p]
-
     def __len__(self) -> int:
         return self._len
 
     def __contains__(self, state: Hashable) -> bool:
-        return self.probe(state)[1]
+        p, blob = self._locate(state)
+        return self._key_for(blob) in self._ids[p]
 
     def parent_of(self, state: Hashable) -> ParentEntry:
         raise KeyError(
@@ -710,9 +689,7 @@ def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
     :class:`ExactStore`, or the delta-compressed
     :class:`PartitionedExactStore` once ``partitions`` is given;
     ``"fingerprint"`` is :class:`FingerprintStore` over ``partitions``
-    ranges (default 1) — in-process sharding, usable with any driver via
-    ``store=``.  The multi-process flavour (one partition per worker
-    process) is :func:`repro.check.partitioned.explore_partitioned`.
+    ranges (default 1).
     """
     if not isinstance(spec, str):
         return spec

@@ -7,8 +7,8 @@ Commands:
 * ``check``    — the raw reachability sweep with the performance knobs:
   ``--store fingerprint`` for SPIN-style hash compaction (~16 bytes/state,
   collision-counted),
-  ``--parallel`` for the multi-process owner-computes sweep
-  (``--partitions P`` worker processes),
+  ``--partitions P --spill-dir DIR`` to shard the visited set and spill
+  it to disk,
   ``--levels`` for per-level progress lines, and ``--profile out.json``
   for a machine-readable run profile.
 * ``lint``     — run the static-analysis suite (section 2.4 restrictions,
@@ -38,7 +38,7 @@ Examples::
     repro verify invalidate -n 6 --symmetry
     repro check migratory --level async -n 3 --store fingerprint --levels
     repro check invalidate --level async -n 3 --symmetry --por --levels
-    repro check migratory --level async -n 4 --parallel --profile out.json
+    repro check migratory --level async -n 4 --profile out.json
     repro lint migratory --json
     repro lint all -n 8 --strict
     repro lint msi --select P45
@@ -168,8 +168,9 @@ def parse_bytes(text: str) -> int:
     while split and not cleaned[split - 1].isdigit():
         split -= 1
     digits, unit = cleaned[:split], cleaned[split:].strip()
-    if not digits or unit not in _SIZE_UNITS:
-        raise SystemExit(
+    # whole, unsigned counts only: "1.5M", "-5" and a bare "M" are refused
+    if not digits.isdecimal() or unit not in _SIZE_UNITS:
+        raise argparse.ArgumentTypeError(
             f"unparseable size {text!r}; use e.g. 64MiB, 512K, 2G, 4096")
     return int(digits) * _SIZE_UNITS[unit]
 
@@ -183,7 +184,6 @@ def _positive_int(text: str) -> int:
 
 def cmd_check(args) -> int:
     from .check.observe import JsonProfileWriter, MultiObserver, ProgressRenderer
-    from .check.partitioned import explore_partitioned
     from .check.spec import SystemSpec, build_system
     from .check.store import make_store
 
@@ -191,8 +191,6 @@ def cmd_check(args) -> int:
     if args.spill_dir is not None and args.store != "fingerprint":
         raise SystemExit("--spill-dir applies to --store fingerprint; the "
                          "delta-compressed exact store keeps keys resident")
-    max_bytes = (parse_bytes(args.memory_limit)
-                 if args.memory_limit is not None else None)
 
     observers = []
     if args.levels:
@@ -201,38 +199,25 @@ def cmd_check(args) -> int:
         observers.append(JsonProfileWriter(args.profile))
     observer = MultiObserver(*observers) if observers else None
 
-    config = (
-        ("home_buffer_capacity", args.buffer),
-        ("use_reqreply", not args.no_reqreply),
-        ("reserve_progress_buffer", not args.no_progress_buffer),
-    )
     spec = SystemSpec(protocol=args.protocol, level=args.level,
                       n_remotes=args.nodes,
-                      config=config if args.level == "async" else (),
+                      config=_config(args) if args.level == "async" else None,
                       symmetry=args.symmetry, por=args.por)
-    if args.parallel:
-        # owner-computes: one worker process owns each partition
-        result = explore_partitioned(
-            spec, partitions=args.partitions, max_states=args.budget,
-            max_seconds=args.timeout, max_bytes=max_bytes,
-            store=args.store, spill_dir=args.spill_dir,
-            spill_threshold=args.spill_threshold, observer=observer)
-    else:
-        # in-process sharding: one store, --partitions fingerprint ranges
-        store = make_store(args.store, args.partitions,
-                           spill_dir=args.spill_dir,
-                           spill_threshold=args.spill_threshold)
-        try:
-            result = explore(build_system(spec),
-                             name=f"{args.protocol}-{args.level}-{args.nodes}",
-                             max_states=args.budget, max_seconds=args.timeout,
-                             max_bytes=max_bytes,
-                             store=store, observer=observer,
-                             reductions=spec.reductions())
-        finally:
-            close = getattr(store, "close", None)  # mmaps + file handles
-            if callable(close):
-                close()
+    # one store, sharded into --partitions fingerprint ranges
+    store = make_store(args.store, args.partitions,
+                       spill_dir=args.spill_dir,
+                       spill_threshold=args.spill_threshold)
+    try:
+        result = explore(build_system(spec),
+                         name=f"{args.protocol}-{args.level}-{args.nodes}",
+                         max_states=args.budget, max_seconds=args.timeout,
+                         max_bytes=args.memory_limit,
+                         store=store, observer=observer,
+                         reductions=spec.reductions())
+    finally:
+        close = getattr(store, "close", None)  # mmaps + file handles
+        if callable(close):
+            close()
     print(result.describe())
     if args.profile:
         print(f"[profile written to {args.profile}]")
@@ -513,9 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
                "  repro check migratory --level async -n 4 "
                "--store fingerprint\n"
                "      hash-compacted visited set (collision-counted)\n"
-               "  repro check invalidate --level async -n 3 --parallel "
+               "  repro check invalidate --level async -n 3 "
                "--profile out.json\n"
-               "      multi-process sweep + JSON run profile")
+               "      JSON run profile (also written when the run is "
+               "interrupted)")
     common(p)
     p.add_argument("--level", choices=["rendezvous", "async"],
                    default="rendezvous")
@@ -530,17 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "rows)")
     p.add_argument("--levels", action="store_true",
                    help="print one progress line per BFS level")
-    p.add_argument("--parallel", action="store_true",
-                   help="owner-computes sweep: one worker process per "
-                        "visited-set partition")
     p.add_argument("--partitions", type=_positive_int, default=None,
                    metavar="P",
                    help="shard the visited set into P fingerprint-range "
-                        "partitions; with --parallel, each partition is "
-                        "OWNED by a dedicated worker process (default "
-                        "there: cpu count - 1, at least 2), otherwise one "
-                        "in-process partitioned store (counts are "
-                        "byte-identical to the unsharded sweep either way)")
+                        "partitions of one in-process store (counts are "
+                        "byte-identical to the unsharded sweep)")
     p.add_argument("--spill-dir", metavar="DIR", default=None,
                    help="spill cold partitions to mmap-backed sorted "
                         "fingerprint files under DIR (fingerprint store "
@@ -550,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="hot-tier entries per partition before a merge "
                         "to the spill file (default: %(default)s)")
-    p.add_argument("--memory-limit", metavar="SIZE", default=None,
+    p.add_argument("--memory-limit", metavar="SIZE", type=parse_bytes,
+                   default=None,
                    help="end the run as a well-formed Unfinished result "
                         "when the visited store's footprint estimate "
                         "crosses SIZE (e.g. 64MiB, 512K, 2G) — the "
@@ -719,6 +700,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ReproError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("repro: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

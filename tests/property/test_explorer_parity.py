@@ -1,21 +1,26 @@
-"""Differential parity: sequential vs multi-process vs fingerprint explorers.
+"""Differential parity: every visited store against the exact one.
 
-The acceptance bar for the multi-process driver is *byte-identical
-counts*: for the same system and the same budgets,
-``explore_partitioned`` and the fingerprint-store explorer must report
-exactly the ``n_states``, ``n_transitions``, ``deadlock_count`` and
-``stop_reason`` of the sequential exact-store run — including runs
-truncated mid-level by ``max_states``.  These tests pin that contract at
-hand-picked exact boundaries and at hypothesis-randomized budgets.
+The acceptance bar for a store is *byte-identical counts*: for the same
+system and the same budgets, an exploration over the fingerprint store,
+over the fingerprint store sharded four ways with a disk tier small
+enough to merge, and over the delta-compressed exact store must report
+exactly the ``n_states``, ``n_transitions``, ``deadlock_count``,
+``completed`` and ``stop_reason`` of the plain exact-store run —
+including runs truncated mid-level by ``max_states``.  These tests pin
+that contract at hand-picked exact boundaries and at
+hypothesis-randomized budgets.
 """
+
+import tempfile
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check.explorer import explore
-from repro.check.partitioned import explore_partitioned
 from repro.check.spec import SystemSpec, build_system
+from repro.check.store import make_store
 
 SPECS = [
     SystemSpec("migratory", "rendezvous", 3),
@@ -23,8 +28,12 @@ SPECS = [
     SystemSpec("invalidate", "rendezvous", 2),
     SystemSpec("invalidate", "async", 2),
 ]
+STORES = ["fingerprint", "fingerprint-sharded-spilling", "delta-exact"]
 
-_FULL = {spec: explore(build_system(spec)) for spec in SPECS}
+# every build_system call pays refine(); one system per spec serves all
+system_for = lru_cache(maxsize=None)(build_system)
+
+_FULL = {spec: explore(system_for(spec)) for spec in SPECS}
 
 
 def counts(result):
@@ -32,24 +41,42 @@ def counts(result):
             result.completed, result.stop_reason)
 
 
-def sequential(spec, **budgets):
-    return explore(build_system(spec), name="parity", **budgets)
+def run(spec, store="exact", **budgets):
+    """One exploration of ``spec`` over the store named ``store``."""
+    if store == "delta-exact":
+        store = make_store("exact", 2)
+    if store != "fingerprint-sharded-spilling":
+        return explore(system_for(spec), name="parity", store=store,
+                       **budgets)
+    with tempfile.TemporaryDirectory() as spill_dir:
+        # 4 states per hot tier: even the 34-state spec merges to disk
+        spilling = make_store("fingerprint", 4, spill_dir=spill_dir,
+                              spill_threshold=4)
+        try:
+            return explore(system_for(spec), name="parity", store=spilling,
+                           **budgets)
+        finally:
+            spilling.close()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.protocol}-{s.level}")
 class TestUnbudgetedParity:
     def test_fingerprint_matches_exact(self, spec):
-        fp = explore(build_system(spec), store="fingerprint")
+        fp = run(spec, "fingerprint")
         assert counts(fp) == counts(_FULL[spec])
         assert fp.fingerprint_collisions == 0
 
-    def test_parallel_matches_sequential(self, spec):
-        par = explore_partitioned(spec, partitions=2)
-        assert counts(par) == counts(_FULL[spec])
+    def test_sharded_spilling_fingerprint_matches_exact(self, spec):
+        fp = run(spec, "fingerprint-sharded-spilling")
+        assert counts(fp) == counts(_FULL[spec])
+        assert fp.fingerprint_collisions == 0
+        assert fp.spill_bytes > 0 and len(fp.partition_stats) == 4
+        assert sum(row["spill_merges"] for row in fp.partition_stats) > 1
 
-    def test_parallel_fingerprint_matches_too(self, spec):
-        par = explore_partitioned(spec, partitions=2, store="fingerprint")
-        assert counts(par) == counts(_FULL[spec])
+    def test_delta_exact_matches_exact(self, spec):
+        delta = run(spec, "delta-exact")
+        assert counts(delta) == counts(_FULL[spec])
+        assert len(delta.partition_stats) == 2
 
 
 class TestExactBudgetBoundaries:
@@ -60,24 +87,23 @@ class TestExactBudgetBoundaries:
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_boundary(self, spec, delta):
         budget = _FULL[spec].n_states + delta
-        seq = sequential(spec, max_states=budget)
-        par = explore_partitioned(spec, partitions=2, max_states=budget)
-        fp = explore(build_system(spec), name="parity",
-                     store="fingerprint", max_states=budget)
-        assert counts(par) == counts(seq)
-        assert counts(fp) == counts(seq)
+        exact = run(spec, max_states=budget)
+        for store in STORES:
+            assert counts(run(spec, store, max_states=budget)) \
+                == counts(exact), store
         if delta < 0:
-            assert not seq.completed
-            assert seq.stop_reason == f"state budget {budget} exceeded"
+            assert not exact.completed
+            assert exact.stop_reason == f"state budget {budget} exceeded"
         else:
-            assert seq.completed
+            assert exact.completed
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
     def test_tiny_budgets(self, budget):
         spec = SPECS[0]
-        seq = sequential(spec, max_states=budget)
-        par = explore_partitioned(spec, partitions=2, max_states=budget)
-        assert counts(par) == counts(seq)
+        exact = run(spec, max_states=budget)
+        for store in STORES:
+            assert counts(run(spec, store, max_states=budget)) \
+                == counts(exact), store
 
 
 class TestRandomizedBudgets:
@@ -87,32 +113,25 @@ class TestRandomizedBudgets:
            budget=st.integers(0, 400))
     def test_state_budget_parity(self, spec_idx, budget):
         spec = SPECS[spec_idx]
-        seq = sequential(spec, max_states=budget)
-        par = explore_partitioned(spec, partitions=2, max_states=budget)
-        fp = explore(build_system(spec), name="parity",
-                     store="fingerprint", max_states=budget)
-        assert counts(par) == counts(seq)
-        assert counts(fp) == counts(seq)
+        exact = run(spec, max_states=budget)
+        for store in STORES:
+            assert counts(run(spec, store, max_states=budget)) \
+                == counts(exact), store
 
 
 class TestTimeBudget:
     def test_zero_time_budget_same_stop_reason(self):
         spec = SPECS[1]
-        seq = sequential(spec, max_seconds=0.0)
-        par = explore_partitioned(spec, partitions=2, max_seconds=0.0)
-        assert not seq.completed and not par.completed
-        assert seq.stop_reason == par.stop_reason == \
-            "time budget 0.0s exceeded"
-        assert par.n_states == seq.n_states
+        exact = run(spec, max_seconds=0.0)
+        assert not exact.completed
+        assert exact.stop_reason == "time budget 0.0s exceeded"
+        for store in STORES:
+            assert counts(run(spec, store, max_seconds=0.0)) \
+                == counts(exact), store
 
 
 class TestMemoryAccounting:
-    def test_parallel_reports_approx_bytes(self):
-        par = explore_partitioned(SPECS[0], partitions=2)
-        assert par.approx_bytes > 0
-
     def test_fingerprint_leaner_than_exact(self):
         spec = SPECS[1]
-        exact = explore(build_system(spec))
-        fp = explore(build_system(spec), store="fingerprint")
-        assert 0 < fp.approx_bytes < exact.approx_bytes
+        fp = run(spec, "fingerprint")
+        assert 0 < fp.approx_bytes < _FULL[spec].approx_bytes

@@ -1,14 +1,16 @@
-"""Property: partition routing is a pure function of the state.
+"""Property: a fingerprint, and the partition it names, is a pure
+function of the state.
 
-Owner-computes correctness rests on every process agreeing on which
-partition owns a state: the fingerprint is a salted blake2b over the
-canonical encoding — for an asynchronous state, over one cached digest
-per node and one for the network — with no ``PYTHONHASHSEED``
-dependence, and the router is an arithmetic range split.  A single
-disagreement between a fork child, a spawn child, and the parent would
-silently drop or duplicate states, so we check the assignment
-byte-for-byte across start methods; and since a fingerprint is now two
-hashes deep, the exact store judges it on whole reachable state spaces.
+The fingerprint is a salted blake2b over the canonical encoding — for
+an asynchronous state, over one cached digest per node and one for the
+network — with no dependence on the process, its start method or
+``PYTHONHASHSEED``, and the router (``partition_index``) is an
+arithmetic range split of it.  Anything ambient in a fingerprint would
+make two runs of one model disagree on collisions, partition rows and
+spill-file contents (CI compares fingerprint runs under two hash seeds),
+so we check the values byte-for-byte in fork and spawn children; and
+since a fingerprint is two hashes deep, the exact store judges it on
+whole reachable state spaces.
 """
 
 import multiprocessing as mp
@@ -27,7 +29,6 @@ from repro.check.store import (
     FingerprintStore,
     fingerprint,
     partition_index,
-    partition_of,
 )
 from repro.gen import GeneratorParams, random_protocol
 
@@ -60,14 +61,16 @@ def test_full_range_covered(partitions):
        partitions=st.integers(min_value=1, max_value=16))
 @settings(max_examples=25, deadline=None)
 def test_assignment_stable_within_process(seed, partitions):
+    # equal states built separately, sets filled in opposite orders
     state = ("state", seed, frozenset({seed % 7, "flag"}))
-    assert partition_of(state, partitions) == \
-        partition_index(fingerprint(state), partitions)
-    assert partition_of(state, partitions) == partition_of(state, partitions)
+    again = ("state", seed, frozenset({"flag", seed % 7}))
+    assert fingerprint(state) == fingerprint(again)
+    assert partition_index(fingerprint(state), partitions) == \
+        partition_index(fingerprint(again), partitions)
 
 
-def _child_assignments(states, partitions, out):
-    out.extend([partition_of(state, partitions) for state in states])
+def _child_fingerprints(states, out):
+    out.extend([fingerprint(state) for state in states])
 
 
 def _real_states(count):
@@ -89,27 +92,26 @@ def _real_states(count):
 
 
 def test_assignment_stable_across_processes_and_start_methods(monkeypatch):
-    """fork and spawn children must route exactly like the parent.
+    """fork and spawn children must fingerprint exactly like the parent.
 
     spawn re-imports everything in a fresh interpreter (module state
     gone, and a different ``PYTHONHASHSEED`` from the environment), and
     its states arrive pickled, so without any cached digest; the fork
-    child inherits the parent's warm ones.  This fails loudly if routing
-    ever picks up an ambient dependence.
+    child inherits the parent's warm ones.  This fails loudly if a
+    fingerprint ever picks up an ambient dependence.
     """
     states = [("state", i, frozenset({i % 5})) for i in range(64)]
     states += _real_states(64)
-    partitions = 7
-    parent = [partition_of(state, partitions) for state in states]
-    assert len(set(parent[64:])) > 1
+    parent = [fingerprint(state) for state in states]
+    assert len({partition_index(fp, 7) for fp in parent[64:]}) > 1
     seed = os.environ.get("PYTHONHASHSEED")
     monkeypatch.setenv("PYTHONHASHSEED", "1" if seed != "1" else "2")
     for method in ("fork", "spawn"):
         ctx = mp.get_context(method)
         with ctx.Manager() as manager:
             out = manager.list()
-            proc = ctx.Process(target=_child_assignments,
-                               args=(states, partitions, out))
+            proc = ctx.Process(target=_child_fingerprints,
+                               args=(states, out))
             proc.start()
             proc.join(60)
             assert proc.exitcode == 0
@@ -140,7 +142,7 @@ def assert_fingerprints_sound(system, **budget):
             assert set(vars(node)) == set(node._FIELDS)  # no cache shipped
             assert "_digest_cache" in vars(warm)
         assert fingerprint(cold) == fp
-        assert compact.probe(cold)[1]
+        assert cold in compact
     assert len(compact) == len(exact) and compact.collisions == 0
     return len(exact)
 

@@ -1,21 +1,19 @@
-"""Driver/store/reduction parity matrix.
+"""Engine/store/reduction parity matrix.
 
 :mod:`tests.property.test_explorer_parity` pins byte-identical counts
-between the sequential and multi-process drivers on unreduced systems.
-The reductions and the delta replay inside
+between the visited stores on unreduced systems.  The reductions and
+the delta replay inside
 :class:`~repro.semantics.asynchronous.AsyncSystem` must not break that
 contract: for every cell of
 
-    {sequential, partitioned} x {exact, fingerprint}
-        x {symmetry off, on} x {por off, on}
+    {exact, fingerprint} x {symmetry off, on} x {por off, on}
 
-the four driver/store variants of the *same* reduction combination must
-report the ``n_states``/``n_transitions``/``deadlock_count``/
-``stop_reason`` of one reference run — the same reductions over a
-system that expands every state with ``interpret()``, explored
-sequentially with the exact store — including runs truncated mid-level
-by a state budget, where a single out-of-order expansion (or a single
-reordered replayed successor) would shift the counts.  Across
+the two store variants of the *same* reduction combination must report
+the ``n_states``/``n_transitions``/``deadlock_count``/``stop_reason``
+of one reference run — the same reductions over a system that expands
+every state with ``interpret()``, explored with the exact store —
+including runs truncated mid-level by a state budget, where a single
+reordered replayed successor would shift the counts.  Across
 combinations, reduction only ever shrinks the state count.
 """
 
@@ -26,7 +24,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check.explorer import explore
-from repro.check.partitioned import explore_partitioned
 from repro.check.spec import SystemSpec, build_system
 from repro.semantics.asynchronous import AsyncSystem
 
@@ -65,9 +62,8 @@ def reference_for(spec):
 
 
 def variants(spec, **budgets):
-    """The reference run plus the four driver/store runs of one
-    reduction combination: {sequential, owner-computes partitioned}
-    x {exact, fingerprint}."""
+    """The reference run plus the two store runs of one reduction
+    combination: ``steps()`` replay over {exact, fingerprint}."""
     system = system_for(spec)
     return {
         "reference": explore(reference_for(spec), name="matrix",
@@ -77,9 +73,6 @@ def variants(spec, **budgets):
         "seq-fingerprint": explore(system, name="matrix",
                                    store="fingerprint",
                                    reductions=spec.reductions(), **budgets),
-        "part-exact": explore_partitioned(spec, partitions=2, **budgets),
-        "part-fingerprint": explore_partitioned(
-            spec, partitions=2, store="fingerprint", **budgets),
     }
 
 

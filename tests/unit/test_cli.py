@@ -1,12 +1,14 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import argparse
 import json
-import multiprocessing
 
 import pytest
 
 from repro import cli
+from repro.check import spec as spec_module
 from repro.check.properties import ProgressReport
+from repro.check.spill import SpillFile
 from repro.cli import build_parser, main
 
 
@@ -37,6 +39,36 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,expected", [
+        ("4096", 4096), ("0", 0), ("10b", 10), ("512K", 512 << 10),
+        ("1kb", 1 << 10), ("64MiB", 64 << 20), (" 64 mib ", 64 << 20),
+        ("2G", 2 << 30),
+    ])
+    def test_parse_bytes(self, text, expected):
+        assert cli.parse_bytes(text) == expected
+
+    @pytest.mark.parametrize("text", ["1.5M", "-5", "M", "", "12XB", "1e3",
+                                      "0x10", "5\u00b2"])
+    def test_parse_bytes_rejects(self, text):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match="use e.g. 64MiB, 512K, 2G, 4096"):
+            cli.parse_bytes(text)
+
+    @pytest.mark.parametrize("size", ["1.5M", "-5", "M"])
+    def test_malformed_memory_limit_is_a_usage_error(self, size, capsys):
+        # validated where --budget is, at parse time: no traceback, and no
+        # run that reports "memory budget -5B exceeded"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "migratory", "--level", "async",
+                  "--memory-limit", size])
+        assert excinfo.value.code == 2
+        assert "use e.g. 64MiB, 512K, 2G, 4096" in capsys.readouterr().err
+
+    def test_zero_memory_limit_is_legal(self, capsys):
+        # like --timeout 0: stops at once, as a well-formed Unfinished
+        assert main(["check", "migratory", "--memory-limit", "0"]) == 1
+        assert "memory budget 0B exceeded" in capsys.readouterr().out
 
     def test_defaults(self):
         args = build_parser().parse_args(["verify", "migratory"])
@@ -163,7 +195,7 @@ class TestCheckCommand:
     def test_levels_flag_renders_progress(self, capsys):
         assert main(["check", "migratory", "-n", "2", "--levels"]) == 0
         err = capsys.readouterr().err
-        assert "exploring migratory-rendezvous-2" in err
+        assert "exploring migratory-rendezvous-2 (store=exact)" in err
         assert "level   0" in err and "done:" in err
 
     def test_profile_written(self, tmp_path, capsys):
@@ -173,32 +205,27 @@ class TestCheckCommand:
         assert f"profile written to {path}" in capsys.readouterr().out
         doc = json.loads(path.read_text())
         assert doc["schema"] == "repro.profile/4"
+        assert "workers" not in doc["run"]  # no longer written
         assert doc["result"]["completed"] is True
         assert sum(lvl["new_states"] for lvl in doc["levels"]) + 1 \
             == doc["result"]["n_states"]
         assert sum(lvl["candidates"] for lvl in doc["levels"]) \
             == doc["result"]["n_transitions"]
 
-    def test_parallel_matches_sequential(self, tmp_path, capsys):
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        assert main(["check", "migratory", "-n", "3",
-                     "--profile", str(seq)]) == 0
-        assert main(["check", "migratory", "-n", "3", "--parallel",
-                     "--partitions", "2", "--profile", str(par)]) == 0
-        seq_doc = json.loads(seq.read_text())
-        par_doc = json.loads(par.read_text())
-        for key in ("n_states", "n_transitions", "deadlocks", "stop_reason"):
-            assert par_doc["result"][key] == seq_doc["result"][key]
-        assert par_doc["run"]["workers"] == 2
+    def test_parallel_flag_is_gone(self, capsys):
+        # the multi-process driver was deleted, not hidden: no alias, no
+        # "accepted and ignored"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "migratory", "--parallel"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --parallel" \
+            in capsys.readouterr().err
 
-    @pytest.mark.parametrize("parallel", [[], ["--parallel"]],
-                             ids=["sequential", "parallel"])
-    def test_same_spill_dir_twice(self, parallel, tmp_path, capsys):
+    def test_same_spill_dir_twice(self, tmp_path, capsys):
         # the first run's spill files are the first run's visited set: a
         # store that adopted them once called 400 of 1614 states "complete"
         argv = ["check", "migratory", "--level", "async", "-n", "3",
-                "--store", "fingerprint", "--partitions", "2"] + parallel
+                "--store", "fingerprint", "--partitions", "2"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
         assert "1614 states, 4344 transitions" in plain
@@ -340,17 +367,100 @@ class TestErrorsAreOneLine:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_spill_dir_under_a_regular_file(self, tmp_path, capfd):
-        # capfd, not capsys: under --parallel the store is built in worker
-        # processes, whose tracebacks would go straight to file descriptor 2
+    def test_spill_dir_under_a_regular_file(self, tmp_path, capsys):
         a_file = tmp_path / "a_file"
         a_file.write_text("not a directory")
-        for driver in ([], ["--parallel"]):
-            assert main(["check", "migratory", "--level", "async", "-n", "2",
-                         "--store", "fingerprint", "--partitions", "2",
-                         "--spill-dir", str(a_file / "sub")] + driver) == 1
-            err = capfd.readouterr().err
-            assert err.startswith("repro: cannot use spill directory")
-            assert "Traceback" not in err
-            assert len(err.strip().splitlines()) == 1
-            assert not multiprocessing.active_children()
+        assert main(["check", "migratory", "--level", "async", "-n", "2",
+                     "--store", "fingerprint", "--partitions", "2",
+                     "--spill-dir", str(a_file / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot use spill directory")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class Interrupting:
+    """A real system whose ``successors`` raises after ``calls`` calls."""
+
+    def __init__(self, inner, calls, exc):
+        self.inner, self.calls, self.exc = inner, calls, exc
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def successors(self, state):
+        self.calls -= 1
+        if self.calls < 0:
+            raise self.exc
+        return self.inner.successors(state)
+
+
+class TestRunsThatCannotFinish:
+    """Ctrl-C or an error mid-sweep: the profile is still closed with a
+    stop reason, stderr gets one line, the exit status says which."""
+
+    @staticmethod
+    def ctrl_c_after(monkeypatch, calls):
+        build = spec_module.build_system
+        monkeypatch.setattr(
+            spec_module, "build_system",
+            lambda spec: Interrupting(build(spec), calls,
+                                      KeyboardInterrupt()))
+
+    def test_ctrl_c_mid_sweep(self, monkeypatch, tmp_path, capsys):
+        self.ctrl_c_after(monkeypatch, 40)
+        path = tmp_path / "profile.json"
+        assert main(["check", "migratory", "--level", "async", "-n", "2",
+                     "--profile", str(path)]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "repro: interrupted\n"
+        assert captured.out == ""  # no result line for a run that has none
+        doc = json.loads(path.read_text())
+        assert doc["result"]["completed"] is False
+        assert doc["result"]["stop_reason"] == "interrupted"
+        # the level in flight is there, truncated where the signal landed
+        assert sum(lvl["expanded"] for lvl in doc["levels"]) == 40
+        assert doc["levels"][-1]["expanded"] < doc["levels"][-1]["frontier"]
+        assert sum(lvl["new_states"] for lvl in doc["levels"]) + 1 \
+            == doc["result"]["n_states"]
+
+    def test_ctrl_c_still_prints_the_done_line(self, monkeypatch, capsys):
+        self.ctrl_c_after(monkeypatch, 3)
+        assert main(["check", "migratory", "-n", "2", "--levels"]) == 130
+        err = capsys.readouterr().err
+        assert "done: migratory-rendezvous-2" in err
+        assert "UNFINISHED (interrupted)" in err
+        assert err.endswith("repro: interrupted\n")
+        assert "Traceback" not in err
+
+    def test_spill_write_failure_mid_sweep(self, monkeypatch, tmp_path,
+                                           capsys):
+        merge, merged = SpillFile.merge, []
+
+        def failing(self, entries):
+            merged.append(self)
+            if len(merged) == 4:
+                raise OSError(28, "No space left on device")
+            return merge(self, entries)
+
+        monkeypatch.setattr(SpillFile, "merge", failing)
+        path = tmp_path / "profile.json"
+        assert main(["check", "migratory", "--level", "async", "-n", "3",
+                     "--store", "fingerprint", "--partitions", "2",
+                     "--spill-dir", str(tmp_path / "spill"),
+                     "--spill-threshold", "64",
+                     "--profile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot write spill file")
+        assert "No space left on device" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(path.read_text())
+        assert doc["result"]["completed"] is False
+        assert doc["result"]["stop_reason"].startswith(
+            "error: cannot write spill file")
+        assert doc["levels"] and doc["result"]["spill_bytes"] > 0
+        # the store was closed on the way out: no mmap, no open handle
+        assert len(merged) == 4
+        assert all(spill._file is None and spill._mm is None
+                   for spill in merged)

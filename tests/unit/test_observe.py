@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from repro.check.explorer import explore
 from repro.check.observe import (
     PROFILE_SCHEMA,
@@ -63,6 +65,46 @@ class TestEventStream:
         assert not result.completed
         last = rec.levels[-1]
         assert last.expanded < last.frontier or last.expanded == 0
+
+    @pytest.mark.parametrize("exc,reason", [
+        (KeyboardInterrupt(), "interrupted"),
+        (RuntimeError("boom"), "error: boom"),
+    ], ids=["ctrl-c", "error"])
+    def test_interrupted_run_is_closed_then_reraised(self, exc, reason):
+        # Ctrl-C or an error mid-sweep leaves explore() only after the
+        # run was closed the way a budget stop closes it
+        class Failing(ChainSystem):
+            def successors(self, state):
+                if state == 5:
+                    raise exc
+                return super().successors(state)
+
+        rec = Recorder()
+        with pytest.raises(type(exc)) as excinfo:
+            explore(Failing(10), name="chain", observer=rec)
+        assert excinfo.value is exc  # not swallowed, not wrapped
+        [result] = rec.results
+        assert not result.completed and result.stop_reason == reason
+        assert result.n_states == 6 and result.n_transitions == 5
+        assert [e.level for e in rec.levels] == list(range(6))
+        in_flight = rec.levels[-1]
+        assert (in_flight.frontier, in_flight.expanded) == (1, 0)
+
+    def test_failed_run_counts_its_deadlocks_without_tracing_them(self):
+        class Failing:
+            def initial_state(self):
+                return 0
+
+            def successors(self, state):
+                if state == 2:
+                    raise RuntimeError("boom")
+                return {0: [("a", 1), ("b", 2)], 1: []}[state]
+
+        rec = Recorder()
+        with pytest.raises(RuntimeError):
+            explore(Failing(), observer=rec)
+        [result] = rec.results
+        assert result.deadlock_count == 1 and result.deadlocks == []
 
     def test_dedup_ratio_and_rates(self):
         event = LevelEvent(level=1, frontier=4, expanded=4, candidates=10,

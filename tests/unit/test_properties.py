@@ -61,7 +61,7 @@ class TestTarjan:
 
 class TestAssertSafeCountOnly:
     def test_count_only_deadlocks_still_raise(self):
-        """Parallel runs report deadlock counts without witness traces;
+        """A result may carry a deadlock count without witness traces;
         assert_safe must not mistake the empty list for safety."""
         from repro.check.stats import ExplorationResult
         result = ExplorationResult(system_name="sys", n_states=5,

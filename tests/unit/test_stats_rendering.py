@@ -36,7 +36,8 @@ class TestOkFlag:
 
 
 class TestDeadlockCount:
-    """Count-only deadlock reporting (parallel workers ship no traces)."""
+    """Count-only deadlock reporting (a run closed by an error or an
+    interrupt builds no witness traces)."""
 
     def test_count_without_witnesses_is_not_ok(self):
         assert not result(deadlock_count=3).ok

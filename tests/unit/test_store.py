@@ -292,10 +292,11 @@ class TestComponentFingerprints:
         assert store.add(state) and store.add(moved) and store.add(swapped)
         assert store.collisions == 0
 
-    def test_route_probe_add_encode_each_component_once(self, states,
-                                                        monkeypatch):
-        # what the owner-computes driver does to a routed candidate: the
-        # sender routes it, the owner probes it, then admits it
+    def test_contains_then_add_encode_each_component_once(self, states,
+                                                          monkeypatch):
+        # every hash of a state goes through one summary: a cold copy is
+        # digested on its first probe and never again
+        warm = fingerprint(states[-1])
         calls = {"digest": 0, "encode": 0}
         digest, encode = store_module._digest, store_module._encode
 
@@ -313,24 +314,23 @@ class TestComponentFingerprints:
         store_module._ENC_CACHE.clear()
         store_module._HEAD_DIGESTS.clear()
         store = FingerprintStore()
-        owner = partition_of(candidate, 2)
+        assert candidate not in store
         encoded = len(store_module._ENC_CACHE)
-        assert not store.probe(candidate)[1]
         assert store.add(candidate)
-        assert partition_of(candidate, 2) == owner
+        assert candidate in store
+        assert fingerprint(candidate) == warm
         # the head (tag, arity, network), the home and each remote: once
         assert calls == {"digest": 2 + len(candidate.remotes), "encode": 0}
         assert len(store_module._ENC_CACHE) == encoded
 
 
 # ---------------------------------------------------------------------------
-# partitioned stores (distributed-SPIN ownership)
+# sharded stores (fingerprint-range partitions)
 # ---------------------------------------------------------------------------
 
 from repro.check.store import (  # noqa: E402
     PartitionedExactStore,
     partition_index,
-    partition_of,
 )
 
 
@@ -341,8 +341,8 @@ class TestPartitionRouter:
                 assert 0 <= partition_index(fp, partitions) < partitions
 
     def test_ranges_are_contiguous_and_monotone(self):
-        # owner-computes relies on each partition owning one contiguous
-        # fingerprint range: the index never decreases as fp grows
+        # each partition owns one contiguous fingerprint range: the
+        # index never decreases as fp grows
         fps = sorted([0, 17, 2**16, 2**40, 2**63, 2**63 + 1, 2**64 - 1])
         idx = [partition_index(fp, 5) for fp in fps]
         assert idx == sorted(idx)
@@ -351,14 +351,10 @@ class TestPartitionRouter:
         assert partition_index(0, 1) == 0
         assert partition_index(2**64 - 1, 1) == 0
 
-    def test_partition_of_matches_fingerprint_route(self):
-        assert partition_of("state", 4) == \
-            partition_index(fingerprint("state"), 4)
-
     def test_spread_is_roughly_uniform(self):
         counts = [0] * 4
         for i in range(4000):
-            counts[partition_of(("s", i), 4)] += 1
+            counts[partition_index(fingerprint(("s", i)), 4)] += 1
         assert min(counts) > 500  # blake2b can't be this lopsided
 
 
@@ -407,14 +403,14 @@ class TestPartitionedFingerprintStore:
         assert store.collisions == sum(r["collisions"] for r in rows)
 
     def test_probe_predicts_add_without_mutation(self):
+        # `in` answers what add() would find and leaves no trace of itself
         store = FingerprintStore(2)
-        key, present = store.probe("s")
-        assert not present
-        assert len(store) == 0  # probe never admits
+        assert "s" not in store
+        assert len(store) == 0  # a membership test never admits
         store.add("s")
-        key2, present2 = store.probe("s")
-        assert present2 and key2 == key
-        assert store.partition_rows()[partition_of("s", 2)]["probes"] == 1
+        assert "s" in store
+        rows = store.partition_rows()
+        assert sum(row["probes"] for row in rows) == 1  # the add alone
 
     def test_rows_partition_owned_sums_to_len(self, tmp_path):
         store = FingerprintStore(
@@ -508,11 +504,12 @@ class TestPartitionedExactStore:
         assert delta.approx_bytes() < classic.approx_bytes()
 
     def test_probe_predicts_add(self):
-        store = PartitionedExactStore(1)
-        _key, present = store.probe("s")
-        assert not present and len(store) == 0
+        store = PartitionedExactStore(2)
+        assert "s" not in store and len(store) == 0
         store.add("s")
-        assert store.probe("s") == (_key, True)
+        assert "s" in store and "t" not in store
+        rows = store.partition_rows()
+        assert sum(row["probes"] for row in rows) == 1  # the add alone
 
 
 class TestMakePartitionedStore:
