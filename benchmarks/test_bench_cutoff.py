@@ -1,8 +1,10 @@
 """Experiment (extension): static parameterized verdicts vs exploration.
 
 Writes the repo-level ``BENCH_cutoff.json`` artifact — the committed,
-CI-diffed record of the flow-derived parameterized (P45xx) analysis
-cross-checked against bounded exploration.  For every library protocol:
+CI-compared record of the flow-derived parameterized (P45xx) analysis
+cross-checked against bounded exploration (``repro.bench/1`` rows from
+``conftest.bench_row``: one ``<protocol>`` row of static facts, one
+``<protocol>/n<N>`` row per explored size).  For every library protocol:
 
 * the **static verdict** of :func:`repro.analysis.paramcheck
   .check_parameterized` — flow count, cover completeness, invariant
@@ -12,8 +14,7 @@ cross-checked against bounded exploration.  For every library protocol:
   budget (``REPRO_BENCH_CUTOFF_BUDGET``, default 60000 — enough to
   complete every n = 3 instance; n = 4 completes only for migratory and
   is recorded ``unknown`` elsewhere) so every count is bit-reproducible
-  and CI can diff it (``compare_bench.py``, schema
-  ``repro.bench_cutoff/1``);
+  and ``compare_bench.py`` holds it to exact equality in CI;
 * the **stabilization cutoff** — the smallest n from which every larger
   explored instance with a known verdict agrees.  The flow argument
   predicts a cutoff of 2 (every invariant mentions the home plus at
@@ -29,13 +30,11 @@ The acceptance claims asserted here:
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
-from conftest import write_report
+from conftest import bench_row, write_bench, write_report
 
 from repro.analysis.paramcheck import check_parameterized
 from repro.check.explorer import explore
@@ -48,7 +47,6 @@ from repro.protocols import (
 )
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_cutoff.json"
-BENCH_SCHEMA = "repro.bench_cutoff/1"
 
 FACTORIES = {
     "invalidate": invalidate_protocol,
@@ -68,25 +66,15 @@ def cutoff_budget() -> int:
 
 def explore_cell(name: str, n: int, budget: int) -> dict:
     spec = SystemSpec(name, "async", n, symmetry=True, por=True)
-    t0 = time.perf_counter()
     result = explore(build_system(spec), name=f"{name}-cutoff-{n}",
                      max_states=budget, reductions=spec.reductions())
-    seconds = time.perf_counter() - t0
     if result.deadlocks:
         verdict = "deadlock"  # definite even on a truncated run
     elif result.completed:
         verdict = "no-deadlock"
     else:
         verdict = "unknown"
-    return {
-        "n": n,
-        "n_states": result.n_states,
-        "n_transitions": result.n_transitions,
-        "deadlocks": len(result.deadlocks),
-        "completed": result.completed,
-        "verdict": verdict,
-        "seconds": round(seconds, 2),
-    }
+    return bench_row(f"{name}/n{n}", result, n=n, verdict=verdict)
 
 
 def stabilizes_at(cells: list[dict]) -> int | None:
@@ -112,32 +100,30 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
         cells = [explore_cell(name, n, cutoff_budget) for n in SIZES]
         cutoff = stabilizes_at(cells)
         bounded_deadlock = any(c["verdict"] == "deadlock" for c in cells)
-        rows.append({
-            "protocol": name,
-            "static_verdict": verdict.verdict,
-            "discharged": verdict.discharged,
-            "complete_cover": verdict.graph.complete,
-            "n_flows": len(verdict.graph.flows),
-            "n_invariants": len(verdict.invariants),
-            "witness_states": verdict.witness_states,
-            "exploration": cells,
-            "stabilizes_at": cutoff,
-            "agreement": not (verdict.discharged and bounded_deadlock),
-        })
+        rows.append((bench_row(
+            name,
+            protocol=name,
+            static_verdict=verdict.verdict,
+            discharged=verdict.discharged,
+            complete_cover=verdict.graph.complete,
+            n_flows=len(verdict.graph.flows),
+            n_invariants=len(verdict.invariants),
+            witness_states=verdict.witness_states,
+            stabilizes_at=cutoff,
+            agreement=not (verdict.discharged and bounded_deadlock),
+        ), cells))
 
-    doc = {"schema": BENCH_SCHEMA, "budget": cutoff_budget,
-           "protocols": rows}
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    write_bench(BENCH_PATH, cutoff_budget,
+                [row for r, cells in rows for row in (r, *cells)])
 
     # -- human-readable summary ----------------------------------------------
     lines = ["Parameterized (P45xx) verdict vs bounded exploration "
              "(async, symmetry+por):", "",
              f"{'protocol':<12} {'static verdict':<22} {'flows':>6} "
              f"{'invs':>5} {'cutoff':>7}  exploration n=2..4"]
-    for r in rows:
+    for r, cells in rows:
         explored = ", ".join(
-            f"n={c['n']}:{c['verdict']}({c['n_states']})"
-            for c in r["exploration"])
+            f"n={c['n']}:{c['verdict']}({c['n_states']})" for c in cells)
         lines.append(f"{r['protocol']:<12} {r['static_verdict']:<22} "
                      f"{r['n_flows']:>6} {r['n_invariants']:>5} "
                      f"{str(r['stabilizes_at']):>7}  {explored}")
@@ -148,13 +134,13 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
     write_report(results_dir, "cutoff.txt", "\n".join(lines))
 
     # -- acceptance assertions -----------------------------------------------
-    for r in rows:
+    for r, cells in rows:
         assert r["discharged"], r["protocol"]
         assert r["complete_cover"], r["protocol"]
         assert r["agreement"], f"unsound verdict on {r['protocol']}"
         assert r["stabilizes_at"] == 2, r["protocol"]
         # n=2 and n=3 must land in budget with a definite verdict
         assert all(c["verdict"] == "no-deadlock"
-                   for c in r["exploration"][:2]), r["protocol"]
+                   for c in cells[:2]), r["protocol"]
 
     benchmark(lambda: check_parameterized(FACTORIES["migratory"]()))

@@ -1,28 +1,30 @@
 """Experiment (extension): what each state-space reduction buys.
 
 Writes the repo-level ``BENCH_explore.json`` artifact — the committed,
-CI-diffed record of explorer throughput and reduction effectiveness on
-the paper's two protocols — plus the human-readable
+CI-compared record of explored state counts and reduction effectiveness
+on the paper's two protocols — plus the human-readable
 ``benchmarks/results/por_reduction.txt`` summary.
 
-Two sections with two regeneration policies:
+Rows are ``repro.bench/1`` rows (``conftest.bench_row``): deterministic
+facts only, no timing — ``perf/`` owns time.  Two groups with two
+regeneration policies:
 
-* ``runs`` — every (protocol, n, config) cell explored at a *pinned*
+* ``runs/...`` — every (protocol, n, config) cell explored at a *pinned*
   state budget (``REPRO_BENCH_EXPLORE_BUDGET``, default 4000, exact
-  store).  BFS order is deterministic, so every count in this section
-  is bit-reproducible across machines and Python versions; CI
-  regenerates it and diffs against the committed file
-  (``compare_bench.py``, ±25% on deterministic fields, timing and byte
-  sizes exempt).
-* ``headline`` — the *complete* explorations behind the prose claims
-  (invalidate n=4 takes minutes under symmetry alone).  Regenerated
-  only under ``REPRO_BENCH_FULL=1``; otherwise carried over verbatim
-  from the committed artifact so a default benchmark run never silently
-  replaces a 10-minute measurement with a truncated one.  The rows
-  include the unreduced invalidate n=4 cell (~10^7 states), walked over
-  a 4-partition spill-backed fingerprint store
+  store).  BFS order is deterministic, so every fact in these rows is
+  bit-reproducible across machines and Python versions; CI regenerates
+  them and ``compare_bench.py`` requires each to equal the committed
+  one.
+* ``headline/...`` — the *complete* explorations behind the prose claims
+  (unreduced invalidate n=4 took 37 minutes).  Regenerated only under
+  ``REPRO_BENCH_FULL=1``; otherwise carried over verbatim from the
+  committed artifact so a default benchmark run never silently replaces
+  a complete exploration with a truncated one.  The rows include the
+  unreduced invalidate n=4 cell (~10^7 states), walked over a
+  4-partition spill-backed fingerprint store
   (``make_store("fingerprint", 4, spill_dir=...)``) so the visited set
-  stays inside a bounded resident budget.
+  stays inside a bounded resident budget.  The ``reductions`` row holds
+  the four state-reduction ratios computed from them.
 
 The acceptance claims asserted here, against whichever headline data is
 active:
@@ -42,18 +44,16 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
-from conftest import write_report
+from conftest import bench_row, write_bench, write_report
 
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
 from repro.check.store import make_store
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_explore.json"
-BENCH_SCHEMA = "repro.bench_explore/2"
 
 PROTOCOLS = ("migratory", "invalidate")
 SIZES = (3, 4)
@@ -73,47 +73,18 @@ HEADLINE_ROWS = [
 ]
 
 
-class _Levels:
-    """Minimal observer: count BFS levels for the depth field."""
-
-    def __init__(self) -> None:
-        self.depth = 0
-
-    def on_start(self, run) -> None:
-        pass
-
-    def on_level(self, event) -> None:
-        self.depth = event.level
-
-    def on_finish(self, result) -> None:
-        pass
-
-
-def measure(protocol, n, config, *, max_states=None, store="exact"):
+def measure(group, protocol, n, config, *, max_states=None, store="exact"):
     spec = SystemSpec(protocol, "async", n, **CONFIGS[config])
-    levels = _Levels()
-    t0 = time.perf_counter()
     result = explore(build_system(spec),
                      name=f"{protocol}-{n}-{config}",
-                     max_states=max_states, store=store, observer=levels,
+                     max_states=max_states, store=store,
                      reductions=spec.reductions())
-    seconds = time.perf_counter() - t0
     pruning = 0.0
     if result.n_enabled > result.n_transitions:
         pruning = 1.0 - result.n_transitions / result.n_enabled
-    return {
-        "protocol": protocol, "n": n, "config": config,
-        "n_states": result.n_states,
-        "n_transitions": result.n_transitions,
-        "n_enabled": result.n_enabled,
-        "depth": levels.depth,
-        "completed": result.completed,
-        "transition_pruning": round(pruning, 4),
-        # environment-dependent; compare_bench.py treats as informational
-        "states_per_sec": round(result.n_states / seconds) if seconds else 0,
-        "approx_bytes": result.approx_bytes,
-        "seconds": round(seconds, 2),
-    }
+    return bench_row(f"{group}/{protocol}-n{n}-{config}", result,
+                     protocol=protocol, n=n, config=config,
+                     transition_pruning=round(pruning, 4))
 
 
 def headline_store(protocol, n, config):
@@ -148,20 +119,17 @@ def explore_budget() -> int:
 
 
 def test_bench_explore(benchmark, results_dir, explore_budget):
-    runs = [measure(protocol, n, config, max_states=explore_budget)
+    runs = [measure("runs", protocol, n, config, max_states=explore_budget)
             for protocol in PROTOCOLS for n in SIZES for config in CONFIGS]
 
     # -- headline: complete runs, regenerated only on request ----------------
     if os.environ.get("REPRO_BENCH_FULL") == "1":
-        headline = [measure(p, n, c, store=headline_store(p, n, c))
+        headline = [measure("headline", p, n, c,
+                            store=headline_store(p, n, c))
                     for p, n, c in HEADLINE_ROWS]
-        timing = "measured here"
     else:
-        committed = json.loads(BENCH_PATH.read_text())
-        assert committed["schema"] == BENCH_SCHEMA
-        headline = committed["headline"]["runs"]
-        timing = ("st/s carried over from the committed file, taken "
-                  "before steps() replayed deltas")
+        headline = [row for row in json.loads(BENCH_PATH.read_text())["rows"]
+                    if row["id"].startswith("headline/")]
 
     reductions = {
         "migratory_n3_por_vs_full":
@@ -178,25 +146,19 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
                             ("invalidate", 4, "symmetry+por")),
     }
 
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "budget": explore_budget,
-        "runs": runs,
-        "headline": {"runs": headline, "reductions": reductions},
-    }
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    write_bench(BENCH_PATH, explore_budget,
+                runs + headline + [bench_row("reductions", **reductions)])
 
     # -- human-readable summary ----------------------------------------------
     lines = ["Ample-set POR: expanded states, complete explorations:", "",
-             f"  host cpus: {os.cpu_count()} ({timing})", "",
              f"{'protocol':<12} {'N':>3} {'config':<14} "
-             f"{'states':>10} {'transitions':>12} {'st/s':>8} {'pruned':>8}"]
+             f"{'states':>10} {'transitions':>12} {'pruned':>8}"]
     for r in headline:
         pruned = (f"{r['transition_pruning']:.1%}"
                   if r["transition_pruning"] else "-")
         lines.append(f"{r['protocol']:<12} {r['n']:>3} {r['config']:<14} "
                      f"{r['n_states']:>10} {r['n_transitions']:>12} "
-                     f"{r['states_per_sec']:>8} {pruned:>8}")
+                     f"{pruned:>8}")
     lines.append("")
     lines.append("state reduction from --por (1 - reduced/baseline):")
     for name, value in reductions.items():

@@ -1,8 +1,10 @@
 """Experiment (extension): parameterized coherence vs exploration.
 
 Writes the repo-level ``BENCH_param.json`` artifact — the committed,
-CI-diffed record of the environment-abstraction coherence analysis
-(``P46xx``) cross-checked against bounded exploration.  For every
+CI-compared record of the environment-abstraction coherence analysis
+(``P46xx``) cross-checked against bounded exploration (``repro.bench/1``
+rows from ``conftest.bench_row``: one ``<protocol>`` row of static
+facts, one ``<protocol>/n<N>`` row per explored size).  For every
 library protocol:
 
 * the **static verdict** of :func:`repro.analysis.coherencecheck
@@ -15,8 +17,8 @@ library protocol:
   coherence invariants weakens the ample-set reduction; enough to
   complete every n = 3 instance, while n = 4 completes only for
   migratory and is recorded ``unknown`` elsewhere) so every count is
-  bit-reproducible and CI can diff it (``compare_bench.py``, schema
-  ``repro.bench_param/1``).
+  bit-reproducible and ``compare_bench.py`` holds it to exact equality
+  in CI.
 
 The acceptance claims asserted here:
 
@@ -29,13 +31,11 @@ The acceptance claims asserted here:
 
 from __future__ import annotations
 
-import json
 import os
-import time
 from pathlib import Path
 
 import pytest
-from conftest import write_report
+from conftest import bench_row, write_bench, write_report
 
 from repro import AsyncSystem, refine
 from repro.analysis.coherencecheck import check_coherence
@@ -52,7 +52,6 @@ from repro.protocols.invariants import COHERENCE_SPECS, coherence_invariants
 from repro.protocols.symmetry import symmetry_spec_for
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_param.json"
-BENCH_SCHEMA = "repro.bench_param/1"
 
 FACTORIES = {
     "invalidate": invalidate_protocol,
@@ -78,27 +77,17 @@ def explore_cell(name: str, n: int, budget: int) -> dict:
         PORSystem(AsyncSystem(refine(FACTORIES[name]()), n),
                   preserve=PRESERVE_INVARIANTS),
         symmetry_spec_for(name))
-    t0 = time.perf_counter()
     result = explore(system, name=f"{name}-param-{n}",
                      invariants=invariants, max_states=budget,
                      stop_on_violation=False, allow_deadlock=True,
                      reductions=("por", "symmetry"))
-    seconds = time.perf_counter() - t0
     if result.violations:
         verdict = "violated"  # definite even on a truncated run
     elif result.completed:
         verdict = "coherent"
     else:
         verdict = "unknown"
-    return {
-        "n": n,
-        "n_states": result.n_states,
-        "n_transitions": result.n_transitions,
-        "violations": len(result.violations),
-        "completed": result.completed,
-        "verdict": verdict,
-        "seconds": round(seconds, 2),
-    }
+    return bench_row(f"{name}/n{n}", result, n=n, verdict=verdict)
 
 
 def test_bench_param(benchmark, results_dir, param_budget):
@@ -108,32 +97,30 @@ def test_bench_param(benchmark, results_dir, param_budget):
         verdict = check_coherence(protocol, COHERENCE_SPECS[name])
         cells = [explore_cell(name, n, param_budget) for n in SIZES]
         bounded_violation = any(c["verdict"] == "violated" for c in cells)
-        rows.append({
-            "protocol": name,
-            "static_verdict": verdict.status,
-            "discharged": verdict.discharged,
-            "candidates": verdict.candidates,
-            "validated": verdict.validated,
-            "n_lemmas": len(verdict.lemmas),
-            "iterations": verdict.iterations,
-            "abstract_states": verdict.abstract_states,
-            "exploration": cells,
-            "agreement": not (verdict.discharged and bounded_violation),
-        })
+        rows.append((bench_row(
+            name,
+            protocol=name,
+            static_verdict=verdict.status,
+            discharged=verdict.discharged,
+            candidates=verdict.candidates,
+            validated=verdict.validated,
+            n_lemmas=len(verdict.lemmas),
+            iterations=verdict.iterations,
+            abstract_states=verdict.abstract_states,
+            agreement=not (verdict.discharged and bounded_violation),
+        ), cells))
 
-    doc = {"schema": BENCH_SCHEMA, "budget": param_budget,
-           "protocols": rows}
-    BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n")
+    write_bench(BENCH_PATH, param_budget,
+                [row for r, cells in rows for row in (r, *cells)])
 
     # -- human-readable summary ----------------------------------------------
     lines = ["Parameterized coherence (P46xx) verdict vs bounded "
              "exploration (async, symmetry+por):", "",
              f"{'protocol':<12} {'static verdict':<14} {'lemmas':>6} "
              f"{'iters':>5} {'abs.states':>10}  exploration n=2..4"]
-    for r in rows:
+    for r, cells in rows:
         explored = ", ".join(
-            f"n={c['n']}:{c['verdict']}({c['n_states']})"
-            for c in r["exploration"])
+            f"n={c['n']}:{c['verdict']}({c['n_states']})" for c in cells)
         lines.append(f"{r['protocol']:<12} {r['static_verdict']:<14} "
                      f"{r['n_lemmas']:>6} {r['iterations']:>5} "
                      f"{r['abstract_states']:>10}  {explored}")
@@ -144,13 +131,13 @@ def test_bench_param(benchmark, results_dir, param_budget):
     write_report(results_dir, "param.txt", "\n".join(lines))
 
     # -- acceptance assertions -----------------------------------------------
-    for r in rows:
+    for r, cells in rows:
         assert r["discharged"], r["protocol"]
         assert r["validated"] == r["candidates"], r["protocol"]
         assert r["agreement"], f"unsound verdict on {r['protocol']}"
         # n=2 and n=3 must land in budget with a definite verdict
         assert all(c["verdict"] == "coherent"
-                   for c in r["exploration"][:2]), r["protocol"]
+                   for c in cells[:2]), r["protocol"]
 
     benchmark(lambda: check_coherence(FACTORIES["migratory"](),
                                       COHERENCE_SPECS["migratory"]))

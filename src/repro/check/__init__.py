@@ -1,6 +1,6 @@
 """Explicit-state model checking: reachability, safety, progress, simulation."""
 
-from .explorer import ExplorationCore, explore
+from .explorer import explore
 from .observe import (
     JsonProfileWriter,
     LevelEvent,
@@ -20,7 +20,7 @@ from .symmetry import SymmetricSystem, SymmetrySpec, normalize
 from .stats import Counterexample, ExplorationResult
 
 __all__ = [
-    "Counterexample", "ExplorationResult", "ExplorationCore", "ProgressReport",
+    "Counterexample", "ExplorationResult", "ProgressReport",
     "SimulationReport", "assert_safe", "check_progress", "check_simulation",
     "explore", "tarjan_sccs",
     "SymmetricSystem", "SymmetrySpec", "normalize",

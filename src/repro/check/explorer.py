@@ -15,11 +15,9 @@ cap that produced the "Unfinished" cells of Table 3.
 The sweep is level-synchronous (the visit order of a FIFO queue, made
 explicit), which gives every run a per-level
 :class:`~repro.check.observe.LevelEvent` stream for progress rendering
-and JSON profiles (``observer=``).  :func:`explore` is the one loop;
-its budget, count and event bookkeeping lives in one
-:class:`ExplorationCore` per run, so where a budget is checked, what a
-truncated run reports and when an observer hears of it are each decided
-in one place.
+and JSON profiles (``observer=``).  :func:`explore` is the one loop, so
+where a budget is checked, what a truncated run reports and when an
+observer hears of it are each decided in one place.
 
 The visited set is pluggable (``store=``): the default exact store keeps
 full states plus BFS parent pointers, so every reported violation comes
@@ -37,8 +35,8 @@ from .observe import LevelEvent, NullObserver, RunInfo, RunObserver
 from .stats import Counterexample, ExplorationResult, _fmt_bytes
 from .store import StateStore, StoreSpec, make_store
 
-__all__ = ["System", "Invariant", "ExplorationCore", "expand_state",
-           "explore", "replay_actions"]
+__all__ = ["System", "Invariant", "expand_state", "explore",
+           "replay_actions"]
 
 
 def _store_spill_bytes(store: StateStore) -> int:
@@ -75,125 +73,6 @@ def expand_state(system: System,
         return succs, int(enabled)
     succs = system.successors(state)
     return succs, len(succs)
-
-
-class ExplorationCore:
-    """Budget, count, and event bookkeeping of one :func:`explore` run.
-
-    The loop calls :meth:`should_stop` before each state expansion (that
-    ordering *is* the budget semantics: a run may overshoot
-    ``max_states`` by at most the successors of the expansion in
-    flight), feeds counts through the public attributes, closes each
-    level with :meth:`level_done`, and finishes with :meth:`result` —
-    which also emits the observer's ``on_finish``.
-    """
-
-    def __init__(self, *, name: str, store: StoreSpec = "exact",
-                 observer: Optional[RunObserver] = None,
-                 max_states: Optional[int] = None,
-                 max_seconds: Optional[float] = None,
-                 max_bytes: Optional[int] = None,
-                 reductions: tuple[str, ...] = ()) -> None:
-        self.name = name
-        self.store: StateStore = make_store(store)
-        self.observer: RunObserver = (observer if observer is not None
-                                      else NullObserver())
-        self.max_states = max_states
-        self.max_seconds = max_seconds
-        self.max_bytes = max_bytes
-        self.reductions = reductions
-        self.t0 = time.perf_counter()
-        self.n_transitions = 0
-        #: transitions enabled before reduction (== n_transitions when no
-        #: reduction is active)
-        self.n_enabled = 0
-        self.deadlock_count = 0
-        self.completed = True
-        self.stop_reason: Optional[str] = None
-
-    def start(self) -> None:
-        self.observer.on_start(RunInfo(
-            name=self.name, store=self.store.name,
-            max_states=self.max_states, max_seconds=self.max_seconds,
-            reductions=self.reductions,
-            partitions=int(getattr(self.store, "partitions", 1)),
-            max_bytes=self.max_bytes))
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
-
-    def should_stop(self) -> bool:
-        """Check every budget; record the stop reason on the first trip.
-
-        The state budget is exact; the memory budget compares the
-        store's own footprint estimate (Python object sizes, so
-        machine/version-dependent — a *graceful* stand-in for the
-        paper's 64 MB memory allotment, which killed SPIN outright); the
-        time budget is wall clock.
-        """
-        if (self.max_states is not None
-                and len(self.store) > self.max_states):
-            self.completed = False
-            self.stop_reason = f"state budget {self.max_states} exceeded"
-            return True
-        if (self.max_bytes is not None
-                and self.store.approx_bytes() > self.max_bytes):
-            self.completed = False
-            self.stop_reason = (f"memory budget "
-                                f"{_fmt_bytes(self.max_bytes)} exceeded")
-            return True
-        if (self.max_seconds is not None
-                and self.elapsed() > self.max_seconds):
-            self.completed = False
-            self.stop_reason = f"time budget {self.max_seconds}s exceeded"
-            return True
-        return False
-
-    def stop(self, reason: str) -> None:
-        self.completed = False
-        self.stop_reason = reason
-
-    def level_done(self, level: int, frontier: int, expanded: int,
-                   candidates: int, new_states: int,
-                   enabled: Optional[int] = None) -> None:
-        self.observer.on_level(LevelEvent(
-            level=level, frontier=frontier, expanded=expanded,
-            candidates=candidates, new_states=new_states,
-            n_states=len(self.store), n_transitions=self.n_transitions,
-            deadlocks=self.deadlock_count, collisions=self.store.collisions,
-            approx_bytes=self.store.approx_bytes(), seconds=self.elapsed(),
-            enabled=candidates if enabled is None else enabled,
-            spill_bytes=_store_spill_bytes(self.store)))
-
-    def result(self, *, deadlocks: Optional[list[Counterexample]] = None,
-               violations: Optional[list[Counterexample]] = None,
-               graph: Optional[dict[Any, list[tuple[Any, Any]]]] = None,
-               ) -> ExplorationResult:
-        rows = getattr(self.store, "partition_rows", None)
-        detail = getattr(self.store, "approx_bytes_detail", None)
-        outcome = ExplorationResult(
-            system_name=self.name,
-            n_states=len(self.store),
-            n_transitions=self.n_transitions,
-            seconds=self.elapsed(),
-            completed=self.completed,
-            stop_reason=self.stop_reason,
-            deadlocks=deadlocks or [],
-            deadlock_count=self.deadlock_count,
-            violations=violations or [],
-            graph=graph,
-            approx_bytes=self.store.approx_bytes(),
-            store=self.store.name,
-            fingerprint_collisions=self.store.collisions,
-            n_enabled=self.n_enabled or self.n_transitions,
-            reductions=self.reductions,
-            partition_stats=tuple(rows()) if callable(rows) else (),
-            spill_bytes=_store_spill_bytes(self.store),
-            approx_bytes_detail=(dict(detail()) if callable(detail)
-                                 else None),
-        )
-        self.observer.on_finish(outcome)
-        return outcome
 
 
 def explore(
@@ -251,11 +130,14 @@ def explore(
         flight is reported, ``stop_reason`` is ``"interrupted"`` or
         ``"error: <message>"``, and ``observer`` gets its ``on_finish``.
     """
-    core = ExplorationCore(name=name, store=store, observer=observer,
-                           max_states=max_states, max_seconds=max_seconds,
-                           max_bytes=max_bytes, reductions=reductions)
-    core.start()
-    visited = core.store
+    visited: StateStore = make_store(store)
+    watcher: RunObserver = observer if observer is not None else NullObserver()
+    t0 = time.perf_counter()
+    watcher.on_start(RunInfo(
+        name=name, store=visited.name, max_states=max_states,
+        max_seconds=max_seconds, reductions=reductions,
+        partitions=int(getattr(visited, "partitions", 1)),
+        max_bytes=max_bytes))
     init = system.initial_state()
     visited.add(init, None)
     graph: Optional[dict[Hashable, list[tuple[Any, Hashable]]]] = (
@@ -300,10 +182,25 @@ def explore(
                     return False
         return True
 
-    stopped = False
-    if not check_invariants(init):
-        core.stop("invariant violated")
-        stopped = True
+    def over_budget() -> Optional[str]:
+        """Name the first budget the run has crossed — states (exact),
+        then the store's footprint estimate, then wall clock — if any.
+
+        Asked before each expansion, and that ordering *is* the budget
+        semantics: a run may overshoot ``max_states`` by at most the
+        successors of the expansion in flight.
+        """
+        if max_states is not None and len(visited) > max_states:
+            return f"state budget {max_states} exceeded"
+        if max_bytes is not None and visited.approx_bytes() > max_bytes:
+            return f"memory budget {_fmt_bytes(max_bytes)} exceeded"
+        if (max_seconds is not None
+                and time.perf_counter() - t0 > max_seconds):
+            return f"time budget {max_seconds}s exceeded"
+        return None
+
+    # why the run ended early; None while it runs and when it completes
+    stop_reason = None if check_invariants(init) else "invariant violated"
 
     # Hot-loop bindings: the add method, whether parent provenance is
     # even retained (trace-free stores discard it — building a parent
@@ -313,37 +210,34 @@ def explore(
     track_parents = visited.supports_traces
     has_invariants = bool(invariants)
 
-    level: list[Hashable] = [init] if not stopped else []
-    level_index = 0
+    n_transitions = n_enabled = deadlock_count = n_levels = 0
+    level: list[Hashable] = [init] if stop_reason is None else []
     failure: Optional[BaseException] = None
     while level:
         next_level: list[Hashable] = []
         expanded = candidates = new_states = enabled = 0
         try:
             for state in level:
-                if core.should_stop():
-                    stopped = True
+                stop_reason = over_budget()
+                if stop_reason is not None:
                     break
-                succs, n_enabled = expand_state(system, state)
+                succs, state_enabled = expand_state(system, state)
                 expanded += 1
-                core.n_enabled += n_enabled
-                enabled += n_enabled
+                enabled += state_enabled
                 if graph is not None:
                     graph[state] = succs
                 if not succs and not allow_deadlock:
                     deadlock_states.append(state)
-                    core.deadlock_count += 1
+                    deadlock_count += 1
                 for action, nxt in succs:
-                    core.n_transitions += 1
                     candidates += 1
                     if add(nxt, (state, action) if track_parents else None):
                         new_states += 1
                         if has_invariants and not check_invariants(nxt):
-                            core.stop("invariant violated")
-                            stopped = True
+                            stop_reason = "invariant violated"
                             break
                         next_level.append(nxt)
-                if stopped:
+                if stop_reason is not None:
                     break
         except BaseException as exc:
             # Close the run before the exception leaves: the level in
@@ -351,22 +245,49 @@ def explore(
             # stop (so the profile is written), then it is re-raised —
             # Ctrl-C included, or a caller's next sweep would start.
             failure = exc
-            core.stop("interrupted" if isinstance(exc, KeyboardInterrupt)
-                      else f"error: {exc}")
-            stopped = True
+            stop_reason = ("interrupted" if isinstance(exc, KeyboardInterrupt)
+                           else f"error: {exc}")
             # deadlocks stay counted but go unwitnessed: a trace may be
             # rebuilt through the very system that just raised
             deadlock_states.clear()
-        core.level_done(level_index, len(level), expanded, candidates,
-                        new_states, enabled)
-        level_index += 1
-        level = [] if stopped else next_level
+        n_transitions += candidates
+        n_enabled += enabled
+        watcher.on_level(LevelEvent(
+            level=n_levels, frontier=len(level), expanded=expanded,
+            candidates=candidates, new_states=new_states,
+            n_states=len(visited), n_transitions=n_transitions,
+            deadlocks=deadlock_count, collisions=visited.collisions,
+            approx_bytes=visited.approx_bytes(),
+            seconds=time.perf_counter() - t0, enabled=enabled,
+            spill_bytes=_store_spill_bytes(visited)))
+        n_levels += 1
+        level = next_level if stop_reason is None else []
 
-    result = core.result(
-        deadlocks=[_with_trace(build_trace, s) for s in deadlock_states],
+    deadlocks = [_with_trace(build_trace, s) for s in deadlock_states]
+    rows = getattr(visited, "partition_rows", None)
+    detail = getattr(visited, "approx_bytes_detail", None)
+    result = ExplorationResult(
+        system_name=name,
+        n_states=len(visited),
+        n_transitions=n_transitions,
+        seconds=time.perf_counter() - t0,
+        completed=stop_reason is None,
+        stop_reason=stop_reason,
+        deadlocks=deadlocks,
+        deadlock_count=deadlock_count,
         violations=violations,
         graph=graph,
+        approx_bytes=visited.approx_bytes(),
+        store=visited.name,
+        fingerprint_collisions=visited.collisions,
+        n_enabled=n_enabled,
+        depth=max(n_levels - 1, 0),
+        reductions=reductions,
+        partition_stats=tuple(rows()) if callable(rows) else (),
+        spill_bytes=_store_spill_bytes(visited),
+        approx_bytes_detail=dict(detail()) if callable(detail) else None,
     )
+    watcher.on_finish(result)
     if failure is not None:
         raise failure
     return result

@@ -35,35 +35,29 @@ Profile JSON schema (``repro.profile/4``)::
                        "spill_bytes": int, "spill_merges": int,
                        "dedup_ratio": float}, ... ],
       "result": {"system": str, "store": str, "n_states": int,
-                 "n_transitions": int, "n_enabled": int,
-                 "reductions": [str, ...], "deadlocks": int,
-                 "fingerprint_collisions": int, "seconds": float,
-                 "completed": bool, "stop_reason": str|null,
+                 "n_transitions": int, "n_enabled": int, "depth": int,
+                 "deadlocks": int, "violations": int,
+                 "fingerprint_collisions": int, "completed": bool,
+                 "stop_reason": str|null, "reductions": [str, ...],
+                 "seconds": float,
                  "approx_bytes": int, "spill_bytes": int,
                  "approx_bytes_detail": {"entries": int,
                                          "state_caches": int}|null}
     }
 
-``/2`` is a strict superset of ``/1``: it *adds* the reduction
-provenance (``run.reductions``, ``result.reductions``), the
-enabled-before-reduction transition counts (``levels[].enabled``,
-``result.n_enabled`` — equal to the taken counts when no reduction is
-active) and the derived ``levels[].reduction_ratio``.  ``/3`` added one
-``run`` field that is no longer written (older files carry it, nothing
-reads it).  ``/4`` adds the
-sharded-store observability: ``run.partitions`` and
-``run.max_bytes``, per-level ``spill_bytes``, the top-level
-``partitions`` list (one row per visited-set partition: states owned,
-membership probes, detected collisions, resident and spilled bytes,
-merge count, dedup ratio; empty for the classic exact
-store, and *one* row for an unsharded ``--store fingerprint`` run, whose
-store is the sharded class at one partition),
-and the result's ``spill_bytes``/``approx_bytes_detail`` (the exact
-store's entries-vs-memo-cache split; null for stores without one).
-``/4`` files written while there was a multi-process driver also carry
-``run.workers`` and three ``exchanged_*``/``received_*`` counters per
-partition row; neither is written any more and nothing reads them.
-Readers of older schemas keep working unchanged.
+``result`` is :meth:`~repro.check.stats.ExplorationResult.counts` — the
+run's deterministic facts, the same projection every ``BENCH_*.json`` row
+is built from — plus what depends on the host, the store or the run's
+label (``system``, ``store``, ``seconds``, the byte fields); the second
+group is ``benchmarks/compare_bench.py``'s ``VOLATILE`` tuple.
+``levels[].enabled`` and ``result.n_enabled`` equal the taken counts when
+no reduction is active.  ``partitions`` has one row per visited-set
+partition (states owned, membership probes, detected collisions, resident
+and spilled bytes, merge count, dedup ratio): empty for the classic exact
+store, *one* row for an unsharded ``--store fingerprint`` run, whose
+store is the sharded class at one partition.  ``approx_bytes_detail`` is
+the exact store's entries-vs-memo-cache split, null for stores without
+one.
 
 ``levels`` includes the partial level in flight when a budget, Ctrl-C
 or an error ends the run (``result.stop_reason`` says which), so
@@ -141,8 +135,7 @@ class LevelEvent:
     #: wall-clock seconds since the run started
     seconds: float
     #: transitions enabled at this level before any reduction pruned
-    #: them (== ``candidates`` when no reduction is active; 0 from
-    #: pre-/2 producers that never measured it)
+    #: them (== ``candidates`` when no reduction is active)
     enabled: int = 0
     #: bytes spilled to disk across all partitions after this level
     #: (0 for stores without a disk tier)
@@ -316,15 +309,8 @@ class JsonProfileWriter:
             "result": {
                 "system": result.system_name,
                 "store": result.store,
-                "n_states": result.n_states,
-                "n_transitions": result.n_transitions,
-                "n_enabled": result.n_enabled,
-                "reductions": list(result.reductions),
-                "deadlocks": result.deadlock_count,
-                "fingerprint_collisions": result.fingerprint_collisions,
+                **result.counts(),
                 "seconds": result.seconds,
-                "completed": result.completed,
-                "stop_reason": result.stop_reason,
                 "approx_bytes": result.approx_bytes,
                 "spill_bytes": result.spill_bytes,
                 "approx_bytes_detail": result.approx_bytes_detail,

@@ -91,6 +91,9 @@ class ExplorationResult:
     #: transitions enabled before reduction pruned them; equals
     #: ``n_transitions`` when no reduction was active
     n_enabled: int = 0
+    #: index of the last BFS level the sweep reported (the partial level
+    #: of a truncated run included)
+    depth: int = 0
     #: state-space reductions active during the run, inner wrapper
     #: first (e.g. ``("por", "symmetry")``)
     reductions: tuple[str, ...] = ()
@@ -119,6 +122,24 @@ class ExplorationResult:
         """Completed with no deadlocks and no invariant violations."""
         return (self.completed and not self.deadlock_count
                 and not self.violations)
+
+    def counts(self) -> dict[str, Any]:
+        """The run's deterministic facts, the one projection of a result
+        that profiles and ``BENCH_*.json`` rows are built from: equal on
+        every host, store and hash seed, which time, bytes and store
+        layout are not."""
+        return {
+            "n_states": self.n_states,
+            "n_transitions": self.n_transitions,
+            "n_enabled": self.n_enabled,
+            "depth": self.depth,
+            "deadlocks": self.deadlock_count,
+            "violations": len(self.violations),
+            "fingerprint_collisions": self.fingerprint_collisions,
+            "completed": self.completed,
+            "stop_reason": self.stop_reason,
+            "reductions": list(self.reductions),
+        }
 
     def cell(self) -> str:
         """Render as a Table 3 cell: ``states/seconds`` or ``Unfinished``."""

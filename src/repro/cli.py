@@ -175,11 +175,22 @@ def parse_bytes(text: str) -> int:
     return int(digits) * _SIZE_UNITS[unit]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _ranged(cast, wanted: str, accepts):
+    """An argparse ``type``: ``cast`` the text, then refuse (usage error,
+    exit 2) a value ``accepts`` rejects; NaN fails every comparison."""
+    def parse(text: str):
+        value = cast(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _ranged(int, "at least 1", lambda v: v >= 1)
+_positive_float = _ranged(float, "greater than 0", lambda v: v > 0)
+_non_negative_float = _ranged(float, "at least 0", lambda v: v >= 0)
+_fraction = _ranged(float, "between 0 and 1", lambda v: 0 <= v <= 1)
 
 
 def cmd_check(args) -> int:
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ablation: drop the progress-buffer reservation")
         p.add_argument("--budget", type=_positive_int, default=None,
                        help="state budget (emulates a memory cap)")
-        p.add_argument("--timeout", type=float, default=None,
+        p.add_argument("--timeout", type=_positive_float, default=None,
                        help="wall-clock budget in seconds")
 
     def engine_flag(p):
@@ -606,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the section 3.3 optimization")
     p.add_argument("--no-progress-buffer", action="store_true",
                    help=argparse.SUPPRESS)  # accepted for _config() parity
-    p.add_argument("--witness-nodes", type=int, default=2, metavar="N",
+    p.add_argument("--witness-nodes", type=_positive_int, default=2,
+                   metavar="N",
                    help="witness instance size for invariant checking "
                         "(default 2; the verdict lifts to arbitrary N)")
     p.add_argument("--json", action="store_true",
@@ -661,11 +673,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="synthetic")
     p.add_argument("--until", type=float, default=50_000.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latency", type=float, default=5.0)
-    p.add_argument("--write-fraction", type=float, default=0.5)
+    p.add_argument("--latency", type=_non_negative_float, default=5.0)
+    p.add_argument("--write-fraction", type=_fraction, default=0.5)
     p.add_argument("--hand", action="store_true",
                    help="use the hand-designed (unacked LR) variant")
-    p.add_argument("--msc", type=int, metavar="N", default=None,
+    p.add_argument("--msc", type=_positive_int, metavar="N", default=None,
                    help="print a message-sequence chart of the first N "
                         "delivery/completion events")
     p.set_defaults(func=cmd_simulate)
@@ -677,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table3", help="regenerate the paper's Table 3")
     p.add_argument("--budget", type=_positive_int, default=100_000,
                    help="state budget standing in for the 64 MB cap")
-    p.add_argument("--timeout", type=float, default=120.0)
+    p.add_argument("--timeout", type=_positive_float, default=120.0)
     p.set_defaults(func=cmd_table3)
 
     p = sub.add_parser("pool", help="multi-line shared-buffer-pool study "
@@ -688,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--until", type=float, default=10_000.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--think-time", type=float, default=120.0)
-    p.add_argument("--write-fraction", type=float, default=1.0)
+    p.add_argument("--write-fraction", type=_fraction, default=1.0)
     p.set_defaults(func=cmd_pool)
     return parser
 

@@ -7,8 +7,13 @@ protocol that bounded exploration can refute.  This suite pins that
 direction against the explicit-state explorer at n = 2..4 — the same
 oracle the simulation-certificate differential uses — over the library
 protocols and hypothesis-random protocols from the generator.
+
+The random draw is derandomized (the same seeds on every run), and the
+three seeds known to break the claim are pinned as their own expected
+failures instead of being hit by chance: tier-1 must not be a coin toss.
 """
 
+import pytest
 from hypothesis import given, note, settings, strategies as st
 
 from repro.analysis.paramcheck import check_parameterized
@@ -25,7 +30,12 @@ from repro.semantics.rendezvous import RendezvousSystem
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
                         n_remote_msgs=2, n_home_msgs=2)
 
-lenient = settings(max_examples=25, deadline=None)
+lenient = settings(max_examples=25, deadline=None, derandomize=True)
+
+#: ROADMAP "A soundness hole in the P45xx any-N deadlock verdict": these
+#: seeds discharge ``deadlock-free-any-N`` while n = 3 deadlocks (3 of the
+#: 136 discharges among seeds 0..1499).  Open item 6 starts here.
+KNOWN_UNSOUND = {382, 870, 1328}
 
 #: per-instance exploration budget; generated protocols are tiny, so a
 #: truncated run means something is badly wrong — treat it as such
@@ -34,7 +44,8 @@ ORACLE_BUDGET = 50_000
 
 @st.composite
 def protocols(draw):
-    seed = draw(st.integers(0, 10_000))
+    seed = draw(st.integers(0, 10_000)
+                .filter(lambda seed: seed not in KNOWN_UNSOUND))
     return random_protocol(seed, SMALL)
 
 
@@ -61,6 +72,17 @@ class TestStaticVerdictIsSound:
             assert not deadlock_found(protocol, n), (
                 f"static pass discharged {protocol.name!r} but exploration "
                 f"finds a deadlock at n={n}")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP: soundness hole in the "
+                       "P45xx any-N deadlock verdict (open item 6)")
+    @pytest.mark.parametrize("seed", sorted(KNOWN_UNSOUND))
+    def test_known_unsound_seed_is_fixed(self, seed):
+        # flips to XPASS (a failure, strict) when paramcheck stops
+        # discharging these or n = 3 stops deadlocking: then delete the
+        # seed from KNOWN_UNSOUND
+        protocol = random_protocol(seed, SMALL)
+        assert not (check_parameterized(protocol).discharged
+                    and deadlock_found(protocol, 3))
 
     @lenient
     @given(protocols())

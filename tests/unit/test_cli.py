@@ -33,12 +33,24 @@ class TestParser:
         ["table3", "--budget", "-1"],
         ["pool", "migratory", "--lines", "0"],
         ["check", "migratory", "--spill-threshold", "0"],
+        # each of these once ran: "time budget -1.0s exceeded", metrics
+        # for a negative latency, an n=0 witness
+        ["check", "migratory", "--timeout", "-1"],
+        ["verify", "migratory", "--timeout", "0"],
+        ["table3", "--timeout", "nan"],
+        ["simulate", "migratory", "--latency", "-1"],
+        ["simulate", "migratory", "--write-fraction", "2"],
+        ["pool", "migratory", "--write-fraction", "-0.1"],
+        ["simulate", "migratory", "--msc", "-3"],
+        ["flows", "migratory", "--witness-nodes", "0"],
     ], ids=lambda argv: argv[0] + argv[-2])
     def test_non_positive_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be " in err
+        assert f"got {argv[-1]}" in err
 
     @pytest.mark.parametrize("text,expected", [
         ("4096", 4096), ("0", 0), ("10b", 10), ("512K", 512 << 10),
@@ -66,7 +78,7 @@ class TestParser:
         assert "use e.g. 64MiB, 512K, 2G, 4096" in capsys.readouterr().err
 
     def test_zero_memory_limit_is_legal(self, capsys):
-        # like --timeout 0: stops at once, as a well-formed Unfinished
+        # stops at once, as a well-formed Unfinished
         assert main(["check", "migratory", "--memory-limit", "0"]) == 1
         assert "memory budget 0B exceeded" in capsys.readouterr().out
 
@@ -111,7 +123,7 @@ class TestVerifyCommand:
 
     def test_progress_honours_timeout(self, capsys):
         assert main(["verify", "migratory", "-n", "2", "--progress",
-                     "--timeout", "0"]) == 1
+                     "--timeout", "1e-9"]) == 1
         assert "progress check incomplete" in capsys.readouterr().out
 
 

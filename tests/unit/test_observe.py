@@ -15,6 +15,8 @@ from repro.check.observe import (
     RunInfo,
 )
 
+from .test_compare_bench import compare_bench  # benchmarks/compare_bench.py
+
 
 class ChainSystem:
     def __init__(self, n, loop=False):
@@ -160,6 +162,19 @@ class TestJsonProfileWriter:
         assert doc["result"]["n_states"] == result.n_states
         assert doc["result"]["completed"] is True
         assert doc["result"]["fingerprint_collisions"] == 0
+
+    @pytest.mark.parametrize("budget", [None, 5], ids=["complete", "cut"])
+    def test_result_block_is_counts_plus_volatile_keys(self, tmp_path,
+                                                       budget):
+        # one projection: what the profile says of the run beyond its
+        # counts() is exactly what compare_bench.py refuses to compare
+        path = tmp_path / "profile.json"
+        result = explore(ChainSystem(9, loop=True), max_states=budget,
+                         observer=JsonProfileWriter(path))
+        doc = json.loads(path.read_text())
+        assert compare_bench.flatten(doc)["result"] == result.counts()
+        assert set(doc["result"]) > set(result.counts())
+        assert result.counts()["depth"] == len(doc["levels"]) - 1
 
     def test_fingerprint_store_recorded(self, tmp_path):
         path = tmp_path / "profile.json"
