@@ -17,10 +17,13 @@ space is explored.  This subsystem makes that a first-class tool:
 * :mod:`~repro.analysis.bufferdemand` — static home-buffer-demand bound;
 * :mod:`~repro.analysis.transients` — transient-exit sanity on refined
   machines;
-* :mod:`~repro.analysis.symbolic` — symbolic two-node configurations and
-  the per-schema simulation obligations (section 4);
-* :mod:`~repro.analysis.simulation` — the certificate checker that
-  discharges those obligations against ``abs`` (``P44xx``);
+* :mod:`~repro.analysis.symbolic` — the two-node contexts the certificate's
+  sweep is rooted at, and how its steps are named (section 4);
+* :mod:`~repro.analysis.simulation` — the certificate checker: Equation 1
+  against ``abs`` on every edge of that sweep, memoized in process
+  (``P44xx``);
+* :mod:`~repro.analysis.memokey` — the sound structural key of that memo
+  (user callables seen through; unkeyable subjects are never stored);
 * :mod:`~repro.analysis.flows` — message-flow derivation from the AST
   (the transaction shapes between stable home states);
 * :mod:`~repro.analysis.paramcheck` — flow-based parameterized

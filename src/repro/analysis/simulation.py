@@ -1,12 +1,13 @@
 """The simulation-obligation certificate checker (P44xx).
 
 Discharges the paper's Equation 1 — every asynchronous step is a stutter
-under ``abs`` or maps to rendezvous steps of the source protocol — *per
-transition schema instance* over symbolic two-node configurations,
-instead of exploring an asynchronous state space.  See
-:mod:`repro.analysis.symbolic` for how the obligations are produced and
-why two nodes suffice; this module checks them and turns failures into
-diagnostics:
+under ``abs`` or maps to rendezvous steps of the source protocol — on
+every edge of the *complete* two-node asynchronous state space, rooted at
+the embedding of every rendezvous context rather than at the initial
+state alone.  It is one :func:`~repro.check.explorer.explore` sweep with
+the edge test of :class:`repro.check.simulation.Equation1` streamed
+inside it (no graph is kept); :mod:`repro.analysis.symbolic` says what the
+roots are and why two nodes suffice.  Failures become diagnostics:
 
 * **P4401** — a transition does not commute with ``abs`` (the executed
   step's image is neither a stutter nor reachable within the allowed
@@ -21,13 +22,19 @@ diagnostics:
   derives — the certificate's static half.
 * **P4405** (info) — the certificate inventory: how many contexts and
   obligations were discharged, and how.
-* **P4406** (warning) — a budget truncated the certificate; the verdict
-  covers only what was enumerated.
+* **P4406** (warning) — a budget truncated one of the two sweeps (the
+  explorer's ``stop_reason`` says which); the verdict covers only what
+  was swept.
 
 The checker runs as the ``simulation`` pass of
 :func:`repro.analysis.manager.analyze_refined`, surfaces in ``repro
-lint`` and gates :func:`repro.refine.engine.refine`.  Its verdict is
-cross-checked against explicit-state exploration
+lint`` and gates :func:`repro.refine.engine.refine`.  Its verdict is a
+fact about the protocol, so it is **memoized in process**: a plain dict
+from :func:`~repro.analysis.memokey.structural_key` of everything the
+verdict depends on (AST with its callables seen through, plan, every
+step-table row, the budgets) to the frozen report — never a state or a
+graph.  A subject the key cannot see through is simply checked again.
+The verdict is cross-checked against the sweep from the initial state
 (:func:`repro.check.simulation.check_simulation`) by the differential
 test harness, including on seeded mutants injected through
 :meth:`repro.refine.transitions.StepTable.mutate`.
@@ -35,11 +42,13 @@ test harness, including on seeded mutants injected through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Optional
 
-from ..csp.ast import Input
-from ..refine.abstraction import AbstractionUndefined, abstract_state
+from ..errors import SemanticsError
+# repro.refine before repro.check: the semantics modules both pull in must
+# first be loaded through the refine package (import cycle otherwise)
+from ..refine.abstraction import AbstractionUndefined
 from ..refine.plan import RefinedProtocol
 from ..refine.transitions import (
     HOME as HOME_ROLE,
@@ -47,21 +56,29 @@ from ..refine.transitions import (
     StepTable,
     build_step_table,
 )
-from ..semantics.asynchronous import AsyncState, AsyncSystem
-from ..semantics.network import NOTE, REPL
-from ..semantics.rendezvous import RendezvousSystem
-from ..semantics.state import RvState
+from ..check.explorer import explore
+from ..check.simulation import Equation1, StreamedSystem
+from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
+from ..semantics.network import REPL
 from .diagnostics import CODES, Diagnostic, Severity, make
+from .memokey import structural_key
 from .symbolic import (
-    Obligation,
-    SchemaFault,
+    closure_roots,
     enumerate_contexts,
-    enumerate_obligations,
+    n_engaged,
+    responder_chains,
+    step_location,
+    step_rule,
 )
 
 __all__ = ["CertificateReport", "check_certificate", "simulation_pass"]
 
 _EmitFn = Callable[..., None]
+
+#: structural key -> verdict, for the life of the process; cleared, not
+#: evicted, when full (a fuzzing campaign meets thousands of protocols).
+_VERDICTS: dict[bytes, "CertificateReport"] = {}
+_VERDICT_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -78,7 +95,7 @@ class CertificateReport:
     n_interference: int
     closure_states: int
     complete: bool
-    diagnostics: tuple[Diagnostic, ...]
+    diagnostics: tuple[Diagnostic, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -100,143 +117,32 @@ class CertificateReport:
 def check_certificate(refined: RefinedProtocol, *,
                       table: Optional[StepTable] = None,
                       max_contexts: int = 4096,
-                      max_expansions: int = 20_000,
+                      max_states: int = 20_000,
                       max_failures: int = 25,
                       ) -> CertificateReport:
-    """Discharge every simulation obligation of ``refined``.
+    """Discharge every simulation obligation of ``refined``, once.
 
     ``table`` defaults to the table derived from the AST; passing a
     mutated table checks the *mutant* semantics against the unchanged
     abstraction — the fault-injection mode of the differential harness.
+    ``max_contexts`` and ``max_states`` are the state budgets of the
+    rendezvous context sweep and of the asynchronous sweep.  The verdict
+    is memoized (module docstring); the key includes table and budgets.
     """
     derived = build_step_table(refined)
     if table is None:
         table = derived
-    diagnostics: list[Diagnostic] = []
-    seen_keys: set[tuple[str, str, str]] = set()
-    n_suppressed = 0
-
-    def emit(code: str, location: str, message: str,
-             hint: Optional[str] = None, dedup: str = "") -> None:
-        nonlocal n_suppressed
-        key = (code, location, dedup or message)
-        if key in seen_keys:
-            return
-        seen_keys.add(key)
-        if CODES[code].default_severity >= Severity.ERROR:
-            n_errors = sum(1 for d in diagnostics
-                           if d.severity >= Severity.ERROR)
-            if n_errors >= max_failures:
-                n_suppressed += 1
-                return
-        diagnostics.append(make(code, location, message, hint=hint))
-
-    # -- static half: the table must agree with the AST ----------------------
-    _check_table(table, derived, emit)
-    _check_reply_exits(refined, table, emit)
-
-    # -- dynamic half: discharge the commutation obligations -----------------
-    system = AsyncSystem(refined, 2, table=table)
-    rv_system = RendezvousSystem(refined.protocol, 2)
-    contexts, contexts_complete = enumerate_contexts(
-        refined.protocol, max_states=max_contexts)
-    fused_depth = _fused_response_depths(refined)
-
-    abs_cache: dict[AsyncState, Union[RvState, AbstractionUndefined]] = {}
-    rv_succ_cache: dict[RvState, frozenset[RvState]] = {}
-
-    def abstraction(state: AsyncState) -> Union[RvState, AbstractionUndefined]:
-        cached = abs_cache.get(state)
-        if cached is None:
-            try:
-                cached = abstract_state(system, state)
-            except AbstractionUndefined as exc:
-                cached = exc
-            abs_cache[state] = cached
-        return cached
-
-    def rv_successors(state: RvState) -> frozenset[RvState]:
-        cached = rv_succ_cache.get(state)
-        if cached is None:
-            cached = frozenset(nxt for _a, nxt in rv_system.successors(state))
-            rv_succ_cache[state] = cached
-        return cached
-
-    def reachable_within(src: RvState, dst: RvState, depth: int) -> int:
-        """Fewest rendezvous hops from ``src`` to ``dst`` within ``depth``."""
-        frontier = {src}
-        for hops in range(1, depth + 1):
-            nxt: set[RvState] = set()
-            for state in frontier:
-                succ = rv_successors(state)
-                if dst in succ:
-                    return hops
-                nxt.update(succ)
-            frontier = nxt
-        return 0
-
-    n_obligations = n_stutters = n_mapped = n_deep = 0
-    n_carved = n_interference = 0
-    stats: dict[str, int] = {}
-    for item in enumerate_obligations(system, contexts,
-                                      max_expansions=max_expansions,
-                                      stats=stats):
-        if isinstance(item, SchemaFault):
-            emit("P4401", item.location,
-                 f"transition schema row cannot execute: {item.message} "
-                 f"(in {item.before.describe()})",
-                 dedup=item.message)
-            continue
-        n_obligations += 1
-        if item.interference:
-            n_interference += 1
-        verdict = _check_obligation(item, system, abstraction,
-                                    reachable_within, fused_depth, emit)
-        if verdict == "stutter":
-            n_stutters += 1
-        elif verdict == "mapped":
-            n_mapped += 1
-        elif verdict == "deep":
-            n_deep += 1
-        elif verdict == "carved":
-            n_carved += 1
-
-    complete = contexts_complete and not stats.get("truncated")
-    if not complete:
-        what = []
-        if not contexts_complete:
-            what.append(f"rendezvous context budget {max_contexts}")
-        if stats.get("truncated"):
-            what.append(f"closure budget {max_expansions}")
-        emit("P4406", "protocol",
-             f"certificate truncated by {' and '.join(what)}; obligations "
-             "beyond the budget were not discharged",
-             hint="raise max_contexts/max_expansions to certify fully")
-
-    report = CertificateReport(
-        subject=refined.name,
-        n_contexts=len(contexts),
-        n_obligations=n_obligations,
-        n_stutters=n_stutters,
-        n_mapped=n_mapped,
-        n_mapped_deep=n_deep,
-        n_carved=n_carved,
-        n_interference=n_interference,
-        closure_states=stats.get("expanded", 0),
-        complete=complete,
-        diagnostics=tuple(diagnostics),
-    )
-    inventory = report.inventory()
-    if n_suppressed:
-        inventory += f" ({n_suppressed} further failure(s) suppressed)"
-    diagnostics.append(make("P4405", "protocol", inventory))
-    return CertificateReport(
-        subject=report.subject, n_contexts=report.n_contexts,
-        n_obligations=report.n_obligations, n_stutters=report.n_stutters,
-        n_mapped=report.n_mapped, n_mapped_deep=report.n_mapped_deep,
-        n_carved=report.n_carved, n_interference=report.n_interference,
-        closure_states=report.closure_states, complete=report.complete,
-        diagnostics=tuple(diagnostics))
+    key = structural_key(refined, table.specs, max_contexts, max_states,
+                         max_failures)
+    report = _VERDICTS.get(key) if key is not None else None
+    if report is None:
+        report = _discharge(refined, table, derived, max_contexts,
+                            max_states, max_failures)
+        if key is not None:
+            if len(_VERDICTS) >= _VERDICT_LIMIT:
+                _VERDICTS.clear()
+            _VERDICTS[key] = report
+    return report
 
 
 def simulation_pass(refined: RefinedProtocol) -> Iterator[Diagnostic]:
@@ -244,78 +150,132 @@ def simulation_pass(refined: RefinedProtocol) -> Iterator[Diagnostic]:
     return iter(check_certificate(refined).diagnostics)
 
 
-# ---------------------------------------------------------------------------
-# obligation checking
-# ---------------------------------------------------------------------------
+def _discharge(refined: RefinedProtocol, table: StepTable,
+               derived: StepTable, max_contexts: int, max_states: int,
+               max_failures: int) -> CertificateReport:
+    """The un-memoized check: static half, then the two sweeps."""
+    diagnostics: list[Diagnostic] = []
+    seen_keys: set[tuple[str, str, str]] = set()
+    n_errors = n_suppressed = 0
+
+    def emit(code: str, location: str, message: str,
+             hint: Optional[str] = None, dedup: str = "") -> None:
+        nonlocal n_errors, n_suppressed
+        key = (code, location, dedup or message)
+        if key in seen_keys:
+            return
+        seen_keys.add(key)
+        if CODES[code].default_severity >= Severity.ERROR:
+            if n_errors >= max_failures:
+                n_suppressed += 1
+                return
+            n_errors += 1
+        diagnostics.append(make(code, location, message, hint=hint))
+
+    # -- static half: the table must agree with the AST ----------------------
+    _check_table(table, derived, emit)
+    _check_reply_exits(refined, table, emit)
+
+    # -- dynamic half: Equation 1 on every edge of the rooted sweep ----------
+    system = AsyncSystem(refined, 2, table=table)
+    contexts, context_sweep = enumerate_contexts(refined.protocol,
+                                                 max_states=max_contexts)
+    eq1 = Equation1(system, context_sweep.graph)
+    fused_depth = _fused_response_depths(refined)
+    n_obligations = n_carved = n_interference = 0
+
+    def visit(state: AsyncState, steps: list[Step]) -> None:
+        nonlocal n_obligations, n_carved, n_interference
+        n_obligations += len(steps)
+        if n_engaged(state) >= 2:
+            n_interference += len(steps)
+        before = eq1.abstraction(state)
+        for step in steps:
+            after = eq1.abstraction(step.state)
+            if isinstance(before, AbstractionUndefined):
+                n_carved += _report_undefined(system, state, step, state,
+                                              before, emit)
+                continue
+            if isinstance(after, AbstractionUndefined):
+                n_carved += _report_undefined(system, state, step,
+                                              step.state, after, emit)
+                continue
+            # A step that puts a fused REPL in flight fast-forwards its
+            # target through both rendezvous at once (plus the responder's
+            # internal tau chain for a home-initiated pair), so it may map
+            # to several hops; every other step maps to at most one.
+            allowed = 1
+            repl = next((m for m in step.sends if m.kind == REPL), None)
+            if repl is not None and repl.msg is not None:
+                allowed = fused_depth.get(repl.msg, 1)
+            if not eq1.holds(before, after, allowed):
+                rule, action = step_rule(state, step), step.action.describe()
+                emit("P4401", step_location(state, step),
+                     f"rule {rule} ({action}) does not commute: abs maps "
+                     f"{before.describe()} -> {after.describe()}, not "
+                     f"reachable in <= {allowed} rendezvous step(s)",
+                     hint="check the rewind/fast-forward targets of the "
+                          "step-table row that fired here",
+                     dedup=f"{rule}:{action}")
+
+    def fault(state: AsyncState, exc: SemanticsError) -> None:
+        emit("P4401", step_location(state),
+             f"transition schema row cannot execute: {exc} "
+             f"(in {state.describe()})", dedup=str(exc))
+
+    sweep = explore(
+        StreamedSystem(system, visit, roots=closure_roots(system, contexts),
+                       fault=fault),
+        name=f"{refined.name}-certificate", max_states=max_states,
+        allow_deadlock=True)
+
+    truncated = [f"the {what} sweep ({run.stop_reason})"
+                 for what, run in (("rendezvous context", context_sweep),
+                                   ("asynchronous", sweep))
+                 if not run.completed]
+    if truncated:
+        emit("P4406", "protocol",
+             f"certificate truncated in {' and '.join(truncated)}; "
+             "obligations beyond the budget were not discharged",
+             hint="raise max_contexts/max_states to certify fully")
+
+    report = CertificateReport(
+        subject=refined.name, n_contexts=len(contexts),
+        n_obligations=n_obligations, n_stutters=eq1.n_stutters,
+        n_mapped=eq1.n_mapped, n_mapped_deep=eq1.n_deep, n_carved=n_carved,
+        n_interference=n_interference,
+        closure_states=sweep.n_states - 1,  # minus the synthetic root
+        complete=not truncated)
+    inventory = report.inventory()
+    if n_suppressed:
+        inventory += f" ({n_suppressed} further failure(s) suppressed)"
+    diagnostics.append(make("P4405", "protocol", inventory))
+    return replace(report, diagnostics=tuple(diagnostics))
 
 
-def _check_obligation(
-        item: Obligation,
-        system: AsyncSystem,
-        abstraction: Callable[[AsyncState],
-                              Union[RvState, AbstractionUndefined]],
-        reachable_within: Callable[[RvState, RvState, int], int],
-        fused_depth: dict[str, int],
-        emit: _EmitFn) -> str:
-    """Check one obligation; returns its inventory bucket."""
-    before_abs = abstraction(item.before)
-    after_abs = abstraction(item.step.state)
-
-    for state, image in ((item.before, before_abs),
-                         (item.step.state, after_abs)):
-        if isinstance(image, AbstractionUndefined):
-            if image.is_note_carveout and _has_note(state) \
-                    and system.plan.fire_and_forget:
-                return "carved"
-            if image.is_note_carveout:
-                emit("P4402", item.location,
-                     f"abs undefined ({image.reason}) on rule {item.rule} "
-                     "but the plan declares no fire-and-forget messages: "
-                     f"{image} (in {state.describe()})",
-                     dedup=f"{item.rule}:{image.reason}")
-            else:
-                emit("P4403", item.location,
-                     f"abs has no preimage ({image.reason}) after rule "
-                     f"{item.rule}: {image} (in {state.describe()})",
-                     hint="a transient state must always hold a witness "
-                          "message (request, ack, nack or reply) for abs "
-                          "to discharge",
-                     dedup=f"{item.rule}:{image.reason}")
-            return "failed"
-
-    assert isinstance(before_abs, RvState)
-    assert isinstance(after_abs, RvState)
-    if before_abs == after_abs:
-        return "stutter"
-    # A step that puts a fused REPL in flight fast-forwards its target
-    # through both rendezvous at once (plus the responder's internal tau
-    # chain for a home-initiated pair), so it may map to several hops;
-    # every other step maps to at most one.
-    allowed = 1
-    repl = next((m for m in item.step.sends if m.kind == REPL), None)
-    if repl is not None and repl.msg is not None:
-        allowed = fused_depth.get(repl.msg, 1)
-    hops = reachable_within(before_abs, after_abs, allowed)
-    if hops == 1:
-        return "mapped"
-    if hops > 1:
-        return "deep"
-    emit("P4401", item.location,
-         f"rule {item.rule} ({item.step.action.describe()}) does not "
-         f"commute: abs maps {before_abs.describe()} -> "
-         f"{after_abs.describe()}, not reachable in <= {allowed} "
-         "rendezvous step(s)",
-         hint="check the rewind/fast-forward targets of the step-table "
-              "row that fired here",
-         dedup=f"{item.rule}:{item.step.action.describe()}")
-    return "failed"
-
-
-def _has_note(state: AsyncState) -> bool:
-    if any(entry.note for entry in state.home.buffer):
-        return True
-    return any(msg.kind == NOTE
-               for _i, _direction, msg in state.channels.in_flight())
+def _report_undefined(system: AsyncSystem, before: AsyncState, step: Step,
+                      state: AsyncState, image: AbstractionUndefined,
+                      emit: _EmitFn) -> int:
+    """``abs`` is undefined on one end (``state``) of an edge: 1 if that
+    is the fire-and-forget carve-out, else a P4402/P4403 and 0."""
+    if image.is_note_carveout and system.plan.fire_and_forget:
+        return 1  # abs is undefined *because* state holds a note
+    rule = step_rule(before, step)
+    if image.is_note_carveout:
+        emit("P4402", step_location(before, step),
+             f"abs undefined ({image.reason}) on rule {rule} "
+             "but the plan declares no fire-and-forget messages: "
+             f"{image} (in {state.describe()})",
+             dedup=f"{rule}:{image.reason}")
+    else:
+        emit("P4403", step_location(before, step),
+             f"abs has no preimage ({image.reason}) after rule "
+             f"{rule}: {image} (in {state.describe()})",
+             hint="a transient state must always hold a witness "
+                  "message (request, ack, nack or reply) for abs "
+                  "to discharge",
+             dedup=f"{rule}:{image.reason}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +344,8 @@ def _fused_response_depths(refined: RefinedProtocol) -> dict[str, int]:
     later reply emission is the second hop — so its reply stays at the
     default allowance of 1.)
     """
-    depths: dict[str, int] = {}
-    remote = refined.protocol.remote
-    for msg in refined.plan.home_fused_requests:
-        worst = 0
-        for state in remote.states.values():
-            for guard in state.guards:
-                if not isinstance(guard, Input) or guard.msg != msg:
-                    continue
-                hops = 0
-                cursor = remote.state(guard.to)
-                while (cursor.is_internal and len(cursor.guards) == 1
-                       and hops <= len(remote.states)):
-                    hops += 1
-                    cursor = remote.state(cursor.taus[0].to)
-                worst = max(worst, hops)
-        depths[refined.plan.reply_of[msg]] = 2 + worst
-    return depths
+    return {refined.plan.reply_of[msg]: 2 + max(
+                (len(chain) - 1 for chain
+                 in responder_chains(refined.protocol.remote, msg)),
+                default=0)
+            for msg in refined.plan.home_fused_requests}

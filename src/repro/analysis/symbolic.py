@@ -1,10 +1,10 @@
-"""Symbolic two-node configurations for the refinement certificate.
+"""Two-node configurations for the refinement certificate.
 
 The certificate checker of :mod:`repro.analysis.simulation` must discharge
 one commutation obligation per *transition schema instance* — (role,
-control/transient state, delivered message or send) — without exploring
-the asynchronous state space whose explosion the paper set out to avoid.
-This module produces those instances.
+control/transient state, delivered message or send).  This module says
+where those instances come from: which asynchronous states the
+certificate's sweep is rooted at, and how a step met there is named.
 
 **Why two nodes suffice.**  Every Tables 1/2 row involves at most the home
 node, the remote it is exchanging with, and one *competitor* whose request
@@ -18,43 +18,42 @@ system exhibits every schema row in every machinery posture.  This is the
 standard parameterized argument (cf. flow-based frameworks for
 arbitrary-``n`` protocols); it is what makes the check N-independent.
 
-**How instances are produced.**  The *contexts* — joint control states the
-parties can occupy when no machinery is in flight — are exactly the
-reachable states of the **rendezvous** system at ``n = 2``: the tiny state
-space the paper proposes users verify, not the asynchronous one.  Each
+**What is swept.**  The *contexts* — joint control states the parties can
+occupy when no machinery is in flight — are the reachable states of the
+**rendezvous** system at ``n = 2`` (:func:`enumerate_contexts`).  Each
 context ``c`` is embedded as the quiescent asynchronous state ``E(c)``
-(empty channels and buffers, every node idle) and its closure is
-enumerated: all asynchronous steps reachable from ``E(c)``, deduplicated
-globally across contexts.  Nack/retransmit and rescan cycles revisit
-earlier closure states, so the closure is finite — it is the
-asynchronous reachable set at ``n = 2`` seeded from *every* context,
-which also covers contexts a particular initial state would never reach.
-(Quiescent states are expanded like any other: a node's out-guard cursor
-after T2 nack-cycling differs from the embedding's, so treating them as
-"already covered" would hide the retry flows.)
+(empty channels and buffers, every node idle), and the certificate is the
+*complete* ``n = 2`` asynchronous state space rooted at every embedding
+(:func:`closure_roots`): one :func:`~repro.check.explorer.explore` sweep
+from all of them at once, every edge an obligation.  That is a superset
+of the sweep from the initial state — it also covers contexts a
+particular initial state never quiesces in (on about 6 % of random
+protocols strictly more states and edges; EXPERIMENTS.md section 4) — and
+it is finite because nack/retransmit and rescan cycles revisit earlier
+states.  Quiescent states are expanded like any other: a node's out-guard
+cursor after T2 nack-cycling differs from the embedding's, so treating
+them as "already covered" would hide the retry flows.
 
 Contexts in which a remote occupies a state that exists only *mid-fused
-exchange* are skipped: for a remote-initiated pair that is the requester's
-reply-waiting state (the requester is transient there, never idle), and
-for a home-initiated pair the responder's atomic response chain (consumed
-in a single C3 step, never occupied at all).  Embedding them idle would
-fabricate asynchronously unreachable configurations — e.g. a fused reply
-arriving at a non-transient node, a :class:`SemanticsError` by
-construction.  The closures of the surrounding contexts walk through the
+exchange* are not roots: for a remote-initiated pair that is the
+requester's reply-waiting state (the requester is transient there, never
+idle), and for a home-initiated pair the responder's atomic response chain
+(consumed in a single C3 step, never occupied at all).  Embedding them
+idle would fabricate asynchronously unreachable configurations — e.g. a
+fused reply arriving at a non-transient node, a :class:`SemanticsError` by
+construction.  The sweep from the surrounding contexts walks through the
 real mid-exchange configurations instead.
-
-Each emitted :class:`Obligation` carries a concrete before-state and the
-executed :class:`~repro.semantics.asynchronous.Step`; a schema row whose
-execution raises is reported as a :class:`SchemaFault`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union, cast
+from typing import Iterator, Optional, cast
 
-from ..csp.ast import Input, Protocol
-from ..errors import SemanticsError
+from ..csp.ast import ProcessDef, Protocol
+from ..check.explorer import explore
+from ..check.stats import ExplorationResult
+from ..check.store import ExactStore
+from ..refine.transitions import KIND_REQUEST, REMOTE
 from ..semantics.asynchronous import (
     IDLE,
     AsyncState,
@@ -74,55 +73,23 @@ from ..semantics.network import Channels
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
 
-__all__ = [
-    "Obligation",
-    "SchemaFault",
-    "embed",
-    "enumerate_contexts",
-    "enumerate_obligations",
-    "is_quiescent",
-]
+__all__ = ["closure_roots", "embed", "enumerate_contexts", "n_engaged",
+           "responder_chains", "step_location", "step_rule"]
 
 
-@dataclass(frozen=True)
-class Obligation:
-    """One commutation obligation: a concrete step to check under ``abs``."""
-
-    rule: str  # schema-row label, e.g. "remote.send" or "deliver.ACK→home"
-    location: str  # "process.state" anchor for diagnostics
-    before: AsyncState
-    step: Step
-    #: a competing remote has machinery of its own in this configuration
-    #: (the T3-T6 buffering/nacking postures)
-    interference: bool = False
-
-
-@dataclass(frozen=True)
-class SchemaFault:
-    """A schema row whose execution raised instead of producing a step."""
-
-    location: str
-    message: str
-    before: AsyncState
-
-
-ObligationItem = Union[Obligation, SchemaFault]
-
-
-def enumerate_contexts(protocol: Protocol, *,
-                       max_states: int = 4096,
-                       ) -> tuple[list[RvState], bool]:
-    """Reachable rendezvous states at ``n = 2``, plus a completeness flag."""
-    from ..check.explorer import explore
-    from ..check.store import ExactStore
-
+def enumerate_contexts(protocol: Protocol, *, max_states: int = 4096,
+                       ) -> tuple[list[RvState], ExplorationResult]:
+    """Reachable rendezvous states at ``n = 2`` in BFS discovery order,
+    and the sweep that found them (its ``graph`` is kept: the Equation-1
+    test reuses the successor sets instead of expanding them again)."""
     store = ExactStore()  # iterates in BFS discovery order
     result = explore(RendezvousSystem(protocol, 2), store=store,
-                     allow_deadlock=True, max_states=max_states)
-    return cast("list[RvState]", list(store)), result.completed
+                     allow_deadlock=True, max_states=max_states,
+                     keep_graph=True)
+    return cast("list[RvState]", list(store)), result
 
 
-def embed(system: AsyncSystem, context: RvState) -> AsyncState:
+def embed(context: RvState) -> AsyncState:
     """The quiescent asynchronous state ``E(c)`` of a rendezvous context."""
     home = HomeNode(state=context.home.state, env=context.home.env)
     remotes = tuple(RemoteNode(state=p.state, env=p.env)
@@ -131,73 +98,35 @@ def embed(system: AsyncSystem, context: RvState) -> AsyncState:
                       channels=Channels.empty(len(context.remotes)))
 
 
-def is_quiescent(state: AsyncState) -> bool:
-    """No machinery anywhere: the state is an embedding of some context."""
-    if state.home.mode != IDLE or state.home.buffer:
-        return False
-    if any(r.mode != IDLE or r.buf is not None for r in state.remotes):
-        return False
-    return all(not queue for queue in state.channels.queues)
+def closure_roots(system: AsyncSystem,
+                  contexts: list[RvState]) -> list[AsyncState]:
+    """The embeddings the certificate's sweep starts from: every context
+    but those with a remote in a mid-exchange state.
 
-
-def enumerate_obligations(system: AsyncSystem,
-                          contexts: list[RvState], *,
-                          max_expansions: int = 20_000,
-                          stats: dict[str, int] | None = None,
-                          ) -> Iterator[ObligationItem]:
-    """All closure obligations over the given contexts.
-
-    Yields :class:`Obligation` records (deduplicated globally by
-    (before-state, action)) and :class:`SchemaFault` records for rows
-    whose execution raises.  If ``stats`` is given, ``stats["expanded"]``
-    receives the closure size and ``stats["truncated"]`` is set to 1 when
-    ``max_expansions`` cut the enumeration short.
+    The first context (BFS order: the rendezvous initial state) is always
+    a root — its embedding is the asynchronous initial state, reachable
+    whatever its remotes' states are — so the sweep contains the one
+    ``check_simulation`` makes from there.  (Otherwise a remote whose
+    *initial* state is a reply-waiting state leaves the certificate no
+    root at all and it holds vacuously: ``random_protocol(24)``.)
     """
-    skip_states = _mid_exchange_states(system)
-    expanded: set[AsyncState] = set()
-    if stats is not None:
-        stats.setdefault("truncated", 0)
-    for context in contexts:
-        if any(p.state in skip_states for p in context.remotes):
-            continue
-        frontier: list[AsyncState] = [embed(system, context)]
-        while frontier:
-            state = frontier.pop()
-            if state in expanded:
-                continue
-            if len(expanded) >= max_expansions:
-                if stats is not None:
-                    stats["truncated"] = 1
-                    stats["expanded"] = len(expanded)
-                return
-            expanded.add(state)
-            try:
-                steps = system.steps(state)
-            except SemanticsError as exc:
-                yield SchemaFault(location=_location(state), message=str(exc),
-                                  before=state)
-                continue
-            busy = _n_engaged(state)
-            for step in steps:
-                yield Obligation(rule=_classify(state, step),
-                                 location=_location(state, step),
-                                 before=state, step=step,
-                                 interference=busy >= 2)
-                # quiescent successors are expanded too: a node's guard
-                # cursor (T2 out-guard cycling) can differ from the
-                # embedding's, so stopping there would hide retry flows
-                frontier.append(step.state)
-    if stats is not None:
-        stats["expanded"] = len(expanded)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
+    skip = _mid_exchange_states(system)
+    roots = []
+    for index, context in enumerate(contexts):
+        if index == 0 or not any(p.state in skip for p in context.remotes):
+            roots.append(embed(context))
+            # CPython lets only a class's first few dozen instances extend
+            # its shared attribute keys, and the state classes add their
+            # hash memo on first use: hash each root as it is made, or
+            # hundreds of unhashed ones freeze the keys without it and
+            # every node of every later sweep in this process pays for a
+            # dict of its own (+2 MiB VmHWM on ``check invalidate -n 3``).
+            hash(roots[-1])
+    return roots
 
 
 def _mid_exchange_states(system: AsyncSystem) -> frozenset[str]:
-    """Remote states occupied only mid-fused-exchange (skip as contexts).
+    """Remote states occupied only mid-fused-exchange (never roots).
 
     Two families: the requester's reply-waiting state of a
     remote-initiated fused pair (occupied only while transient), and the
@@ -205,30 +134,34 @@ def _mid_exchange_states(system: AsyncSystem) -> frozenset[str]:
     C3 fused response, so asynchronous execution never idles there.
     Embedding either idle fabricates an unreachable configuration.
     """
-    from ..refine.transitions import KIND_REQUEST, REMOTE
-    states: set[str] = set()
-    for spec in system.table:
-        if (spec.role == REMOTE and spec.kind == KIND_REQUEST
-                and spec.reply_to is not None):
-            states.add(spec.reply_to)
-    remote = system.protocol.remote
+    states = {spec.reply_to for spec in system.table
+              if spec.role == REMOTE and spec.kind == KIND_REQUEST
+              and spec.reply_to is not None}
     for msg in system.table.fused_requests("home"):
-        for state_def in remote.states.values():
-            for guard in state_def.guards:
-                if not isinstance(guard, Input) or guard.msg != msg:
-                    continue
-                cursor = remote.state(guard.to)
-                states.add(cursor.name)
-                hops = 0
-                while (cursor.is_internal and len(cursor.guards) == 1
-                       and hops <= len(remote.states)):
-                    cursor = remote.state(cursor.taus[0].to)
-                    states.add(cursor.name)
-                    hops += 1
+        for chain in responder_chains(system.protocol.remote, msg):
+            states.update(chain)
     return frozenset(states)
 
 
-def _n_engaged(state: AsyncState) -> int:
+def responder_chains(remote: ProcessDef, msg: str) -> Iterator[list[str]]:
+    """Per input guard of ``remote`` on the home-initiated fused request
+    ``msg``: the states its C3 fused response passes through in one
+    asynchronous step — the guard's target, then single-tau internal
+    states up to the one that emits the reply."""
+    for state in remote.states.values():
+        for guard in state.inputs:
+            if guard.msg != msg:
+                continue
+            cursor = remote.state(guard.to)
+            chain = [cursor.name]
+            while (cursor.is_internal and len(cursor.guards) == 1
+                   and len(chain) <= len(remote.states) + 1):
+                cursor = remote.state(cursor.taus[0].to)
+                chain.append(cursor.name)
+            yield chain
+
+
+def n_engaged(state: AsyncState) -> int:
     """How many remotes have machinery (transient, buffered, or in flight)."""
     count = 0
     for i, node in enumerate(state.remotes):
@@ -240,7 +173,7 @@ def _n_engaged(state: AsyncState) -> int:
     return count
 
 
-def _classify(before: AsyncState, step: Step) -> str:
+def step_rule(before: AsyncState, step: Step) -> str:
     """A human-stable schema-row label for an executed step."""
     action = step.action
     if isinstance(action, RemoteSend):
@@ -264,8 +197,8 @@ def _classify(before: AsyncState, step: Step) -> str:
     return "unknown"
 
 
-def _location(state: AsyncState, step: Step | None = None) -> str:
-    """A ``process.state`` diagnostic anchor for a closure configuration."""
+def step_location(state: AsyncState, step: Optional[Step] = None) -> str:
+    """A ``process.state`` diagnostic anchor for a swept configuration."""
     action = step.action if step is not None else None
     if isinstance(action, (RemoteSend, RemoteC3, RemoteTau, DeliverToRemote)):
         return f"remote.{state.remotes[action.remote].state}"

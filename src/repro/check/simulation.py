@@ -41,16 +41,148 @@ procedure "applies to large classes of DSM protocols".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
-from ..refine.abstraction import abstract_state
-from ..semantics.asynchronous import AsyncSystem
+from ..errors import SemanticsError
+from ..refine.abstraction import AbstractionUndefined, abstract_state
+from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
 from .explorer import explore
 from .stats import ExplorationResult
 
-__all__ = ["SimulationReport", "check_simulation"]
+__all__ = ["Equation1", "SimulationReport", "StreamedSystem",
+           "check_simulation"]
+
+#: ``abs`` of a state, or the exception saying why it has none.
+Image = Union[RvState, AbstractionUndefined]
+
+
+class Equation1:
+    """The Equation-1 edge test and the caches it rests on.
+
+    One instance serves one sweep of ``system``: ``abs`` is computed once
+    per asynchronous state, a rendezvous successor set once per abstract
+    state (taken from ``rv_graph`` — an ``explore(keep_graph=True)`` graph
+    of the rendezvous system — where the caller already swept it), and
+    the reachability verdict once per ``(abs src, abs dst, depth)``.
+    The three counters partition the edges that passed :meth:`holds`.
+    """
+
+    def __init__(self, system: AsyncSystem,
+                 rv_graph: Optional[Mapping[Any, Any]] = None) -> None:
+        self.system = system
+        self.rv_system = RendezvousSystem(system.protocol, system.n_remotes)
+        self._rv_graph: Mapping[Any, Any] = rv_graph or {}
+        self._images: dict[AsyncState, Image] = {}
+        self._successors: dict[RvState, frozenset[RvState]] = {}
+        self._hops: dict[tuple[RvState, RvState, int], int] = {}
+        self.n_stutters = self.n_mapped = self.n_deep = 0
+
+    def abstraction(self, state: AsyncState) -> Image:
+        """``abs(state)``; where undefined, the exception (not raised)."""
+        image = self._images.get(state)
+        if image is None:
+            try:
+                image = abstract_state(self.system, state)
+            except AbstractionUndefined as exc:
+                image = exc
+            self._images[state] = image
+        return image
+
+    def n_abstract_states(self) -> int:
+        """Rendezvous states that are the image of some swept state."""
+        return len({image for image in self._images.values()
+                    if isinstance(image, RvState)})
+
+    def holds(self, src: RvState, dst: RvState, depth: int) -> bool:
+        """Tally one edge: a stutter, or ``dst`` reachable from ``src``
+        within ``depth`` rendezvous steps; False if it is neither."""
+        if src == dst:
+            self.n_stutters += 1
+            return True
+        hops = self.reachable_within(src, dst, depth)
+        if hops == 1:
+            self.n_mapped += 1
+        elif hops > 1:
+            self.n_deep += 1
+        return hops > 0
+
+    def reachable_within(self, src: RvState, dst: RvState,
+                         depth: int) -> int:
+        """Fewest rendezvous steps (1..depth) from ``src`` to ``dst``, or 0
+        if unreachable within the bound."""
+        key = (src, dst, depth)
+        found = self._hops.get(key)
+        if found is None:
+            found = self._hops[key] = self._search(src, dst, depth)
+        return found
+
+    def _search(self, src: RvState, dst: RvState, depth: int) -> int:
+        frontier = {src}
+        for hops in range(1, depth + 1):
+            nxt: set[RvState] = set()
+            for state in frontier:
+                succ = self._rv_successors(state)
+                if dst in succ:
+                    return hops
+                nxt.update(succ)
+            frontier = nxt
+        return 0
+
+    def _rv_successors(self, state: RvState) -> frozenset[RvState]:
+        cached = self._successors.get(state)
+        if cached is None:
+            edges = self._rv_graph.get(state)
+            if edges is None:
+                edges = self.rv_system.successors(state)
+            cached = self._successors[state] = frozenset(
+                nxt for _action, nxt in edges)
+        return cached
+
+
+class StreamedSystem:
+    """``system`` as :func:`~repro.check.explorer.explore` sees it,
+    analysed while it is swept instead of from a kept graph.
+
+    ``visit(state, steps)`` is called once per expanded state with the
+    :class:`~repro.semantics.asynchronous.Step` list out of it.  Given
+    ``roots``, the sweep starts from a synthetic initial state whose
+    successors they are (the ``_WithCompletes`` pattern of
+    :mod:`repro.check.properties`), so one ``explore()`` call covers the
+    closure of several start states.  A :class:`SemanticsError` out of
+    ``steps()`` goes to ``fault(state, exc)`` when given — the state then
+    has no successors — and propagates otherwise.
+    """
+
+    ROOT = "<roots>"
+
+    def __init__(self, system: AsyncSystem,
+                 visit: Callable[[AsyncState, list[Step]], None], *,
+                 roots: Optional[Sequence[AsyncState]] = None,
+                 fault: Optional[Callable[[AsyncState, SemanticsError],
+                                          None]] = None) -> None:
+        self.system = system
+        self.visit = visit
+        self.roots = roots
+        self.fault = fault
+
+    def initial_state(self) -> Any:
+        return (self.ROOT if self.roots is not None
+                else self.system.initial_state())
+
+    def successors(self, state: Any) -> list[tuple[Any, Any]]:
+        if state is self.ROOT:
+            return [(None, root) for root in self.roots or ()]
+        try:
+            steps = self.system.steps(state)
+        except SemanticsError as exc:
+            if self.fault is None:
+                raise
+            self.fault(state, exc)
+            return []
+        self.visit(state, steps)
+        return [(step.action, step.state) for step in steps]
 
 
 @dataclass
@@ -94,99 +226,63 @@ def check_simulation(
 ) -> SimulationReport:
     """Exhaustively verify Equation 1 for ``async_system``.
 
-    Explores the full asynchronous state space (subject to the budgets),
-    abstracts every state, and checks each edge is a stutter or maps to at
+    Sweeps the full asynchronous state space (subject to the budgets) and
+    checks each edge, as it is generated, to be a stutter or to map to at
     most ``max_depth`` consecutive rendezvous transitions (see the module
-    docstring for why fused pairs need depth 2).  Rendezvous successor sets
-    are memoized per abstract state, so the rendezvous side is only
-    expanded on demand.
+    docstring for why fused pairs need depth 2).  No graph is kept; the
+    rendezvous side is only expanded on demand (:class:`Equation1`).
+    An undefined ``abs`` raises :class:`AbstractionUndefined`.
     """
-    rv_system = RendezvousSystem(async_system.protocol,
-                                 async_system.n_remotes)
-    if max_depth is None:
-        max_depth = 2 if async_system.plan.fused else 1
-    exploration = explore(async_system,
-                          name=f"{async_system.refined.name}-simcheck",
-                          max_states=max_states, max_seconds=max_seconds,
-                          keep_graph=True, allow_deadlock=True)
-    graph = exploration.graph or {}
-
-    abs_cache: dict[object, RvState] = {}
-    rv_succ_cache: dict[RvState, frozenset[RvState]] = {}
-
-    def abstraction(state: object) -> RvState:
-        cached = abs_cache.get(state)
-        if cached is None:
-            cached = abstract_state(async_system, state)  # type: ignore[arg-type]
-            abs_cache[state] = cached
-        return cached
-
-    def rv_successors(state: RvState) -> frozenset[RvState]:
-        cached = rv_succ_cache.get(state)
-        if cached is None:
-            cached = frozenset(s for _a, s in rv_system.successors(state))
-            rv_succ_cache[state] = cached
-        return cached
-
+    eq1 = Equation1(async_system)
+    depth = max_depth if max_depth is not None else (
+        2 if async_system.plan.fused else 1)
     failures: list[str] = []
-    n_edges = n_stutters = n_mapped = n_deep = 0
+    n_edges = 0
+
+    def image(state: AsyncState) -> RvState:
+        found = eq1.abstraction(state)
+        if isinstance(found, AbstractionUndefined):
+            raise found
+        return found
 
     # base case: initial abstractions agree
-    init_abs = abstraction(async_system.initial_state())
-    rv_init = rv_system.initial_state()
+    init_abs = image(async_system.initial_state())
+    rv_init = eq1.rv_system.initial_state()
     if init_abs != rv_init:
         failures.append(
             f"initial abstraction mismatch: abs(q0) = {init_abs.describe()} "
             f"but rendezvous initial state is {rv_init.describe()}")
 
-    def reachable_within(src: RvState, dst: RvState, depth: int) -> int:
-        """Smallest number of rendezvous steps (1..depth) from src to dst,
-        or 0 if unreachable within the bound."""
-        frontier = {src}
-        for hops in range(1, depth + 1):
-            nxt: set[RvState] = set()
-            for state in frontier:
-                succ = rv_successors(state)
-                if dst in succ:
-                    return hops
-                nxt.update(succ)
-            frontier = nxt
-        return 0
-
-    for state, successors in graph.items():
+    def visit(state: AsyncState, steps: list[Step]) -> None:
+        nonlocal n_edges
         if len(failures) >= max_failures:
-            break
-        src_abs = abstraction(state)
-        for action, nxt in successors:
+            return
+        src_abs = image(state)
+        for step in steps:
             n_edges += 1
-            dst_abs = abstraction(nxt)
-            if dst_abs == src_abs:
-                n_stutters += 1
-                continue
-            hops = reachable_within(src_abs, dst_abs, max_depth)
-            if hops == 1:
-                n_mapped += 1
-            elif hops > 1:
-                n_deep += 1
-            else:
+            dst_abs = image(step.state)
+            if not eq1.holds(src_abs, dst_abs, depth):
                 failures.append(
-                    f"edge {action.describe()} maps "
+                    f"edge {step.action.describe()} maps "
                     f"{src_abs.describe()} -> {dst_abs.describe()}, not "
-                    f"reachable in <= {max_depth} rendezvous steps"
-                )
+                    f"reachable in <= {depth} rendezvous steps")
                 if len(failures) >= max_failures:
-                    break
+                    return
 
+    exploration = explore(StreamedSystem(async_system, visit),
+                          name=f"{async_system.refined.name}-simcheck",
+                          max_states=max_states, max_seconds=max_seconds,
+                          allow_deadlock=True)
+    if not failures and not exploration.completed:
+        failures.append(f"exploration incomplete: {exploration.stop_reason}")
     return SimulationReport(
-        ok=not failures and exploration.completed,
+        ok=not failures,
         n_async_states=exploration.n_states,
         n_edges_checked=n_edges,
-        n_stutters=n_stutters,
-        n_mapped=n_mapped,
-        n_mapped_deep=n_deep,
-        n_abstract_states=len(set(abs_cache.values())),
+        n_stutters=eq1.n_stutters,
+        n_mapped=eq1.n_mapped,
+        n_mapped_deep=eq1.n_deep,
+        n_abstract_states=eq1.n_abstract_states(),
         exploration=exploration,
-        failures=failures if failures else (
-            [] if exploration.completed
-            else [f"exploration incomplete: {exploration.stop_reason}"]),
+        failures=failures,
     )

@@ -260,7 +260,10 @@ def cmd_lint(args) -> int:
         protocol = _build(name)
         try:
             # analyze the *refined* protocol so the transient-state pass
-            # runs too; refinement is purely static and cheap.
+            # runs too.  refine() is not cheap — its gate sweeps the n = 2
+            # asynchronous space for the P44xx certificate — but the
+            # verdict is memoized, so the simulation pass below reads it
+            # back instead of sweeping again.
             report = analyze_refined(refine(protocol, config),
                                      nodes=args.nodes)
         except ValidationError:

@@ -64,3 +64,22 @@ def migratory_rv2(migratory):
 @pytest.fixture
 def migratory_async2(migratory_refined):
     return AsyncSystem(migratory_refined, 2)
+
+
+@pytest.fixture
+def certificate_sweeps(monkeypatch):
+    """An empty certificate memo for this test, and a one-element list
+    counting the closure sweeps run — a counter on the adapter every
+    sweep goes through, not a clock."""
+    from repro.analysis import simulation
+
+    monkeypatch.setattr(simulation, "_VERDICTS", {})
+    count = [0]
+    initial_state = simulation.StreamedSystem.initial_state
+
+    def counting(self):
+        count[0] += self.roots is not None  # check_simulation has none
+        return initial_state(self)
+
+    monkeypatch.setattr(simulation.StreamedSystem, "initial_state", counting)
+    return count

@@ -187,21 +187,63 @@ class TestContexts:
         """The n = 2 rendezvous reachable set, in BFS discovery order; a
         budget cuts it where the explorer's state budget does."""
         protocol = factory()
-        contexts, complete = enumerate_contexts(protocol)
-        assert (len(contexts), complete) == (n_contexts, True)
+        contexts, sweep = enumerate_contexts(protocol)
+        assert (len(contexts), sweep.completed) == (n_contexts, True)
         assert len(set(contexts)) == n_contexts
-        truncated, complete = enumerate_contexts(protocol, max_states=3)
-        assert (truncated, complete) == (contexts[:n_truncated], False)
+        # the kept graph is what feeds the Equation-1 test's successor sets
+        assert list(sweep.graph) == contexts
+        truncated, sweep = enumerate_contexts(protocol, max_states=3)
+        assert truncated == contexts[:n_truncated]
+        assert sweep.stop_reason == "state budget 3 exceeded"
+
+
+    def test_the_initial_context_is_always_a_root(self):
+        """``random_protocol(24)``: the remote's *initial* state is the
+        reply-waiting state of a fused pair, so every context has a remote
+        mid-exchange.  Skipping them all left the certificate rootless —
+        "0 obligations", vacuously clean — while the sweep from the
+        initial state has four edges to check."""
+        from repro.check.simulation import check_simulation
+        from repro.gen import random_protocol
+        refined = refine(random_protocol(24))
+        remote = refined.protocol.remote
+        assert remote.initial_state in {
+            spec.reply_to for spec in build_step_table(refined)}
+        report = check_certificate(refined)
+        sim = check_simulation(AsyncSystem(refined, 2))
+        assert report.ok and sim.ok
+        assert (report.closure_states, report.n_obligations) == (4, 4)
+        assert (sim.n_async_states, sim.n_edges_checked) == (4, 4)
 
 
 class TestBudgets:
     def test_truncation_is_reported_not_silent(self):
-        report = check_certificate(refine(msi_protocol()),
-                                   max_expansions=500)
+        refined = refine(msi_protocol())
+        report = check_certificate(refined, max_states=500)
         assert not report.complete
-        assert any(d.code == "P4406" for d in report.diagnostics)
-        # truncation alone is a warning, not an error verdict
+        # truncation alone is one warning naming the explorer's stop
+        # reason, not an error verdict — and the report is well formed
+        [warning] = [d for d in report.diagnostics if d.code == "P4406"]
+        assert warning.severity == Severity.WARNING
+        assert "asynchronous sweep (state budget 500 exceeded)" \
+            in warning.message
         assert report.ok
+        assert 500 <= report.closure_states < 9162
+        assert report.n_obligations == (report.n_stutters + report.n_mapped
+                                        + report.n_mapped_deep
+                                        + report.n_carved)
+        assert report.diagnostics[-1].code == "P4405"
+        # the budget is part of the memo key: the truncated verdict never
+        # answers for the untruncated call
+        full = check_certificate(refined)
+        assert full.complete and full.closure_states == 9162
+
+    def test_truncated_context_sweep_is_reported_too(self, migratory_refined):
+        report = check_certificate(migratory_refined, max_contexts=3)
+        assert not report.complete
+        [warning] = [d for d in report.diagnostics if d.code == "P4406"]
+        assert "rendezvous context sweep (state budget 3 exceeded)" \
+            in warning.message
 
     def test_error_flood_is_capped(self, migratory_refined,
                                    migratory_table):

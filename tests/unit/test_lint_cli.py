@@ -138,6 +138,42 @@ class TestCertificateCodes:
         assert "P4405" in capsys.readouterr().out
 
 
+    #: P4405 text per protocol, byte for byte what the private DFS printed
+    #: before the certificate became one explore() sweep
+    INVENTORIES = {
+        "invalidate-async":
+            "11092 obligations over 723 contexts (6484 stutters, 4574 "
+            "single-step, 34 multi-step fused, 0 carved fire-and-forget, "
+            "5558 interference); closure 5262 states",
+        "mesi-async":
+            "30262 obligations over 803 contexts (21714 stutters, 8546 "
+            "single-step, 2 multi-step fused, 0 carved fire-and-forget, "
+            "18036 interference); closure 13356 states",
+        "migratory-async":
+            "234 obligations over 15 contexts (162 stutters, 70 "
+            "single-step, 2 multi-step fused, 0 carved fire-and-forget, "
+            "148 interference); closure 127 states",
+        "msi-async":
+            "20022 obligations over 1026 contexts (12528 stutters, 7448 "
+            "single-step, 46 multi-step fused, 0 carved fire-and-forget, "
+            "10204 interference); closure 9162 states",
+    }
+
+    def test_lint_sweeps_once_per_protocol_and_inventories_are_pinned(
+            self, capsys, certificate_sweeps):
+        """``lint`` discharges the certificate in refine()'s gate and
+        again in the ``simulation`` pass: one sweep, read back once."""
+        assert main(["lint", "all", "--json"]) == 0
+        assert certificate_sweeps == [4]
+        reports = json.loads(capsys.readouterr().out)
+        inventories = {
+            payload["subject"]: [d["message"] for d in payload["diagnostics"]
+                                 if d["code"] == "P4405"]
+            for payload in reports}
+        assert inventories == {subject: [text] for subject, text
+                               in self.INVENTORIES.items()}
+
+
 class TestPrefixSelection:
     def test_select_family_prefix(self, capsys):
         assert main(["lint", "migratory", "--json", "--select", "P45"]) == 0
