@@ -21,9 +21,9 @@ observer hears of it are each decided in one place.
 
 The visited set is pluggable (``store=``): the default exact store keeps
 full states plus BFS parent pointers, so every reported violation comes
-with a *shortest* witnessing run; the ``"fingerprint"`` store trades the
-traces (and a detectable sliver of soundness) for ~16 bytes per state —
-see :mod:`repro.check.store`.
+with a *shortest* witnessing run; the ``"fingerprint"`` store trades a
+detectable sliver of soundness for ~16 bytes per state, plus 24 when it
+is to rebuild the same runs by replay — see :mod:`repro.check.store`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Hashable, Optional, Protocol, Sequence
 
+from ..errors import CheckError
 from .observe import LevelEvent, NullObserver, RunInfo, RunObserver
 from .stats import Counterexample, ExplorationResult, _fmt_bytes
 from .store import StateStore, StoreSpec, make_store
@@ -110,12 +111,19 @@ def explore(
         recorded as deadlocks (with traces); when True they are treated as
         legitimate final states.
     :param store: visited-state store — ``"exact"`` (default),
-        ``"fingerprint"`` (SPIN-style hash compaction: ~16 bytes/state, no
-        traces, collisions detected and counted), or a ready
+        ``"fingerprint"`` (SPIN-style hash compaction: ~16 bytes/state,
+        collisions detected and counted), or a ready
         :class:`~repro.check.store.StateStore` from
-        :func:`~repro.check.store.make_store`.  With a trace-free store,
-        deadlocks are counted (not witnessed) and violation
-        counterexamples carry only the violating state.
+        :func:`~repro.check.store.make_store`.  A store given by name is
+        built here, ``"fingerprint"`` with witness columns (24 more
+        bytes/state) exactly when ``invariants`` is non-empty: its
+        violations and deadlocks then carry the same shortest run the
+        exact store reports, rebuilt by replaying recorded actions and
+        checked against the state in hand.  A ready-made store is used
+        as it is; when it keeps no provenance, deadlocks are counted
+        (not witnessed) and counterexamples carry only the violating
+        state — as they do, with a ``note``, when a recorded path does
+        not replay to its state (a fingerprint collision).
     :param observer: a :class:`~repro.check.observe.RunObserver` receiving
         per-level progress events (see :mod:`repro.check.observe`).
     :param reductions: names of the state-space reductions baked into
@@ -130,7 +138,9 @@ def explore(
         flight is reported, ``stop_reason`` is ``"interrupted"`` or
         ``"error: <message>"``, and ``observer`` gets its ``on_finish``.
     """
-    visited: StateStore = make_store(store)
+    # a store named, not handed over, is built here — with witness
+    # columns exactly when there is an invariant to witness
+    visited: StateStore = make_store(store, witness=bool(invariants))
     watcher: RunObserver = observer if observer is not None else NullObserver()
     t0 = time.perf_counter()
     watcher.on_start(RunInfo(
@@ -146,17 +156,31 @@ def explore(
     deadlock_states: list[Hashable] = []
     violations: list[Counterexample] = []
 
-    def build_trace(state: Hashable) -> tuple[list[Any], list[Any]]:
+    def build_trace(state: Hashable,
+                    ) -> tuple[list[Any], list[Any], Optional[str]]:
+        """``(states, steps, note)`` witnessing ``state``; ``note`` says
+        why a witness has no path, when it should have had one."""
         if not visited.supports_traces:
-            # hash compaction keeps no states: the witness is the state
-            # itself, with no path back to the initial state
-            return [state], []
+            # no provenance kept: the witness is the state itself, with
+            # no path back to the initial state
+            return [state], [], None
         tracer = getattr(visited, "action_trace", None)
         if callable(tracer):
-            # delta-compressed stores keep action provenance, not state
-            # objects: replay the actions through the live system
+            # a fingerprint store with witness columns keeps action
+            # provenance, not state objects: replay the actions through
+            # the live system.  The chain was found by fingerprint, so
+            # the replay is a witness only if it ends in ``state``.
             steps_only: list[Any] = tracer(state)
-            return replay_actions(system, steps_only), steps_only
+            try:
+                replayed = replay_actions(system, steps_only)
+            except CheckError:
+                replayed = []
+            if replayed and replayed[-1] == state:
+                return replayed, steps_only, None
+            return [state], [], (
+                "no trace: the recorded path does not replay to this "
+                f"state ({visited.collisions} fingerprint collision(s) "
+                "detected)")
         states: list[Any] = [state]
         steps: list[Any] = []
         cursor = state
@@ -170,14 +194,14 @@ def explore(
             cursor = prev
         states.reverse()
         steps.reverse()
-        return states, steps
+        return states, steps, None
 
     def check_invariants(state: Hashable) -> bool:
         """Check all invariants; return False if exploration should stop."""
         for prop_name, predicate in invariants:
             if not predicate(state):
-                states, steps = build_trace(state)
-                violations.append(Counterexample(prop_name, states, steps))
+                violations.append(
+                    Counterexample(prop_name, *build_trace(state)))
                 if stop_on_violation:
                     return False
         return True
@@ -263,7 +287,8 @@ def explore(
         n_levels += 1
         level = next_level if stop_reason is None else []
 
-    deadlocks = [_with_trace(build_trace, s) for s in deadlock_states]
+    deadlocks = [Counterexample("deadlock-freedom", *build_trace(s))
+                 for s in deadlock_states]
     rows = getattr(visited, "partition_rows", None)
     detail = getattr(visited, "approx_bytes_detail", None)
     result = ExplorationResult(
@@ -293,23 +318,21 @@ def explore(
     return result
 
 
-def _with_trace(build_trace: Callable[[Hashable], tuple[list[Hashable],
-                                                        list[object]]],
-                state: Hashable) -> Counterexample:
-    states, steps = build_trace(state)
-    return Counterexample("deadlock-freedom", states, steps)
-
-
 def replay_actions(system: System, steps: list[Any]) -> list[Any]:
     """Rematerialize the state path of an action sequence from the root.
 
-    Inverse of :meth:`~repro.check.store.PartitionedExactStore.
+    Inverse of :meth:`~repro.check.store.FingerprintStore.
     action_trace`: transitions in these systems are deterministic per
     action label (a delivery action names the message and the node), so
     following the recorded actions through ``successors`` rebuilds the
     exact state sequence the classic parent-pointer walk would return.
-    Replay always consults the *full* successor relation, so traces
-    recorded under a reducing wrapper still resolve.
+    ``system`` must be the one the actions were recorded under, reducing
+    wrappers included: a recorded action is one that wrapper offered at
+    the recorded state, and under symmetry each state is its orbit's
+    representative.
+
+    :raises CheckError: when an action is not enabled where the sequence
+        says it is — the sequence is not a run of ``system``.
     """
     states: list[Any] = [system.initial_state()]
     for action in steps:
@@ -318,6 +341,6 @@ def replay_actions(system: System, steps: list[Any]) -> list[Any]:
                 states.append(nxt)
                 break
         else:
-            raise KeyError(f"action {action!r} is not enabled during "
-                           "trace replay (store/system mismatch)")
+            raise CheckError(f"action {action!r} is not enabled during "
+                             "trace replay (store/system mismatch)")
     return states

@@ -31,16 +31,23 @@ class Counterexample:
     """A finite trace witnessing a property violation.
 
     ``steps`` is the action sequence from the initial state; ``states`` the
-    corresponding state sequence (one longer than ``steps``).
+    corresponding state sequence (one longer than ``steps``).  A store
+    without provenance yields the state-only form: ``states`` is the
+    violating state alone, ``steps`` is empty.
     """
 
     property_name: str
     states: list[Any]
     steps: list[Any]
+    #: why a witness that should have had a path is state-only (a
+    #: fingerprint store's recorded path did not replay to the state)
+    note: Optional[str] = None
 
     def describe(self) -> str:
         lines = [f"counterexample to {self.property_name!r} "
                  f"({len(self.steps)} steps):"]
+        if self.note:
+            lines.append(f"  [{self.note}]")
         for idx, action in enumerate(self.steps):
             state = self.states[idx]
             lines.append(f"  {idx:3d}. {_describe(state)}")

@@ -324,8 +324,18 @@ class FingerprintStore:
     *detected collision*: a distinct state that hash compaction would
     have silently merged.  It is still treated as visited — that is the
     compaction trade-off — but counted, so results can report how much
-    the run may have under-explored.  Traces cannot be reconstructed
-    (there are no states to string together).
+    the run may have under-explored.
+
+    No state is kept, so a violation is witnessed by the state alone —
+    unless the store was built with ``witness=True``
+    (``supports_traces`` says which).  Then the dict value is a dense
+    id, and three columns indexed by it hold the check hash, the BFS
+    parent's id and an interned action id, 24 bytes a state:
+    :meth:`action_trace` walks them back to the root and the explorer
+    replays the actions through the live system.  :func:`~repro.check.
+    explorer.explore` asks for the columns itself when it is given the
+    store by *name* and has invariants to witness; nothing else does, so
+    a counts-only sweep pays nothing for them.
 
     The table is sharded: each of ``partitions`` owns a contiguous
     fingerprint range (:func:`partition_index`) and keeps a hot
@@ -349,11 +359,10 @@ class FingerprintStore:
     make collisions reproducible in tests; production use keeps all 64.
     """
 
-    supports_traces = False
-
     def __init__(self, partitions: int = 1, *, bits: int = 64,
                  spill_dir: Optional[Union[str, Path]] = None,
-                 spill_threshold: int = 1 << 20) -> None:
+                 spill_threshold: int = 1 << 20,
+                 witness: bool = False) -> None:
         if partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {partitions}")
         if not 1 <= bits <= 64:
@@ -361,7 +370,12 @@ class FingerprintStore:
         if spill_threshold < 1:
             raise ValueError(
                 f"spill threshold must be >= 1, got {spill_threshold}")
+        if witness and spill_dir is not None:
+            raise ValueError(
+                "witness columns index resident entries; a fingerprint "
+                "store with a spill_dir keeps no witnesses (out of scope)")
         self.name = "fingerprint"
+        self.supports_traces = witness
         self.partitions = partitions
         self.collisions = 0
         self._mask = (1 << bits) - 1
@@ -374,6 +388,17 @@ class FingerprintStore:
         self._probes = [0] * partitions
         self._partition_collisions = [0] * partitions
         self._merges = [0] * partitions
+        if witness:
+            # the hot dicts map key -> dense id; check hash and BFS
+            # provenance are columns indexed by it (24 bytes per state)
+            self._checks = array("Q")
+            self._parents = array("q")
+            self._steps = array("q")
+            self._actions: list[Any] = []
+            self._action_ids: dict[Any, int] = {}
+            self._memo_state: Any = None
+            self._memo_gid = -1
+            self.add = self._add_witnessed  # type: ignore[method-assign]
         if self._spill_dir is not None:
             try:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
@@ -430,6 +455,67 @@ class FingerprintStore:
             self._merge(p)
         return True
 
+    def _add_witnessed(self, state: Hashable,
+                       parent: ParentEntry = None) -> bool:
+        """:meth:`add` for a witness store (bound over it at
+        construction, so the column-free path above never tests for it)."""
+        p, key, check = self._locate(state)
+        self._probes[p] += 1
+        gid = self._hot[p].get(key)
+        if gid is not None:
+            if self._checks[gid] != check:
+                self.collisions += 1
+                self._partition_collisions[p] += 1
+            return False
+        self._hot[p][key] = gid = self._len
+        self._len += 1
+        self._checks.append(check)
+        parent_gid = step = -1
+        if parent is not None:
+            source, action = parent
+            parent_gid = self._gid_of(source)
+            cached = self._action_ids.get(action)
+            if cached is None:
+                cached = self._action_ids[action] = len(self._actions)
+                self._actions.append(action)
+            step = cached
+        self._parents.append(parent_gid)
+        self._steps.append(step)
+        return True
+
+    def _gid_of(self, state: Hashable) -> int:
+        # The explorer expands one source state at a time, so the parent
+        # of consecutive adds is almost always the same object: memoize
+        # by identity and pay one fingerprint per source.
+        if state is self._memo_state:
+            return self._memo_gid
+        p, key, _check = self._locate(state)
+        gid = self._hot[p].get(key)
+        if gid is None:
+            raise KeyError("state is not in the store")
+        self._memo_state = state
+        self._memo_gid = gid
+        return gid
+
+    def action_trace(self, state: Hashable) -> list[Any]:
+        """Actions from the initial state to ``state`` (shortest path);
+        witness stores only.
+
+        No state is stored: the caller replays the actions through the
+        live system and must compare where the replay ends with
+        ``state`` — the chain is looked up by fingerprint, so under a
+        collision it can be another state's.
+        """
+        if not self.supports_traces:
+            raise KeyError("this fingerprint store keeps no witness columns")
+        gid = self._gid_of(state)
+        steps: list[Any] = []
+        while self._parents[gid] >= 0:
+            steps.append(self._actions[self._steps[gid]])
+            gid = self._parents[gid]
+        steps.reverse()
+        return steps
+
     def _merge(self, p: int) -> None:
         assert self._spill_dir is not None
         hot = self._hot[p]
@@ -463,7 +549,8 @@ class FingerprintStore:
 
     def parent_of(self, state: Hashable) -> ParentEntry:
         raise KeyError(
-            "fingerprint stores keep no states, so no parent pointers")
+            "fingerprint stores keep no states, so no parent pointers; "
+            "a witness store answers action_trace()")
 
     def _resident(self, p: int) -> int:
         # two 64-bit words per hot entry, the dict itself, the bit filter
@@ -475,7 +562,13 @@ class FingerprintStore:
         """Resident bytes: hot dicts + bit filters.  Spilled records live
         on disk (see :meth:`spill_bytes`) and page cache the OS may drop,
         so they deliberately do not count against ``--memory-limit``."""
-        return sum(self._resident(p) for p in range(self.partitions))
+        total = sum(self._resident(p) for p in range(self.partitions))
+        if self.supports_traces:
+            total += sum(col.itemsize * len(col) for col in
+                         (self._checks, self._parents, self._steps))
+            total += (sys.getsizeof(self._actions)
+                      + sys.getsizeof(self._action_ids))
+        return total
 
     def spill_bytes(self) -> int:
         """Total on-disk bytes across all partition spill files."""
@@ -682,7 +775,8 @@ StoreSpec = Union[str, StateStore]
 
 def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
                spill_dir: Optional[Union[str, Path]] = None,
-               spill_threshold: int = 1 << 20, bits: int = 64) -> StateStore:
+               spill_threshold: int = 1 << 20, bits: int = 64,
+               witness: bool = False) -> StateStore:
     """Resolve a ``store=`` argument to a fresh (or given) store.
 
     The one place a store is constructed.  ``"exact"`` is
@@ -703,7 +797,8 @@ def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
     if spec == "fingerprint":
         return FingerprintStore(
             1 if partitions is None else partitions, bits=bits,
-            spill_dir=spill_dir, spill_threshold=spill_threshold)
+            spill_dir=spill_dir, spill_threshold=spill_threshold,
+            witness=witness)
     raise ValueError(f"unknown store {spec!r}; "
                      f"choose from {', '.join(STORE_NAMES)}")
 

@@ -1,6 +1,10 @@
 """Unit tests for the explicit-state explorer (repro.check.explorer)."""
 
-from repro.check.explorer import explore
+import pytest
+
+from repro.check.explorer import explore, replay_actions
+from repro.check.store import FingerprintStore
+from repro.errors import CheckError
 
 
 class ChainSystem:
@@ -108,6 +112,95 @@ class TestInvariants:
                          invariants=[("never", lambda s: False)])
         assert result.violations
         assert result.violations[0].states == [0]
+
+
+class GridSystem:
+    """(x, y) over a w x w torus: many states, many paths to each."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def initial_state(self):
+        return (0, 0)
+
+    def successors(self, state):
+        x, y = state
+        return [("right", ((x + 1) % self.w, y)),
+                ("up", (x, (y + 1) % self.w))]
+
+
+def assert_witness_is_a_run(system, violation, violating):
+    """Either the state-only form, or a real run ending in the state."""
+    assert violation.states[-1] == violating
+    if not violation.steps:
+        assert violation.states == [violating]
+        return
+    assert violation.note is None
+    assert replay_actions(system, violation.steps) == violation.states
+
+
+class TestFingerprintWitnesses:
+    """A fingerprint store's witness is a replay; it must never be a
+    wrong one (ISSUE 23: hash compaction can splice chains)."""
+
+    FAR = [("near", lambda s: s[0] + s[1] < 9)]
+
+    def test_named_store_witnesses_like_the_exact_one(self):
+        system = GridSystem(12)
+        exact = explore(system, invariants=self.FAR)
+        compact = explore(system, invariants=self.FAR, store="fingerprint")
+        assert compact.store == "fingerprint"
+        assert compact.violations[0].states == exact.violations[0].states
+        assert compact.violations[0].steps == exact.violations[0].steps
+        assert compact.violations[0].note is None
+
+    def test_columns_only_when_there_is_something_to_witness(self):
+        # a counts-only sweep by name keeps today's 16 bytes per state
+        counted = explore(GridSystem(12), store="fingerprint")
+        witnessed = explore(GridSystem(12), store="fingerprint",
+                            invariants=[("true", lambda s: True)])
+        assert counted.n_states == witnessed.n_states == 144
+        assert witnessed.approx_bytes - counted.approx_bytes >= 24 * 144
+        # and a store handed over ready-made is used as it is
+        plain = FingerprintStore()
+        result = explore(GridSystem(12), store=plain, invariants=self.FAR)
+        assert not plain.supports_traces
+        assert result.violations[0].states == [result.violations[0].states[-1]]
+        assert result.violations[0].note is None
+
+    def test_forced_collisions_never_yield_a_wrong_trace(self):
+        # 8-bit keys: most of the 400 states collide with an earlier one
+        # and are taken for visited, so the sweep under-explores — every
+        # witness it does report must still be a run of the system
+        system = GridSystem(20)
+        far = [("near", lambda s: s[0] + s[1] < 6)]
+        result = explore(system, invariants=far, stop_on_violation=False,
+                         store=FingerprintStore(bits=8, witness=True))
+        assert result.fingerprint_collisions > 0 and result.violations
+        for violation in result.violations:
+            assert_witness_is_a_run(system, violation, violation.states[-1])
+            assert not far[0][1](violation.states[-1])
+
+    @pytest.mark.parametrize("chain", [
+        ["right"] * 3,            # a run, but of another state
+        ["right", "diagonal"],    # not a run at all
+    ], ids=["spliced", "not-enabled"])
+    def test_a_path_that_does_not_replay_degrades_to_the_state(self, chain):
+        class Spliced(FingerprintStore):
+            def action_trace(self, state):
+                return list(chain)
+
+        store = Spliced(witness=True)
+        result = explore(GridSystem(12), invariants=self.FAR, store=store)
+        violation, = result.violations
+        assert violation.states == [violation.states[-1]]
+        assert violation.steps == []
+        assert "0 fingerprint collision(s)" in violation.note
+        assert violation.note in violation.describe()
+
+    def test_replay_of_a_disabled_action_is_a_check_error(self):
+        with pytest.raises(CheckError, match="not enabled"):
+            replay_actions(GridSystem(3), ["right", "diagonal"])
 
 
 class TestGraphRetention:

@@ -117,6 +117,27 @@ class TestFingerprintStore:
         assert len(store) <= 256
         assert store.collisions >= 1000 - 256
 
+    def test_witness_columns_are_metered_and_say_so(self):
+        plain, witness = FingerprintStore(), FingerprintStore(witness=True)
+        assert witness.supports_traces and not plain.supports_traces
+        prev = None
+        for i in range(1000):
+            parent = None if prev is None else (prev, ("act", i % 7))
+            assert plain.add(("s", i), parent) == witness.add(("s", i), parent)
+            prev = ("s", i)
+        # check hash, parent id, action id: 24 bytes a state, all counted
+        assert witness.approx_bytes() - plain.approx_bytes() >= 24 * 1000
+        with pytest.raises(KeyError):
+            witness.parent_of(("s", 3))  # no states kept: replay instead
+        with pytest.raises(KeyError, match="witness"):
+            plain.action_trace(("s", 3))
+
+    def test_witnesses_with_a_disk_tier_are_out_of_scope(self, tmp_path):
+        with pytest.raises(ValueError, match="spill_dir keeps no witnesses"):
+            FingerprintStore(witness=True, spill_dir=tmp_path)
+        with pytest.raises(ValueError, match="spill_dir keeps no witnesses"):
+            make_store("fingerprint", witness=True, spill_dir=tmp_path)
+
     def test_bits_validated(self):
         with pytest.raises(ValueError):
             FingerprintStore(bits=0)
