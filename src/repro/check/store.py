@@ -3,23 +3,20 @@
 The visited set is the memory bottleneck of explicit-state model checking
 — the very bottleneck the paper's Table 3 "Unfinished" cells dramatize.
 This module factors it behind a small :class:`StateStore` interface with
-three representations, one class each, all built by :func:`make_store`:
+two representations, one class each, both built by :func:`make_store`:
 
 * :class:`ExactStore` — full states plus BFS parent pointers, so traces
-  can be rebuilt.  The default, and the oracle the other two are tested
+  can be rebuilt.  The default, and the oracle the other is tested
   against.
 * :class:`FingerprintStore` — SPIN's *hash compaction*: ~16 bytes per
-  state, no traces, detected collisions counted.  Sharded by fingerprint
-  range (:func:`partition_index`, one partition by default), each
-  partition optionally spilling to an mmap-backed sorted file
-  (:mod:`repro.check.spill`).
-* :class:`PartitionedExactStore` — exact membership over state-delta-
-  compressed canonical blobs plus integer provenance columns: traces
-  survive (by action replay) at about a third of the classic layout's
-  real memory.
+  state, detected collisions counted; on request 24 more for witness
+  columns, from which the explorer rebuilds the exact store's traces by
+  replay.  Sharded by fingerprint range (:func:`partition_index`, one
+  partition by default), each partition optionally spilling to an
+  mmap-backed sorted file (:mod:`repro.check.spill`).
 
-Why three and not two is measured in EXPERIMENTS.md ("Store
-head-to-head").
+Why two, and why the delta-compressed third went, is measured in
+EXPERIMENTS.md ("Store layer, decided by measurement").
 
 Every hash rests on a *canonical encoding* (:func:`_enc`): bytes in
 which unordered containers (``frozenset`` values in variable
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import struct
 import sys
-import zlib
 from array import array
 from hashlib import blake2b
 from pathlib import Path
@@ -60,7 +56,6 @@ __all__ = [
     "StateStore",
     "ExactStore",
     "FingerprintStore",
-    "PartitionedExactStore",
     "StoreSpec",
     "fingerprint",
     "partition_index",
@@ -113,7 +108,7 @@ def _enc(obj: Any) -> bytes:
 
 def _encode(state: Hashable) -> bytes:
     """Canonical byte encoding of ``state``: canonical key -> bytes.
-    The delta-compressed store's blobs and :func:`_summary`'s fallback.
+    :func:`_summary`'s fallback for states without ``components()``.
 
     Subtree chunks come out of the bounded ``_ENC_CACHE``; the root
     tuple is joined here without an entry of its own, because it is
@@ -595,172 +590,6 @@ class FingerprintStore:
                 spill.close()
 
 
-#: sys.getsizeof(b"") — fixed CPython bytes-object header cost, charged
-#: per stored key on top of the payload bytes.
-_BYTES_HEADER = sys.getsizeof(b"")
-
-
-class PartitionedExactStore:
-    """Exact membership via state-delta-compressed canonical blobs.
-
-    The classic :class:`ExactStore` keeps every state *object* (plus its
-    memo caches) alive for the whole run — hundreds of bytes per state —
-    because parent pointers reference the objects directly.  This store
-    keeps none of them.  Each state is reduced to its canonical byte
-    encoding, deflate-compressed against a shared dictionary — the
-    *initial state's* encoding, which every reachable state is a small
-    delta of, so compression strips exactly the shared structure — and
-    the compressed blob keys a per-partition dict mapping to a dense
-    global id.  Provenance is two parallel ``array('q')`` columns
-    (parent id, interned action id): 16 bytes per state.
-
-    Traces survive: :meth:`action_trace` walks the id columns back to
-    the root and returns the action sequence, which the explorer replays
-    through the live system to rematerialize the state path.  Equality
-    of canonical encodings coincides with state equality (the encoding
-    is injective — the same property the fingerprint store's soundness
-    rests on), so counts are byte-identical to :class:`ExactStore`.
-    """
-
-    supports_traces = True
-    collisions = 0
-
-    def __init__(self, partitions: int = 1) -> None:
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
-        self.name = "exact"
-        self.partitions = partitions
-        self._ids: list[dict[bytes, int]] = [{} for _ in range(partitions)]
-        self._parents = array("q")
-        self._steps = array("q")
-        self._actions: list[Any] = []
-        self._action_ids: dict[Any, int] = {}
-        self._zdict: Optional[bytes] = None
-        self._len = 0
-        self._raw_bytes = 0
-        self._key_bytes = [0] * partitions
-        self._probes = [0] * partitions
-        self._memo_state: Any = None
-        self._memo_gid = -1
-
-    def _key_for(self, blob: bytes) -> bytes:
-        """The storage key of canonical encoding ``blob``.
-
-        The dictionary blob itself (and everything before a dictionary
-        exists) stays raw under a ``r`` tag; every other blob is raw
-        deflate against the dictionary under a ``z`` tag.  Both maps are
-        injective and the tags keep them disjoint, so key equality is
-        blob equality.
-        """
-        zd = self._zdict
-        if zd is None or blob == zd:
-            return b"r" + blob
-        co = zlib.compressobj(1, zlib.DEFLATED, -15, zdict=zd)
-        return b"z" + co.compress(blob) + co.flush()
-
-    def _locate(self, state: Hashable) -> tuple[int, bytes]:
-        blob = _encode(state)
-        fp = int.from_bytes(blake2b(blob, digest_size=8).digest(), "big")
-        return partition_index(fp, self.partitions), blob
-
-    def add(self, state: Hashable, parent: ParentEntry = None) -> bool:
-        p, blob = self._locate(state)
-        self._probes[p] += 1
-        if self._zdict is None:
-            self._zdict = blob  # first state seeds the delta dictionary
-        key = self._key_for(blob)
-        ids = self._ids[p]
-        if key in ids:
-            return False
-        gid = self._len
-        ids[key] = gid
-        self._len += 1
-        self._raw_bytes += len(blob)
-        self._key_bytes[p] += len(key)
-        parent_gid = step = -1
-        if parent is not None:
-            parent_state, action = parent
-            parent_gid = self._gid_of(parent_state)
-            cached = self._action_ids.get(action)
-            if cached is None:
-                cached = len(self._actions)
-                self._action_ids[action] = cached
-                self._actions.append(action)
-            step = cached
-        self._parents.append(parent_gid)
-        self._steps.append(step)
-        self._memo_state = state
-        self._memo_gid = gid
-        return True
-
-    def _gid_of(self, state: Any) -> int:
-        # The explorer expands one source state at a time, so the parent
-        # of consecutive adds is almost always the same object — memoize
-        # by identity and pay the encode+compress lookup once per source.
-        if state is self._memo_state:
-            return self._memo_gid
-        p, blob = self._locate(state)
-        gid = self._ids[p].get(self._key_for(blob))
-        if gid is None:
-            raise KeyError("state is not in the store")
-        self._memo_state = state
-        self._memo_gid = gid
-        return gid
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __contains__(self, state: Hashable) -> bool:
-        p, blob = self._locate(state)
-        return self._key_for(blob) in self._ids[p]
-
-    def parent_of(self, state: Hashable) -> ParentEntry:
-        raise KeyError(
-            "delta-compressed exact stores keep canonical keys, not state "
-            "objects; rebuild traces with action_trace()")
-
-    def action_trace(self, state: Hashable) -> list[Any]:
-        """Actions from the initial state to ``state`` (shortest path).
-
-        The state sequence is *not* stored; callers replay the actions
-        through the live system (transitions are deterministic per
-        action label) to rebuild it.
-        """
-        gid = self._gid_of(state)
-        steps: list[Any] = []
-        while True:
-            parent_gid = self._parents[gid]
-            if parent_gid < 0:
-                break
-            steps.append(self._actions[self._steps[gid]])
-            gid = parent_gid
-        steps.reverse()
-        return steps
-
-    def approx_bytes(self) -> int:
-        total = sum(sys.getsizeof(ids) for ids in self._ids)
-        total += sum(self._key_bytes) + self._len * _BYTES_HEADER
-        total += (self._parents.itemsize * len(self._parents)
-                  + self._steps.itemsize * len(self._steps))
-        total += (sys.getsizeof(self._actions)
-                  + sys.getsizeof(self._action_ids))
-        return total
-
-    def compression_ratio(self) -> float:
-        """raw canonical bytes / stored key bytes (>= 1 when winning)."""
-        stored = sum(self._key_bytes)
-        return self._raw_bytes / stored if stored else 1.0
-
-    def partition_rows(self) -> list[dict[str, object]]:
-        """Per-partition statistics rows for ``repro.profile/4``."""
-        return [
-            _partition_row(
-                p, len(ids), self._probes[p],
-                sys.getsizeof(ids) + self._key_bytes[p]
-                + len(ids) * (_BYTES_HEADER + 16))
-            for p, ids in enumerate(self._ids)]
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -780,20 +609,20 @@ def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
     """Resolve a ``store=`` argument to a fresh (or given) store.
 
     The one place a store is constructed.  ``"exact"`` is
-    :class:`ExactStore`, or the delta-compressed
-    :class:`PartitionedExactStore` once ``partitions`` is given;
+    :class:`ExactStore`, which takes none of the sizing arguments;
     ``"fingerprint"`` is :class:`FingerprintStore` over ``partitions``
-    ranges (default 1).
+    ranges (default 1), with ``witness`` columns when the caller has
+    counterexamples to rebuild (:func:`~repro.check.explorer.explore`
+    asks; ignored for the exact store, which always can).
     """
     if not isinstance(spec, str):
         return spec
     if spec == "exact":
-        if spill_dir is not None:
+        if partitions is not None or spill_dir is not None:
             raise ValueError(
-                "spill_dir applies to the fingerprint store; the "
-                "delta-compressed exact store keeps its keys resident")
-        return (ExactStore() if partitions is None
-                else PartitionedExactStore(partitions))
+                "partitions and spill_dir size the fingerprint store; the "
+                "exact store keeps every state resident in one dict")
+        return ExactStore()
     if spec == "fingerprint":
         return FingerprintStore(
             1 if partitions is None else partitions, bits=bits,

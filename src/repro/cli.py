@@ -199,9 +199,12 @@ def cmd_check(args) -> int:
     from .check.store import make_store
 
     _reject_rendezvous_por(args)
-    if args.spill_dir is not None and args.store != "fingerprint":
-        raise SystemExit("--spill-dir applies to --store fingerprint; the "
-                         "delta-compressed exact store keeps keys resident")
+    if args.store != "fingerprint" and (args.partitions is not None
+                                        or args.spill_dir is not None):
+        args.usage_error(
+            "--partitions and --spill-dir size the fingerprint store's disk "
+            "tier: use them with --store fingerprint (the exact store keeps "
+            "every state resident)")
 
     observers = []
     if args.levels:
@@ -556,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--por", action="store_true",
                    help="ample-set partial-order reduction (async level "
                         "only)")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, usage_error=p.error)
 
     p = sub.add_parser(
         "lint", help="run the static-analysis suite",

@@ -3,7 +3,9 @@
 The acceptance bar for a store is *byte-identical counts*: for the same
 system and the same budgets, an exploration over the fingerprint store,
 over the fingerprint store sharded four ways with a disk tier small
-enough to merge, and over the delta-compressed exact store must report
+enough to merge, and over the fingerprint store with witness columns
+(the "delta-exact" slot: the store with traces below the exact store's
+footprint, once a class of its own) must report
 exactly the ``n_states``, ``n_transitions``, ``deadlock_count``,
 ``completed`` and ``stop_reason`` of the plain exact-store run —
 including runs truncated mid-level by ``max_states``.  These tests pin
@@ -44,7 +46,7 @@ def counts(result):
 def run(spec, store="exact", **budgets):
     """One exploration of ``spec`` over the store named ``store``."""
     if store == "delta-exact":
-        store = make_store("exact", 2)
+        store = make_store("fingerprint", witness=True)
     if store != "fingerprint-sharded-spilling":
         return explore(system_for(spec), name="parity", store=store,
                        **budgets)
@@ -76,7 +78,8 @@ class TestUnbudgetedParity:
     def test_delta_exact_matches_exact(self, spec):
         delta = run(spec, "delta-exact")
         assert counts(delta) == counts(_FULL[spec])
-        assert len(delta.partition_stats) == 2
+        assert delta.fingerprint_collisions == 0
+        assert delta.approx_bytes < _FULL[spec].approx_bytes
 
 
 class TestExactBudgetBoundaries:

@@ -266,6 +266,21 @@ class TestCheckCommand:
             build_parser().parse_args(["check", "migratory",
                                        "--store", "bloom"])
 
+    @pytest.mark.parametrize("flag, value", [("--partitions", "2"),
+                                             ("--spill-dir", "unused")])
+    def test_sizing_the_exact_store_is_a_usage_error(self, flag, value,
+                                                     capsys, tmp_path,
+                                                     monkeypatch):
+        # `--store exact --partitions P` once selected a third store
+        # class; it must not quietly run the plain exact store instead
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "migratory", flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "use them with --store fingerprint" in captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
     def test_zero_partitions_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "migratory", "--partitions", "0"])

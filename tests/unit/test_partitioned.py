@@ -31,18 +31,25 @@ def sequential(system):
     return explore(system, name="oracle")
 
 
+def sized(store):
+    """``store`` built through the factory with every argument it takes:
+    three partitions for the fingerprint store, nothing for the exact."""
+    return make_store(store, 3 if store == "fingerprint" else None)
+
+
 class TestParity:
     @pytest.mark.parametrize("store", ["exact", "fingerprint"])
     def test_counts_match_sequential(self, system, sequential, store):
-        result = explore(system, name="x", store=make_store(store, 3))
+        result = explore(system, name="x", store=sized(store))
         assert counts(result) == counts(sequential)
         assert result.store == store
 
     @pytest.mark.parametrize("budget", [1, 7, 50, 113])
     def test_truncation_hits_the_same_wall(self, system, budget):
         seq = explore(system, name="oracle", max_states=budget)
-        for store in ("exact", "fingerprint"):
-            part = explore(system, name="x", store=make_store(store, 3),
+        for store in (sized("exact"), sized("fingerprint"),
+                      make_store("fingerprint", witness=True)):
+            part = explore(system, name="x", store=store,
                            max_states=budget)
             assert counts(part) == counts(seq)
         if not seq.completed:
@@ -95,16 +102,32 @@ class TestInProcessPartitionedStore:
         assert len(sharded.partition_stats) == 4
         assert sharded.spill_bytes > 0
 
-    def test_exact_partitioned_store_supports_traces(self, system,
-                                                     sequential):
-        result = explore(system, name="x", store=make_store("exact", 2))
-        assert counts(result) == counts(sequential)
-        # the delta store replays recorded actions into the same shortest
-        # witness the classic parent-pointer walk returns
-        busy = [("quiet", lambda s: s.channels.total_in_flight < 2)]
-        classic = explore(system, name="x", invariants=busy)
-        delta = explore(system, name="x", invariants=busy,
-                        store=make_store("exact", 2))
-        assert classic.violations and delta.violations
-        assert delta.violations[0].states == classic.violations[0].states
-        assert delta.violations[0].steps == classic.violations[0].steps
+    def test_exact_partitioned_store_supports_traces(self):
+        # the store that keeps no state objects replays recorded actions
+        # into the same shortest witness the classic parent-pointer walk
+        # returns
+        assert_same_witnesses(SPEC, in_flight=2)
+
+    def test_traces_survive_symmetry_and_por(self):
+        # replay goes through the wrappers the run was recorded under:
+        # each recorded action is one they offered at the normalized state
+        assert_same_witnesses(
+            SystemSpec("invalidate", "async", 3, symmetry=True, por=True),
+            in_flight=3)
+
+
+def assert_same_witnesses(spec, in_flight):
+    """A seeded bug ("fewer than ``in_flight`` messages in flight") under
+    the exact store and under the fingerprint store by name: same
+    counts, same counterexamples."""
+    system = build_system(spec)
+    busy = [("quiet", lambda s: s.channels.total_in_flight < in_flight)]
+    classic = explore(system, name="x", invariants=busy)
+    compact = explore(system, name="x", invariants=busy, store="fingerprint")
+    assert counts(compact) == counts(classic)
+    assert compact.store == "fingerprint" and classic.violations
+    assert [(v.property_name, v.states, v.steps, v.note)
+            for v in compact.violations] == \
+        [(v.property_name, v.states, v.steps, None)
+         for v in classic.violations]
+    assert len(classic.violations[0].steps) >= 2

@@ -349,10 +349,7 @@ class TestComponentFingerprints:
 # sharded stores (fingerprint-range partitions)
 # ---------------------------------------------------------------------------
 
-from repro.check.store import (  # noqa: E402
-    PartitionedExactStore,
-    partition_index,
-)
+from repro.check.store import partition_index  # noqa: E402
 
 
 class TestPartitionRouter:
@@ -473,37 +470,35 @@ class TestPartitionedFingerprintStore:
 
 
 class TestPartitionedExactStore:
+    """The store with traces below the oracle's footprint.  That was the
+    delta-compressed ``PartitionedExactStore``; it is the fingerprint
+    store with witness columns now (EXPERIMENTS.md, "4a"), and these are
+    its tests, pointed at the survivor."""
+
     def test_membership_matches_classic_exact(self):
-        classic, delta = ExactStore(), PartitionedExactStore(2)
+        classic, witness = ExactStore(), FingerprintStore(witness=True)
         states = [("state", "x" * 40, i % 300) for i in range(900)]
         prev = None
         for state in states:
             parent = None if prev is None else (prev, ("act", state[2]))
-            assert classic.add(state, parent) == delta.add(state, parent)
+            assert classic.add(state, parent) == witness.add(state, parent)
             prev = state
-        assert len(classic) == len(delta) == 300
-        assert delta.collisions == 0
+        assert len(classic) == len(witness) == 300
+        assert witness.collisions == 0
 
     def test_action_trace_replays_parent_chain(self):
-        store = PartitionedExactStore(1)
+        store = FingerprintStore(witness=True)
         store.add("root", None)
         store.add("a", ("root", "step1"))
         store.add("b", ("a", "step2"))
+        store.add("b", ("root", "shortcut"))  # first (shortest) parent wins
         assert store.supports_traces
         assert store.action_trace("root") == []
         assert store.action_trace("b") == ["step1", "step2"]
-
-    def test_compression_shrinks_similar_states(self):
-        # reachable states are small deltas of the initial state; the
-        # zdict-deflate keys must exploit that
-        compressed = PartitionedExactStore(1)
-        base = tuple(("component", "idle", i) for i in range(30))
-        for i in range(200):
-            state = base[:15] + (("component", "busy", i),) + base[16:]
-            compressed.add(state)
-        assert len(compressed) == 200
-        # ratio is raw canonical bytes / stored key bytes (>= 1 = winning)
-        assert compressed.compression_ratio() > 2.0
+        with pytest.raises(KeyError, match="not in the store"):
+            store.action_trace("c")
+        with pytest.raises(KeyError, match="not in the store"):
+            store.add("d", ("c", "step3"))
 
     def test_approx_bytes_far_below_classic_exact(self):
         class Obj:
@@ -516,28 +511,34 @@ class TestPartitionedExactStore:
             def __hash__(self):
                 return hash(self.payload)
 
-        classic, delta = ExactStore(), PartitionedExactStore(1)
+            def canonical_key(self):
+                return self.payload
+
+        classic, witness = ExactStore(), FingerprintStore(witness=True)
         for i in range(1200):
             classic.add(Obj(i))
-            delta.add(Obj(i))
-        # classic keeps the state objects + their memo caches alive;
-        # the delta store keeps 16 bytes + a compressed blob per state
-        assert delta.approx_bytes() < classic.approx_bytes()
+            witness.add(Obj(i))
+        assert len(classic) == len(witness) == 400
+        # classic keeps the state objects + their memo caches alive; the
+        # witness store keeps a dict slot and 24 column bytes per state
+        assert witness.approx_bytes() < classic.approx_bytes() / 2
 
     def test_probe_predicts_add(self):
-        store = PartitionedExactStore(2)
+        store = FingerprintStore(witness=True)
         assert "s" not in store and len(store) == 0
         store.add("s")
         assert "s" in store and "t" not in store
-        rows = store.partition_rows()
-        assert sum(row["probes"] for row in rows) == 1  # the add alone
+        assert len(store) == 1  # a membership test never admits
 
 
 class TestMakePartitionedStore:
     """``make_store`` with a partition count (the former second factory)."""
 
     def test_kinds(self):
-        assert isinstance(make_store("exact", 2), PartitionedExactStore)
+        # the exact store has one layout: a partition count used to
+        # select the delta-compressed class and is refused now
+        with pytest.raises(ValueError, match="size the fingerprint store"):
+            make_store("exact", 2)
         fp = make_store("fingerprint", 3)
         assert isinstance(fp, FingerprintStore)
         assert fp.partitions == 3
