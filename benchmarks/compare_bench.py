@@ -20,10 +20,10 @@ Two kinds of document flatten to the same ``{row id: facts}`` shape:
   ``{"schema", "budget", "rows": [{"id": ..., <facts>}]}``;
 * ``repro.profile/*`` (``repro check --profile``) — two profiles of the
   *same model*, typically over different stores (exact, the oracle, vs
-  fingerprint; unsharded vs sharded and spilling) or hash seeds: one
-  ``result`` row and one ``level/<i>`` row per BFS level.  The ``run``
-  and ``partitions`` blocks describe the store layout and are not facts;
-  schema versions may differ.
+  fingerprint; resident vs spilling) or hash seeds: one ``result`` row
+  and one ``level/<i>`` row per BFS level.  The ``run`` block — and the
+  ``partitions`` block of a ``repro.profile/4`` document — describe the
+  run's configuration and are not facts; schema versions may differ.
 
 Keys in ``VOLATILE`` — timing, byte sizes, the store kind and the run
 label — are not facts in either kind; the committed ``BENCH_*.json`` carry
@@ -40,7 +40,8 @@ from typing import Any, Optional
 #: what differs between two correct runs of one model: clocks, Python
 #: object sizes, which store ran, what the caller named the run
 VOLATILE = ("seconds", "states_per_sec", "approx_bytes",
-            "approx_bytes_detail", "spill_bytes", "store", "system")
+            "approx_bytes_detail", "spill_bytes", "spill_merges", "store",
+            "system")
 
 _MISSING = "<missing>"
 

@@ -146,7 +146,6 @@ def explore(
     watcher.on_start(RunInfo(
         name=name, store=visited.name, max_states=max_states,
         max_seconds=max_seconds, reductions=reductions,
-        partitions=int(getattr(visited, "partitions", 1)),
         max_bytes=max_bytes))
     init = system.initial_state()
     visited.add(init, None)
@@ -289,7 +288,6 @@ def explore(
 
     deadlocks = [Counterexample("deadlock-freedom", *build_trace(s))
                  for s in deadlock_states]
-    rows = getattr(visited, "partition_rows", None)
     detail = getattr(visited, "approx_bytes_detail", None)
     result = ExplorationResult(
         system_name=name,
@@ -308,8 +306,8 @@ def explore(
         n_enabled=n_enabled,
         depth=max(n_levels - 1, 0),
         reductions=reductions,
-        partition_stats=tuple(rows()) if callable(rows) else (),
         spill_bytes=_store_spill_bytes(visited),
+        spill_merges=int(getattr(visited, "spill_merges", 0)),
         approx_bytes_detail=dict(detail()) if callable(detail) else None,
     )
     watcher.on_finish(result)

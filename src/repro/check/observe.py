@@ -9,17 +9,16 @@ consumers the CLI and benchmarks use:
   size, cumulative states, states/sec, dedup ratio, approximate bytes),
   the model checker's analogue of a progress bar;
 * :class:`JsonProfileWriter` records the same events as a JSON document
-  (schema ``repro.profile/4``) for offline analysis and for the CI
+  (schema ``repro.profile/5``) for offline analysis and for the CI
   benchmark artifact.
 
-Profile JSON schema (``repro.profile/4``)::
+Profile JSON schema (``repro.profile/5``)::
 
     {
-      "schema": "repro.profile/4",
+      "schema": "repro.profile/5",
       "run": {"name": ..., "store": "exact"|"fingerprint",
               "max_states": int|null,
               "max_seconds": float|null, "max_bytes": int|null,
-              "partitions": int,
               "reductions": ["symmetry"?, "por"?]},
       "levels": [ {"level": int, "frontier": int, "expanded": int,
                    "candidates": int, "enabled": int,
@@ -30,10 +29,6 @@ Profile JSON schema (``repro.profile/4``)::
                    "seconds": float,
                    "dedup_ratio": float, "states_per_sec": float,
                    "reduction_ratio": float}, ... ],
-      "partitions": [ {"partition": int, "owned": int, "probes": int,
-                       "collisions": int, "approx_bytes": int,
-                       "spill_bytes": int, "spill_merges": int,
-                       "dedup_ratio": float}, ... ],
       "result": {"system": str, "store": str, "n_states": int,
                  "n_transitions": int, "n_enabled": int, "depth": int,
                  "deadlocks": int, "violations": int,
@@ -41,6 +36,7 @@ Profile JSON schema (``repro.profile/4``)::
                  "stop_reason": str|null, "reductions": [str, ...],
                  "seconds": float,
                  "approx_bytes": int, "spill_bytes": int,
+                 "spill_merges": int,
                  "approx_bytes_detail": {"entries": int,
                                          "state_caches": int}|null}
     }
@@ -51,13 +47,14 @@ is built from — plus what depends on the host, the store or the run's
 label (``system``, ``store``, ``seconds``, the byte fields); the second
 group is ``benchmarks/compare_bench.py``'s ``VOLATILE`` tuple.
 ``levels[].enabled`` and ``result.n_enabled`` equal the taken counts when
-no reduction is active.  ``partitions`` has one row per visited-set
-partition (states owned, membership probes, detected collisions, resident
-and spilled bytes, merge count, dedup ratio): empty for the classic exact
-store, *one* row for an unsharded ``--store fingerprint`` run, whose
-store is the sharded class at one partition.  ``approx_bytes_detail`` is
+no reduction is active.  ``spill_bytes`` / ``spill_merges`` are the disk
+tier of a ``--spill-dir`` fingerprint store (size of its sorted file,
+merges of the hot dict into it), 0 otherwise.  ``approx_bytes_detail`` is
 the exact store's entries-vs-memo-cache split, null for stores without
-one.
+one.  ``/4`` documents also carried the store's layout — ``run.
+partitions`` and a top-level ``partitions`` block of per-shard rows —
+which went with in-process sharding; ``benchmarks/compare_bench.py``
+never read either, so it compares a ``/4`` profile with a ``/5`` one.
 
 ``levels`` includes the partial level in flight when a budget, Ctrl-C
 or an error ends the run (``result.stop_reason`` says which), so
@@ -88,7 +85,7 @@ __all__ = [
     "PROFILE_SCHEMA",
 ]
 
-PROFILE_SCHEMA = "repro.profile/4"
+PROFILE_SCHEMA = "repro.profile/5"
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,6 @@ class RunInfo:
     #: active state-space reductions, inner wrapper first (e.g.
     #: ``("por", "symmetry")``); empty for full exploration
     reductions: tuple[str, ...] = ()
-    #: visited-set partitions (1 = classic unsharded store)
-    partitions: int = 1
     #: memory budget on the store footprint estimate, None = unbounded
     max_bytes: Optional[int] = None
 
@@ -137,8 +132,8 @@ class LevelEvent:
     #: transitions enabled at this level before any reduction pruned
     #: them (== ``candidates`` when no reduction is active)
     enabled: int = 0
-    #: bytes spilled to disk across all partitions after this level
-    #: (0 for stores without a disk tier)
+    #: bytes spilled to disk after this level (0 for stores without a
+    #: disk tier)
     spill_bytes: int = 0
 
     @property
@@ -226,10 +221,8 @@ class ProgressRenderer:
         suffix = f" [{', '.join(budget)}]" if budget else ""
         if run.reductions:
             suffix += f" [reductions: {'+'.join(run.reductions)}]"
-        sharding = (f", partitions={run.partitions}"
-                    if run.partitions > 1 else "")
-        print(f"exploring {run.name} (store={run.store}{sharding})"
-              f"{suffix}", file=self.stream)
+        print(f"exploring {run.name} (store={run.store}){suffix}",
+              file=self.stream)
 
     def on_level(self, event: LevelEvent) -> None:
         line = (f"  level {event.level:3d}: frontier {event.frontier:7d}  "
@@ -254,19 +247,6 @@ class ProgressRenderer:
                   f"{result.fingerprint_collisions} (lower bound on "
                   f"states hash compaction may have merged)",
                   file=self.stream)
-        if len(result.partition_stats) < 2:
-            return  # a lone row repeats the totals of the "done" line above
-        for row in result.partition_stats:
-            line = (f"  partition {row['partition']}: "
-                    f"owned {row['owned']}  probes {row['probes']}  "
-                    f"dedup {float(row['dedup_ratio']):5.1%}  "
-                    f"mem {_fmt_bytes(row['approx_bytes'])}")
-            if row.get("spill_bytes"):
-                line += (f"  spill {_fmt_bytes(row['spill_bytes'])} "
-                         f"({row.get('spill_merges', 0)} merges)")
-            if row.get("collisions"):
-                line += f"  collisions {row['collisions']}"
-            print(line, file=self.stream)
 
 
 class JsonProfileWriter:
@@ -305,7 +285,6 @@ class JsonProfileWriter:
             "schema": PROFILE_SCHEMA,
             "run": run,
             "levels": levels,
-            "partitions": [dict(row) for row in result.partition_stats],
             "result": {
                 "system": result.system_name,
                 "store": result.store,
@@ -313,6 +292,7 @@ class JsonProfileWriter:
                 "seconds": result.seconds,
                 "approx_bytes": result.approx_bytes,
                 "spill_bytes": result.spill_bytes,
+                "spill_merges": result.spill_merges,
                 "approx_bytes_detail": result.approx_bytes_detail,
             },
         }

@@ -1,15 +1,15 @@
-"""mmap-backed sorted spill files for partitioned fingerprint stores.
+"""The mmap-backed sorted spill file of a fingerprint store.
 
-A :class:`SpillFile` is the cold tier of one visited-set partition: a
-flat, sorted array of ``(fingerprint, check)`` pairs on disk, memory-
+A :class:`SpillFile` is the cold tier of the visited set: a flat,
+sorted array of ``(fingerprint, check)`` pairs on disk, memory-
 mapped for lookups.  The hot tier (a dict in
 :class:`~repro.check.store.FingerprintStore`) absorbs new states;
 when it crosses the spill threshold it is *merged* into the
 file — a single sequential two-way merge of the existing records with
 the sorted hot entries, written to a temp file and atomically renamed —
 and the hot tier starts over empty.  Lookups binary-search the mapping
-(``struct.unpack_from`` directly on the mmap, no record objects), so a
-partition's resident cost is the hot dict plus page cache the OS is
+(``struct.unpack_from`` directly on the mmap, no record objects), so
+the store's resident cost is the hot dict plus page cache the OS is
 free to drop: exactly the "64 MB allotment" discipline behind the
 paper's Table 3 runs, except the wall is now configurable
 (``--memory-limit``) and crossing it truncates gracefully instead of
@@ -48,7 +48,7 @@ HEADER_SIZE = _HEADER.size
 
 
 class SpillFile:
-    """One partition's sorted on-disk fingerprint array.
+    """A sorted on-disk fingerprint array.
 
     Opening an existing path validates the header and maps the records
     (:class:`~repro.errors.CheckError` when it is not a spill file); a

@@ -104,15 +104,11 @@ class ExplorationResult:
     #: state-space reductions active during the run, inner wrapper
     #: first (e.g. ``("por", "symmetry")``)
     reductions: tuple[str, ...] = ()
-    #: one statistics row per visited-set partition (profile/4 rows:
-    #: ``partition``/``owned``/``probes``/``collisions``/``approx_bytes``
-    #: /``spill_bytes``/``spill_merges``/``dedup_ratio``); empty only
-    #: for the classic exact store, one row for an unsharded fingerprint
-    #: store
-    partition_stats: tuple[dict[str, Any], ...] = ()
     #: bytes the store spilled to disk (mmap cold tier); 0 for purely
     #: resident stores
     spill_bytes: int = 0
+    #: how many times the store merged its hot tier into the spill file
+    spill_merges: int = 0
     #: optional breakdown of ``approx_bytes`` (the exact store reports
     #: ``{"entries": ..., "state_caches": ...}`` — classic dict entries
     #: vs the per-state encoding memo caches)
@@ -176,9 +172,8 @@ class ExplorationResult:
             # memory budget is checked against
             extra += f", ~{_fmt_bytes(self.approx_bytes)} visited set"
             if self.spill_bytes:
-                extra += f" + {_fmt_bytes(self.spill_bytes)} spilled"
-        if len(self.partition_stats) > 1:
-            extra += f", {len(self.partition_stats)} partition(s)"
+                extra += (f" + {_fmt_bytes(self.spill_bytes)} spilled"
+                          f" ({self.spill_merges} merge(s))")
         return (f"{self.system_name}: {self.n_states} states, "
                 f"{self.n_transitions} transitions in {self.seconds:.2f}s "
                 f"[{status}]{extra}")

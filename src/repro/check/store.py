@@ -11,12 +11,12 @@ two representations, one class each, both built by :func:`make_store`:
 * :class:`FingerprintStore` — SPIN's *hash compaction*: ~16 bytes per
   state, detected collisions counted; on request 24 more for witness
   columns, from which the explorer rebuilds the exact store's traces by
-  replay.  Sharded by fingerprint range (:func:`partition_index`, one
-  partition by default), each partition optionally spilling to an
+  replay; optionally a disk tier, the hot dict spilling to an
   mmap-backed sorted file (:mod:`repro.check.spill`).
 
-Why two, and why the delta-compressed third went, is measured in
-EXPERIMENTS.md ("Store layer, decided by measurement").
+Why two, why the delta-compressed third went and why the fingerprint
+store is no longer sharded is measured in EXPERIMENTS.md ("Store layer,
+decided by measurement").
 
 Every hash rests on a *canonical encoding* (:func:`_enc`): bytes in
 which unordered containers (``frozenset`` values in variable
@@ -58,7 +58,6 @@ __all__ = [
     "FingerprintStore",
     "StoreSpec",
     "fingerprint",
-    "partition_index",
     "make_store",
 ]
 
@@ -175,18 +174,6 @@ def fingerprint(state: Hashable, *, salt: bytes = b"") -> int:
     return int.from_bytes(digest, "big")
 
 
-def partition_index(fp: int, partitions: int) -> int:
-    """The owning partition of 64-bit fingerprint ``fp``: range sharding.
-
-    ``(fp * partitions) >> 64`` maps the fingerprint space onto
-    ``range(partitions)`` in contiguous, near-equal ranges (Lemire's
-    multiply-shift reduction).  A pure function of the fingerprint — no
-    per-process salt, no ``hash()`` — so a state lands in the same
-    partition, and a spill file holds the same records, in every run.
-    """
-    return (fp * partitions) >> 64
-
-
 # ---------------------------------------------------------------------------
 # the store interface
 # ---------------------------------------------------------------------------
@@ -284,28 +271,12 @@ class ExactStore:
                 "state_caches": n * per_cache}
 
 
-def _partition_row(p: int, owned: int, probes: int, approx: int, *,
-                   collisions: int = 0, spill_bytes: int = 0,
-                   spill_merges: int = 0) -> dict[str, object]:
-    """One per-partition statistics row of ``repro.profile/4``."""
-    return {
-        "partition": p,
-        "owned": owned,
-        "probes": probes,
-        "collisions": collisions,
-        "approx_bytes": approx,
-        "spill_bytes": spill_bytes,
-        "spill_merges": spill_merges,
-        "dedup_ratio": round(1.0 - owned / probes, 4) if probes else 0.0,
-    }
-
-
 #: a 16-byte digest as two big-endian 64-bit words
 _TWO_WORDS = struct.Struct(">QQ").unpack
 
-#: front-filter size per spilled partition: 2 MiB = 2^24 one-bit buckets.
-#: Only allocated once a partition has actually spilled; before that the
-#: hot dict alone answers membership.
+#: front-filter size of a spilling store: 2 MiB = 2^24 one-bit buckets.
+#: Only allocated at the first merge; before that the hot dict alone
+#: answers membership.
 _FILTER_BYTES = 1 << 21
 _FILTER_MASK = (_FILTER_BYTES * 8) - 1
 
@@ -332,34 +303,28 @@ class FingerprintStore:
     store by *name* and has invariants to witness; nothing else does, so
     a counts-only sweep pays nothing for them.
 
-    The table is sharded: each of ``partitions`` owns a contiguous
-    fingerprint range (:func:`partition_index`) and keeps a hot
-    ``{fingerprint: check}`` dict.  With a ``spill_dir``, a partition
-    whose hot tier reaches ``spill_threshold`` entries is merged into an
-    mmap-backed sorted file (:class:`~repro.check.spill.SpillFile`) and
-    the hot dict starts over — bounding resident memory at roughly
-    ``partitions x spill_threshold`` entries regardless of how large the
-    explored space grows.  A 2 MiB per-partition bit filter (allocated
-    at first spill) short-circuits most absent-key probes so cold
-    lookups rarely touch the mmap.  The store owns its directory's
-    ``partition-*.spill`` files: every run starts them empty, because
-    records it did not write are another run's visited set.
+    With a ``spill_dir`` there is a disk tier: when the hot dict reaches
+    ``spill_threshold`` entries it is merged into one mmap-backed sorted
+    file (:class:`~repro.check.spill.SpillFile`) and starts over, which
+    bounds resident memory at about ``spill_threshold`` entries however
+    large the explored space grows.  A 2 MiB bit filter (allocated at
+    the first merge) short-circuits most absent-key probes so cold
+    lookups rarely touch the mmap.  The store owns the ``*.spill`` files
+    of its directory and starts by deleting them: records it did not
+    write are another run's visited set.  Spilling does not change
+    membership, so it cannot change exploration counts; a spilling store
+    keeps no witnesses (the columns index resident entries).
 
-    Membership does not depend on ``partitions`` or on spilling (same
-    double blake2b fingerprints, same detected-collision counting), so
-    neither can change exploration counts.  ``partitions=1`` is the
-    plain unsharded store.
-
-    ``bits`` truncates the stored key (never the routing), which exists to
-    make collisions reproducible in tests; production use keeps all 64.
+    ``bits`` truncates the stored key, which exists to make collisions
+    reproducible in tests; production use keeps all 64.
     """
 
-    def __init__(self, partitions: int = 1, *, bits: int = 64,
+    name = "fingerprint"
+
+    def __init__(self, *, bits: int = 64,
                  spill_dir: Optional[Union[str, Path]] = None,
                  spill_threshold: int = 1 << 20,
                  witness: bool = False) -> None:
-        if partitions < 1:
-            raise ValueError(f"partitions must be >= 1, got {partitions}")
         if not 1 <= bits <= 64:
             raise ValueError(f"fingerprint bits must be in 1..64, got {bits}")
         if spill_threshold < 1:
@@ -369,23 +334,20 @@ class FingerprintStore:
             raise ValueError(
                 "witness columns index resident entries; a fingerprint "
                 "store with a spill_dir keeps no witnesses (out of scope)")
-        self.name = "fingerprint"
         self.supports_traces = witness
-        self.partitions = partitions
         self.collisions = 0
+        #: merges of the hot dict into the spill file so far
+        self.spill_merges = 0
         self._mask = (1 << bits) - 1
-        self._hot: list[dict[int, int]] = [{} for _ in range(partitions)]
-        self._spill: list[Optional[SpillFile]] = [None] * partitions
-        self._filters: list[Optional[bytearray]] = [None] * partitions
+        self._hot: dict[int, int] = {}
+        self._spill: Optional[SpillFile] = None
+        self._filter: Optional[bytearray] = None
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._threshold = spill_threshold
         self._len = 0
-        self._probes = [0] * partitions
-        self._partition_collisions = [0] * partitions
-        self._merges = [0] * partitions
         if witness:
-            # the hot dicts map key -> dense id; check hash and BFS
-            # provenance are columns indexed by it (24 bytes per state)
+            # the hot dict maps key -> dense id; check hash and BFS
+            # provenance are columns indexed by it
             self._checks = array("Q")
             self._parents = array("q")
             self._steps = array("q")
@@ -397,72 +359,66 @@ class FingerprintStore:
         if self._spill_dir is not None:
             try:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
-                for stale in self._spill_dir.glob("partition-*.spill"):
+                for stale in self._spill_dir.glob("*.spill"):
                     stale.unlink()
             except OSError as exc:
                 raise CheckError(f"cannot use spill directory "
                                  f"{self._spill_dir}: {exc}") from exc
 
-    def _locate(self, state: Hashable) -> tuple[int, int, int]:
-        """(partition, masked fingerprint key, check hash) of ``state``.
+    def _locate(self, state: Hashable) -> tuple[int, int]:
+        """(masked fingerprint key, check hash) of ``state``.
 
         One :func:`_summary` and one digest feed both hashes: the primary
         fingerprint is the first 8 bytes of a 16-byte blake2b, the check
-        hash the last 8 — independent bits of one hash call.  Routing
-        uses the *untruncated* primary fingerprint so the ``bits`` test
-        hook cannot collapse every key into partition 0.
+        hash the last 8 — independent bits of one hash call.
         """
         fp, check = _TWO_WORDS(
             blake2b(_summary(state), digest_size=16).digest())
-        return partition_index(fp, self.partitions), fp & self._mask, check
+        return fp & self._mask, check
 
-    def _lookup(self, p: int, key: int) -> Optional[int]:
-        """Check hash stored under ``key`` in partition ``p``, else None."""
-        flt = self._filters[p]
+    def _lookup(self, key: int) -> Optional[int]:
+        """What is stored under ``key`` (hot tier, then disk), else None."""
+        flt = self._filter
         if flt is not None:
             idx = key & _FILTER_MASK
             if not (flt[idx >> 3] >> (idx & 7)) & 1:
                 return None  # filter covers hot+spill: definitely absent
-        current = self._hot[p].get(key)
+        current = self._hot.get(key)
         if current is None:
-            spill = self._spill[p]
+            spill = self._spill
             if spill is not None:
                 return spill.lookup(key)
         return current
 
     def add(self, state: Hashable, parent: ParentEntry = None) -> bool:
-        p, key, check = self._locate(state)
-        self._probes[p] += 1
-        current = self._lookup(p, key)
+        key, check = self._locate(state)
+        current = self._lookup(key)
         if current is not None:
             if current != check:
                 self.collisions += 1
-                self._partition_collisions[p] += 1
             return False
-        hot = self._hot[p]
+        hot = self._hot
         hot[key] = check
-        flt = self._filters[p]
+        flt = self._filter
         if flt is not None:
             idx = key & _FILTER_MASK
             flt[idx >> 3] |= 1 << (idx & 7)
         self._len += 1
         if self._spill_dir is not None and len(hot) >= self._threshold:
-            self._merge(p)
+            self._merge()
         return True
 
     def _add_witnessed(self, state: Hashable,
                        parent: ParentEntry = None) -> bool:
         """:meth:`add` for a witness store (bound over it at
         construction, so the column-free path above never tests for it)."""
-        p, key, check = self._locate(state)
-        self._probes[p] += 1
-        gid = self._hot[p].get(key)
+        key, check = self._locate(state)
+        gid = self._hot.get(key)
         if gid is not None:
             if self._checks[gid] != check:
                 self.collisions += 1
-                self._partition_collisions[p] += 1
             return False
-        self._hot[p][key] = gid = self._len
+        self._hot[key] = self._len
         self._len += 1
         self._checks.append(check)
         parent_gid = step = -1
@@ -484,8 +440,7 @@ class FingerprintStore:
         # by identity and pay one fingerprint per source.
         if state is self._memo_state:
             return self._memo_gid
-        p, key, _check = self._locate(state)
-        gid = self._hot[p].get(key)
+        gid = self._hot.get(self._locate(state)[0])
         if gid is None:
             raise KeyError("state is not in the store")
         self._memo_state = state
@@ -511,17 +466,16 @@ class FingerprintStore:
         steps.reverse()
         return steps
 
-    def _merge(self, p: int) -> None:
+    def _merge(self) -> None:
         assert self._spill_dir is not None
-        hot = self._hot[p]
-        spill = self._spill[p]
+        hot = self._hot
+        spill = self._spill
         if spill is None:
-            # First spill: the file starts empty, so folding the hot tier
-            # into a fresh filter makes it cover the whole partition; from
+            # First merge: the file starts empty, so folding the hot tier
+            # into a fresh filter makes it cover the whole store; from
             # here on add() keeps it current.
-            spill = self._spill[p] = SpillFile(
-                self._spill_dir / f"partition-{p:04d}.spill")
-            flt = self._filters[p] = bytearray(_FILTER_BYTES)
+            spill = self._spill = SpillFile(self._spill_dir / "visited.spill")
+            flt = self._filter = bytearray(_FILTER_BYTES)
             for key in hot:
                 idx = key & _FILTER_MASK
                 flt[idx >> 3] |= 1 << (idx & 7)
@@ -531,33 +485,28 @@ class FingerprintStore:
             raise CheckError(
                 f"cannot write spill file {spill.path}: {exc}") from exc
         hot.clear()
-        self._merges[p] += 1
+        self.spill_merges += 1
 
     def __len__(self) -> int:
         return self._len
 
     def __contains__(self, state: Hashable) -> bool:
-        # no mutation, no probe or collision accounting: what add() would
-        # find, without perturbing the store or its statistics
-        p, key, _check = self._locate(state)
-        return self._lookup(p, key) is not None
+        # what add() would find, without admitting or counting anything
+        return self._lookup(self._locate(state)[0]) is not None
 
     def parent_of(self, state: Hashable) -> ParentEntry:
         raise KeyError(
             "fingerprint stores keep no states, so no parent pointers; "
             "a witness store answers action_trace()")
 
-    def _resident(self, p: int) -> int:
-        # two 64-bit words per hot entry, the dict itself, the bit filter
-        flt = self._filters[p]
-        return (sys.getsizeof(self._hot[p]) + 16 * len(self._hot[p])
-                + (sys.getsizeof(flt) if flt is not None else 0))
-
     def approx_bytes(self) -> int:
-        """Resident bytes: hot dicts + bit filters.  Spilled records live
-        on disk (see :meth:`spill_bytes`) and page cache the OS may drop,
-        so they deliberately do not count against ``--memory-limit``."""
-        total = sum(self._resident(p) for p in range(self.partitions))
+        """Resident bytes: the hot dict at two 64-bit words an entry, the
+        bit filter, the witness columns.  Spilled records live on disk
+        (see :meth:`spill_bytes`) and page cache the OS may drop, so
+        they deliberately do not count against ``--memory-limit``."""
+        total = sys.getsizeof(self._hot) + 16 * len(self._hot)
+        if self._filter is not None:
+            total += sys.getsizeof(self._filter)
         if self.supports_traces:
             total += sum(col.itemsize * len(col) for col in
                          (self._checks, self._parents, self._steps))
@@ -566,28 +515,12 @@ class FingerprintStore:
         return total
 
     def spill_bytes(self) -> int:
-        """Total on-disk bytes across all partition spill files."""
-        return sum(spill.spill_bytes for spill in self._spill
-                   if spill is not None)
-
-    def partition_rows(self) -> list[dict[str, object]]:
-        """Per-partition statistics rows for ``repro.profile/4``."""
-        rows = []
-        for p in range(self.partitions):
-            spill = self._spill[p]
-            owned = len(self._hot[p]) + (len(spill) if spill is not None
-                                         else 0)
-            rows.append(_partition_row(
-                p, owned, self._probes[p], self._resident(p),
-                collisions=self._partition_collisions[p],
-                spill_bytes=spill.spill_bytes if spill is not None else 0,
-                spill_merges=self._merges[p]))
-        return rows
+        """On-disk bytes of the spill file (0 before the first merge)."""
+        return self._spill.spill_bytes if self._spill is not None else 0
 
     def close(self) -> None:
-        for spill in self._spill:
-            if spill is not None:
-                spill.close()
+        if self._spill is not None:
+            self._spill.close()
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +543,16 @@ def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
 
     The one place a store is constructed.  ``"exact"`` is
     :class:`ExactStore`, which takes none of the sizing arguments;
-    ``"fingerprint"`` is :class:`FingerprintStore` over ``partitions``
-    ranges (default 1), with ``witness`` columns when the caller has
-    counterexamples to rebuild (:func:`~repro.check.explorer.explore`
-    asks; ignored for the exact store, which always can).
+    ``"fingerprint"`` is :class:`FingerprintStore`, with ``witness``
+    columns when the caller has counterexamples to rebuild
+    (:func:`~repro.check.explorer.explore` asks; ignored for the exact
+    store, which always can).
+
+    ``partitions`` is what is left of in-process sharding (EXPERIMENTS.md,
+    "4b"): the store is one table, and a partition count only multiplies
+    the merge threshold, which keeps the promise ``--partitions P
+    --spill-threshold N`` made about memory — about ``P x N`` resident
+    entries.  It goes when the frozen benchmark stops passing it.
     """
     if not isinstance(spec, str):
         return spec
@@ -624,10 +563,11 @@ def make_store(spec: StoreSpec = "exact", partitions: Optional[int] = None, *,
                 "exact store keeps every state resident in one dict")
         return ExactStore()
     if spec == "fingerprint":
+        if partitions is not None and partitions < 1:
+            raise ValueError(f"partitions must be >= 1, got {partitions}")
         return FingerprintStore(
-            1 if partitions is None else partitions, bits=bits,
-            spill_dir=spill_dir, spill_threshold=spill_threshold,
-            witness=witness)
+            bits=bits, spill_dir=spill_dir, witness=witness,
+            spill_threshold=spill_threshold * (partitions or 1))
     raise ValueError(f"unknown store {spec!r}; "
                      f"choose from {', '.join(STORE_NAMES)}")
 

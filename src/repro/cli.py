@@ -7,8 +7,7 @@ Commands:
 * ``check``    — the raw reachability sweep with the performance knobs:
   ``--store fingerprint`` for SPIN-style hash compaction (~16 bytes/state,
   collision-counted),
-  ``--partitions P --spill-dir DIR`` to shard the visited set and spill
-  it to disk,
+  ``--spill-dir DIR --spill-threshold N`` to give that store a disk tier,
   ``--levels`` for per-level progress lines, and ``--profile out.json``
   for a machine-readable run profile.
 * ``lint``     — run the static-analysis suite (section 2.4 restrictions,
@@ -217,7 +216,7 @@ def cmd_check(args) -> int:
                       n_remotes=args.nodes,
                       config=_config(args) if args.level == "async" else None,
                       symmetry=args.symmetry, por=args.por)
-    # one store, sharded into --partitions fingerprint ranges
+    # one table; --partitions only multiplies the merge threshold
     store = make_store(args.store, args.partitions,
                        spill_dir=args.spill_dir,
                        spill_threshold=args.spill_threshold)
@@ -528,25 +527,26 @@ def build_parser() -> argparse.ArgumentParser:
                         "fingerprint (SPIN-style hash compaction)")
     p.add_argument("--profile", metavar="PATH", default=None,
                    help="write a per-level JSON run profile "
-                        "(schema repro.profile/4; records active "
-                        "reductions, reduction ratios, and per-partition "
-                        "rows)")
+                        "(schema repro.profile/5; records active "
+                        "reductions, reduction ratios and the disk "
+                        "tier's size)")
     p.add_argument("--levels", action="store_true",
                    help="print one progress line per BFS level")
     p.add_argument("--partitions", type=_positive_int, default=None,
                    metavar="P",
-                   help="shard the visited set into P fingerprint-range "
-                        "partitions of one in-process store (counts are "
-                        "byte-identical to the unsharded sweep)")
+                   help="multiply --spill-threshold by P (the fingerprint "
+                        "store was sharded P ways once and kept P x N "
+                        "entries resident; it is one table now, sized "
+                        "the same; fingerprint store only)")
     p.add_argument("--spill-dir", metavar="DIR", default=None,
-                   help="spill cold partitions to mmap-backed sorted "
-                        "fingerprint files under DIR (fingerprint store "
-                        "only)")
+                   help="give the fingerprint store a disk tier: an "
+                        "mmap-backed sorted fingerprint file under DIR, "
+                        "started empty (fingerprint store only)")
     p.add_argument("--spill-threshold", type=_positive_int,
                    default=1 << 20,
                    metavar="N",
-                   help="hot-tier entries per partition before a merge "
-                        "to the spill file (default: %(default)s)")
+                   help="resident entries before the hot tier is merged "
+                        "into the spill file (default: %(default)s)")
     p.add_argument("--memory-limit", metavar="SIZE", type=parse_bytes,
                    default=None,
                    help="end the run as a well-formed Unfinished result "

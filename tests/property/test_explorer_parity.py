@@ -2,8 +2,9 @@
 
 The acceptance bar for a store is *byte-identical counts*: for the same
 system and the same budgets, an exploration over the fingerprint store,
-over the fingerprint store sharded four ways with a disk tier small
-enough to merge, and over the fingerprint store with witness columns
+over the fingerprint store with a disk tier small enough to merge (built
+as ``--partitions 4`` builds it), and over the fingerprint store with
+witness columns
 (the "delta-exact" slot: the store with traces below the exact store's
 footprint, once a class of its own) must report
 exactly the ``n_states``, ``n_transitions``, ``deadlock_count``,
@@ -51,7 +52,7 @@ def run(spec, store="exact", **budgets):
         return explore(system_for(spec), name="parity", store=store,
                        **budgets)
     with tempfile.TemporaryDirectory() as spill_dir:
-        # 4 states per hot tier: even the 34-state spec merges to disk
+        # 4 x 4 states in the hot tier: even the 34-state spec merges
         spilling = make_store("fingerprint", 4, spill_dir=spill_dir,
                               spill_threshold=4)
         try:
@@ -72,8 +73,7 @@ class TestUnbudgetedParity:
         fp = run(spec, "fingerprint-sharded-spilling")
         assert counts(fp) == counts(_FULL[spec])
         assert fp.fingerprint_collisions == 0
-        assert fp.spill_bytes > 0 and len(fp.partition_stats) == 4
-        assert sum(row["spill_merges"] for row in fp.partition_stats) > 1
+        assert fp.spill_bytes > 0 and fp.spill_merges > 1
 
     def test_delta_exact_matches_exact(self, spec):
         delta = run(spec, "delta-exact")

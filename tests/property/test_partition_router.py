@@ -1,16 +1,16 @@
-"""Property: a fingerprint, and the partition it names, is a pure
-function of the state.
+"""Property: a fingerprint is a pure function of the state.
 
 The fingerprint is a salted blake2b over the canonical encoding — for
 an asynchronous state, over one cached digest per node and one for the
 network — with no dependence on the process, its start method or
-``PYTHONHASHSEED``, and the router (``partition_index``) is an
-arithmetic range split of it.  Anything ambient in a fingerprint would
-make two runs of one model disagree on collisions, partition rows and
-spill-file contents (CI compares fingerprint runs under two hash seeds),
-so we check the values byte-for-byte in fork and spawn children; and
-since a fingerprint is two hashes deep, the exact store judges it on
-whole reachable state spaces.
+``PYTHONHASHSEED``.  Anything ambient in a fingerprint would make two
+runs of one model disagree on collisions and spill-file contents (CI
+compares fingerprint runs under two hash seeds), so we check the values
+byte-for-byte in fork and spawn children; and since a fingerprint is
+two hashes deep, the exact store judges it on whole reachable state
+spaces.  (The range router that turned a fingerprint into a partition,
+and its half of this file, went with in-process sharding in PR 23; the
+file keeps its name until ROADMAP item 5.)
 """
 
 import multiprocessing as mp
@@ -24,49 +24,19 @@ from hypothesis import strategies as st
 from repro import AsyncSystem, refine
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
-from repro.check.store import (
-    ExactStore,
-    FingerprintStore,
-    fingerprint,
-    partition_index,
-)
+from repro.check.store import ExactStore, FingerprintStore, fingerprint
 from repro.gen import GeneratorParams, random_protocol
 
-fingerprints = st.integers(min_value=0, max_value=2**64 - 1)
-partition_counts = st.integers(min_value=1, max_value=256)
-
-
-@given(fp=fingerprints, partitions=partition_counts)
-def test_index_always_in_range(fp, partitions):
-    assert 0 <= partition_index(fp, partitions) < partitions
-
-
-@given(fps=st.lists(fingerprints, min_size=2, max_size=16),
-       partitions=partition_counts)
-def test_ranges_contiguous(fps, partitions):
-    # sorting by fingerprint must sort by partition: contiguous ranges
-    indices = [partition_index(fp, partitions) for fp in sorted(fps)]
-    assert indices == sorted(indices)
-
-
-@given(partitions=st.integers(min_value=1, max_value=64))
-def test_full_range_covered(partitions):
-    # the first and last fingerprints land on the first and last
-    # partition, so no partition's range is empty at the extremes
-    assert partition_index(0, partitions) == 0
-    assert partition_index(2**64 - 1, partitions) == partitions - 1
-
-
-@given(seed=st.integers(min_value=0, max_value=2**32),
-       partitions=st.integers(min_value=1, max_value=16))
+@given(seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
-def test_assignment_stable_within_process(seed, partitions):
+def test_assignment_stable_within_process(seed):
     # equal states built separately, sets filled in opposite orders
     state = ("state", seed, frozenset({seed % 7, "flag"}))
     again = ("state", seed, frozenset({"flag", seed % 7}))
     assert fingerprint(state) == fingerprint(again)
-    assert partition_index(fingerprint(state), partitions) == \
-        partition_index(fingerprint(again), partitions)
+    store = FingerprintStore()
+    assert store.add(state) and not store.add(again) and again in store
+    assert store.collisions == 0
 
 
 def _child_fingerprints(states, out):
@@ -103,7 +73,7 @@ def test_assignment_stable_across_processes_and_start_methods(monkeypatch):
     states = [("state", i, frozenset({i % 5})) for i in range(64)]
     states += _real_states(64)
     parent = [fingerprint(state) for state in states]
-    assert len({partition_index(fp, 7) for fp in parent[64:]}) > 1
+    assert len(set(parent)) == len(states)
     seed = os.environ.get("PYTHONHASHSEED")
     monkeypatch.setenv("PYTHONHASHSEED", "1" if seed != "1" else "2")
     for method in ("fork", "spawn"):

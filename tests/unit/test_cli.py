@@ -216,7 +216,7 @@ class TestCheckCommand:
                      "--profile", str(path)]) == 0
         assert f"profile written to {path}" in capsys.readouterr().out
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.profile/4"
+        assert doc["schema"] == "repro.profile/5"
         assert "workers" not in doc["run"]  # no longer written
         assert doc["result"]["completed"] is True
         assert sum(lvl["new_states"] for lvl in doc["levels"]) + 1 \
@@ -241,12 +241,20 @@ class TestCheckCommand:
         assert main(argv) == 0
         plain = capsys.readouterr().out
         assert "1614 states, 4344 transitions" in plain
+        # nor the files of a sharded store of an earlier version
+        legacy = SpillFile(tmp_path / "partition-0001.spill")
+        legacy.merge({7: 7})
+        legacy.close()
         for _ in range(2):
             assert main(argv + ["--spill-dir", str(tmp_path),
                                 "--spill-threshold", "200"]) == 0
             out = capsys.readouterr().out
             assert "1614 states, 4344 transitions" in out
-            assert "[complete]" in out and "spilled" in out
+            # --partitions 2 x --spill-threshold 200: one table that
+            # merges every 400 entries, and says nothing of partitions
+            assert "[complete]" in out and "spilled (4 merge(s))" in out
+            assert "partition" not in out
+            assert [p.name for p in tmp_path.iterdir()] == ["visited.spill"]
 
     def test_unsharded_fingerprint_output_names_no_partitions(
             self, tmp_path, capsys):
@@ -255,11 +263,10 @@ class TestCheckCommand:
                      "fingerprint", "--levels", "--profile", str(path)]) == 0
         captured = capsys.readouterr()
         assert "partition" not in captured.out + captured.err
-        # the profile does carry the store's one row (additive in /4)
+        # nor does the profile: the store has no layout to describe
         doc = json.loads(path.read_text())
-        assert doc["run"]["partitions"] == 1
-        assert [row["owned"] for row in doc["partitions"]] \
-            == [doc["result"]["n_states"]]
+        assert "partitions" not in doc and "partitions" not in doc["run"]
+        assert doc["result"]["spill_merges"] == 0
 
     def test_unknown_store_rejected(self):
         with pytest.raises(SystemExit):

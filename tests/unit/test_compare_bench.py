@@ -4,7 +4,8 @@ The script holds the committed ``BENCH_*.json`` and pairs of ``--profile``
 documents to one rule: every fact of the baseline must reproduce exactly
 in the candidate.  These tests pin what is a fact (every count, flag,
 verdict and derived ratio of every row), what is not (the ``VOLATILE``
-keys; a profile's ``run`` and ``partitions`` blocks), and that the
+keys; a profile's ``run`` block and a ``/4`` profile's ``partitions``
+block), and that the
 committed artifacts obey the rule they are judged by.
 """
 
@@ -298,25 +299,24 @@ def make_profile_doc():
              "dedup_ratio": 0.33, "states_per_sec": 50.0,
              "reduction_ratio": 0.0}
     return {
-        "schema": "repro.profile/4",
+        "schema": "repro.profile/5",
         "run": {"name": "m", "store": "fingerprint",
                 "max_states": None, "max_seconds": None, "max_bytes": None,
-                "reductions": [], "partitions": 1},
+                "reductions": []},
         "levels": [level],
-        "partitions": [],
         "result": {"system": "m", "store": "fingerprint", "n_states": 5,
                    "n_transitions": 6, "n_enabled": 6, "depth": 0,
                    "deadlocks": 0, "violations": 0,
                    "fingerprint_collisions": 0, "completed": True,
                    "stop_reason": None, "reductions": [], "seconds": 0.2,
-                   "approx_bytes": 1000, "spill_bytes": 0,
+                   "approx_bytes": 1000, "spill_bytes": 0, "spill_merges": 0,
                    "approx_bytes_detail": None},
     }
 
 
 class TestCompareProfiles:
-    """The cross-store gate: two profiles of one model (sharded against
-    unsharded, fingerprint against exact) must carry exactly the same
+    """The cross-store gate: two profiles of one model (spilling against
+    resident, fingerprint against exact) must carry exactly the same
     counts, level by level."""
 
     def test_identical_passes(self):
@@ -351,16 +351,44 @@ class TestCompareProfiles:
         assert any("stop_reason" in e for e in errors)
 
     def test_layout_and_timing_are_informational(self):
-        # not facts: clocks, byte sizes, the run block, partition rows
+        # not facts: clocks, byte sizes, the disk tier, the run block
         base, cand = make_profile_doc(), make_profile_doc()
-        cand["run"].update(partitions=4, name="other")
+        cand["run"].update(max_bytes=1 << 20, name="other")
         cand["levels"][0].update(seconds=9.0, approx_bytes=5,
                                  spill_bytes=4096, states_per_sec=0.5)
         cand["result"].update(seconds=9.5, approx_bytes=5, spill_bytes=4096,
+                              spill_merges=3,
                               approx_bytes_detail={"entries": 5},
                               system="other")
-        cand["partitions"] = [{"partition": 0, "owned": 5}]
         assert compare_bench.compare(base, cand) == []
+
+    def test_committed_profile_4_gates_a_fresh_profile_5(self, tmp_path):
+        # benchmarks/results/ is not regenerated when the schema moves:
+        # a /4 document (run.partitions, a partitions block, no
+        # spill_merges) and today's /5 one must compare, in both orders
+        from repro.check.explorer import explore
+        from repro.check.observe import PROFILE_SCHEMA, JsonProfileWriter
+        from repro.check.spec import SystemSpec, build_system
+
+        committed = json.loads(
+            (ROOT / "benchmarks" / "results"
+             / "fingerprint_store_profile.json").read_text())
+        assert committed["schema"] == "repro.profile/4"
+        assert committed["run"]["partitions"] == 1 and committed["partitions"]
+        path = tmp_path / "fresh.json"
+        explore(build_system(SystemSpec("migratory", "async", 3)),
+                name="fresh", store="fingerprint",
+                max_states=committed["run"]["max_states"],
+                observer=JsonProfileWriter(path))
+        fresh = json.loads(path.read_text())
+        assert fresh["schema"] == PROFILE_SCHEMA == "repro.profile/5"
+        assert "partitions" not in fresh and "partitions" not in fresh["run"]
+        assert compare_bench.compare(committed, fresh) == []
+        assert compare_bench.compare(fresh, committed) == []
+        fresh["levels"][3]["new_states"] += 1
+        assert compare_bench.compare(committed, fresh) == [
+            f"level/3: new_states {committed['levels'][3]['new_states']} -> "
+            f"{fresh['levels'][3]['new_states']}"]
 
     def test_exact_store_profile_gates_a_fingerprint_one(self):
         # CI's cross-store step: the store kind is layout, a detected
@@ -373,7 +401,7 @@ class TestCompareProfiles:
             "result: fingerprint_collisions 0 -> 1"]
 
     def test_schema_versions_may_differ_between_profiles(self):
-        # an older baseline still gates a /4 run: its facts must
+        # an older baseline still gates today's run: its facts must
         # reproduce, facts it never recorded are not asked of it
         base, cand = make_profile_doc(), make_profile_doc()
         base["schema"] = "repro.profile/3"

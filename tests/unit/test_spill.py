@@ -16,7 +16,7 @@ from repro.errors import CheckError
 
 @pytest.fixture
 def path(tmp_path):
-    return tmp_path / "partition-0000.spill"
+    return tmp_path / "visited.spill"
 
 
 class TestRoundTrip:

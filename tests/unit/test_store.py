@@ -39,8 +39,8 @@ class TestMakeStore:
             make_store("bloom")
 
     def test_sharded_spilling_store_counts_like_the_plain_one(self, tmp_path):
-        # one factory: sharding and spilling are arguments, not a second
-        # constructor, and neither changes what the store admits
+        # one factory: a partition count and spilling are arguments, not a
+        # second constructor, and neither changes what the store admits
         plain = make_store("fingerprint")
         sharded = make_store("fingerprint", 4, spill_dir=tmp_path / "a",
                              spill_threshold=16)
@@ -50,7 +50,8 @@ class TestMakeStore:
             verdict = plain.add(state)
             assert sharded.add(state) == alias.add(state) == verdict
         assert len(plain) == len(sharded) == len(alias) == 700
-        assert sharded.spill_bytes() > 0
+        assert sharded.spill_bytes() == alias.spill_bytes() > 0
+        assert sharded.spill_merges == alias.spill_merges == 700 // (4 * 16)
         sharded.close()
         alias.close()
 
@@ -346,103 +347,73 @@ class TestComponentFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# sharded stores (fingerprint-range partitions)
+# the disk tier, and what is left of ``partitions``
 # ---------------------------------------------------------------------------
-
-from repro.check.store import partition_index  # noqa: E402
-
-
-class TestPartitionRouter:
-    def test_index_in_range(self):
-        for partitions in (1, 2, 3, 7, 64):
-            for fp in (0, 1, 2**32, 2**63, 2**64 - 1):
-                assert 0 <= partition_index(fp, partitions) < partitions
-
-    def test_ranges_are_contiguous_and_monotone(self):
-        # each partition owns one contiguous fingerprint range: the
-        # index never decreases as fp grows
-        fps = sorted([0, 17, 2**16, 2**40, 2**63, 2**63 + 1, 2**64 - 1])
-        idx = [partition_index(fp, 5) for fp in fps]
-        assert idx == sorted(idx)
-
-    def test_single_partition_owns_everything(self):
-        assert partition_index(0, 1) == 0
-        assert partition_index(2**64 - 1, 1) == 0
-
-    def test_spread_is_roughly_uniform(self):
-        counts = [0] * 4
-        for i in range(4000):
-            counts[partition_index(fingerprint(("s", i)), 4)] += 1
-        assert min(counts) > 500  # blake2b can't be this lopsided
 
 
 class TestPartitionedFingerprintStore:
+    """The fingerprint store was sharded by fingerprint range until PR 23
+    (EXPERIMENTS.md, "4b").  It is one table now; ``make_store(kind, P,
+    spill_threshold=N)`` still takes a partition count and turns it into
+    a merge threshold of ``P x N``.  Membership never depended on either."""
+
     def test_membership_matches_unsharded_store(self):
         # one shuffled list, the same verdict sequence and collision count
         # at any partition count: sharding is not part of the semantics
         states = [("state", i % 700) for i in range(2000)]
         random.Random(14).shuffle(states)
-        plain, sharded = FingerprintStore(), FingerprintStore(3)
+        plain, sharded = FingerprintStore(), make_store("fingerprint", 3)
         for state in states:
             assert plain.add(state) == sharded.add(state)
         assert len(plain) == len(sharded) == 700
         assert sharded.collisions == plain.collisions == 0
-        # Truncated keys are the exception, by design: routing uses the
-        # full fingerprint, so two states sharing an 8-bit key collide
-        # only when they share a partition.  The numbers are the ones the
-        # two separate classes gave before they were merged.
-        for partitions, size, collisions in ((1, 240, 1304), (3, 458, 683)):
-            store = FingerprintStore(partitions, bits=8)
+        # truncated keys too, now that a key has one table to collide in
+        # (the sharded class separated keys that fell in different ranges)
+        for partitions in (None, 3):
+            store = make_store("fingerprint", partitions, bits=8)
             for state in states:
                 store.add(state)
-            assert (len(store), store.collisions) == (size, collisions)
+            assert (len(store), store.collisions) == (240, 1304)
 
     def test_membership_matches_with_spill(self, tmp_path):
         plain = FingerprintStore()
-        sharded = FingerprintStore(
-            3, spill_dir=tmp_path, spill_threshold=16)
+        spilling = make_store("fingerprint", 3, spill_dir=tmp_path,
+                              spill_threshold=16)
         states = [("state", i % 700) for i in range(2000)]
         for state in states:
-            assert plain.add(state) == sharded.add(state)
-        assert len(sharded) == 700
-        assert sharded.spill_bytes() > 0
-        assert sum(r["spill_merges"] for r in sharded.partition_rows()) > 0
-        sharded.close()
+            assert plain.add(state) == spilling.add(state)
+        assert len(spilling) == 700
+        assert spilling.spill_bytes() > 0
+        # 3 x 16 resident entries between merges, as the flags promised
+        assert spilling.spill_merges == 700 // 48
+        spilling.close()
 
-    def test_truncated_bits_detect_collisions(self):
-        store = FingerprintStore(4, bits=8)
+    def test_truncated_bits_detect_collisions(self, tmp_path):
+        # a collision is detected on the disk tier as in the hot dict
+        resident = FingerprintStore(bits=8)
+        spilling = FingerprintStore(bits=8, spill_dir=tmp_path,
+                                    spill_threshold=32)
         for i in range(1000):
-            store.add(("state", i))
-        # bits only truncates the *stored* key; routing uses the full
-        # fingerprint, so all four partitions still get traffic
-        rows = store.partition_rows()
-        assert all(r["probes"] > 0 for r in rows)
-        assert store.collisions >= 1
-        assert store.collisions == sum(r["collisions"] for r in rows)
+            assert resident.add(("state", i)) == spilling.add(("state", i))
+        assert spilling.spill_merges > 0
+        assert spilling.collisions == resident.collisions >= 1000 - 256
+        spilling.close()
 
-    def test_probe_predicts_add_without_mutation(self):
+    def test_probe_predicts_add_without_mutation(self, tmp_path):
         # `in` answers what add() would find and leaves no trace of itself
-        store = FingerprintStore(2)
+        store = FingerprintStore(spill_dir=tmp_path, spill_threshold=2)
         assert "s" not in store
         assert len(store) == 0  # a membership test never admits
-        store.add("s")
-        assert "s" in store
-        rows = store.partition_rows()
-        assert sum(row["probes"] for row in rows) == 1  # the add alone
-
-    def test_rows_partition_owned_sums_to_len(self, tmp_path):
-        store = FingerprintStore(
-            4, spill_dir=tmp_path, spill_threshold=8)
-        for i in range(300):
-            store.add(("state", i))
-        rows = store.partition_rows()
-        assert sum(r["owned"] for r in rows) == len(store) == 300
+        for state in "stu":
+            store.add(state)
+        assert store.spill_merges == 1  # "s" and "t" are on disk, "u" hot
+        assert all(state in store for state in "stu") and "v" not in store
+        assert len(store) == 3 and store.collisions == 0
         store.close()
 
     def test_approx_bytes_excludes_spill(self, tmp_path):
-        resident = FingerprintStore(1)
-        spilling = FingerprintStore(
-            1, spill_dir=tmp_path, spill_threshold=8)
+        resident = FingerprintStore()
+        spilling = FingerprintStore(spill_dir=tmp_path, spill_threshold=8)
         for i in range(500):
             resident.add(("state", i))
             spilling.add(("state", i))
@@ -456,14 +427,14 @@ class TestPartitionedFingerprintStore:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="partitions"):
-            FingerprintStore(0)
+            make_store("fingerprint", 0)
         with pytest.raises(ValueError, match="bits"):
-            FingerprintStore(2, bits=65)
+            make_store("fingerprint", 2, bits=65)
         with pytest.raises(ValueError, match="threshold"):
-            FingerprintStore(2, spill_threshold=0)
+            make_store("fingerprint", 2, spill_threshold=0)
 
     def test_no_parent_pointers(self):
-        store = FingerprintStore(2)
+        store = make_store("fingerprint", 2)
         store.add("s")
         with pytest.raises(KeyError):
             store.parent_of("s")
@@ -532,7 +503,8 @@ class TestPartitionedExactStore:
 
 
 class TestMakePartitionedStore:
-    """``make_store`` with a partition count (the former second factory)."""
+    """``make_store`` with a partition count (the former second factory;
+    what ``repro check --partitions P`` and the frozen ``perf/`` call)."""
 
     def test_kinds(self):
         # the exact store has one layout: a partition count used to
@@ -541,8 +513,7 @@ class TestMakePartitionedStore:
             make_store("exact", 2)
         fp = make_store("fingerprint", 3)
         assert isinstance(fp, FingerprintStore)
-        assert fp.partitions == 3
-        assert make_store("fingerprint").partitions == 1
+        assert not hasattr(fp, "partitions")  # one table, however many asked
 
     def test_exact_rejects_spill(self, tmp_path):
         with pytest.raises(ValueError, match="spill"):
