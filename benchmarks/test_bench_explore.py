@@ -21,8 +21,8 @@ regeneration policies:
   committed artifact so a default benchmark run never silently replaces
   a complete exploration with a truncated one.  The rows include the
   unreduced invalidate n=4 cell (~10^7 states), walked over a
-  4-partition spill-backed fingerprint store
-  (``make_store("fingerprint", 4, spill_dir=...)``) so the visited set
+  spill-backed fingerprint store
+  (``make_store("fingerprint", spill_dir=...)``) so the visited set
   stays inside a bounded resident budget.  The ``reductions`` row holds
   the four state-reduction ratios computed from them.
 
@@ -92,13 +92,13 @@ def headline_store(protocol, n, config):
 
     The unreduced invalidate n=4 walk visits ~8.3M states; a plain
     fingerprint dict for it costs ~900 MB of CPython boxing.  The
-    4-partition spill-backed store keeps the resident tier bounded
+    spill-backed store keeps the resident tier bounded at 4M entries
     (identical counts — the reduction-matrix suite pins that).
     """
     if (protocol, n, config) == ("invalidate", 4, "full"):
         spill = tempfile.mkdtemp(prefix="repro-bench-spill-")
-        return make_store("fingerprint", 4, spill_dir=spill,
-                          spill_threshold=1_000_000)
+        return make_store("fingerprint", spill_dir=spill,
+                          spill_threshold=4_000_000)
     return "fingerprint"
 
 
@@ -166,7 +166,7 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
         lines.append(f"  {name:<44} {rendered}")
     lines.append("")
     lines.append("unreduced invalidate n=4 (~8.3M states) runs over the "
-                 "partitioned spill-backed fingerprint store, which "
+                 "spill-backed fingerprint store, which "
                  "bounds its resident memory; the n=4 POR comparison "
                  "keeps the symmetry-reduced space as baseline.")
     write_report(results_dir, "por_reduction.txt", "\n".join(lines))

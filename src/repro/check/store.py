@@ -184,7 +184,9 @@ class StateStore(Protocol):
 
     #: store kind, echoed into results and profiles
     name: str
-    #: True when parent pointers are retained and traces can be rebuilt
+    #: True when provenance is retained and traces can be rebuilt: the
+    #: exact store's parent pointers (:meth:`parent_of`), or a fingerprint
+    #: store's witness columns (``action_trace()``, replayed)
     supports_traces: bool
     #: detected fingerprint collisions (always 0 for exact stores)
     collisions: int
@@ -198,7 +200,7 @@ class StateStore(Protocol):
     def __contains__(self, state: Hashable) -> bool: ...
 
     def parent_of(self, state: Hashable) -> ParentEntry:
-        """The BFS parent entry of ``state`` (exact stores only)."""
+        """The BFS parent entry of ``state`` (the exact store only)."""
         ...
 
     def approx_bytes(self) -> int:

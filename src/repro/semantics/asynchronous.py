@@ -210,8 +210,9 @@ class RemoteNode:
 
 def _node_key(node: Any) -> tuple:
     """``node.canonical_key()``, memoized on the node (outside _FIELDS,
-    so never pickled) for the delta-compressed store, which asks per
-    probe.  The fingerprint store asks the node itself, once, and leaves
+    so never pickled) for callers that ask per probe — the
+    delta-compressed store did; no store does since it was deleted.
+    The fingerprint store asks the node itself, once, and leaves
     no key behind: CPython lays an instance out for its fields plus two,
     and a third memo beside ``_hash_cache`` and ``_digest_cache`` costs
     every node a dict of its own (+330 bytes)."""
@@ -247,9 +248,9 @@ class AsyncState:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        """Compact primitive encoding (the delta-compressed exact store
-        keeps it).  Memoized per node and per network, not here: a key
-        cached on the state would live as long as the state."""
+        """Compact primitive encoding.  Memoized per node and per
+        network, not here: a key cached on the state would live as long
+        as the state."""
         return ("async", _node_key(self.home),
                 tuple(_node_key(r) for r in self.remotes),
                 self.channels.canonical_key())

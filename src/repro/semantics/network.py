@@ -189,9 +189,10 @@ class Channels:
         pushed onto the tail, their canonical keys)`` ops in one step.
 
         If this object has computed its canonical key, the result's
-        follows from it by the same pops and pushes — the delta-compressed
-        store asks every successor state for its key (the fingerprint
-        store never does), and queues barely change from state to successor.
+        follows from it by the same pops and pushes — queues barely
+        change from state to successor.  (The delta-compressed store
+        asked every successor for its key; the fingerprint store never
+        does, so since that store's deletion no sweep takes this branch.)
         """
         queues = self.queues
         for c, popped, pushed, _ in ops:
