@@ -8,7 +8,9 @@ cross-checked against bounded exploration (``repro.bench/1`` rows from
 
 * the **static verdict** of :func:`repro.analysis.paramcheck
   .check_parameterized` — flow count, cover completeness, invariant
-  count, and whether deadlock freedom was discharged for arbitrary N;
+  count, the size of the one-concrete-remote + Other abstraction the
+  invariants and the stuck-state rule were checked on, and whether
+  deadlock freedom was discharged for arbitrary N;
 * the **exploration verdicts** of the derived asynchronous protocol at
   n = 2..4 under symmetry + partial-order reduction, at a pinned state
   budget (``REPRO_BENCH_CUTOFF_BUDGET``, default 60000 — enough to
@@ -16,16 +18,17 @@ cross-checked against bounded exploration (``repro.bench/1`` rows from
   is recorded ``unknown`` elsewhere) so every count is bit-reproducible
   and ``compare_bench.py`` holds it to exact equality in CI;
 * the **stabilization cutoff** — the smallest n from which every larger
-  explored instance with a known verdict agrees.  The flow argument
-  predicts a cutoff of 2 (every invariant mentions the home plus at
-  most one remote); the exploration column is the empirical check.
+  explored instance with a known verdict agrees.  The static verdict
+  assumes no cutoff (it is checked on the abstraction, not at n = 2);
+  the exploration column is the empirical check that nothing changes
+  from n = 2 on.
 
 The acceptance claims asserted here:
 
 * all four library protocols discharge deadlock freedom for arbitrary N;
 * no disagreement: a discharged protocol never shows a bounded deadlock
   (zero unsound verdicts at n <= 4);
-* the observed stabilization cutoff is 2, matching the theory.
+* the observed stabilization cutoff is 2.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
             complete_cover=verdict.graph.complete,
             n_flows=len(verdict.graph.flows),
             n_invariants=len(verdict.invariants),
-            witness_states=verdict.witness_states,
+            abstract_states=verdict.abstract_states,
             stabilizes_at=cutoff,
             agreement=not (verdict.discharged and bounded_deadlock),
         ), cells))
@@ -128,8 +131,8 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
                      f"{r['n_flows']:>6} {r['n_invariants']:>5} "
                      f"{str(r['stabilizes_at']):>7}  {explored}")
     lines.append("")
-    lines.append("the flow argument predicts a cutoff of 2 (each invariant "
-                 "mentions the home plus at most one remote); 'unknown' "
+    lines.append("the static verdict is checked on the one-concrete-remote "
+                 "+ Other abstraction and assumes no cutoff; 'unknown' "
                  "cells hit the pinned budget without finding a deadlock.")
     write_report(results_dir, "cutoff.txt", "\n".join(lines))
 

@@ -8,8 +8,9 @@ facts, one ``<protocol>/n<N>`` row per explored size).  For every
 library protocol:
 
 * the **static verdict** of :func:`repro.analysis.coherencecheck
-  .check_coherence` — discharge status, candidate/validated/promoted
-  lemma counts, CEGAR iterations and abstract state count;
+  .check_coherence` — discharge status, how many candidate lemmas
+  there were, how many held on the abstraction (``validated``) and gate
+  its Other (``n_lemmas``), sweeps and abstract state count;
 * the **exploration verdicts** for single-writer/SWMR on the derived
   asynchronous protocol at n = 2..4 under symmetry + partial-order
   reduction, at a pinned state budget (``REPRO_BENCH_PARAM_BUDGET``,

@@ -26,11 +26,13 @@ space is explored.  This subsystem makes that a first-class tool:
   (user callables seen through; unkeyable subjects are never stored);
 * :mod:`~repro.analysis.flows` — message-flow derivation from the AST
   (the transaction shapes between stable home states);
+* :mod:`~repro.analysis.environment` — the abstract system both any-N
+  verdicts are checked on: concrete remotes plus a stateless Other,
+  gated by flow lemmas that are invariants of the sweep they gate;
 * :mod:`~repro.analysis.paramcheck` — flow-based parameterized
   deadlock-freedom verdicts for arbitrary node counts (``P45xx``);
 * :mod:`~repro.analysis.coherencecheck` — parameterized single-writer /
-  SWMR verdicts through a flow-strengthened environment abstraction
-  (``P46xx``);
+  SWMR verdicts on the same abstraction (``P46xx``);
 * :mod:`~repro.analysis.sarif` — SARIF 2.1.0 export of any report;
 * :mod:`~repro.analysis.manager` — the pass manager
   (:func:`analyze_protocol` / :func:`analyze_refined`).
@@ -42,7 +44,7 @@ lives in ``docs/ANALYSIS.md``.
 """
 
 from .bufferdemand import home_buffer_bound, remote_demand
-from .coherencecheck import CoherenceLemma, CoherenceVerdict, check_coherence
+from .coherencecheck import CoherenceVerdict, check_coherence
 from .diagnostics import (
     CODES,
     AnalysisReport,
@@ -53,6 +55,7 @@ from .diagnostics import (
     render_json,
     render_text,
 )
+from .environment import FlowLemma
 from .flows import Flow, FlowGraph, derive_flows
 from .manager import (
     AnalysisCache,
@@ -72,11 +75,11 @@ __all__ = [
     "AnalysisReport",
     "CertificateReport",
     "CodeInfo",
-    "CoherenceLemma",
     "CoherenceVerdict",
     "Diagnostic",
     "Flow",
     "FlowGraph",
+    "FlowLemma",
     "ParamVerdict",
     "Severity",
     "analyze_protocol",

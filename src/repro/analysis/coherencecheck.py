@@ -2,211 +2,71 @@
 
 The explorer checks single-writer and SWMR (``protocols/invariants.py``)
 at fixed node counts; this pass lifts the same two properties to *any*
-number of remotes.  The construction is the classic CMP-style
-environment abstraction: keep **two concrete remotes** (ids 0 and 1)
-and collapse every further remote into one stateless **Other** node
-(id :data:`OTHER`).  Both coherence properties mention at most two
-remotes, and remotes are interchangeable copies of one template, so a
-violation in any N-node run projects — by symmetry — onto a run of the
-abstract system in which the two offending nodes are the concrete pair
-and everyone else is Other.  If the abstract system has no reachable
-violation, no instance does.
-
-The abstract system over-approximates the environment:
-
-* **Other sends**: any remote-template output message (with any payload
-  the template can produce) may arrive at the home at any time, through
-  *every* accepting home input guard — Other conflates real senders
-  whose first-matching guard would differ, so one offer per accepting
-  guard is the sound enumeration.  The home applies its usual binding
-  and update with sender id :data:`OTHER`.
-* **Other receives**: a home output whose target evaluates to
-  :data:`OTHER` is absorbed unconditionally whenever the message is in
-  the remote template's input alphabet (some environment node in some
-  state might accept it); the home applies its update, Other has no
-  state to change.
-* **Sticky sets**: a home update may shrink an id-set variable (e.g.
-  the sharer set).  Concretely that removes *one* id; in the
-  projection, other environment members may remain.  Whenever a step
-  removes :data:`OTHER` from a ``frozenset`` variable the abstract
-  system additionally offers a variant step that keeps it — so the
-  abstraction covers both "the last environment sharer left" and "more
-  remain".
+number of remotes.  Both mention at most two remotes, so they are
+checked on :mod:`repro.analysis.environment`'s abstraction with **two
+concrete remotes** and every further remote collapsed into the
+stateless **Other**: a violation in any N-node run projects — with the
+two offending nodes as the concrete pair — onto a run of the abstract
+system, so if that has no reachable violation, no instance does.  How
+Other sends, receives and keeps id-sets sticky is documented there.
 
 Unrefined, Other is too wild for some protocols: it can answer a
-point-to-point handshake it was never part of.  The refinement loop
-(CEGAR in the small) strengthens the abstraction with
-**noninterference lemmas** harvested from the derived flow graph
-(:mod:`repro.analysis.flows`): while the home is inside a flow engaged
-with the remote named by variable ``v``, that remote sits inside the
-flow's requester/responder region and can only send what that region
-can produce.  Each candidate lemma is first *validated* — its concrete
-justification invariant is model-checked on the two-node instance —
-and only validated lemmas may be promoted.  A promoted lemma prunes
-Other-sends along ``VarSender(v)`` guards only; fresh-sender guards
-(``AnySender``/``SetSender``) stay open, because Other also plays the
-innocent bystanders.
+point-to-point handshake it was never part of.  **Noninterference
+lemmas** harvested from the derived flow graph
+(:mod:`repro.analysis.flows`) tame it: while the home is inside a flow
+engaged with the remote named by variable ``v``, that remote sits inside
+the flow's requester/responder region and can only send what that
+region can produce.  Every candidate gates Other from the first sweep
+and is checked, on the concrete remotes, as an invariant of that same
+sweep; a falsified one is dropped and the sweep repeated until none
+falls, so a lemma never gates an abstraction it does not hold on.
 
-The loop: explore the abstract system; if a violation trace contains
-no Other/sticky step it is a genuine two-node counterexample (replayed
-through :class:`~repro.semantics.rendezvous.RendezvousSystem` to make
-sure, rendered as an MSC by the CLI) — **refuted**; otherwise promote
-the validated lemmas that would have blocked one of its Other-sends
-and re-run; if none applies, or budgets run out, the verdict is
-**inconclusive** — never a silent discharge.
-
-Soundness caveats, stated rather than hidden: the abstraction is exact
-for the id-opaque fragment the library and generator use (variable /
-set / any sender patterns, variable targets, id-polymorphic updates);
-home guards that inspect remote ids by arbitrary predicate or compute
-targets by expression are flagged ``P4605`` and force an inconclusive
-verdict.  Lemma justification is checked on the n=2 instance and
-lifted by the same symmetry argument the P45xx pass documents; the
-``BENCH_param.json`` differential cross-checks every verdict against
-bounded exploration at n = 2..4.
+The verdict, read off the last sweep: no reachable violation —
+**discharged**; a violation trace without an Other/sticky step is a
+genuine two-node counterexample (replayed through
+:class:`~repro.semantics.rendezvous.RendezvousSystem` to make sure,
+rendered as an MSC by the CLI) — **refuted**; a violation only Other's
+interference reaches, a budget that ran out, or a home guard the
+abstraction cannot model (``P4605``) — **inconclusive**, never a silent
+discharge.  The ``BENCH_param.json`` differential cross-checks every
+verdict against bounded exploration at n = 2..4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..csp.ast import (
-    ConstTarget,
-    ExprTarget,
-    Input,
-    PredSender,
-    Protocol,
-    VarSender,
-)
-from ..csp.env import Env, Value
+from ..csp.ast import Protocol
 from .diagnostics import Diagnostic, make
-from .flows import FlowGraph, derive_flows, producible_msgs, tau_closure
+from .environment import (
+    ENGAGED,
+    LEMMAS,
+    WAIT,
+    FlowLemma,
+    Sweep,
+    is_abstract,
+    region_lemma,
+    sweep,
+)
+from .flows import FlowGraph, derive_flows, tau_closure
 
-if TYPE_CHECKING:  # pragma: no cover - resolved lazily by _load_runtime
-    from ..check.explorer import explore
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..check.stats import Counterexample
-    from ..protocols.invariants import (
-        COHERENCE_SPECS,
-        CoherenceSpec,
-        coherence_invariants,
-    )
+    from ..protocols.invariants import CoherenceSpec
     from ..refine.plan import RefinementConfig
     from ..refine.reqreply import PairReport
-    from ..semantics.rendezvous import (
-        RendezvousStep,
-        RendezvousSystem,
-        TauStep,
-    )
-    from ..semantics.state import HOME_ID, ProcState, RvState
-
-
-def _load_runtime() -> None:
-    """Bind the exploration/semantics/invariants imports on first use.
-
-    :mod:`repro.analysis` is imported while :mod:`repro.semantics`,
-    :mod:`repro.check` and :mod:`repro.protocols` are still
-    initializing, so — like :mod:`.paramcheck` — this module keeps the
-    heavy imports out of module scope and binds them on first entry.
-    """
-    if "explore" in globals():
-        return
-    from ..check import explorer, stats
-    from ..protocols import invariants
-    from ..semantics import rendezvous, state
-
-    globals().update(
-        explore=explorer.explore,
-        Counterexample=stats.Counterexample,
-        COHERENCE_SPECS=invariants.COHERENCE_SPECS,
-        CoherenceSpec=invariants.CoherenceSpec,
-        coherence_invariants=invariants.coherence_invariants,
-        RendezvousStep=rendezvous.RendezvousStep,
-        RendezvousSystem=rendezvous.RendezvousSystem,
-        TauStep=rendezvous.TauStep,
-        HOME_ID=state.HOME_ID,
-        ProcState=state.ProcState,
-        RvState=state.RvState,
-    )
 
 __all__ = [
-    "OTHER",
-    "AbstractCoherenceSystem",
-    "AbstractionError",
-    "CoherenceLemma",
     "CoherenceVerdict",
-    "OtherRecv",
-    "OtherSend",
-    "StickyStep",
     "check_coherence",
     "coherencecheck_pass",
     "derive_candidate_lemmas",
 ]
 
-#: Number of concrete remote nodes kept by the abstraction.  Coherence
-#: is a two-index property, so two suffice; the environment node gets
-#: the next id.
+#: Concrete remotes the abstraction keeps: coherence is a two-index
+#: property, so two suffice.
 N_CONCRETE = 2
-OTHER = N_CONCRETE
-
-
-class AbstractionError(Exception):
-    """The abstract semantics hit a construct it cannot over-approximate."""
-
-
-# ---------------------------------------------------------------------------
-# abstract actions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OtherSend:
-    """The environment sends ``msg`` to the home.
-
-    ``in_index`` pins which home input guard accepted it: Other stands
-    for many real senders at once, so every accepting guard is a
-    distinct abstract step (first-match would under-approximate).
-    """
-
-    msg: str
-    payload: Value = None
-    in_index: int = 0
-
-    def describe(self) -> str:
-        return f"other!{self.msg} ⇄ h[#{self.in_index}]"
-
-
-@dataclass(frozen=True)
-class OtherRecv:
-    """The home sends ``msg`` to an environment node, which absorbs it."""
-
-    msg: str
-    out_index: int = 0
-
-    def describe(self) -> str:
-        return f"h!{self.msg} ⇄ other"
-
-
-@dataclass(frozen=True)
-class StickyStep:
-    """Variant of a step whose update removed :data:`OTHER` from the
-    id-set variables in ``vars`` — this copy keeps it, modelling real
-    runs where further environment members remain in the set."""
-
-    base: str
-    vars: tuple[str, ...]
-
-    def describe(self) -> str:
-        return f"{self.base} ⊕ other∈{{{','.join(self.vars)}}}"
-
-
-def _describe(action: Any) -> str:
-    describe = getattr(action, "describe", None)
-    return describe() if callable(describe) else repr(action)
-
-
-def _is_abstract(action: Any) -> bool:
-    return isinstance(action, (OtherSend, OtherRecv, StickyStep))
 
 
 # ---------------------------------------------------------------------------
@@ -214,54 +74,8 @@ def _is_abstract(action: Any) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoherenceLemma:
-    """While the home is in ``home_states`` engaged (via variable
-    ``var``) with an environment node, that node can only send
-    ``allowed_msgs``.
-
-    ``pred`` is the concrete justification invariant (over a two-node
-    :class:`~repro.semantics.state.RvState`); a lemma may gate the
-    abstraction only after the invariant survives exhaustive two-node
-    exploration.
-    """
-
-    name: str
-    kind: str  # "engaged" | "wait"
-    flow: str
-    var: str
-    home_states: frozenset[str]
-    allowed_msgs: frozenset[str]
-    detail: str
-    pred: Callable[[Any], bool] = field(compare=False, repr=False)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "flow": self.flow,
-            "var": self.var,
-            "home_states": sorted(self.home_states),
-            "allowed_msgs": sorted(self.allowed_msgs),
-            "detail": self.detail,
-        }
-
-
-def _region_pred(home_states: frozenset[str], var: str,
-                 region: frozenset[str]) -> Callable[[Any], bool]:
-    def pred(rv: Any, _h: frozenset[str] = home_states, _v: str = var,
-             _r: frozenset[str] = region) -> bool:
-        if rv.home.state not in _h:
-            return True
-        idx = rv.home.env.get(_v)
-        if not isinstance(idx, int) or not 0 <= idx < len(rv.remotes):
-            return False
-        return rv.remotes[idx].state in _r
-    return pred
-
-
 def derive_candidate_lemmas(
-        protocol: Protocol, graph: FlowGraph) -> tuple[CoherenceLemma, ...]:
+        protocol: Protocol, graph: FlowGraph) -> tuple[FlowLemma, ...]:
     """Candidate noninterference lemmas read off the flow graph.
 
     Two families per flow: the **engaged** lemma (home inside the flow
@@ -269,26 +83,23 @@ def derive_candidate_lemmas(
     only what that region produces) and one **wait** lemma per flow
     wait on a non-requester variable whose pending message identifies
     the responder region.  Candidates are *not* yet trusted — see
-    :func:`check_coherence` for the validation step.
+    :func:`check_coherence` for the check each must survive.
     """
     remote = protocol.remote
-    candidates: dict[str, CoherenceLemma] = {}
+    candidates: dict[str, FlowLemma] = {}
     for flow in graph.flows:
         var = flow.requester_var
         engaged = False
         if (flow.stable_entry and var is not None
                 and flow.interior_home and flow.requester_region):
             region = flow.requester_region
-            allowed = frozenset().union(
-                *(producible_msgs(remote, s) for s in region))
-            name = f"{flow.name}:engaged"
-            candidates.setdefault(name, CoherenceLemma(
-                name=name, kind="engaged", flow=flow.name, var=var,
-                home_states=flow.interior_home, allowed_msgs=allowed,
+            lemma = region_lemma(
+                remote, name=f"{flow.name}:engaged", kind=ENGAGED,
+                flow=flow.name, var=var, home_states=flow.interior_home,
+                region=region,
                 detail=(f"home inside {flow.name} ⇒ {var} is in "
-                        f"{{{', '.join(sorted(region))}}} and sends only "
-                        f"{{{', '.join(sorted(allowed))}}}"),
-                pred=_region_pred(flow.interior_home, var, region)))
+                        f"{{{', '.join(sorted(region))}}}"))
+            candidates.setdefault(lemma.name, lemma)
             engaged = True
         for wait in flow.waits:
             if engaged and wait.var == var:
@@ -302,227 +113,16 @@ def derive_candidate_lemmas(
                 continue
             region = frozenset().union(
                 *(tau_closure(remote, s) for s in responders))
-            allowed = frozenset().union(
-                *(producible_msgs(remote, s) for s in region))
-            name = f"{flow.name}:wait@{wait.state}:{wait.var}"
-            states = frozenset({wait.state})
-            candidates.setdefault(name, CoherenceLemma(
-                name=name, kind="wait", flow=flow.name, var=wait.var,
-                home_states=states, allowed_msgs=allowed,
+            lemma = region_lemma(
+                remote, name=f"{flow.name}:wait@{wait.state}:{wait.var}",
+                kind=WAIT, flow=flow.name, var=wait.var,
+                home_states=frozenset({wait.state}), region=region,
                 detail=(f"home at {wait.state} awaits "
                         f"{'/'.join(sorted(wait.msgs))} from {wait.var} "
                         f"after sending {wait.pending} ⇒ {wait.var} is in "
-                        f"{{{', '.join(sorted(region))}}} and sends only "
-                        f"{{{', '.join(sorted(allowed))}}}"),
-                pred=_region_pred(states, wait.var, region)))
+                        f"{{{', '.join(sorted(region))}}}"))
+            candidates.setdefault(lemma.name, lemma)
     return tuple(candidates[name] for name in sorted(candidates))
-
-
-# ---------------------------------------------------------------------------
-# the abstract system
-# ---------------------------------------------------------------------------
-
-
-class AbstractCoherenceSystem:
-    """Two concrete remotes plus the Other environment node.
-
-    States are plain two-remote :class:`~repro.semantics.state.RvState`
-    values (Other is stateless); the concrete fragment mirrors
-    :class:`~repro.semantics.rendezvous.RendezvousSystem` exactly, so a
-    violation trace without abstract steps is a real two-node run.
-    """
-
-    def __init__(self, protocol: Protocol, *,
-                 other_sends: dict[str, tuple[Value, ...]],
-                 lemmas: tuple[CoherenceLemma, ...] = ()) -> None:
-        _load_runtime()
-        self.protocol = protocol
-        self.other_sends = other_sends
-        self.lemmas = tuple(lemmas)
-        self.seen_remote_envs: set[Env] = {protocol.remote.initial_env}
-        self._remote_input_msgs = frozenset(
-            g.msg for sdef in protocol.remote.states.values()
-            for g in sdef.inputs)
-
-    # -- explorer interface --------------------------------------------------
-
-    def initial_state(self) -> RvState:
-        home = ProcState(self.protocol.home.initial_state,
-                         self.protocol.home.initial_env)
-        remote = ProcState(self.protocol.remote.initial_state,
-                           self.protocol.remote.initial_env)
-        return RvState(home=home, remotes=(remote,) * N_CONCRETE)
-
-    def successors(self, state: RvState) -> list[tuple[Any, RvState]]:
-        result: list[tuple[Any, RvState]] = []
-        for action, post in self._base_successors(state):
-            result.append((action, post))
-            result.extend(self._sticky_variants(state, action, post))
-        for _, post in result:
-            for proc in post.remotes:
-                self.seen_remote_envs.add(proc.env)
-        return result
-
-    def is_progress(self, action: Any) -> bool:
-        return isinstance(action, (RendezvousStep, OtherSend, OtherRecv))
-
-    # -- base transitions ----------------------------------------------------
-
-    def _base_successors(
-            self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        yield from self._tau_steps(state)
-        yield from self._home_active(state)
-        yield from self._remote_active(state)
-        yield from self._other_send_steps(state)
-
-    def _tau_steps(self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        for guard in self.protocol.home.state(state.home.state).taus:
-            if guard.enabled(state.home.env):
-                moved = state.home.moved(
-                    guard.to, guard.apply_update(state.home.env))
-                yield (TauStep(proc=HOME_ID, label=guard.label),
-                       state.with_home(moved))
-        for i, proc in enumerate(state.remotes):
-            for guard in self.protocol.remote.state(proc.state).taus:
-                if guard.enabled(proc.env):
-                    moved = proc.moved(
-                        guard.to, guard.apply_update(proc.env))
-                    yield (TauStep(proc=i, label=guard.label),
-                           state.with_remote(i, moved))
-
-    def _home_active(self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        home_def = self.protocol.home.state(state.home.state)
-        for idx, guard in enumerate(home_def.outputs):
-            if not guard.enabled(state.home.env):
-                continue
-            assert guard.target is not None
-            try:
-                target = guard.target.eval(state.home.env)
-                payload = guard.eval_payload(state.home.env)
-            except Exception as exc:
-                raise AbstractionError(
-                    f"home output !{guard.msg} at {state.home.state} is not "
-                    f"evaluable under the abstraction ({exc})") from exc
-            if 0 <= target < N_CONCRETE:
-                remote = state.remotes[target]
-                for r_guard in self.protocol.remote.state(
-                        remote.state).inputs:
-                    if r_guard.msg == guard.msg and r_guard.accepts(
-                            remote.env, -1, payload):
-                        new_home = state.home.moved(
-                            guard.to, guard.apply_update(state.home.env))
-                        new_remote = remote.moved(
-                            r_guard.to,
-                            r_guard.complete(remote.env, -1, payload))
-                        yield (RendezvousStep(
-                            active=HOME_ID, passive=target, msg=guard.msg,
-                            payload=payload, out_index=idx),
-                            state.with_home(new_home)
-                            .with_remote(target, new_remote))
-                        break  # one matching input is one rendezvous offer
-            elif target == OTHER:
-                if guard.msg not in self._remote_input_msgs:
-                    continue  # no environment node could ever accept it
-                new_home = state.home.moved(
-                    guard.to, guard.apply_update(state.home.env))
-                yield (OtherRecv(msg=guard.msg, out_index=idx),
-                       state.with_home(new_home))
-            else:
-                raise AbstractionError(
-                    f"home output !{guard.msg} at {state.home.state} "
-                    f"targets remote {target}, outside the abstract "
-                    f"universe 0..{OTHER}")
-
-    def _remote_active(self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        home_def = self.protocol.home.state(state.home.state)
-        for i, proc in enumerate(state.remotes):
-            for idx, guard in enumerate(
-                    self.protocol.remote.state(proc.state).outputs):
-                if not guard.enabled(proc.env):
-                    continue
-                payload = guard.eval_payload(proc.env)
-                for h_guard in home_def.inputs:
-                    if h_guard.msg == guard.msg and h_guard.accepts(
-                            state.home.env, i, payload):
-                        new_remote = proc.moved(
-                            guard.to, guard.apply_update(proc.env))
-                        new_home = state.home.moved(
-                            h_guard.to,
-                            h_guard.complete(state.home.env, i, payload))
-                        yield (RendezvousStep(
-                            active=i, passive=HOME_ID, msg=guard.msg,
-                            payload=payload, out_index=idx),
-                            state.with_home(new_home)
-                            .with_remote(i, new_remote))
-                        break
-
-    def _other_send_steps(
-            self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        home_def = self.protocol.home.state(state.home.state)
-        for msg in sorted(self.other_sends):
-            for payload in self.other_sends[msg]:
-                for in_index, guard in enumerate(home_def.inputs):
-                    if guard.msg != msg:
-                        continue
-                    try:
-                        if not guard.accepts(state.home.env, OTHER, payload):
-                            continue
-                        if self._blocked(state, guard, msg):
-                            continue
-                        new_env = guard.complete(
-                            state.home.env, OTHER, payload)
-                    except AbstractionError:
-                        raise
-                    except Exception as exc:
-                        raise AbstractionError(
-                            f"home input ?{msg} at {state.home.state} is "
-                            f"not evaluable for the Other sender "
-                            f"({exc})") from exc
-                    yield (OtherSend(msg=msg, payload=payload,
-                                     in_index=in_index),
-                           state.with_home(
-                               state.home.moved(guard.to, new_env)))
-
-    def _blocked(self, state: RvState, guard: Input, msg: str) -> bool:
-        if not isinstance(guard.sender, VarSender):
-            return False  # fresh-sender guards also model bystanders
-        for lemma in self.lemmas:
-            if (lemma.var == guard.sender.var
-                    and state.home.state in lemma.home_states
-                    and state.home.env.get(lemma.var) == OTHER
-                    and msg not in lemma.allowed_msgs):
-                return True
-        return False
-
-    # -- sticky id-set variants ----------------------------------------------
-
-    def _sticky_variants(
-            self, pre: RvState, action: Any,
-            post: RvState) -> list[tuple[Any, RvState]]:
-        lost = sorted(
-            key for key, value in post.home.env.items()
-            if isinstance(value, frozenset) and OTHER not in value
-            and isinstance(pre.home.env.get(key), frozenset)
-            and OTHER in pre.home.env[key])  # type: ignore[operator]
-        if not lost:
-            return []
-        variants: list[tuple[Any, RvState]] = []
-        for subset in _nonempty_subsets(lost):
-            env = post.home.env.update(
-                {key: post.home.env[key] | {OTHER}  # type: ignore[operator]
-                 for key in subset})
-            variants.append((
-                StickyStep(base=_describe(action), vars=subset),
-                post.with_home(post.home.moved(post.home.state, env))))
-        return variants
-
-
-def _nonempty_subsets(items: list[str]) -> list[tuple[str, ...]]:
-    subsets: list[tuple[str, ...]] = []
-    for mask in range(1, 1 << len(items)):
-        subsets.append(tuple(
-            item for bit, item in enumerate(items) if mask >> bit & 1))
-    return subsets
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +132,18 @@ def _nonempty_subsets(items: list[str]) -> list[tuple[str, ...]]:
 
 @dataclass
 class CoherenceVerdict:
-    """Outcome of the parameterized coherence check for one protocol."""
+    """Outcome of the parameterized coherence check for one protocol.
+
+    ``lemmas`` are the candidates that hold on the abstraction and gate
+    its Other (``validated`` of them, out of ``candidates``);
+    ``iterations`` counts the sweeps it took to get there.
+    """
 
     protocol: str
     spec: CoherenceSpec
     status: str  # "discharged" | "refuted" | "inconclusive"
     properties: tuple[str, ...]
-    lemmas: tuple[CoherenceLemma, ...]
+    lemmas: tuple[FlowLemma, ...]
     candidates: int
     validated: int
     iterations: int
@@ -574,135 +179,49 @@ class CoherenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _static_guard_issues(protocol: Protocol) -> list[str]:
-    """Home-side constructs the abstraction cannot classify for Other."""
-    issues = []
-    for name in sorted(protocol.home.states):
-        sdef = protocol.home.state(name)
-        for guard in sdef.inputs:
-            if isinstance(guard.sender, PredSender):
-                issues.append(
-                    f"home input ?{guard.msg} at {name} matches senders by "
-                    f"predicate {guard.sender.describe()}; predicates are "
-                    "not id-opaque, so Other cannot be classified")
-        for guard in sdef.outputs:
-            if isinstance(guard.target, ExprTarget):
-                issues.append(
-                    f"home output !{guard.msg} at {name} computes its "
-                    f"target by expression {guard.target.describe()}; the "
-                    "abstraction cannot map it onto the concrete/Other "
-                    "split")
-            elif isinstance(guard.target, ConstTarget):
-                issues.append(
-                    f"home output !{guard.msg} at {name} targets the fixed "
-                    f"remote {guard.target.remote}; fixed ids break the "
-                    "remote-symmetry premise of the two-concrete-node "
-                    "argument")
-    return issues
-
-
-def _other_send_table(
-        protocol: Protocol, payload_envs: set[Env],
-) -> tuple[dict[str, tuple[Value, ...]], list[str]]:
-    """All (message, payload) pairs the remote template can emit,
-    payloads evaluated over every remote environment seen so far."""
-    issues: set[str] = set()
-    table: dict[str, set[Value]] = {}
-    for name in sorted(protocol.remote.states):
-        for guard in protocol.remote.state(name).outputs:
-            values = table.setdefault(guard.msg, set())
-            for env in payload_envs:
-                try:
-                    values.add(guard.eval_payload(env))
-                except Exception as exc:
-                    issues.add(
-                        f"payload of remote output !{guard.msg} at {name} "
-                        f"is not evaluable under the abstraction ({exc})")
-    return ({msg: tuple(sorted(values, key=repr))
-             for msg, values in sorted(table.items())}, sorted(issues))
-
-
-def _safe_pred(pred: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    def wrapped(state: Any) -> bool:
-        try:
-            return pred(state)
-        except Exception:
-            return False  # a crash in a predicate is a falsification
-    return wrapped
-
-
-def _validate_candidates(
-        protocol: Protocol, candidates: tuple[CoherenceLemma, ...],
-        max_states: int,
-) -> tuple[tuple[CoherenceLemma, ...], Optional[str]]:
-    """Exhaustively check each candidate's justification invariant on
-    the two-node instance; only survivors may gate the abstraction."""
-    if not candidates:
-        return (), None
-    _load_runtime()
-    try:
-        result = explore(
-            RendezvousSystem(protocol, N_CONCRETE),
-            name=f"{protocol.name}-lemma-witness",
-            invariants=[(c.name, _safe_pred(c.pred)) for c in candidates],
-            max_states=max_states,
-            stop_on_violation=False,
-            allow_deadlock=True)
-    except Exception as exc:
-        return (), f"lemma witness exploration failed ({exc})"
-    if not result.completed:
-        return (), (f"lemma witness exploration truncated "
-                    f"({result.stop_reason}); no candidate validated")
-    falsified = {cex.property_name for cex in result.violations}
-    return tuple(c for c in candidates if c.name not in falsified), None
-
-
 def _replay_concrete(protocol: Protocol,
-                     cex: Counterexample) -> tuple[bool, Optional[str]]:
+                     cex: Counterexample) -> Optional[str]:
     """Replay an all-concrete abstract trace through the real two-node
-    rendezvous semantics (defence in depth for refutations)."""
-    _load_runtime()
-    system = RendezvousSystem(protocol, N_CONCRETE)
-    state = system.initial_state()
-    if state != cex.states[0]:
-        return False, "initial state mismatch"
+    rendezvous semantics (defence in depth for refutations); ``None``
+    when it is a run of it, else what went wrong."""
+    from ..check.explorer import replay_actions
+    from ..semantics.rendezvous import RendezvousSystem
+
     try:
-        for i, action in enumerate(cex.steps):
-            state = system.apply(state, action)
-            if state != cex.states[i + 1]:
-                return False, f"state divergence after step {i}"
+        states = replay_actions(RendezvousSystem(protocol, N_CONCRETE),
+                                cex.steps)
     except Exception as exc:
-        return False, str(exc)
-    return True, None
+        return str(exc)
+    return None if states == cex.states else "state divergence"
 
 
-def _promotable_lemmas(
-        protocol: Protocol, violations: Iterable[Counterexample],
-        validated: tuple[CoherenceLemma, ...],
-        active: list[CoherenceLemma]) -> tuple[CoherenceLemma, ...]:
-    """Validated, not-yet-active lemmas that would block an Other-send
-    on some violation trace — the spurious-counterexample classifier."""
-    active_names = {lemma.name for lemma in active}
-    picked: dict[str, CoherenceLemma] = {}
-    for cex in violations:
-        for pre, action in zip(cex.states, cex.steps):
-            if not isinstance(action, OtherSend):
-                continue
-            inputs = protocol.home.state(pre.home.state).inputs
-            if not 0 <= action.in_index < len(inputs):
-                continue  # defensive; indices come from our own steps
-            guard = inputs[action.in_index]
-            if not isinstance(guard.sender, VarSender):
-                continue
-            for lemma in validated:
-                if lemma.name in active_names or lemma.name in picked:
-                    continue
-                if (lemma.var == guard.sender.var
-                        and pre.home.state in lemma.home_states
-                        and pre.home.env.get(lemma.var) == OTHER
-                        and action.msg not in lemma.allowed_msgs):
-                    picked[lemma.name] = lemma
-    return tuple(picked[name] for name in sorted(picked))
+def _judge(protocol: Protocol, run: Sweep,
+           ) -> tuple[str, Optional[Counterexample], Optional[str]]:
+    """``(status, witness, reason)`` from the settled sweep."""
+    if run.reason is not None:
+        return "inconclusive", None, run.reason
+    violations = [cex for cex in run.result.violations
+                  if cex.property_name != LEMMAS]
+    concrete = [cex for cex in violations
+                if not any(is_abstract(step) for step in cex.steps)]
+    if concrete:
+        cex = min(concrete, key=lambda c: len(c.steps))
+        note = _replay_concrete(protocol, cex)
+        if note is None:
+            return "refuted", cex, None
+        return "inconclusive", None, (  # pragma: no cover - defensive
+            f"concrete-looking violation failed replay ({note})")
+    if violations:
+        shortest = min(violations, key=lambda c: len(c.steps))
+        return "inconclusive", None, (
+            f"abstract violation of {shortest.property_name!r} persists "
+            f"({len(shortest.steps)} steps, with Other interference) and "
+            "no flow lemma that holds on the abstraction blocks it")
+    if run.issues:
+        return "inconclusive", None, (
+            "the abstraction over-approximation is incomplete: "
+            + run.issues[0])
+    return "discharged", None, None
 
 
 # ---------------------------------------------------------------------------
@@ -716,168 +235,66 @@ def check_coherence(protocol: Protocol,
                     reports: Optional[tuple[PairReport, ...]] = None,
                     config: Optional[RefinementConfig] = None,
                     strict_cycles: bool = False,
-                    max_states: int = 50_000,
-                    witness_states: int = 20_000,
-                    max_iterations: int = 8) -> CoherenceVerdict:
+                    max_states: int = 50_000) -> CoherenceVerdict:
     """Check single-writer/SWMR for every node count.
 
     :param spec: the coherence spec to check; defaults to the registered
         spec for ``protocol.name`` (raises ``KeyError`` when none is).
     :param graph: pre-derived flow graph (the pass manager shares one).
     :param max_states: state budget per abstract exploration.
-    :param witness_states: budget for the two-node lemma-validation run.
-    :param max_iterations: cap on the lemma-promotion loop.
     """
-    _load_runtime()
+    from ..protocols.invariants import COHERENCE_SPECS, coherence_invariants
+
     if spec is None:
         spec = COHERENCE_SPECS[protocol.name]
     if graph is None:
         graph = derive_flows(protocol, reports=reports, config=config,
                              strict_cycles=strict_cycles)
-    where = f"{protocol.name}:coherence"
     invariants = coherence_invariants(spec)
-    properties = tuple(name for name, _ in invariants)
-
-    issues = _static_guard_issues(protocol)
     candidates = derive_candidate_lemmas(protocol, graph)
-    validated: tuple[CoherenceLemma, ...] = ()
-    active: list[CoherenceLemma] = []
-    status: Optional[str] = None
-    witness: Optional[Counterexample] = None
-    reason: Optional[str] = None
-    iterations = 0
-    abstract_states = 0
-
-    if issues:
-        status = "inconclusive"
-        reason = "the environment abstraction is unsound here: " + issues[0]
-    else:
-        validated, validation_note = _validate_candidates(
-            protocol, candidates, witness_states)
-        if validation_note is not None:
-            issues.append(validation_note)
-        payload_envs = {protocol.remote.initial_env}
-        other_sends, payload_issues = _other_send_table(
-            protocol, payload_envs)
-        while iterations < max_iterations:
-            iterations += 1
-            system = AbstractCoherenceSystem(
-                protocol, other_sends=other_sends, lemmas=tuple(active))
-            try:
-                result = explore(
-                    system,
-                    name=f"{protocol.name}-coherence-abstract",
-                    invariants=[(name, _safe_pred(pred))
-                                for name, pred in invariants],
-                    max_states=max_states,
-                    stop_on_violation=False,
-                    allow_deadlock=True)
-            except AbstractionError as exc:
-                issues.append(str(exc))
-                status, reason = "inconclusive", str(exc)
-                break
-            except Exception as exc:
-                status = "inconclusive"
-                reason = f"abstract exploration failed ({exc})"
-                break
-            abstract_states = result.n_states
-            if not result.completed:
-                status = "inconclusive"
-                reason = (f"abstract exploration truncated "
-                          f"({result.stop_reason}) after "
-                          f"{result.n_states} states")
-                break
-            new_envs = system.seen_remote_envs - payload_envs
-            if new_envs:
-                # payload fixpoint: Other may send any payload some
-                # reachable remote environment can produce
-                payload_envs |= new_envs
-                grown, more_issues = _other_send_table(
-                    protocol, payload_envs)
-                payload_issues.extend(
-                    x for x in more_issues if x not in payload_issues)
-                if grown != other_sends:
-                    other_sends = grown
-                    continue
-            if not result.violations:
-                status = "discharged"
-                break
-            concrete = [cex for cex in result.violations
-                        if not any(_is_abstract(s) for s in cex.steps)]
-            if concrete:
-                cex = min(concrete, key=lambda c: len(c.steps))
-                ok, note = _replay_concrete(protocol, cex)
-                if ok:
-                    status, witness = "refuted", cex
-                else:  # pragma: no cover - defensive
-                    status = "inconclusive"
-                    reason = (f"concrete-looking violation failed replay "
-                              f"({note})")
-                break
-            fresh = _promotable_lemmas(protocol, result.violations,
-                                       validated, active)
-            if not fresh:
-                status = "inconclusive"
-                shortest = min(result.violations,
-                               key=lambda c: len(c.steps))
-                reason = (f"abstract violation of "
-                          f"{shortest.property_name!r} persists "
-                          f"({len(shortest.steps)} steps, with Other "
-                          "interference) and no validated flow lemma "
-                          "blocks it")
-                break
-            active.extend(fresh)
-        else:
-            status = "inconclusive"
-            reason = (f"lemma-promotion loop hit the iteration cap "
-                      f"({max_iterations})")
-        issues.extend(x for x in payload_issues if x not in issues)
-        if issues and status == "discharged":
-            status = "inconclusive"
-            reason = ("the abstraction over-approximation is incomplete: "
-                      + issues[0])
-
-    assert status is not None  # every branch above decides one
-    obligations = _build_obligations(
-        protocol, spec, where, status, reason, witness, issues,
-        candidates, validated, active, iterations, abstract_states)
+    run = sweep(protocol, N_CONCRETE, candidates, invariants=invariants,
+                max_states=max_states,
+                name=f"{protocol.name}-coherence-abstract")
+    status, witness, reason = _judge(protocol, run)
     return CoherenceVerdict(
         protocol=protocol.name, spec=spec, status=status,
-        properties=properties, lemmas=tuple(active),
-        candidates=len(candidates), validated=len(validated),
-        iterations=iterations, abstract_states=abstract_states,
-        obligations=tuple(obligations), witness=witness, reason=reason)
+        properties=tuple(name for name, _ in invariants), lemmas=run.held,
+        candidates=len(candidates), validated=len(run.held),
+        iterations=run.iterations, abstract_states=run.n_states,
+        obligations=tuple(_build_obligations(
+            protocol, status, reason, witness, candidates, run)),
+        witness=witness, reason=reason)
 
 
 def _build_obligations(
-        protocol: Protocol, spec: CoherenceSpec, where: str,
-        status: str, reason: Optional[str],
-        witness: Optional[Counterexample], issues: list[str],
-        candidates: tuple[CoherenceLemma, ...],
-        validated: tuple[CoherenceLemma, ...],
-        active: list[CoherenceLemma], iterations: int,
-        abstract_states: int) -> list[Diagnostic]:
+        protocol: Protocol, status: str, reason: Optional[str],
+        witness: Optional[Counterexample],
+        candidates: tuple[FlowLemma, ...], run: Sweep) -> list[Diagnostic]:
+    where = f"{protocol.name}:coherence"
     obligations: list[Diagnostic] = []
-    for issue in issues:
+    for issue in run.issues:
         obligations.append(make(
             "P4605", where, issue,
             hint="restrict the protocol to the id-opaque fragment "
                  "(variable/set/any senders, variable targets) or check "
                  "coherence by bounded exploration only"))
     if candidates:
-        promoted = ", ".join(lemma.name for lemma in active) or "none"
+        held = ", ".join(lemma.name for lemma in run.held) or "none"
+        fell = (f"; fell: {', '.join(sorted(run.fallen))}"
+                if run.fallen else "")
         obligations.append(make(
             "P4604", where,
             f"{len(candidates)} candidate noninterference lemma(s) from "
-            f"the flow graph, {len(validated)} validated on the n=2 "
-            f"instance, {len(active)} promoted ({promoted})"))
+            f"the flow graph, {len(run.held)} hold on the abstraction they "
+            f"gate ({held}){fell}"))
     if status == "discharged":
         obligations.append(make(
             "P4601", where,
             f"single-writer and SWMR hold for every node count: the "
-            f"environment abstraction (2 concrete remotes + Other) has "
-            f"no reachable violation ({abstract_states} abstract states, "
-            f"{iterations} iteration(s), {len(active)} lemma(s)); "
+            f"environment abstraction ({N_CONCRETE} concrete remotes + "
+            f"Other) has no reachable violation ({run.n_states} abstract "
+            f"states, {run.iterations} iteration(s), {len(run.held)} "
+            f"lemma(s) assumed of Other and checked on the same sweep); "
             f"coherence mentions at most two remotes, so remote symmetry "
             f"lifts the result to arbitrary N"))
     elif status == "refuted":
@@ -913,7 +330,8 @@ def coherencecheck_pass(protocol: Protocol, *,
                         ) -> Iterable[Diagnostic]:
     """Pass-manager entry point; silent for protocols without a
     registered coherence spec (nothing to check them against)."""
-    _load_runtime()
+    from ..protocols.invariants import COHERENCE_SPECS
+
     if spec is None:
         spec = COHERENCE_SPECS.get(protocol.name)
         if spec is None:

@@ -128,10 +128,10 @@ CODES: dict[str, CodeInfo] = _registry(
              Severity.WARNING),
     # -- parameterized (arbitrary-N) flow analysis --------------------------
     CodeInfo("P4501", "incomplete flow cover", "flows", Severity.WARNING),
-    CodeInfo("P4502", "flow waits-for cycle (two-flow witness)", "flows",
+    CodeInfo("P4502", "flow waits-for cycle or stuck abstract state", "flows",
              Severity.WARNING),
     CodeInfo("P4503", "unbounded-buffer obligation", "flows", Severity.WARNING),
-    CodeInfo("P4504", "flow invariant not inductive on the witness instance",
+    CodeInfo("P4504", "flow invariant not inductive on the abstraction",
              "flows", Severity.WARNING),
     CodeInfo("P4505", "parameterized deadlock freedom discharged", "flows",
              Severity.INFO),

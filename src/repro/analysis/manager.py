@@ -12,10 +12,11 @@ function from the analysis context to an iterable of diagnostics, so the
 suite is trivially extensible and individually testable.  The protocol
 and refined passes are AST-level — milliseconds, no state-space
 exploration.  The parameterized passes (:data:`PARAM_PASSES`, the P45xx
-family) additionally check their statically generated flow invariants on
-a tiny rendezvous witness instance (n = 2 by default); callers that must
-stay exploration-free — the refinement engine's pre-plan gate — pass
-``include_param=False``.
+and P46xx families) additionally sweep the environment abstraction of
+:mod:`repro.analysis.environment` — one or two concrete remotes plus a
+stateless Other, a thousand to ten thousand states for the library
+protocols; callers that must stay exploration-free — the refinement
+engine's pre-plan gate — pass ``include_param=False``.
 
 Expensive shared derivations (the section 3.3 pair reports, the flow
 graph) are computed once per run and shared across passes through the
@@ -63,7 +64,7 @@ class AnalysisCache:
         self._reports: "Optional[tuple[PairReport, ...]]" = None
         self._graph: "Optional[FlowGraph]" = None
         self._coherence: "Optional[CoherenceVerdict]" = None
-        self._coherence_done = False
+        self._coherence_done = False  # set once the answer is known
 
     def pair_reports(self, protocol: Protocol,
                      strict_cycles: bool) -> "tuple[PairReport, ...]":
@@ -93,12 +94,12 @@ class AnalysisCache:
             from ..protocols.invariants import COHERENCE_SPECS
             from .coherencecheck import check_coherence
 
-            self._coherence_done = True
             spec = COHERENCE_SPECS.get(ctx.protocol.name)
             if spec is not None:
                 self._coherence = check_coherence(
                     ctx.protocol, spec, graph=self.flow_graph(ctx),
                     config=ctx.config)
+            self._coherence_done = True
         return self._coherence
 
 
@@ -131,8 +132,8 @@ PROTOCOL_PASSES: tuple[tuple[str, PassFn], ...] = (
         fire_and_forget=ctx.fire_and_forget)),
 )
 
-#: The parameterized (arbitrary-N) passes — P45xx.  These explore a tiny
-#: rendezvous witness instance, so they are *not* pure AST passes; the
+#: The parameterized (arbitrary-N) passes — P45xx, P46xx.  These sweep
+#: the environment abstraction, so they are *not* pure AST passes; the
 #: refinement engine's diagnostics gate excludes them.
 PARAM_PASSES: tuple[tuple[str, PassFn], ...] = (
     ("flows", lambda ctx: _flows_pass(ctx)),
@@ -170,10 +171,12 @@ def _coherence_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     try:
         verdict = ctx.cache.coherence_verdict(ctx)
     except Exception as exc:
+        stage = ("flow graph could not be derived"
+                 if ctx.cache._graph is None else "coherence check failed")
         return [make(
             "P4603", f"{ctx.protocol.name}:coherence",
-            f"flow graph could not be derived ({exc}); the parameterized "
-            "coherence check is inconclusive")]
+            f"{stage} ({exc}); the parameterized coherence check is "
+            "inconclusive")]
     if verdict is None:  # no registered coherence spec — nothing to check
         return []
     return list(verdict.obligations)
@@ -213,9 +216,9 @@ def analyze_protocol(protocol: Protocol, *,
     :param nodes: remote node count ``n`` assumed by the buffer-demand
         bound (the bound scales with ``n``).
     :param select: restrict the report to these diagnostic codes.
-    :param include_param: also run the parameterized (P45xx) passes;
-        these explore a small witness instance, so callers needing a
-        pure AST-level report turn them off.
+    :param include_param: also run the parameterized (P45xx, P46xx)
+        passes; these sweep the environment abstraction, so callers
+        needing a pure AST-level report turn them off.
     """
     from ..refine.plan import RefinementConfig
 

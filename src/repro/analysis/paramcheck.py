@@ -14,35 +14,43 @@ verification (Sethi/Talupur/Malik, arXiv:1407.7468):
    discipline on (**P4503** otherwise — the paper's section 4 deadlock
    returns for some N if a remote can demand unbounded slots).
 
-2. **Flow invariants** (static generation, checked on a small witness):
-   for every *wait* — a home state where a flow blocks on one engaged
-   remote — we compute the *blamed set*: remote states that can neither
-   produce a message the home accepts there nor consume one the home
-   offers.  An empty blamed set makes the wait responsive outright.
-   Otherwise we emit the invariant "home at W ⇒ the engaged remote is
-   not blamed", plus *engagement* invariants ("home inside flow A ⇒ A's
-   requester sits in A's request region") and their duals ("a remote in
-   A's wait region ⇒ home is inside A and engaged to it").  All
-   invariants are checked exhaustively on the rendezvous instance at
-   ``witness_nodes`` (default 2).  Because each invariant constrains the
-   home and *one* engaged remote, and remotes are symmetric, a witness
-   with one requester and one responder exercises every (home, engaged
-   remote) case — this is the flow analogue of the repo's symmetry
-   reduction, not an extra assumption.  A falsified wait invariant whose
-   blamed state lies inside another flow's request region is a
+2. **Flow invariants and stuck states** (static generation, checked on
+   the abstract system they constrain): for every *wait* — a home state
+   where a flow blocks on one engaged remote — we compute the *blamed
+   set*: remote states that can neither produce a message the home
+   accepts there nor consume one the home offers.  An empty blamed set
+   makes the wait responsive outright.  Otherwise we emit the invariant
+   "home at W ⇒ the engaged remote is not blamed", plus *engagement*
+   invariants ("home inside flow A ⇒ A's requester sits in A's request
+   region") and their duals ("a remote in A's wait region ⇒ home is
+   inside A and engaged to it").  As the flow method does, the
+   invariants are checked on an abstract model, never on a small
+   concrete instance: :mod:`repro.analysis.environment`'s one concrete
+   remote (each invariant constrains the home and *one* remote) plus a
+   stateless Other, which every N-node run projects onto; each
+   invariant also gates Other on the very sweep that checks it (the
+   circular argument spelt out there).  A falsified wait invariant
+   whose blamed state lies inside another flow's request region is a
    *waits-for cycle* between two flows (**P4502**, with the two flows
    and the blamed state as witness); any other falsification is
-   **P4504** (invariant not inductive).  An inconclusive check —
-   exploration truncated, semantics error, or a wait region the static
-   analysis cannot track — is **P4507**.
+   **P4504** (invariant not inductive).  The invariants alone do not
+   give deadlock freedom — "some remote offers what a stable home
+   accepts" is an ∃ over all remotes — so a *stuck* state of the same
+   sweep (no tau, no rendezvous between the home and the concrete
+   remote, and the home not waiting on Other alone; the rule and why it
+   is sound are in that module) is **P4502** too.  A sweep that cannot
+   settle this — truncated, semantics error, a construct Other cannot
+   model, or a wait region the static analysis cannot track — is
+   **P4507**.
 
 3. **Transfer**: the claim is established at the rendezvous level; the
    repo's P44xx simulation certificate (``docs/ANALYSIS.md``) is what
    carries it to the asynchronous refinement, where the implicit-nack
    discipline resolves the request/request races the invariants rule
    out here.  The differential suite
-   (``tests/property/test_flows_differential.py``) cross-checks the
-   verdict against explicit-state exploration at n = 2..4.
+   (``tests/property/test_flows_differential.py``,
+   ``benchmarks/anyn_vs_exploration.py``) cross-checks the verdict
+   against explicit-state exploration at n = 2..5.
 
 When all legs hold, **P4505** (info) records the discharge: deadlock
 freedom for arbitrary N, with the invariant inventory as the certificate
@@ -53,14 +61,22 @@ where they bite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
-from ..csp.ast import Input, Output, ProcessDef, Protocol, VarSender
+from ..csp.ast import Output, ProcessDef, Protocol
 from .bufferdemand import remote_demand
 from .diagnostics import Diagnostic, make
+from .environment import (
+    ENGAGED,
+    WAIT,
+    WAITING,
+    FlowLemma,
+    Sweep,
+    region_lemma,
+    sweep,
+)
 from .flows import (
-    HOME_INITIATED,
     NOTIFICATION,
     REMOTE_INITIATED,
     Flow,
@@ -76,49 +92,38 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..refine.reqreply import PairReport
 
 __all__ = [
-    "FlowInvariant",
     "ParamVerdict",
     "check_parameterized",
     "paramcheck_pass",
 ]
 
-#: invariant kinds
-WAIT = "wait"
-ENGAGED = "engaged"
-WAITING = "waiting"
+#: Concrete remotes the abstraction keeps: every flow invariant
+#: constrains the home and one remote.
+N_CONCRETE = 1
 
-#: default exhaustive-exploration budget for the witness instance
-DEFAULT_WITNESS_BUDGET = 20_000
-
-
-@dataclass(frozen=True)
-class FlowInvariant:
-    """One generated invariant, checkable on a rendezvous state."""
-
-    name: str
-    kind: str
-    flow: str
-    detail: str
-    pred: Callable[[Any], bool] = field(compare=False, repr=False)
-    #: for wait invariants: the blamed remote states and the wait record
-    blamed: frozenset[str] = frozenset()
-    wait: Optional[Wait] = None
+#: state budget of the abstract sweep
+DEFAULT_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
 class ParamVerdict:
-    """The parameterized deadlock-freedom verdict for one protocol."""
+    """The parameterized deadlock-freedom verdict for one protocol.
+
+    ``concrete`` / ``abstract_states`` / ``completed`` / ``stuck`` are
+    the facts of the environment-abstraction sweep the invariants and
+    the stuck-state rule were checked on.
+    """
 
     protocol: str
     graph: FlowGraph
     discharged: bool
     obligations: tuple[Diagnostic, ...]
-    invariants: tuple[FlowInvariant, ...]
+    invariants: tuple[FlowLemma, ...]
     responsive_waits: int
-    witness_nodes: int
-    witness_states: int
-    witness_completed: bool
-    witness_deadlocks: int
+    concrete: int
+    abstract_states: int
+    completed: bool
+    stuck: int
     buffer_demand: Optional[int]
 
     @property
@@ -136,11 +141,11 @@ class ParamVerdict:
                 {"name": i.name, "kind": i.kind, "flow": i.flow,
                  "detail": i.detail} for i in self.invariants],
             "responsive_waits": self.responsive_waits,
-            "witness": {
-                "nodes": self.witness_nodes,
-                "states": self.witness_states,
-                "completed": self.witness_completed,
-                "deadlocks": self.witness_deadlocks,
+            "abstraction": {
+                "concrete": self.concrete,
+                "states": self.abstract_states,
+                "completed": self.completed,
+                "stuck": self.stuck,
             },
             "buffer_demand_per_remote": self.buffer_demand,
             "obligations": [d.as_dict() for d in self.obligations],
@@ -179,46 +184,28 @@ def _blamed(remote: ProcessDef, wait: Wait) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-def _wait_invariant(flow: Flow, wait: Wait,
-                    blamed: frozenset[str]) -> FlowInvariant:
+def _wait_invariant(remote: ProcessDef, flow: Flow, wait: Wait,
+                    blamed: frozenset[str]) -> FlowLemma:
     state, var = wait.state, wait.var
-
-    def pred(rv: Any, _s: str = state, _v: str = var,
-             _b: frozenset[str] = blamed) -> bool:
-        if rv.home.state != _s:
-            return True
-        idx = rv.home.env.get(_v)
-        if not isinstance(idx, int) or not 0 <= idx < len(rv.remotes):
-            return False  # untracked engagement: conservatively falsified
-        return rv.remotes[idx].state not in _b
-
     detail = (f"home at {state} awaits {'/'.join(sorted(wait.msgs))} from "
               f"{var}; {var} must not be in "
               f"{{{', '.join(sorted(blamed))}}}")
-    return FlowInvariant(name=f"{flow.name}:wait@{state}", kind=WAIT,
-                         flow=flow.name, detail=detail, pred=pred,
-                         blamed=blamed, wait=wait)
+    return region_lemma(remote, name=f"{flow.name}:wait@{state}", kind=WAIT,
+                        flow=flow.name, var=var,
+                        home_states=frozenset({state}), region=blamed,
+                        inside=False, detail=detail, wait=wait)
 
 
-def _engaged_invariant(flow: Flow) -> FlowInvariant:
+def _engaged_invariant(remote: ProcessDef, flow: Flow) -> FlowLemma:
     interior, var = flow.interior_home, flow.requester_var
     region = flow.requester_region
     assert var is not None
-
-    def pred(rv: Any, _i: frozenset[str] = interior, _v: str = var,
-             _r: frozenset[str] = region) -> bool:
-        if rv.home.state not in _i:
-            return True
-        idx = rv.home.env.get(_v)
-        if not isinstance(idx, int) or not 0 <= idx < len(rv.remotes):
-            return False
-        return rv.remotes[idx].state in _r
-
     detail = (f"home inside {flow.name} "
               f"({', '.join(sorted(interior))}) ⇒ requester {var} is in "
               f"{{{', '.join(sorted(region))}}}")
-    return FlowInvariant(name=f"{flow.name}:engaged", kind=ENGAGED,
-                         flow=flow.name, detail=detail, pred=pred)
+    return region_lemma(remote, name=f"{flow.name}:engaged", kind=ENGAGED,
+                        flow=flow.name, var=var, home_states=interior,
+                        region=region, detail=detail)
 
 
 def _extended_interior(flow: Flow, graph: FlowGraph) -> frozenset[str]:
@@ -240,7 +227,7 @@ def _extended_interior(flow: Flow, graph: FlowGraph) -> frozenset[str]:
 
 
 def _waiting_invariant(wait_state: str, flows: tuple[Flow, ...],
-                       graph: FlowGraph) -> FlowInvariant:
+                       graph: FlowGraph) -> FlowLemma:
     """Dual of engagement: a remote parked in a request-wait state
     implies the home is mid-flow serving *that* remote — no requester is
     ever stranded against a stable home."""
@@ -249,23 +236,12 @@ def _waiting_invariant(wait_state: str, flows: tuple[Flow, ...],
     vars_ = tuple(sorted({f.requester_var for f in flows
                           if f.requester_var is not None}))
     names = ", ".join(f.name for f in flows)
-
-    def pred(rv: Any, _w: str = wait_state,
-             _i: frozenset[str] = interiors,
-             _v: tuple[str, ...] = vars_) -> bool:
-        for idx, remote in enumerate(rv.remotes):
-            if remote.state != _w:
-                continue
-            if rv.home.state not in _i:
-                return False
-            if not any(rv.home.env.get(v) == idx for v in _v):
-                return False
-        return True
-
     detail = (f"a remote at {wait_state} ⇒ home is inside one of "
               f"[{names}] and engaged to it")
-    return FlowInvariant(name=f"waiting@{wait_state}", kind=WAITING,
-                         flow=names, detail=detail, pred=pred)
+    return FlowLemma(name=f"waiting@{wait_state}", kind=WAITING, flow=names,
+                     vars=vars_, home_states=interiors,
+                     region=frozenset({wait_state}),
+                     allowed_msgs=frozenset(), detail=detail)
 
 
 def _sole_entry(remote: ProcessDef, wait_state: str,
@@ -285,7 +261,7 @@ def _sole_entry(remote: ProcessDef, wait_state: str,
 
 
 def generate_invariants(protocol: Protocol, graph: FlowGraph,
-                        ) -> tuple[tuple[FlowInvariant, ...], int,
+                        ) -> tuple[tuple[FlowLemma, ...], int,
                                    tuple[str, ...]]:
     """Build the invariant set for ``graph``.
 
@@ -295,7 +271,7 @@ def generate_invariants(protocol: Protocol, graph: FlowGraph,
     states the dual invariant cannot cover (each is a P4507 obligation).
     """
     remote = protocol.remote
-    invariants: list[FlowInvariant] = []
+    invariants: list[FlowLemma] = []
     seen: set[str] = set()
     responsive = 0
 
@@ -305,14 +281,14 @@ def generate_invariants(protocol: Protocol, graph: FlowGraph,
             if not blamed:
                 responsive += 1
                 continue
-            inv = _wait_invariant(flow, wait, blamed)
+            inv = _wait_invariant(remote, flow, wait, blamed)
             if inv.name not in seen:  # nested flows share enclosing waits
                 seen.add(inv.name)
                 invariants.append(inv)
         if (flow.kind != NOTIFICATION and flow.stable_entry
                 and flow.interior_home and flow.requester_var is not None
                 and flow.requester_region):
-            invariants.append(_engaged_invariant(flow))
+            invariants.append(_engaged_invariant(remote, flow))
 
     # duals, grouped by remote wait state across all reply-bearing flows
     by_wait: dict[str, list[Flow]] = {}
@@ -345,11 +321,15 @@ def check_parameterized(protocol: Protocol, *,
                         config: Optional["RefinementConfig"] = None,
                         strict_cycles: bool = False,
                         witness_nodes: int = 2,
-                        max_states: int = DEFAULT_WITNESS_BUDGET,
+                        max_states: int = DEFAULT_BUDGET,
                         ) -> ParamVerdict:
-    """Run the full parameterized deadlock-freedom analysis."""
-    # deferred imports: repro.refine / repro.semantics reach back into
-    # the analysis package (see flows.py)
+    """Run the full parameterized deadlock-freedom analysis.
+
+    ``witness_nodes`` is accepted and ignored: there is no witness
+    instance any more (the frozen ``perf/`` harness still passes it).
+    """
+    # deferred import: repro.refine reaches back into the analysis
+    # package (see flows.py)
     from ..refine.plan import RefinementConfig
 
     config = config or RefinementConfig()
@@ -364,7 +344,7 @@ def check_parameterized(protocol: Protocol, *,
     _check_mutex(graph, where, obligations)
     demand = _check_buffer(protocol, config, where, obligations)
 
-    # -- leg 2: invariants on the witness instance -----------------------
+    # -- leg 2: invariants and stuck states on the abstraction -----------
     invariants, responsive, untracked = generate_invariants(protocol, graph)
     for ws in untracked:
         obligations.append(make(
@@ -373,8 +353,9 @@ def check_parameterized(protocol: Protocol, *,
             "request send; the waiting-side invariant cannot attribute "
             "it to a flow — parameterized claim is inconclusive"))
 
-    witness = _run_witness(protocol, graph, invariants, witness_nodes,
-                           max_states, where, obligations)
+    run = sweep(protocol, N_CONCRETE, invariants, max_states=max_states,
+                name=f"{protocol.name}-paramcheck-abstract")
+    _sweep_obligations(graph, invariants, run, where, obligations)
 
     # -- verdict ---------------------------------------------------------
     blocking = {"P4502", "P4503", "P4504", "P4507", "P4508"}
@@ -384,12 +365,14 @@ def check_parameterized(protocol: Protocol, *,
         obligations.append(make(
             "P4505", where,
             f"deadlock freedom discharged for arbitrary N: complete "
-            f"cover by {len(graph.flows)} flows, {len(invariants)} flow "
-            f"invariant(s) hold on the exhaustive n={witness_nodes} "
-            f"rendezvous witness ({witness.n_states} states, "
-            f"{responsive} wait(s) responsive outright), home buffer "
-            f"demand {demand}/remote under reservations; lifted by flow "
-            f"symmetry and transferred to the async refinement via the "
+            f"cover by {len(graph.flows)} flows; on the environment "
+            f"abstraction ({N_CONCRETE} concrete remote + Other, "
+            f"{run.n_states} states) {len(invariants)} flow invariant(s) "
+            f"hold — assumed of Other and checked on the same sweep — "
+            f"and no state is stuck without a move of the home or the "
+            f"concrete remote ({responsive} wait(s) responsive "
+            f"outright); home buffer demand {demand}/remote under "
+            f"reservations; transferred to the async refinement via the "
             f"P44xx simulation certificate"))
 
     return ParamVerdict(
@@ -399,10 +382,10 @@ def check_parameterized(protocol: Protocol, *,
         obligations=tuple(obligations),
         invariants=invariants,
         responsive_waits=responsive,
-        witness_nodes=witness_nodes,
-        witness_states=witness.n_states,
-        witness_completed=witness.completed,
-        witness_deadlocks=witness.deadlock_count,
+        concrete=N_CONCRETE,
+        abstract_states=run.n_states,
+        completed=run.reason is None,
+        stuck=len(run.stuck),
         buffer_demand=demand,
     )
 
@@ -448,71 +431,26 @@ def _check_buffer(protocol: Protocol, config: "RefinementConfig",
     return demand
 
 
-def _run_witness(protocol: Protocol, graph: FlowGraph,
-                 invariants: tuple[FlowInvariant, ...],
-                 witness_nodes: int, max_states: int, where: str,
-                 obligations: list[Diagnostic]) -> Any:
-    from ..check.explorer import explore
-    from ..check.stats import ExplorationResult
-    from ..semantics.rendezvous import RendezvousSystem
-
+def _sweep_obligations(graph: FlowGraph, invariants: tuple[FlowLemma, ...],
+                       run: Sweep, where: str,
+                       obligations: list[Diagnostic]) -> None:
+    """What the abstract sweep leaves open: falsified invariants
+    (P4502/P4504), stuck states (P4502), and whatever kept it from
+    settling them (P4507)."""
     by_name = {inv.name: inv for inv in invariants}
-    try:
-        system = RendezvousSystem(protocol, witness_nodes)
-        result = explore(
-            system,
-            name=f"{protocol.name}-rv{witness_nodes}-paramcheck",
-            invariants=[(inv.name, _safe(inv.pred)) for inv in invariants],
-            max_states=max_states,
-            stop_on_violation=False,
-            allow_deadlock=False,
-        )
-    except Exception as exc:  # semantics errors on ill-formed protocols
+    for name in sorted(run.fallen):
+        obligations.append(_classify_violation(
+            graph, by_name[name], run.fallen[name], where))
+    if run.stuck:
+        obligations.append(_stuck_obligation(graph, run, where))
+    for note in ([run.reason] if run.reason is not None else run.issues):
         obligations.append(make(
             "P4507", where,
-            f"witness instance (n={witness_nodes}) could not be "
-            f"explored: {exc}"))
-        return ExplorationResult(
-            system_name=f"{protocol.name}-rv{witness_nodes}-paramcheck",
-            n_states=0, n_transitions=0, seconds=0.0, completed=False,
-            stop_reason="error")
-
-    # explore() records one counterexample per violating state; keep the
-    # shortest witness per invariant
-    best: dict[str, Any] = {}
-    for cex in result.violations:
-        prev = best.get(cex.property_name)
-        if prev is None or len(cex.steps) < len(prev.steps):
-            best[cex.property_name] = cex
-    for name in sorted(best):
-        inv = by_name.get(name)
-        if inv is None:  # pragma: no cover - defensive
-            continue
-        obligations.append(_classify_violation(graph, inv, best[name],
-                                               where))
-
-    if result.deadlock_count:
-        obligations.append(_deadlock_obligation(graph, result, where,
-                                                witness_nodes))
-    if not result.completed:
-        obligations.append(make(
-            "P4507", where,
-            f"witness exploration truncated ({result.stop_reason}) "
-            f"after {result.n_states} states; invariants were not "
-            "checked exhaustively"))
-    return result
+            f"the environment abstraction could not settle the invariants "
+            f"and stuck states: {note}"))
 
 
-def _safe(pred: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    def wrapped(state: Any) -> bool:
-        try:
-            return pred(state)
-        except Exception:
-            return False  # a crash in a predicate is a falsification
-    return wrapped
-
-
-def _classify_violation(graph: FlowGraph, inv: FlowInvariant,
+def _classify_violation(graph: FlowGraph, inv: FlowLemma,
                         cex: Any, where: str) -> Diagnostic:
     if inv.kind == WAIT and inv.wait is not None:
         state = cex.states[-1]
@@ -533,40 +471,34 @@ def _classify_violation(graph: FlowGraph, inv: FlowInvariant,
                     f"{inv.wait.var}, but {inv.wait.var} sits at "
                     f"remote.{blamed_state} inside {other.name}'s "
                     f"request region — each flow waits on the other "
-                    f"({len(cex.steps)}-step witness)")
+                    f"({len(cex.steps)}-step abstract witness)")
         return make(
             "P4504", where,
             f"wait invariant {inv.name} is not inductive: "
-            f"{inv.detail}; falsified in {len(cex.steps)} steps "
-            f"(engaged remote at "
+            f"{inv.detail}; falsified on the abstraction in "
+            f"{len(cex.steps)} steps (engaged remote at "
             f"{blamed_state or 'untracked state'})")
     return make(
         "P4504", where,
         f"{inv.kind} invariant {inv.name} is not inductive: "
-        f"{inv.detail}; falsified in {len(cex.steps)} steps")
+        f"{inv.detail}; falsified on the abstraction in "
+        f"{len(cex.steps)} steps")
 
 
-def _deadlock_obligation(graph: FlowGraph, result: Any, where: str,
-                         witness_nodes: int) -> Diagnostic:
-    detail = ""
-    if result.deadlocks:
-        witness = result.deadlocks[0]
-        # deadlock witnesses are traces (Counterexample) or bare states
-        state = (witness.states[-1] if hasattr(witness, "states")
-                 else witness)
-        home = state.home.state
-        remotes = ", ".join(r.state for r in state.remotes)
-        involved = [f.name for f in graph.flows
-                    if home in f.interior_home or home == f.entry_state]
-        pair = (f" (home at {home} inside "
-                f"[{', '.join(involved) or 'no flow'}], remotes at "
-                f"[{remotes}])")
-        detail = pair
+def _stuck_obligation(graph: FlowGraph, run: Sweep,
+                      where: str) -> Diagnostic:
+    state = run.stuck[0]
+    home = state.home.state
+    involved = [f.name for f in graph.flows
+                if home in f.interior_home or home == f.entry_state]
     return make(
         "P4502", where,
-        f"the n={witness_nodes} witness instance deadlocks "
-        f"({result.deadlock_count} state(s)){detail}; the flow "
-        "waits-for relation has a cycle")
+        f"{len(run.stuck)} reachable abstract state(s) are stuck — no tau "
+        f"and no rendezvous between the home and a concrete remote is "
+        f"enabled, and the home is not waiting on the environment alone "
+        f"— e.g. {state.describe()} (home at {home} inside "
+        f"[{', '.join(involved) or 'no flow'}]); with every remote "
+        f"parked like the concrete one this is a deadlock at some N")
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +511,9 @@ def paramcheck_pass(protocol: Protocol, *,
                     config: Optional["RefinementConfig"] = None,
                     strict_cycles: bool = False,
                     graph: Optional[FlowGraph] = None,
-                    witness_nodes: int = 2,
                     ) -> Iterator[Diagnostic]:
     """Pass-manager entry point: yield the P45xx obligations/verdict."""
     verdict = check_parameterized(
         protocol, graph=graph, reports=reports, config=config,
-        strict_cycles=strict_cycles, witness_nodes=witness_nodes)
+        strict_cycles=strict_cycles)
     yield from verdict.obligations

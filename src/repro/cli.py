@@ -314,8 +314,7 @@ def cmd_flows(args) -> int:
             outputs.append(flow_dot(graph))
             all_discharged = all_discharged and graph.complete
             continue
-        verdict = check_parameterized(protocol, graph=graph, config=config,
-                                      witness_nodes=args.witness_nodes)
+        verdict = check_parameterized(protocol, graph=graph, config=config)
         all_discharged = all_discharged and verdict.discharged
         if args.json:
             doc = graph.as_dict()
@@ -325,8 +324,9 @@ def cmd_flows(args) -> int:
             lines = [graph.describe(),
                      f"parameterized verdict: {verdict.verdict} "
                      f"({len(verdict.invariants)} invariant(s) on the "
-                     f"n={verdict.witness_nodes} witness, "
-                     f"{verdict.witness_states} state(s))"]
+                     f"{verdict.concrete}-concrete-remote + Other "
+                     f"abstraction, {verdict.abstract_states} state(s), "
+                     f"{verdict.stuck} stuck)"]
             lines.extend(f"  {d.render()}" for d in verdict.obligations)
             outputs.append("\n".join(lines))
     if args.json and len(outputs) > 1:
@@ -365,8 +365,7 @@ def cmd_paramverify(args) -> int:
             f"{verdict.abstract_states} abstract state(s), "
             f"{verdict.iterations} iteration(s)",
             f"  lemmas: {verdict.candidates} candidate(s), "
-            f"{verdict.validated} validated, "
-            f"{len(verdict.lemmas)} promoted",
+            f"{verdict.validated} hold on the abstraction and gate Other",
         ]
         lines.extend(f"  {d.render()}" for d in verdict.obligations)
         if verdict.witness is not None:
@@ -624,14 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-progress-buffer", action="store_true",
                    help=argparse.SUPPRESS)  # accepted for _config() parity
     p.add_argument("--witness-nodes", type=_positive_int, default=2,
-                   metavar="N",
-                   help="witness instance size for invariant checking "
-                        "(default 2; the verdict lifts to arbitrary N)")
+                   help=argparse.SUPPRESS)  # ignored; frozen perf/ reads it
     p.add_argument("--json", action="store_true",
                    help="emit one JSON flow-graph document per protocol")
     p.add_argument("--dot", action="store_true",
                    help="emit Graphviz DOT of the flow graph (skips the "
-                        "witness check)")
+                        "parameterized check)")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero unless deadlock freedom is "
                         "discharged for arbitrary N")

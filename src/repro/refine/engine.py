@@ -95,8 +95,8 @@ def _gate_on_diagnostics(protocol: Protocol,
     records in ``exc.diagnostics``.
     """
     # include_param=False: the gate must stay a pure AST-level check —
-    # the parameterized (P45xx) passes explore a witness instance and
-    # never raise errors anyway
+    # the parameterized (P45xx, P46xx) passes sweep the environment
+    # abstraction and never raise errors anyway
     report = analyze_protocol(protocol, config=config, include_param=False)
     errors = report.errors
     if errors:

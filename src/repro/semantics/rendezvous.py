@@ -115,7 +115,7 @@ class RendezvousSystem:
                 if guard.enabled(proc.env):
                     yield TauStep(proc=i, label=guard.label)
 
-    def _home_active_rendezvous(self, state: RvState) -> Iterator[RendezvousStep]:
+    def _home_active_rendezvous(self, state: RvState) -> Iterator[RendezvousAction]:
         home_def = self.protocol.home.state(state.home.state)
         for idx, guard in enumerate(home_def.outputs):
             if not guard.enabled(state.home.env):
@@ -123,10 +123,8 @@ class RendezvousSystem:
             assert guard.target is not None
             target = guard.target.eval(state.home.env)
             if not 0 <= target < self.n_remotes:
-                raise SemanticsError(
-                    f"home output {guard.describe()} targets remote "
-                    f"{target}, outside 0..{self.n_remotes - 1}"
-                )
+                yield from self._outside_offer(state, idx, guard, target)
+                continue
             remote = state.remotes[target]
             payload = guard.eval_payload(state.home.env)
             for r_guard in self.protocol.remote.state(remote.state).inputs:
@@ -136,6 +134,16 @@ class RendezvousSystem:
                                          msg=guard.msg, payload=payload,
                                          out_index=idx)
                     break  # one matching input is one rendezvous offer
+
+    def _outside_offer(self, state: RvState, idx: int, guard: Output,
+                       target: int) -> Iterator[RendezvousAction]:
+        """An enabled home output addressed outside ``0..n-1``: an error
+        in a closed system (the environment abstraction of
+        :mod:`repro.analysis.environment` answers for its Other node)."""
+        raise SemanticsError(
+            f"home output {guard.describe()} targets remote "
+            f"{target}, outside 0..{self.n_remotes - 1}"
+        )
 
     def _remote_active_rendezvous(self, state: RvState) -> Iterator[RendezvousStep]:
         home_def = self.protocol.home.state(state.home.state)

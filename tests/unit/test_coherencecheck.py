@@ -5,15 +5,21 @@ import json
 
 from repro.analysis import analyze_protocol
 from repro.analysis.coherencecheck import (
-    AbstractCoherenceSystem,
-    CoherenceLemma,
-    OTHER,
     check_coherence,
     coherencecheck_pass,
     derive_candidate_lemmas,
-    _other_send_table,
+)
+from repro.analysis.environment import (
+    EnvironmentSystem,
+    FlowLemma,
+    other_send_table,
 )
 from repro.analysis.flows import derive_flows
+from repro.analysis.manager import (
+    AnalysisCache,
+    AnalysisContext,
+    _coherence_pass,
+)
 from repro.check.explorer import explore
 from repro.csp.ast import (
     AnySender,
@@ -35,6 +41,8 @@ from repro.semantics.rendezvous import RendezvousSystem
 from repro.viz.msc import render_counterexample_msc
 
 
+WAIT_LEMMA = "reqW@F:wait@W.wait:t0"
+
 # ---------------------------------------------------------------------------
 # fixtures: a protocol the lemma-free abstraction cannot discharge
 # ---------------------------------------------------------------------------
@@ -50,7 +58,8 @@ def allclear_protocol():
     Other fake an ``ALLCLEAR`` that wipes concrete sharers out of ``S``
     and grants the writer over a live reader.  The flow-derived wait
     lemma (only processes in the inv-responder region send while engaged)
-    blocks exactly that trace, so the checker needs one CEGAR round.
+    blocks exactly that trace, so the discharge rests on that lemma
+    holding on the abstraction it gates.
     """
     home = ProcessBuilder.home("allclear-home",
                                o=None, j=None, t0=None, S=frozenset())
@@ -193,18 +202,41 @@ class TestLibraryDischarge:
 
 
 # ---------------------------------------------------------------------------
-# the CEGAR loop
+# the circular lemma check
 # ---------------------------------------------------------------------------
 
 
 class TestLemmaLoop:
     def test_allclear_needs_a_promoted_lemma(self):
+        # the lemma holds on the abstraction it gates and the discharge
+        # rests on it: TestAbstractSystem.test_lemma_gates_other_sends
+        # shows the violation the ungated abstraction has
         verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
         assert verdict.discharged, verdict.reason
+        by_name = {lemma.name: lemma for lemma in verdict.lemmas}
+        assert by_name[WAIT_LEMMA].kind == "wait"
+        assert verdict.validated == len(verdict.lemmas)
+
+    def test_falsified_lemma_is_dropped_and_never_gates(self, monkeypatch):
+        # a wait lemma claiming t0 sits in a region it is never in falls
+        # on the first sweep; without it the ALLCLEAR trace is back, so
+        # the discharge that needed it becomes inconclusive
+        from repro.analysis import coherencecheck as cc
+
+        def wrong(protocol, graph):
+            return tuple(
+                dataclasses.replace(lemma, region=frozenset({"I.grR"}))
+                if lemma.name == WAIT_LEMMA else lemma
+                for lemma in derive_candidate_lemmas(protocol, graph))
+
+        monkeypatch.setattr(cc, "derive_candidate_lemmas", wrong)
+        verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
+        assert verdict.status == "inconclusive"
+        assert WAIT_LEMMA not in {lemma.name for lemma in verdict.lemmas}
+        assert verdict.validated == verdict.candidates - 1
         assert verdict.iterations >= 2
-        assert [lemma.name for lemma in verdict.lemmas] == [
-            "reqW@F:wait@W.wait:t0"]
-        assert verdict.lemmas[0].kind == "wait"
+        inventory = [d for d in verdict.obligations if d.code == "P4604"]
+        assert f"fell: {WAIT_LEMMA}" in inventory[0].message
 
     def test_allclear_really_is_coherent(self):
         # the oracle backing the test above: no concrete violation exists
@@ -230,7 +262,7 @@ class TestLemmaLoop:
         verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
         inventory = [d for d in verdict.obligations if d.code == "P4604"]
         assert len(inventory) == 1
-        assert "reqW@F:wait@W.wait:t0" in inventory[0].message
+        assert WAIT_LEMMA in inventory[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +325,24 @@ GUARD_SPEC = CoherenceSpec(name="guard", exclusive=frozenset({"r2"}),
                            shared=frozenset())
 
 
+def _starter_protocol():
+    """The home initially names remote 0 and waits for *its* ``go``;
+    the starter then retires, and every later requester is granted the
+    exclusive state.  Two writers need a third node to have started."""
+    h = ProcessBuilder.home("h", j=0)
+    h.state("h0", inp("go", sender=VarSender("j"), to="h1"))
+    h.state("h1", inp("req", sender=AnySender(), bind_sender="j", to="h2"))
+    h.state("h2", out("gr", target=VarTarget("j"), to="h1"))
+    r = ProcessBuilder.remote("r")
+    r.state("r0", tau("start", to="r.go"), tau("want", to="r.req"))
+    r.state("r.go", out("go", to="D"))
+    r.state("D", inp("never", to="D"))
+    r.state("r.req", out("req", to="r.w"))
+    r.state("r.w", inp("gr", to="E"))
+    r.state("E", inp("never", to="E"))
+    return protocol("starter", h, r)
+
+
 class TestSoundnessGuards:
     def test_pred_sender_is_inconclusive_p4605(self):
         verdict = check_coherence(_pred_sender_protocol(), GUARD_SPEC)
@@ -306,6 +356,20 @@ class TestSoundnessGuards:
         guards = [d for d in verdict.obligations if d.code == "P4605"]
         assert guards and "remote-symmetry" in guards[0].message
 
+    def test_initially_named_remote_may_be_an_environment_member(self):
+        # with j = 0 bound to the concrete r0 only, r0 starts and retires
+        # and the concrete pair never holds two writers; n = 3 does
+        proto = _starter_protocol()
+        spec = CoherenceSpec(name="starter", exclusive=frozenset({"E"}),
+                             shared=frozenset())
+        violated = {
+            n: bool(explore(RendezvousSystem(proto, n),
+                            invariants=list(coherence_invariants(spec)),
+                            allow_deadlock=True).violations)
+            for n in (2, 3)}
+        assert violated == {2: False, 3: True}
+        assert not check_coherence(proto, spec).discharged
+
     def test_guarded_protocols_are_never_discharged(self):
         for proto in (_pred_sender_protocol(), _const_target_protocol()):
             assert not check_coherence(proto, GUARD_SPEC).discharged
@@ -318,7 +382,7 @@ class TestSoundnessGuards:
 
 class TestAbstractSystem:
     def test_other_send_table_is_sorted(self, migratory):
-        table, issues = _other_send_table(
+        table, issues = other_send_table(
             migratory, {migratory.remote.initial_env})
         assert not issues
         assert list(table) == sorted(table)
@@ -327,8 +391,8 @@ class TestAbstractSystem:
         # home variables must actually take the OTHER value somewhere,
         # or the abstraction would not model interference at all
         proto = allclear_protocol()
-        table, _ = _other_send_table(proto, {proto.remote.initial_env})
-        system = AbstractCoherenceSystem(proto, other_sends=table)
+        table, _ = other_send_table(proto, {proto.remote.initial_env})
+        system = EnvironmentSystem(proto, 2, other_sends=table)
         seen = {system.initial_state()}
         frontier = list(seen)
         while frontier:
@@ -339,26 +403,29 @@ class TestAbstractSystem:
                     frontier.append(post)
             assert len(seen) < 50_000
         engaged = [s for s in seen
-                   if any(v == OTHER
-                          or (isinstance(v, frozenset) and OTHER in v)
+                   if any(v == system.other
+                          or (isinstance(v, frozenset) and system.other in v)
                           for v in s.home.env.values())]
         assert engaged, "Other never engaged the home"
 
     def test_lemma_gates_other_sends(self):
         proto = allclear_protocol()
-        table, _ = _other_send_table(proto, {proto.remote.initial_env})
-        blocking = CoherenceLemma(
-            name="block-all", kind="wait", flow="x", var="t0",
-            home_states=frozenset({"W.wait"}), allowed_msgs=frozenset(),
-            detail="test", pred=lambda rv: True)
-        free = explore(AbstractCoherenceSystem(proto, other_sends=table),
-                       name="free", max_states=50_000,
-                       stop_on_violation=False, allow_deadlock=True)
-        gated = explore(AbstractCoherenceSystem(proto, other_sends=table,
-                                                lemmas=(blocking,)),
-                        name="gated", max_states=50_000,
-                        stop_on_violation=False, allow_deadlock=True)
-        assert gated.n_states < free.n_states
+        table, _ = other_send_table(proto, {proto.remote.initial_env})
+        blocking = FlowLemma(
+            name="block-all", kind="wait", flow="x", vars=("t0",),
+            home_states=frozenset({"W.wait"}), region=frozenset(),
+            allowed_msgs=frozenset(), detail="test")
+        runs = {}
+        for label, lemmas in (("free", ()), ("gated", (blocking,))):
+            runs[label] = explore(
+                EnvironmentSystem(proto, 2, other_sends=table,
+                                  lemmas=lemmas),
+                name=label, max_states=50_000,
+                invariants=list(coherence_invariants(ALLCLEAR_SPEC)),
+                stop_on_violation=False, allow_deadlock=True)
+        assert runs["gated"].n_states < runs["free"].n_states
+        # ungated, Other fakes the ALLCLEAR and a writer meets a reader
+        assert runs["free"].violations and not runs["gated"].violations
 
 
 # ---------------------------------------------------------------------------
@@ -395,3 +462,34 @@ class TestManagerIntegration:
         report = analyze_protocol(msi)
         assert "P4601" in report.codes()
         assert calls["n"] == 1
+
+    def test_failed_flow_derivation_is_reported_and_not_cached(
+            self, migratory, monkeypatch):
+        from repro.analysis import flows
+
+        ctx = AnalysisContext(protocol=migratory, cache=AnalysisCache())
+        original = flows.derive_flows
+        monkeypatch.setattr(flows, "derive_flows", _raising("no flows"))
+        diags = list(_coherence_pass(ctx))
+        assert [d.code for d in diags] == ["P4603"]
+        assert "flow graph could not be derived" in diags[0].message
+        # the failure was not remembered as "no spec registered"
+        monkeypatch.setattr(flows, "derive_flows", original)
+        assert ctx.cache.coherence_verdict(ctx).discharged
+
+    def test_failed_checker_is_not_blamed_on_the_flow_graph(
+            self, migratory, monkeypatch):
+        from repro.analysis import coherencecheck as cc
+
+        ctx = AnalysisContext(protocol=migratory, cache=AnalysisCache())
+        monkeypatch.setattr(cc, "check_coherence", _raising("checker broke"))
+        diags = list(_coherence_pass(ctx))
+        assert [d.code for d in diags] == ["P4603"]
+        assert "coherence check failed (checker broke)" in diags[0].message
+        assert "flow graph" not in diags[0].message
+
+
+def _raising(message):
+    def failing(*args, **kwargs):
+        raise RuntimeError(message)
+    return failing

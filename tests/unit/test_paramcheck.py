@@ -1,6 +1,7 @@
 """Unit tests for the parameterized deadlock-freedom verdict (P45xx)."""
 
 from repro.analysis import analyze_protocol
+from repro.analysis.environment import EnvironmentSystem, other_send_table
 from repro.analysis.flows import derive_flows
 from repro.analysis.paramcheck import (
     check_parameterized,
@@ -8,9 +9,12 @@ from repro.analysis.paramcheck import (
     paramcheck_pass,
 )
 from repro.csp.ast import AnySender, VarSender, VarTarget
+from repro.check.explorer import explore
 from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
+from repro.gen import GeneratorParams, random_protocol
 from repro.protocols import mesi_protocol
 from repro.refine.plan import RefinementConfig
+from repro.semantics.rendezvous import RendezvousSystem
 
 
 def deadlocker():
@@ -76,8 +80,8 @@ class TestLibraryDischarge:
                                         for d in verdict.obligations]
             assert verdict.verdict == "deadlock-free-any-N"
             assert verdict.graph.complete
-            assert verdict.witness_completed
-            assert verdict.witness_deadlocks == 0
+            assert verdict.completed
+            assert verdict.stuck == 0
             assert verdict.invariants
 
     def test_verdict_serializes(self, migratory):
@@ -86,14 +90,15 @@ class TestLibraryDischarge:
         verdict = check_parameterized(migratory)
         doc = json.loads(json.dumps(verdict.as_dict()))
         assert doc["verdict"] == "deadlock-free-any-N"
-        assert doc["witness"]["nodes"] == 2
+        assert doc["abstraction"] == {"concrete": 1, "states": 16,
+                                      "completed": True, "stuck": 0}
         # only the P4505 discharge note, no warning-level obligations
         assert [d["code"] for d in doc["obligations"]] == ["P4505"]
 
-    def test_discharge_survives_three_node_witness(self, migratory):
-        verdict = check_parameterized(migratory, witness_nodes=3)
-        assert verdict.discharged
-        assert verdict.witness_nodes == 3
+    def test_witness_nodes_accepted_and_ignored(self, migratory):
+        # frozen perf/ still passes it
+        assert (check_parameterized(migratory, witness_nodes=3).as_dict()
+                == check_parameterized(migratory).as_dict())
 
 
 class TestObligations:
@@ -101,8 +106,8 @@ class TestObligations:
         verdict = check_parameterized(deadlocker())
         assert not verdict.discharged
         codes = {d.code for d in verdict.obligations}
-        assert "P4502" in codes  # the n=2 witness actually deadlocks
-        assert verdict.witness_deadlocks > 0
+        assert "P4502" in codes  # the abstraction has a stuck state
+        assert verdict.stuck > 0
 
     def test_escaper_invariants_fail_without_deadlock(self):
         # the requester *can* always escape, but the flow shape is broken:
@@ -140,6 +145,49 @@ class TestObligations:
             report = analyze_protocol(proto)
             assert not [d for d in report.errors
                         if d.code.startswith("P45")]
+
+
+class TestStuckStateRule:
+    """The state-level obligation: Other's offers never un-deadlock."""
+
+    def test_parked_remotes_against_a_stable_home_are_p4502(self):
+        # ROADMAP's seed 382: home h0 accepts only up0 (its dn0 nobody
+        # takes), a remote at r1 offers only up1.  n = 2 never parks
+        # both remotes there; n = 3 does, which no witness size showed
+        proto = random_protocol(382, GeneratorParams(
+            n_remote_states=3, n_home_states=3,
+            n_remote_msgs=2, n_home_msgs=2))
+        deadlocks = {n: explore(RendezvousSystem(proto, n)).deadlock_count
+                     for n in (2, 3)}
+        assert deadlocks[2] == 0 and deadlocks[3] > 0
+        verdict = check_parameterized(proto)
+        assert not verdict.discharged and verdict.stuck == 1
+        stuck = [d for d in verdict.obligations if d.code == "P4502"]
+        assert len(stuck) == 1
+        assert "h:h0[j=0] r0:r1" in stuck[0].message
+
+    def test_home_waiting_on_other_alone_is_excused(self, migratory):
+        table, _ = other_send_table(migratory,
+                                    {migratory.remote.initial_env})
+        system = EnvironmentSystem(migratory, 1, other_sends=table)
+        result = explore(system, allow_deadlock=True, keep_graph=True)
+        # e.g. home at I2 awaiting LR/ID from o = Other, r0 awaiting gr
+        waiting = [state for state in result.graph
+                   if state.home.state == "I2"
+                   and state.home.env["o"] == system.other
+                   and state.remotes[0].state == "I.gr"]
+        assert waiting and all(system._excused(s) for s in waiting)
+        assert system.stuck == []
+        # the same wait on the concrete remote is not excused
+        concrete = waiting[0].with_home(waiting[0].home.moved(
+            "I2", waiting[0].home.env.set("o", 0)))
+        assert not system._excused(concrete)
+
+    def test_budget_hit_is_p4507_never_a_discharge(self, msi):
+        verdict = check_parameterized(msi, max_states=100)
+        assert not verdict.discharged and not verdict.completed
+        assert any(d.code == "P4507" and "truncated" in d.message
+                   for d in verdict.obligations)
 
 
 class TestInvariantGeneration:
