@@ -7,10 +7,10 @@ cross-checked against bounded exploration (``repro.bench/1`` rows from
 ``<protocol>/n<N>`` row per explored size).  For every library protocol:
 
 * the **static verdict** of :func:`repro.analysis.paramcheck
-  .check_parameterized` — flow count, cover completeness, invariant
-  count, the size of the one-concrete-remote + Other abstraction the
-  invariants and the stuck-state rule were checked on, and whether
-  deadlock freedom was discharged for arbitrary N;
+  .check_parameterized` — flow count, cover completeness, the size of
+  the one-concrete-remote + Other abstraction the stuck-state rule was
+  checked on, and whether deadlock freedom was discharged for
+  arbitrary N;
 * the **exploration verdicts** of the derived asynchronous protocol at
   n = 2..4 under symmetry + partial-order reduction, at a pinned state
   budget (``REPRO_BENCH_CUTOFF_BUDGET``, default 60000 — enough to
@@ -110,7 +110,6 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
             discharged=verdict.discharged,
             complete_cover=verdict.graph.complete,
             n_flows=len(verdict.graph.flows),
-            n_invariants=len(verdict.invariants),
             abstract_states=verdict.abstract_states,
             stabilizes_at=cutoff,
             agreement=not (verdict.discharged and bounded_deadlock),
@@ -123,12 +122,12 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
     lines = ["Parameterized (P45xx) verdict vs bounded exploration "
              "(async, symmetry+por):", "",
              f"{'protocol':<12} {'static verdict':<22} {'flows':>6} "
-             f"{'invs':>5} {'cutoff':>7}  exploration n=2..4"]
+             f"{'cutoff':>7}  exploration n=2..4"]
     for r, cells in rows:
         explored = ", ".join(
             f"n={c['n']}:{c['verdict']}({c['n_states']})" for c in cells)
         lines.append(f"{r['protocol']:<12} {r['static_verdict']:<22} "
-                     f"{r['n_flows']:>6} {r['n_invariants']:>5} "
+                     f"{r['n_flows']:>6} "
                      f"{str(r['stabilizes_at']):>7}  {explored}")
     lines.append("")
     lines.append("the static verdict is checked on the one-concrete-remote "

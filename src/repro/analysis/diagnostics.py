@@ -128,17 +128,12 @@ CODES: dict[str, CodeInfo] = _registry(
              Severity.WARNING),
     # -- parameterized (arbitrary-N) flow analysis --------------------------
     CodeInfo("P4501", "incomplete flow cover", "flows", Severity.WARNING),
-    CodeInfo("P4502", "flow waits-for cycle or stuck abstract state", "flows",
-             Severity.WARNING),
+    CodeInfo("P4502", "stuck abstract state", "flows", Severity.WARNING),
     CodeInfo("P4503", "unbounded-buffer obligation", "flows", Severity.WARNING),
-    CodeInfo("P4504", "flow invariant not inductive on the abstraction",
-             "flows", Severity.WARNING),
     CodeInfo("P4505", "parameterized deadlock freedom discharged", "flows",
              Severity.INFO),
     CodeInfo("P4506", "flow inventory", "flows", Severity.INFO),
     CodeInfo("P4507", "parameterized check inconclusive", "flows",
-             Severity.WARNING),
-    CodeInfo("P4508", "conflicting flows share home states", "flows",
              Severity.WARNING),
     # -- parameterized coherence (environment abstraction) -------------------
     CodeInfo("P4601", "parameterized coherence discharged", "coherence",

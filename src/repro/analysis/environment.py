@@ -10,8 +10,8 @@ so any N-node run projects — for every choice of which remotes are the
 concrete ones — onto a run of this abstract system; a property of the
 home and at most ``n_concrete`` remotes that holds on every reachable
 abstract state therefore holds at every N.  ``n_concrete`` is read off
-the property: 2 for single-writer/SWMR, 1 for the flow invariants (each
-constrains the home and one remote).
+the property: 2 for single-writer/SWMR, 1 for deadlock freedom (the
+stuck-state rule below looks at the home and one remote).
 
 The concrete fragment *is* :class:`~repro.semantics.rendezvous.
 RendezvousSystem` at ``n_concrete`` nodes — :class:`EnvironmentSystem`
@@ -37,17 +37,19 @@ subclasses it and adds only Other's moves:
   environment member in the others, so the initial state also steps to
   its copies with those ids replaced by Other.
 
-Unconstrained, Other is too wild: it can answer a point-to-point
+Ungated, Other over-approximates every environment unconditionally —
+and is sometimes too wild for a proof: it can answer a point-to-point
 handshake it was never part of.  A :class:`FlowLemma` — "home in H ⇒
-the remote bound to ``var`` is (not) in R", read off the flow graph —
-tames it: while it holds, an environment member bound to ``var`` can
-only send what R produces, so Other-sends along ``VarSender(var)``
-guards are pruned to those messages (fresh-sender guards stay open,
-Other also plays the innocent bystanders).  The argument is CMP's
-circular one: every lemma that gates Other is an invariant of the very
-sweep it gates, checked on the concrete remotes (the instance with
-``var`` bound to Other is vacuous — the projection with that remote
-concrete covers it).  By induction on run length the gated Other still
+the remote bound to ``var`` is in R", read off the flow graph (P46xx's
+noninterference lemmas; deadlock freedom sweeps with none) — tames it:
+while it holds, an environment member bound to ``var`` can only send
+what R produces, so Other-sends along ``VarSender(var)`` guards are
+pruned to those messages (fresh-sender guards stay open, Other also
+plays the innocent bystanders).  The argument is CMP's circular one:
+every lemma that gates Other is an invariant of the very sweep it
+gates, checked on the concrete remotes (the instance with ``var`` bound
+to Other is vacuous — the projection with that remote concrete covers
+it).  By induction on run length the gated Other still
 over-approximates the environment as long as no lemma has failed, so a
 sweep on which every gating lemma holds is sound; :func:`sweep` drops
 the lemmas a sweep falsifies and repeats until none falls.
@@ -94,7 +96,7 @@ from ..csp.env import Env, Value
 from .. import refine as _refine_first  # noqa: F401, I001
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
-from .flows import Wait, producible_msgs
+from .flows import producible_msgs
 
 __all__ = [
     "EnvironmentSystem",
@@ -113,7 +115,6 @@ __all__ = [
 #: lemma kinds
 WAIT = "wait"
 ENGAGED = "engaged"
-WAITING = "waiting"
 
 #: name of the one explorer invariant all active lemmas are checked under
 LEMMAS = "flow lemmas"
@@ -189,45 +190,28 @@ def is_abstract(action: Any) -> bool:
 
 @dataclass(frozen=True)
 class FlowLemma:
-    """Home in ``home_states`` ⇒ the remote bound to ``var`` is inside
-    (``inside``) or outside ``region``.
+    """Home in ``home_states`` ⇒ the remote bound to ``var`` is in
+    ``region``.
 
-    Both verdicts' flow-derived facts have this shape: P45xx's wait
-    invariant ("the engaged remote is not blamed": ``inside`` false,
-    ``region`` the blamed set, ``wait`` the record it came from), its
-    and P46xx's engagement lemma, P46xx's responder-region wait lemma.
-    The one dual, kind ``"waiting"``, reads the other way round: a
-    remote in ``region`` ⇒ the home is in ``home_states`` with one of
-    ``vars`` bound to it; it is an obligation only and gates nothing.
-
-    ``allowed_msgs`` is what a remote satisfying the lemma can send —
-    the gate it puts on Other while it holds.
+    P46xx's noninterference lemmas have this shape: the engagement
+    lemma (``region`` the flow's requester region) and the
+    responder-region wait lemma.  ``allowed_msgs`` is what a remote
+    satisfying the lemma can send — the gate it puts on Other while it
+    holds.
     """
 
     name: str
-    kind: str  # "engaged" | "wait" | "waiting"
+    kind: str  # "engaged" | "wait"
     flow: str
-    vars: tuple[str, ...]
+    var: str
     home_states: frozenset[str]
     region: frozenset[str]
     allowed_msgs: frozenset[str]
     detail: str
-    inside: bool = True
-    wait: Optional[Wait] = field(default=None, compare=False)
-
-    @property
-    def var(self) -> str:
-        return self.vars[0]
 
     def holds(self, rv: RvState) -> bool:
         """Does the lemma hold of ``rv``'s concrete remotes?"""
         home = rv.home
-        if self.kind == WAITING:
-            engaged = home.state in self.home_states
-            return not any(
-                proc.state in self.region and not (engaged and any(
-                    home.env.get(v) == i for v in self.vars))
-                for i, proc in enumerate(rv.remotes))
         if home.state not in self.home_states:
             return True
         idx = home.env.get(self.var)
@@ -235,7 +219,7 @@ class FlowLemma:
             return True  # bound to Other: the symmetric instance covers it
         if not isinstance(idx, int) or not 0 <= idx < len(rv.remotes):
             return False  # untracked engagement: conservatively falsified
-        return (rv.remotes[idx].state in self.region) == self.inside
+        return rv.remotes[idx].state in self.region
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -251,16 +235,14 @@ class FlowLemma:
 
 def region_lemma(remote: ProcessDef, *, name: str, kind: str, flow: str,
                  var: str, home_states: frozenset[str],
-                 region: frozenset[str], detail: str, inside: bool = True,
-                 wait: Optional[Wait] = None) -> FlowLemma:
+                 region: frozenset[str], detail: str) -> FlowLemma:
     """Build a gating lemma; its ``allowed_msgs`` are whatever the
     states it leaves the remote in can produce (after local steps)."""
-    where = region if inside else frozenset(remote.states) - region
-    allowed = frozenset().union(*(producible_msgs(remote, s) for s in where))
-    return FlowLemma(name=name, kind=kind, flow=flow, vars=(var,),
+    allowed = frozenset().union(*(producible_msgs(remote, s)
+                                  for s in region))
+    return FlowLemma(name=name, kind=kind, flow=flow, var=var,
                      home_states=home_states, region=region,
-                     allowed_msgs=allowed, detail=detail, inside=inside,
-                     wait=wait)
+                     allowed_msgs=allowed, detail=detail)
 
 
 def _safe(pred: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -306,15 +288,13 @@ class EnvironmentSystem(RendezvousSystem):
         # gates on Other per (home state, engaged variable)
         self._checks = {
             name: tuple(lemma for lemma in self.lemmas
-                        if lemma.kind == WAITING
-                        or name in lemma.home_states)
+                        if name in lemma.home_states)
             for name in protocol.home.states}
         self._gates: dict[tuple[str, str], list[frozenset[str]]] = {}
         for lemma in self.lemmas:
-            if lemma.kind != WAITING:
-                for name in lemma.home_states:
-                    self._gates.setdefault((name, lemma.var), []).append(
-                        lemma.allowed_msgs)
+            for name in lemma.home_states:
+                self._gates.setdefault((name, lemma.var), []).append(
+                    lemma.allowed_msgs)
         #: per home state: what Other may offer, through which guards
         self._offers: dict[str, list[tuple[str, tuple[Value, ...], list[
             tuple[int, Input]]]]] = {}

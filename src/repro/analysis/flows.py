@@ -6,10 +6,8 @@ home states, together with the home states the transaction occupies and
 the remote states its participants sit in while it runs.  The notion is
 lifted from the flow-based parameterized-verification literature
 (Sethi/Talupur/Malik, arXiv:1407.7468): cache-coherence protocols are
-naturally organised as a small set of flows, and invariants derived from
-the flow structure suffice to discharge properties for *arbitrary* node
-counts — exactly the gap between this repo's fixed-N model checking and
-the paper's "refined protocols stay verifiable as N grows" story.
+naturally organised as a small set of flows, and facts read off the
+flow structure help discharge properties for *arbitrary* node counts.
 
 Everything here is derived purely from the CSP AST plus the section 3.3
 request/reply pair reports (:mod:`repro.refine.reqreply`):
@@ -33,13 +31,16 @@ request/reply pair reports (:mod:`repro.refine.reqreply`):
   input guard must be covered by some flow event; anything uncovered is
   a transaction the flow inventory cannot account for (**P4501**).
 
-:mod:`repro.analysis.paramcheck` consumes the :class:`FlowGraph` to
-generate flow invariants and discharge deadlock freedom for arbitrary N.
+The :class:`FlowGraph` is the protocol's transaction inventory
+(``repro flows``, P4506/P4501).  :mod:`repro.analysis.coherencecheck`
+reads its noninterference lemmas off it; :mod:`repro.analysis.paramcheck`
+rests deadlock freedom on the environment abstraction alone and uses
+the graph only to name the flows a stuck home state sits in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..csp.ast import (
@@ -111,15 +112,12 @@ class Wait:
     """A home state where a flow blocks on one specific remote.
 
     ``var`` is the home variable naming the engaged remote, ``msgs`` the
-    message types the home accepts from it there, ``offers`` the message
-    types the home simultaneously *offers* it (outputs targeting ``var``
-    at the same state — the flow can progress through either side).
+    message types the home accepts from it there.
     """
 
     state: str
     var: str
     msgs: frozenset[str]
-    offers: frozenset[str] = frozenset()
     pending: Optional[str] = None  # last interior send before this wait
 
     def describe(self) -> str:
@@ -147,8 +145,6 @@ class Flow:
     #: remote states the requester occupies while the flow is in progress
     #: (request-offer states and post-request wait states)
     requester_region: frozenset[str]
-    #: post-request wait states only (strict subset of the region)
-    requester_wait_states: frozenset[str]
     has_cycle: bool = False
     #: entered at a stable home state (nested flows are entered mid-flow)
     stable_entry: bool = True
@@ -232,7 +228,7 @@ class FlowGraph:
 
 
 # ---------------------------------------------------------------------------
-# small static helpers (shared with paramcheck)
+# small static helpers (shared with the any-N checks)
 # ---------------------------------------------------------------------------
 
 
@@ -322,13 +318,10 @@ class _Walk:
         msgs = frozenset(g.msg for g in state.inputs
                          if isinstance(g.sender, VarSender)
                          and g.sender.var == var)
-        offers = frozenset(g.msg for g in state.outputs
-                           if isinstance(g.target, VarTarget)
-                           and g.target.var == var)
         key = (state.name, var)
         if key not in self.waits:
             self.waits[key] = Wait(state=state.name, var=var, msgs=msgs,
-                                   offers=offers, pending=pending)
+                                   pending=pending)
 
     def run(self, start: str, prev: int) -> None:
         self._visit(start, prev, frozenset(), None)
@@ -509,7 +502,6 @@ def _remote_initiated_flow(protocol: Protocol, state: StateDef,
         exit_states=frozenset(walk.exits),
         waits=tuple(walk.waits.values()),
         requester_region=region,
-        requester_wait_states=wait_states - offer_states,
         has_cycle=walk.has_cycle,
     )
 
@@ -544,7 +536,6 @@ def _notification_flow(protocol: Protocol, state: StateDef,
         exit_states=frozenset({guard.to}),
         waits=(),
         requester_region=region,
-        requester_wait_states=frozenset(),
     )
 
 
@@ -576,7 +567,6 @@ def _home_initiated_flow(protocol: Protocol, state: StateDef,
         exit_states=frozenset(walk.exits),
         waits=tuple(walk.waits.values()),
         requester_region=responder_states,
-        requester_wait_states=frozenset(),
     )
 
 
@@ -680,5 +670,6 @@ def flows_pass(protocol: Protocol, *,
             "P4501", where,
             f"flow cover is incomplete — {len(graph.uncovered)} "
             f"transition(s) belong to no derived flow: {head}{more}",
-            hint="uncovered transitions cannot be accounted for by the "
-                 "parameterized argument; see docs/ANALYSIS.md#P4501")
+            hint="uncovered transitions are missing from the inventory "
+                 "and from the lemmas P46xx reads off it; see "
+                 "docs/ANALYSIS.md#P4501")

@@ -323,8 +323,7 @@ def cmd_flows(args) -> int:
         else:
             lines = [graph.describe(),
                      f"parameterized verdict: {verdict.verdict} "
-                     f"({len(verdict.invariants)} invariant(s) on the "
-                     f"{verdict.concrete}-concrete-remote + Other "
+                     f"({verdict.concrete}-concrete-remote + Other "
                      f"abstraction, {verdict.abstract_states} state(s), "
                      f"{verdict.stuck} stuck)"]
             lines.extend(f"  {d.render()}" for d in verdict.obligations)

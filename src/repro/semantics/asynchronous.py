@@ -208,21 +208,6 @@ class RemoteNode:
         return tag + (f"{{{self.buf.describe()}}}" if self.buf else "")
 
 
-def _node_key(node: Any) -> tuple:
-    """``node.canonical_key()``, memoized on the node (outside _FIELDS,
-    so never pickled) for callers that ask per probe — the
-    delta-compressed store did; no store does since it was deleted.
-    The fingerprint store asks the node itself, once, and leaves
-    no key behind: CPython lays an instance out for its fields plus two,
-    and a third memo beside ``_hash_cache`` and ``_digest_cache`` costs
-    every node a dict of its own (+330 bytes)."""
-    cached = node.__dict__.get("_key_cache")
-    if cached is None:
-        cached = node.canonical_key()
-        object.__setattr__(node, "_key_cache", cached)
-    return cached
-
-
 @dataclass(frozen=True)
 class AsyncState:
     """Global asynchronous state: all nodes plus the network.
@@ -248,11 +233,13 @@ class AsyncState:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        """Compact primitive encoding.  Memoized per node and per
-        network, not here: a key cached on the state would live as long
-        as the state."""
-        return ("async", _node_key(self.home),
-                tuple(_node_key(r) for r in self.remotes),
+        """Compact primitive encoding, built afresh on every call and
+        memoized nowhere: no sweep asks for it per probe (the fingerprint
+        store digests the nodes and ``channels.queues`` instead), and a
+        third memo attribute beside ``_hash_cache`` and ``_digest_cache``
+        would cost every node a dict of its own (+330 bytes)."""
+        return ("async", self.home.canonical_key(),
+                tuple(r.canonical_key() for r in self.remotes),
                 self.channels.canonical_key())
 
     def components(self) -> tuple[str, tuple[Any, ...], Hashable]:
@@ -469,7 +456,7 @@ class Step:
 _MEMO_LIMIT = 1 << 16
 
 #: One channel's change, as :meth:`Channels.replay` takes it.
-_ChannelOp = tuple[int, int, tuple[Msg, ...], tuple[tuple, ...]]
+_ChannelOp = tuple[int, int, tuple[Msg, ...]]
 #: One memoized step: ``(action, new home | None, (j, new remote) | None,
 #: channel ops, completes, sends)``.
 _Delta = tuple[AsyncAction, Optional[HomeNode],
@@ -485,7 +472,7 @@ def _fresh(cls: type, fields: dict[str, Any]) -> Any:
 
     Skips the generated ``__init__`` (one ``object.__setattr__`` per
     field).  ``fields`` must be new: a copied instance ``__dict__`` could
-    carry another object's ``_hash_cache``/``_key_cache``/``_digest_cache``.
+    carry another object's ``_hash_cache``/``_digest_cache``.
     """
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)
@@ -507,9 +494,7 @@ def _channel_ops(old: tuple[tuple[Msg, ...], ...],
             popped = 1
         else:
             return None
-        pushed = after[kept - popped:]
-        ops.append((c, popped, pushed,
-                    tuple(m.canonical_key() for m in pushed)))
+        ops.append((c, popped, after[kept - popped:]))
     return tuple(ops)
 
 

@@ -109,14 +109,8 @@ class Channels:
         return int(cached)
 
     def canonical_key(self) -> tuple:
-        # Memoized (the delta-compressed store encodes whole keys on every
-        # probe); __getstate__ pickles only ``queues``, never the cache.
-        cached = self.__dict__.get("_key_cache")
-        if cached is None:
-            cached = tuple(tuple(m.canonical_key() for m in queue)
-                           for queue in self.queues)
-            object.__setattr__(self, "_key_cache", cached)
-        return cached
+        return tuple(tuple(m.canonical_key() for m in queue)
+                     for queue in self.queues)
 
     def __getstate__(self) -> tuple:
         # 1-tuple wrapper: pickle skips __setstate__ for falsy state, and
@@ -183,29 +177,16 @@ class Channels:
         queues[channel] = queue[1:]
         return queue[0], Channels(queues=tuple(queues))
 
-    def replay(self, ops: tuple[tuple[int, int, tuple[Msg, ...],
-                                      tuple[tuple, ...]], ...]) -> "Channels":
+    def replay(self, ops: tuple[tuple[int, int, tuple[Msg, ...]], ...],
+               ) -> "Channels":
         """Apply ``(channel, messages popped off the head, messages
-        pushed onto the tail, their canonical keys)`` ops in one step.
-
-        If this object has computed its canonical key, the result's
-        follows from it by the same pops and pushes — queues barely
-        change from state to successor.  (The delta-compressed store
-        asked every successor for its key; the fingerprint store never
-        does, so since that store's deletion no sweep takes this branch.)
-        """
+        pushed onto the tail)`` ops in one step."""
         queues = self.queues
-        for c, popped, pushed, _ in ops:
+        for c, popped, pushed in ops:
             queues = (queues[:c] + (queues[c][popped:] + pushed,)
                       + queues[c + 1:])
-        fields = {"queues": queues}
-        key = self.__dict__.get("_key_cache")
-        if key is not None:
-            for c, popped, _, pushed_keys in ops:
-                key = key[:c] + (key[c][popped:] + pushed_keys,) + key[c + 1:]
-            fields["_key_cache"] = key
         new = object.__new__(Channels)
-        object.__setattr__(new, "__dict__", fields)
+        object.__setattr__(new, "__dict__", {"queues": queues})
         return new
 
     def send_to_remote(self, i: int, msg: Msg) -> "Channels":

@@ -1,16 +1,18 @@
 """Property-based soundness of the parameterized (P45xx) verdict.
 
-The flow-based analysis makes a deliberately one-sided claim: it may
-*fail* to discharge a deadlock-free protocol (incompleteness is allowed
-and counted), but it must never stamp ``deadlock-free-any-N`` on a
-protocol that bounded exploration can refute.  This suite pins that
-direction against the explicit-state explorer at n = 2..5 — n = 5
-because some deadlocks depend on the parity of N — over the library
-protocols and random protocols from the generator: a derandomized
-hypothesis draw (the same seeds on every run), an exhaustive sweep of
-seeds 0..1499, and the six seeds that the verdict discharged while it
-still checked its invariants on an n = 2 instance
-(``benchmarks/anyn_vs_exploration.py`` runs all of 0..9999 in CI).
+The verdict — bounded buffers, plus no stuck state on the ungated
+environment abstraction every N-node run projects onto — makes a
+deliberately one-sided claim: it may *fail* to discharge a
+deadlock-free protocol (incompleteness is allowed and counted), but it
+must never stamp ``deadlock-free-any-N`` on a protocol that bounded
+exploration can refute.  This suite pins that direction against the
+explicit-state explorer at n = 2..5 — n = 5 because some deadlocks
+depend on the parity of N — over the library protocols and random
+protocols from the generator: a derandomized hypothesis draw (the same
+seeds on every run), an exhaustive sweep of seeds 0..1499, and the six
+seeds that the verdict discharged while it still checked its invariants
+on an n = 2 instance (``benchmarks/anyn_vs_exploration.py`` runs all of
+0..9999 in CI).
 """
 
 import pytest
@@ -82,7 +84,9 @@ class TestStaticVerdictIsSound:
         # only discharges are explored, which keeps this to a few seconds
         discharged = [seed for seed in range(1500) if check_parameterized(
             random_protocol(seed, SMALL)).discharged]
-        assert len(discharged) >= 110  # completeness floor (136 before)
+        # completeness floor: 358 measured; 115 while flow invariants,
+        # cover and interior mutex still blocked
+        assert len(discharged) >= 350
         refuted = [(seed, n) for seed in discharged for n in SIZES
                    if deadlock_found(random_protocol(seed, SMALL), n)]
         assert not refuted
@@ -95,8 +99,7 @@ class TestStaticVerdictIsSound:
         if deadlock_found(protocol, 2):
             verdict = check_parameterized(protocol)
             assert not verdict.discharged
-            assert any(d.code in {"P4501", "P4502", "P4503", "P4504",
-                                  "P4507", "P4508"}
+            assert any(d.code in {"P4502", "P4503", "P4507"}
                        for d in verdict.obligations)
 
     @lenient

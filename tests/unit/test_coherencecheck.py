@@ -412,7 +412,7 @@ class TestAbstractSystem:
         proto = allclear_protocol()
         table, _ = other_send_table(proto, {proto.remote.initial_env})
         blocking = FlowLemma(
-            name="block-all", kind="wait", flow="x", vars=("t0",),
+            name="block-all", kind="wait", flow="x", var="t0",
             home_states=frozenset({"W.wait"}), region=frozenset(),
             allowed_msgs=frozenset(), detail="test")
         runs = {}

@@ -124,7 +124,7 @@ def make_cutoff_doc():
         "rows": [
             {"id": "invalidate", "protocol": "invalidate",
              "static_verdict": "deadlock-free-any-N", "discharged": True,
-             "complete_cover": True, "n_flows": 10, "n_invariants": 16,
+             "complete_cover": True, "n_flows": 10,
              "abstract_states": 657, "stabilizes_at": 2, "agreement": True},
             {"id": "invalidate/n2", "n": 2, "n_states": 2042,
              "n_transitions": 6614, "deadlocks": 0, "completed": True,

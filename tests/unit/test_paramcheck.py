@@ -1,13 +1,11 @@
 """Unit tests for the parameterized deadlock-freedom verdict (P45xx)."""
 
+import pytest
+
 from repro.analysis import analyze_protocol
 from repro.analysis.environment import EnvironmentSystem, other_send_table
 from repro.analysis.flows import derive_flows
-from repro.analysis.paramcheck import (
-    check_parameterized,
-    generate_invariants,
-    paramcheck_pass,
-)
+from repro.analysis.paramcheck import check_parameterized, paramcheck_pass
 from repro.csp.ast import AnySender, VarSender, VarTarget
 from repro.check.explorer import explore
 from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
@@ -15,6 +13,10 @@ from repro.gen import GeneratorParams, random_protocol
 from repro.protocols import mesi_protocol
 from repro.refine.plan import RefinementConfig
 from repro.semantics.rendezvous import RendezvousSystem
+
+#: the differential suite's generator shape
+SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
+                        n_remote_msgs=2, n_home_msgs=2)
 
 
 def deadlocker():
@@ -32,7 +34,9 @@ def deadlocker():
 
 
 def escaper():
-    """Like deadlocker, but the blocked requester can tau back home."""
+    """Like deadlocker, but the blocked requester can tau back home —
+    only to want 'a' again, which the home (still awaiting its 'b') no
+    longer accepts: a deadlock at every n >= 1."""
     h = ProcessBuilder.home("h", j=None)
     h.state("h0", inp("a", sender=AnySender(), bind_sender="j", to="h1"))
     h.state("h1", inp("b", sender=VarSender("j"), to="h2"))
@@ -82,7 +86,6 @@ class TestLibraryDischarge:
             assert verdict.graph.complete
             assert verdict.completed
             assert verdict.stuck == 0
-            assert verdict.invariants
 
     def test_verdict_serializes(self, migratory):
         import json
@@ -110,20 +113,25 @@ class TestObligations:
         assert verdict.stuck > 0
 
     def test_escaper_invariants_fail_without_deadlock(self):
-        # the requester *can* always escape, but the flow shape is broken:
-        # invariants are falsified even though no deadlock exists
-        verdict = check_parameterized(escaper())
-        assert not verdict.discharged
-        assert any(d.code in {"P4502", "P4504"} for d in verdict.obligations)
+        # the escape leads into a deadlock, not out of one: the home at
+        # h1 awaits 'b' from r0, which has gone back to offering 'a'
+        proto = escaper()
+        assert [explore(RendezvousSystem(proto, n)).deadlock_count
+                for n in (1, 2, 3)] == [1, 2, 3]
+        verdict = check_parameterized(proto)
+        assert not verdict.discharged and verdict.stuck == 1
+        stuck = [d for d in verdict.obligations if d.code == "P4502"]
+        assert len(stuck) == 1
+        assert "h:h1[j=0] r0:r0a" in stuck[0].message
 
     def test_crosslock_two_flow_witness(self):
         verdict = check_parameterized(crosslock())
         assert not verdict.discharged
-        cycles = [d for d in verdict.obligations if d.code == "P4502"]
-        assert cycles
-        # the diagnostic names both flows of the waits-for cycle
+        stuck = [d for d in verdict.obligations if d.code == "P4502"]
+        assert stuck
+        # the stuck home state h0 is where both lock flows start
         assert any("a@h0" in d.message and "b@h0" in d.message
-                   for d in cycles)
+                   for d in stuck)
 
     def test_unbounded_fire_and_forget_is_p4503(self):
         h = ProcessBuilder.home("h")
@@ -154,9 +162,7 @@ class TestStuckStateRule:
         # ROADMAP's seed 382: home h0 accepts only up0 (its dn0 nobody
         # takes), a remote at r1 offers only up1.  n = 2 never parks
         # both remotes there; n = 3 does, which no witness size showed
-        proto = random_protocol(382, GeneratorParams(
-            n_remote_states=3, n_home_states=3,
-            n_remote_msgs=2, n_home_msgs=2))
+        proto = random_protocol(382, SMALL)
         deadlocks = {n: explore(RendezvousSystem(proto, n)).deadlock_count
                      for n in (2, 3)}
         assert deadlocks[2] == 0 and deadlocks[3] > 0
@@ -183,28 +189,22 @@ class TestStuckStateRule:
             "I2", waiting[0].home.env.set("o", 0)))
         assert not system._excused(concrete)
 
+    @pytest.mark.parametrize("seed", (64, 157, 24, 5))
+    def test_no_flow_obligation_blocks_a_deadlock_free_protocol(self,
+                                                                seed):
+        # refused before for what the projection argument never uses: an
+        # untracked wait state (64), a fallen flow invariant (157),
+        # overlapping flow interiors (24), an incomplete cover (5)
+        proto = random_protocol(seed, SMALL)
+        assert check_parameterized(proto).discharged
+        assert not any(explore(RendezvousSystem(proto, n)).deadlock_count
+                       for n in (2, 3, 4, 5))
+
     def test_budget_hit_is_p4507_never_a_discharge(self, msi):
         verdict = check_parameterized(msi, max_states=100)
         assert not verdict.discharged and not verdict.completed
         assert any(d.code == "P4507" and "truncated" in d.message
                    for d in verdict.obligations)
-
-
-class TestInvariantGeneration:
-    def test_library_invariants_have_all_kinds(self, msi):
-        graph = derive_flows(msi)
-        invariants, _, untracked = generate_invariants(msi, graph)
-        kinds = {i.kind for i in invariants}
-        assert {"wait", "engaged", "waiting"} <= kinds
-        assert untracked == ()
-
-    def test_wait_invariants_carry_blame(self, migratory):
-        graph = derive_flows(migratory)
-        invariants, _, _ = generate_invariants(migratory, graph)
-        waits = [i for i in invariants if i.kind == "wait"]
-        assert waits
-        for inv in waits:
-            assert inv.wait is not None
 
 
 class TestManagerIntegration:

@@ -208,46 +208,43 @@ class TestConstruction:
 
 
 class TestCanonicalKeyMemoization:
-    """Satellite: node and network keys cache like __hash__ and the cache
-    never leaks through pickling (it is simply recomputed on the other
-    side); the state's own key is assembled from them on demand and
-    nothing is memoized per state."""
+    """Satellite: canonical keys are built on demand and memoized
+    nowhere — not on the state, its nodes or its network (no sweep asks
+    for them per probe) — and stay equal across calls and pickling."""
 
     def test_cached_and_stable(self, mig2):
         state = mig2.initial_state()
         key = state.canonical_key()
-        assert "_key_cache" not in vars(state)  # nothing pinned per state
         again = state.canonical_key()
         assert again == key and again is not key
-        # ... but the parts it is assembled from are the cached objects
-        assert again[1] is key[1] is vars(state.home)["_key_cache"]
-        assert again[3] is key[3] is vars(state.channels)["_key_cache"]
+        for obj in (state, state.home, state.channels) + state.remotes:
+            assert "_key_cache" not in vars(obj)
 
     def test_pickle_drops_cache(self, mig2):
         state = mig2.steps(mig2.initial_state())[0].state
         key = state.canonical_key()
-        state.channels.canonical_key()
         clone = pickle.loads(pickle.dumps(state))
-        assert "_key_cache" not in vars(clone)
-        assert "_key_cache" not in vars(clone.channels)
-        assert "_key_cache" not in vars(clone.home)
         assert clone.canonical_key() == key
+        for obj in (clone, clone.home, clone.channels) + clone.remotes:
+            assert "_key_cache" not in vars(obj)
 
     def test_node_and_channel_keys_cached(self, mig2):
-        # a state's key is rebuilt per call from parts that are not: the
-        # network memoizes its own key, the state memoizes its nodes'
+        # a state's key is assembled from its nodes' and its network's,
+        # each rebuilt per call; a replayed network keeps no key either
         state = mig2.initial_state()
         first, second = state.canonical_key(), state.canonical_key()
-        assert first[1] is second[1]
-        assert first[2][0] is second[2][0]
+        assert first == second
+        assert first[1] == state.home.canonical_key()
+        assert first[3] == state.channels.canonical_key()
         assert state.channels.canonical_key() \
-            is state.channels.canonical_key()
-        # asked directly, a node builds its key afresh and keeps nothing:
-        # the fingerprint store digests it once and must not pin it
+            is not state.channels.canonical_key()
         node = dataclasses.replace(state.remotes[0])
         assert node.canonical_key() == first[2][0]
         assert node.canonical_key() is not node.canonical_key()
-        assert "_key_cache" not in vars(node)
+        for step in mig2.steps(state):
+            for obj in (step.state.channels, step.state.home) \
+                    + step.state.remotes:
+                assert "_key_cache" not in vars(obj)
 
 
 class TestWithRemote:

@@ -526,7 +526,7 @@ class TestMakePartitionedStore:
 
 class TestExactStoreCacheMetering:
     def test_state_caches_metered_for_real_states(self):
-        # the semantics classes pin _key_cache/_hash_cache on state
+        # the semantics classes pin memos (_hash_cache, ...) on state
         # __dict__s; approx_bytes must charge for them (they were the
         # 2-3x undercount before the detail split existed)
         store = ExactStore()
