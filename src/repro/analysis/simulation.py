@@ -75,8 +75,9 @@ __all__ = ["CertificateReport", "check_certificate", "simulation_pass"]
 
 _EmitFn = Callable[..., None]
 
-#: structural key -> verdict, for the life of the process; cleared, not
-#: evicted, when full (a fuzzing campaign meets thousands of protocols).
+#: structural key -> verdict, for the life of the process; at the limit
+#: the oldest entry makes room for the new one (a fuzzing campaign meets
+#: thousands of protocols).
 _VERDICTS: dict[bytes, "CertificateReport"] = {}
 _VERDICT_LIMIT = 4096
 
@@ -140,7 +141,7 @@ def check_certificate(refined: RefinedProtocol, *,
                             max_states, max_failures)
         if key is not None:
             if len(_VERDICTS) >= _VERDICT_LIMIT:
-                _VERDICTS.clear()
+                del _VERDICTS[next(iter(_VERDICTS))]  # insertion order
             _VERDICTS[key] = report
     return report
 
@@ -180,7 +181,7 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
     system = AsyncSystem(refined, 2, table=table)
     contexts, context_sweep = enumerate_contexts(refined.protocol,
                                                  max_states=max_contexts)
-    eq1 = Equation1(system, context_sweep.graph)
+    eq1 = Equation1(system)
     fused_depth = _fused_response_depths(refined)
     n_obligations = n_carved = n_interference = 0
 

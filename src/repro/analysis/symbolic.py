@@ -80,12 +80,10 @@ __all__ = ["closure_roots", "embed", "enumerate_contexts", "n_engaged",
 def enumerate_contexts(protocol: Protocol, *, max_states: int = 4096,
                        ) -> tuple[list[RvState], ExplorationResult]:
     """Reachable rendezvous states at ``n = 2`` in BFS discovery order,
-    and the sweep that found them (its ``graph`` is kept: the Equation-1
-    test reuses the successor sets instead of expanding them again)."""
+    and the sweep that found them."""
     store = ExactStore()  # iterates in BFS discovery order
     result = explore(RendezvousSystem(protocol, 2), store=store,
-                     allow_deadlock=True, max_states=max_states,
-                     keep_graph=True)
+                     allow_deadlock=True, max_states=max_states)
     return cast("list[RvState]", list(store)), result
 
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Hashable, Optional, Protocol, Sequence
 
 from ..errors import CheckError
 from .observe import LevelEvent, NullObserver, RunInfo, RunObserver
-from .stats import Counterexample, ExplorationResult, _fmt_bytes
+from .stats import Counterexample, ExplorationResult, StateGraph, _fmt_bytes
 from .store import StateStore, StoreSpec, make_store
 
 __all__ = ["System", "Invariant", "expand_state", "explore",
@@ -84,7 +84,7 @@ def explore(
     max_states: Optional[int] = None,
     max_seconds: Optional[float] = None,
     max_bytes: Optional[int] = None,
-    keep_graph: bool = False,
+    edge_label: Optional[Callable[[Any, Any, Any], bool]] = None,
     stop_on_violation: bool = True,
     allow_deadlock: bool = False,
     store: StoreSpec = "exact",
@@ -97,14 +97,17 @@ def explore(
     :param max_states: emulate a memory cap; exceeding it stops the run with
         ``completed=False`` (a Table 3 "Unfinished" cell).
     :param max_seconds: wall-clock cap with the same early-stop behaviour.
-    :param max_bytes: memory cap on the visited store's own footprint
-        estimate; crossing it ends the run as a well-formed "Unfinished"
-        result (the paper's 64 MB allotment, minus the OOM kill).  The
-        estimate is Python-object sizes of the store's own containers, so
-        unlike ``max_states`` the truncation point is machine-dependent
-        (and the process grows several times more: EXPERIMENTS.md).
-    :param keep_graph: retain full adjacency for SCC/progress analysis
-        (memory-heavy; only for small systems or livelock checks).
+    :param max_bytes: memory cap on the visited store's (and a recorded
+        graph's) footprint estimate; crossing it ends the run as a
+        well-formed "Unfinished" result (the paper's 64 MB allotment,
+        minus the OOM kill).  The estimate is Python-object sizes of the
+        store's own containers, so unlike ``max_states`` the truncation
+        point is machine-dependent (and the process grows several times
+        more: EXPERIMENTS.md).
+    :param edge_label: record ``result.graph``, a
+        :class:`~repro.check.stats.StateGraph` of store ids with each
+        edge labelled by the bool ``edge_label(state, action, next)`` —
+        what the progress and response checks read.  Needs the exact store.
     :param stop_on_violation: stop at the first invariant violation instead
         of cataloguing all of them.
     :param allow_deadlock: when False, states without successors are
@@ -112,18 +115,15 @@ def explore(
         legitimate final states.
     :param store: visited-state store — ``"exact"`` (default),
         ``"fingerprint"`` (SPIN-style hash compaction: ~16 bytes/state,
-        collisions detected and counted), or a ready
-        :class:`~repro.check.store.StateStore` from
-        :func:`~repro.check.store.make_store`.  A store given by name is
-        built here, ``"fingerprint"`` with witness columns (24 more
-        bytes/state) exactly when ``invariants`` is non-empty: its
-        violations and deadlocks then carry the same shortest run the
-        exact store reports, rebuilt by replaying recorded actions and
-        checked against the state in hand.  A ready-made store is used
-        as it is; when it keeps no provenance, deadlocks are counted
-        (not witnessed) and counterexamples carry only the violating
-        state — as they do, with a ``note``, when a recorded path does
-        not replay to its state (a fingerprint collision).
+        collisions detected and counted), or a ready store from
+        :func:`~repro.check.store.make_store`, used as it is.  By name,
+        ``"fingerprint"`` gets witness columns (24 more bytes/state)
+        exactly when ``invariants`` is non-empty, so its violations and
+        deadlocks carry the exact store's shortest runs, rebuilt by
+        replay and checked against the state in hand.  Without
+        provenance deadlocks are counted, not witnessed, and
+        counterexamples carry only the violating state — as they do,
+        with a ``note``, when a recorded path does not replay to it.
     :param observer: a :class:`~repro.check.observe.RunObserver` receiving
         per-level progress events (see :mod:`repro.check.observe`).
     :param reductions: names of the state-space reductions baked into
@@ -141,6 +141,28 @@ def explore(
     # a store named, not handed over, is built here — with witness
     # columns exactly when there is an invariant to witness
     visited: StateStore = make_store(store, witness=bool(invariants))
+    add: Callable[..., bool] = visited.add
+    graph: Optional[StateGraph] = None
+    if edge_label is not None:
+        number = getattr(visited, "number", None)
+        if number is None:
+            raise ValueError(f"recording the graph needs a store that "
+                             f"numbers its states, not {visited.name!r}")
+        graph = StateGraph()
+        targets, labels, label = graph.targets, graph.labels, edge_label
+
+        def record(nxt: Hashable, parent: tuple[Hashable, Any]) -> bool:
+            """``add``, keeping the edge: ``nxt``'s id and its label."""
+            fresh = len(visited)
+            targets.append(number(nxt, parent))
+            labels.append(label(parent[0], parent[1], nxt))
+            return targets[-1] == fresh
+
+        add = record
+
+    def footprint() -> int:
+        return visited.approx_bytes() + (0 if graph is None else graph.nbytes())
+
     watcher: RunObserver = observer if observer is not None else NullObserver()
     t0 = time.perf_counter()
     watcher.on_start(RunInfo(
@@ -149,8 +171,6 @@ def explore(
         max_bytes=max_bytes))
     init = system.initial_state()
     visited.add(init, None)
-    graph: Optional[dict[Hashable, list[tuple[Any, Hashable]]]] = (
-        {} if keep_graph else None)
 
     deadlock_states: list[Hashable] = []
     violations: list[Counterexample] = []
@@ -207,7 +227,7 @@ def explore(
 
     def over_budget() -> Optional[str]:
         """Name the first budget the run has crossed — states (exact),
-        then the store's footprint estimate, then wall clock — if any.
+        then the footprint estimate, then wall clock — if any.
 
         Asked before each expansion, and that ordering *is* the budget
         semantics: a run may overshoot ``max_states`` by at most the
@@ -215,7 +235,7 @@ def explore(
         """
         if max_states is not None and len(visited) > max_states:
             return f"state budget {max_states} exceeded"
-        if max_bytes is not None and visited.approx_bytes() > max_bytes:
+        if max_bytes is not None and footprint() > max_bytes:
             return f"memory budget {_fmt_bytes(max_bytes)} exceeded"
         if (max_seconds is not None
                 and time.perf_counter() - t0 > max_seconds):
@@ -225,11 +245,10 @@ def explore(
     # why the run ended early; None while it runs and when it completes
     stop_reason = None if check_invariants(init) else "invariant violated"
 
-    # Hot-loop bindings: the add method, whether parent provenance is
+    # Hot-loop bindings (``add`` above): whether parent provenance is
     # even retained (trace-free stores discard it — building a parent
     # tuple per transition for them was pure allocation churn), and
     # whether any invariant needs checking at all.
-    add = visited.add
     track_parents = visited.supports_traces
     has_invariants = bool(invariants)
 
@@ -247,8 +266,6 @@ def explore(
                 succs, state_enabled = expand_state(system, state)
                 expanded += 1
                 enabled += state_enabled
-                if graph is not None:
-                    graph[state] = succs
                 if not succs and not allow_deadlock:
                     deadlock_states.append(state)
                     deadlock_count += 1
@@ -260,6 +277,8 @@ def explore(
                             stop_reason = "invariant violated"
                             break
                         next_level.append(nxt)
+                if graph is not None:
+                    graph.offsets.append(len(graph.targets))
                 if stop_reason is not None:
                     break
         except BaseException as exc:
@@ -280,7 +299,7 @@ def explore(
             candidates=candidates, new_states=new_states,
             n_states=len(visited), n_transitions=n_transitions,
             deadlocks=deadlock_count, collisions=visited.collisions,
-            approx_bytes=visited.approx_bytes(),
+            approx_bytes=footprint(),
             seconds=time.perf_counter() - t0, enabled=enabled,
             spill_bytes=_store_spill_bytes(visited)))
         n_levels += 1
@@ -300,7 +319,7 @@ def explore(
         deadlock_count=deadlock_count,
         violations=violations,
         graph=graph,
-        approx_bytes=visited.approx_bytes(),
+        approx_bytes=footprint(),
         store=visited.name,
         fingerprint_collisions=visited.collisions,
         n_enabled=n_enabled,

@@ -24,24 +24,28 @@ the failure mode the paper's progress-buffer reservation exists to prevent
 (section 3.2: "If no such reservation is made, a livelock can result"),
 and the ablation benchmark reproduces it by switching the reservation off.
 
-Progress is an *analysis of the reachable graph*, not a second graph
-builder: :func:`check_progress` makes one
-:func:`~repro.check.explorer.explore` call (``keep_graph=True``) and reads
-the verdict off what it returned, so its budgets and stop reasons are the
-exploration core's.  The SCC computation is an iterative Tarjan (explicit
-stack, so deep graphs cannot hit Python's recursion limit).
+Progress is an *analysis of the explored graph*, not a second graph
+builder: one :func:`~repro.check.explorer.explore` sweep of
+:class:`WithCompletes` with ``edge_label=completes`` records the graph as
+integers (:class:`~repro.check.stats.StateGraph`: successor ids, one
+"completes a rendezvous" bit per edge), and :func:`progress_of` runs an
+iterative Tarjan over the arrays and asks the exact store for the states
+it reports.  ``repro verify --progress`` makes that sweep its safety one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterable, Optional
 
 from ..errors import BudgetExceeded, PropertyViolation
 from .explorer import explore
-from .stats import ExplorationResult
+from .stats import ExplorationResult, _describe
+from .store import ExactStore
 
-__all__ = ["assert_safe", "ProgressReport", "check_progress", "tarjan_sccs"]
+__all__ = ["assert_safe", "ProgressReport", "check_progress", "completes",
+           "progress_of", "tarjan_sccs", "WithCompletes"]
 
 
 def assert_safe(result: ExplorationResult) -> ExplorationResult:
@@ -123,53 +127,77 @@ def check_progress(
     if not (hasattr(system, "steps") or hasattr(system, "is_progress")):
         raise TypeError("system supports neither steps() nor "
                         "successors()+is_progress()")
-    result = explore(_WithCompletes(system), max_states=max_states,
-                     max_seconds=max_seconds, keep_graph=True,
-                     allow_deadlock=True)
-    if not result.completed:
+    store = ExactStore()
+    result = explore(WithCompletes(system), max_states=max_states,
+                     max_seconds=max_seconds, store=store,
+                     edge_label=completes, allow_deadlock=True)
+    return progress_of(result, store)
+
+
+def progress_of(result: ExplorationResult,
+                store: ExactStore) -> ProgressReport:
+    """The progress verdict of a :class:`WithCompletes` sweep that
+    recorded its graph with ``edge_label=`` :func:`completes` into
+    ``store``; an incomplete sweep gives an incomplete report."""
+    graph = result.graph
+    if not result.completed or graph is None:
         return ProgressReport(ok=False, n_states=result.n_states, n_sccs=0,
                               n_terminal_sccs=0, completed=False,
                               stop_reason=result.stop_reason)
-
-    order, edges, sccs, comp_of = _labelled_sccs(
-        result.graph or {},
-        lambda _state, _action, completes, _next: bool(completes))
-    deadlocks = [order[i] for i, out in enumerate(edges) if not out]
-
-    terminal = [True] * len(sccs)
-    has_progress = [False] * len(sccs)
-    for src, out in enumerate(edges):
-        for dst, progress in out:
-            if comp_of[src] != comp_of[dst]:
-                terminal[comp_of[src]] = False
-            elif progress:
-                has_progress[comp_of[src]] = True
-
-    # a terminal SCC without any edge is a deadlock state, recorded above
-    livelocks = [(len(comp), order[comp[0]])
-                 for comp_idx, comp in enumerate(sccs)
-                 if terminal[comp_idx] and not has_progress[comp_idx]
-                 and edges[comp[0]]]
-
+    offsets, targets, labels = graph.offsets, graph.targets, graph.labels
+    comp, firsts = tarjan_sccs(len(graph), graph.successors)
+    terminal = bytearray(b"\x01") * len(firsts)
+    has_progress = bytearray(len(firsts))
+    sizes = [0] * len(firsts)
+    for src in range(len(graph)):
+        here = comp[src]
+        sizes[here] += 1
+        for edge in range(offsets[src], offsets[src + 1]):
+            if comp[targets[edge]] != here:
+                terminal[here] = 0
+            elif labels[edge]:
+                has_progress[here] = 1
+    dead = [i for i in range(len(graph)) if offsets[i] == offsets[i + 1]]
+    # a terminal SCC without any edge is one of those deadlock states
+    livelocks = [(sizes[c], store.state_of(first))
+                 for c, first in enumerate(firsts)
+                 if terminal[c] and not has_progress[c]
+                 and offsets[first + 1] > offsets[first]]
     return ProgressReport(
-        ok=not deadlocks and not livelocks,
+        ok=not dead and not livelocks,
         n_states=result.n_states,
-        n_sccs=len(sccs),
+        n_sccs=len(firsts),
         n_terminal_sccs=sum(terminal),
-        deadlocks=deadlocks,
+        deadlocks=[store.state_of(i) for i in dead],
         livelocks=livelocks,
     )
 
 
-class _WithCompletes:
+class Completed(tuple[Any, tuple[Any, ...]]):
+    """``(action, completes)`` of an action that completes rendezvous;
+    reads as the action."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        return _describe(self[0])
+
+
+def completes(_state: Any, action: Any, _next: Any) -> bool:
+    """The progress edge label: the step completes a rendezvous."""
+    return isinstance(action, Completed)
+
+
+class WithCompletes:
     """``inner`` with what each step completed riding in the action slot.
 
     ``successors()`` drops the ``completes`` observable that progress and
-    leads-to label edges by; this view yields ``((action, completes),
-    next)`` so one ``explore(keep_graph=True)`` sweep keeps it — from
-    ``steps()``, or at the rendezvous level from ``successors()``, where a
-    rendezvous completes itself and an action ``is_progress`` rules out (a
-    tau) completes nothing.
+    leads-to label edges by; this view wraps each action that completes
+    something as ``Completed((action, completes))`` and passes the rest
+    through — from ``steps()``, or at the rendezvous level from
+    ``successors()``, where a rendezvous completes itself and an action
+    ``is_progress`` rules out (a tau) completes nothing.  States and
+    their order are the inner system's: its safety sweep, labelled.
     """
 
     def __init__(self, inner: Any) -> None:
@@ -181,88 +209,52 @@ class _WithCompletes:
     def successors(self, state: Hashable) -> list[tuple[Any, Hashable]]:
         inner = self.inner
         if hasattr(inner, "steps"):
-            return [((s.action, s.completes), s.state)
-                    for s in inner.steps(state)]
+            return [(Completed((s.action, s.completes)) if s.completes
+                     else s.action, s.state) for s in inner.steps(state)]
         is_progress = getattr(inner, "is_progress", lambda _action: True)
-        return [((action, (action,) if is_progress(action) else ()), nxt)
-                for action, nxt in inner.successors(state)]
+        return [(Completed((action, (action,))) if is_progress(action)
+                 else action, nxt) for action, nxt in inner.successors(state)]
 
 
-def _labelled_sccs(
-    graph: dict[Any, list[tuple[Any, Any]]],
-    label: Callable[[Any, Any, tuple[Any, ...], Any], bool],
-    *,
-    drop_labelled: bool = False,
-) -> tuple[list[Any], list[list[tuple[int, bool]]], list[list[int]], list[int]]:
-    """Index the graph of a completed :class:`_WithCompletes` sweep; SCCs.
-
-    Dict order of ``graph`` is BFS discovery order, so position is index.
-    Returns the states in that order, per state its out-edges as ``(target
-    index, label(state, action, completes, next))``, the SCCs (of the
-    subgraph without labelled edges when ``drop_labelled``) and each
-    state's SCC number.
-    """
-    index = {state: i for i, state in enumerate(graph)}
-    edges = [[(index[nxt], label(state, action, completes, nxt))
-              for (action, completes), nxt in succs]
-             for state, succs in graph.items()]
-    sccs = tarjan_sccs([[dst for dst, flag in out
-                         if not (drop_labelled and flag)] for out in edges])
-    comp_of = [0] * len(edges)
-    for comp_idx, comp in enumerate(sccs):
-        for node in comp:
-            comp_of[node] = comp_idx
-    return list(graph), edges, sccs, comp_of
-
-
-def tarjan_sccs(adjacency: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a graph given as adjacency lists.
-
-    Iterative Tarjan: returns SCCs in reverse topological order (every edge
-    between components goes from a later-listed SCC to an earlier one).
-    """
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+def tarjan_sccs(n: int, successors: Callable[[int], Iterable[int]],
+                ) -> tuple[array[int], list[int]]:
+    """SCCs of the graph on nodes ``0 .. n - 1`` with out-edges to
+    ``successors(node)``, by iterative Tarjan (no recursion limit): each
+    node's SCC number — numbered as they complete, i.e. reverse
+    topologically, every edge between SCCs going from a higher number to
+    a lower one — and each SCC's first-popped member, its representative.
+    A node is on Tarjan's stack while it is visited and in no SCC yet."""
+    index, low, comp = (array("q", [-1]) * n for _ in range(3))
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    firsts: list[int] = []
     counter = 0
-
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors(root)))]
         while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(edge_pos, len(adjacency[node])):
-                succ = adjacency[node][pos]
-                if index[succ] == -1:
-                    work[-1] = (node, pos + 1)
-                    work.append((succ, 0))
-                    advanced = True
+            node, succs = work[-1]
+            for succ in succs:
+                if index[succ] == -1:  # descend
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    work.append((succ, iter(successors(succ))))
                     break
-                if on_stack[succ]:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+                if comp[succ] == -1 and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    firsts.append(stack[-1])
+                    while True:
+                        member = stack.pop()
+                        comp[member] = len(firsts) - 1
+                        if member == node:
+                            break
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+    return comp, firsts

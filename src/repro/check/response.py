@@ -5,25 +5,24 @@ keeps completing rendezvous.  Protocol designers usually also want the
 per-transaction temporal property "whenever P requests, P is eventually
 answered" — which, as the paper notes, holds per-remote only with enough
 buffering (strong fairness), and holds in the weak some-remote form with
-k = 2.  This module checks such properties on the reachable graph — the
-one :func:`~repro.check.explorer.explore` returns under ``keep_graph=True``,
-indexed and SCC-decomposed by the helper it shares with
-:func:`~repro.check.properties.check_progress`:
+k = 2.  This module checks such properties,
 
-    REQUEST leads-to RESPONSE   (LTL: G (request -> F response))
+    REQUEST leads-to RESPONSE   (LTL: G (request -> F response)),
 
-under the standard finite-state reading with transition weak-fairness:
-the property *fails* iff some state satisfying ``request`` can reach a
-strongly-connected component that it can never leave... more precisely,
-iff there is a reachable ``request``-state from which some maximal path
-never hits a ``response``-labelled transition.  We check the dual: from
-every reachable request-state, *every* terminal SCC reachable without
-crossing a response edge still contains a response edge, and no
-response-free finite path ends in a deadlock.
+on the explored graph — the id graph one
+:func:`~repro.check.explorer.explore` sweep of
+:class:`~repro.check.properties.WithCompletes` records with the response
+predicate as its edge label, SCC-decomposed by the same Tarjan as
+:func:`~repro.check.properties.check_progress` — under the standard
+finite-state reading with transition weak-fairness: the property fails
+iff some reachable ``request``-state has a maximal path that never takes
+a ``response``-labelled transition, i.e. reaches a deadlock or a cycle
+without crossing a response edge.
 
-``request`` is a state predicate; ``response`` is an *edge* predicate over
-``(state, action, completes, next_state)`` so callers can match completed
-rendezvous (e.g. "a grant to remote 3 completes").
+``request`` is a state predicate, evaluated once per stored state;
+``response`` is an *edge* predicate over ``(state, action, completes,
+next_state)``, evaluated once per edge during the sweep, so callers can
+match completed rendezvous (e.g. "a grant to remote 3 completes").
 
 This is exactly strong enough to distinguish the paper's two fairness
 levels on real protocols: the some-remote progress property passes at
@@ -37,7 +36,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .explorer import explore
-from .properties import _labelled_sccs, _WithCompletes
+from .properties import Completed, WithCompletes, tarjan_sccs
+from .store import ExactStore
 
 __all__ = ["ResponseReport", "check_response", "grant_edge", "remote_in_state"]
 
@@ -82,67 +82,49 @@ def check_response(
     (rendezvous level, where ``completes`` is the action itself, or empty
     for an action the system's ``is_progress`` rules out).
     """
-    result = explore(_WithCompletes(system), max_states=max_states,
-                     max_seconds=max_seconds, keep_graph=True,
-                     allow_deadlock=True)
-    if not result.completed:
+    def is_response(state: Any, action: Any, nxt: Any) -> bool:
+        action, done = action if isinstance(action, Completed) else (action, ())
+        return bool(response(state, action, done, nxt))
+
+    store = ExactStore()
+    result = explore(WithCompletes(system), max_states=max_states,
+                     max_seconds=max_seconds, store=store,
+                     edge_label=is_response, allow_deadlock=True)
+    graph = result.graph
+    if not result.completed or graph is None:
         return ResponseReport(ok=False, n_states=result.n_states,
                               n_request_states=0, completed=False,
                               stop_reason=result.stop_reason)
 
-    # "can dodge" set: states from which some maximal path avoids every
-    # response edge.  Computed as a greatest fixpoint:  dodge(s) iff
-    #   s is a deadlock, or
-    #   exists a non-response edge s -> t with dodge(t), or
-    #   s lies on a response-free cycle (an SCC with an internal
-    #   non-response edge and no escape obligation).
-    # Implement by taking the SCCs of the "response-free" subgraph and
-    # finding states that can reach either a deadlock or a cycle inside it.
-    order, edges, sccs, comp_of = _labelled_sccs(
-        result.graph or {}, response, drop_labelled=True)
-    n = len(order)
-    cyclic = [len(comp) > 1 for comp in sccs]
+    # A state can dodge the response iff it reaches, without a response
+    # edge, a deadlock or a cycle (an SCC of the response-free subgraph
+    # with an internal edge).  SCCs complete sinks first, so one pass in
+    # SCC order settles what each reaches: bit 1 a deadlock, bit 2 a
+    # cycle, kept apart so the report can say *how* it is dodged.
+    offsets, targets, labels = graph.offsets, graph.targets, graph.labels
 
-    # bad = can reach (in the response-free subgraph) a deadlock or a
-    # response-free cycle; propagate each flavour backwards separately so
-    # the report can say *how* the response gets dodged
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for src, out in enumerate(edges):
-        for dst, is_response in out:
-            if not is_response:
-                reverse[dst].append(src)
-                if dst == src:
-                    cyclic[comp_of[src]] = True
+    def free(src: int) -> list[int]:
+        return [targets[edge] for edge in range(offsets[src], offsets[src + 1])
+                if not labels[edge]]
 
-    def backward_closure(seed: list[bool]) -> list[bool]:
-        closed = list(seed)
-        pending = [i for i in range(n) if closed[i]]
-        while pending:
-            for back in reverse[pending.pop()]:
-                if not closed[back]:
-                    closed[back] = True
-                    pending.append(back)
-        return closed
+    comp, firsts = tarjan_sccs(len(graph), free)
+    dodge = bytearray(len(firsts))
+    for src in sorted(range(len(graph)), key=lambda i: comp[i]):
+        here = comp[src]
+        if offsets[src] == offsets[src + 1]:
+            dodge[here] |= 1
+        for dst in free(src):
+            dodge[here] |= 2 if comp[dst] == here else dodge[comp[dst]]
 
-    bad_dead = backward_closure([not out for out in edges])
-    bad_cycle = backward_closure([cyclic[comp_of[i]] for i in range(n)])
-
-    witness = None
-    witness_kind = None
-    n_requests = 0
-    for i in range(n):
-        if request(order[i]):
-            n_requests += 1
-            if witness is None and (bad_dead[i] or bad_cycle[i]):
-                witness = order[i]
-                witness_kind = "deadlock" if bad_dead[i] else "livelock"
-
+    requests = [i for i, state in enumerate(store) if request(state)]
+    bad = next((i for i in requests if dodge[comp[i]]), None)
     return ResponseReport(
-        ok=witness is None,
-        n_states=n,
-        n_request_states=n_requests,
-        witness=witness,
-        failure_kind=witness_kind,
+        ok=bad is None,
+        n_states=len(graph),
+        n_request_states=len(requests),
+        witness=None if bad is None else store.state_of(bad),
+        failure_kind=None if bad is None else (
+            "deadlock" if dodge[comp[bad]] & 1 else "livelock"),
     )
 
 

@@ -41,7 +41,7 @@ procedure "applies to large classes of DSM protocols".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..errors import SemanticsError
 from ..refine.abstraction import AbstractionUndefined, abstract_state
@@ -63,17 +63,14 @@ class Equation1:
 
     One instance serves one sweep of ``system``: ``abs`` is computed once
     per asynchronous state, a rendezvous successor set once per abstract
-    state (taken from ``rv_graph`` — an ``explore(keep_graph=True)`` graph
-    of the rendezvous system — where the caller already swept it), and
-    the reachability verdict once per ``(abs src, abs dst, depth)``.
-    The three counters partition the edges that passed :meth:`holds`.
+    state (expanded on demand), and the reachability verdict once per
+    ``(abs src, abs dst, depth)``.  The three counters partition the
+    edges that passed :meth:`holds`.
     """
 
-    def __init__(self, system: AsyncSystem,
-                 rv_graph: Optional[Mapping[Any, Any]] = None) -> None:
+    def __init__(self, system: AsyncSystem) -> None:
         self.system = system
         self.rv_system = RendezvousSystem(system.protocol, system.n_remotes)
-        self._rv_graph: Mapping[Any, Any] = rv_graph or {}
         self._images: dict[AsyncState, Image] = {}
         self._successors: dict[RvState, frozenset[RvState]] = {}
         self._hops: dict[tuple[RvState, RvState, int], int] = {}
@@ -133,11 +130,8 @@ class Equation1:
     def _rv_successors(self, state: RvState) -> frozenset[RvState]:
         cached = self._successors.get(state)
         if cached is None:
-            edges = self._rv_graph.get(state)
-            if edges is None:
-                edges = self.rv_system.successors(state)
             cached = self._successors[state] = frozenset(
-                nxt for _action, nxt in edges)
+                nxt for _action, nxt in self.rv_system.successors(state))
         return cached
 
 
@@ -148,8 +142,7 @@ class StreamedSystem:
     ``visit(state, steps)`` is called once per expanded state with the
     :class:`~repro.semantics.asynchronous.Step` list out of it.  Given
     ``roots``, the sweep starts from a synthetic initial state whose
-    successors they are (the ``_WithCompletes`` pattern of
-    :mod:`repro.check.properties`), so one ``explore()`` call covers the
+    successors they are, so one ``explore()`` call covers the
     closure of several start states.  A :class:`SemanticsError` out of
     ``steps()`` goes to ``fault(state, exc)`` when given — the state then
     has no successors — and propagates otherwise.

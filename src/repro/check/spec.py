@@ -34,9 +34,11 @@ class SystemSpec:
     n_remotes: int
     config: Optional[RefinementConfig] = None
     symmetry: bool = False
-    #: ample-set partial-order reduction (async level only; counts-preset
-    #: — ``repro check`` sweeps verify no state predicates)
+    #: ample-set partial-order reduction (async level only)
     por: bool = False
+    #: what POR preserves (:mod:`repro.check.por`): ``"counts"`` for raw
+    #: sweeps (``repro check``), ``"invariants"`` for ``repro verify``'s
+    preserve: str = "counts"
 
     def reductions(self) -> tuple[str, ...]:
         """Active reduction names, in wrapping order (inner first)."""
@@ -70,8 +72,8 @@ def build_system(spec: SystemSpec) -> Any:
     else:
         raise ValueError(f"unknown level {spec.level!r}")
     if spec.por:
-        from .por import PRESERVE_COUNTS, PORSystem
-        system = PORSystem(system, preserve=PRESERVE_COUNTS)
+        from .por import PORSystem
+        system = PORSystem(system, preserve=spec.preserve)
     if spec.symmetry:
         from ..protocols.symmetry import symmetry_spec_for
         from .symmetry import SymmetricSystem

@@ -10,10 +10,11 @@ paper's ``states/seconds`` cell format.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["ExplorationResult", "Counterexample"]
+__all__ = ["ExplorationResult", "Counterexample", "StateGraph"]
 
 
 def _fmt_bytes(n: int) -> str:
@@ -62,6 +63,27 @@ def _describe(obj: Any) -> str:
 
 
 @dataclass
+class StateGraph:
+    """The explored graph as integers: states are store ids (BFS order),
+    the out-edges of state ``i`` are ``targets[offsets[i]:offsets[i + 1]]``
+    (CSR form) and edge ``e`` has one label bit, ``labels[e]``.  A
+    truncated sweep's graph covers the states it expanded."""
+
+    offsets: array[int] = field(default_factory=lambda: array("q", [0]))
+    targets: array[int] = field(default_factory=lambda: array("q"))
+    labels: bytearray = field(default_factory=bytearray)
+
+    def __len__(self) -> int:  # states expanded
+        return len(self.offsets) - 1
+
+    def successors(self, state_id: int) -> array[int]:
+        return self.targets[self.offsets[state_id]:self.offsets[state_id + 1]]
+
+    def nbytes(self) -> int:
+        return 8 * (len(self.offsets) + len(self.targets)) + len(self.labels)
+
+
+@dataclass
 class ExplorationResult:
     """Outcome of one reachability run (one Table 3 cell)."""
 
@@ -81,12 +103,12 @@ class ExplorationResult:
     deadlock_count: int = 0
     #: first counterexample per violated invariant
     violations: list[Counterexample] = field(default_factory=list)
-    #: adjacency as ``{state: [(action, successor), ...]}`` when graph
-    #: retention was requested (needed for SCC / progress analysis)
-    graph: Optional[dict[Any, list[tuple[Any, Any]]]] = None
-    #: rough memory footprint of the visited-state set, for the Table 3
-    #: memory-budget narrative (Python object sizes, not SPIN's); metered
-    #: by the store (:mod:`repro.check.store`)
+    #: the labelled id graph of a sweep given an ``edge_label`` (what
+    #: progress and response read; the store maps ids back to states)
+    graph: Optional[StateGraph] = None
+    #: rough memory footprint of the visited-state set (and ``graph``),
+    #: for the Table 3 memory-budget narrative (Python object sizes, not
+    #: SPIN's); metered by the store (:mod:`repro.check.store`)
     approx_bytes: int = 0
     #: which visited-state store ran: ``"exact"`` or ``"fingerprint"``
     store: str = "exact"
@@ -109,9 +131,9 @@ class ExplorationResult:
     spill_bytes: int = 0
     #: how many times the store merged its hot tier into the spill file
     spill_merges: int = 0
-    #: optional breakdown of ``approx_bytes`` (the exact store reports
-    #: ``{"entries": ..., "state_caches": ...}`` — classic dict entries
-    #: vs the per-state encoding memo caches)
+    #: optional breakdown of the store's share of ``approx_bytes`` (the
+    #: exact store reports ``{"entries": ..., "state_caches": ...}`` —
+    #: classic dict entries vs the per-state encoding memo caches)
     approx_bytes_detail: Optional[dict[str, int]] = None
 
     def __post_init__(self) -> None:

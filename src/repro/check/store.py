@@ -5,9 +5,9 @@ The visited set is the memory bottleneck of explicit-state model checking
 This module factors it behind a small :class:`StateStore` interface with
 two representations, one class each, both built by :func:`make_store`:
 
-* :class:`ExactStore` — full states plus BFS parent pointers, so traces
-  can be rebuilt.  The default, and the oracle the other is tested
-  against.
+* :class:`ExactStore` — full states, numbered densely, plus BFS parent
+  ids, so traces can be rebuilt and a recorded graph can name states by
+  id.  The default, and the oracle the other is tested against.
 * :class:`FingerprintStore` — SPIN's *hash compaction*: ~16 bytes per
   state, detected collisions counted; on request 24 more for witness
   columns, from which the explorer rebuilds the exact store's traces by
@@ -209,67 +209,85 @@ class StateStore(Protocol):
 
 
 class ExactStore:
-    """Full states + parent pointers in one dict (the classic layout)."""
+    """Full states numbered densely as they arrive — BFS order, which the
+    explorer also expands them in, so a recorded graph names states by id
+    — plus BFS provenance: parent-id and action columns."""
 
     name = "exact"
     supports_traces = True
     collisions = 0
 
     def __init__(self) -> None:
-        self._parents: dict[Hashable, ParentEntry] = {}
+        self._ids: dict[Hashable, int] = {}
+        self._states: list[Hashable] = []
+        self._parents = array("q")
+        self._actions: list[Any] = []
 
     def add(self, state: Hashable, parent: ParentEntry = None) -> bool:
+        fresh = len(self._states)
+        return self.number(state, parent) == fresh
+
+    def number(self, state: Hashable, parent: ParentEntry = None) -> int:
+        """The id of ``state``, added with ``parent`` (itself stored) if new."""
         # setdefault keeps the first (shortest-path) parent and hashes
         # the state once, where a contains-then-insert pair hashes twice.
-        parents = self._parents
-        before = len(parents)
-        parents.setdefault(state, parent)
-        return len(parents) != before
+        fresh = len(self._states)
+        found = self._ids.setdefault(state, fresh)
+        if found == fresh:
+            source, action = (None, None) if parent is None else parent
+            self._parents.append(-1 if parent is None else self._ids[source])
+            self._states.append(state)
+            self._actions.append(action)
+        return found
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._states)
 
     def __contains__(self, state: Hashable) -> bool:
-        return state in self._parents
+        return state in self._ids
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._parents)
+        return iter(self._states)
+
+    def state_of(self, state_id: int) -> Hashable:
+        """The state numbered ``state_id``."""
+        return self._states[state_id]
 
     def parent_of(self, state: Hashable) -> ParentEntry:
-        return self._parents[state]
+        state_id = self._ids[state]
+        parent_id = self._parents[state_id]
+        if parent_id < 0:
+            return None
+        return self._states[parent_id], self._actions[state_id]
 
     def approx_bytes(self) -> int:
-        """Dict overhead plus sampled per-entry cost, caches included.
+        """Containers plus sampled per-entry cost, caches included.
 
         Deliberately rough — it narrates the Table 3 memory-budget story,
-        it does not meter CPython precisely.  It samples the parent-pointer
-        payload (a two-tuple per non-initial state) *and* the instance
-        dict and hash memo (``_hash_cache``) the semantics classes pin on
-        states: both are real, per-state memory that lives exactly as
-        long as the store does.
+        it does not meter CPython precisely.  It samples the newest entry
+        *and* the instance dict and hash memo (``_hash_cache``) the
+        semantics classes pin on states: real per-state memory too.
         """
         detail = self.approx_bytes_detail()
         return detail["entries"] + detail["state_caches"]
 
     def approx_bytes_detail(self) -> dict[str, int]:
         """The estimate split into classic entries vs memo caches."""
-        if not self._parents:
+        n = len(self._states)
+        if not n:
             return {"entries": 0, "state_caches": 0}
         # Sample the newest entry: the initial state (the oldest) is the
-        # only one with a None parent, so the newest is representative.
-        state = next(reversed(self._parents))
-        entry = self._parents[state]
-        per_parent = 0 if entry is None else (
-            sys.getsizeof(entry) + sys.getsizeof(entry[1]))
-        per_state = sys.getsizeof(state) + per_parent
+        # only one without a parent, so the newest is representative.
+        state, action = self._states[-1], self._actions[-1]
+        per_state = (sys.getsizeof(state) + sys.getsizeof(n)  # + its id
+                     + sys.getsizeof(action) + 24)  # + three column slots
         per_cache = 0
         d = getattr(state, "__dict__", None)
         if d is not None:
             per_cache = sys.getsizeof(d)
             if "_hash_cache" in d:
                 per_cache += sys.getsizeof(d["_hash_cache"])
-        n = len(self._parents)
-        return {"entries": sys.getsizeof(self._parents) + n * per_state,
+        return {"entries": sys.getsizeof(self._ids) + n * per_state,
                 "state_caches": n * per_cache}
 
 

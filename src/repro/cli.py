@@ -2,14 +2,11 @@
 
 Commands:
 
-* ``verify``   — model-check a library protocol at a given level/node count
-  (``--symmetry`` explores one representative per remote-permutation orbit).
 * ``check``    — the raw reachability sweep with the performance knobs:
-  ``--store fingerprint`` for SPIN-style hash compaction (~16 bytes/state,
-  collision-counted),
-  ``--spill-dir DIR --spill-threshold N`` to give that store a disk tier,
-  ``--levels`` for per-level progress lines, and ``--profile out.json``
-  for a machine-readable run profile.
+  ``--store fingerprint`` (SPIN-style hash compaction, ~16 bytes/state),
+  ``--spill-dir DIR`` (its disk tier), ``--levels``, ``--profile out.json``.
+* ``verify``   — ``check`` plus properties, on the same sweep and flags:
+  the coherence invariants with traces, and ``--progress`` (weak fairness).
 * ``lint``     — run the static-analysis suite (section 2.4 restrictions,
   reachability, guard overlap, fusability, buffer demand, transients,
   the P44xx simulation certificate, the P45xx parameterized flow
@@ -58,13 +55,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import __version__
 from .check.explorer import explore
-from .check.properties import check_progress
-from .check.store import STORE_NAMES
+from .check.observe import JsonProfileWriter, MultiObserver, ProgressRenderer
+from .check.por import PRESERVE_COUNTS, PRESERVE_INVARIANTS
+from .check.properties import (
+    WithCompletes,
+    check_progress,
+    completes,
+    progress_of,
+)
 from .check.simulation import check_simulation
+from .check.spec import SystemSpec, build_system
+from .check.store import STORE_NAMES, make_store
 from .errors import ReproError
 from .protocols import LIBRARY_PROTOCOLS as PROTOCOLS
 from .protocols.handwritten import handwritten_migratory
@@ -76,7 +82,6 @@ from .protocols.invariants import (
 from .refine.engine import refine
 from .refine.plan import RefinementConfig
 from .semantics.asynchronous import AsyncSystem
-from .semantics.rendezvous import RendezvousSystem
 from .sim.engine import Simulator
 from .sim.workload import HotLineWorkload, SyntheticWorkload
 from .viz.ascii import process_ascii, protocol_summary, refined_ascii
@@ -103,51 +108,82 @@ def _config(args) -> RefinementConfig:
 
 
 def cmd_verify(args) -> int:
-    _reject_rendezvous_por(args)
-    protocol = _build(args.protocol)
+    if args.progress and args.store != "exact":
+        args.usage_error("--progress reports states, which only the exact "
+                         "store keeps: use --store exact (the default)")
+    spec = _spec(args, preserve=PRESERVE_INVARIANTS)
     invariants = list(coherence_invariants(COHERENCE_SPECS[args.protocol]))
-    if args.level == "rendezvous":
-        system = RendezvousSystem(protocol, args.nodes)
-    else:
-        refined = refine(protocol, _config(args))
+    if args.level == "async":
         invariants += async_structural_invariants(args.buffer)
-        system = AsyncSystem(refined, args.nodes)
-    base_system = system
-    reductions = []
-    if args.por:
-        from .check.por import PRESERVE_INVARIANTS, PORSystem
-        system = PORSystem(system, preserve=PRESERVE_INVARIANTS)
-        reductions.append("por")
-    if args.symmetry:
-        from .check.symmetry import SymmetricSystem
-        from .protocols.symmetry import symmetry_spec_for
-        system = SymmetricSystem(system, symmetry_spec_for(args.protocol))
-        reductions.append("symmetry")
-    result = explore(system, name=f"{args.protocol}-{args.level}-{args.nodes}",
-                     invariants=invariants, max_states=args.budget,
-                     max_seconds=args.timeout,
-                     reductions=tuple(reductions))
-    print(result.describe())
+    # unreduced, the safety sweep records the graph progress reads; a
+    # reduction relabels that graph, so then progress sweeps unreduced
+    one_sweep = args.progress and not spec.reductions()
+    result, store = _sweep(args, spec, invariants, one_sweep)
     for violation in result.violations:
         print(violation.describe())
     for deadlock in result.deadlocks[:1]:
         print(deadlock.describe())
     ok = result.ok
     if args.progress:
-        # SCC-based progress distinguishes remote identities in its edge
-        # labels, so it always runs on the unreduced system.
-        progress = check_progress(base_system, max_states=args.budget,
-                                  max_seconds=args.timeout)
+        progress = (progress_of(result, store) if one_sweep else
+                    check_progress(build_system(replace(spec, symmetry=False,
+                                                        por=False)),
+                                   max_states=args.budget,
+                                   max_seconds=args.timeout))
         print(progress.describe())
         ok = ok and progress.ok
     return 0 if ok else 1
 
 
-def _reject_rendezvous_por(args) -> None:
+def _spec(args, preserve: str = PRESERVE_COUNTS) -> SystemSpec:
     if args.por and args.level == "rendezvous":
         raise SystemExit(
             "--por prunes asynchronous message interleavings; the "
             "rendezvous level has none (use --level async, or drop --por)")
+    return SystemSpec(protocol=args.protocol, level=args.level,
+                      n_remotes=args.nodes,
+                      config=_config(args) if args.level == "async" else None,
+                      symmetry=args.symmetry, por=args.por,
+                      preserve=preserve)
+
+
+def _sweep(args, spec, invariants=(), progress: bool = False):
+    """The one sweep behind ``check`` and ``verify``: ``spec`` explored
+    into the store, budgets and observers the flags describe (with
+    ``progress``, recording what ``progress_of`` reads); prints the
+    summary line and returns the result and the store."""
+    partitions = getattr(args, "partitions", None)  # check only
+    if args.store != "fingerprint" and (partitions is not None
+                                        or args.spill_dir is not None):
+        args.usage_error(
+            "--partitions and --spill-dir size the fingerprint store's disk "
+            "tier: use them with --store fingerprint (the exact store keeps "
+            "every state resident)")
+    observers = ([ProgressRenderer()] if args.levels else []) + (
+        [JsonProfileWriter(args.profile)] if args.profile else [])
+    system = build_system(spec)
+    # one table; --partitions only multiplies the merge threshold; witness
+    # columns whenever there is a counterexample to trace (not on disk)
+    store = make_store(args.store, partitions, spill_dir=args.spill_dir,
+                       spill_threshold=args.spill_threshold,
+                       witness=bool(invariants) and args.spill_dir is None)
+    try:
+        result = explore(WithCompletes(system) if progress else system,
+                         name=f"{args.protocol}-{args.level}-{args.nodes}",
+                         invariants=invariants, max_states=args.budget,
+                         max_seconds=args.timeout,
+                         max_bytes=args.memory_limit, store=store,
+                         observer=MultiObserver(*observers),
+                         reductions=spec.reductions(),
+                         edge_label=completes if progress else None)
+    finally:
+        close = getattr(store, "close", None)  # mmaps + file handles
+        if callable(close):
+            close()
+    print(result.describe())
+    if args.profile:
+        print(f"[profile written to {args.profile}]")
+    return result, store
 
 
 _SIZE_UNITS = {"": 1, "B": 1,
@@ -193,47 +229,7 @@ _fraction = _ranged(float, "between 0 and 1", lambda v: 0 <= v <= 1)
 
 
 def cmd_check(args) -> int:
-    from .check.observe import JsonProfileWriter, MultiObserver, ProgressRenderer
-    from .check.spec import SystemSpec, build_system
-    from .check.store import make_store
-
-    _reject_rendezvous_por(args)
-    if args.store != "fingerprint" and (args.partitions is not None
-                                        or args.spill_dir is not None):
-        args.usage_error(
-            "--partitions and --spill-dir size the fingerprint store's disk "
-            "tier: use them with --store fingerprint (the exact store keeps "
-            "every state resident)")
-
-    observers = []
-    if args.levels:
-        observers.append(ProgressRenderer())
-    if args.profile:
-        observers.append(JsonProfileWriter(args.profile))
-    observer = MultiObserver(*observers) if observers else None
-
-    spec = SystemSpec(protocol=args.protocol, level=args.level,
-                      n_remotes=args.nodes,
-                      config=_config(args) if args.level == "async" else None,
-                      symmetry=args.symmetry, por=args.por)
-    # one table; --partitions only multiplies the merge threshold
-    store = make_store(args.store, args.partitions,
-                       spill_dir=args.spill_dir,
-                       spill_threshold=args.spill_threshold)
-    try:
-        result = explore(build_system(spec),
-                         name=f"{args.protocol}-{args.level}-{args.nodes}",
-                         max_states=args.budget, max_seconds=args.timeout,
-                         max_bytes=args.memory_limit,
-                         store=store, observer=observer,
-                         reductions=spec.reductions())
-    finally:
-        close = getattr(store, "close", None)  # mmaps + file handles
-        if callable(close):
-            close()
-    print(result.describe())
-    if args.profile:
-        print(f"[profile written to {args.profile}]")
+    result, _store = _sweep(args, _spec(args))
     return 0 if result.completed else 1
 
 
@@ -283,15 +279,9 @@ def cmd_lint(args) -> int:
     if fmt == "sarif":
         from .analysis.sarif import render_sarif
         print(render_sarif(reports))
-    elif fmt == "json":
-        outputs = [report.render_json() for report in reports]
-        if len(outputs) > 1:
-            # one parseable document, not concatenated ones (CI consumes this)
-            print("[" + ",\n".join(outputs) + "]")
-        else:
-            print("\n\n".join(outputs))
     else:
-        print("\n\n".join(report.render_text() for report in reports))
+        _emit([report.render_json() if fmt == "json" else report.render_text()
+               for report in reports], fmt == "json")
     threshold = Severity.WARNING if args.strict else Severity.ERROR
     return 1 if worst is not None and worst >= threshold else 0
 
@@ -328,11 +318,7 @@ def cmd_flows(args) -> int:
                      f"{verdict.stuck} stuck)"]
             lines.extend(f"  {d.render()}" for d in verdict.obligations)
             outputs.append("\n".join(lines))
-    if args.json and len(outputs) > 1:
-        # one parseable document, not concatenated ones (CI consumes this)
-        print("[" + ",\n".join(outputs) + "]")
-    else:
-        print("\n\n".join(outputs))
+    _emit(outputs, args.json)
     return 0 if all_discharged or not args.strict else 1
 
 
@@ -373,12 +359,16 @@ def cmd_paramverify(args) -> int:
                          f"({len(verdict.witness.steps)} steps):")
             lines.append(render_counterexample_msc(verdict.witness, 2))
         outputs.append("\n".join(lines))
-    if args.json and len(outputs) > 1:
+    _emit(outputs, args.json)
+    return 0 if all_discharged or not args.strict else 1
+
+
+def _emit(outputs: list[str], as_json: bool) -> None:
+    if as_json and len(outputs) > 1:
         # one parseable document, not concatenated ones (CI consumes this)
         print("[" + ",\n".join(outputs) + "]")
     else:
         print("\n\n".join(outputs))
-    return 0 if all_discharged or not args.strict else 1
 
 
 def cmd_refine(args) -> int:
@@ -467,40 +457,78 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_nodes=2):
-        p.add_argument("protocol", choices=sorted(PROTOCOLS))
-        p.add_argument("-n", "--nodes", type=int, default=default_nodes)
+    def refinement_flags(p):
         p.add_argument("--buffer", type=int, default=2,
                        help="home buffer capacity k (default 2)")
         p.add_argument("--no-reqreply", action="store_true",
                        help="disable the section 3.3 optimization")
         p.add_argument("--no-progress-buffer", action="store_true",
                        help="ablation: drop the progress-buffer reservation")
+
+    def common(p, default_nodes=2):
+        p.add_argument("protocol", choices=sorted(PROTOCOLS))
+        p.add_argument("-n", "--nodes", type=int, default=default_nodes)
+        refinement_flags(p)
         p.add_argument("--budget", type=_positive_int, default=None,
                        help="state budget (emulates a memory cap)")
         p.add_argument("--timeout", type=_positive_float, default=None,
                        help="wall-clock budget in seconds")
 
-    def engine_flag(p):
+    def sweep_flags(p):
+        """The flags of the one sweep behind ``check`` and ``verify``."""
+        common(p)
+        p.add_argument("--level", choices=["rendezvous", "async"],
+                       default="rendezvous")
         # kept for perf/workloads.py:67 (passes it) and perf/child.py:70
         p.add_argument("--engine", choices=["interpreted", "compiled"],
                        default="interpreted",
                        help="accepted for old command lines and selects "
                             "nothing: there is one step engine")
+        p.add_argument("--store", choices=list(STORE_NAMES), default="exact",
+                       help="visited-state store: exact (traces, default) or "
+                            "fingerprint (SPIN-style hash compaction)")
+        p.add_argument("--profile", metavar="PATH", default=None,
+                       help="write a per-level JSON run profile "
+                            "(schema repro.profile/5; records active "
+                            "reductions, reduction ratios and the disk "
+                            "tier's size)")
+        p.add_argument("--levels", action="store_true",
+                       help="print one progress line per BFS level")
+        p.add_argument("--spill-dir", metavar="DIR", default=None,
+                       help="give the fingerprint store a disk tier: an "
+                            "mmap-backed sorted fingerprint file under DIR, "
+                            "started empty (fingerprint store only)")
+        p.add_argument("--spill-threshold", type=_positive_int,
+                       default=1 << 20,
+                       metavar="N",
+                       help="resident entries before the hot tier is merged "
+                            "into the spill file (default: %(default)s)")
+        p.add_argument("--memory-limit", metavar="SIZE", type=parse_bytes,
+                       default=None,
+                       help="end the run as a well-formed Unfinished result "
+                            "when the footprint estimate of the store (and "
+                            "graph) crosses SIZE (e.g. 64MiB, 512K, 2G) — "
+                            "the paper's memory allotment without the OOM "
+                            "kill")
+        p.add_argument("--symmetry", action="store_true",
+                       help="explore one representative per remote-"
+                            "permutation orbit")
+        p.add_argument("--por", action="store_true",
+                       help="ample-set partial-order reduction (async level "
+                            "only; verify's preserves invariants)")
+        p.set_defaults(usage_error=p.error)
 
-    p = sub.add_parser("verify", help="model-check a protocol")
-    common(p)
-    p.add_argument("--level", choices=["rendezvous", "async"],
-                   default="rendezvous")
-    engine_flag(p)
+    def every_protocol(p, what):
+        p.add_argument("protocol", choices=sorted(PROTOCOLS) + ["all"],
+                       help=f"library protocol to {what}, or 'all'")
+        refinement_flags(p)
+
+    p = sub.add_parser("verify", help="model-check a protocol: check plus "
+                                      "invariants, traces and progress")
+    sweep_flags(p)
     p.add_argument("--progress", action="store_true",
-                   help="also run the weak-fairness progress check")
-    p.add_argument("--symmetry", action="store_true",
-                   help="explore one representative per remote-permutation "
-                        "orbit (identical-remote symmetry reduction)")
-    p.add_argument("--por", action="store_true",
-                   help="ample-set partial-order reduction (async level "
-                        "only; invariant-preserving preset)")
+                   help="also run the weak-fairness progress check (the "
+                        "same sweep unless reduced; exact store only)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -516,48 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
                "--profile out.json\n"
                "      JSON run profile (also written when the run is "
                "interrupted)")
-    common(p)
-    p.add_argument("--level", choices=["rendezvous", "async"],
-                   default="rendezvous")
-    engine_flag(p)
-    p.add_argument("--store", choices=list(STORE_NAMES), default="exact",
-                   help="visited-state store: exact (traces, default) or "
-                        "fingerprint (SPIN-style hash compaction)")
-    p.add_argument("--profile", metavar="PATH", default=None,
-                   help="write a per-level JSON run profile "
-                        "(schema repro.profile/5; records active "
-                        "reductions, reduction ratios and the disk "
-                        "tier's size)")
-    p.add_argument("--levels", action="store_true",
-                   help="print one progress line per BFS level")
+    sweep_flags(p)
     p.add_argument("--partitions", type=_positive_int, default=None,
                    metavar="P",
                    help="multiply --spill-threshold by P (the fingerprint "
                         "store was sharded P ways once and kept P x N "
                         "entries resident; it is one table now, sized "
                         "the same; fingerprint store only)")
-    p.add_argument("--spill-dir", metavar="DIR", default=None,
-                   help="give the fingerprint store a disk tier: an "
-                        "mmap-backed sorted fingerprint file under DIR, "
-                        "started empty (fingerprint store only)")
-    p.add_argument("--spill-threshold", type=_positive_int,
-                   default=1 << 20,
-                   metavar="N",
-                   help="resident entries before the hot tier is merged "
-                        "into the spill file (default: %(default)s)")
-    p.add_argument("--memory-limit", metavar="SIZE", type=parse_bytes,
-                   default=None,
-                   help="end the run as a well-formed Unfinished result "
-                        "when the visited store's footprint estimate "
-                        "crosses SIZE (e.g. 64MiB, 512K, 2G) — the "
-                        "paper's memory allotment without the OOM kill")
-    p.add_argument("--symmetry", action="store_true",
-                   help="explore one representative per remote-permutation "
-                        "orbit")
-    p.add_argument("--por", action="store_true",
-                   help="ample-set partial-order reduction (async level "
-                        "only)")
-    p.set_defaults(func=cmd_check, usage_error=p.error)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
         "lint", help="run the static-analysis suite",
@@ -573,17 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
                "      exit 1 on warnings too (CI gate)\n"
                "  repro lint msi --json > msi-lint.json\n"
                "      machine-readable report")
-    p.add_argument("protocol", choices=sorted(PROTOCOLS) + ["all"],
-                   help="library protocol to lint, or 'all'")
+    every_protocol(p, "lint")
     p.add_argument("-n", "--nodes", type=int, default=4,
                    help="remote node count assumed by the buffer-demand "
                         "bound (default 4)")
-    p.add_argument("--buffer", type=int, default=2,
-                   help="home buffer capacity k (default 2)")
-    p.add_argument("--no-reqreply", action="store_true",
-                   help="disable the section 3.3 optimization")
-    p.add_argument("--no-progress-buffer", action="store_true",
-                   help=argparse.SUPPRESS)  # accepted for _config() parity
     p.add_argument("--json", action="store_true",
                    help="emit one JSON report per protocol "
                         "(alias for --format json)")
@@ -613,14 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                "      machine-readable flow graphs (CI artifact)\n"
                "  repro flows msi --dot | dot -Tpng > msi-flows.png\n"
                "      Graphviz rendering of the flow clusters")
-    p.add_argument("protocol", choices=sorted(PROTOCOLS) + ["all"],
-                   help="library protocol to analyze, or 'all'")
-    p.add_argument("--buffer", type=int, default=2,
-                   help="home buffer capacity k (default 2)")
-    p.add_argument("--no-reqreply", action="store_true",
-                   help="disable the section 3.3 optimization")
-    p.add_argument("--no-progress-buffer", action="store_true",
-                   help=argparse.SUPPRESS)  # accepted for _config() parity
+    every_protocol(p, "analyze")
     p.add_argument("--witness-nodes", type=_positive_int, default=2,
                    help=argparse.SUPPRESS)  # ignored; frozen perf/ reads it
     p.add_argument("--json", action="store_true",
@@ -644,14 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                "      machine-readable verdicts (CI artifact)\n"
                "  repro paramverify all --strict\n"
                "      exit 1 unless every protocol discharges (CI gate)")
-    p.add_argument("protocol", choices=sorted(PROTOCOLS) + ["all"],
-                   help="library protocol to verify, or 'all'")
-    p.add_argument("--buffer", type=int, default=2,
-                   help="home buffer capacity k (default 2)")
-    p.add_argument("--no-reqreply", action="store_true",
-                   help="disable the section 3.3 optimization")
-    p.add_argument("--no-progress-buffer", action="store_true",
-                   help=argparse.SUPPRESS)  # accepted for _config() parity
+    every_protocol(p, "verify")
     p.add_argument("--budget", type=_positive_int, default=50_000,
                    help="state budget per abstract exploration "
                         "(default 50000)")

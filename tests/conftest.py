@@ -8,11 +8,23 @@ from repro import (
     AsyncSystem,
     RefinementConfig,
     RendezvousSystem,
+    explore,
     invalidate_protocol,
+    mesi_protocol,
     migratory_protocol,
     msi_protocol,
     refine,
 )
+from repro.check.store import ExactStore
+
+
+def reachable_states(system, **explore_kwargs) -> list:
+    """The states one ``explore()`` of ``system`` stores, in BFS discovery
+    order: every reachable state when the sweep completes, the expanded
+    prefix plus its frontier when a budget truncates it."""
+    store = ExactStore()
+    explore(system, store=store, **explore_kwargs)
+    return list(store)
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +66,16 @@ def invalidate_refined(invalidate):
 @pytest.fixture(scope="session")
 def msi_refined(msi):
     return refine(msi)
+
+
+@pytest.fixture(scope="session")
+def mesi():
+    return mesi_protocol()
+
+
+@pytest.fixture(scope="session")
+def mesi_refined(mesi):
+    return refine(mesi)
 
 
 @pytest.fixture

@@ -34,13 +34,14 @@ from hypothesis import strategies as st
 from repro import AsyncSystem, refine
 from repro.check.explorer import explore
 from repro.check.properties import check_progress
+from repro.check.store import ExactStore
 from repro.errors import SemanticsError
 from repro.gen import GeneratorParams, random_protocol
 from repro.protocols import LIBRARY_PROTOCOLS
 from repro.protocols.invariants import async_structural_invariants
-from repro.protocols.migratory import migratory_protocol
 from repro.refine.transitions import build_step_table
 from repro.semantics import asynchronous
+from tests.conftest import reachable_states
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
                         n_remote_msgs=2, n_home_msgs=2)
@@ -148,41 +149,41 @@ class TestStepObservableParity:
     @given(protocols())
     def test_steps_identical_on_reachable_states(self, protocol):
         system = AsyncSystem(refine(protocol), 2)
-        result = explore(system, max_states=400, keep_graph=True,
-                         allow_deadlock=True)
-        for state in list(result.graph or {})[:200]:
+        for state in reachable_states(system, max_states=400,
+                                      allow_deadlock=True)[:200]:
             assert_steps_equal(system, state)
 
     @pytest.mark.parametrize("name", sorted(LIBRARY_PROTOCOLS))
-    def test_library_protocols_on_every_reachable_state(self, name):
-        system = AsyncSystem(refine(LIBRARY_PROTOCOLS[name]()), 2)
-        result = explore(system, keep_graph=True)
-        assert result.completed
-        for state in result.graph:
+    def test_library_protocols_on_every_reachable_state(self, name,
+                                                        request):
+        system = AsyncSystem(request.getfixturevalue(f"{name}_refined"), 2)
+        for state in reachable_states(system):
             assert_steps_equal(system, state)
 
 
 class TestMemo:
-    def test_bound_of_eight_clears_mid_run(self, monkeypatch):
+    def test_bound_of_eight_clears_mid_run(self, monkeypatch,
+                                           migratory_refined):
         """With room for eight of its hundreds of families the memo is
         cleared over and over in one sweep; nothing else changes."""
-        refined = refine(migratory_protocol())
+        refined = migratory_refined
         interp, unbounded = reference_pair(refined, 3)
         reference = explore(interp, max_states=3000)
         explore(unbounded, max_states=3000)
         assert len(unbounded._memo) > 80
         monkeypatch.setattr(asynchronous, "_MEMO_LIMIT", 8)
         bounded = AsyncSystem(refined, 3)
-        result = explore(bounded, max_states=3000, keep_graph=True)
+        store = ExactStore()
+        result = explore(bounded, max_states=3000, store=store)
         assert counts(result) == counts(reference)
-        for state in result.graph:
+        for state in store:
             assert_steps_equal(bounded, state)
             assert len(bounded._memo) <= 8
 
-    def test_replayed_state_has_exactly_its_fields(self):
+    def test_replayed_state_has_exactly_its_fields(self, migratory_refined):
         """A replayed state is built over a fresh ``__dict__``: copying
         the origin's would hand it the origin's hash and key caches."""
-        system = AsyncSystem(refine(migratory_protocol()), 2)
+        system = AsyncSystem(migratory_refined, 2)
         frontier = [system.initial_state()]
         for _ in range(6):
             for state in frontier:
@@ -193,9 +194,9 @@ class TestMemo:
                 assert list(vars(nxt)) == ["home", "remotes", "channels"]
         assert frontier
 
-    def test_systems_never_share_a_memo(self):
+    def test_systems_never_share_a_memo(self, migratory_refined):
         """A delta is only right for the table it was learnt under."""
-        refined = refine(migratory_protocol())
+        refined = migratory_refined
         healthy = AsyncSystem(refined, 2)
         mutant = AsyncSystem(refined, 2, table=build_step_table(
             refined).mutate(role="remote", state="I", out_index=0,
@@ -230,19 +231,19 @@ class TestSeededMutant:
 
     @pytest.mark.parametrize("name,where,changes", MUTATIONS,
                              ids=[m[0] for m in MUTATIONS])
-    def test_mutant_flagged_identically(self, name, where, changes):
-        refined = refine(migratory_protocol())
-        mutant = build_step_table(refined).mutate(**where, **changes)
+    def test_mutant_flagged_identically(self, name, where, changes,
+                                        migratory_refined):
+        mutant = build_step_table(migratory_refined).mutate(**where,
+                                                            **changes)
         errors = []
-        for system in reference_pair(refined, table=mutant):
+        for system in reference_pair(migratory_refined, table=mutant):
             with pytest.raises(SemanticsError) as exc:
                 explore(system, max_states=4000, allow_deadlock=True)
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
 
-    def test_healthy_table_not_flagged(self):
-        refined = refine(migratory_protocol())
-        table = build_step_table(refined)
-        for system in reference_pair(refined, table=table):
+    def test_healthy_table_not_flagged(self, migratory_refined):
+        table = build_step_table(migratory_refined)
+        for system in reference_pair(migratory_refined, table=table):
             result = explore(system, max_states=4000, allow_deadlock=True)
             assert result.completed

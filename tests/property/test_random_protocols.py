@@ -24,6 +24,7 @@ from repro.check.simulation import check_simulation
 from repro.gen import GeneratorParams, random_protocol
 from repro.protocols.invariants import async_structural_invariants
 from repro.refine.abstraction import abstract_state
+from tests.conftest import reachable_states
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
                         n_remote_msgs=2, n_home_msgs=2)
@@ -73,8 +74,8 @@ class TestRefinementSoundness:
                          allow_deadlock=True)
         assume(result.completed)
         assert not result.violations, result.violations[0].describe()
-        for state in list(explore(system, max_states=3000, keep_graph=True,
-                                  allow_deadlock=True).graph or {})[:500]:
+        for state in reachable_states(system, max_states=3000,
+                                      allow_deadlock=True)[:500]:
             abstract_state(system, state)  # must never raise
 
     @lenient

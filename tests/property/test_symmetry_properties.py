@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     AsyncSystem,
     RendezvousSystem,
-    explore,
     invalidate_protocol,
     migratory_protocol,
     msi_protocol,
@@ -40,14 +39,13 @@ from repro.protocols.symmetry import (
 from repro.semantics.asynchronous import AsyncState, BufEntry, HomeNode
 from repro.semantics.network import Channels
 from repro.semantics.state import ProcState, RvState
+from tests.conftest import reachable_states
 
 N = 3
 
 _protocol = migratory_protocol()
-_rv_states = list(explore(RendezvousSystem(_protocol, N),
-                          keep_graph=True).graph)
-_async_states = list(explore(AsyncSystem(refine(_protocol), N),
-                             keep_graph=True).graph)
+_rv_states = reachable_states(RendezvousSystem(_protocol, N))
+_async_states = reachable_states(AsyncSystem(refine(_protocol), N))
 
 
 _BIGGER = {"invalidate": (invalidate_protocol, INVALIDATE_SYMMETRY),
@@ -61,10 +59,9 @@ def _sample(name):
     ``S``, the home buffer and ``awaiting``."""
     build, spec = _BIGGER[name]
     protocol = build()
-    rv = list(explore(RendezvousSystem(protocol, N), keep_graph=True,
-                      max_states=1500).graph)
-    asy = list(explore(AsyncSystem(refine(protocol), N), keep_graph=True,
-                       max_states=6000).graph)
+    rv = reachable_states(RendezvousSystem(protocol, N), max_states=1500)
+    asy = reachable_states(AsyncSystem(refine(protocol), N),
+                           max_states=6000)
     return spec, rv, asy
 
 
@@ -295,10 +292,10 @@ class TestOrderOracle:
         """Every successor the reduced sweep normalizes lands on the
         representative the old signature's order gives."""
         spec, inner, budget = _ORDER_CASES[case]()
-        result = explore(SymmetricSystem(inner, spec), keep_graph=True,
-                         max_states=budget)
+        reps = reachable_states(SymmetricSystem(inner, spec),
+                                max_states=budget)
         checked = moved = 0
-        for rep in result.graph:
+        for rep in reps:
             for _action, nxt in inner.successors(rep):
                 order = old_order(nxt, spec)
                 new = normalize(nxt, spec)
@@ -307,4 +304,4 @@ class TestOrderOracle:
                 assert new == old_normalize(nxt, spec)
                 checked += 1
                 moved += order != sorted(order)
-        assert checked > len(result.graph) and moved > 0
+        assert checked > len(reps) and moved > 0

@@ -14,6 +14,7 @@ from repro import (
 from repro.protocols.handwritten import HAND_CONFIG, handwritten_migratory
 from repro.refine.abstraction import AbstractionUndefined, abstract_state
 from repro.semantics.network import NOTE
+from tests.conftest import reachable_states
 
 
 class TestConstruction:
@@ -54,9 +55,8 @@ class TestWhyThePaperKeepsTheAck:
         LR — the refinement soundness proof does not cover this protocol."""
         refined = handwritten_migratory()
         system = AsyncSystem(refined, 2)
-        result = explore(system, keep_graph=True, allow_deadlock=True)
         undefined = 0
-        for state in result.graph:
+        for state in reachable_states(system, allow_deadlock=True):
             try:
                 abstract_state(system, state)
             except AbstractionUndefined:
@@ -68,8 +68,8 @@ class TestWhyThePaperKeepsTheAck:
         buffer: the hand design implicitly requires extra buffering."""
         refined = handwritten_migratory()
         system = AsyncSystem(refined, 3)
-        result = explore(system, keep_graph=True, allow_deadlock=True)
-        max_total = max(len(s.home.buffer) for s in result.graph)
+        max_total = max(len(s.home.buffer) for s in
+                        reachable_states(system, allow_deadlock=True))
         k = refined.plan.config.home_buffer_capacity
         assert max_total > k
 
@@ -77,11 +77,10 @@ class TestWhyThePaperKeepsTheAck:
         """Fewer messages in flight overall: no ACK ever chases an LR."""
         refined = handwritten_migratory()
         system = AsyncSystem(refined, 2)
-        result = explore(system, keep_graph=True, allow_deadlock=True)
         # In the refined protocol an LR is acked; here LR travels as NOTE
         # and no ack for it exists anywhere.
         lr_notes = 0
-        for state in result.graph:
+        for state in reachable_states(system, allow_deadlock=True):
             for _i, _d, msg in state.channels.in_flight():
                 if msg.kind == NOTE:
                     assert msg.msg == "LR"

@@ -20,16 +20,6 @@ from repro.semantics.rendezvous import RendezvousStep, TauStep
 from repro.semantics.state import HOME_ID
 
 
-@pytest.fixture(scope="module")
-def mesi():
-    return mesi_protocol()
-
-
-@pytest.fixture(scope="module")
-def mesi_refined(mesi):
-    return refine(mesi)
-
-
 class TestStructure:
     def test_states(self, mesi):
         assert {"E", "M", "S", "I", "E.dc", "E.ic", "M.dd"} <= \
@@ -174,11 +164,10 @@ class TestSimulation:
         assert metrics.total_completions > 20
         assert oracle.n_checked > 10
 
-    def test_clean_evictions_save_data_transfers(self):
+    def test_clean_evictions_save_data_transfers(self, mesi_refined):
         """Read-only MESI traffic never writes back."""
         from repro.sim import Simulator, SyntheticWorkload
-        refined = refine(mesi_protocol())
-        sim = Simulator(refined, 4,
+        sim = Simulator(mesi_refined, 4,
                         SyntheticWorkload(seed=9, write_fraction=0.0),
                         seed=9)
         metrics = sim.run(until=20_000)

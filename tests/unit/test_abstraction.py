@@ -12,6 +12,7 @@ from repro.semantics.asynchronous import (
     RemoteSend,
 )
 from repro.semantics.rendezvous import RendezvousSystem
+from tests.conftest import reachable_states
 
 
 def find_step(system, state, predicate):
@@ -204,8 +205,6 @@ class TestHalfForwardedEnv:
 class TestAbstractionTotality:
     @pytest.mark.parametrize("n", [1, 2])
     def test_defined_on_every_reachable_state(self, migratory_refined, n):
-        from repro.check.explorer import explore
         system = AsyncSystem(migratory_refined, n)
-        result = explore(system, keep_graph=True, allow_deadlock=True)
-        for state in result.graph:
+        for state in reachable_states(system, allow_deadlock=True):
             abstract_state(system, state)  # must not raise

@@ -98,6 +98,24 @@ class TestHits:
         assert str(raised[0]) == str(raised[1])
         assert any(d.code == "P4401" for d in raised[1].diagnostics)
 
+    def test_a_full_memo_evicts_its_oldest_entry(
+            self, certificate_sweeps, monkeypatch, migratory_refined):
+        monkeypatch.setattr(simulation, "_VERDICT_LIMIT", 2)
+        # the budgets are part of the key: three keys, three sweeps
+        reports = [check_certificate(migratory_refined, max_failures=cap)
+                   for cap in (1, 2, 3)]
+        assert certificate_sweeps == [3]
+        assert [id(r) for r in simulation._VERDICTS.values()] \
+            == [id(r) for r in reports[1:]]
+        # the two newest still answer; the evicted one is swept again
+        assert check_certificate(migratory_refined, max_failures=3) \
+            is reports[2]
+        assert certificate_sweeps == [3]
+        assert check_certificate(migratory_refined, max_failures=1) \
+            is not reports[0]
+        assert certificate_sweeps == [4]
+        assert len(simulation._VERDICTS) == 2
+
 
 class TestMisses:
     def test_distinct_protocols_have_distinct_keys(self):

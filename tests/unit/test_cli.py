@@ -117,7 +117,7 @@ class TestVerifyCommand:
     def test_progress_verdict_sets_exit_code(self, monkeypatch, capsys,
                                              report):
         # the safety sweep passes; only the progress report is bad
-        monkeypatch.setattr(cli, "check_progress", lambda *a, **kw: report)
+        monkeypatch.setattr(cli, "progress_of", lambda *a, **kw: report)
         assert main(["verify", "migratory", "-n", "2", "--progress"]) == 1
         assert report.describe() in capsys.readouterr().out
 
@@ -125,6 +125,48 @@ class TestVerifyCommand:
         assert main(["verify", "migratory", "-n", "2", "--progress",
                      "--timeout", "1e-9"]) == 1
         assert "progress check incomplete" in capsys.readouterr().out
+
+    def test_progress_needs_the_exact_store(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "migratory", "-n", "2", "--progress",
+                  "--store", "fingerprint"])
+        assert excinfo.value.code == 2
+        assert "use --store exact" in capsys.readouterr().err
+
+    def test_check_flags_apply(self, tmp_path, capsys):
+        # one sweep helper: the memory limit, levels and profile of check
+        assert main(["verify", "migratory", "--memory-limit", "0"]) == 1
+        assert "memory budget 0B exceeded" in capsys.readouterr().out
+        path = tmp_path / "profile.json"
+        assert main(["verify", "migratory", "--level", "async", "-n", "2",
+                     "--store", "fingerprint", "--levels",
+                     "--profile", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "exploring migratory-async-2 (store=fingerprint)" \
+            in captured.err
+        assert f"profile written to {path}" in captured.out
+        result = json.loads(path.read_text())["result"]
+        assert (result["n_states"], result["violations"]) == (127, 0)
+
+    def test_seeded_bug_has_equal_witnesses_in_both_stores(
+            self, monkeypatch, capsys):
+        # the CI heredoc's invariant, through verify's own code path:
+        # the fingerprint store's trace is replayed from witness columns
+        # through symmetry + POR and must read like the exact store's
+        quiet = ("quiet", lambda s: s.channels.total_in_flight < 3)
+        structural = cli.async_structural_invariants
+        monkeypatch.setattr(cli, "async_structural_invariants",
+                            lambda k: structural(k) + [quiet])
+        outputs = {}
+        for store in ("exact", "fingerprint"):
+            assert main(["verify", "invalidate", "--level", "async", "-n",
+                         "3", "--symmetry", "--por", "--store", store]) == 1
+            outputs[store] = capsys.readouterr().out.splitlines()
+        assert "fingerprint store (0 collision(s))" in outputs["fingerprint"][0]
+        witness = outputs["exact"][1:]
+        assert witness[0].startswith("counterexample to 'quiet' (")
+        assert outputs["fingerprint"][1:] == witness
+        assert not any("no trace" in line for line in witness)
 
 
 class TestRefineCommand:
@@ -437,7 +479,7 @@ class TestRunsThatCannotFinish:
     def ctrl_c_after(monkeypatch, calls):
         build = spec_module.build_system
         monkeypatch.setattr(
-            spec_module, "build_system",
+            cli, "build_system",
             lambda spec: Interrupting(build(spec), calls,
                                       KeyboardInterrupt()))
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.check.explorer import explore, replay_actions
-from repro.check.store import FingerprintStore
+from repro.check.store import ExactStore, FingerprintStore
 from repro.errors import CheckError
 
 
@@ -204,13 +204,32 @@ class TestFingerprintWitnesses:
 
 class TestGraphRetention:
     def test_graph_kept_on_request(self):
-        result = explore(DiamondSystem(), keep_graph=True)
-        assert result.graph is not None
-        assert set(result.graph) == {0, 1, 2, 3}
-        assert [s for _a, s in result.graph[0]] == [1, 2]
+        # ids are discovery order: 0 -> {1, 2} -> 3 -> 0, labels b and e
+        store = ExactStore()
+        result = explore(DiamondSystem(), store=store,
+                         edge_label=lambda _s, a, _n: a in ("b", "e"))
+        graph = result.graph
+        assert list(graph.offsets) == [0, 2, 3, 4, 5]
+        assert list(graph.targets) == [1, 2, 3, 3, 0]
+        assert list(graph.labels) == [0, 1, 0, 0, 1]
+        assert [store.state_of(i) for i in range(len(graph))] == [0, 1, 2, 3]
+        # the arrays are metered with the store
+        assert result.approx_bytes == store.approx_bytes() + graph.nbytes()
+        assert graph.nbytes() > 0
 
     def test_graph_absent_by_default(self):
         assert explore(DiamondSystem()).graph is None
+
+    def test_graph_needs_a_numbering_store(self):
+        with pytest.raises(ValueError, match="numbers its states"):
+            explore(DiamondSystem(), store="fingerprint",
+                    edge_label=lambda *_edge: True)
+
+    def test_truncated_graph_covers_the_expanded_prefix(self):
+        result = explore(ChainSystem(100, loop=True), max_states=5,
+                         edge_label=lambda *_edge: False)
+        assert not result.completed
+        assert len(result.graph) == 5 and len(result.graph.targets) == 5
 
 
 class TestResultRendering:

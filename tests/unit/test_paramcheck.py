@@ -13,6 +13,7 @@ from repro.gen import GeneratorParams, random_protocol
 from repro.protocols import mesi_protocol
 from repro.refine.plan import RefinementConfig
 from repro.semantics.rendezvous import RendezvousSystem
+from tests.conftest import reachable_states
 
 #: the differential suite's generator shape
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
@@ -176,9 +177,9 @@ class TestStuckStateRule:
         table, _ = other_send_table(migratory,
                                     {migratory.remote.initial_env})
         system = EnvironmentSystem(migratory, 1, other_sends=table)
-        result = explore(system, allow_deadlock=True, keep_graph=True)
         # e.g. home at I2 awaiting LR/ID from o = Other, r0 awaiting gr
-        waiting = [state for state in result.graph
+        waiting = [state for state
+                   in reachable_states(system, allow_deadlock=True)
                    if state.home.state == "I2"
                    and state.home.env["o"] == system.other
                    and state.remotes[0].state == "I.gr"]

@@ -14,7 +14,6 @@ import pickle
 import pytest
 
 from repro import AsyncSystem, RendezvousSystem
-from repro.check.explorer import explore
 from repro.check.por import (
     PRESERVE_COUNTS,
     PRESERVE_INVARIANTS,
@@ -32,6 +31,7 @@ from repro.semantics.asynchronous import (
 )
 from repro.semantics.network import REQ, Channels
 from repro.semantics.state import HOME_ID
+from tests.conftest import reachable_states
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +42,7 @@ def mig2(migratory_refined):
 @pytest.fixture(scope="module")
 def reachable(mig2):
     """All reachable async states of refined migratory at n=2."""
-    result = explore(mig2, keep_graph=True, allow_deadlock=True)
-    assert result.completed
-    return list(result.graph)
+    return reachable_states(mig2, allow_deadlock=True)
 
 
 def all_steps(system, states):

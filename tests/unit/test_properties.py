@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro import cli
 from repro.check.explorer import explore
 from repro.check.properties import (
     ProgressReport,
+    WithCompletes,
     assert_safe,
     check_progress,
+    completes,
     tarjan_sccs,
 )
 from repro.check.response import check_response
@@ -35,28 +38,39 @@ class GraphSystem:
         return dict(self.graph[src]).get(dst, False)
 
 
+def sccs_of(adjacency):
+    """``tarjan_sccs`` of adjacency lists, as member lists in SCC order
+    (each SCC's representative checked to be one of its members)."""
+    comp, firsts = tarjan_sccs(len(adjacency), adjacency.__getitem__)
+    sccs = [[] for _ in firsts]
+    for node, number in enumerate(comp):
+        sccs[number].append(node)
+    assert all(first in scc for first, scc in zip(firsts, sccs))
+    return sccs
+
+
 class TestTarjan:
     def test_single_node_no_edge(self):
-        assert tarjan_sccs([[]]) == [[0]]
+        assert sccs_of([[]]) == [[0]]
 
     def test_simple_cycle(self):
-        sccs = tarjan_sccs([[1], [2], [0]])
+        sccs = sccs_of([[1], [2], [0]])
         assert sorted(sccs[0]) == [0, 1, 2]
 
     def test_two_components_reverse_topological(self):
         # 0 -> 1 <-> 2 ; component {1,2} must precede {0}
-        sccs = tarjan_sccs([[1], [2], [1]])
+        sccs = sccs_of([[1], [2], [1]])
         assert sorted(map(sorted, sccs), key=len) == [[0], [1, 2]]
         assert sorted(sccs[0]) == [1, 2]
 
     def test_self_loop(self):
-        sccs = tarjan_sccs([[0, 1], []])
+        sccs = sccs_of([[0, 1], []])
         assert [0] in sccs and [1] in sccs
 
     def test_large_chain_no_recursion_error(self):
         n = 50_000
         adjacency = [[i + 1] for i in range(n - 1)] + [[]]
-        assert len(tarjan_sccs(adjacency)) == n
+        assert len(sccs_of(adjacency)) == n
 
 
 class TestAssertSafeCountOnly:
@@ -170,6 +184,62 @@ class TestCheckProgress:
 
     def test_async_system_protocol_progress(self, migratory_async2):
         assert check_progress(migratory_async2).ok
+
+
+class TestOneSweepProgress:
+    """``repro verify --progress`` unreduced is one sweep: the safety
+    sweep records the id graph progress is read from.  Its verdict line
+    must be the one the stand-alone check prints, on every library cell
+    of ``test_library_counts_are_pinned``."""
+
+    @pytest.mark.parametrize("name, level, n", [
+        ("invalidate", "async", 2), ("mesi", "async", 2),
+        ("migratory", "async", 2), ("msi", "async", 2),
+        ("invalidate", "rendezvous", 3), ("migratory", "rendezvous", 3),
+    ])
+    def test_same_line_as_check_progress(self, name, level, n, request,
+                                         capsys, monkeypatch):
+        sweeps = []
+
+        def counting(*args, **kwargs):
+            sweeps.append(kwargs.get("edge_label"))
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "explore", counting)
+        assert cli.main(["verify", name, "--level", level, "-n", str(n),
+                         "--progress"]) == 0
+        assert sweeps == [completes]  # one sweep, recording the graph
+        line = capsys.readouterr().out.splitlines()[-1]
+        system = (AsyncSystem(request.getfixturevalue(f"{name}_refined"), n)
+                  if level == "async"
+                  else RendezvousSystem(request.getfixturevalue(name), n))
+        assert line == check_progress(system).describe()
+
+    def test_counterexamples_read_the_same(self, invalidate_refined):
+        """The one sweep's actions carry ``completes``; its traces must
+        print exactly as the plain sweep's do."""
+        from repro.gen import GeneratorParams, random_protocol
+        small = GeneratorParams(n_remote_states=3, n_home_states=3,
+                                n_remote_msgs=2, n_home_msgs=2)
+        quiet = [("quiet", lambda s: s.channels.total_in_flight < 2)]
+        for system, invariants in (
+                # seed 382 deadlocks at n = 3 (test_paramcheck.py)
+                (RendezvousSystem(random_protocol(382, small), 3), []),
+                (AsyncSystem(invalidate_refined, 2), quiet)):
+            plain = explore(system, invariants=invariants)
+            labelled = explore(WithCompletes(system), invariants=invariants,
+                               edge_label=completes)
+            traces = [c.describe() for c in plain.violations + plain.deadlocks]
+            assert traces and traces == [
+                c.describe() for c in labelled.violations + labelled.deadlocks]
+
+    def test_reduced_verify_sweeps_progress_unreduced(self, capsys):
+        assert cli.main(["verify", "invalidate", "--level", "async", "-n",
+                         "2", "--symmetry", "--por", "--progress"]) == 0
+        out = capsys.readouterr().out
+        assert "reductions: por+symmetry" in out
+        assert out.splitlines()[-1] == \
+            "PROGRESS GUARANTEED: 5262 states, 156 SCCs (1 terminal)"
 
 
 class TestAssertSafe:

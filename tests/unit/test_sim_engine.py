@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AsyncSystem, explore
+from repro import AsyncSystem
 from repro.protocols.handwritten import handwritten_migratory
 from repro.sim import (
     AccessClass,
@@ -13,6 +13,7 @@ from repro.sim import (
     workload_spec_for,
 )
 from repro.sim.policy import MIGRATORY_WORKLOAD, SEND, TAU
+from tests.conftest import reachable_states
 
 
 class TestWorkloadSpec:
@@ -151,8 +152,7 @@ class TestSimulatedStatesAreVerifiedStates:
             self, migratory_refined):
         """The simulator resolves, never invents, nondeterminism."""
         system = AsyncSystem(migratory_refined, 2)
-        reachable = set(
-            explore(system, keep_graph=True, allow_deadlock=True).graph)
+        reachable = set(reachable_states(system, allow_deadlock=True))
         sim = Simulator(migratory_refined, 2, HotLineWorkload(seed=13),
                         seed=13)
         observed = set()

@@ -74,6 +74,19 @@ class TestExactStore:
         assert store.parent_of("root") is None
         assert store.parent_of("child") == ("root", "step")
 
+    def test_states_are_numbered_in_discovery_order(self):
+        store = ExactStore()
+        assert store.number("root") == 0
+        assert store.number("a", ("root", "x")) == 1
+        assert store.number("b", ("a", "y")) == 2
+        assert store.number("a", ("b", "z")) == 1  # first parent kept
+        assert list(store) == ["root", "a", "b"]
+        assert [store.state_of(i) for i in range(3)] == list(store)
+        assert store.parent_of("b") == ("a", "y")
+        assert store.parent_of("a") == ("root", "x")
+        with pytest.raises(KeyError):
+            store.add("c", ("nowhere", "w"))  # a parent must be stored
+
     def test_no_collisions_ever(self):
         store = ExactStore()
         for i in range(1000):
@@ -147,9 +160,11 @@ class TestFingerprintStore:
 
     def test_approx_bytes_far_below_exact(self):
         exact, compact = ExactStore(), FingerprintStore()
+        parent = ("p",) * 20
+        exact.add(parent)  # a parent must be in the store
         for i in range(2000):
             state = (("a" * 50, i), ("b" * 50, i), i)
-            exact.add(state, ((("p",) * 20), "action"))
+            exact.add(state, (parent, "action"))
             compact.add(state)
         assert compact.approx_bytes() < exact.approx_bytes() / 3
 

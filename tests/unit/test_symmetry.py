@@ -16,6 +16,7 @@ from repro.protocols.symmetry import (
     MSI_SYMMETRY,
     symmetry_spec_for,
 )
+from tests.conftest import reachable_states
 
 
 class TestNormalizeBasics:
@@ -68,37 +69,33 @@ class TestSoundness:
     @pytest.mark.parametrize("n", [2, 3])
     def test_rv_orbits_match(self, migratory, n):
         system = RendezvousSystem(migratory, n)
-        full = explore(system, keep_graph=True)
-        reduced = explore(SymmetricSystem(system, MIGRATORY_SYMMETRY),
-                          keep_graph=True)
-        full_orbits = {normalize(s, MIGRATORY_SYMMETRY)
-                       for s in full.graph}
+        full = reachable_states(system)
+        reduced = reachable_states(SymmetricSystem(system,
+                                                   MIGRATORY_SYMMETRY))
+        full_orbits = {normalize(s, MIGRATORY_SYMMETRY) for s in full}
         # the reduced run must cover every orbit and introduce none
-        reduced_states = set(reduced.graph)
         assert {normalize(s, MIGRATORY_SYMMETRY)
-                for s in reduced_states} == full_orbits
-        assert reduced.n_states <= full.n_states
+                for s in reduced} == full_orbits
+        assert len(reduced) <= len(full)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_async_orbits_match(self, migratory_refined, n):
         system = AsyncSystem(migratory_refined, n)
-        full = explore(system, keep_graph=True)
-        reduced = explore(SymmetricSystem(system, MIGRATORY_SYMMETRY),
-                          keep_graph=True)
-        full_orbits = {normalize(s, MIGRATORY_SYMMETRY)
-                       for s in full.graph}
+        full = reachable_states(system)
+        reduced = reachable_states(SymmetricSystem(system,
+                                                   MIGRATORY_SYMMETRY))
+        full_orbits = {normalize(s, MIGRATORY_SYMMETRY) for s in full}
         assert {normalize(s, MIGRATORY_SYMMETRY)
-                for s in reduced.graph} == full_orbits
+                for s in reduced} == full_orbits
 
     def test_invalidate_orbits_match(self, invalidate):
         system = RendezvousSystem(invalidate, 3)
-        full = explore(system, keep_graph=True)
-        reduced = explore(SymmetricSystem(system, INVALIDATE_SYMMETRY),
-                          keep_graph=True)
-        full_orbits = {normalize(s, INVALIDATE_SYMMETRY)
-                       for s in full.graph}
+        full = reachable_states(system)
+        reduced = reachable_states(SymmetricSystem(system,
+                                                   INVALIDATE_SYMMETRY))
+        full_orbits = {normalize(s, INVALIDATE_SYMMETRY) for s in full}
         assert {normalize(s, INVALIDATE_SYMMETRY)
-                for s in reduced.graph} == full_orbits
+                for s in reduced} == full_orbits
 
     def test_symmetric_invariants_preserved(self, migratory):
         from repro import MIGRATORY_SPEC, coherence_invariants
