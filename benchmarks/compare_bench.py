@@ -39,6 +39,7 @@ from typing import Any, Optional
 
 #: what differs between two correct runs of one model: clocks, Python
 #: object sizes, which store ran, what the caller named the run
+#: (``approx_bytes_detail`` is only in ``repro.profile/4`` and ``/5``)
 VOLATILE = ("seconds", "states_per_sec", "approx_bytes",
             "approx_bytes_detail", "spill_bytes", "spill_merges", "store",
             "system")

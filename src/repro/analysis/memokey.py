@@ -61,9 +61,11 @@ def _shape(obj: Any, seen: dict[int, int]) -> Any:
     if type(obj) is Env:
         return ("env", _shape(obj.canonical_key(), seen))
     if is_dataclass(obj) and not isinstance(obj, type):
+        # the fields ``==`` reads: a declared memo is not structure
         cls = type(obj)
         return ("data", cls.__module__, cls.__qualname__,
-                *(_shape(getattr(obj, f.name), seen) for f in fields(obj)))
+                *(_shape(getattr(obj, f.name), seen) for f in fields(obj)
+                  if f.compare))
     if type(obj) is types.FunctionType:
         return _function_shape(obj, seen)
     if type(obj) is types.CodeType:

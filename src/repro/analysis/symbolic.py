@@ -113,13 +113,6 @@ def closure_roots(system: AsyncSystem,
     for index, context in enumerate(contexts):
         if index == 0 or not any(p.state in skip for p in context.remotes):
             roots.append(embed(context))
-            # CPython lets only a class's first few dozen instances extend
-            # its shared attribute keys, and the state classes add their
-            # hash memo on first use: hash each root as it is made, or
-            # hundreds of unhashed ones freeze the keys without it and
-            # every node of every later sweep in this process pays for a
-            # dict of its own (+2 MiB VmHWM on ``check invalidate -n 3``).
-            hash(roots[-1])
     return roots
 
 

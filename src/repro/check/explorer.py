@@ -307,7 +307,6 @@ def explore(
 
     deadlocks = [Counterexample("deadlock-freedom", *build_trace(s))
                  for s in deadlock_states]
-    detail = getattr(visited, "approx_bytes_detail", None)
     result = ExplorationResult(
         system_name=name,
         n_states=len(visited),
@@ -327,7 +326,6 @@ def explore(
         reductions=reductions,
         spill_bytes=_store_spill_bytes(visited),
         spill_merges=int(getattr(visited, "spill_merges", 0)),
-        approx_bytes_detail=dict(detail()) if callable(detail) else None,
     )
     watcher.on_finish(result)
     if failure is not None:

@@ -9,13 +9,13 @@ consumers the CLI and benchmarks use:
   size, cumulative states, states/sec, dedup ratio, approximate bytes),
   the model checker's analogue of a progress bar;
 * :class:`JsonProfileWriter` records the same events as a JSON document
-  (schema ``repro.profile/5``) for offline analysis and for the CI
+  (schema ``repro.profile/6``) for offline analysis and for the CI
   benchmark artifact.
 
-Profile JSON schema (``repro.profile/5``)::
+Profile JSON schema (``repro.profile/6``)::
 
     {
-      "schema": "repro.profile/5",
+      "schema": "repro.profile/6",
       "run": {"name": ..., "store": "exact"|"fingerprint",
               "max_states": int|null,
               "max_seconds": float|null, "max_bytes": int|null,
@@ -36,9 +36,7 @@ Profile JSON schema (``repro.profile/5``)::
                  "stop_reason": str|null, "reductions": [str, ...],
                  "seconds": float,
                  "approx_bytes": int, "spill_bytes": int,
-                 "spill_merges": int,
-                 "approx_bytes_detail": {"entries": int,
-                                         "state_caches": int}|null}
+                 "spill_merges": int}
     }
 
 ``result`` is :meth:`~repro.check.stats.ExplorationResult.counts` — the
@@ -49,12 +47,14 @@ group is ``benchmarks/compare_bench.py``'s ``VOLATILE`` tuple.
 ``levels[].enabled`` and ``result.n_enabled`` equal the taken counts when
 no reduction is active.  ``spill_bytes`` / ``spill_merges`` are the disk
 tier of a ``--spill-dir`` fingerprint store (size of its sorted file,
-merges of the hot dict into it), 0 otherwise.  ``approx_bytes_detail`` is
-the exact store's entries-vs-memo-cache split, null for stores without
-one.  ``/4`` documents also carried the store's layout — ``run.
-partitions`` and a top-level ``partitions`` block of per-shard rows —
-which went with in-process sharding; ``benchmarks/compare_bench.py``
-never read either, so it compares a ``/4`` profile with a ``/5`` one.
+merges of the hot dict into it), 0 otherwise.  ``/5`` documents also
+carried a ``result`` entry splitting the exact store's estimate into
+entries and per-state instance dicts, which went when the state classes
+lost their dicts; ``/4`` documents also carried the
+store's layout — ``run.partitions`` and a top-level ``partitions`` block
+of per-shard rows — which went with in-process sharding.
+``benchmarks/compare_bench.py`` reads none of these as facts, so it
+compares a ``/4`` or ``/5`` profile with a ``/6`` one.
 
 ``levels`` includes the partial level in flight when a budget, Ctrl-C
 or an error ends the run (``result.stop_reason`` says which), so
@@ -85,7 +85,7 @@ __all__ = [
     "PROFILE_SCHEMA",
 ]
 
-PROFILE_SCHEMA = "repro.profile/5"
+PROFILE_SCHEMA = "repro.profile/6"
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,5 @@ class JsonProfileWriter:
                 "approx_bytes": result.approx_bytes,
                 "spill_bytes": result.spill_bytes,
                 "spill_merges": result.spill_merges,
-                "approx_bytes_detail": result.approx_bytes_detail,
             },
         }

@@ -131,10 +131,6 @@ class ExplorationResult:
     spill_bytes: int = 0
     #: how many times the store merged its hot tier into the spill file
     spill_merges: int = 0
-    #: optional breakdown of the store's share of ``approx_bytes`` (the
-    #: exact store reports ``{"entries": ..., "state_caches": ...}`` —
-    #: classic dict entries vs the per-state encoding memo caches)
-    approx_bytes_detail: Optional[dict[str, int]] = None
 
     def __post_init__(self) -> None:
         if self.deadlocks and self.deadlock_count < len(self.deadlocks):

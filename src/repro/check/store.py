@@ -138,9 +138,10 @@ def _summary(state: Hashable) -> bytes:
     For a state that exposes ``components()`` — ``(tag, nodes,
     network)`` — one 16-byte digest of tag, arity and network, then one
     per node in order, so position is hashed (80 bytes at n = 3).  A
-    node's digest is kept in the node's own ``__dict__``: it dies with
-    the node and is never pickled or copied.  Anything else is its whole
-    canonical encoding (:func:`_encode`).
+    node's digest is kept in the memo slot its class declares,
+    ``_digest_cache``: it dies with the node, and ``replace`` never
+    copies it.  Anything else is its whole canonical encoding
+    (:func:`_encode`).
     """
     components = getattr(state, "components", None)
     if components is None:
@@ -154,7 +155,7 @@ def _summary(state: Hashable) -> bytes:
         digest = _HEAD_DIGESTS[head] = _digest(head)
     parts = [digest]
     for node in nodes:
-        digest = node.__dict__.get("_digest_cache")
+        digest = node._digest_cache
         if digest is None:
             digest = _digest(node)
             object.__setattr__(node, "_digest_cache", digest)
@@ -261,34 +262,23 @@ class ExactStore:
         return self._states[parent_id], self._actions[state_id]
 
     def approx_bytes(self) -> int:
-        """Containers plus sampled per-entry cost, caches included.
+        """Containers plus sampled per-entry cost.
 
         Deliberately rough — it narrates the Table 3 memory-budget story,
-        it does not meter CPython precisely.  It samples the newest entry
-        *and* the instance dict and hash memo (``_hash_cache``) the
-        semantics classes pin on states: real per-state memory too.
+        it does not meter CPython precisely: the newest entry's state
+        object (its declared memo slots included, but not the nodes and
+        messages it shares with other states), its id, its action and
+        three column slots, times the entry count.
         """
-        detail = self.approx_bytes_detail()
-        return detail["entries"] + detail["state_caches"]
-
-    def approx_bytes_detail(self) -> dict[str, int]:
-        """The estimate split into classic entries vs memo caches."""
         n = len(self._states)
         if not n:
-            return {"entries": 0, "state_caches": 0}
+            return 0
         # Sample the newest entry: the initial state (the oldest) is the
         # only one without a parent, so the newest is representative.
         state, action = self._states[-1], self._actions[-1]
         per_state = (sys.getsizeof(state) + sys.getsizeof(n)  # + its id
                      + sys.getsizeof(action) + 24)  # + three column slots
-        per_cache = 0
-        d = getattr(state, "__dict__", None)
-        if d is not None:
-            per_cache = sys.getsizeof(d)
-            if "_hash_cache" in d:
-                per_cache += sys.getsizeof(d["_hash_cache"])
-        return {"entries": sys.getsizeof(self._ids) + n * per_state,
-                "state_caches": n * per_cache}
+        return sys.getsizeof(self._ids) + n * per_state
 
 
 #: a 16-byte digest as two big-endian 64-bit words

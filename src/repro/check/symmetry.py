@@ -37,7 +37,7 @@ use reduction: their edge labels distinguish remote identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from ..csp.env import Env, Value
 from ..errors import CheckError
@@ -157,9 +157,9 @@ def _representative(state: _State, spec: SymmetrySpec,
 
 def _node_key(node: Union[ProcState, RemoteNode]) -> tuple[object, ...]:
     """The part of a remote's sort key the node alone decides, built once
-    per node object (cached like ``_hash_cache``: instance ``__dict__``,
-    never pickled)."""
-    key: Optional[tuple[object, ...]] = node.__dict__.get("_sym_cache")
+    per node object into the memo slot its class declares,
+    ``_sym_cache``."""
+    key = node._sym_cache
     if key is None:
         env = tuple((k, repr(v)) for k, v in node.env.items())
         if isinstance(node, RemoteNode):

@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fingerprint (SPIN-style hash compaction)")
         p.add_argument("--profile", metavar="PATH", default=None,
                        help="write a per-level JSON run profile "
-                            "(schema repro.profile/5; records active "
+                            "(schema repro.profile/6; records active "
                             "reductions, reduction ratios and the disk "
                             "tier's size)")
         p.add_argument("--levels", action="store_true",

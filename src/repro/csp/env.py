@@ -123,20 +123,6 @@ class Env(Mapping[str, Value]):
         """
         return self._items
 
-    def __getstate__(self) -> tuple[tuple[tuple[str, Value], ...]]:
-        # Pickle the items only: the cached hash is seeded per process
-        # (PYTHONHASHSEED), so shipping it to a worker started with the
-        # ``spawn`` method would poison every dict/set lookup there.  The
-        # items ride in a 1-tuple because pickle skips __setstate__ for
-        # falsy state, and an empty Env's item tuple is falsy.
-        return (self._items,)
-
-    def __setstate__(
-            self, state: tuple[tuple[tuple[str, Value], ...]]) -> None:
-        items = state[0]
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_hash", hash(items))
-
     def __hash__(self) -> int:
         return self._hash
 

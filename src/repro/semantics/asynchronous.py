@@ -65,7 +65,7 @@ from ..refine.transitions import (
 )
 from .network import ACK, NACK, NOTE, REPL, REQ, Channels, Msg
 from .rendezvous import RendezvousStep
-from .state import HOME_ID, ProcId
+from .state import HOME_ID, ProcId, memo
 
 __all__ = [
     "IDLE",
@@ -96,7 +96,7 @@ TRANS = "trans"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufEntry:
     """One buffered request: who sent it, what rendezvous it asks for."""
 
@@ -108,20 +108,13 @@ class BufEntry:
     def canonical_key(self) -> tuple:
         return (self.sender, self.msg, self.payload, self.note)
 
-    def __getstate__(self) -> tuple:
-        return (self.sender, self.msg, self.payload, self.note)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(("sender", "msg", "payload", "note"), state):
-            object.__setattr__(self, name, value)
-
     def describe(self) -> str:
         who = "h" if self.sender == HOME_ID else f"r{self.sender}"
         tag = "~" if self.note else ""
         return f"{tag}{who}:{self.msg}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomeNode:
     """Home-side control: AST state + refinement bookkeeping + buffer."""
 
@@ -135,6 +128,9 @@ class HomeNode:
     #: index (into the state's outputs tuple) of the pending output guard
     pending_out: Optional[int] = None
     buffer: tuple[BufEntry, ...] = ()
+    _hash_cache: Optional[int] = memo()
+    #: 16-byte component digest (:func:`repro.check.store._summary`)
+    _digest_cache: Optional[bytes] = memo()
 
     _FIELDS = ("state", "env", "mode", "out_idx", "awaiting",
                "pending_out", "buffer")
@@ -143,25 +139,18 @@ class HomeNode:
         # Same formula as the dataclass-generated hash (the field tuple),
         # memoized like AsyncState.__hash__: home nodes are shared across
         # many successor states, so the visited store re-hashes each one
-        # many times.  __getstate__ keeps the cache out of pickles.
-        cached = self.__dict__.get("_hash_cache")
+        # many times.
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.state, self.env, self.mode, self.out_idx,
                            self.awaiting, self.pending_out, self.buffer))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         return (self.state, self.env.canonical_key(), self.mode,
                 self.out_idx, self.awaiting, self.pending_out,
                 tuple(e.canonical_key() for e in self.buffer))
-
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._FIELDS, state):
-            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         tag = self.state if self.mode == IDLE else \
@@ -170,7 +159,7 @@ class HomeNode:
         return f"{tag}{{{buf}}}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteNode:
     """Remote-side control: AST state + transient flag + 1-slot buffer."""
 
@@ -179,65 +168,58 @@ class RemoteNode:
     mode: str = IDLE
     pending_out: Optional[int] = None
     buf: Optional[BufEntry] = None
+    _hash_cache: Optional[int] = memo()
+    _digest_cache: Optional[bytes] = memo()
+    #: symmetry sort key (:func:`repro.check.symmetry._node_key`)
+    _sym_cache: Optional[tuple[object, ...]] = memo()
 
     _FIELDS = ("state", "env", "mode", "pending_out", "buf")
 
     def __hash__(self) -> int:
         # Memoized field-tuple hash; see HomeNode.__hash__.
-        cached = self.__dict__.get("_hash_cache")
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.state, self.env, self.mode,
                            self.pending_out, self.buf))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         return (self.state, self.env.canonical_key(), self.mode,
                 self.pending_out,
                 None if self.buf is None else self.buf.canonical_key())
 
-    def __getstate__(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._FIELDS, state):
-            object.__setattr__(self, name, value)
-
     def describe(self) -> str:
         tag = self.state if self.mode == IDLE else f"{self.state}*"
         return tag + (f"{{{self.buf.describe()}}}" if self.buf else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsyncState:
     """Global asynchronous state: all nodes plus the network.
 
     Hashed once per instance (see :class:`~repro.semantics.state.RvState`
     for the rationale): asynchronous states are deeply nested, and
     recomputing the structural hash on every visited-set probe dominated
-    exploration profiles.  The cache is an ordinary attribute, invisible
-    to ``==``/``replace`` and deliberately dropped by the compact
-    ``__getstate__`` — a cached hash computed under one process's string
-    hash seed is poison in another's dictionaries.
+    exploration profiles.
     """
 
     home: HomeNode
     remotes: tuple[RemoteNode, ...]
     channels: Channels
+    _hash_cache: Optional[int] = memo()
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash_cache")
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.home, self.remotes, self.channels))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         """Compact primitive encoding, built afresh on every call and
         memoized nowhere: no sweep asks for it per probe (the fingerprint
-        store digests the nodes and ``channels.queues`` instead), and a
-        third memo attribute beside ``_hash_cache`` and ``_digest_cache``
-        would cost every node a dict of its own (+330 bytes)."""
+        store digests the nodes and ``channels.queues`` instead)."""
         return ("async", self.home.canonical_key(),
                 tuple(r.canonical_key() for r in self.remotes),
                 self.channels.canonical_key())
@@ -247,18 +229,10 @@ class AsyncState:
         time, nodes in canonical order (home, remotes 0..n-1).
 
         The fingerprint store (:mod:`repro.check.store`) digests each
-        node once, as ``_digest_cache`` beside ``_hash_cache`` (never
-        pickled by ``__getstate__``, never copied by :func:`_fresh` or
-        ``replace``), and the network by value.
+        node once, into the node's declared ``_digest_cache``, and the
+        network by value.
         """
         return "async", (self.home,) + self.remotes, self.channels.queues
-
-    def __getstate__(self) -> tuple:
-        return (self.home, self.remotes, self.channels)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(("home", "remotes", "channels"), state):
-            object.__setattr__(self, name, value)
 
     def with_home(self, home: HomeNode) -> "AsyncState":
         return replace(self, home=home)
@@ -282,7 +256,7 @@ class AsyncState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverToHome:
     """Deliver the head of remote(i) -> home channel."""
 
@@ -292,7 +266,7 @@ class DeliverToHome:
         return f"deliver r{self.remote}→h"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverToRemote:
     """Deliver the head of home -> remote(i) channel."""
 
@@ -302,7 +276,7 @@ class DeliverToRemote:
         return f"deliver h→r{self.remote}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomeStep:
     """The home's (deterministic) communication-state decision.
 
@@ -317,7 +291,7 @@ class HomeStep:
         return f"home.{self.kind}" + (f"({self.detail})" if self.detail else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomeTau:
     label: str
 
@@ -325,7 +299,7 @@ class HomeTau:
         return f"home.τ:{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteSend:
     """Remote ``i`` goes active: rows C1/C2 of Table 1 (or a NOTE send)."""
 
@@ -335,7 +309,7 @@ class RemoteSend:
         return f"r{self.remote}.send"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteC3:
     """Remote ``i`` processes the buffered home request (row C3)."""
 
@@ -345,7 +319,7 @@ class RemoteC3:
         return f"r{self.remote}.C3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoteTau:
     remote: int
     label: str
@@ -358,7 +332,7 @@ AsyncAction = (DeliverToHome | DeliverToRemote | HomeStep | HomeTau
                | RemoteSend | RemoteC3 | RemoteTau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepFootprint:
     """The (node, channel, buffer-slot) objects one step touches.
 
@@ -387,7 +361,7 @@ class StepFootprint:
     pushes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One enabled transition with its observables.
 
@@ -465,18 +439,6 @@ _Delta = tuple[AsyncAction, Optional[HomeNode],
 #: What replay hands :meth:`AsyncSystem.steps`/``successors``.
 _Outcome = tuple[AsyncAction, AsyncState, tuple[RendezvousStep, ...],
                  tuple[Msg, ...]]
-
-
-def _fresh(cls: type, fields: dict[str, Any]) -> Any:
-    """A frozen-dataclass instance over a *fresh* attribute dict.
-
-    Skips the generated ``__init__`` (one ``object.__setattr__`` per
-    field).  ``fields`` must be new: a copied instance ``__dict__`` could
-    carry another object's ``_hash_cache``/``_digest_cache``.
-    """
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
 
 
 def _channel_ops(old: tuple[tuple[Msg, ...], ...],
@@ -607,8 +569,7 @@ class AsyncSystem:
 
     def steps(self, state: AsyncState) -> list[Step]:
         """All enabled transitions, with completion/send observables."""
-        return [_fresh(Step, {"action": action, "state": nxt,
-                              "completes": completes, "sends": sends})
+        return [Step(action, nxt, completes, sends)
                 for action, nxt, completes, sends in self._outcomes(state)]
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
@@ -689,9 +650,8 @@ class AsyncSystem:
             if moved is not None:
                 j, node = moved
                 remotes = remotes[:j] + (node,) + remotes[j + 1:]
-            out.append((action, _fresh(AsyncState, {
-                "home": state.home if home is None else home,
-                "remotes": remotes, "channels": channels}),
+            out.append((action, AsyncState(
+                state.home if home is None else home, remotes, channels),
                 completes, sends))
 
     # -- home: message delivery ----------------------------------------------

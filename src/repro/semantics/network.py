@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..csp.env import Value
+from .state import memo
 
 __all__ = ["REQ", "ACK", "NACK", "REPL", "NOTE", "Msg", "Channels"]
 
@@ -35,7 +36,7 @@ REPL = "REPL"
 NOTE = "NOTE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Msg:
     """One message in flight.
 
@@ -46,35 +47,27 @@ class Msg:
     kind: str
     msg: Optional[str] = None
     payload: Value = None
+    _hash_cache: Optional[int] = memo()
+    _desc_cache: Optional[str] = memo()
 
     def __hash__(self) -> int:
         # Same formula as the dataclass-generated hash (the field tuple),
         # memoized: every visited-store probe re-hashes the channel
         # contents, and message objects are widely shared across states.
-        # __getstate__ pickles only the fields, so the cache never
-        # crosses a process boundary.
-        cached = self.__dict__.get("_hash_cache")
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.kind, self.msg, self.payload))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         return (self.kind, self.msg, self.payload)
 
-    def __getstate__(self) -> tuple:
-        return (self.kind, self.msg, self.payload)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(("kind", "msg", "payload"), state):
-            object.__setattr__(self, name, value)
-
     def describe(self) -> str:
         # Memoized: the symmetry driver renders every in-flight message
         # once per remote signature, and message objects are shared
-        # across states.  __getstate__ pickles fields only, so the cache
-        # stays local.
-        cached = self.__dict__.get("_desc_cache")
+        # across states.
+        cached = self._desc_cache
         if cached is None:
             if self.kind in (ACK, NACK):
                 cached = self.kind.lower()
@@ -84,10 +77,10 @@ class Msg:
                     body += f"({self.payload!r})"
                 cached = f"{self.kind.lower()}:{body}"
             object.__setattr__(self, "_desc_cache", cached)
-        return str(cached)
+        return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Channels:
     """All 2n directed FIFO channels of an n-remote star, immutably.
 
@@ -96,29 +89,21 @@ class Channels:
     """
 
     queues: tuple[tuple[Msg, ...], ...]
+    _hash_cache: Optional[int] = memo()
 
     def __hash__(self) -> int:
         # Same formula as the dataclass-generated hash (the field tuple),
         # memoized: channel objects are shared across successor states and
-        # re-hashed by every visited-store probe.  __getstate__ pickles
-        # only ``queues``, so the cache never crosses a process boundary.
-        cached = self.__dict__.get("_hash_cache")
+        # re-hashed by every visited-store probe.
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.queues,))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         return tuple(tuple(m.canonical_key() for m in queue)
                      for queue in self.queues)
-
-    def __getstate__(self) -> tuple:
-        # 1-tuple wrapper: pickle skips __setstate__ for falsy state, and
-        # an empty network's queue tuple is exactly that.
-        return (self.queues,)
-
-    def __setstate__(self, state: tuple) -> None:
-        object.__setattr__(self, "queues", state[0])
 
     @classmethod
     def empty(cls, n_remotes: int) -> "Channels":
@@ -185,9 +170,7 @@ class Channels:
         for c, popped, pushed in ops:
             queues = (queues[:c] + (queues[c][popped:] + pushed,)
                       + queues[c + 1:])
-        new = object.__new__(Channels)
-        object.__setattr__(new, "__dict__", {"queues": queues})
-        return new
+        return Channels(queues)
 
     def send_to_remote(self, i: int, msg: Msg) -> "Channels":
         return self.push(self.to_remote(i), msg)

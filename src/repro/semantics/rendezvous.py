@@ -29,7 +29,7 @@ from .state import HOME_ID, ProcId, ProcState, RvState
 __all__ = ["RendezvousAction", "TauStep", "RendezvousStep", "RendezvousSystem"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TauStep:
     """Process ``proc`` takes the autonomous guard ``label``."""
 
@@ -41,7 +41,7 @@ class TauStep:
         return f"{who}.τ:{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RendezvousStep:
     """A completed rendezvous on message type ``msg``.
 

@@ -8,16 +8,21 @@ lives in :mod:`repro.semantics.asynchronous` but reuses :class:`ProcState`.
 
 Process identities: the home node is :data:`HOME_ID`; remote nodes are
 ``0 .. n-1``.
+
+Every value type of the semantics is a slotted frozen dataclass: an
+instance holds its fields plus the memos its class declares with
+:func:`memo`, and nothing else — no instance dict, no attribute added
+later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Any, Optional, Union
 
 from ..csp.env import Env
 
-__all__ = ["HOME_ID", "ProcId", "ProcState", "RvState"]
+__all__ = ["HOME_ID", "ProcId", "ProcState", "RvState", "memo"]
 
 #: Identity of the home node in transition labels and message records.
 HOME_ID = "h"
@@ -25,12 +30,21 @@ HOME_ID = "h"
 ProcId = Union[str, int]  # HOME_ID or a remote index
 
 
-@dataclass(frozen=True)
+def memo() -> Any:
+    """A declared per-object memo slot: ``None`` until its owner fills it
+    (with ``object.__setattr__``), and outside ``==``, ``hash()``,
+    ``repr`` and ``dataclasses.replace`` — a replaced copy starts empty."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class ProcState:
     """Control state name plus variable environment of one process."""
 
     state: str
     env: Env
+    #: symmetry sort key (:func:`repro.check.symmetry._node_key`)
+    _sym_cache: Optional[tuple[object, ...]] = memo()
 
     def moved(self, state: str, env: Env | None = None) -> "ProcState":
         return ProcState(state=state, env=self.env if env is None else env)
@@ -40,13 +54,6 @@ class ProcState:
         :mod:`repro.check.store`)."""
         return (self.state, self.env.canonical_key())
 
-    def __getstate__(self) -> tuple:
-        return (self.state, self.env)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(("state", "env"), state):
-            object.__setattr__(self, name, value)
-
     def describe(self) -> str:
         if len(self.env) == 0:
             return self.state
@@ -54,40 +61,32 @@ class ProcState:
         return f"{self.state}[{body}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RvState:
     """Global state of the rendezvous-level transition system.
 
     Hashed once per instance: the model checker's visited set probes each
     state many times, and the structural hash over nested dataclasses is
-    the hot path.  The cache is an ordinary attribute (not a field), so
-    it is invisible to ``==``/``replace`` and dropped on pickling —
-    cached hashes must never cross a process boundary, where the string
-    hash seed differs.
+    the hot path.  The hash lives in a declared :func:`memo`, invisible
+    to ``==`` and ``replace``.
     """
 
     home: ProcState
     remotes: tuple[ProcState, ...]
+    _hash_cache: Optional[int] = memo()
 
     def __hash__(self) -> int:
-        cached = self.__dict__.get("_hash_cache")
+        cached = self._hash_cache
         if cached is None:
             cached = hash((self.home, self.remotes))
             object.__setattr__(self, "_hash_cache", cached)
-        return int(cached)
+        return cached
 
     def canonical_key(self) -> tuple:
         """Compact primitive encoding for fingerprinting (see
         :mod:`repro.check.store`)."""
         return ("rv", self.home.canonical_key(),
                 tuple(r.canonical_key() for r in self.remotes))
-
-    def __getstate__(self) -> tuple:
-        return (self.home, self.remotes)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(("home", "remotes"), state):
-            object.__setattr__(self, name, value)
 
     @property
     def n_remotes(self) -> int:

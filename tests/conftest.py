@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -25,6 +27,15 @@ def reachable_states(system, **explore_kwargs) -> list:
     store = ExactStore()
     explore(system, store=store, **explore_kwargs)
     return list(store)
+
+
+def cold_copy(state):
+    """An asynchronous state equal to ``state`` whose own memos and whose
+    nodes' and network's are all empty: ``dataclasses.replace`` copies
+    fields, never a memo.  (Messages are shared with ``state``.)"""
+    return replace(state, home=replace(state.home),
+                   remotes=tuple(replace(r) for r in state.remotes),
+                   channels=replace(state.channels))
 
 
 @pytest.fixture(scope="session")

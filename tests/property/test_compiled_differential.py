@@ -21,7 +21,7 @@ happens to contain):
   row must surface through replay exactly as through the direct
   enumeration (same exception, same message), never silently absorbed;
 * the memo itself: clearing it mid-run changes nothing, a replayed state
-  carries no other object's caches, and two systems never share one.
+  starts with an empty hash memo, and two systems never share one.
 
 (The file keeps its name, and the tests their IDs, from when the second
 implementation was a generated module.)
@@ -181,8 +181,8 @@ class TestMemo:
             assert len(bounded._memo) <= 8
 
     def test_replayed_state_has_exactly_its_fields(self, migratory_refined):
-        """A replayed state is built over a fresh ``__dict__``: copying
-        the origin's would hand it the origin's hash and key caches."""
+        """A replayed state is built by its constructor: its fields, and
+        a hash memo that starts empty — never the origin's."""
         system = AsyncSystem(migratory_refined, 2)
         frontier = [system.initial_state()]
         for _ in range(6):
@@ -191,7 +191,10 @@ class TestMemo:
             frontier = [nxt for state in frontier
                         for _action, nxt in system.successors(state)]
             for nxt in frontier:
-                assert list(vars(nxt)) == ["home", "remotes", "channels"]
+                assert not hasattr(nxt, "__dict__")
+                assert nxt._hash_cache is None
+                assert hash(nxt) == hash((nxt.home, nxt.remotes,
+                                          nxt.channels))
         assert frontier
 
     def test_systems_never_share_a_memo(self, migratory_refined):

@@ -6,7 +6,8 @@ network — with no dependence on the process, its start method or
 ``PYTHONHASHSEED``.  Anything ambient in a fingerprint would make two
 runs of one model disagree on collisions and spill-file contents (CI
 compares fingerprint runs under two hash seeds), so we check the values
-byte-for-byte in fork and spawn children; and since a fingerprint is
+byte-for-byte in fork and spawn children that build the same states
+themselves (states are not a pickle format); and since a fingerprint is
 two hashes deep, the exact store judges it on whole reachable state
 spaces.  (The range router that turned a fingerprint into a partition,
 and its half of this file, went with in-process sharding in PR 23; the
@@ -15,7 +16,6 @@ file keeps its name until ROADMAP item 5.)
 
 import multiprocessing as mp
 import os
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +26,7 @@ from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
 from repro.check.store import ExactStore, FingerprintStore, fingerprint
 from repro.gen import GeneratorParams, random_protocol
+from tests.conftest import cold_copy
 
 @given(seed=st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
@@ -39,8 +40,13 @@ def test_assignment_stable_within_process(seed):
     assert store.collisions == 0
 
 
-def _child_fingerprints(states, out):
-    out.extend([fingerprint(state) for state in states])
+def _child_fingerprints(out):
+    out.extend([fingerprint(state) for state in _states()])
+
+
+def _states():
+    return ([("state", i, frozenset({i % 5})) for i in range(64)]
+            + _real_states(64))
 
 
 def _real_states(count):
@@ -64,24 +70,22 @@ def _real_states(count):
 def test_assignment_stable_across_processes_and_start_methods(monkeypatch):
     """fork and spawn children must fingerprint exactly like the parent.
 
+    Each child builds the states itself and only fingerprints travel.
     spawn re-imports everything in a fresh interpreter (module state
-    gone, and a different ``PYTHONHASHSEED`` from the environment), and
-    its states arrive pickled, so without any cached digest; the fork
-    child inherits the parent's warm ones.  This fails loudly if a
-    fingerprint ever picks up an ambient dependence.
+    gone, and a different ``PYTHONHASHSEED`` from the environment), so
+    its states start without any cached digest; the fork child inherits
+    the parent's warm memos.  This fails loudly if a fingerprint ever
+    picks up an ambient dependence.
     """
-    states = [("state", i, frozenset({i % 5})) for i in range(64)]
-    states += _real_states(64)
-    parent = [fingerprint(state) for state in states]
-    assert len(set(parent)) == len(states)
+    parent = [fingerprint(state) for state in _states()]
+    assert len(set(parent)) == len(parent) == 128
     seed = os.environ.get("PYTHONHASHSEED")
     monkeypatch.setenv("PYTHONHASHSEED", "1" if seed != "1" else "2")
     for method in ("fork", "spawn"):
         ctx = mp.get_context(method)
         with ctx.Manager() as manager:
             out = manager.list()
-            proc = ctx.Process(target=_child_fingerprints,
-                               args=(states, out))
+            proc = ctx.Process(target=_child_fingerprints, args=(out,))
             proc.start()
             proc.join(60)
             assert proc.exitcode == 0
@@ -96,8 +100,8 @@ SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
 
 def assert_fingerprints_sound(system, **budget):
     """Over every state ``system`` reaches: distinct states have distinct
-    fingerprints (64-bit and the store's 128), and a cold copy — pickled,
-    so without a single cache — fingerprints like the warm original."""
+    fingerprints (64-bit and the store's 128), and a cold copy — every
+    memo empty — fingerprints like the warm original."""
     exact, compact = ExactStore(), FingerprintStore()
     explore(system, name="x", store=exact, allow_deadlock=True, **budget)
     seen = set()
@@ -106,11 +110,11 @@ def assert_fingerprints_sound(system, **budget):
         assert fp not in seen
         seen.add(fp)
         assert compact.add(state)
-        cold = pickle.loads(pickle.dumps(state))
+        cold = cold_copy(state)
         for node, warm in zip((cold.home,) + cold.remotes,
                               (state.home,) + state.remotes):
-            assert set(vars(node)) == set(node._FIELDS)  # no cache shipped
-            assert "_digest_cache" in vars(warm)
+            assert node._digest_cache is None  # no digest carried over
+            assert warm._digest_cache is not None
         assert fingerprint(cold) == fp
         assert cold in compact
     assert len(compact) == len(exact) and compact.collisions == 0

@@ -16,6 +16,7 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.memokey import structural_key
 from repro.analysis.simulation import check_certificate
 from repro.csp.ast import Protocol, StateDef
+from repro.csp.env import Env
 from repro.errors import CertificateError
 from repro.gen import GeneratorParams, random_protocol
 from repro.protocols.invalidate import invalidate_protocol
@@ -27,6 +28,7 @@ from repro.refine.plan import (
     RefinementPlan,
 )
 from repro.refine.transitions import build_step_table
+from repro.semantics.state import ProcState, RvState
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
                         n_remote_msgs=2, n_home_msgs=2)
@@ -79,9 +81,19 @@ class TestHits:
         assert certificate_sweeps == [1]
         assert len(simulation._VERDICTS) == 1
 
+    def test_a_filled_memo_is_not_structure(self):
+        # a declared memo is a dataclass field outside ``==``: a hashed
+        # state and an unhashed equal one must key alike
+        cold = RvState(home=ProcState("h", Env({"o": 1})),
+                       remotes=(ProcState("r", Env()),) * 2)
+        warm = replace(cold)
+        hash(warm)
+        assert warm._hash_cache is not None and cold._hash_cache is None
+        assert structural_key(warm) == structural_key(cold) is not None
+
     def test_failing_verdict_is_remembered_and_still_raises(
-            self, certificate_sweeps):
-        migratory = refine(migratory_protocol())
+            self, certificate_sweeps, migratory_refined):
+        migratory = migratory_refined
         bogus = RefinedProtocol(
             protocol=migratory.protocol,
             plan=RefinementPlan(
@@ -159,8 +171,8 @@ class TestMisses:
         assert guard.update is not None  # the variants did change something
 
     def test_every_table_mutant_misses_and_keeps_its_verdict(
-            self, certificate_sweeps):
-        refined = refine(migratory_protocol())
+            self, certificate_sweeps, migratory_refined):
+        refined = migratory_refined
         clean = check_certificate(refined)
         assert clean.ok
         mutants = list(single_target_mutants(refined))
@@ -192,8 +204,9 @@ class TestMisses:
         assert len(keys) == 2 + sum(
             1 for _ in single_target_mutants(invalidate_refined))
 
-    def test_budgets_are_part_of_the_key(self, certificate_sweeps):
-        refined = refine(migratory_protocol())
+    def test_budgets_are_part_of_the_key(self, certificate_sweeps,
+                                         migratory_refined):
+        refined = migratory_refined
         truncated = check_certificate(refined, max_states=40)
         assert not truncated.complete
         assert check_certificate(refined).complete
@@ -237,8 +250,8 @@ class TestUnkeyable:
 class TestAbortedSweeps:
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_no_entry_is_left_behind(self, certificate_sweeps, monkeypatch,
-                                     error):
-        refined = refine(migratory_protocol())
+                                     error, migratory_refined):
+        refined = migratory_refined
         simulation._VERDICTS.clear()
         successors = simulation.StreamedSystem.successors
         calls = [0]

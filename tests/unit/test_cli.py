@@ -258,7 +258,7 @@ class TestCheckCommand:
                      "--profile", str(path)]) == 0
         assert f"profile written to {path}" in capsys.readouterr().out
         doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro.profile/5"
+        assert doc["schema"] == "repro.profile/6"
         assert "workers" not in doc["run"]  # no longer written
         assert doc["result"]["completed"] is True
         assert sum(lvl["new_states"] for lvl in doc["levels"]) + 1 \

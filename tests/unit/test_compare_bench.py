@@ -299,7 +299,7 @@ def make_profile_doc():
              "dedup_ratio": 0.33, "states_per_sec": 50.0,
              "reduction_ratio": 0.0}
     return {
-        "schema": "repro.profile/5",
+        "schema": "repro.profile/6",
         "run": {"name": "m", "store": "fingerprint",
                 "max_states": None, "max_seconds": None, "max_bytes": None,
                 "reductions": []},
@@ -309,8 +309,7 @@ def make_profile_doc():
                    "deadlocks": 0, "violations": 0,
                    "fingerprint_collisions": 0, "completed": True,
                    "stop_reason": None, "reductions": [], "seconds": 0.2,
-                   "approx_bytes": 1000, "spill_bytes": 0, "spill_merges": 0,
-                   "approx_bytes_detail": None},
+                   "approx_bytes": 1000, "spill_bytes": 0, "spill_merges": 0},
     }
 
 
@@ -357,15 +356,13 @@ class TestCompareProfiles:
         cand["levels"][0].update(seconds=9.0, approx_bytes=5,
                                  spill_bytes=4096, states_per_sec=0.5)
         cand["result"].update(seconds=9.5, approx_bytes=5, spill_bytes=4096,
-                              spill_merges=3,
-                              approx_bytes_detail={"entries": 5},
-                              system="other")
+                              spill_merges=3, system="other")
         assert compare_bench.compare(base, cand) == []
 
-    def test_committed_profile_4_gates_a_fresh_profile_5(self, tmp_path):
+    def test_committed_profile_4_gates_a_fresh_profile(self, tmp_path):
         # benchmarks/results/ is not regenerated when the schema moves:
         # a /4 document (run.partitions, a partitions block, no
-        # spill_merges) and today's /5 one must compare, in both orders
+        # spill_merges) and today's one must compare, in both orders
         from repro.check.explorer import explore
         from repro.check.observe import PROFILE_SCHEMA, JsonProfileWriter
         from repro.check.spec import SystemSpec, build_system
@@ -381,7 +378,7 @@ class TestCompareProfiles:
                 max_states=committed["run"]["max_states"],
                 observer=JsonProfileWriter(path))
         fresh = json.loads(path.read_text())
-        assert fresh["schema"] == PROFILE_SCHEMA == "repro.profile/5"
+        assert fresh["schema"] == PROFILE_SCHEMA == "repro.profile/6"
         assert "partitions" not in fresh and "partitions" not in fresh["run"]
         assert compare_bench.compare(committed, fresh) == []
         assert compare_bench.compare(fresh, committed) == []
@@ -389,6 +386,20 @@ class TestCompareProfiles:
         assert compare_bench.compare(committed, fresh) == [
             f"level/3: new_states {committed['levels'][3]['new_states']} -> "
             f"{fresh['levels'][3]['new_states']}"]
+
+    def test_profile_5_gates_a_profile_6(self):
+        # /5 also carried the exact store's result.approx_bytes_detail,
+        # which /6 dropped: a byte field, so never a fact, in both orders
+        v5, v6 = make_profile_doc(), make_profile_doc()
+        v5["schema"] = "repro.profile/5"
+        v5["result"]["approx_bytes_detail"] = {"entries": 800,
+                                               "state_caches": 200}
+        assert "approx_bytes_detail" not in v6["result"]
+        assert compare_bench.compare(v5, v6) == []
+        assert compare_bench.compare(v6, v5) == []
+        v6["result"]["n_transitions"] += 1
+        assert compare_bench.compare(v5, v6) == [
+            "result: n_transitions 6 -> 7"]
 
     def test_exact_store_profile_gates_a_fingerprint_one(self):
         # CI's cross-store step: the store kind is layout, a detected

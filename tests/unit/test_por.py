@@ -9,7 +9,6 @@ keys, tuple-sliced ``with_remote``) behave.
 """
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -207,24 +206,18 @@ class TestConstruction:
 
 class TestCanonicalKeyMemoization:
     """Satellite: canonical keys are built on demand and memoized
-    nowhere — not on the state, its nodes or its network (no sweep asks
-    for them per probe) — and stay equal across calls and pickling."""
+    nowhere — the state, its nodes and its network declare no memo for
+    them (no sweep asks for them per probe) — and stay equal across
+    calls and copies."""
 
     def test_cached_and_stable(self, mig2):
         state = mig2.initial_state()
         key = state.canonical_key()
         again = state.canonical_key()
         assert again == key and again is not key
+        assert dataclasses.replace(state).canonical_key() == key
         for obj in (state, state.home, state.channels) + state.remotes:
-            assert "_key_cache" not in vars(obj)
-
-    def test_pickle_drops_cache(self, mig2):
-        state = mig2.steps(mig2.initial_state())[0].state
-        key = state.canonical_key()
-        clone = pickle.loads(pickle.dumps(state))
-        assert clone.canonical_key() == key
-        for obj in (clone, clone.home, clone.channels) + clone.remotes:
-            assert "_key_cache" not in vars(obj)
+            assert not hasattr(obj, "_key_cache")
 
     def test_node_and_channel_keys_cached(self, mig2):
         # a state's key is assembled from its nodes' and its network's,
@@ -242,7 +235,7 @@ class TestCanonicalKeyMemoization:
         for step in mig2.steps(state):
             for obj in (step.state.channels, step.state.home) \
                     + step.state.remotes:
-                assert "_key_cache" not in vars(obj)
+                assert not hasattr(obj, "_key_cache")
 
 
 class TestWithRemote:

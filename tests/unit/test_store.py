@@ -20,6 +20,7 @@ from repro.csp.env import Env
 from repro.protocols import symmetry_spec_for
 from repro.semantics.network import Channels
 from repro.semantics.state import ProcState, RvState
+from tests.conftest import cold_copy
 
 
 class TestMakeStore:
@@ -195,14 +196,14 @@ class TestNothingPinnedPerState:
         result = explore(system, name="x", store="fingerprint")
         assert result.completed and result.n_states >= 2000
         assert len(system.expanded) == result.n_states
-        fields = {"home", "remotes", "channels"}
         for state in system.expanded:
-            assert fields <= set(vars(state)) <= fields | {"_hash_cache"}
-            # nor a key on its nodes: digested once, then dropped (a third
-            # memo attribute costs every node a dict of its own)
+            # a state holds its fields and its hash memo, nothing else
+            assert not hasattr(state, "__dict__")
+            assert not hasattr(state, "_digest_cache")
+            # nor a key on its nodes: digested once, then dropped
             for node in (state.home,) + state.remotes:
-                assert "_digest_cache" in vars(node)
-                assert "_key_cache" not in vars(node)
+                assert node._digest_cache is not None
+                assert not hasattr(node, "_key_cache")
         assert len(store_module._ENC_CACHE) < result.n_states // 2
         # every probe (the initial state, then one per transition) looks
         # up one digest for its network and one per node; a digest is
@@ -268,7 +269,7 @@ class TestComponentFingerprints:
 
     @staticmethod
     def digest_of(node):
-        return vars(node).get("_digest_cache")
+        return node._digest_cache
 
     def test_replace_never_inherits_a_digest(self, states):
         state = states[-1]
@@ -285,14 +286,14 @@ class TestComponentFingerprints:
         assert self.digest_of(home) != self.digest_of(state.home)
 
     def test_replayed_nodes_carry_their_own_digest(self, system, states):
-        # successors() replays memoized deltas through _fresh(): whatever
-        # digest a node of a replayed state holds is that node's own
+        # successors() replays memoized deltas through the constructors:
+        # whatever digest a node of a replayed state holds is its own
         for state in states[::7]:
             fingerprint(state)
             for _action, nxt in system.successors(state):
                 fingerprint(nxt)
                 for node in (nxt.home,) + nxt.remotes:
-                    cold = pickle.loads(pickle.dumps(node))
+                    cold = dataclasses.replace(node)
                     assert self.digest_of(cold) is None
                     assert self.digest_of(node) == store_module._digest(cold)
 
@@ -309,8 +310,7 @@ class TestComponentFingerprints:
                     fingerprint(image)
                     assert self.digest_of(image.home) != \
                         self.digest_of(state.home)
-            cold = pickle.loads(pickle.dumps(image))
-            assert fingerprint(image) == fingerprint(cold)
+            assert fingerprint(image) == fingerprint(cold_copy(image))
         assert rebuilt  # the relabel path was exercised
 
     def test_position_is_hashed(self, states):
@@ -347,7 +347,7 @@ class TestComponentFingerprints:
                             counting("digest", digest))
         monkeypatch.setattr(store_module, "_encode",
                             counting("encode", encode))
-        candidate = pickle.loads(pickle.dumps(states[-1]))  # arrives cold
+        candidate = cold_copy(states[-1])
         store_module._ENC_CACHE.clear()
         store_module._HEAD_DIGESTS.clear()
         store = FingerprintStore()
@@ -487,26 +487,13 @@ class TestPartitionedExactStore:
             store.add("d", ("c", "step3"))
 
     def test_approx_bytes_far_below_classic_exact(self):
-        class Obj:
-            def __init__(self, i):
-                self.payload = ("p" * 60, i % 400)
-
-            def __eq__(self, other):
-                return self.payload == other.payload
-
-            def __hash__(self):
-                return hash(self.payload)
-
-            def canonical_key(self):
-                return self.payload
-
+        system = build_system(SystemSpec("invalidate", "async", 2))
         classic, witness = ExactStore(), FingerprintStore(witness=True)
-        for i in range(1200):
-            classic.add(Obj(i))
-            witness.add(Obj(i))
-        assert len(classic) == len(witness) == 400
-        # classic keeps the state objects + their memo caches alive; the
-        # witness store keeps a dict slot and 24 column bytes per state
+        explore(system, name="x", store=classic)
+        explore(system, name="x", store=witness)
+        assert len(classic) == len(witness) == 5262
+        # classic keeps every state object, its id and its action alive;
+        # the witness store keeps a dict slot and 24 column bytes a state
         assert witness.approx_bytes() < classic.approx_bytes() / 2
 
     def test_probe_predicts_add(self):
@@ -537,25 +524,3 @@ class TestMakePartitionedStore:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown store"):
             make_store("bloom", 2)
-
-
-class TestExactStoreCacheMetering:
-    def test_state_caches_metered_for_real_states(self):
-        # the semantics classes pin memos (_hash_cache, ...) on state
-        # __dict__s; approx_bytes must charge for them (they were the
-        # 2-3x undercount before the detail split existed)
-        store = ExactStore()
-        states = [ProcState("s", Env({"o": i})) for i in range(50)]
-        for state in states:
-            fingerprint(state)  # populate the memo caches
-            store.add(state)
-        detail = store.approx_bytes_detail()
-        assert detail["state_caches"] > 0
-        assert store.approx_bytes() == \
-            detail["entries"] + detail["state_caches"]
-
-    def test_plain_tuples_have_no_cache_cost(self):
-        store = ExactStore()
-        for i in range(50):
-            store.add(("s", i))
-        assert store.approx_bytes_detail()["state_caches"] == 0
