@@ -14,6 +14,7 @@ from conftest import write_report
 
 from repro.check.simulation import check_simulation
 from repro.protocols.invalidate import invalidate_protocol
+from repro.protocols.mesi import mesi_protocol
 from repro.protocols.migratory import migratory_protocol
 from repro.protocols.msi import msi_protocol
 from repro.refine.engine import refine
@@ -25,7 +26,8 @@ def test_simulation_holds_for_all_protocols(benchmark, results_dir):
     lines = ["Equation 1 (weak simulation) checked exhaustively:", ""]
     for name, build, n in (("migratory", migratory_protocol, 2),
                            ("invalidate", invalidate_protocol, 2),
-                           ("msi", msi_protocol, 2)):
+                           ("msi", msi_protocol, 2),
+                           ("mesi", mesi_protocol, 2)):
         refined = refine(build())
         report = check_simulation(AsyncSystem(refined, n))
         lines.append(f"  {name} (n={n}): {report.describe().splitlines()[0]}")

@@ -10,7 +10,9 @@ certificate's sweep is rooted at, and how a step met there is named.
 node, the remote it is exchanging with, and one *competitor* whose request
 must be buffered or nacked (rows T3-T6); the abstraction function ``abs``
 factors per-node (each node's image depends only on its own control state
-and its own channels/buffer entries).  An obligation therefore commutes
+and its own channels/buffer entries: the views
+:class:`~repro.refine.abstraction.Abstraction` memoizes each image on).
+An obligation therefore commutes
 for some node count ``n`` iff it commutes in a configuration with the
 involved remote plus one representative bystander, and the reachable
 context set is closed under swapping remote indices — so a *two-remote*

@@ -41,10 +41,10 @@ procedure "applies to large classes of DSM protocols".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import SemanticsError
-from ..refine.abstraction import AbstractionUndefined, abstract_state
+from ..refine.abstraction import Abstraction, AbstractionUndefined
 from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
@@ -54,15 +54,15 @@ from .stats import ExplorationResult
 __all__ = ["Equation1", "SimulationReport", "StreamedSystem",
            "check_simulation"]
 
-#: ``abs`` of a state, or the exception saying why it has none.
-Image = Union[RvState, AbstractionUndefined]
-
 
 class Equation1:
     """The Equation-1 edge test and the caches it rests on.
 
-    One instance serves one sweep of ``system``: ``abs`` is computed once
-    per asynchronous state, a rendezvous successor set once per abstract
+    One instance serves one sweep of ``system``.  ``abs`` is one
+    :class:`~repro.refine.abstraction.Abstraction`: composed once per
+    swept state from per-node images memoized on each node's local view,
+    and one interned object per abstract state however many swept states
+    map to it.  A rendezvous successor set is computed once per abstract
     state (expanded on demand), and the reachability verdict once per
     ``(abs src, abs dst, depth)``.  The three counters partition the
     edges that passed :meth:`holds`.
@@ -71,31 +71,22 @@ class Equation1:
     def __init__(self, system: AsyncSystem) -> None:
         self.system = system
         self.rv_system = RendezvousSystem(system.protocol, system.n_remotes)
-        self._images: dict[AsyncState, Image] = {}
+        #: ``abs(state)``; where undefined, the exception (not raised)
+        self.abstraction = Abstraction(system)
         self._successors: dict[RvState, frozenset[RvState]] = {}
         self._hops: dict[tuple[RvState, RvState, int], int] = {}
         self.n_stutters = self.n_mapped = self.n_deep = 0
 
-    def abstraction(self, state: AsyncState) -> Image:
-        """``abs(state)``; where undefined, the exception (not raised)."""
-        image = self._images.get(state)
-        if image is None:
-            try:
-                image = abstract_state(self.system, state)
-            except AbstractionUndefined as exc:
-                image = exc
-            self._images[state] = image
-        return image
-
     def n_abstract_states(self) -> int:
         """Rendezvous states that are the image of some swept state."""
-        return len({image for image in self._images.values()
-                    if isinstance(image, RvState)})
+        return self.abstraction.n_images
 
     def holds(self, src: RvState, dst: RvState, depth: int) -> bool:
         """Tally one edge: a stutter, or ``dst`` reachable from ``src``
-        within ``depth`` rendezvous steps; False if it is neither."""
-        if src == dst:
+        within ``depth`` rendezvous steps; False if it is neither.
+        ``src`` and ``dst`` come from :attr:`abstraction`, which interns
+        them, so a stutter is one identity test."""
+        if src is dst:
             self.n_stutters += 1
             return True
         hops = self.reachable_within(src, dst, depth)

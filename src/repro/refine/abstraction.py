@@ -30,18 +30,33 @@ from consuming, and no finite fast-forward reproduces a rendezvous state.
 precisely the formal reason the paper's procedure keeps the LR ack that the
 hand-designed Avalanche protocol drops, and the hand protocol is instead
 validated by direct invariant/progress checking.
+
+Each rule reads one node at a time: a remote's image depends on the node,
+its two channels and its entries in the home buffer; the home's on the
+node and the channel from the remote it awaits.  :class:`Abstraction`
+memoizes the images on exactly those views and composes ``abs(state)``
+from them, one interned object per abstract state.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable, Union
+
 from ..csp.ast import Output, ProcessDef
 from ..csp.env import Env
 from ..errors import ReproError
-from ..semantics.asynchronous import AsyncState, AsyncSystem, TRANS
+from ..semantics.asynchronous import (
+    AsyncState,
+    AsyncSystem,
+    BufEntry,
+    HomeNode,
+    RemoteNode,
+    TRANS,
+)
 from ..semantics.network import ACK, NACK, NOTE, REPL, REQ, Channels, Msg
 from ..semantics.state import ProcState, RvState
 
-__all__ = ["AbstractionUndefined", "abstract_state"]
+__all__ = ["Abstraction", "AbstractionUndefined", "Image", "abstract_state"]
 
 
 class AbstractionUndefined(ReproError):
@@ -72,40 +87,125 @@ class AbstractionUndefined(ReproError):
                                self.REASON_NOTE_BUFFERED)
 
 
+#: ``abs`` of a state, or the exception saying why it has none.
+Image = Union[RvState, AbstractionUndefined]
+NodeImage = Union[ProcState, AbstractionUndefined]
+#: what a node's image is memoized on (:class:`Abstraction`)
+NodeKey = Union[HomeNode, RemoteNode, tuple[Any, ...]]
+
+
+class Abstraction:
+    """``abs`` over the states of one sweep of ``system``.
+
+    ``abs(state)`` is composed from per-node images, each memoized on the
+    node's local view — an idle node: the node itself; a transient remote
+    ``i``: ``(i, node, down_i, up_i, its entries in the home buffer)``; a
+    transient home: ``(home, up_awaiting)`` — the arguments of the rule
+    function that computes it.  The composed image is interned, so equal
+    images are one object and :attr:`n_images` counts abstract states;
+    a state asked for twice (an edge's target, then its source) is looked
+    up, not recomposed.  Where ``abs`` is undefined the call returns the
+    :class:`AbstractionUndefined` (never raised, so a memoized one never
+    grows a traceback).  The memos live as long as the object: one sweep.
+    """
+
+    def __init__(self, system: AsyncSystem) -> None:
+        self.system = system
+        self._states: dict[AsyncState, Image] = {}
+        self._nodes: dict[NodeKey, NodeImage] = {}
+        self._images: dict[tuple[ProcState, tuple[ProcState, ...]],
+                           RvState] = {}
+
+    @property
+    def n_images(self) -> int:
+        """Distinct abstract states handed out so far."""
+        return len(self._images)
+
+    def __call__(self, state: AsyncState) -> Image:
+        image = self._states.get(state)
+        if image is None:
+            image = self._states[state] = self._compose(state)
+        return image
+
+    def _compose(self, state: AsyncState) -> Image:
+        undefined = _note_carveout(state)
+        if undefined is not None:
+            return undefined
+        queues = state.channels.queues
+        home = state.home
+        remotes: list[ProcState] = []
+        for i, node in enumerate(state.remotes):
+            key: NodeKey = node
+            if node.mode == TRANS:
+                key = (i, node, queues[Channels.to_remote(i)],
+                       queues[Channels.to_home(i)],
+                       tuple(e for e in home.buffer if e.sender == i))
+            image = self._node(key, _abstract_remote)
+            if isinstance(image, AbstractionUndefined):
+                return image
+            remotes.append(image)
+        key = home
+        if home.mode == TRANS:
+            assert home.awaiting is not None
+            key = (home, queues[Channels.to_home(home.awaiting)])
+        image = self._node(key, _abstract_home)
+        if isinstance(image, AbstractionUndefined):
+            return image
+        parts = (image, tuple(remotes))
+        found = self._images.get(parts)
+        if found is None:
+            found = self._images[parts] = RvState(*parts)
+        return found
+
+    def _node(self, key: NodeKey,
+              rule: Callable[..., ProcState]) -> NodeImage:
+        """The image memoized on ``key``: an idle node's own control
+        state, or ``rule(system, *key)`` for a transient node's view."""
+        image = self._nodes.get(key)
+        if image is None:
+            try:
+                image = (rule(self.system, *key) if isinstance(key, tuple)
+                         else ProcState(state=key.state, env=key.env))
+            except AbstractionUndefined as exc:
+                image = exc.with_traceback(None)
+            self._nodes[key] = image
+        return image
+
+
 def abstract_state(system: AsyncSystem, state: AsyncState) -> RvState:
-    """Apply the section 4 abstraction function to one asynchronous state."""
-    _reject_notes(state)
-    remotes = tuple(
-        _abstract_remote(system, state, i) for i in range(system.n_remotes))
-    home = _abstract_home(system, state)
-    return RvState(home=home, remotes=remotes)
+    """Apply the section 4 abstraction function to one asynchronous state
+    (a cold :class:`Abstraction`); raises :class:`AbstractionUndefined`."""
+    image = Abstraction(system)(state)
+    if isinstance(image, AbstractionUndefined):
+        raise image
+    return image
 
 
 # ---------------------------------------------------------------------------
 
 
-def _reject_notes(state: AsyncState) -> None:
-    for _i, _direction, msg in state.channels.in_flight():
-        if msg.kind == NOTE:
-            raise AbstractionUndefined(
-                "fire-and-forget message in flight; abs is only defined for "
-                "protocols refined by the paper's (acknowledged) rules",
-                reason=AbstractionUndefined.REASON_NOTE_IN_FLIGHT)
+def _note_carveout(state: AsyncState) -> AbstractionUndefined | None:
+    for queue in state.channels.queues:
+        for msg in queue:
+            if msg.kind == NOTE:
+                return AbstractionUndefined(
+                    "fire-and-forget message in flight; abs is only "
+                    "defined for protocols refined by the paper's "
+                    "(acknowledged) rules",
+                    reason=AbstractionUndefined.REASON_NOTE_IN_FLIGHT)
     if any(entry.note for entry in state.home.buffer):
-        raise AbstractionUndefined(
+        return AbstractionUndefined(
             "fire-and-forget message buffered at home; abs undefined",
             reason=AbstractionUndefined.REASON_NOTE_BUFFERED)
+    return None
 
 
-def _abstract_remote(system: AsyncSystem, state: AsyncState,
-                     i: int) -> ProcState:
-    node = state.remotes[i]
-    if node.mode != TRANS:
-        return ProcState(state=node.state, env=node.env)
-
+def _abstract_remote(system: AsyncSystem, i: int, node: RemoteNode,
+                     down: tuple[Msg, ...], up: tuple[Msg, ...],
+                     entries: tuple[BufEntry, ...]) -> ProcState:
+    """A transient remote ``i``'s image, from its own view only."""
     out_guard = system.protocol.remote.state(node.state).outputs[
         node.pending_out or 0]
-    down = state.channels.queues[Channels.to_remote(i)]
 
     ack = _find_kind(down, ACK)
     if ack is not None:
@@ -116,8 +216,11 @@ def _abstract_remote(system: AsyncSystem, state: AsyncState,
     if repl is not None:
         return _forward_through_reply(system, node.env, out_guard, repl,
                                       sender=-1, process=system.protocol.remote)
-    if _request_outstanding(system, state, i, out_guard):
-        # rule 1/3: the request is still pending (or was nacked): rewind
+    if (any(m.kind == REQ and m.msg == out_guard.msg for m in up)
+            or any(e.msg == out_guard.msg and not e.note for e in entries)
+            or _find_kind(down, NACK) is not None):
+        # rule 1/3: the request is still pending in the medium or the
+        # buffer (or was nacked): rewind
         return ProcState(state=node.state, env=node.env)
     if out_guard.msg in system.plan.remote_fused_requests:
         # fused request already consumed by the home, reply not yet sent:
@@ -130,16 +233,12 @@ def _abstract_remote(system: AsyncSystem, state: AsyncState,
         reason=AbstractionUndefined.REASON_NO_WITNESS)
 
 
-def _abstract_home(system: AsyncSystem, state: AsyncState) -> ProcState:
-    home = state.home
-    if home.mode != TRANS:
-        return ProcState(state=home.state, env=home.env)
-
+def _abstract_home(system: AsyncSystem, home: HomeNode,
+                   up: tuple[Msg, ...]) -> ProcState:
+    """A transient home's image, from the channel of the remote it awaits."""
     assert home.awaiting is not None
-    i = home.awaiting
     out_guard = system.protocol.home.state(home.state).outputs[
         home.pending_out or 0]
-    up = state.channels.queues[Channels.to_home(i)]
 
     ack = _find_kind(up, ACK)
     if ack is not None:
@@ -148,7 +247,8 @@ def _abstract_home(system: AsyncSystem, state: AsyncState) -> ProcState:
     repl = _find_kind(up, REPL)
     if repl is not None:
         return _forward_through_reply(system, home.env, out_guard, repl,
-                                      sender=i, process=system.protocol.home)
+                                      sender=home.awaiting,
+                                      process=system.protocol.home)
     # request still in flight toward the remote, dropped by a transient
     # remote, or nacked: in all cases rule 1/3 rewinds the home.
     return ProcState(state=home.state, env=home.env)
@@ -168,21 +268,6 @@ def _forward_through_reply(system: AsyncSystem, env: Env, out_guard: Output,
         f"no input guard in {mid.name!r} accepts the in-flight reply "
         f"{repl.describe()}",
         reason=AbstractionUndefined.REASON_NO_REPLY_INPUT)
-
-
-def _request_outstanding(system: AsyncSystem, state: AsyncState, i: int,
-                         out_guard: Output) -> bool:
-    """Is remote ``i``'s request still pending (medium, buffer, or nacked)?"""
-    up = state.channels.queues[Channels.to_home(i)]
-    down = state.channels.queues[Channels.to_remote(i)]
-    if any(m.kind == REQ and m.msg == out_guard.msg for m in up):
-        return True
-    if any(e.sender == i and e.msg == out_guard.msg and not e.note
-           for e in state.home.buffer):
-        return True
-    if _find_kind(down, NACK) is not None:
-        return True
-    return False
 
 
 def _find_kind(queue: tuple[Msg, ...], kind: str) -> Msg | None:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import refine
 from repro.protocols.handwritten import handwritten_migratory
 from repro.refine.abstraction import AbstractionUndefined, abstract_state
 from repro.semantics.asynchronous import (

@@ -46,11 +46,11 @@ def migratory_table(migratory_refined):
 
 
 class TestShippedProtocols:
-    @pytest.mark.parametrize("factory", [
-        migratory_protocol, invalidate_protocol, msi_protocol, mesi_protocol,
-    ])
-    def test_clean_certificate(self, factory):
-        report = check_certificate(refine(factory()))
+    @pytest.mark.parametrize("name", ["migratory", "invalidate", "msi",
+                                      "mesi"], ids="{}_protocol".format)
+    def test_clean_certificate(self, request, name):
+        report = check_certificate(
+            request.getfixturevalue(f"{name}_refined"))
         assert report.complete
         assert report.ok, report.describe()
         assert not error_codes(report)
