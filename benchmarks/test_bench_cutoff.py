@@ -1,16 +1,18 @@
 """Experiment (extension): static parameterized verdicts vs exploration.
 
 Writes the repo-level ``BENCH_cutoff.json`` artifact — the committed,
-CI-compared record of the flow-derived parameterized (P45xx) analysis
+CI-compared record of the parameterized (P45xx) analysis
 cross-checked against bounded exploration (``repro.bench/1`` rows from
 ``conftest.bench_row``: one ``<protocol>`` row of static facts, one
 ``<protocol>/n<N>`` row per explored size).  For every library protocol:
 
 * the **static verdict** of :func:`repro.analysis.paramcheck
-  .check_parameterized` — flow count, cover completeness, the size of
-  the one-concrete-remote + Other abstraction the stuck-state rule was
-  checked on, and whether deadlock freedom was discharged for
-  arbitrary N;
+  .check_parameterized` — the size of the one-concrete-remote + Other
+  abstraction the stuck-state rule was checked on, and whether deadlock
+  freedom was discharged for arbitrary N — beside the flow count and
+  cover completeness of :func:`repro.analysis.flows.derive_flows` (the
+  inventory ``repro flows`` prints next to it; the verdict reads none
+  of it);
 * the **exploration verdicts** of the derived asynchronous protocol at
   n = 2..4 under symmetry + partial-order reduction, at a pinned state
   budget (``REPRO_BENCH_CUTOFF_BUDGET``, default 60000 — enough to
@@ -39,6 +41,7 @@ from pathlib import Path
 import pytest
 from conftest import bench_row, write_bench, write_report
 
+from repro.analysis.flows import derive_flows
 from repro.analysis.paramcheck import check_parameterized
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
@@ -100,6 +103,7 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
     for name, factory in sorted(FACTORIES.items()):
         protocol = factory()
         verdict = check_parameterized(protocol)
+        graph = derive_flows(protocol)
         cells = [explore_cell(name, n, cutoff_budget) for n in SIZES]
         cutoff = stabilizes_at(cells)
         bounded_deadlock = any(c["verdict"] == "deadlock" for c in cells)
@@ -108,8 +112,8 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
             protocol=name,
             static_verdict=verdict.verdict,
             discharged=verdict.discharged,
-            complete_cover=verdict.graph.complete,
-            n_flows=len(verdict.graph.flows),
+            complete_cover=graph.complete,
+            n_flows=len(graph.flows),
             abstract_states=verdict.abstract_states,
             stabilizes_at=cutoff,
             agreement=not (verdict.discharged and bounded_deadlock),

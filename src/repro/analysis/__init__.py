@@ -25,12 +25,12 @@ space is explored.  This subsystem makes that a first-class tool:
 * :mod:`~repro.analysis.memokey` — the sound structural key of that memo
   (user callables seen through; unkeyable subjects are never stored);
 * :mod:`~repro.analysis.flows` — message-flow derivation from the AST
-  (the transaction shapes between stable home states);
+  (the transaction inventory between stable home states);
 * :mod:`~repro.analysis.environment` — the abstract system both any-N
   verdicts are checked on: concrete remotes plus a stateless Other,
-  gated by flow lemmas that are invariants of the sweep they gate;
-* :mod:`~repro.analysis.paramcheck` — flow-based parameterized
-  deadlock-freedom verdicts for arbitrary node counts (``P45xx``);
+  gated by lemmas that are invariants of the sweep they gate;
+* :mod:`~repro.analysis.paramcheck` — parameterized deadlock-freedom
+  verdicts for arbitrary node counts (``P45xx``);
 * :mod:`~repro.analysis.coherencecheck` — parameterized single-writer /
   SWMR verdicts on the same abstraction (``P46xx``);
 * :mod:`~repro.analysis.sarif` — SARIF 2.1.0 export of any report;
@@ -55,7 +55,7 @@ from .diagnostics import (
     render_json,
     render_text,
 )
-from .environment import FlowLemma
+from .environment import Lemma
 from .flows import Flow, FlowGraph, derive_flows
 from .manager import (
     AnalysisCache,
@@ -79,7 +79,7 @@ __all__ = [
     "Diagnostic",
     "Flow",
     "FlowGraph",
-    "FlowLemma",
+    "Lemma",
     "ParamVerdict",
     "Severity",
     "analyze_protocol",

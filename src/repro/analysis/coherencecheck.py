@@ -12,14 +12,14 @@ Other sends, receives and keeps id-sets sticky is documented there.
 
 Unrefined, Other is too wild for some protocols: it can answer a
 point-to-point handshake it was never part of.  **Noninterference
-lemmas** harvested from the derived flow graph
-(:mod:`repro.analysis.flows`) tame it: while the home is inside a flow
-engaged with the remote named by variable ``v``, that remote sits inside
-the flow's requester/responder region and can only send what that
-region can produce.  Every candidate gates Other from the first sweep
-and is checked, on the concrete remotes, as an invariant of that same
-sweep; a falsified one is dropped and the sweep repeated until none
-falls, so a lemma never gates an abstraction it does not hold on.
+lemmas** tame it: "home at ``h`` ⇒ the remote bound to ``v`` is in R",
+so that remote can only send what R can produce.  The candidates are
+read off the protocol's own two-node instance (:func:`observed_lemmas`:
+R is what that remote was seen in beside ``h``), so their source is
+untrusted: every candidate gates Other from the first sweep and is
+checked, on the concrete remotes, as an invariant of that same sweep; a
+falsified one is dropped and the sweep repeated until none falls, so a
+lemma never gates an abstraction it does not hold on.
 
 The verdict, read off the last sweep: no reachable violation —
 **discharged**; a violation trace without an Other/sticky step is a
@@ -37,31 +37,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-from ..csp.ast import Protocol
+from ..csp.ast import Protocol, VarSender
 from .diagnostics import Diagnostic, make
 from .environment import (
-    ENGAGED,
     LEMMAS,
-    WAIT,
-    FlowLemma,
+    Lemma,
     Sweep,
     is_abstract,
     region_lemma,
     sweep,
 )
-from .flows import FlowGraph, derive_flows, tau_closure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..check.stats import Counterexample
     from ..protocols.invariants import CoherenceSpec
-    from ..refine.plan import RefinementConfig
-    from ..refine.reqreply import PairReport
 
 __all__ = [
     "CoherenceVerdict",
     "check_coherence",
     "coherencecheck_pass",
-    "derive_candidate_lemmas",
+    "observed_lemmas",
 ]
 
 #: Concrete remotes the abstraction keeps: coherence is a two-index
@@ -74,55 +69,38 @@ N_CONCRETE = 2
 # ---------------------------------------------------------------------------
 
 
-def derive_candidate_lemmas(
-        protocol: Protocol, graph: FlowGraph) -> tuple[FlowLemma, ...]:
-    """Candidate noninterference lemmas read off the flow graph.
+def observed_lemmas(protocol: Protocol,
+                    max_states: int = 50_000) -> tuple[Lemma, ...]:
+    """Candidate noninterference lemmas read off the two-node instance.
 
-    Two families per flow: the **engaged** lemma (home inside the flow
-    ⇒ the requester sits in the flow's requester region, hence sends
-    only what that region produces) and one **wait** lemma per flow
-    wait on a non-requester variable whose pending message identifies
-    the responder region.  Candidates are *not* yet trusted — see
+    One per home state ``h`` and variable ``v`` where ``h`` has a
+    ``VarSender(v)`` input — the only guards a lemma gates: "home at
+    ``h`` ⇒ the remote bound to ``v`` is in R", R the states that remote
+    occupies beside ``h`` among the reachable states of
+    ``RendezvousSystem(protocol, 2)``.  Candidates are *not* yet trusted
+    (a truncated instance sweep only makes more of them fall) — see
     :func:`check_coherence` for the check each must survive.
     """
-    remote = protocol.remote
-    candidates: dict[str, FlowLemma] = {}
-    for flow in graph.flows:
-        var = flow.requester_var
-        engaged = False
-        if (flow.stable_entry and var is not None
-                and flow.interior_home and flow.requester_region):
-            region = flow.requester_region
-            lemma = region_lemma(
-                remote, name=f"{flow.name}:engaged", kind=ENGAGED,
-                flow=flow.name, var=var, home_states=flow.interior_home,
-                region=region,
-                detail=(f"home inside {flow.name} ⇒ {var} is in "
-                        f"{{{', '.join(sorted(region))}}}"))
-            candidates.setdefault(lemma.name, lemma)
-            engaged = True
-        for wait in flow.waits:
-            if engaged and wait.var == var:
-                continue  # the engaged lemma already covers this state
-            if wait.pending is None:
-                continue
-            responders = frozenset(
-                g.to for sdef in remote.states.values()
-                for g in sdef.inputs if g.msg == wait.pending)
-            if not responders:
-                continue
-            region = frozenset().union(
-                *(tau_closure(remote, s) for s in responders))
-            lemma = region_lemma(
-                remote, name=f"{flow.name}:wait@{wait.state}:{wait.var}",
-                kind=WAIT, flow=flow.name, var=wait.var,
-                home_states=frozenset({wait.state}), region=region,
-                detail=(f"home at {wait.state} awaits "
-                        f"{'/'.join(sorted(wait.msgs))} from {wait.var} "
-                        f"after sending {wait.pending} ⇒ {wait.var} is in "
-                        f"{{{', '.join(sorted(region))}}}"))
-            candidates.setdefault(lemma.name, lemma)
-    return tuple(candidates[name] for name in sorted(candidates))
+    from .symbolic import enumerate_contexts
+
+    gated: dict[str, set[str]] = {}
+    for name, sdef in protocol.home.states.items():
+        for guard in sdef.inputs:
+            if isinstance(guard.sender, VarSender):
+                gated.setdefault(name, set()).add(guard.sender.var)
+    regions: dict[tuple[str, str], set[str]] = {}
+    contexts, _ = enumerate_contexts(protocol, max_states=max_states)
+    for rv in contexts:
+        for var in gated.get(rv.home.state, ()):
+            idx = rv.home.env.get(var)
+            if isinstance(idx, int) and 0 <= idx < len(rv.remotes):
+                regions.setdefault((rv.home.state, var), set()).add(
+                    rv.remotes[idx].state)
+    lemmas = [region_lemma(protocol.remote, name=f"{home}:{var}", var=var,
+                           home_states=frozenset({home}),
+                           region=frozenset(region))
+              for (home, var), region in regions.items()]
+    return tuple(sorted(lemmas, key=lambda lemma: lemma.name))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +121,7 @@ class CoherenceVerdict:
     spec: CoherenceSpec
     status: str  # "discharged" | "refuted" | "inconclusive"
     properties: tuple[str, ...]
-    lemmas: tuple[FlowLemma, ...]
+    lemmas: tuple[Lemma, ...]
     candidates: int
     validated: int
     iterations: int
@@ -216,7 +194,7 @@ def _judge(protocol: Protocol, run: Sweep,
         return "inconclusive", None, (
             f"abstract violation of {shortest.property_name!r} persists "
             f"({len(shortest.steps)} steps, with Other interference) and "
-            "no flow lemma that holds on the abstraction blocks it")
+            "no lemma that holds on the abstraction blocks it")
     if run.issues:
         return "inconclusive", None, (
             "the abstraction over-approximation is incomplete: "
@@ -231,27 +209,25 @@ def _judge(protocol: Protocol, run: Sweep,
 
 def check_coherence(protocol: Protocol,
                     spec: Optional[CoherenceSpec] = None, *,
-                    graph: Optional[FlowGraph] = None,
-                    reports: Optional[tuple[PairReport, ...]] = None,
-                    config: Optional[RefinementConfig] = None,
-                    strict_cycles: bool = False,
+                    graph: Any = None, config: Any = None,
                     max_states: int = 50_000) -> CoherenceVerdict:
     """Check single-writer/SWMR for every node count.
 
     :param spec: the coherence spec to check; defaults to the registered
         spec for ``protocol.name`` (raises ``KeyError`` when none is).
-    :param graph: pre-derived flow graph (the pass manager shares one).
-    :param max_states: state budget per abstract exploration.
+    :param max_states: state budget of the two-node instance sweep and
+        of each abstract exploration.
+
+    ``graph`` and ``config`` are accepted and ignored: no part of the
+    verdict depends on them (the frozen ``perf/`` harness still passes
+    them).
     """
     from ..protocols.invariants import COHERENCE_SPECS, coherence_invariants
 
     if spec is None:
         spec = COHERENCE_SPECS[protocol.name]
-    if graph is None:
-        graph = derive_flows(protocol, reports=reports, config=config,
-                             strict_cycles=strict_cycles)
     invariants = coherence_invariants(spec)
-    candidates = derive_candidate_lemmas(protocol, graph)
+    candidates = observed_lemmas(protocol, max_states)
     run = sweep(protocol, N_CONCRETE, candidates, invariants=invariants,
                 max_states=max_states,
                 name=f"{protocol.name}-coherence-abstract")
@@ -269,7 +245,7 @@ def check_coherence(protocol: Protocol,
 def _build_obligations(
         protocol: Protocol, status: str, reason: Optional[str],
         witness: Optional[Counterexample],
-        candidates: tuple[FlowLemma, ...], run: Sweep) -> list[Diagnostic]:
+        candidates: tuple[Lemma, ...], run: Sweep) -> list[Diagnostic]:
     where = f"{protocol.name}:coherence"
     obligations: list[Diagnostic] = []
     for issue in run.issues:
@@ -284,9 +260,9 @@ def _build_obligations(
                 if run.fallen else "")
         obligations.append(make(
             "P4604", where,
-            f"{len(candidates)} candidate noninterference lemma(s) from "
-            f"the flow graph, {len(run.held)} hold on the abstraction they "
-            f"gate ({held}){fell}"))
+            f"{len(candidates)} candidate noninterference lemma(s) observed "
+            f"on the two-node instance, {len(run.held)} hold on the "
+            f"abstraction they gate ({held}){fell}"))
     if status == "discharged":
         obligations.append(make(
             "P4601", where,
@@ -313,8 +289,7 @@ def _build_obligations(
             f"parameterized coherence is inconclusive: "
             f"{reason or 'unknown'}",
             hint="an inconclusive verdict is not a refutation; check "
-                 "coherence by bounded exploration (`repro check`) and "
-                 "consider strengthening the flow structure"))
+                 "coherence by bounded exploration (`repro check`)"))
     return obligations
 
 
@@ -324,8 +299,6 @@ def _build_obligations(
 
 
 def coherencecheck_pass(protocol: Protocol, *,
-                        graph: FlowGraph,
-                        config: Optional[RefinementConfig] = None,
                         spec: Optional[CoherenceSpec] = None,
                         ) -> Iterable[Diagnostic]:
     """Pass-manager entry point; silent for protocols without a
@@ -336,5 +309,5 @@ def coherencecheck_pass(protocol: Protocol, *,
         spec = COHERENCE_SPECS.get(protocol.name)
         if spec is None:
             return []
-    verdict = check_coherence(protocol, spec, graph=graph, config=config)
+    verdict = check_coherence(protocol, spec)
     return list(verdict.obligations)

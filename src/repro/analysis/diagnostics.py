@@ -76,7 +76,8 @@ def _registry(*entries: CodeInfo) -> dict[str, CodeInfo]:
 #: section 3.2/6 buffer-demand analysis, ``P33xx`` the section 3.3
 #: request/reply fusability report, ``P34xx`` transient-state sanity on
 #: refined machines, ``P44xx`` the simulation certificate, ``P45xx`` the
-#: flow-derived parameterized (arbitrary-N) deadlock-freedom analysis.
+#: flow inventory and the parameterized (arbitrary-N) deadlock-freedom
+#: analysis, ``P46xx`` parameterized coherence.
 CODES: dict[str, CodeInfo] = _registry(
     # -- section 2.4 syntactic restrictions (refinement preconditions) ------
     CodeInfo("P2401", "terminal state", "2.4", Severity.ERROR),
@@ -126,7 +127,7 @@ CODES: dict[str, CodeInfo] = _registry(
     CodeInfo("P4405", "certificate inventory", "4", Severity.INFO),
     CodeInfo("P4406", "certificate incomplete (budget exhausted)", "4",
              Severity.WARNING),
-    # -- parameterized (arbitrary-N) flow analysis --------------------------
+    # -- flow inventory and parameterized deadlock freedom ------------------
     CodeInfo("P4501", "incomplete flow cover", "flows", Severity.WARNING),
     CodeInfo("P4502", "stuck abstract state", "flows", Severity.WARNING),
     CodeInfo("P4503", "unbounded-buffer obligation", "flows", Severity.WARNING),

@@ -39,17 +39,18 @@ subclasses it and adds only Other's moves:
 
 Ungated, Other over-approximates every environment unconditionally —
 and is sometimes too wild for a proof: it can answer a point-to-point
-handshake it was never part of.  A :class:`FlowLemma` — "home in H ⇒
-the remote bound to ``var`` is in R", read off the flow graph (P46xx's
-noninterference lemmas; deadlock freedom sweeps with none) — tames it:
-while it holds, an environment member bound to ``var`` can only send
-what R produces, so Other-sends along ``VarSender(var)`` guards are
-pruned to those messages (fresh-sender guards stay open, Other also
-plays the innocent bystanders).  The argument is CMP's circular one:
-every lemma that gates Other is an invariant of the very sweep it
-gates, checked on the concrete remotes (the instance with ``var`` bound
-to Other is vacuous — the projection with that remote concrete covers
-it).  By induction on run length the gated Other still
+handshake it was never part of.  A :class:`Lemma` — "home in H ⇒ the
+remote bound to ``var`` is in R" (P46xx's noninterference lemmas, read
+off the protocol's two-node instance; deadlock freedom sweeps with
+none) — tames it: while it holds, an environment member bound to
+``var`` can only send what R produces, so Other-sends along
+``VarSender(var)`` guards are pruned to those messages (fresh-sender
+guards stay open, Other also plays the innocent bystanders).  The
+argument is CMP's circular one: every lemma that gates Other is an
+invariant of the very sweep it gates, checked on the concrete remotes
+(the instance with ``var`` bound to Other is vacuous — the projection
+with that remote concrete covers it).  By induction on run length the
+gated Other still
 over-approximates the environment as long as no lemma has failed, so a
 sweep on which every gating lemma holds is sound; :func:`sweep` drops
 the lemmas a sweep falsifies and repeats until none falls.
@@ -96,28 +97,24 @@ from ..csp.env import Env, Value
 from .. import refine as _refine_first  # noqa: F401, I001
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
-from .flows import producible_msgs
 
 __all__ = [
     "EnvironmentSystem",
-    "FlowLemma",
+    "Lemma",
     "OtherInit",
     "OtherRecv",
     "OtherSend",
     "StickyStep",
     "Sweep",
     "is_abstract",
+    "producible_msgs",
     "region_lemma",
     "static_guard_issues",
     "sweep",
 ]
 
-#: lemma kinds
-WAIT = "wait"
-ENGAGED = "engaged"
-
 #: name of the one explorer invariant all active lemmas are checked under
-LEMMAS = "flow lemmas"
+LEMMAS = "lemmas"
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +186,20 @@ def is_abstract(action: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class FlowLemma:
+class Lemma:
     """Home in ``home_states`` ⇒ the remote bound to ``var`` is in
     ``region``.
 
-    P46xx's noninterference lemmas have this shape: the engagement
-    lemma (``region`` the flow's requester region) and the
-    responder-region wait lemma.  ``allowed_msgs`` is what a remote
-    satisfying the lemma can send — the gate it puts on Other while it
-    holds.
+    P46xx's noninterference lemmas have this shape.  ``allowed_msgs`` is
+    what a remote satisfying the lemma can send — the gate it puts on
+    Other while it holds.
     """
 
     name: str
-    kind: str  # "engaged" | "wait"
-    flow: str
     var: str
     home_states: frozenset[str]
     region: frozenset[str]
     allowed_msgs: frozenset[str]
-    detail: str
 
     def holds(self, rv: RvState) -> bool:
         """Does the lemma hold of ``rv``'s concrete remotes?"""
@@ -224,25 +216,29 @@ class FlowLemma:
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "kind": self.kind,
-            "flow": self.flow,
             "var": self.var,
             "home_states": sorted(self.home_states),
+            "region": sorted(self.region),
             "allowed_msgs": sorted(self.allowed_msgs),
-            "detail": self.detail,
         }
 
 
-def region_lemma(remote: ProcessDef, *, name: str, kind: str, flow: str,
-                 var: str, home_states: frozenset[str],
-                 region: frozenset[str], detail: str) -> FlowLemma:
+def producible_msgs(process: ProcessDef, start: str) -> frozenset[str]:
+    """Output message types offerable from ``start`` after local (tau)
+    steps only — what the process can *produce* without outside help."""
+    return frozenset(g.msg for s in process.tau_closure(start)
+                     for g in process.state(s).outputs)
+
+
+def region_lemma(remote: ProcessDef, *, name: str, var: str,
+                 home_states: frozenset[str],
+                 region: frozenset[str]) -> Lemma:
     """Build a gating lemma; its ``allowed_msgs`` are whatever the
     states it leaves the remote in can produce (after local steps)."""
     allowed = frozenset().union(*(producible_msgs(remote, s)
                                   for s in region))
-    return FlowLemma(name=name, kind=kind, flow=flow, var=var,
-                     home_states=home_states, region=region,
-                     allowed_msgs=allowed, detail=detail)
+    return Lemma(name=name, var=var, home_states=home_states,
+                 region=region, allowed_msgs=allowed)
 
 
 def _safe(pred: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -274,7 +270,7 @@ class EnvironmentSystem(RendezvousSystem):
 
     def __init__(self, protocol: Protocol, n_concrete: int, *,
                  other_sends: dict[str, tuple[Value, ...]],
-                 lemmas: Sequence[FlowLemma] = ()) -> None:
+                 lemmas: Sequence[Lemma] = ()) -> None:
         super().__init__(protocol, n_concrete)
         self.other = n_concrete
         self.other_sends = other_sends
@@ -310,7 +306,7 @@ class EnvironmentSystem(RendezvousSystem):
                 return False
         return True
 
-    def falsified(self, state: RvState) -> list[FlowLemma]:
+    def falsified(self, state: RvState) -> list[Lemma]:
         return [lemma for lemma in self._checks[state.home.state]
                 if not lemma.holds(state)]
 
@@ -525,7 +521,7 @@ class Sweep:
     out of the semantics).
     """
 
-    held: tuple[FlowLemma, ...] = ()
+    held: tuple[Lemma, ...] = ()
     fallen: dict[str, Any] = field(default_factory=dict)
     iterations: int = 0
     result: Any = None
@@ -538,7 +534,7 @@ class Sweep:
         return self.result.n_states if self.result is not None else 0
 
 
-def sweep(protocol: Protocol, n_concrete: int, lemmas: Sequence[FlowLemma],
+def sweep(protocol: Protocol, n_concrete: int, lemmas: Sequence[Lemma],
           *, invariants: Sequence[tuple[str, Callable[[Any], bool]]] = (),
           max_states: int, name: str) -> Sweep:
     """Sweep the abstraction of ``protocol`` with ``lemmas`` gating Other

@@ -1,4 +1,4 @@
-"""Message-flow derivation from the rendezvous AST (parameterized analysis).
+"""Message-flow derivation from the rendezvous AST: the transaction inventory.
 
 A *flow* is the static shape of one complete transaction: the ordered
 message events (send/recv/wait) a protocol performs between two *stable*
@@ -6,8 +6,7 @@ home states, together with the home states the transaction occupies and
 the remote states its participants sit in while it runs.  The notion is
 lifted from the flow-based parameterized-verification literature
 (Sethi/Talupur/Malik, arXiv:1407.7468): cache-coherence protocols are
-naturally organised as a small set of flows, and facts read off the
-flow structure help discharge properties for *arbitrary* node counts.
+naturally organised as a small set of flows.
 
 Everything here is derived purely from the CSP AST plus the section 3.3
 request/reply pair reports (:mod:`repro.refine.reqreply`):
@@ -31,11 +30,11 @@ request/reply pair reports (:mod:`repro.refine.reqreply`):
   input guard must be covered by some flow event; anything uncovered is
   a transaction the flow inventory cannot account for (**P4501**).
 
-The :class:`FlowGraph` is the protocol's transaction inventory
-(``repro flows``, P4506/P4501).  :mod:`repro.analysis.coherencecheck`
-reads its noninterference lemmas off it; :mod:`repro.analysis.paramcheck`
-rests deadlock freedom on the environment abstraction alone and uses
-the graph only to name the flows a stuck home state sits in.
+The :class:`FlowGraph` is what ``repro flows`` prints and the flows pass
+reports (P4506 inventory, P4501 cover gaps).  No verdict rests on it:
+both any-N verdicts are checked on :mod:`repro.analysis.environment`'s
+abstraction, and P46xx reads its candidate lemmas off the protocol's own
+two-node instance.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ __all__ = [
     "Wait",
     "derive_flows",
     "flows_pass",
-    "producible_msgs",
-    "tau_closure",
 ]
 
 #: Flow kinds.
@@ -118,7 +115,6 @@ class Wait:
     state: str
     var: str
     msgs: frozenset[str]
-    pending: Optional[str] = None  # last interior send before this wait
 
     def describe(self) -> str:
         body = "/".join(sorted(self.msgs))
@@ -228,27 +224,8 @@ class FlowGraph:
 
 
 # ---------------------------------------------------------------------------
-# small static helpers (shared with the any-N checks)
+# small static helpers
 # ---------------------------------------------------------------------------
-
-
-def tau_closure(process: ProcessDef, start: str) -> frozenset[str]:
-    """States reachable from ``start`` through tau edges only."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for guard in process.state(stack.pop()).taus:
-            if guard.to not in seen:
-                seen.add(guard.to)
-                stack.append(guard.to)
-    return frozenset(seen)
-
-
-def producible_msgs(process: ProcessDef, start: str) -> frozenset[str]:
-    """Output message types offerable from ``start`` after local (tau)
-    steps only — what the process can *produce* without outside help."""
-    return frozenset(g.msg for s in tau_closure(process, start)
-                     for g in process.state(s).outputs)
 
 
 def _is_fresh(guard: Input) -> bool:
@@ -313,21 +290,19 @@ class _Walk:
                 and isinstance(guard.sender, VarSender)
                 and guard.sender.var == self.var)
 
-    def _record_wait(self, state: StateDef, var: str,
-                     pending: Optional[str]) -> None:
+    def _record_wait(self, state: StateDef, var: str) -> None:
         msgs = frozenset(g.msg for g in state.inputs
                          if isinstance(g.sender, VarSender)
                          and g.sender.var == var)
         key = (state.name, var)
         if key not in self.waits:
-            self.waits[key] = Wait(state=state.name, var=var, msgs=msgs,
-                                   pending=pending)
+            self.waits[key] = Wait(state=state.name, var=var, msgs=msgs)
 
     def run(self, start: str, prev: int) -> None:
-        self._visit(start, prev, frozenset(), None)
+        self._visit(start, prev, frozenset())
 
-    def _visit(self, state_name: str, prev: int, path: frozenset[str],
-               pending: Optional[str]) -> None:
+    def _visit(self, state_name: str, prev: int,
+               path: frozenset[str]) -> None:
         if state_name in path:
             self.has_cycle = True
             return
@@ -343,7 +318,7 @@ class _Walk:
             if isinstance(guard, Tau):
                 self.interior.add(state_name)
                 progressed = True
-                self._visit(guard.to, prev, deeper, pending)
+                self._visit(guard.to, prev, deeper)
             elif isinstance(guard, Output):
                 self.interior.add(state_name)
                 progressed = True
@@ -353,18 +328,18 @@ class _Walk:
                     self.reply_msgs.add(guard.msg)
                     self.exits.add(guard.to)
                 else:
-                    self._visit(guard.to, idx, deeper, guard.msg)
+                    self._visit(guard.to, idx, deeper)
             elif isinstance(guard.sender, VarSender):
                 self.interior.add(state_name)
                 progressed = True
-                self._record_wait(state, guard.sender.var, pending)
+                self._record_wait(state, guard.sender.var)
                 idx = self.event(WAIT, state_name, guard.msg, _party(guard),
                                  prev)
                 if self._is_reply(guard):
                     self.reply_msgs.add(guard.msg)
                     self.exits.add(guard.to)
                 else:
-                    self._visit(guard.to, idx, deeper, None)
+                    self._visit(guard.to, idx, deeper)
             # fresh-sender inputs start other flows; not entered
         if not progressed:
             # nothing but fresh entries (or no guards): the flow hands off
@@ -488,7 +463,7 @@ def _remote_initiated_flow(protocol: Protocol, state: StateDef,
     # processes — the region must be closed under them
     region = frozenset(
         s for seed in offer_states | wait_states
-        for s in tau_closure(remote, seed))
+        for s in remote.tau_closure(seed))
     return Flow(
         name=f"{guard.msg}@{state.name}",
         kind=REMOTE_INITIATED,
@@ -522,7 +497,7 @@ def _notification_flow(protocol: Protocol, state: StateDef,
         for g in s.outputs if g.msg == guard.msg)
     region = frozenset(
         s for seed in offer_states | post_states
-        for s in tau_closure(remote, seed))
+        for s in remote.tau_closure(seed))
     return Flow(
         name=f"{guard.msg}@{state.name}",
         kind=NOTIFICATION,
@@ -670,6 +645,5 @@ def flows_pass(protocol: Protocol, *,
             "P4501", where,
             f"flow cover is incomplete — {len(graph.uncovered)} "
             f"transition(s) belong to no derived flow: {head}{more}",
-            hint="uncovered transitions are missing from the inventory "
-                 "and from the lemmas P46xx reads off it; see "
-                 "docs/ANALYSIS.md#P4501")
+            hint="uncovered transitions are missing from the inventory; "
+                 "see docs/ANALYSIS.md#P4501")

@@ -18,9 +18,9 @@ stateless Other, a thousand to ten thousand states for the library
 protocols; callers that must stay exploration-free — the refinement
 engine's pre-plan gate — pass ``include_param=False``.
 
-Expensive shared derivations (the section 3.3 pair reports, the flow
-graph) are computed once per run and shared across passes through the
-context's :class:`AnalysisCache`.
+Expensive shared derivations (the section 3.3 pair reports, the
+coherence verdict) are computed once per run and shared across passes
+through the context's :class:`AnalysisCache`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..refine.plan import RefinedProtocol, RefinementConfig
     from ..refine.reqreply import PairReport
     from .coherencecheck import CoherenceVerdict
-    from .flows import FlowGraph
 
 __all__ = ["PARAM_PASSES", "PROTOCOL_PASSES", "AnalysisCache",
            "AnalysisContext", "analyze_protocol", "analyze_refined"]
@@ -56,13 +55,11 @@ class AnalysisCache:
 
     The fusability pass and the flows pass both need the section 3.3
     pair reports (one :func:`~repro.refine.reqreply.explain_pair` per
-    candidate pair); the flows and paramcheck passes share the derived
-    flow graph.  Each is computed at most once per analysis run.
+    candidate pair).  Each is computed at most once per analysis run.
     """
 
     def __init__(self) -> None:
         self._reports: "Optional[tuple[PairReport, ...]]" = None
-        self._graph: "Optional[FlowGraph]" = None
         self._coherence: "Optional[CoherenceVerdict]" = None
         self._coherence_done = False  # set once the answer is known
 
@@ -75,17 +72,6 @@ class AnalysisCache:
                 protocol, strict_cycles=strict_cycles)
         return self._reports
 
-    def flow_graph(self, ctx: "AnalysisContext") -> "FlowGraph":
-        if self._graph is None:
-            from .flows import derive_flows
-
-            self._graph = derive_flows(
-                ctx.protocol,
-                reports=self.pair_reports(ctx.protocol, ctx.strict_cycles),
-                config=ctx.config,
-                strict_cycles=ctx.strict_cycles)
-        return self._graph
-
     def coherence_verdict(
             self, ctx: "AnalysisContext") -> "Optional[CoherenceVerdict]":
         """The parameterized coherence verdict, or ``None`` when no
@@ -96,9 +82,7 @@ class AnalysisCache:
 
             spec = COHERENCE_SPECS.get(ctx.protocol.name)
             if spec is not None:
-                self._coherence = check_coherence(
-                    ctx.protocol, spec, graph=self.flow_graph(ctx),
-                    config=ctx.config)
+                self._coherence = check_coherence(ctx.protocol, spec)
             self._coherence_done = True
         return self._coherence
 
@@ -148,44 +132,37 @@ REFINED_PASSES: tuple[tuple[str, PassFn], ...] = (
 
 
 def _flows_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
-    from .flows import flows_pass
+    from .flows import derive_flows, flows_pass
 
     try:
-        graph = ctx.cache.flow_graph(ctx)
+        graph = derive_flows(
+            ctx.protocol,
+            reports=ctx.cache.pair_reports(ctx.protocol, ctx.strict_cycles),
+            config=ctx.config, strict_cycles=ctx.strict_cycles)
     except Exception as exc:
-        return [_underivable(ctx, exc)]
+        return [make("P4501", f"{ctx.protocol.name}:flows",
+                     f"flow graph could not be derived ({exc}); no flow "
+                     "inventory")]
     return flows_pass(ctx.protocol, graph=graph)
 
 
 def _paramcheck_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     from .paramcheck import paramcheck_pass
 
-    try:
-        graph = ctx.cache.flow_graph(ctx)
-    except Exception as exc:
-        return [_underivable(ctx, exc)]
-    return paramcheck_pass(ctx.protocol, graph=graph, config=ctx.config)
+    return paramcheck_pass(ctx.protocol, config=ctx.config)
 
 
 def _coherence_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     try:
         verdict = ctx.cache.coherence_verdict(ctx)
     except Exception as exc:
-        stage = ("flow graph could not be derived"
-                 if ctx.cache._graph is None else "coherence check failed")
         return [make(
             "P4603", f"{ctx.protocol.name}:coherence",
-            f"{stage} ({exc}); the parameterized coherence check is "
-            "inconclusive")]
+            f"coherence check failed ({exc}); the parameterized coherence "
+            "check is inconclusive")]
     if verdict is None:  # no registered coherence spec — nothing to check
         return []
     return list(verdict.obligations)
-
-
-def _underivable(ctx: AnalysisContext, exc: Exception) -> Diagnostic:
-    return make("P4507", f"{ctx.protocol.name}:flows",
-                f"flow graph could not be derived ({exc}); the "
-                "parameterized analysis is inconclusive")
 
 
 def _simulation_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:

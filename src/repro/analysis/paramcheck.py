@@ -28,9 +28,9 @@ obligation blocks a discharge only if the argument uses it:
    ``benchmarks/anyn_vs_exploration.py``) cross-checks the verdict
    against explicit-state exploration at n = 2..5.
 
-The flow graph of :mod:`repro.analysis.flows` is no leg: it is derived
-for the verdict's ``graph``, ``repro flows``' output and the flow names
-in the P4502 message (its cover gaps are the flows pass's P4501).
+The flow graph of :mod:`repro.analysis.flows` is no leg and is not
+consulted: ``repro flows`` prints it beside this verdict, and its cover
+gaps are the flows pass's P4501.
 
 When every leg holds, **P4505** (info) records the discharge: deadlock
 freedom for arbitrary N.  Everything here is WARNING/INFO severity —
@@ -41,17 +41,15 @@ obligations gate nothing by default; ``repro lint --strict`` (or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from ..csp.ast import Protocol
 from .bufferdemand import remote_demand
 from .diagnostics import Diagnostic, make
 from .environment import Sweep, sweep
-from .flows import FlowGraph, derive_flows
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..refine.plan import RefinementConfig
-    from ..refine.reqreply import PairReport
 
 __all__ = [
     "ParamVerdict",
@@ -77,7 +75,6 @@ class ParamVerdict:
     """
 
     protocol: str
-    graph: FlowGraph
     discharged: bool
     obligations: tuple[Diagnostic, ...]
     concrete: int
@@ -95,8 +92,6 @@ class ParamVerdict:
             "protocol": self.protocol,
             "verdict": self.verdict,
             "discharged": self.discharged,
-            "complete_cover": self.graph.complete,
-            "n_flows": len(self.graph.flows),
             "abstraction": {
                 "concrete": self.concrete,
                 "states": self.abstract_states,
@@ -114,33 +109,28 @@ class ParamVerdict:
 
 
 def check_parameterized(protocol: Protocol, *,
-                        graph: Optional[FlowGraph] = None,
-                        reports: Optional[tuple["PairReport", ...]] = None,
+                        graph: Any = None,
                         config: Optional["RefinementConfig"] = None,
-                        strict_cycles: bool = False,
                         witness_nodes: int = 2,
                         max_states: int = DEFAULT_BUDGET,
                         ) -> ParamVerdict:
     """Run the full parameterized deadlock-freedom analysis.
 
-    ``witness_nodes`` is accepted and ignored: there is no witness
-    instance any more (the frozen ``perf/`` harness still passes it).
+    ``graph`` and ``witness_nodes`` are accepted and ignored: no leg
+    reads the flow graph, and there is no witness instance any more (the
+    frozen ``perf/`` harness still passes both).
     """
     # deferred import: repro.refine reaches back into the analysis
     # package (see flows.py)
     from ..refine.plan import RefinementConfig
 
     config = config or RefinementConfig()
-    if graph is None:
-        graph = derive_flows(protocol, reports=reports, config=config,
-                             strict_cycles=strict_cycles)
-
     where = f"{protocol.name}:paramcheck"
     obligations: list[Diagnostic] = []
     demand = _check_buffer(protocol, config, where, obligations)
     run = sweep(protocol, N_CONCRETE, (), max_states=max_states,
                 name=f"{protocol.name}-paramcheck-abstract")
-    _sweep_obligations(graph, run, where, obligations)
+    _sweep_obligations(run, where, obligations)
 
     # every obligation above is a leg of the argument, so each blocks
     discharged = not obligations
@@ -157,7 +147,6 @@ def check_parameterized(protocol: Protocol, *,
 
     return ParamVerdict(
         protocol=protocol.name,
-        graph=graph,
         discharged=discharged,
         obligations=tuple(obligations),
         concrete=N_CONCRETE,
@@ -192,33 +181,23 @@ def _check_buffer(protocol: Protocol, config: "RefinementConfig",
     return demand
 
 
-def _sweep_obligations(graph: FlowGraph, run: Sweep, where: str,
+def _sweep_obligations(run: Sweep, where: str,
                        obligations: list[Diagnostic]) -> None:
     """What the abstract sweep leaves open: stuck states (P4502), and
     whatever kept it from settling them (P4507)."""
     if run.stuck:
-        obligations.append(_stuck_obligation(graph, run, where))
+        obligations.append(make(
+            "P4502", where,
+            f"{len(run.stuck)} reachable abstract state(s) are stuck — no "
+            f"tau and no rendezvous between the home and a concrete remote "
+            f"is enabled, and the home is not waiting on the environment "
+            f"alone — e.g. {run.stuck[0].describe()}; with every remote "
+            f"parked like the concrete one this is a deadlock at some N"))
     for note in ([run.reason] if run.reason is not None else run.issues):
         obligations.append(make(
             "P4507", where,
             f"the environment abstraction could not settle the stuck "
             f"states: {note}"))
-
-
-def _stuck_obligation(graph: FlowGraph, run: Sweep,
-                      where: str) -> Diagnostic:
-    state = run.stuck[0]
-    home = state.home.state
-    involved = [f.name for f in graph.flows
-                if home in f.interior_home or home == f.entry_state]
-    return make(
-        "P4502", where,
-        f"{len(run.stuck)} reachable abstract state(s) are stuck — no tau "
-        f"and no rendezvous between the home and a concrete remote is "
-        f"enabled, and the home is not waiting on the environment alone "
-        f"— e.g. {state.describe()} (home at {home} inside "
-        f"[{', '.join(involved) or 'no flow'}]); with every remote "
-        f"parked like the concrete one this is a deadlock at some N")
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +206,7 @@ def _stuck_obligation(graph: FlowGraph, run: Sweep,
 
 
 def paramcheck_pass(protocol: Protocol, *,
-                    reports: Optional[tuple["PairReport", ...]] = None,
                     config: Optional["RefinementConfig"] = None,
-                    strict_cycles: bool = False,
-                    graph: Optional[FlowGraph] = None,
                     ) -> Iterator[Diagnostic]:
     """Pass-manager entry point: yield the P45xx obligations/verdict."""
-    verdict = check_parameterized(
-        protocol, graph=graph, reports=reports, config=config,
-        strict_cycles=strict_cycles)
-    yield from verdict.obligations
+    yield from check_parameterized(protocol, config=config).obligations

@@ -9,8 +9,8 @@ Commands:
   the coherence invariants with traces, and ``--progress`` (weak fairness).
 * ``lint``     — run the static-analysis suite (section 2.4 restrictions,
   reachability, guard overlap, fusability, buffer demand, transients,
-  the P44xx simulation certificate, the P45xx parameterized flow
-  analysis) and print structured diagnostics (``--json`` for machines,
+  the P44xx simulation certificate, the P45xx/P46xx any-N verdicts)
+  and print structured diagnostics (``--json`` for machines,
   ``--format sarif`` for code-scanning upload, ``--strict`` to fail on
   warnings, ``--select CODE`` / ``--ignore CODE`` to filter — both
   accept family prefixes such as ``P45``).
@@ -19,7 +19,7 @@ Commands:
   ``--dot`` for Graphviz, ``--strict`` to fail unless discharged).
 * ``paramverify`` — the parameterized coherence verdict (P46xx):
   discharge single-writer/SWMR for every node count through the
-  flow-strengthened environment abstraction, or show the concrete
+  lemma-gated environment abstraction, or show the concrete
   two-node refutation witness as an MSC.
 * ``refine``   — print the refinement plan and the refined state machines.
 * ``simulate`` — run the discrete-event simulator and print metrics
@@ -304,7 +304,7 @@ def cmd_flows(args) -> int:
             outputs.append(flow_dot(graph))
             all_discharged = all_discharged and graph.complete
             continue
-        verdict = check_parameterized(protocol, graph=graph, config=config)
+        verdict = check_parameterized(protocol, config=config)
         all_discharged = all_discharged and verdict.discharged
         if args.json:
             doc = graph.as_dict()
@@ -326,18 +326,14 @@ def cmd_paramverify(args) -> int:
     import json
 
     from .analysis.coherencecheck import check_coherence
-    from .analysis.flows import derive_flows
     from .viz.msc import render_counterexample_msc
 
     names = sorted(PROTOCOLS) if args.protocol == "all" else [args.protocol]
-    config = _config(args)
+    _config(args)  # the verdict reads no config; reject --buffer 1 anyway
     all_discharged = True
     outputs = []
     for name in names:
-        protocol = _build(name)
-        graph = derive_flows(protocol, config=config)
-        verdict = check_coherence(protocol, COHERENCE_SPECS[name],
-                                  graph=graph, config=config,
+        verdict = check_coherence(_build(name), COHERENCE_SPECS[name],
                                   max_states=args.budget)
         all_discharged = all_discharged and verdict.discharged
         if args.json:

@@ -364,6 +364,17 @@ class ProcessDef:
                 f"process {self.name!r} has no state {name!r}"
             ) from None
 
+    def tau_closure(self, start: str) -> frozenset[str]:
+        """States reachable from ``start`` through tau edges only."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for guard in self.state(stack.pop()).taus:
+                if guard.to not in seen:
+                    seen.add(guard.to)
+                    stack.append(guard.to)
+        return frozenset(seen)
+
     @property
     def message_types(self) -> frozenset[str]:
         """All rendezvous message types this process sends or receives."""

@@ -64,8 +64,8 @@ class TestStaticVerdictIsSound:
     def test_discharged_implies_no_bounded_deadlock(self, protocol):
         verdict = check_parameterized(protocol)
         note(f"verdict: {verdict.verdict}, "
-             f"{len(verdict.graph.flows)} flow(s), "
-             f"complete={verdict.graph.complete}")
+             f"{verdict.abstract_states} abstract state(s), "
+             f"{verdict.stuck} stuck")
         if not verdict.discharged:
             # incompleteness is allowed; soundness only binds discharges
             return

@@ -19,6 +19,7 @@ from repro.csp.ast import (
     VarSender,
     VarTarget,
 )
+from repro.csp.builder import ProcessBuilder, out, tau
 from repro.csp.env import Env
 from repro.errors import SpecError
 
@@ -174,6 +175,14 @@ class TestProcessDef:
         }
         proc = ProcessDef("p", ProcessKind.REMOTE, states, "a")
         assert proc.message_types == frozenset({"req", "gr"})
+
+    def test_tau_closure(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", tau("t", to="b"))
+        r.state("b", out("m", to="a"))
+        proc = r.build()
+        assert proc.tau_closure("a") == frozenset({"a", "b"})
+        assert proc.tau_closure("b") == frozenset({"b"})
 
 
 class TestProtocol:

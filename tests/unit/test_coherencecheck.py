@@ -7,14 +7,14 @@ from repro.analysis import analyze_protocol
 from repro.analysis.coherencecheck import (
     check_coherence,
     coherencecheck_pass,
-    derive_candidate_lemmas,
+    observed_lemmas,
 )
 from repro.analysis.environment import (
     EnvironmentSystem,
-    FlowLemma,
+    Lemma,
     other_send_table,
+    producible_msgs,
 )
-from repro.analysis.flows import derive_flows
 from repro.analysis.manager import (
     AnalysisCache,
     AnalysisContext,
@@ -41,7 +41,7 @@ from repro.semantics.rendezvous import RendezvousSystem
 from repro.viz.msc import render_counterexample_msc
 
 
-WAIT_LEMMA = "reqW@F:wait@W.wait:t0"
+WAIT_LEMMA = "W.wait:t0"
 
 # ---------------------------------------------------------------------------
 # fixtures: a protocol the lemma-free abstraction cannot discharge
@@ -56,10 +56,11 @@ def allclear_protocol():
     is invalidated *before* the concrete sharers (``t0 := max(S)`` and
     Other carries the largest id), so the lemma-free abstraction lets
     Other fake an ``ALLCLEAR`` that wipes concrete sharers out of ``S``
-    and grants the writer over a live reader.  The flow-derived wait
-    lemma (only processes in the inv-responder region send while engaged)
-    blocks exactly that trace, so the discharge rests on that lemma
-    holding on the abstraction it gates.
+    and grants the writer over a live reader.  The lemma observed on the
+    two-node instance (home at ``W.wait`` ⇒ the remote bound to ``t0`` is
+    at ``S.ia``, so it sends only ``IA``) blocks exactly that trace, so
+    the discharge rests on that lemma holding on the abstraction it
+    gates.
     """
     home = ProcessBuilder.home("allclear-home",
                                o=None, j=None, t0=None, S=frozenset())
@@ -214,22 +215,23 @@ class TestLemmaLoop:
         verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
         assert verdict.discharged, verdict.reason
         by_name = {lemma.name: lemma for lemma in verdict.lemmas}
-        assert by_name[WAIT_LEMMA].kind == "wait"
+        assert by_name[WAIT_LEMMA].region == frozenset({"S.ia"})
+        assert by_name[WAIT_LEMMA].allowed_msgs == frozenset({"IA"})
         assert verdict.validated == len(verdict.lemmas)
 
     def test_falsified_lemma_is_dropped_and_never_gates(self, monkeypatch):
-        # a wait lemma claiming t0 sits in a region it is never in falls
-        # on the first sweep; without it the ALLCLEAR trace is back, so
-        # the discharge that needed it becomes inconclusive
+        # a lemma claiming t0 sits in a region it is never in falls on
+        # the first sweep; without it the ALLCLEAR trace is back, so the
+        # discharge that needed it becomes inconclusive
         from repro.analysis import coherencecheck as cc
 
-        def wrong(protocol, graph):
+        def wrong(protocol, max_states):
             return tuple(
                 dataclasses.replace(lemma, region=frozenset({"I.grR"}))
                 if lemma.name == WAIT_LEMMA else lemma
-                for lemma in derive_candidate_lemmas(protocol, graph))
+                for lemma in observed_lemmas(protocol, max_states))
 
-        monkeypatch.setattr(cc, "derive_candidate_lemmas", wrong)
+        monkeypatch.setattr(cc, "observed_lemmas", wrong)
         verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
         assert verdict.status == "inconclusive"
         assert WAIT_LEMMA not in {lemma.name for lemma in verdict.lemmas}
@@ -252,11 +254,22 @@ class TestLemmaLoop:
             assert not result.violations
 
     def test_candidates_are_sorted_and_deduplicated(self, msi):
-        graph = derive_flows(msi)
-        candidates = derive_candidate_lemmas(msi, graph)
-        names = [c.name for c in candidates]
+        names = [c.name for c in observed_lemmas(msi)]
         assert names == sorted(names)
         assert len(names) == len(set(names))
+
+    def test_msi_candidates_are_its_two_node_regions(self, msi):
+        # one per (home state, VarSender variable), the region read off
+        # RendezvousSystem(msi, 2); every one holds on the abstraction
+        owner, invalidated, sharer = (frozenset({"M", "M.lr"}),
+                                      frozenset({"M.id"}),
+                                      frozenset({"S.ia"}))
+        assert {c.name: c.region for c in observed_lemmas(msi)} == {
+            "E:o": owner, "RI:o": owner, "WI:o": owner,
+            "RI2:o": invalidated, "WI2:o": invalidated,
+            "U.wait:t0": sharer, "W.wait:t0": sharer}
+        verdict = check_coherence(msi)
+        assert verdict.candidates == verdict.validated == 7
 
     def test_lemma_inventory_diagnostic(self):
         verdict = check_coherence(allclear_protocol(), ALLCLEAR_SPEC)
@@ -411,10 +424,9 @@ class TestAbstractSystem:
     def test_lemma_gates_other_sends(self):
         proto = allclear_protocol()
         table, _ = other_send_table(proto, {proto.remote.initial_env})
-        blocking = FlowLemma(
-            name="block-all", kind="wait", flow="x", var="t0",
-            home_states=frozenset({"W.wait"}), region=frozenset(),
-            allowed_msgs=frozenset(), detail="test")
+        blocking = Lemma(
+            name="block-all", var="t0", home_states=frozenset({"W.wait"}),
+            region=frozenset(), allowed_msgs=frozenset())
         runs = {}
         for label, lemmas in (("free", ()), ("gated", (blocking,))):
             runs[label] = explore(
@@ -426,6 +438,15 @@ class TestAbstractSystem:
         assert runs["gated"].n_states < runs["free"].n_states
         # ungated, Other fakes the ALLCLEAR and a writer meets a reader
         assert runs["free"].violations and not runs["gated"].violations
+
+    def test_producible_msgs(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", tau("t", to="b"))
+        r.state("b", out("m", to="a"))
+        r.state("c", inp("x", to="a"))
+        proc = r.build()
+        assert producible_msgs(proc, "a") == frozenset({"m"})
+        assert producible_msgs(proc, "c") == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +461,11 @@ class TestManagerIntegration:
 
     def test_pass_is_silent_without_a_spec(self):
         proto = _const_target_protocol()  # no registered spec
-        graph = derive_flows(proto)
-        assert list(coherencecheck_pass(proto, graph=graph)) == []
+        assert list(coherencecheck_pass(proto)) == []
 
     def test_pass_uses_shared_graph(self, migratory):
-        graph = derive_flows(migratory)
-        diags = list(coherencecheck_pass(migratory, graph=graph))
+        # the pass takes no flow graph any more: the verdict reads none
+        diags = list(coherencecheck_pass(migratory))
         assert any(d.code == "P4601" for d in diags)
 
     def test_cache_runs_coherence_once(self, msi, monkeypatch):
@@ -463,19 +483,19 @@ class TestManagerIntegration:
         assert "P4601" in report.codes()
         assert calls["n"] == 1
 
-    def test_failed_flow_derivation_is_reported_and_not_cached(
+    def test_failed_flow_derivation_blocks_no_any_n_verdict(
             self, migratory, monkeypatch):
+        # the flows pass reports its own failure; neither any-N verdict
+        # reads the flow graph, so both still discharge
         from repro.analysis import flows
 
-        ctx = AnalysisContext(protocol=migratory, cache=AnalysisCache())
-        original = flows.derive_flows
         monkeypatch.setattr(flows, "derive_flows", _raising("no flows"))
-        diags = list(_coherence_pass(ctx))
-        assert [d.code for d in diags] == ["P4603"]
-        assert "flow graph could not be derived" in diags[0].message
-        # the failure was not remembered as "no spec registered"
-        monkeypatch.setattr(flows, "derive_flows", original)
-        assert ctx.cache.coherence_verdict(ctx).discharged
+        report = analyze_protocol(migratory)
+        failed = [d for d in report.diagnostics if d.code == "P4501"]
+        assert len(failed) == 1 and "no flows" in failed[0].message
+        assert failed[0].location == "migratory:flows"
+        assert {"P4505", "P4601"} <= report.codes()
+        assert not {"P4507", "P4603"} & report.codes()
 
     def test_failed_checker_is_not_blamed_on_the_flow_graph(
             self, migratory, monkeypatch):

@@ -6,8 +6,6 @@ from repro.analysis.flows import (
     REMOTE_INITIATED,
     derive_flows,
     flows_pass,
-    producible_msgs,
-    tau_closure,
 )
 from repro.csp.ast import AnySender, VarSender, VarTarget
 from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
@@ -77,7 +75,7 @@ class TestLibraryInventories:
         remote = migratory.remote
         for flow in graph.flows:
             for state in flow.requester_region:
-                assert tau_closure(remote, state) <= flow.requester_region
+                assert remote.tau_closure(state) <= flow.requester_region
 
 
 class TestFusionSharing:
@@ -135,23 +133,6 @@ class TestSerialization:
 
 
 class TestStaticHelpers:
-    def test_tau_closure(self):
-        r = ProcessBuilder.remote("r")
-        r.state("a", tau("t", to="b"))
-        r.state("b", out("m", to="a"))
-        proc = r.build()
-        assert tau_closure(proc, "a") == frozenset({"a", "b"})
-        assert tau_closure(proc, "b") == frozenset({"b"})
-
-    def test_producible_msgs(self):
-        r = ProcessBuilder.remote("r")
-        r.state("a", tau("t", to="b"))
-        r.state("b", out("m", to="a"))
-        r.state("c", inp("x", to="a"))
-        proc = r.build()
-        assert producible_msgs(proc, "a") == frozenset({"m"})
-        assert producible_msgs(proc, "c") == frozenset()
-
     def test_home_initiated_constant_exists(self):
         # the kind taxonomy is part of the public vocabulary
         assert HOME_INITIATED == "home-initiated"
