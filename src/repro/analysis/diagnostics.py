@@ -94,6 +94,7 @@ CODES: dict[str, CodeInfo] = _registry(
              Severity.ERROR),
     CodeInfo("P2409", "internal-state cycle", "2.4", Severity.ERROR),
     CodeInfo("P2410", "ambiguous input guards", "2.4", Severity.WARNING),
+    CodeInfo("P2411", "duplicate tau label", "2.4", Severity.ERROR),
     # -- reachability / dead code (progress prerequisites) ------------------
     CodeInfo("P2501", "unreachable state", "2.5", Severity.WARNING),
     CodeInfo("P2502", "dead guard", "2.5", Severity.WARNING),

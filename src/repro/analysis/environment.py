@@ -37,6 +37,11 @@ subclasses it and adds only Other's moves:
   environment member in the others, so the initial state also steps to
   its copies with those ids replaced by Other.
 
+The steps come from one memo contract, the rendezvous level's: the
+inherited families are replayed as they are, Other's sends are memoized
+on the home node (all the gates read) and sticky variants on the (old,
+new) home environment pair.
+
 Ungated, Other over-approximates every environment unconditionally —
 and is sometimes too wild for a proof: it can answer a point-to-point
 handshake it was never part of.  A :class:`Lemma` — "home in H ⇒ the
@@ -95,8 +100,8 @@ from ..csp.env import Env, Value
 # resolves entered from repro.refine; repro/__init__ imports this package
 # before either, so enter it that way round here
 from .. import refine as _refine_first  # noqa: F401, I001
-from ..semantics.rendezvous import RendezvousSystem
-from ..semantics.state import RvState
+from ..semantics.rendezvous import RendezvousSystem, remember
+from ..semantics.state import ProcState, RvState
 
 __all__ = [
     "EnvironmentSystem",
@@ -291,9 +296,10 @@ class EnvironmentSystem(RendezvousSystem):
             for name in lemma.home_states:
                 self._gates.setdefault((name, lemma.var), []).append(
                     lemma.allowed_msgs)
-        #: per home state: what Other may offer, through which guards
-        self._offers: dict[str, list[tuple[str, tuple[Value, ...], list[
-            tuple[int, Input]]]]] = {}
+        #: Other's sends per home node, sticky variants per (old, new)
+        #: home environment; bounded like the inherited step memo
+        self._sends: dict[ProcState, tuple[Any, ...]] = {}
+        self._sticky: dict[tuple[Env, Env], tuple[Any, ...]] = {}
         self._initial = self.initial_state()
         self._initial_variants = self._other_initials()
 
@@ -315,13 +321,13 @@ class EnvironmentSystem(RendezvousSystem):
     def successors(self, state: RvState) -> list[tuple[Any, RvState]]:
         result: list[tuple[Any, RvState]] = []
         moved = False  # by a tau or a home <-> concrete rendezvous
-        for action in self._iter_actions(state):
+        for action, post in super().successors(state):
             moved = moved or not isinstance(action, OtherRecv)
-            self._offer(result, state, action, self.apply(state, action))
+            self._offer(result, state, action, post)
         if not moved and not self._excused(state):
             self.stuck.append(state)
-        for action, post in self._other_send_steps(state):
-            self._offer(result, state, action, post)
+        for action, node in self._other_sends(state.home):
+            self._offer(result, state, action, RvState(node, state.remotes))
         if state == self._initial:
             result.extend(self._initial_variants)
         for _, post in result:
@@ -348,27 +354,22 @@ class EnvironmentSystem(RendezvousSystem):
             return iter(())  # no environment node could ever accept it
         return iter((OtherRecv(msg=guard.msg, out_index=idx),))
 
-    def _other_send_steps(
-            self, state: RvState) -> Iterator[tuple[Any, RvState]]:
-        home = state.home
-        offers = self._offers.get(home.state)
-        if offers is None:
-            inputs = self.protocol.home.state(home.state).inputs
-            offers = self._offers[home.state] = [
-                (msg, payloads, [(i, g) for i, g in enumerate(inputs)
-                                 if g.msg == msg])
-                for msg, payloads in self.other_sends.items()]
-        for msg, payloads, guards in offers:
-            open_guards = [(i, g) for i, g in guards
-                           if not self._gated(home, g)]
-            for payload in payloads:
-                for in_index, guard in open_guards:
-                    if guard.accepts(home.env, self.other, payload):
-                        yield (OtherSend(msg=msg, payload=payload,
-                                         in_index=in_index),
-                               state.with_home(home.moved(
-                                   guard.to, guard.complete(
-                                       home.env, self.other, payload))))
+    def _other_sends(self, home: ProcState,
+                     ) -> tuple[tuple[OtherSend, ProcState], ...]:
+        """Other's sends the home accepts, each with the home it leaves;
+        memoized on the home node, all the gates read."""
+        sends = self._sends.get(home)
+        if sends is None:
+            inputs = list(enumerate(
+                self.protocol.home.state(home.state).inputs))
+            sends = remember(self._sends, home, tuple(
+                (OtherSend(msg=msg, payload=payload, in_index=i),
+                 home.moved(g.to, g.complete(home.env, self.other, payload)))
+                for msg, payloads in self.other_sends.items()
+                for payload in payloads for i, g in inputs
+                if g.msg == msg and not self._gated(home, g)
+                and g.accepts(home.env, self.other, payload)))
+        return sends
 
     def _gated(self, home: Any, guard: Input) -> bool:
         """Does an active lemma forbid Other this send?"""
@@ -403,18 +404,21 @@ class EnvironmentSystem(RendezvousSystem):
         old, new = pre.home.env, post.home.env
         if new is old:
             return
-        # both envs declare the same variables, in canonical (sorted) order
-        lost = [key for (key, was), (_, now)
-                in zip(old.canonical_key(), new.canonical_key())
-                if isinstance(was, frozenset) and self.other in was
-                and isinstance(now, frozenset) and self.other not in now]
-        base = action.describe() if lost else ""
-        for subset in _nonempty_subsets(lost):
-            env = new.update(
-                {key: new[key] | {self.other}  # type: ignore[operator]
-                 for key in subset})
+        variants = self._sticky.get((old, new))
+        if variants is None:
+            # both envs declare the same variables, in canonical order
+            lost = [key for (key, was), (_, now)
+                    in zip(old.canonical_key(), new.canonical_key())
+                    if isinstance(was, frozenset) and self.other in was
+                    and isinstance(now, frozenset) and self.other not in now]
+            variants = remember(self._sticky, (old, new), tuple(
+                (subset, new.update(
+                    {key: new[key] | {self.other}  # type: ignore[operator]
+                     for key in subset}))
+                for subset in _nonempty_subsets(lost)))
+        for subset, env in variants:
             result.append((
-                StickyStep(base=base, vars=subset),
+                StickyStep(base=action.describe(), vars=subset),
                 post.with_home(post.home.moved(post.home.state, env))))
 
     def _other_initials(self) -> list[tuple[Any, RvState]]:
@@ -562,12 +566,12 @@ def sweep(protocol: Protocol, n_concrete: int, lemmas: Sequence[Lemma],
     other_sends, payload_issues = other_send_table(protocol, payload_envs)
     while True:
         done.iterations += 1
-        system = EnvironmentSystem(protocol, n_concrete,
-                                   other_sends=other_sends, lemmas=active)
         checks = [(prop, _safe(pred)) for prop, pred in invariants]
-        if active:
-            checks.append((LEMMAS, system.lemmas_hold))
         try:
+            system = EnvironmentSystem(protocol, n_concrete,
+                                       other_sends=other_sends, lemmas=active)
+            if active:
+                checks.append((LEMMAS, system.lemmas_hold))
             result = explore(system, name=name, invariants=checks,
                              max_states=max_states, stop_on_violation=False,
                              allow_deadlock=True)

@@ -13,6 +13,8 @@ defined — and only proven sound — for protocols obeying these rules:
   (P2406, P2407).
 * **Home node generality** — generalized input/output guards, but no
   taus in communication states (P2408).
+* **Named taus** — no two taus of one state share a label (P2411): a
+  label is how both semantic levels and every trace name a tau.
 * **Eventual exit from internal states** — no terminal states (P2401)
   and no cycles through internal states only (P2409); the latter is
   also the section 2.5 forward-progress prerequisite.
@@ -50,6 +52,13 @@ def process_restrictions(process: ProcessDef) -> Iterator[Diagnostic]:
                 hint="add a guard or delete the state")
             continue
         yield from _addressing(process, state, where)
+        if state.duplicate_tau_label is not None:
+            yield make(
+                "P2411", where,
+                f"two taus share the label {state.duplicate_tau_label!r}; "
+                "both semantic levels and every trace name a tau by its "
+                "label",
+                hint="give each tau of a state its own label")
         if process.kind == ProcessKind.REMOTE:
             yield from _remote_shape(state, where)
         else:

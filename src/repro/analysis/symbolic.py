@@ -49,7 +49,7 @@ real mid-exchange configurations instead.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, cast
+from typing import Iterator, Optional, Sequence, cast
 
 from ..csp.ast import ProcessDef, Protocol
 from ..check.explorer import explore
@@ -74,19 +74,44 @@ from ..semantics.asynchronous import (
 from ..semantics.network import Channels
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
+from .memokey import structural_key
 
 __all__ = ["closure_roots", "embed", "enumerate_contexts", "n_engaged",
            "responder_chains", "step_location", "step_rule"]
 
 
+#: structural key of a protocol -> (budget, contexts, sweep) of its last
+#: two-node sweep, for the life of the process (the certificate and
+#: P46xx's lemmas both read it); the oldest entry makes room at the limit
+_CONTEXTS: dict[bytes, tuple[int, tuple[RvState, ...], ExplorationResult]] = {}
+_CONTEXT_LIMIT = 64
+
+
 def enumerate_contexts(protocol: Protocol, *, max_states: int = 4096,
-                       ) -> tuple[list[RvState], ExplorationResult]:
+                       ) -> tuple[tuple[RvState, ...], ExplorationResult]:
     """Reachable rendezvous states at ``n = 2`` in BFS discovery order,
-    and the sweep that found them."""
+    and the sweep that found them.
+
+    Memoized on the protocol's structural key: a sweep answers a call
+    with its own budget, and a complete one also any budget it fits in
+    (the explorer stops only when a budget is exceeded).  Callers share
+    the sweep, so they must not change it.
+    """
+    key = structural_key(protocol)
+    hit = _CONTEXTS.get(key) if key is not None else None
+    if hit is not None and (hit[0] == max_states or (
+            hit[2].completed and hit[2].n_states <= max_states)):
+        return hit[1], hit[2]
     store = ExactStore()  # iterates in BFS discovery order
     result = explore(RendezvousSystem(protocol, 2), store=store,
                      allow_deadlock=True, max_states=max_states)
-    return cast("list[RvState]", list(store)), result
+    contexts = cast("tuple[RvState, ...]", tuple(store))
+    if key is not None:
+        _CONTEXTS.pop(key, None)
+        if len(_CONTEXTS) >= _CONTEXT_LIMIT:
+            del _CONTEXTS[next(iter(_CONTEXTS))]  # insertion order
+        _CONTEXTS[key] = (max_states, contexts, result)
+    return contexts, result
 
 
 def embed(context: RvState) -> AsyncState:
@@ -99,7 +124,7 @@ def embed(context: RvState) -> AsyncState:
 
 
 def closure_roots(system: AsyncSystem,
-                  contexts: list[RvState]) -> list[AsyncState]:
+                  contexts: Sequence[RvState]) -> list[AsyncState]:
     """The embeddings the certificate's sweep starts from: every context
     but those with a remote in a mid-exchange state.
 

@@ -307,6 +307,13 @@ class StateDef:
         return tuple(g for g in self.guards if isinstance(g, Tau))
 
     @property
+    def duplicate_tau_label(self) -> Optional[str]:
+        """The first label two of this state's taus share, if any."""
+        labels = [g.label for g in self.taus]
+        return next((x for i, x in enumerate(labels) if x in labels[:i]),
+                    None)
+
+    @property
     def is_communication(self) -> bool:
         """A state offering at least one rendezvous (paper section 2.4)."""
         return bool(self.outputs) or bool(self.inputs)

@@ -11,15 +11,20 @@ synchronous rendezvous (CSP-style).  A global transition is either:
 This tiny state space is what the paper proposes users verify; the
 refinement engine then compiles the same AST down to the asynchronous level.
 
-The system object is *pure*: states are immutable values, and
-:meth:`RendezvousSystem.successors` enumerates all interleavings, which is
-exactly the interface the explicit-state explorer consumes.
+States are immutable values.  :meth:`~RendezvousSystem.actions` +
+:meth:`~RendezvousSystem.apply` interpret the guards and are the
+reference; :meth:`~RendezvousSystem.successors`, what the explorer
+consumes, gives the same list in the same order by replaying step
+families memoized on the local view each reads — the home node, ``(i,
+remote)``, and for an acceptance ``(remote, msg, payload)`` or ``(home,
+i, msg, payload)``: the asynchronous level's contract (docs/ANALYSIS.md,
+"The step engine").  Families hold nodes and steps, never states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator, Optional, Union
 
 from ..csp.ast import Input, Output, Protocol, Tau
 from ..csp.env import Value
@@ -27,6 +32,26 @@ from ..errors import SemanticsError
 from .state import HOME_ID, ProcId, ProcState, RvState
 
 __all__ = ["RendezvousAction", "TauStep", "RendezvousStep", "RendezvousSystem"]
+
+#: Entry bound of one system's step memo; cleared, not evicted, when it
+#: fills (as the asynchronous level's).
+_MEMO_LIMIT = 1 << 16
+
+#: a memo miss, where None is a value (no input accepts)
+_UNSEEN = object()
+
+
+def _put(nodes: tuple[ProcState, ...], i: int,
+         node: ProcState) -> tuple[ProcState, ...]:
+    return nodes[:i] + (node,) + nodes[i + 1:]
+
+
+def remember(memo: dict[Any, Any], key: Any, value: Any) -> Any:
+    """Store ``value`` under ``key`` in a bounded memo; returns it."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +108,15 @@ class RendezvousSystem:
     def __init__(self, protocol: Protocol, n_remotes: int) -> None:
         if n_remotes < 1:
             raise SemanticsError("need at least one remote node")
+        for process in (protocol.home, protocol.remote):
+            for sdef in process.states.values():
+                if sdef.duplicate_tau_label is not None:
+                    raise SemanticsError(
+                        f"P2411: {process.name}.{sdef.name} has two taus "
+                        f"labelled {sdef.duplicate_tau_label!r}")
         self.protocol = protocol
         self.n_remotes = n_remotes
+        self._memo: dict[Any, Any] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -264,9 +296,86 @@ class RendezvousSystem:
 
     # -- convenience ---------------------------------------------------------
 
-    def successors(self, state: RvState) -> list[tuple[RendezvousAction, RvState]]:
-        return [(action, self.apply(state, action))
-                for action in self.actions(state)]
+    def successors(self, state: RvState) -> list[tuple[Any, RvState]]:
+        """``[(a, apply(state, a)) for a in actions(state)]``, replayed
+        family by family through the memo."""
+        out: list[tuple[Any, RvState]] = []
+        home, remotes = state.home, state.remotes
+        home_taus, home_outputs = self._family(HOME_ID, home)
+        out.extend((action, RvState(node, remotes))
+                   for action, node in home_taus)
+        families = [self._family(i, node) for i, node in enumerate(remotes)]
+        for i, (taus, _) in enumerate(families):
+            out.extend((action, RvState(home, _put(remotes, i, node)))
+                       for action, node in taus)
+        for moved, step, guard, idx, target in home_outputs:
+            if step is None:  # addressed outside the remotes
+                out.extend((action, RvState(moved, remotes)) for action
+                           in self._outside_offer(state, idx, guard, target))
+                continue
+            node = self._accepted(remotes[target], -1, step)
+            if node is not None:
+                out.append((step, RvState(moved, _put(remotes, target, node))))
+        for i, (_, outputs) in enumerate(families):
+            for moved, step, _, _, _ in outputs:
+                node = self._accepted(home, i, step)
+                if node is not None:
+                    out.append((step, RvState(node, _put(remotes, i, moved))))
+        return out
+
+    def _family(self, who: ProcId, proc: ProcState,
+                ) -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+        """The enabled taus and outputs of node ``proc`` (the home, or
+        remote ``who``), each with the node it leaves behind."""
+        key: Any = proc if who == HOME_ID else (who, proc)
+        family = self._memo.get(key)
+        if family is not None:
+            return family
+        process = self.protocol.home if who == HOME_ID else self.protocol.remote
+        sdef, env = process.state(proc.state), proc.env
+        taus = []
+        for guard in sdef.taus:
+            if guard.enabled(env):
+                fired = self._find_tau(sdef.taus, guard.label, proc,
+                                       process.name)
+                taus.append((TauStep(who, guard.label),
+                             proc.moved(fired.to, fired.apply_update(env))))
+        outputs: list[tuple[Any, ...]] = []
+        for idx, guard in enumerate(sdef.outputs):
+            if not guard.enabled(env):
+                continue
+            moved = proc.moved(guard.to, guard.apply_update(env))
+            target: ProcId = HOME_ID
+            if who == HOME_ID:
+                assert guard.target is not None
+                target = guard.target.eval(env)
+                if not 0 <= target < self.n_remotes:
+                    outputs.append((moved, None, guard, idx, target))
+                    continue
+            step = RendezvousStep(who, target, guard.msg,
+                                  guard.eval_payload(env), idx)
+            outputs.append((moved, step, guard, idx, target))
+        return remember(self._memo, key, (tuple(taus), tuple(outputs)))
+
+    def _accepted(self, proc: ProcState, sender: int,
+                  step: RendezvousStep) -> Optional[ProcState]:
+        """``proc`` (a remote if ``sender`` is -1, else the home) after its
+        first input accepting ``step``, or None."""
+        msg, payload = step.msg, step.payload
+        key = (proc, msg, payload) if sender < 0 else (proc, sender, msg,
+                                                       payload)
+        node = self._memo.get(key, _UNSEEN)
+        if node is _UNSEEN:
+            process = self.protocol.remote if sender < 0 else self.protocol.home
+            node = None
+            for guard in process.state(proc.state).inputs:
+                if guard.msg == msg and guard.accepts(proc.env, sender,
+                                                      payload):
+                    node = proc.moved(guard.to, guard.complete(
+                        proc.env, sender, payload))
+                    break
+            remember(self._memo, key, node)
+        return node
 
     def is_progress(self, action: RendezvousAction) -> bool:
         """Progress-criterion labelling: rendezvous completions are progress."""

@@ -45,6 +45,15 @@ class ProcState:
     env: Env
     #: symmetry sort key (:func:`repro.check.symmetry._node_key`)
     _sym_cache: Optional[tuple[object, ...]] = memo()
+    _hash_cache: Optional[int] = memo()
+
+    def __hash__(self) -> int:
+        # memoized like RvState's: nodes key the rendezvous step memo
+        cached = self._hash_cache
+        if cached is None:
+            cached = hash((self.state, self.env))
+            object.__setattr__(self, "_hash_cache", cached)
+        return cached
 
     def moved(self, state: str, env: Env | None = None) -> "ProcState":
         return ProcState(state=state, env=self.env if env is None else env)

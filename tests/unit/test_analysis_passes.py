@@ -132,6 +132,45 @@ class TestOverlapPass:
         assert not patterns_may_overlap(None, AnySender())
 
 
+class TestDuplicateTauLabels:
+    @staticmethod
+    def relabelled(invalidate):
+        """invalidate with remote ``I``'s ``wantW`` tau relabelled
+        ``wantR``: at the rendezvous level both taus were one step, and
+        only the first one's target was ever explored (12 / 88 / 544
+        states at n = 1 / 2 / 3, against 21 / 723 / 8,597)."""
+        from dataclasses import replace
+
+        from repro.csp.ast import Tau
+
+        remote = invalidate.remote
+        state = remote.states["I"]
+        guards = tuple(replace(g, label="wantR")
+                       if isinstance(g, Tau) and g.label == "wantW" else g
+                       for g in state.guards)
+        states = {**remote.states, "I": replace(state, guards=guards)}
+        return replace(invalidate,
+                       remote=replace(remote, states=states))
+
+    def test_rejected_with_p2411_and_no_any_n_discharge(self, invalidate):
+        from repro.errors import SemanticsError
+        from repro.semantics.rendezvous import RendezvousSystem
+
+        proto = self.relabelled(invalidate)
+        report = analyze_protocol(proto)
+        [dup] = [d for d in report if d.code == "P2411"]
+        assert dup.location == "invalidate-remote.I"
+        assert dup.severity is Severity.ERROR and "'wantR'" in dup.message
+        assert not report.codes() & {"P4505", "P4601"}
+        assert {"P4507", "P4603"} <= report.codes()
+        with pytest.raises(ValidationError, match="P2411"):
+            refine(proto)
+        with pytest.raises(SemanticsError, match="P2411"):
+            RendezvousSystem(proto, 2)
+        assert "P2411" not in analyze_protocol(
+            invalidate, include_param=False).codes()
+
+
 class TestFusabilityPass:
     def test_migratory_pairs_reported_fusable(self, migratory):
         report = analyze_protocol(migratory, select=["P3301"])

@@ -188,6 +188,32 @@ class TestContexts:
         assert truncated == contexts[:n_truncated]
         assert sweep.stop_reason == "state budget 3 exceeded"
 
+    def test_one_two_node_sweep_per_process(self, monkeypatch, invalidate):
+        """The certificate and P46xx's lemmas share one sweep of the
+        two-node instance: a second call does not explore again, nor does
+        a larger budget the complete sweep fits in; a smaller one does."""
+        from repro.analysis import symbolic
+        from repro.analysis.coherencecheck import observed_lemmas
+
+        monkeypatch.setattr(symbolic, "_CONTEXTS", {})
+        budgets = []
+        explore = symbolic.explore
+
+        def counting(*args, **kwargs):
+            budgets.append(kwargs["max_states"])
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(symbolic, "explore", counting)
+        contexts, sweep = enumerate_contexts(invalidate)
+        again = enumerate_contexts(invalidate)
+        assert again[0] is contexts and again[1] is sweep
+        assert isinstance(contexts, tuple)
+        observed_lemmas(invalidate, max_states=50_000)
+        assert budgets == [4096]
+        assert enumerate_contexts(invalidate, max_states=3)[0] == \
+            contexts[:5]
+        assert budgets == [4096, 3]
+
 
     def test_the_initial_context_is_always_a_root(self):
         """``random_protocol(24)``: the remote's *initial* state is the

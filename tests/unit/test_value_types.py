@@ -100,7 +100,7 @@ def test_every_memo_is_declared():
         "HomeNode": ["_digest_cache", "_hash_cache"],
         "RemoteNode": ["_digest_cache", "_hash_cache", "_sym_cache"],
         "AsyncState": ["_hash_cache"],
-        "ProcState": ["_sym_cache"],
+        "ProcState": ["_hash_cache", "_sym_cache"],
         "RvState": ["_hash_cache"],
         "Msg": ["_desc_cache", "_hash_cache"],
         "Channels": ["_hash_cache"],
