@@ -369,12 +369,28 @@ class Step:
     rendezvous of the underlying protocol is reported exactly once, at the
     moment its second party commits).  ``sends`` lists messages injected
     into the network by this step, for message-count metrics.
+
+    A step :meth:`AsyncSystem.steps` replays holds its origin state and
+    memoized delta (``_delta_cache``) and builds ``state`` when it is
+    first read, then keeps it: a caller that takes one step of many
+    builds one successor.  ``==``, ``repr`` and :meth:`footprint` read
+    ``state`` like any other field.
     """
 
     action: AsyncAction
     state: AsyncState
     completes: tuple[RendezvousStep, ...] = ()
     sends: tuple[Msg, ...] = ()
+    #: ``(origin, delta)`` a replayed step builds its ``state`` from
+    _delta_cache: Optional[tuple[AsyncState, _Delta]] = memo()
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only through an unset slot: a replayed step's ``state``
+        if name != "state":
+            raise AttributeError(f"'Step' object has no attribute {name!r}")
+        nxt = _successor(*self._delta_cache)
+        _set_state(self, nxt)
+        return nxt
 
     def footprint(self, origin: AsyncState) -> StepFootprint:
         """Compute this step's footprint relative to its origin state.
@@ -436,9 +452,9 @@ _ChannelOp = tuple[int, int, tuple[Msg, ...]]
 _Delta = tuple[AsyncAction, Optional[HomeNode],
                Optional[tuple[int, RemoteNode]], tuple[_ChannelOp, ...],
                tuple[RendezvousStep, ...], tuple[Msg, ...]]
-#: What replay hands :meth:`AsyncSystem.steps`/``successors``.
-_Outcome = tuple[AsyncAction, AsyncState, tuple[RendezvousStep, ...],
-                 tuple[Msg, ...]]
+#: What :meth:`AsyncSystem._outcomes` hands ``steps``/``successors``: a
+#: memoized family's deltas, a refused family's interpreted steps.
+_Outcome = _Delta | Step
 
 
 def _channel_ops(old: tuple[tuple[Msg, ...], ...],
@@ -458,6 +474,39 @@ def _channel_ops(old: tuple[tuple[Msg, ...], ...],
             return None
         ops.append((c, popped, after[kept - popped:]))
     return tuple(ops)
+
+
+def _successor(state: AsyncState, delta: _Delta) -> AsyncState:
+    """``state`` after one memoized step — the one place a delta is
+    applied, for :meth:`AsyncSystem.successors` and for a replayed
+    :class:`Step`'s ``state``."""
+    _action, home, moved, ops, _completes, _sends = delta
+    remotes = state.remotes
+    if moved is not None:
+        j, node = moved
+        remotes = remotes[:j] + (node,) + remotes[j + 1:]
+    return AsyncState(state.home if home is None else home, remotes,
+                      state.channels.replay(ops) if ops else state.channels)
+
+
+#: :class:`Step`'s slot setters: ``steps()`` fills four slots per step, and
+#: a slot's own setter costs half of ``object.__setattr__`` (no name lookup)
+_set_action = Step.action.__set__
+_set_state = Step.state.__set__
+_set_completes = Step.completes.__set__
+_set_sends = Step.sends.__set__
+_set_delta = Step._delta_cache.__set__
+
+
+def _replayed(state: AsyncState, delta: _Delta) -> Step:
+    """The :class:`Step` of ``delta`` at ``state``, its successor unbuilt
+    (``state`` stays an unset slot until :meth:`Step.__getattr__`)."""
+    step = object.__new__(Step)
+    _set_action(step, delta[0])
+    _set_completes(step, delta[4])
+    _set_sends(step, delta[5])
+    _set_delta(step, (state, delta))
+    return step
 
 
 def _deltas(state: AsyncState, owner: ProcId,
@@ -505,7 +554,10 @@ class AsyncSystem:
       remote ``i``'s local steps
 
     — and is recorded once per key as the replaced node plus channel
-    pops and pushes (:func:`_deltas`).  The memo belongs to the instance
+    pops and pushes (:func:`_deltas`).  :meth:`successors` applies each
+    delta at once (:func:`_successor`); :meth:`steps` hands it to its
+    :class:`Step`, which applies it when its ``state`` is first read.
+    The memo belongs to the instance
     (the table, the plan and ``n_remotes`` are part of what a key means)
     and holds nodes and messages only, never a state or a
     :class:`Channels`.
@@ -568,12 +620,15 @@ class AsyncSystem:
         return out
 
     def steps(self, state: AsyncState) -> list[Step]:
-        """All enabled transitions, with completion/send observables."""
-        return [Step(action, nxt, completes, sends)
-                for action, nxt, completes, sends in self._outcomes(state)]
+        """All enabled transitions, with completion/send observables; a
+        replayed step builds its successor when ``state`` is first read."""
+        return [o if type(o) is Step else _replayed(state, o)
+                for o in self._outcomes(state)]
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
-        return [(action, nxt) for action, nxt, _, _ in self._outcomes(state)]
+        return [(o.action, o.state) if type(o) is Step
+                else (o[0], _successor(state, o))
+                for o in self._outcomes(state)]
 
     def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
         for step in self.steps(state):
@@ -598,7 +653,7 @@ class AsyncSystem:
                 if family is None:
                     family = self._learn(key, state, HOME_ID, out, [
                         self._deliver_to_home(state, i)])
-                self._replay(state, family, out)
+                out.extend(family)
             queue = queues[2 * i]
             if queue:
                 key = (i, remotes[i], queue[0])
@@ -606,13 +661,13 @@ class AsyncSystem:
                 if family is None:
                     family = self._learn(key, state, i, out, [
                         self._deliver_to_remote(state, i)])
-                self._replay(state, family, out)
+                out.extend(family)
         if home.mode == IDLE:
             family = memo.get(home)
             if family is None:
                 family = self._learn(home, state, HOME_ID, out,
                                      self._home_steps(state))
-            self._replay(state, family, out)
+            out.extend(family)
         for i in range(self.n_remotes):
             node = remotes[i]
             if node.mode == IDLE:
@@ -621,38 +676,22 @@ class AsyncSystem:
                 if family is None:
                     family = self._learn(key, state, i, out,
                                          self._remote_steps(state, i))
-                self._replay(state, family, out)
+                out.extend(family)
         return out
 
     def _learn(self, key: Any, state: AsyncState, owner: ProcId,
                out: list[_Outcome], steps: list[Step]) -> tuple[_Delta, ...]:
-        """Memoize one interpreted family; returns what is left to replay
-        (nothing, with the steps themselves in ``out``, if it is refused).
+        """Memoize one interpreted family; returns its deltas (nothing,
+        with the steps themselves in ``out``, if it is refused).
         """
         family = _deltas(state, owner, steps)
         if family is None:
-            out.extend((s.action, s.state, s.completes, s.sends)
-                       for s in steps)
+            out.extend(steps)
             return ()
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
         self._memo[key] = family
         return family
-
-    @staticmethod
-    def _replay(state: AsyncState, family: tuple[_Delta, ...],
-                out: list[_Outcome]) -> None:
-        for action, home, moved, ops, completes, sends in family:
-            channels = state.channels
-            if ops:
-                channels = channels.replay(ops)
-            remotes = state.remotes
-            if moved is not None:
-                j, node = moved
-                remotes = remotes[:j] + (node,) + remotes[j + 1:]
-            out.append((action, AsyncState(
-                state.home if home is None else home, remotes, channels),
-                completes, sends))
 
     # -- home: message delivery ----------------------------------------------
 

@@ -14,6 +14,11 @@ The simulator reuses the exact transition core the model checker verifies
 is by construction a timed scheduling of verified behaviour — nondeterminism
 is *resolved*, never re-implemented.
 
+It asks :meth:`~repro.semantics.asynchronous.AsyncSystem.steps` once per
+state it reaches (events, eager settlement and the workload share that
+list; taking a step drops it), and a step builds its successor only when
+its ``state`` is read: of many enabled steps, only the one taken is built.
+
 Typical use::
 
     from repro import migratory_protocol, refine
@@ -45,7 +50,6 @@ from ..semantics.asynchronous import (
     RemoteSend,
     RemoteTau,
     Step,
-    IDLE,
 )
 from ..semantics.network import Channels
 from .metrics import SimMetrics
@@ -98,6 +102,9 @@ class Simulator:
         #: message-level event log (see :mod:`repro.sim.trace`)
         self.trace: list = []
         self.state: AsyncState = self.system.initial_state()
+        #: ``system.steps(self.state)``, asked for once; :meth:`_apply`
+        #: drops it with the state it belongs to
+        self._steps: Optional[list[Step]] = None
         self.now = 0.0
         self.metrics = SimMetrics(n_remotes=n_remotes)
 
@@ -133,6 +140,13 @@ class Simulator:
         self.metrics.end_time = self.now
         return self.metrics
 
+    def _enabled(self) -> list[Step]:
+        """The current state's steps — one ``steps()`` call per state,
+        shared by every event and workload query until :meth:`_apply`."""
+        if self._steps is None:
+            self._steps = self.system.steps(self.state)
+        return self._steps
+
     # -- event firing -----------------------------------------------------------
 
     def _fire_delivery(self, channel: int) -> None:
@@ -140,7 +154,7 @@ class Simulator:
         remote, to_remote = divmod(channel, 2)
         wanted = (DeliverToHome(remote=remote) if to_remote
                   else DeliverToRemote(remote=remote))
-        for step in self.system.steps(self.state):
+        for step in self._enabled():
             if step.action == wanted:
                 self._apply(step)
                 return
@@ -153,7 +167,7 @@ class Simulator:
         self._gate_pending[remote] = False
         if epoch != self._gate_epoch[remote]:
             return  # the node moved on; the workload will be re-consulted
-        for step in self.system.steps(self.state):
+        for step in self._enabled():
             if self._gate_matches(step, remote, kind, label):
                 node_state = self.state.remotes[remote].state
                 access = self.spec.classify(node_state, kind, label)
@@ -178,6 +192,7 @@ class Simulator:
     def _apply(self, step: Step) -> None:
         before = self.state
         self.state = step.state
+        self._steps = None
         self.metrics.record_sends(self.now, step.sends)
         self.metrics.record_completions(self.now, step.completes)
         self.metrics.record_buffer(self.now, self.state.home.buffer)
@@ -188,7 +203,7 @@ class Simulator:
             self._record_trace(before, step)
         self._track_acquires(step)
         self._bump_epochs(before, self.state)
-        self._schedule_new_deliveries()
+        self._schedule_new_deliveries(before)
 
     def _record_trace(self, before: AsyncState, step: Step) -> None:
         from ..semantics.state import HOME_ID
@@ -219,8 +234,11 @@ class Simulator:
             if issued is not None:
                 self.metrics.record_latency(self.now - issued)
 
-    def _schedule_new_deliveries(self) -> None:
+    def _schedule_new_deliveries(self, before: AsyncState) -> None:
+        old = before.channels.queues
         for channel, queue in enumerate(self.state.channels.queues):
+            if queue is old[channel]:
+                continue  # an untouched channel is scheduled already
             while self._scheduled[channel] < len(queue):
                 delay = self.latency + self._rng.uniform(
                     0, self.latency_jitter)
@@ -245,7 +263,7 @@ class Simulator:
         self._consult_workload()
 
     def _next_eager_step(self) -> Optional[Step]:
-        for step in self.system.steps(self.state):
+        for step in self._enabled():
             action = step.action
             if isinstance(action, (DeliverToHome, DeliverToRemote)):
                 continue  # timed, goes through the heap
@@ -262,10 +280,11 @@ class Simulator:
         return None
 
     def _consult_workload(self) -> None:
+        gated = self._gated_options()
         for i in range(self.n_remotes):
             if self._gate_pending[i]:
                 continue
-            options = self._gated_options(i)
+            options = gated[i]
             if not options:
                 continue
             choice = self.workload.choose(self.now, options)
@@ -278,32 +297,33 @@ class Simulator:
                 (self.now + max(0.0, delay), next(self._seq), _GATE,
                  (i, self._gate_epoch[i], option.kind, option.label)))
 
-    def _gated_options(self, i: int) -> list[GatedOption]:
-        node = self.state.remotes[i]
-        if node.mode != IDLE:
-            return []
-        options: list[GatedOption] = []
-        for step in self.system.steps(self.state):
+    def _gated_options(self) -> list[list[GatedOption]]:
+        """Every remote's workload-gated options, in step order, from one
+        pass over the current steps."""
+        options: list[list[GatedOption]] = [[] for _ in range(self.n_remotes)]
+        remotes = self.state.remotes
+        for step in self._enabled():
             action = step.action
-            if isinstance(action, RemoteSend) and action.remote == i:
-                access = self.spec.classify(node.state, SEND, None)
-                if access is not None:
-                    options.append(GatedOption(
-                        remote=i, kind=SEND, state=node.state, label=None,
-                        access_class=access))
-            elif isinstance(action, RemoteTau) and action.remote == i:
-                access = self.spec.classify(node.state, TAU, action.label)
-                if access is not None:
-                    options.append(GatedOption(
-                        remote=i, kind=TAU, state=node.state,
-                        label=action.label, access_class=access))
+            if isinstance(action, RemoteSend):
+                kind, label = SEND, None
+            elif isinstance(action, RemoteTau):
+                kind, label = TAU, action.label
+            else:
+                continue
+            i = action.remote
+            node = remotes[i]  # idle: only an idle remote has local steps
+            access = self.spec.classify(node.state, kind, label)
+            if access is not None:
+                options[i].append(GatedOption(
+                    remote=i, kind=kind, state=node.state, label=label,
+                    access_class=access))
         return options
 
     # -- bookkeeping hooks used by _fire_gate / state changes --------------------
 
     def _bump_epochs(self, before: AsyncState, after: AsyncState) -> None:
-        for i in range(self.n_remotes):
-            if (before.remotes[i].state, before.remotes[i].mode) != \
-                    (after.remotes[i].state, after.remotes[i].mode):
+        for i, (old, new) in enumerate(zip(before.remotes, after.remotes)):
+            if old is not new and (old.state, old.mode) != (new.state,
+                                                             new.mode):
                 self._gate_epoch[i] += 1
                 self._gate_pending[i] = False

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,21 @@ def reachable_states(system, **explore_kwargs) -> list:
     store = ExactStore()
     explore(system, store=store, **explore_kwargs)
     return list(store)
+
+
+def perf_module(name: str):
+    """One module of the standing benchmark, ``perf/<name>.py``, loaded
+    by path (``perf/`` is a directory of scripts, not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perf" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perf_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolves string annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def cold_copy(state):

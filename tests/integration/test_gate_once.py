@@ -9,30 +9,16 @@ protocol.  Sweeps are counted on the adapter they all go through, not
 inferred from wall-clock.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.cli import main
-
-ROOT = Path(__file__).resolve().parents[2]
+from tests.conftest import perf_module
 
 
 def workload_argvs(name):
     """The argv lists of one ``perf/workloads.py`` workload, full size."""
-    spec = importlib.util.spec_from_file_location(
-        "perf_workloads", ROOT / "perf" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolves string annotations through sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
     return [command.resolve(sim_seed=0, spill_dir="")
-            for command in module.WORKLOADS[name].commands]
+            for command in perf_module("workloads").WORKLOADS[name].commands]
 
 
 @pytest.mark.parametrize("workload, protocols", [

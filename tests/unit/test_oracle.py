@@ -68,23 +68,23 @@ class TestOraclesInSimulation:
         assert metrics.total_completions > 20
         assert oracle.n_checked > 10
 
-    def test_no_starvation_under_hot_line(self):
-        refined = refine(migratory_protocol())
+    def test_no_starvation_under_hot_line(self, migratory_refined):
         oracle = StarvationOracle(n_remotes=4, threshold=2_000)
-        sim = Simulator(refined, 4, HotLineWorkload(seed=6), seed=6,
+        sim = Simulator(migratory_refined, 4, HotLineWorkload(seed=6),
+                        seed=6,
                         oracles=(oracle,))
         metrics = sim.run(until=20_000)
         assert metrics.total_completions > 100
 
-    def test_oracle_failure_surfaces(self):
+    def test_oracle_failure_surfaces(self, migratory_refined):
         """A deliberately lying oracle shows the hook is actually wired."""
 
         class AlwaysFails:
             def observe(self, now, rendezvous):
                 raise SimulationError("injected")
 
-        refined = refine(migratory_protocol())
-        sim = Simulator(refined, 2, HotLineWorkload(seed=7), seed=7,
+        sim = Simulator(migratory_refined, 2, HotLineWorkload(seed=7),
+                        seed=7,
                         oracles=(AlwaysFails(),))
         with pytest.raises(SimulationError, match="injected"):
             sim.run(until=5_000)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AsyncSystem
+from repro.cli import main
 from repro.protocols.handwritten import handwritten_migratory
 from repro.sim import (
     AccessClass,
@@ -13,7 +14,10 @@ from repro.sim import (
     workload_spec_for,
 )
 from repro.sim.policy import MIGRATORY_WORKLOAD, SEND, TAU
-from tests.conftest import reachable_states
+from tests.conftest import perf_module, reachable_states
+
+_WORKLOADS = perf_module("workloads")
+_VERDICT = perf_module("verdict")
 
 
 class TestWorkloadSpec:
@@ -166,3 +170,47 @@ class TestSimulatedStatesAreVerifiedStates:
         sim.run(until=3000)
         assert observed
         assert observed <= reachable
+
+
+class TestOneStepListPerState:
+    def test_steps_asked_once_per_state_reached(self, migratory_refined):
+        """Every event and workload query at one state shares one
+        ``steps()`` list; taking a step drops it."""
+        sim = Simulator(migratory_refined, 4, HotLineWorkload(seed=5),
+                        seed=5)
+        reached = [sim.state]
+        asked = []
+        steps, apply = sim.system.steps, sim._apply
+
+        def spy_steps(state):
+            asked.append(state)
+            return steps(state)
+
+        def spy_apply(step):
+            apply(step)
+            reached.append(sim.state)
+
+        sim.system.steps, sim._apply = spy_steps, spy_apply
+        sim.run(until=3000)
+        assert len(reached) > 100
+        assert len(asked) == len(reached)
+        assert all(a is r for a, r in zip(asked, reached))
+
+
+class TestResolvedNondeterminism:
+    """Both ``simulate_mix`` command lines of the standing benchmark, at
+    its smoke size, report the completions and messages
+    ``perf/expected.json`` holds for each simulator seed: a reordered
+    step list changes which step a seeded run takes."""
+
+    @pytest.mark.parametrize("seed", range(_WORKLOADS.SIM_SEEDS))
+    @pytest.mark.parametrize(
+        "command", _WORKLOADS.WORKLOADS["simulate_mix"].commands,
+        ids=lambda command: command.slug)
+    def test_matches_reference(self, command, seed, capsys):
+        argv = command.resolve(sim_seed=seed, spill_dir="", smoke=True)
+        rc = main(argv)
+        facts = _VERDICT.extract(argv, rc, capsys.readouterr().out)
+        assert facts == _VERDICT.expected_for(
+            _VERDICT.load_expected(), command.slug, smoke=True,
+            sim_seed=seed)
