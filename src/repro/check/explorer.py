@@ -114,8 +114,9 @@ def explore(
         recorded as deadlocks (with traces); when True they are treated as
         legitimate final states.
     :param store: visited-state store — ``"exact"`` (default),
-        ``"fingerprint"`` (SPIN-style hash compaction: ~16 bytes/state,
-        collisions detected and counted), or a ready store from
+        ``"fingerprint"`` (SPIN-style hash compaction: 16 bytes a table
+        slot, 21–43 bytes a state at its load, collisions detected and
+        counted), or a ready store from
         :func:`~repro.check.store.make_store`, used as it is.  By name,
         ``"fingerprint"`` gets witness columns (24 more bytes/state)
         exactly when ``invariants`` is non-empty, so its violations and

@@ -2,14 +2,14 @@
 
 A :class:`SpillFile` is the cold tier of the visited set: a flat,
 sorted array of ``(fingerprint, check)`` pairs on disk, memory-
-mapped for lookups.  The hot tier (a dict in
+mapped for lookups.  The hot tier (the table of
 :class:`~repro.check.store.FingerprintStore`) absorbs new states;
 when it crosses the spill threshold it is *merged* into the
 file — a single sequential two-way merge of the existing records with
 the sorted hot entries, written to a temp file and atomically renamed —
 and the hot tier starts over empty.  Lookups binary-search the mapping
 (``struct.unpack_from`` directly on the mmap, no record objects), so
-the store's resident cost is the hot dict plus page cache the OS is
+the store's resident cost is the hot table plus page cache the OS is
 free to drop: exactly the "64 MB allotment" discipline behind the
 paper's Table 3 runs, except the wall is now configurable
 (``--memory-limit``) and crossing it truncates gracefully instead of
@@ -23,7 +23,7 @@ File layout (all integers big-endian)::
 
 Records are unique by fingerprint and sorted ascending, which the merge
 maintains; a duplicate fingerprint offered to :meth:`SpillFile.merge`
-keeps the incumbent record (first-writer-wins, matching the hot dict's
+keeps the incumbent record (first-writer-wins, matching the hot table's
 semantics).
 """
 
@@ -33,7 +33,7 @@ import mmap
 import os
 import struct
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 from ..errors import CheckError
 
@@ -129,15 +129,18 @@ class SpillFile:
 
     # -- mutation ----------------------------------------------------------
 
-    def merge(self, entries: dict[int, int]) -> None:
-        """Merge ``{fingerprint: check}`` into the file, atomically.
+    def merge(self, entries: Union[dict[int, int],
+                                   Iterable[tuple[int, int]]]) -> None:
+        """Merge ``{fingerprint: check}``, or ``(fingerprint, check)``
+        pairs unique by fingerprint, into the file, atomically.
 
         Streams a two-way merge of the existing sorted records and the
         sorted new entries into ``<path>.tmp``, then ``os.replace``\\ s it
         over the original and re-maps.  Existing records win fingerprint
         ties (they were admitted first).
         """
-        fresh = sorted(entries.items())
+        fresh = sorted(entries.items() if isinstance(entries, dict)
+                       else entries)
         tmp = self.path.with_name(self.path.name + ".tmp")
         old, n_old = self._mm, self._count
         unpack = _RECORD.unpack_from

@@ -8,11 +8,12 @@ two representations, one class each, both built by :func:`make_store`:
 * :class:`ExactStore` — full states, numbered densely, plus BFS parent
   ids, so traces can be rebuilt and a recorded graph can name states by
   id.  The default, and the oracle the other is tested against.
-* :class:`FingerprintStore` — SPIN's *hash compaction*: ~16 bytes per
-  state, detected collisions counted; on request 24 more for witness
-  columns, from which the explorer rebuilds the exact store's traces by
-  replay; optionally a disk tier, the hot dict spilling to an
-  mmap-backed sorted file (:mod:`repro.check.spill`).
+* :class:`FingerprintStore` — SPIN's *hash compaction*: two 64-bit
+  words a state in an open-addressing table (21–43 bytes at its load),
+  detected collisions counted; on request 24 more for witness columns,
+  from which the explorer rebuilds the exact store's traces by replay;
+  optionally a disk tier, the table spilling to an mmap-backed sorted
+  file (:mod:`repro.check.spill`).
 
 Why two, why the delta-compressed third went and why the fingerprint
 store is no longer sharded is measured in EXPERIMENTS.md ("Store layer,
@@ -30,7 +31,7 @@ unit-test toy systems) are used as-is.  A state that also exposes
 ``components()`` is fingerprinted component-wise (:func:`_summary`):
 each part is digested once, a probe hashes the digests.  Nothing is
 cached per state: a memo that lives as long as the state does makes the
-"16 bytes per state" store as large as the exact one.
+two-words-a-state store as large as the exact one.
 
 Every store meters its own containers via
 :meth:`StateStore.approx_bytes`, which is what the Table 3 "Unfinished"
@@ -44,6 +45,7 @@ import struct
 import sys
 from array import array
 from hashlib import blake2b
+from itertools import islice
 from pathlib import Path
 from typing import Any, Hashable, Iterator, Optional, Protocol, Union
 
@@ -285,7 +287,7 @@ class ExactStore:
 _TWO_WORDS = struct.Struct(">QQ").unpack
 
 #: front-filter size of a spilling store: 2 MiB = 2^24 one-bit buckets.
-#: Only allocated at the first merge; before that the hot dict alone
+#: Only allocated at the first merge; before that the table alone
 #: answers membership.
 _FILTER_BYTES = 1 << 21
 _FILTER_MASK = (_FILTER_BYTES * 8) - 1
@@ -294,36 +296,43 @@ _FILTER_MASK = (_FILTER_BYTES * 8) - 1
 class FingerprintStore:
     """SPIN-style hash compaction: 64-bit fingerprints, no states.
 
-    Each state is reduced to a primary 64-bit fingerprint (the dict key)
-    and an independent 64-bit check hash (the value).  A state whose
-    primary fingerprint is present but whose check hash differs is a
-    *detected collision*: a distinct state that hash compaction would
-    have silently merged.  It is still treated as visited — that is the
-    compaction trade-off — but counted, so results can report how much
-    the run may have under-explored.
+    Each state is reduced to a primary 64-bit fingerprint (the key) and
+    an independent 64-bit check hash.  A state whose primary fingerprint
+    is present but whose check hash differs is a *detected collision*: a
+    distinct state that hash compaction would have silently merged.  It
+    is still treated as visited — that is the compaction trade-off — but
+    counted, so results can report how much the run may have
+    under-explored.
+
+    Resident entries live in one open-addressing table: two
+    ``array('Q')`` columns, key and value (the check hash), linearly
+    probed over a power-of-two capacity doubled by one rehash pass past
+    3/4 load: 16 bytes a slot, 21–43 bytes a state (35 at the 241,339
+    states of complete invalidate n = 3).
 
     No state is kept, so a violation is witnessed by the state alone —
     unless the store was built with ``witness=True``
-    (``supports_traces`` says which).  Then the dict value is a dense
-    id, and three columns indexed by it hold the check hash, the BFS
-    parent's id and an interned action id, 24 bytes a state:
+    (``supports_traces`` says which).  Then the value is a dense id,
+    and three columns indexed by it hold the check hash, the BFS
+    parent's id and an interned action id, 24 bytes a state more:
     :meth:`action_trace` walks them back to the root and the explorer
     replays the actions through the live system.  :func:`~repro.check.
     explorer.explore` asks for the columns itself when it is given the
     store by *name* and has invariants to witness; nothing else does, so
     a counts-only sweep pays nothing for them.
 
-    With a ``spill_dir`` there is a disk tier: when the hot dict reaches
-    ``spill_threshold`` entries it is merged into one mmap-backed sorted
-    file (:class:`~repro.check.spill.SpillFile`) and starts over, which
-    bounds resident memory at about ``spill_threshold`` entries however
-    large the explored space grows.  A 2 MiB bit filter (allocated at
-    the first merge) short-circuits most absent-key probes so cold
-    lookups rarely touch the mmap.  The store owns the ``*.spill`` files
-    of its directory and starts by deleting them: records it did not
-    write are another run's visited set.  Spilling does not change
-    membership, so it cannot change exploration counts; a spilling store
-    keeps no witnesses (the columns index resident entries).
+    With a ``spill_dir`` there is a disk tier: when the table holds
+    ``spill_threshold`` entries they are merged into one mmap-backed
+    sorted file (:class:`~repro.check.spill.SpillFile`) and the table
+    starts over at the same capacity, which bounds it at the smallest
+    one holding ``spill_threshold`` entries however large the explored
+    space grows.  A 2 MiB bit filter (allocated at the first merge)
+    short-circuits most absent-key probes so cold lookups rarely touch
+    the mmap.  The store owns the ``*.spill`` files of its directory and
+    starts by deleting them: records it did not write are another run's
+    visited set.  Spilling does not change membership, so it cannot
+    change exploration counts; a spilling store keeps no witnesses (the
+    columns index resident entries).
 
     ``bits`` truncates the stored key, which exists to make collisions
     reproducible in tests; production use keeps all 64.
@@ -346,17 +355,17 @@ class FingerprintStore:
                 "store with a spill_dir keeps no witnesses (out of scope)")
         self.supports_traces = witness
         self.collisions = 0
-        #: merges of the hot dict into the spill file so far
+        #: merges of the table into the spill file so far
         self.spill_merges = 0
         self._mask = (1 << bits) - 1
-        self._hot: dict[int, int] = {}
+        self._alloc(8)  # slots of a fresh table, a power of two
         self._spill: Optional[SpillFile] = None
         self._filter: Optional[bytearray] = None
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._threshold = spill_threshold
         self._len = 0
         if witness:
-            # the hot dict maps key -> dense id; check hash and BFS
+            # the table maps key -> dense id; check hash and BFS
             # provenance are columns indexed by it
             self._checks = array("Q")
             self._parents = array("q")
@@ -375,6 +384,72 @@ class FingerprintStore:
                 raise CheckError(f"cannot use spill directory "
                                  f"{self._spill_dir}: {exc}") from exc
 
+    def _alloc(self, slots: int) -> None:
+        """An empty table of ``slots`` slots, plus key 0's own slot."""
+        self._slots = slots
+        self._resident = 0
+        self._keys = array("Q", [0]) * (slots + 1)  # allocated exactly
+        self._keys[slots] = 1
+        self._vals = array("Q", [0]) * (slots + 1)
+
+    def _probe(self, key: int) -> int:
+        """The slot holding ``key``, or ``~slot`` of the free slot it
+        would take.
+
+        Linear probing from the key's low bits; 0 marks a free slot, so
+        key 0 has its own slot past the table, whose key column reads 0
+        when taken and 1 when free.
+        """
+        keys = self._keys
+        mask = self._slots - 1
+        if not key:
+            return mask + 1 if not keys[mask + 1] else ~(mask + 1)
+        slot = key & mask
+        found = keys[slot]
+        while found != key:
+            if not found:
+                return ~slot
+            slot = (slot + 1) & mask
+            found = keys[slot]
+        return slot
+
+    def _put(self, slot: int, key: int, value: int) -> None:
+        """Fill the free ``slot`` :meth:`_probe` gave for ``key``."""
+        self._keys[slot] = key
+        self._vals[slot] = value
+        flt = self._filter
+        if flt is not None:
+            idx = key & _FILTER_MASK
+            flt[idx >> 3] |= 1 << (idx & 7)
+        self._resident += 1
+        if 4 * self._resident > 3 * self._slots:
+            self._grow()
+
+    def _grow(self) -> None:
+        """Double the table: one pass moves each entry to its new slot."""
+        old_keys, old_vals, old = self._keys, self._vals, self._slots
+        resident = self._resident
+        self._alloc(2 * old)
+        keys, vals, mask = self._keys, self._vals, 2 * old - 1
+        keys[-1], vals[-1] = old_keys[old], old_vals[old]  # key 0's slot
+        for key, value in zip(islice(old_keys, old), old_vals):
+            if key:  # keys are distinct: the first free slot is its own
+                slot = key & mask
+                while keys[slot]:
+                    slot = (slot + 1) & mask
+                keys[slot] = key
+                vals[slot] = value
+        self._resident = resident
+
+    def _items(self) -> Iterator[tuple[int, int]]:
+        """The resident ``(key, value)`` pairs."""
+        keys, vals, slots = self._keys, self._vals, self._slots
+        for key, value in zip(islice(keys, slots), vals):
+            if key:
+                yield key, value
+        if not keys[slots]:
+            yield 0, vals[slots]
+
     def _locate(self, state: Hashable) -> tuple[int, int]:
         """(masked fingerprint key, check hash) of ``state``.
 
@@ -386,35 +461,32 @@ class FingerprintStore:
             blake2b(_summary(state), digest_size=16).digest())
         return fp & self._mask, check
 
-    def _lookup(self, key: int) -> Optional[int]:
-        """What is stored under ``key`` (hot tier, then disk), else None."""
+    def _lookup(self, key: int, slot: int) -> Optional[int]:
+        """What is stored under ``key``, whose probe gave ``slot``: the
+        table's value, else the disk tier's, else None."""
+        if slot >= 0:
+            return self._vals[slot]
         flt = self._filter
-        if flt is not None:
-            idx = key & _FILTER_MASK
-            if not (flt[idx >> 3] >> (idx & 7)) & 1:
-                return None  # filter covers hot+spill: definitely absent
-        current = self._hot.get(key)
-        if current is None:
-            spill = self._spill
-            if spill is not None:
-                return spill.lookup(key)
-        return current
+        if flt is None:
+            return None  # nothing spilled yet
+        idx = key & _FILTER_MASK
+        if not (flt[idx >> 3] >> (idx & 7)) & 1:
+            return None  # filter covers table+spill: definitely absent
+        assert self._spill is not None
+        return self._spill.lookup(key)
 
     def add(self, state: Hashable, parent: ParentEntry = None) -> bool:
         key, check = self._locate(state)
-        current = self._lookup(key)
+        slot = self._probe(key)
+        current = (self._vals[slot] if slot >= 0
+                   else self._lookup(key, slot))
         if current is not None:
             if current != check:
                 self.collisions += 1
             return False
-        hot = self._hot
-        hot[key] = check
-        flt = self._filter
-        if flt is not None:
-            idx = key & _FILTER_MASK
-            flt[idx >> 3] |= 1 << (idx & 7)
+        self._put(~slot, key, check)
         self._len += 1
-        if self._spill_dir is not None and len(hot) >= self._threshold:
+        if self._spill_dir is not None and self._resident >= self._threshold:
             self._merge()
         return True
 
@@ -423,12 +495,12 @@ class FingerprintStore:
         """:meth:`add` for a witness store (bound over it at
         construction, so the column-free path above never tests for it)."""
         key, check = self._locate(state)
-        gid = self._hot.get(key)
-        if gid is not None:
-            if self._checks[gid] != check:
+        slot = self._probe(key)
+        if slot >= 0:
+            if self._checks[self._vals[slot]] != check:
                 self.collisions += 1
             return False
-        self._hot[key] = self._len
+        self._put(~slot, key, self._len)
         self._len += 1
         self._checks.append(check)
         parent_gid = step = -1
@@ -450,11 +522,11 @@ class FingerprintStore:
         # by identity and pay one fingerprint per source.
         if state is self._memo_state:
             return self._memo_gid
-        gid = self._hot.get(self._locate(state)[0])
-        if gid is None:
+        slot = self._probe(self._locate(state)[0])
+        if slot < 0:
             raise KeyError("state is not in the store")
         self._memo_state = state
-        self._memo_gid = gid
+        self._memo_gid = gid = self._vals[slot]
         return gid
 
     def action_trace(self, state: Hashable) -> list[Any]:
@@ -478,23 +550,22 @@ class FingerprintStore:
 
     def _merge(self) -> None:
         assert self._spill_dir is not None
-        hot = self._hot
         spill = self._spill
         if spill is None:
-            # First merge: the file starts empty, so folding the hot tier
+            # First merge: the file starts empty, so folding the table
             # into a fresh filter makes it cover the whole store; from
             # here on add() keeps it current.
             spill = self._spill = SpillFile(self._spill_dir / "visited.spill")
             flt = self._filter = bytearray(_FILTER_BYTES)
-            for key in hot:
+            for key, _ in self._items():
                 idx = key & _FILTER_MASK
                 flt[idx >> 3] |= 1 << (idx & 7)
         try:
-            spill.merge(hot)
+            spill.merge(self._items())
         except OSError as exc:
             raise CheckError(
                 f"cannot write spill file {spill.path}: {exc}") from exc
-        hot.clear()
+        self._alloc(self._slots)
         self.spill_merges += 1
 
     def __len__(self) -> int:
@@ -502,7 +573,8 @@ class FingerprintStore:
 
     def __contains__(self, state: Hashable) -> bool:
         # what add() would find, without admitting or counting anything
-        return self._lookup(self._locate(state)[0]) is not None
+        key = self._locate(state)[0]
+        return self._lookup(key, self._probe(key)) is not None
 
     def parent_of(self, state: Hashable) -> ParentEntry:
         raise KeyError(
@@ -510,19 +582,19 @@ class FingerprintStore:
             "a witness store answers action_trace()")
 
     def approx_bytes(self) -> int:
-        """Resident bytes: the hot dict at two 64-bit words an entry, the
-        bit filter, the witness columns.  Spilled records live on disk
-        (see :meth:`spill_bytes`) and page cache the OS may drop, so
-        they deliberately do not count against ``--memory-limit``."""
-        total = sys.getsizeof(self._hot) + 16 * len(self._hot)
-        if self._filter is not None:
-            total += sys.getsizeof(self._filter)
+        """Resident bytes: the table's two columns at capacity, the bit
+        filter, the witness columns and the action intern table.
+        Spilled records live on disk (see :meth:`spill_bytes`) and page
+        cache the OS may drop, so they deliberately do not count against
+        ``--memory-limit``."""
+        columns = [self._keys, self._vals]
+        total = sys.getsizeof(self._filter) if self._filter is not None else 0
         if self.supports_traces:
-            total += sum(col.itemsize * len(col) for col in
-                         (self._checks, self._parents, self._steps))
+            columns += (self._checks, self._parents, self._steps)
             total += (sys.getsizeof(self._actions)
                       + sys.getsizeof(self._action_ids))
-        return total
+        return total + sum(col.buffer_info()[1] * col.itemsize
+                           for col in columns)
 
     def spill_bytes(self) -> int:
         """On-disk bytes of the spill file (0 before the first merge)."""

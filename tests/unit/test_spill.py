@@ -59,6 +59,18 @@ class TestRoundTrip:
         assert [fp for fp, _check in struct.iter_unpack(">QQ", raw)] \
             == [1, 3, 5, 7, 9]
 
+    def test_pairs_merge_like_a_dict(self, tmp_path):
+        # the fingerprint store hands its table over as (fp, check) pairs
+        entries = {fp: fp ^ 0xBEEF for fp in (0, 9, 2**64 - 1, 4, 1 << 40)}
+        by_dict = SpillFile(tmp_path / "dict.spill")
+        by_pairs = SpillFile(tmp_path / "pairs.spill")
+        by_dict.merge(entries)
+        by_pairs.merge(pair for pair in entries.items())
+        by_dict.close()
+        by_pairs.close()
+        assert (tmp_path / "pairs.spill").read_bytes() \
+            == (tmp_path / "dict.spill").read_bytes()
+
     def test_file_size_matches_record_math(self, path):
         spill = SpillFile(path)
         spill.merge({i: i for i in range(37)})

@@ -3,6 +3,8 @@
 import dataclasses
 import pickle
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -168,6 +170,57 @@ class TestFingerprintStore:
             exact.add(state, (parent, "action"))
             compact.add(state)
         assert compact.approx_bytes() < exact.approx_bytes() / 3
+
+
+class TestApproxBytes:
+    """``approx_bytes()`` is what a fingerprint store holds: the table's
+    two columns at capacity, the witness columns, the bit filter and the
+    action intern table — ``buffer_info()`` arithmetic, nothing sampled."""
+
+    @staticmethod
+    def column_bytes(*columns):
+        return sum(col.buffer_info()[1] * col.itemsize for col in columns)
+
+    def test_plain_table_at_capacity(self):
+        store = FingerprintStore()
+        for i in range(1000):
+            store.add(("s", i))
+        assert store._slots == 2048  # 1000 entries past 3/4 of 1024
+        table = self.column_bytes(store._keys, store._vals)
+        assert store.approx_bytes() == table == 16 * (2048 + 1)
+        # the columns allocate exactly what they index
+        empty = sys.getsizeof(array("Q"))
+        assert sys.getsizeof(store._keys) - empty == 8 * (2048 + 1)
+
+    def test_witness_columns_and_intern_table(self):
+        store = FingerprintStore(witness=True)
+        prev = None
+        for i in range(1000):
+            store.add(("s", i), None if prev is None else (prev, ("a", i % 7)))
+            prev = ("s", i)
+        assert store.approx_bytes() == (
+            self.column_bytes(store._keys, store._vals, store._checks,
+                              store._parents, store._steps)
+            + sys.getsizeof(store._actions)
+            + sys.getsizeof(store._action_ids))
+        assert self.column_bytes(store._checks, store._parents,
+                                 store._steps) == 24 * 1000
+
+    def test_spilling_table_and_filter(self, tmp_path):
+        store = FingerprintStore(spill_dir=tmp_path, spill_threshold=64)
+        for i in range(40):
+            store.add(("s", i))
+        assert store.approx_bytes() == 16 * (64 + 1)  # no filter yet
+        for i in range(40, 1000):
+            store.add(("s", i))
+        assert store.spill_merges == 1000 // 64
+        # sized from the threshold: 64 entries fit 128 slots at 3/4 load
+        assert store._slots == 128
+        assert store.approx_bytes() == (
+            self.column_bytes(store._keys, store._vals)
+            + sys.getsizeof(store._filter)) == 16 * 129 + sys.getsizeof(
+                bytearray(2 * 1024 * 1024))
+        store.close()
 
 
 class TestNothingPinnedPerState:
