@@ -1,12 +1,13 @@
 """Experiment (extension): what each state-space reduction buys.
 
 Writes the repo-level ``BENCH_explore.json`` artifact — the committed,
-CI-compared record of explored state counts and reduction effectiveness
-on the paper's two protocols — plus the human-readable
-``benchmarks/results/por_reduction.txt`` summary.
+CI-compared record of explored state counts, the paper's Table 3 and
+reduction effectiveness on the paper's two protocols — plus the
+human-readable ``benchmarks/results/table3.txt`` and
+``benchmarks/results/por_reduction.txt``.
 
 Rows are ``repro.bench/1`` rows (``conftest.bench_row``): deterministic
-facts only, no timing — ``perf/`` owns time.  Two groups with two
+facts only, no timing — ``perf/`` owns time.  Three groups with two
 regeneration policies:
 
 * ``runs/...`` — every (protocol, n, config) cell explored at a *pinned*
@@ -15,6 +16,12 @@ regeneration policies:
   bit-reproducible across machines and Python versions; CI regenerates
   them and ``compare_bench.py`` requires each to equal the committed
   one.
+* ``table3/...`` — the paper's twelve Table 3 cells
+  (:data:`repro.bench.table3.TABLE3_CELLS`), each swept at
+  ``TABLE3_BUDGET`` states at both levels (about 15 s in all), so they
+  are regenerated on every run and held to the same exact comparison.
+  ``table3.txt`` is rendered from them by ``render_table3``, as
+  ``repro table3`` prints it.
 * ``headline/...`` — the *complete* explorations behind the prose claims
   (unreduced invalidate n=4 took 37 minutes).  Regenerated only under
   ``REPRO_BENCH_FULL=1``; otherwise carried over verbatim from the
@@ -26,8 +33,16 @@ regeneration policies:
   stays inside a bounded resident budget.  The ``reductions`` row holds
   the four state-reduction ratios computed from them.
 
-The acceptance claims asserted here, against whichever headline data is
-active:
+The acceptance claims asserted here, against the ``table3/`` rows:
+
+* rendezvous is at least 5x smaller than asynchronous at every cell
+  where both complete, and never Unfinished where asynchronous completes;
+* migratory N = 8: asynchronous is Unfinished while rendezvous completes
+  in under 2,000 states;
+* both levels complete at N = 2, and invalidate costs more than 10x
+  migratory there, at both levels;
+
+and against whichever headline data is active:
 
 * ``--por`` alone removes >= 30% of the expanded states on every
   completed library row at n >= 3 (invalidate n=3: ~44%, migratory
@@ -49,6 +64,7 @@ from pathlib import Path
 import pytest
 from conftest import bench_row, write_bench, write_report
 
+from repro.bench.table3 import TABLE3_BUDGET, TABLE3_CELLS, render_table3
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
 from repro.check.store import make_store
@@ -73,18 +89,28 @@ HEADLINE_ROWS = [
 ]
 
 
-def measure(group, protocol, n, config, *, max_states=None, store="exact"):
-    spec = SystemSpec(protocol, "async", n, **CONFIGS[config])
-    result = explore(build_system(spec),
-                     name=f"{protocol}-{n}-{config}",
+def measure(row_id, spec, *, max_states=None, store="exact", **facts):
+    """The row of one sweep of ``spec``: its counts, ``protocol``, ``n``
+    and ``facts``."""
+    result = explore(build_system(spec), name=row_id,
                      max_states=max_states, store=store,
                      reductions=spec.reductions())
+    return bench_row(row_id, result, protocol=spec.protocol,
+                     n=spec.n_remotes, **facts)
+
+
+def measure_config(group, protocol, n, config, *, max_states=None,
+                   store="exact"):
+    """An asynchronous cell under one of ``CONFIGS``, with the share of
+    enabled transitions its reductions pruned."""
+    row = measure(f"{group}/{protocol}-n{n}-{config}",
+                  SystemSpec(protocol, "async", n, **CONFIGS[config]),
+                  max_states=max_states, store=store, config=config)
     pruning = 0.0
-    if result.n_enabled > result.n_transitions:
-        pruning = 1.0 - result.n_transitions / result.n_enabled
-    return bench_row(f"{group}/{protocol}-n{n}-{config}", result,
-                     protocol=protocol, n=n, config=config,
-                     transition_pruning=round(pruning, 4))
+    if row["n_enabled"] > row["n_transitions"]:
+        pruning = 1.0 - row["n_transitions"] / row["n_enabled"]
+    row["transition_pruning"] = round(pruning, 4)
+    return row
 
 
 def headline_store(protocol, n, config):
@@ -119,13 +145,18 @@ def explore_budget() -> int:
 
 
 def test_bench_explore(benchmark, results_dir, explore_budget):
-    runs = [measure("runs", protocol, n, config, max_states=explore_budget)
+    runs = [measure_config("runs", protocol, n, config,
+                           max_states=explore_budget)
             for protocol in PROTOCOLS for n in SIZES for config in CONFIGS]
+    table3 = [measure(f"table3/{spec.protocol}-n{spec.n_remotes}-"
+                      f"{spec.level}", spec, max_states=TABLE3_BUDGET,
+                      level=spec.level, paper=paper)
+              for spec, paper in TABLE3_CELLS]
 
     # -- headline: complete runs, regenerated only on request ----------------
     if os.environ.get("REPRO_BENCH_FULL") == "1":
-        headline = [measure("headline", p, n, c,
-                            store=headline_store(p, n, c))
+        headline = [measure_config("headline", p, n, c,
+                                   store=headline_store(p, n, c))
                     for p, n, c in HEADLINE_ROWS]
     else:
         headline = [row for row in json.loads(BENCH_PATH.read_text())["rows"]
@@ -147,7 +178,10 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
     }
 
     write_bench(BENCH_PATH, explore_budget,
-                runs + headline + [bench_row("reductions", **reductions)])
+                runs + headline + [bench_row("reductions", **reductions)]
+                + table3)
+    write_report(results_dir, "table3.txt",
+                 render_table3(table3, TABLE3_BUDGET))
 
     # -- human-readable summary ----------------------------------------------
     lines = ["Ample-set POR: expanded states, complete explorations:", "",
@@ -172,6 +206,27 @@ def test_bench_explore(benchmark, results_dir, explore_budget):
     write_report(results_dir, "por_reduction.txt", "\n".join(lines))
 
     # -- acceptance assertions -----------------------------------------------
+    cell = {(r["protocol"], r["n"], r["level"]): r for r in table3}
+    for (protocol, n, level), rv in cell.items():
+        if level != "rendezvous":
+            continue
+        asynchronous = cell[(protocol, n, "async")]
+        # rendezvous is always far cheaper than asynchronous ...
+        if asynchronous["completed"] and rv["completed"]:
+            assert rv["n_states"] * 5 <= asynchronous["n_states"]
+        # ... and never runs out of budget where asynchronous does not
+        if not rv["completed"]:
+            assert not asynchronous["completed"]
+    # migratory: rendezvous trivial at N=8 where asynchronous is Unfinished
+    assert cell[("migratory", 8, "rendezvous")]["completed"]
+    assert cell[("migratory", 8, "rendezvous")]["n_states"] < 2000
+    assert not cell[("migratory", 8, "async")]["completed"]
+    # both levels complete at N=2; invalidate costs far more than migratory
+    for level in ("async", "rendezvous"):
+        migratory, invalidate = (cell[(p, 2, level)] for p in PROTOCOLS)
+        assert migratory["completed"] and invalidate["completed"]
+        assert invalidate["n_states"] > 10 * migratory["n_states"]
+
     assert reductions["invalidate_n3_por_vs_full"] >= 0.30
     assert reductions["migratory_n4_por_vs_full"] >= 0.30
     assert reductions["invalidate_n4_por_vs_symmetry_baseline"] >= 0.30

@@ -58,21 +58,26 @@ def remote_demand(remote: ProcessDef,
     if not fire_and_forget:
         return 1 if blocking else 0
 
-    # Graph of *non-blocking* transitions (a blocking send ends the chain
-    # instead and scores its +1 via ``bonus``): fire-and-forget outputs
-    # weigh 1, inputs/taus weigh 0.
-    edges: dict[str, list[tuple[str, int]]] = {s: [] for s in remote.states}
-    bonus: dict[str, int] = dict.fromkeys(remote.states, 0)
-    for name, state in remote.states.items():
+    # Graph of *non-blocking* transitions over state numbers (a blocking
+    # send ends the chain instead and scores its +1 via ``bonus``):
+    # fire-and-forget outputs weigh 1, inputs/taus weigh 0.
+    number = {name: i for i, name in enumerate(remote.states)}
+    edges: list[list[tuple[int, int]]] = [[] for _ in number]
+    bonus = [0] * len(number)
+    for i, state in enumerate(remote.states.values()):
         for guard in state.guards:
             if isinstance(guard, Output) and guard.msg not in fire_and_forget:
-                bonus[name] = 1
+                bonus[i] = 1
             else:
                 weight = 1 if isinstance(guard, Output) else 0
-                edges[name].append((guard.to, weight))
+                edges[i].append((number[guard.to], weight))
 
-    component = _tarjan_components(list(remote.states), edges)
-    for src, out_edges in edges.items():
+    # imported here: repro.refine's gate runs this pass, and importing
+    # repro.check imports repro.refine
+    from ..check.properties import tarjan_sccs
+    component, firsts = tarjan_sccs(
+        len(edges), lambda i: [dst for dst, _ in edges[i]])
+    for src, out_edges in enumerate(edges):
         for dst, weight in out_edges:
             if weight and component[src] == component[dst]:
                 return None  # fire-and-forget cycle: unbounded demand
@@ -80,54 +85,18 @@ def remote_demand(remote: ProcessDef,
     # Longest path over the SCC condensation.  Components are numbered in
     # reverse topological order (successors first), so a single forward
     # scan sees every successor's score before its predecessors.
-    n_comps = 1 + max(component.values())
-    score = [0] * n_comps
-    for comp in range(n_comps):
-        members = [s for s, c in component.items() if c == comp]
-        best = max(bonus[s] for s in members)
-        for src in members:
-            for dst, weight in edges[src]:
+    members: list[list[int]] = [[] for _ in firsts]
+    for i, comp in enumerate(component):
+        members[comp].append(i)
+    score = [0] * len(firsts)
+    for comp, group in enumerate(members):
+        best = max(bonus[i] for i in group)
+        for i in group:
+            for dst, weight in edges[i]:
                 if component[dst] != comp:
                     best = max(best, weight + score[component[dst]])
         score[comp] = best
     return max(score)
-
-
-def _tarjan_components(nodes: list[str],
-                       edges: dict[str, list[tuple[str, int]]],
-                       ) -> dict[str, int]:
-    """Tarjan SCCs; components are numbered in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    component: dict[str, int] = {}
-    counter = 0
-
-    def strongconnect(node: str) -> None:
-        nonlocal counter
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        for succ, _ in edges[node]:
-            if succ not in index:
-                strongconnect(succ)
-                low[node] = min(low[node], low[succ])
-            elif succ in on_stack:
-                low[node] = min(low[node], index[succ])
-        if low[node] == index[node]:
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component[member] = counter
-                if member == node:
-                    break
-            counter += 1
-
-    for node in nodes:
-        if node not in index:
-            strongconnect(node)
-    return component
 
 
 def home_buffer_bound(protocol: Protocol, nodes: int,

@@ -1,5 +1,5 @@
 """Shared benchmark harnesses (used by benchmarks/ and the CLI)."""
 
-from .table3 import PAPER_TABLE3, Table3Row, render_table3, table3_rows
+from .table3 import TABLE3_BUDGET, TABLE3_CELLS, render_table3
 
-__all__ = ["PAPER_TABLE3", "Table3Row", "render_table3", "table3_rows"]
+__all__ = ["TABLE3_BUDGET", "TABLE3_CELLS", "render_table3"]

@@ -1,4 +1,4 @@
-"""Harness regenerating the paper's Table 3.
+"""The paper's Table 3: its twelve cells and the one renderer of their rows.
 
 The paper reports, for the migratory (N = 2, 4, 8) and invalidate
 (N = 2, 4, 6) protocols, the number of states visited and the time taken
@@ -14,10 +14,11 @@ runs "Unfinished"::
                 4   Unfinished              18686/2.3
                 6   Unfinished              228334/18.4
 
-We regenerate the same table with our own explicit-state engine and a
-state *budget* standing in for the memory cap.  Absolute counts differ from
-SPIN's (the Promela encodings are unpublished and SPIN counts
-statement-level interleavings), but the paper's claims are about *shape*:
+Each cell here is a :class:`~repro.check.spec.SystemSpec`, swept by
+``explore(build_system(spec), max_states=TABLE3_BUDGET)``: a state budget
+stands in for the memory cap.  Absolute counts differ from SPIN's (the
+Promela encodings are unpublished and SPIN counts statement-level
+interleavings), but the paper's claims are about *shape*:
 
 * the rendezvous protocol is verified in orders of magnitude fewer states
   than the asynchronous one at equal node count;
@@ -25,93 +26,65 @@ statement-level interleavings), but the paper's claims are about *shape*:
   counts where rendezvous verification remains trivial;
 * the invalidate protocol is far costlier than migratory at both levels.
 
-:func:`table3_rows` returns structured results; :func:`render_table3`
-formats them in the paper's layout.  Shared by the pytest-benchmark suite
-and the ``repro table3`` CLI command.
+A swept cell is one ``repro.bench/1`` row,
+``table3/<protocol>-n<N>-<level>``: the run's
+:meth:`~repro.check.stats.ExplorationResult.counts` plus ``protocol``,
+``n``, ``level`` and the ``paper`` cell.  ``BENCH_explore.json`` commits
+them, and :func:`render_table3` formats such rows for ``repro table3``,
+``benchmarks/results/table3.txt`` and EXPERIMENTS.md alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Sequence
 
-from ..check.explorer import explore
-from ..check.stats import ExplorationResult
-from ..protocols.invalidate import invalidate_protocol
-from ..protocols.migratory import migratory_protocol
-from ..refine.engine import refine
-from ..semantics.asynchronous import AsyncSystem
-from ..semantics.rendezvous import RendezvousSystem
+from ..check.spec import SystemSpec
 
-__all__ = ["Table3Row", "PAPER_TABLE3", "table3_rows", "render_table3"]
+__all__ = ["TABLE3_BUDGET", "TABLE3_CELLS", "render_table3"]
 
-#: the paper's published numbers, cell-formatted, for side-by-side display
-PAPER_TABLE3 = {
-    ("Migratory", 2): ("23163/2.84", "54/0.1"),
-    ("Migratory", 4): ("Unfinished", "235/0.4"),
-    ("Migratory", 8): ("Unfinished", "965/0.5"),
-    ("Invalidate", 2): ("193389/19.23", "546/0.6"),
-    ("Invalidate", 4): ("Unfinished", "18686/2.3"),
-    ("Invalidate", 6): ("Unfinished", "228334/18.4"),
-}
+#: states a cell may visit before it reads "Unfinished"
+TABLE3_BUDGET = 100_000
 
-
-@dataclass
-class Table3Row:
-    protocol: str
-    n: int
-    asynchronous: ExplorationResult
-    rendezvous: ExplorationResult
-
-    @property
-    def paper_cells(self) -> tuple[str, str]:
-        return PAPER_TABLE3.get((self.protocol, self.n), ("?", "?"))
+#: the paper's twelve cells, each with its published ``states/seconds``
+TABLE3_CELLS: tuple[tuple[SystemSpec, str], ...] = tuple(
+    (SystemSpec(protocol, level, n), paper)
+    for protocol, n, papers in (
+        ("migratory", 2, ("23163/2.84", "54/0.1")),
+        ("migratory", 4, ("Unfinished", "235/0.4")),
+        ("migratory", 8, ("Unfinished", "965/0.5")),
+        ("invalidate", 2, ("193389/19.23", "546/0.6")),
+        ("invalidate", 4, ("Unfinished", "18686/2.3")),
+        ("invalidate", 6, ("Unfinished", "228334/18.4")),
+    )
+    for level, paper in zip(("async", "rendezvous"), papers))
 
 
-def table3_rows(budget: int = 200_000,
-                time_budget: Optional[float] = 120.0) -> list[Table3Row]:
-    """Run all twelve reachability analyses of Table 3."""
-    configs = [
-        ("Migratory", migratory_protocol(), (2, 4, 8)),
-        ("Invalidate", invalidate_protocol(), (2, 4, 6)),
-    ]
-    rows = []
-    for name, protocol, node_counts in configs:
-        refined = refine(protocol)
-        for n in node_counts:
-            asynchronous = explore(
-                AsyncSystem(refined, n), name=f"{name}-async-{n}",
-                max_states=budget, max_seconds=time_budget,
-                allow_deadlock=False)
-            rendezvous = explore(
-                RendezvousSystem(protocol, n), name=f"{name}-rv-{n}",
-                max_states=budget, max_seconds=time_budget)
-            rows.append(Table3Row(protocol=name, n=n,
-                                  asynchronous=asynchronous,
-                                  rendezvous=rendezvous))
-    return rows
+def render_table3(rows: Sequence[dict[str, Any]],
+                  budget: int = TABLE3_BUDGET) -> str:
+    """Format Table 3 rows, measured states beside the paper's cells."""
+    cells = {(r["protocol"], r["n"], r["level"]): r for r in rows}
 
+    def measured(protocol: str, n: int, level: str) -> str:
+        row = cells[(protocol, n, level)]
+        return str(row["n_states"]) if row["completed"] else "Unfinished"
 
-def render_table3(budget: int = 200_000,
-                  time_budget: Optional[float] = 120.0,
-                  rows: Optional[list[Table3Row]] = None) -> str:
-    """Format Table 3, measured next to the paper's published values."""
-    rows = rows if rows is not None else table3_rows(budget, time_budget)
     header = (
         f"{'Protocol':<11} {'N':>2}   "
         f"{'Async (measured)':<18} {'Async (paper)':<14} "
         f"{'Rendezvous (measured)':<22} {'Rendezvous (paper)':<18}")
     lines = [
-        "Table 3: states visited / seconds for reachability analysis",
-        f"(state budget {budget} standing in for the paper's 64 MB cap)",
+        "Table 3: states visited by reachability analysis",
+        f"(state budget {budget} standing in for the paper's 64 MB cap;",
+        " the paper's cells are states/seconds)",
         "",
         header,
         "-" * len(header),
     ]
-    for row in rows:
-        paper_async, paper_rv = row.paper_cells
+    for protocol, n in dict.fromkeys((r["protocol"], r["n"]) for r in rows):
         lines.append(
-            f"{row.protocol:<11} {row.n:>2}   "
-            f"{row.asynchronous.cell():<18} {paper_async:<14} "
-            f"{row.rendezvous.cell():<22} {paper_rv:<18}")
+            f"{protocol.capitalize():<11} {n:>2}   "
+            f"{measured(protocol, n, 'async'):<18} "
+            f"{cells[(protocol, n, 'async')]['paper']:<14} "
+            f"{measured(protocol, n, 'rendezvous'):<22} "
+            f"{cells[(protocol, n, 'rendezvous')]['paper']}")
     return "\n".join(lines)

@@ -163,7 +163,7 @@ class ExplorationResult:
         }
 
     def cell(self) -> str:
-        """Render as a Table 3 cell: ``states/seconds`` or ``Unfinished``."""
+        """Render as ``states/seconds``, or ``Unfinished``."""
         if not self.completed:
             return "Unfinished"
         return f"{self.n_states}/{self.seconds:.2f}"

@@ -116,8 +116,8 @@ def explain_pair(protocol: Protocol, pair: FusedPair,
                  strict_cycles: bool = False) -> PairReport:
     """Evaluate every section 3.3 condition for ``pair`` independently.
 
-    Unlike :func:`check_pair` (which stops at the first failure), all
-    conditions are checked so the report names each one that fails.
+    All conditions are checked so the report names each one that fails;
+    :func:`check_pair` reports the first.
     """
     conditions: list[ConditionResult] = []
 
@@ -218,18 +218,11 @@ def check_pair(protocol: Protocol, pair: FusedPair,
     (:func:`repro.check.properties.check_progress`) regardless of fusion.
     Pass ``strict_cycles=True`` to refuse the optimization in that case and
     fall back to the always-safe plain request/ack refinement.
+
+    The reason is the first failing condition of :func:`explain_pair`.
     """
-    if pair.requester == REMOTE:
-        reason = _check_requester_adjacency(
-            protocol.remote, pair, remote_side=True)
-        reason = reason or _check_home_responder(protocol.home, pair,
-                                                 strict_cycles)
-        return reason or _check_reply_domination(protocol.home, pair)
-    if pair.requester == HOME_SIDE:
-        reason = _check_requester_adjacency(
-            protocol.home, pair, remote_side=False)
-        return reason or _check_remote_responder(protocol.remote, pair)
-    return f"unknown requester side {pair.requester!r}"
+    failures = explain_pair(protocol, pair, strict_cycles).failures
+    return failures[0].reason if failures else None
 
 
 # ---------------------------------------------------------------------------

@@ -452,9 +452,6 @@ _ChannelOp = tuple[int, int, tuple[Msg, ...]]
 _Delta = tuple[AsyncAction, Optional[HomeNode],
                Optional[tuple[int, RemoteNode]], tuple[_ChannelOp, ...],
                tuple[RendezvousStep, ...], tuple[Msg, ...]]
-#: What :meth:`AsyncSystem._outcomes` hands ``steps``/``successors``: a
-#: memoized family's deltas, a refused family's interpreted steps.
-_Outcome = _Delta | Step
 
 
 def _channel_ops(old: tuple[tuple[Msg, ...], ...],
@@ -513,9 +510,9 @@ def _deltas(state: AsyncState, owner: ProcId,
             steps: list[Step]) -> Optional[tuple[_Delta, ...]]:
     """The steps of one family at ``state`` as replayable deltas.
 
-    None — the family stays on :meth:`AsyncSystem.interpret` — unless
-    every step rewrites only the node its memo key holds (``owner``: the
-    home, or remote ``i``) and changes channels by pops and pushes.
+    None unless every step rewrites only the node its memo key holds
+    (``owner``: the home, or remote ``i``) and changes channels by pops
+    and pushes.
     Nodes are diffed by value: a rebuilt-but-equal node recorded as a
     replacement would carry this state's node into every replay.
     """
@@ -622,13 +619,10 @@ class AsyncSystem:
     def steps(self, state: AsyncState) -> list[Step]:
         """All enabled transitions, with completion/send observables; a
         replayed step builds its successor when ``state`` is first read."""
-        return [o if type(o) is Step else _replayed(state, o)
-                for o in self._outcomes(state)]
+        return [_replayed(state, o) for o in self._outcomes(state)]
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
-        return [(o.action, o.state) if type(o) is Step
-                else (o[0], _successor(state, o))
-                for o in self._outcomes(state)]
+        return [(o[0], _successor(state, o)) for o in self._outcomes(state)]
 
     def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
         for step in self.steps(state):
@@ -638,9 +632,9 @@ class AsyncSystem:
 
     # -- delta replay ----------------------------------------------------------
 
-    def _outcomes(self, state: AsyncState) -> list[_Outcome]:
+    def _outcomes(self, state: AsyncState) -> list[_Delta]:
         """:meth:`interpret`, family by family through the memo."""
-        out: list[_Outcome] = []
+        out: list[_Delta] = []
         memo = self._memo
         home = state.home
         remotes = state.remotes
@@ -651,7 +645,7 @@ class AsyncSystem:
                 key: Any = (i, home, queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, HOME_ID, out, [
+                    family = self._learn(key, state, HOME_ID, [
                         self._deliver_to_home(state, i)])
                 out.extend(family)
             queue = queues[2 * i]
@@ -659,13 +653,13 @@ class AsyncSystem:
                 key = (i, remotes[i], queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, i, out, [
+                    family = self._learn(key, state, i, [
                         self._deliver_to_remote(state, i)])
                 out.extend(family)
         if home.mode == IDLE:
             family = memo.get(home)
             if family is None:
-                family = self._learn(home, state, HOME_ID, out,
+                family = self._learn(home, state, HOME_ID,
                                      self._home_steps(state))
             out.extend(family)
         for i in range(self.n_remotes):
@@ -674,20 +668,21 @@ class AsyncSystem:
                 key = (i, node)
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, i, out,
+                    family = self._learn(key, state, i,
                                          self._remote_steps(state, i))
                 out.extend(family)
         return out
 
     def _learn(self, key: Any, state: AsyncState, owner: ProcId,
-               out: list[_Outcome], steps: list[Step]) -> tuple[_Delta, ...]:
-        """Memoize one interpreted family; returns its deltas (nothing,
-        with the steps themselves in ``out``, if it is refused).
-        """
+               steps: list[Step]) -> tuple[_Delta, ...]:
+        """Memoize one interpreted family and return its deltas; a family
+        :func:`_deltas` cannot express is a :class:`SemanticsError`."""
         family = _deltas(state, owner, steps)
         if family is None:
-            out.extend(steps)
-            return ()
+            raise SemanticsError(
+                f"step family {key!r} of owner {owner!r} rewrites more "
+                "than its owner's node and channel ends; it cannot be "
+                "replayed")
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
         self._memo[key] = family

@@ -211,6 +211,16 @@ class TestBufferDemandPass:
         r.state("a", out("n", to="a"))
         assert remote_demand(r.build(), frozenset({"n"})) is None
 
+    def test_long_remote_chain_is_bounded(self):
+        # 2,000 states deep: past Python's recursion limit for a
+        # recursive Tarjan
+        r = ProcessBuilder.remote("r")
+        r.state("s0", out("n", to="s1"))
+        for i in range(1, 1999):
+            r.state(f"s{i}", tau("t", to=f"s{i + 1}"))
+        r.state("s1999", out("req", to="s0"))
+        assert remote_demand(r.build(), frozenset({"n"})) == 2
+
     def test_undersized_buffer_warns(self, migratory):
         report = analyze_protocol(migratory, nodes=4)  # bound 4 > k=2
         assert "P3201" in report.codes()

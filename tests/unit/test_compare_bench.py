@@ -360,16 +360,15 @@ class TestCompareProfiles:
         assert compare_bench.compare(base, cand) == []
 
     def test_committed_profile_4_gates_a_fresh_profile(self, tmp_path):
-        # benchmarks/results/ is not regenerated when the schema moves:
-        # a /4 document (run.partitions, a partitions block, no
+        # a committed /4 document (run.partitions, a partitions block, no
         # spill_merges) and today's one must compare, in both orders
         from repro.check.explorer import explore
         from repro.check.observe import PROFILE_SCHEMA, JsonProfileWriter
         from repro.check.spec import SystemSpec, build_system
 
         committed = json.loads(
-            (ROOT / "benchmarks" / "results"
-             / "fingerprint_store_profile.json").read_text())
+            (ROOT / "tests" / "data"
+             / "fingerprint_store_profile_4.json").read_text())
         assert committed["schema"] == "repro.profile/4"
         assert committed["run"]["partitions"] == 1 and committed["partitions"]
         path = tmp_path / "fresh.json"

@@ -8,9 +8,12 @@ every reachable state of two small systems such a step must be
 indistinguishable from :meth:`AsyncSystem.interpret`'s eager one.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import AsyncSystem
+from repro.check.explorer import explore
 from repro.errors import SemanticsError
 from repro.semantics.asynchronous import RemoteC3, Step
 from tests.conftest import reachable_states
@@ -83,3 +86,17 @@ def test_apply_unchanged(swept):
             assert system.apply(state, action) == successor
     with pytest.raises(SemanticsError, match="not enabled"):
         system.apply(system.initial_state(), RemoteC3(remote=0))
+
+
+class HomeMovesRemote(AsyncSystem):
+    """A home family that also rewrites remote 0: no delta expresses it."""
+
+    def _home_steps(self, state):
+        return [replace(step, state=step.state.with_remote(
+                    0, replace(step.state.remotes[0], state="moved")))
+                for step in super()._home_steps(state)]
+
+
+def test_family_the_memo_cannot_express_raises(migratory_refined):
+    with pytest.raises(SemanticsError, match="owner 'h'"):
+        explore(HomeMovesRemote(migratory_refined, 2))
