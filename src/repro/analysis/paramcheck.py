@@ -191,8 +191,8 @@ def _sweep_obligations(run: Sweep, where: str,
             f"{len(run.stuck)} reachable abstract state(s) are stuck — no "
             f"tau and no rendezvous between the home and a concrete remote "
             f"is enabled, and the home is not waiting on the environment "
-            f"alone — e.g. {run.stuck[0].describe()}; with every remote "
-            f"parked like the concrete one this is a deadlock at some N"))
+            f"alone — e.g. {run.stuck[0].describe()}; a stuck abstract "
+            f"state: no concrete deadlock is confirmed"))
     for note in ([run.reason] if run.reason is not None else run.issues):
         obligations.append(make(
             "P4507", where,

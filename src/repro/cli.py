@@ -54,6 +54,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -225,6 +226,8 @@ def _ranged(cast, wanted: str, accepts):
 
 _positive_int = _ranged(int, "at least 1", lambda v: v >= 1)
 _positive_float = _ranged(float, "greater than 0", lambda v: v > 0)
+_finite_positive_float = _ranged(float, "finite and greater than 0",
+                                 lambda v: 0 < v < math.inf)
 _non_negative_float = _ranged(float, "at least 0", lambda v: v >= 0)
 _fraction = _ranged(float, "between 0 and 1", lambda v: 0 <= v <= 1)
 
@@ -569,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                "  repro lint msi --json > msi-lint.json\n"
                "      machine-readable report")
     every_protocol(p, "lint")
-    p.add_argument("-n", "--nodes", type=int, default=4,
+    p.add_argument("-n", "--nodes", type=_positive_int, default=4,
                    help="remote node count assumed by the buffer-demand "
                         "bound (default 4)")
     p.add_argument("--json", action="store_true",
@@ -647,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_nodes=8)
     p.add_argument("--workload", choices=["synthetic", "hot"],
                    default="synthetic")
-    p.add_argument("--until", type=float, default=50_000.0)
+    p.add_argument("--until", type=_finite_positive_float,
+                   default=50_000.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--latency", type=_non_negative_float, default=5.0)
     p.add_argument("--write-fraction", type=_fraction, default=0.5)
@@ -673,9 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_nodes=8)
     p.add_argument("--lines", type=_positive_int, default=32,
                    help="number of concurrently simulated lines")
-    p.add_argument("--until", type=float, default=10_000.0)
+    p.add_argument("--until", type=_finite_positive_float,
+                   default=10_000.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--think-time", type=float, default=120.0)
+    p.add_argument("--think-time", type=_finite_positive_float,
+                   default=120.0)
     p.add_argument("--write-fraction", type=_fraction, default=1.0)
     p.set_defaults(func=cmd_pool)
     return parser

@@ -2,10 +2,11 @@
 
 import argparse
 import json
+import re
 
 import pytest
 
-from repro import cli
+from repro import cli, explore
 from repro.check import spec as spec_module
 from repro.check.properties import ProgressReport
 from repro.check.spill import SpillFile
@@ -43,13 +44,23 @@ class TestParser:
         ["pool", "migratory", "--write-fraction", "-0.1"],
         ["simulate", "migratory", "--msc", "-3"],
         ["flows", "migratory", "--witness-nodes", "0"],
+        # these once hung, divided by zero, or reported "-5 time units",
+        # "infx smaller" and a demand bound for n=-2 remotes
+        ["simulate", "migratory", "--until", "nan"],
+        ["simulate", "migratory", "--until", "inf"],
+        ["simulate", "migratory", "--until", "-5"],
+        ["pool", "migratory", "--think-time", "0"],
+        ["pool", "migratory", "--think-time", "inf"],
+        ["pool", "migratory", "--until", "-100"],
+        ["lint", "migratory", "--nodes", "0"],
     ], ids=lambda argv: argv[0] + argv[-2])
     def test_non_positive_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[-2]}: must be " in err
+        # argparse names a flag with a short alias as "-n/--nodes"
+        assert re.search(rf"argument (-\w/)?{argv[-2]}: must be ", err)
         assert f"got {argv[-1]}" in err
 
     @pytest.mark.parametrize("text,expected", [
@@ -150,7 +161,7 @@ class TestVerifyCommand:
 
     def test_seeded_bug_has_equal_witnesses_in_both_stores(
             self, monkeypatch, capsys):
-        # the CI heredoc's invariant, through verify's own code path:
+        # a seeded invariant, through verify's own code path:
         # the fingerprint store's trace is replayed from witness columns
         # through symmetry + POR and must read like the exact store's
         quiet = ("quiet", lambda s: s.channels.total_in_flight < 3)
@@ -167,6 +178,15 @@ class TestVerifyCommand:
         assert witness[0].startswith("counterexample to 'quiet' (")
         assert outputs["fingerprint"][1:] == witness
         assert not any("no trace" in line for line in witness)
+        # and through the library, the store given by name
+        system = spec_module.build_system(spec_module.SystemSpec(
+            "invalidate", "async", 3, symmetry=True, por=True))
+        exact = explore(system, invariants=[quiet], store="exact")
+        compact = explore(system, invariants=[quiet], store="fingerprint")
+        assert exact.violations and len(exact.violations[0].steps) == 6
+        assert compact.store == "fingerprint"
+        assert [(v.states, v.steps, v.note) for v in compact.violations] \
+            == [(v.states, v.steps, None) for v in exact.violations]
 
 
 class TestRefineCommand:
