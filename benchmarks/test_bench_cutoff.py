@@ -45,21 +45,10 @@ from repro.analysis.flows import derive_flows
 from repro.analysis.paramcheck import check_parameterized
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
-from repro.protocols import (
-    invalidate_protocol,
-    mesi_protocol,
-    migratory_protocol,
-    msi_protocol,
-)
+from repro.protocols import LIBRARY_PROTOCOLS
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_cutoff.json"
 
-FACTORIES = {
-    "invalidate": invalidate_protocol,
-    "mesi": mesi_protocol,
-    "migratory": migratory_protocol,
-    "msi": msi_protocol,
-}
 SIZES = (2, 3, 4)
 
 
@@ -100,7 +89,7 @@ def stabilizes_at(cells: list[dict]) -> int | None:
 
 def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
     rows = []
-    for name, factory in sorted(FACTORIES.items()):
+    for name, factory in sorted(LIBRARY_PROTOCOLS.items()):
         protocol = factory()
         verdict = check_parameterized(protocol)
         graph = derive_flows(protocol)
@@ -149,4 +138,4 @@ def test_bench_cutoff(benchmark, results_dir, cutoff_budget):
         assert all(c["verdict"] == "no-deadlock"
                    for c in cells[:2]), r["protocol"]
 
-    benchmark(lambda: check_parameterized(FACTORIES["migratory"]()))
+    benchmark(lambda: check_parameterized(LIBRARY_PROTOCOLS["migratory"]()))

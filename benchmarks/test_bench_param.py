@@ -43,23 +43,12 @@ from repro.analysis.coherencecheck import check_coherence
 from repro.check.explorer import explore
 from repro.check.por import PRESERVE_INVARIANTS, PORSystem
 from repro.check.symmetry import SymmetricSystem
-from repro.protocols import (
-    invalidate_protocol,
-    mesi_protocol,
-    migratory_protocol,
-    msi_protocol,
-)
+from repro.protocols import LIBRARY_PROTOCOLS
 from repro.protocols.invariants import COHERENCE_SPECS, coherence_invariants
 from repro.protocols.symmetry import symmetry_spec_for
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_param.json"
 
-FACTORIES = {
-    "invalidate": invalidate_protocol,
-    "mesi": mesi_protocol,
-    "migratory": migratory_protocol,
-    "msi": msi_protocol,
-}
 SIZES = (2, 3, 4)
 
 
@@ -75,7 +64,7 @@ def explore_cell(name: str, n: int, budget: int) -> dict:
     # invariants ride through POR via the preserve hook
     invariants = list(coherence_invariants(COHERENCE_SPECS[name]))
     system = SymmetricSystem(
-        PORSystem(AsyncSystem(refine(FACTORIES[name]()), n),
+        PORSystem(AsyncSystem(refine(LIBRARY_PROTOCOLS[name]()), n),
                   preserve=PRESERVE_INVARIANTS),
         symmetry_spec_for(name))
     result = explore(system, name=f"{name}-param-{n}",
@@ -93,7 +82,7 @@ def explore_cell(name: str, n: int, budget: int) -> dict:
 
 def test_bench_param(benchmark, results_dir, param_budget):
     rows = []
-    for name, factory in sorted(FACTORIES.items()):
+    for name, factory in sorted(LIBRARY_PROTOCOLS.items()):
         protocol = factory()
         verdict = check_coherence(protocol, COHERENCE_SPECS[name])
         cells = [explore_cell(name, n, param_budget) for n in SIZES]
@@ -140,5 +129,5 @@ def test_bench_param(benchmark, results_dir, param_budget):
         assert all(c["verdict"] == "coherent"
                    for c in cells[:2]), r["protocol"]
 
-    benchmark(lambda: check_coherence(FACTORIES["migratory"](),
+    benchmark(lambda: check_coherence(LIBRARY_PROTOCOLS["migratory"](),
                                       COHERENCE_SPECS["migratory"]))

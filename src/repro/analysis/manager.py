@@ -87,17 +87,25 @@ class AnalysisCache:
         return self._coherence
 
 
+def _default_config() -> "RefinementConfig":
+    from ..refine.plan import RefinementConfig
+
+    return RefinementConfig()
+
+
 @dataclass(frozen=True)
 class AnalysisContext:
-    """Everything a pass may need; protocol-level passes ignore most."""
+    """Everything a pass may need; protocol-level passes ignore most.
+
+    ``config`` is the refinement configuration the passes assume (buffer
+    capacity, fire-and-forget messages, strict request/reply cycles);
+    it defaults to the paper's standard ``k = 2`` configuration.
+    """
 
     protocol: Protocol
     nodes: int = DEFAULT_NODES
-    capacity: int = 2
-    fire_and_forget: frozenset[str] = frozenset()
-    strict_cycles: bool = False
     refined: "Optional[RefinedProtocol]" = None
-    config: "Optional[RefinementConfig]" = None
+    config: "RefinementConfig" = field(default_factory=_default_config)
     cache: AnalysisCache = field(default_factory=AnalysisCache,
                                  compare=False)
 
@@ -109,11 +117,12 @@ PROTOCOL_PASSES: tuple[tuple[str, PassFn], ...] = (
     ("reachability", lambda ctx: reachability_pass(ctx.protocol)),
     ("overlap", lambda ctx: overlap_pass(ctx.protocol)),
     ("fusability", lambda ctx: fusability_pass(
-        ctx.protocol, strict_cycles=ctx.strict_cycles,
-        reports=ctx.cache.pair_reports(ctx.protocol, ctx.strict_cycles))),
+        ctx.protocol, strict_cycles=ctx.config.strict_reqreply_cycles,
+        reports=ctx.cache.pair_reports(
+            ctx.protocol, ctx.config.strict_reqreply_cycles))),
     ("buffer-demand", lambda ctx: buffer_demand_pass(
-        ctx.protocol, capacity=ctx.capacity, nodes=ctx.nodes,
-        fire_and_forget=ctx.fire_and_forget)),
+        ctx.protocol, capacity=ctx.config.home_buffer_capacity,
+        nodes=ctx.nodes, fire_and_forget=ctx.config.fire_and_forget)),
 )
 
 #: The parameterized (arbitrary-N) passes — P45xx, P46xx.  These sweep
@@ -134,11 +143,12 @@ REFINED_PASSES: tuple[tuple[str, PassFn], ...] = (
 def _flows_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
     from .flows import derive_flows, flows_pass
 
+    strict_cycles = ctx.config.strict_reqreply_cycles
     try:
         graph = derive_flows(
             ctx.protocol,
-            reports=ctx.cache.pair_reports(ctx.protocol, ctx.strict_cycles),
-            config=ctx.config, strict_cycles=ctx.strict_cycles)
+            reports=ctx.cache.pair_reports(ctx.protocol, strict_cycles),
+            config=ctx.config, strict_cycles=strict_cycles)
     except Exception as exc:
         return [make("P4501", f"{ctx.protocol.name}:flows",
                      f"flow graph could not be derived ({exc}); no flow "
@@ -197,17 +207,8 @@ def analyze_protocol(protocol: Protocol, *,
         passes; these sweep the environment abstraction, so callers
         needing a pure AST-level report turn them off.
     """
-    from ..refine.plan import RefinementConfig
-
-    config = config or RefinementConfig()
-    ctx = AnalysisContext(
-        protocol=protocol,
-        nodes=nodes,
-        capacity=config.home_buffer_capacity,
-        fire_and_forget=config.fire_and_forget,
-        strict_cycles=config.strict_reqreply_cycles,
-        config=config,
-    )
+    ctx = AnalysisContext(protocol=protocol, nodes=nodes,
+                          config=config or _default_config())
     passes = (PROTOCOL_PASSES + PARAM_PASSES if include_param
               else PROTOCOL_PASSES)
     return _run(protocol.name, ctx, passes, select)
@@ -224,16 +225,8 @@ def analyze_refined(refined: "RefinedProtocol", *,
     (transients, simulation certificate) — the refinement engine uses this
     as its post-plan gate, having already vetted the rendezvous AST.
     """
-    config = refined.plan.config
-    ctx = AnalysisContext(
-        protocol=refined.protocol,
-        nodes=nodes,
-        capacity=config.home_buffer_capacity,
-        fire_and_forget=config.fire_and_forget,
-        strict_cycles=config.strict_reqreply_cycles,
-        refined=refined,
-        config=config,
-    )
+    ctx = AnalysisContext(protocol=refined.protocol, nodes=nodes,
+                          refined=refined, config=refined.plan.config)
     passes = (PROTOCOL_PASSES + PARAM_PASSES + REFINED_PASSES
               if include_protocol_passes else REFINED_PASSES)
     return _run(refined.name, ctx, passes, select)

@@ -1,7 +1,7 @@
 """Protocol library: the paper's protocols plus extensions and invariants."""
 
 from .handwritten import HAND_CONFIG, handwritten_migratory
-from .invalidate import INVALIDATE_MSGS, invalidate_protocol
+from .invalidate import invalidate_protocol
 from .invariants import (
     INVALIDATE_SPEC,
     MESI_SPEC,
@@ -12,9 +12,9 @@ from .invariants import (
     coherence_invariants,
     holders,
 )
-from .mesi import MESI_MSGS, mesi_protocol
-from .migratory import MIGRATORY_MSGS, migratory_protocol
-from .msi import MSI_MSGS, msi_protocol
+from .mesi import mesi_protocol
+from .migratory import migratory_protocol
+from .msi import msi_protocol
 from .symmetry import (
     INVALIDATE_SYMMETRY,
     MESI_SYMMETRY,
@@ -34,12 +34,12 @@ LIBRARY_PROTOCOLS = {
 
 __all__ = [
     "LIBRARY_PROTOCOLS",
-    "CoherenceSpec", "HAND_CONFIG", "INVALIDATE_MSGS", "INVALIDATE_SPEC",
-    "MIGRATORY_MSGS", "MIGRATORY_SPEC", "MSI_MSGS", "MSI_SPEC",
+    "CoherenceSpec", "HAND_CONFIG", "INVALIDATE_SPEC", "MIGRATORY_SPEC",
+    "MSI_SPEC",
     "async_structural_invariants", "coherence_invariants",
     "handwritten_migratory", "holders", "invalidate_protocol",
     "migratory_protocol", "msi_protocol", "mesi_protocol",
-    "MESI_MSGS", "MESI_SPEC", "MESI_SYMMETRY",
+    "MESI_SPEC", "MESI_SYMMETRY",
     "INVALIDATE_SYMMETRY", "MIGRATORY_SYMMETRY", "MSI_SYMMETRY",
     "symmetry_spec_for",
 ]

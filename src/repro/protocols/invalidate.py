@@ -56,50 +56,73 @@ Fusable pairs detected by the engine: ``reqR``/``grR``, ``reqW``/``grW``
 (reply path through the invalidation loop — accepted because the loop
 terminates; see :func:`repro.refine.reqreply.check_pair`), ``invS``/``IA``
 and ``inv``/``ID``.
+
+The module-level pieces below write each part of that picture once:
+the sharer updates, ``F``, ``Sh``, the invalidation loop, ``E`` with its
+revocations, and the remote's ``I``, ``S`` and ``M``.  The
+:mod:`~repro.protocols.msi` and :mod:`~repro.protocols.mesi` builders
+call them in the same declaration order and write only what they change.
+The pieces are not part of :mod:`repro.protocols`' exports.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..csp.ast import DATA, AnySender, Protocol, SetSender, VarSender, VarTarget
+from ..csp.ast import (DATA, AnySender, Guard, Output, Protocol, SetSender,
+                       Tau, VarSender, VarTarget)
 from ..csp.builder import ProcessBuilder, inp, out, protocol, tau
+from ..csp.env import Value
 from ..csp.validate import validate_protocol
 
-__all__ = ["invalidate_protocol", "INVALIDATE_MSGS"]
-
-#: Message vocabulary of the invalidate protocol.
-INVALIDATE_MSGS = ("reqR", "reqW", "grR", "grW", "evS", "invS", "IA",
-                   "inv", "ID", "LR")
+__all__ = ["invalidate_protocol"]
 
 
-def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
-    """Build the invalidate rendezvous protocol.
+def blank(data_values: Optional[int]) -> Value:
+    """A line's initial value: the abstract token, or 0 of a finite domain."""
+    return DATA if data_values is None else 0
 
-    :param data_values: size of the finite data domain, or ``None`` for the
-        abstract single-token payload model (writes then leave the value
-        unchanged; with a domain, M-state writes increment mod the domain).
-    :returns: a validated :class:`~repro.csp.ast.Protocol`.
-    """
-    abstract = data_values is None
 
-    def initial_data():
-        return DATA if abstract else 0
+def forget(data_values: Optional[int]):
+    """Update: the remote drops its copy (``d`` back to its initial value)."""
+    value = blank(data_values)
+    return lambda env: env.set("d", value)
 
-    home = ProcessBuilder.home(
-        "invalidate-home",
-        o=None, j=None, t=None, t0=None, S=frozenset(), mem=initial_data())
-    def grant(env):
-        return env["mem"]
 
-    def add_sharer(var: str):
-        return lambda env: env.update(
-            {"S": env["S"] | frozenset({env[var]}), var: None})
+def grant(env):
+    """Payload of every data grant: the home's copy of the line."""
+    return env["mem"]
 
-    def drop_sharer(var: str):
-        return lambda env: env.set("S", env["S"] - frozenset({env[var]}))
 
-    # -- free ---------------------------------------------------------------
+def own(var: str):
+    """Update: the remote named by ``var`` becomes the owner ``o``."""
+    return lambda env: env.update({"o": env[var], var: None})
+
+
+def add_sharer(var: str):
+    """Update: the remote named by ``var`` joins the sharers ``S``."""
+    return lambda env: env.update(
+        {"S": env["S"] | frozenset({env[var]}), var: None})
+
+
+def drop_sharer(var: str):
+    """Update: the remote named by ``var`` leaves the sharers ``S``."""
+    return lambda env: env.set("S", env["S"] - frozenset({env[var]}))
+
+
+def sharers(env):
+    """Victims of the ``W`` loop: every sharer (the writer holds no copy)."""
+    return env["S"]
+
+
+def exclusive_grant(msg: str, to: str) -> Output:
+    """``r(j)!msg(mem)``: the requester ``j`` becomes the owner in ``to``."""
+    return out(msg, target=VarTarget("j"), payload=grant, update=own("j"),
+               to=to)
+
+
+def free_states(home: ProcessBuilder) -> None:
+    """``F``: no remote holds the line; a reader shares it, a writer owns it."""
     home.state(
         "F",
         inp("reqR", sender=AnySender(), bind_sender="j", to="F.gr"),
@@ -107,20 +130,22 @@ def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
     )
     home.state("F.gr", out("grR", target=VarTarget("j"), payload=grant,
                            update=add_sharer("j"), to="Sh"))
-    home.state("F.grw", out("grW", target=VarTarget("j"), payload=grant,
-                            update=lambda env: env.update({"o": env["j"],
-                                                           "j": None}),
-                            to="E"))
+    home.state("F.grw", exclusive_grant("grW", "E"))
 
-    # -- shared -------------------------------------------------------------
+
+def shared_states(home: ProcessBuilder, grant_msg: str,
+                  *extra: Guard) -> None:
+    """``Sh`` (a read grant, an eviction, a write into the ``W`` loop, then
+    ``extra``), its read grant ``Sh.gr`` by ``grant_msg`` and ``Sh.chk``."""
     home.state(
         "Sh",
         inp("reqR", sender=AnySender(), bind_sender="j", to="Sh.gr"),
         inp("evS", sender=SetSender("S"), bind_sender="t",
             update=drop_sharer("t"), to="Sh.chk"),
         inp("reqW", sender=AnySender(), bind_sender="j", to="W.chk"),
+        *extra,
     )
-    home.state("Sh.gr", out("grR", target=VarTarget("j"), payload=grant,
+    home.state("Sh.gr", out(grant_msg, target=VarTarget("j"), payload=grant,
                             update=add_sharer("j"), to="Sh"))
     home.state(
         "Sh.chk",
@@ -128,34 +153,48 @@ def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
         tau("nonempty", cond=lambda env: bool(env["S"]), to="Sh"),
     )
 
-    # -- write-invalidate loop ------------------------------------------------
-    home.state(
-        "W.chk",
-        tau("done", cond=lambda env: not env["S"], to="W.grant"),
-        tau("more", cond=lambda env: bool(env["S"]),
-            update=lambda env: env.set("t0", min(env["S"])), to="W.send"),
-    )
-    home.state(
-        "W.send",
-        out("invS", target=VarTarget("t0"), to="W.wait"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="W.chk"),
-    )
-    home.state(
-        "W.wait",
-        inp("IA", sender=VarSender("t0"),
-            update=lambda env: env.update(
-                {"S": env["S"] - frozenset({env["t0"]}), "t0": None}),
-            to="W.chk"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="W.wait"),
-    )
-    home.state("W.grant", out("grW", target=VarTarget("j"), payload=grant,
-                              update=lambda env: env.update({"o": env["j"],
-                                                             "j": None}),
-                              to="E"))
 
-    # -- exclusive ------------------------------------------------------------
+def invalidation_loop(home: ProcessBuilder, prefix: str, victims,
+                      deny_upgrades: bool = False) -> None:
+    """``<prefix>.chk/.send/.wait``: ``invS`` to ``min(victims(env))`` and
+    await its ``IA`` until no victim is left, then ``<prefix>.grant``; a
+    sharer evicting meanwhile just leaves ``S``.  With ``deny_upgrades``,
+    ``.send`` and ``.wait`` also take a competing ``reqU`` and answer it
+    ``upfail`` from ``<state>.deny``."""
+    chk, send, wait = f"{prefix}.chk", f"{prefix}.send", f"{prefix}.wait"
+    home.state(
+        chk,
+        tau("done", cond=lambda env: not victims(env), to=f"{prefix}.grant"),
+        tau("more", cond=lambda env: bool(victims(env)),
+            update=lambda env: env.set("t0", min(victims(env))), to=send),
+    )
+
+    def waiting(state: str, back: str, *guards: Guard) -> None:
+        if not deny_upgrades:
+            home.state(state, *guards)
+            return
+        home.state(state, *guards, inp("reqU", sender=SetSender("S"),
+                                       bind_sender="u", to=f"{state}.deny"))
+        home.state(f"{state}.deny",
+                   out("upfail", target=VarTarget("u"),
+                       update=lambda env: env.set("u", None), to=back))
+
+    waiting(send, chk,
+            out("invS", target=VarTarget("t0"), to=wait),
+            inp("evS", sender=SetSender("S"), bind_sender="t",
+                update=drop_sharer("t"), to=chk))
+    waiting(wait, wait,
+            inp("IA", sender=VarSender("t0"),
+                update=lambda env: env.update(
+                    {"S": env["S"] - frozenset({env["t0"]}), "t0": None}),
+                to=chk),
+            inp("evS", sender=SetSender("S"), bind_sender="t",
+                update=drop_sharer("t"), to=wait))
+
+
+def exclusive_states(home: ProcessBuilder) -> None:
+    """``E`` (owner ``o`` holds the line) and its revocations: ``RI*``
+    takes it back for a reader, ``WI*`` hands it on to a writer."""
     home.state(
         "E",
         inp("LR", sender=VarSender("o"), bind_value="mem",
@@ -182,13 +221,11 @@ def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
                               {"S": frozenset({env["j"]}),
                                "o": None, "j": None}),
                           to="Sh"))
-    home.state("WI3", out("grW", target=VarTarget("j"), payload=grant,
-                          update=lambda env: env.update({"o": env["j"],
-                                                         "j": None}),
-                          to="E"))
+    home.state("WI3", exclusive_grant("grW", "E"))
 
-    # -- remote ----------------------------------------------------------------
-    remote = ProcessBuilder.remote("invalidate-remote", d=initial_data())
+
+def remote_idle_states(remote: ProcessBuilder) -> None:
+    """``I``: pick a read or a write miss, request it, await the grant."""
     remote.state(
         "I",
         tau("wantR", to="I.r"),
@@ -199,20 +236,32 @@ def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
     remote.state("I.w", out("reqW", to="I.grW"))
     remote.state("I.grW", inp("grW", bind_value="d", to="M"))
 
+
+def remote_shared_states(remote: ProcessBuilder, data_values: Optional[int],
+                         *extra: Tau) -> None:
+    """``S``: evict (``evS``), take one of ``extra``, or be invalidated."""
     remote.state(
         "S",
         tau("evict", to="S.ev"),
+        *extra,
         inp("invS", to="S.ia"),
     )
-    remote.state("S.ev",
-                 out("evS", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
-    remote.state("S.ia",
-                 out("IA", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
+    remote.state("S.ev", out("evS", update=forget(data_values), to="I"))
+    remote.state("S.ia", out("IA", update=forget(data_values), to="I"))
 
+
+def write_back(msg: str, data_values: Optional[int]) -> Output:
+    """``h!msg(d)``: the remote hands its copy home and is left in ``I``."""
+    return out(msg, payload=lambda env: env["d"], update=forget(data_values),
+               to="I")
+
+
+def remote_modified_states(remote: ProcessBuilder,
+                           data_values: Optional[int]) -> None:
+    """``M``: evict (``LR``), be revoked (``ID``) or, with a data domain,
+    write (the value increments mod the domain)."""
     write_guards = []
-    if not abstract:
+    if data_values is not None:
         write_guards.append(
             tau("write", to="M",
                 update=lambda env: env.set("d", (env["d"] + 1) % data_values)))
@@ -222,11 +271,29 @@ def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("inv", to="M.id"),
         *write_guards,
     )
-    remote.state("M.lr",
-                 out("LR", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
-    remote.state("M.id",
-                 out("ID", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
+    remote.state("M.lr", write_back("LR", data_values))
+    remote.state("M.id", write_back("ID", data_values))
 
+
+def invalidate_protocol(data_values: Optional[int] = None) -> Protocol:
+    """Build the invalidate rendezvous protocol.
+
+    :param data_values: size of the finite data domain, or ``None`` for the
+        abstract single-token payload model (writes then leave the value
+        unchanged; with a domain, M-state writes increment mod the domain).
+    :returns: a validated :class:`~repro.csp.ast.Protocol`.
+    """
+    home = ProcessBuilder.home(
+        "invalidate-home",
+        o=None, j=None, t=None, t0=None, S=frozenset(), mem=blank(data_values))
+    free_states(home)
+    shared_states(home, "grR")
+    invalidation_loop(home, "W", sharers)
+    home.state("W.grant", exclusive_grant("grW", "E"))
+    exclusive_states(home)
+
+    remote = ProcessBuilder.remote("invalidate-remote", d=blank(data_values))
+    remote_idle_states(remote)
+    remote_shared_states(remote, data_values)
+    remote_modified_states(remote, data_values)
     return validate_protocol(protocol("invalidate", home, remote))

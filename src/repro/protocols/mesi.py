@@ -59,21 +59,26 @@ Remote node — variable ``d``::
 The silent ``E -> M`` write tau exists at the rendezvous level regardless
 of the data domain — it is a *protocol* state change (the copy becomes
 dirty), not just a value change.
+
+From :mod:`~repro.protocols.invalidate` this module takes the sharer
+updates and the exclusive grant (sent as ``grE``/``grM``), ``Sh``,
+``Sh.gr`` (granting ``grS``) and ``Sh.chk``, the ``W`` invalidation loop,
+the remote's ``S`` and the ``LR``/``ID`` write-backs out of ``M``.  It
+writes its own ``X`` states and the remote's ``I``, ``E`` and ``M``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..csp.ast import DATA, AnySender, Protocol, SetSender, VarSender, VarTarget
+from ..csp.ast import AnySender, Protocol, VarSender, VarTarget
 from ..csp.builder import ProcessBuilder, inp, out, protocol, tau
 from ..csp.validate import validate_protocol
+from .invalidate import (blank, exclusive_grant, forget, grant,
+                         invalidation_loop, remote_shared_states,
+                         shared_states, sharers, write_back)
 
-__all__ = ["mesi_protocol", "MESI_MSGS"]
-
-#: Message vocabulary of the MESI protocol.
-MESI_MSGS = ("reqR", "reqW", "grE", "grS", "grM", "evE", "LR", "down",
-             "dnC", "dnD", "invX", "IC", "ID", "evS", "invS", "IA")
+__all__ = ["mesi_protocol"]
 
 
 def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
@@ -84,26 +89,9 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
         silently, which is exactly what the dirty/clean reply split and the
         coherence oracle then have to get right.
     """
-    abstract = data_values is None
-
-    def initial_data():
-        return DATA if abstract else 0
-
     home = ProcessBuilder.home(
         "mesi-home",
-        o=None, j=None, t=None, t0=None, S=frozenset(), mem=initial_data())
-    def grant(env):
-        return env["mem"]
-
-    def own(var: str):
-        return lambda env: env.update({"o": env[var], var: None})
-
-    def add_sharer(var: str):
-        return lambda env: env.update(
-            {"S": env["S"] | frozenset({env[var]}), var: None})
-
-    def drop_sharer(var: str):
-        return lambda env: env.set("S", env["S"] - frozenset({env[var]}))
+        o=None, j=None, t=None, t0=None, S=frozenset(), mem=blank(data_values))
 
     # -- free -----------------------------------------------------------------
     home.state(
@@ -111,10 +99,8 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("reqR", sender=AnySender(), bind_sender="j", to="F.ge"),
         inp("reqW", sender=AnySender(), bind_sender="j", to="F.gm"),
     )
-    home.state("F.ge", out("grE", target=VarTarget("j"), payload=grant,
-                           update=own("j"), to="X"))
-    home.state("F.gm", out("grM", target=VarTarget("j"), payload=grant,
-                           update=own("j"), to="X"))
+    home.state("F.ge", exclusive_grant("grE", "X"))
+    home.state("F.gm", exclusive_grant("grM", "X"))
 
     # -- exclusive (E or M at the remote — the home cannot tell) ---------------
     home.state(
@@ -147,8 +133,7 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
                        {"S": env["S"] | frozenset({env["j"]}),
                         "o": None, "j": None}),
                    to="Sh"))
-    home.state("X.fgr", out("grE", target=VarTarget("j"), payload=grant,
-                            update=own("j"), to="X"))
+    home.state("X.fgr", exclusive_grant("grE", "X"))
     home.state(
         "X.w",
         out("invX", target=VarTarget("o"), to="X.ww"),
@@ -160,50 +145,15 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("IC", sender=VarSender("o"), to="X.wgr"),
         inp("ID", sender=VarSender("o"), bind_value="mem", to="X.wgr"),
     )
-    home.state("X.wgr", out("grM", target=VarTarget("j"), payload=grant,
-                            update=own("j"), to="X"))
+    home.state("X.wgr", exclusive_grant("grM", "X"))
 
     # -- shared ------------------------------------------------------------------
-    home.state(
-        "Sh",
-        inp("reqR", sender=AnySender(), bind_sender="j", to="Sh.gr"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="Sh.chk"),
-        inp("reqW", sender=AnySender(), bind_sender="j", to="W.chk"),
-    )
-    home.state("Sh.gr", out("grS", target=VarTarget("j"), payload=grant,
-                            update=add_sharer("j"), to="Sh"))
-    home.state(
-        "Sh.chk",
-        tau("empty", cond=lambda env: not env["S"], to="F"),
-        tau("nonempty", cond=lambda env: bool(env["S"]), to="Sh"),
-    )
-    home.state(
-        "W.chk",
-        tau("done", cond=lambda env: not env["S"], to="W.grant"),
-        tau("more", cond=lambda env: bool(env["S"]),
-            update=lambda env: env.set("t0", min(env["S"])), to="W.send"),
-    )
-    home.state(
-        "W.send",
-        out("invS", target=VarTarget("t0"), to="W.wait"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="W.chk"),
-    )
-    home.state(
-        "W.wait",
-        inp("IA", sender=VarSender("t0"),
-            update=lambda env: env.update(
-                {"S": env["S"] - frozenset({env["t0"]}), "t0": None}),
-            to="W.chk"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="W.wait"),
-    )
-    home.state("W.grant", out("grM", target=VarTarget("j"), payload=grant,
-                              update=own("j"), to="X"))
+    shared_states(home, "grS")
+    invalidation_loop(home, "W", sharers)
+    home.state("W.grant", exclusive_grant("grM", "X"))
 
     # -- remote ---------------------------------------------------------------------
-    remote = ProcessBuilder.remote("mesi-remote", d=initial_data())
+    remote = ProcessBuilder.remote("mesi-remote", d=blank(data_values))
     remote.state(
         "I",
         tau("wantR", to="I.r"),
@@ -218,7 +168,7 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
     remote.state("I.w", out("reqW", to="I.gm"))
     remote.state("I.gm", inp("grM", bind_value="d", to="M"))
 
-    write_update = (None if abstract else
+    write_update = (None if data_values is None else
                     (lambda env: env.set("d", (env["d"] + 1) % data_values)))
     remote.state(
         "E",
@@ -227,15 +177,11 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("down", to="E.dc"),
         inp("invX", to="E.ic"),
     )
-    remote.state("E.ev",
-                 out("evE", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
+    remote.state("E.ev", out("evE", update=forget(data_values), to="I"))
     remote.state("E.dc", out("dnC", to="S"))
-    remote.state("E.ic",
-                 out("IC", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
+    remote.state("E.ic", out("IC", update=forget(data_values), to="I"))
 
-    extra_writes = [] if abstract else [
+    extra_writes = [] if data_values is None else [
         tau("write", update=write_update, to="M")]
     remote.state(
         "M",
@@ -244,24 +190,8 @@ def mesi_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("invX", to="M.id"),
         *extra_writes,
     )
-    remote.state("M.lr",
-                 out("LR", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
+    remote.state("M.lr", write_back("LR", data_values))
     remote.state("M.dd", out("dnD", payload=lambda env: env["d"], to="S"))
-    remote.state("M.id",
-                 out("ID", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
-
-    remote.state(
-        "S",
-        tau("evict", to="S.ev"),
-        inp("invS", to="S.ia"),
-    )
-    remote.state("S.ev",
-                 out("evS", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
-    remote.state("S.ia",
-                 out("IA", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
-
+    remote.state("M.id", write_back("ID", data_values))
+    remote_shared_states(remote, data_values)
     return validate_protocol(protocol("mesi", home, remote))

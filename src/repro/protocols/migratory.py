@@ -48,10 +48,7 @@ from ..csp.ast import DATA, AnySender, Protocol, VarSender, VarTarget
 from ..csp.builder import ProcessBuilder, inp, out, protocol, tau
 from ..csp.validate import validate_protocol
 
-__all__ = ["migratory_protocol", "MIGRATORY_MSGS"]
-
-#: Message vocabulary of the migratory protocol.
-MIGRATORY_MSGS = ("req", "gr", "LR", "inv", "ID")
+__all__ = ["migratory_protocol"]
 
 
 def migratory_protocol(data_values: Optional[int] = None,

@@ -7,6 +7,14 @@ protocols the paper evaluates.  It extends the invalidate protocol with an
 invalidate *the other* sharers only, keeping its own copy (no data
 transfer), instead of evicting and re-fetching.
 
+Everything else is :mod:`~repro.protocols.invalidate`'s pieces, called in
+invalidate's order: the home's ``F``, ``Sh`` (plus a ``reqU`` input), the
+``W`` invalidation loop, ``W.grant`` and ``E`` with its revocations, and
+the remote's ``I``, ``S`` (plus a ``wantUp`` tau) and ``M``.  This module
+writes only the upgrade: the ``u`` variable, the ``U`` loop (the ``W``
+loop over every sharer but the upgrader), ``U.grant``, ``S.up`` and
+``S.grU``, and the ``upfail`` denials both loops add.
+
 New messages: ``reqU`` (upgrade request, sent from the ``S`` state),
 ``grU`` (upgrade grant — no payload, the requester already has the data)
 and ``upfail`` (upgrade denial — sent when the home is already invalidating
@@ -33,15 +41,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..csp.ast import DATA, AnySender, Protocol, SetSender, VarSender, VarTarget
+from ..csp.ast import Protocol, SetSender, VarTarget
 from ..csp.builder import ProcessBuilder, inp, out, protocol, tau
 from ..csp.validate import validate_protocol
+from .invalidate import (blank, exclusive_grant, exclusive_states,
+                         free_states, invalidation_loop, remote_idle_states,
+                         remote_modified_states, remote_shared_states,
+                         shared_states, sharers)
 
-__all__ = ["msi_protocol", "MSI_MSGS"]
-
-#: Message vocabulary of the MSI-with-upgrade protocol.
-MSI_MSGS = ("reqR", "reqW", "reqU", "grR", "grW", "grU", "upfail",
-            "evS", "invS", "IA", "inv", "ID", "LR")
+__all__ = ["msi_protocol"]
 
 
 def msi_protocol(data_values: Optional[int] = None) -> Protocol:
@@ -50,165 +58,30 @@ def msi_protocol(data_values: Optional[int] = None) -> Protocol:
     :param data_values: finite data domain size, or ``None`` for abstract
         payloads (as in :func:`repro.protocols.invalidate.invalidate_protocol`).
     """
-    abstract = data_values is None
-
-    def initial_data():
-        return DATA if abstract else 0
-
     home = ProcessBuilder.home(
         "msi-home",
         o=None, j=None, t=None, t0=None, u=None, S=frozenset(),
-        mem=initial_data())
-    def grant(env):
-        return env["mem"]
-
-    def add_sharer(var: str):
-        return lambda env: env.update(
-            {"S": env["S"] | frozenset({env[var]}), var: None})
-
-    def drop_sharer(var: str):
-        return lambda env: env.set("S", env["S"] - frozenset({env[var]}))
-
-    # -- free ------------------------------------------------------------------
-    home.state(
-        "F",
-        inp("reqR", sender=AnySender(), bind_sender="j", to="F.gr"),
-        inp("reqW", sender=AnySender(), bind_sender="j", to="F.grw"),
-    )
-    home.state("F.gr", out("grR", target=VarTarget("j"), payload=grant,
-                           update=add_sharer("j"), to="Sh"))
-    home.state("F.grw", out("grW", target=VarTarget("j"), payload=grant,
-                            update=lambda env: env.update({"o": env["j"],
-                                                           "j": None}),
-                            to="E"))
-
-    # -- shared ------------------------------------------------------------------
-    home.state(
-        "Sh",
-        inp("reqR", sender=AnySender(), bind_sender="j", to="Sh.gr"),
-        inp("evS", sender=SetSender("S"), bind_sender="t",
-            update=drop_sharer("t"), to="Sh.chk"),
-        inp("reqW", sender=AnySender(), bind_sender="j", to="W.chk"),
-        inp("reqU", sender=SetSender("S"), bind_sender="j", to="U.chk"),
-    )
-    home.state("Sh.gr", out("grR", target=VarTarget("j"), payload=grant,
-                            update=add_sharer("j"), to="Sh"))
-    home.state(
-        "Sh.chk",
-        tau("empty", cond=lambda env: not env["S"], to="F"),
-        tau("nonempty", cond=lambda env: bool(env["S"]), to="Sh"),
-    )
-
-    # -- invalidation loops -------------------------------------------------------
+        mem=blank(data_values))
+    free_states(home)
+    shared_states(home, "grR", inp("reqU", sender=SetSender("S"),
+                                   bind_sender="j", to="U.chk"))
     # W.*: invalidate everyone, writer is outside the sharer set.
     # U.*: invalidate everyone except the upgrading sharer j.
-    def build_loop(prefix: str, victims):
-        """victims(env) -> frozenset of sharers still to invalidate."""
-        home.state(
-            f"{prefix}.chk",
-            tau("done", cond=lambda env: not victims(env),
-                to=f"{prefix}.grant"),
-            tau("more", cond=lambda env: bool(victims(env)),
-                update=lambda env: env.set("t0", min(victims(env))),
-                to=f"{prefix}.send"),
-        )
-        home.state(
-            f"{prefix}.send",
-            out("invS", target=VarTarget("t0"), to=f"{prefix}.wait"),
-            inp("evS", sender=SetSender("S"), bind_sender="t",
-                update=drop_sharer("t"), to=f"{prefix}.chk"),
-            inp("reqU", sender=SetSender("S"), bind_sender="u",
-                to=f"{prefix}.send.deny"),
-        )
-        home.state(f"{prefix}.send.deny",
-                   out("upfail", target=VarTarget("u"),
-                       update=lambda env: env.set("u", None),
-                       to=f"{prefix}.chk"))
-        home.state(
-            f"{prefix}.wait",
-            inp("IA", sender=VarSender("t0"),
-                update=lambda env: env.update(
-                    {"S": env["S"] - frozenset({env["t0"]}), "t0": None}),
-                to=f"{prefix}.chk"),
-            inp("evS", sender=SetSender("S"), bind_sender="t",
-                update=drop_sharer("t"), to=f"{prefix}.wait"),
-            inp("reqU", sender=SetSender("S"), bind_sender="u",
-                to=f"{prefix}.wait.deny"),
-        )
-        home.state(f"{prefix}.wait.deny",
-                   out("upfail", target=VarTarget("u"),
-                       update=lambda env: env.set("u", None),
-                       to=f"{prefix}.wait"))
-
-    build_loop("W", victims=lambda env: env["S"])
-    build_loop("U", victims=lambda env: env["S"] - frozenset({env["j"]}))
-
-    home.state("W.grant", out("grW", target=VarTarget("j"), payload=grant,
-                              update=lambda env: env.update({"o": env["j"],
-                                                             "j": None}),
-                              to="E"))
+    invalidation_loop(home, "W", sharers, deny_upgrades=True)
+    invalidation_loop(home, "U",
+                      lambda env: env["S"] - frozenset({env["j"]}),
+                      deny_upgrades=True)
+    home.state("W.grant", exclusive_grant("grW", "E"))
     home.state("U.grant", out("grU", target=VarTarget("j"),
                               update=lambda env: env.update(
                                   {"o": env["j"], "j": None,
                                    "S": frozenset()}),
                               to="E"))
+    exclusive_states(home)
 
-    # -- exclusive -------------------------------------------------------------
-    home.state(
-        "E",
-        inp("LR", sender=VarSender("o"), bind_value="mem",
-            update=lambda env: env.set("o", None), to="F"),
-        inp("reqR", sender=AnySender(), bind_sender="j", to="RI"),
-        inp("reqW", sender=AnySender(), bind_sender="j", to="WI"),
-    )
-    for prefix, grant_state in (("RI", "RI3"), ("WI", "WI3")):
-        home.state(
-            prefix,
-            out("inv", target=VarTarget("o"), to=f"{prefix}2"),
-            inp("LR", sender=VarSender("o"), bind_value="mem",
-                to=grant_state),
-        )
-        home.state(
-            f"{prefix}2",
-            inp("LR", sender=VarSender("o"), bind_value="mem",
-                to=grant_state),
-            inp("ID", sender=VarSender("o"), bind_value="mem",
-                to=grant_state),
-        )
-    home.state("RI3", out("grR", target=VarTarget("j"), payload=grant,
-                          update=lambda env: env.update(
-                              {"S": frozenset({env["j"]}),
-                               "o": None, "j": None}),
-                          to="Sh"))
-    home.state("WI3", out("grW", target=VarTarget("j"), payload=grant,
-                          update=lambda env: env.update({"o": env["j"],
-                                                         "j": None}),
-                          to="E"))
-
-    # -- remote -------------------------------------------------------------------
-    remote = ProcessBuilder.remote("msi-remote", d=initial_data())
-    remote.state(
-        "I",
-        tau("wantR", to="I.r"),
-        tau("wantW", to="I.w"),
-    )
-    remote.state("I.r", out("reqR", to="I.grR"))
-    remote.state("I.grR", inp("grR", bind_value="d", to="S"))
-    remote.state("I.w", out("reqW", to="I.grW"))
-    remote.state("I.grW", inp("grW", bind_value="d", to="M"))
-
-    remote.state(
-        "S",
-        tau("evict", to="S.ev"),
-        tau("wantUp", to="S.up"),
-        inp("invS", to="S.ia"),
-    )
-    remote.state("S.ev",
-                 out("evS", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
-    remote.state("S.ia",
-                 out("IA", update=lambda env: env.set("d", initial_data()),
-                     to="I"))
+    remote = ProcessBuilder.remote("msi-remote", d=blank(data_values))
+    remote_idle_states(remote)
+    remote_shared_states(remote, data_values, tau("wantUp", to="S.up"))
     remote.state("S.up", out("reqU", to="S.grU"))
     # No invS guard is needed in S.grU: once the home has acked reqU it is
     # committed to answer with grU or upfail before invalidating us (the
@@ -220,23 +93,5 @@ def msi_protocol(data_values: Optional[int] = None) -> Protocol:
         inp("grU", to="M"),
         inp("upfail", to="S"),
     )
-
-    write_guards = []
-    if not abstract:
-        write_guards.append(
-            tau("write", to="M",
-                update=lambda env: env.set("d", (env["d"] + 1) % data_values)))
-    remote.state(
-        "M",
-        tau("evict", to="M.lr"),
-        inp("inv", to="M.id"),
-        *write_guards,
-    )
-    remote.state("M.lr",
-                 out("LR", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
-    remote.state("M.id",
-                 out("ID", payload=lambda env: env["d"],
-                     update=lambda env: env.set("d", initial_data()), to="I"))
-
+    remote_modified_states(remote, data_values)
     return validate_protocol(protocol("msi", home, remote))

@@ -21,12 +21,7 @@ from hypothesis import given, note, settings, strategies as st
 from repro.analysis.paramcheck import check_parameterized
 from repro.check.explorer import explore
 from repro.gen import GeneratorParams, random_protocol
-from repro.protocols import (
-    invalidate_protocol,
-    mesi_protocol,
-    migratory_protocol,
-    msi_protocol,
-)
+from repro.protocols import LIBRARY_PROTOCOLS
 from repro.semantics.rendezvous import RendezvousSystem
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
@@ -119,11 +114,7 @@ class TestLibraryProtocolsAgree:
         from repro.check.symmetry import SymmetricSystem
         from repro.protocols.symmetry import symmetry_spec_for
 
-        factories = {"migratory": migratory_protocol,
-                     "invalidate": invalidate_protocol,
-                     "mesi": mesi_protocol,
-                     "msi": msi_protocol}
-        for name, factory in factories.items():
+        for name, factory in LIBRARY_PROTOCOLS.items():
             protocol = factory()
             verdict = check_parameterized(protocol)
             assert verdict.discharged, name

@@ -23,7 +23,6 @@ from repro import (
     mesi_protocol,
     migratory_protocol,
     msi_protocol,
-    refine,
 )
 from repro.check.por import PORSystem
 from repro.check.symmetry import SymmetricSystem
@@ -39,12 +38,17 @@ LIBRARY = [
 ]
 
 
+@pytest.fixture
+def refined(name, request):
+    """The session-scoped ``<name>_refined`` of ``tests/conftest.py``."""
+    return request.getfixturevalue(f"{name}_refined")
+
+
 @pytest.mark.parametrize("name,build,spec", LIBRARY)
 class TestLibraryContract:
-    def test_single_node_sane(self, name, build, spec):
-        protocol = build()
-        assert_safe(explore(RendezvousSystem(protocol, 1)))
-        assert_safe(explore(AsyncSystem(refine(protocol), 1)))
+    def test_single_node_sane(self, name, build, spec, refined):
+        assert_safe(explore(RendezvousSystem(build(), 1)))
+        assert_safe(explore(AsyncSystem(refined, 1)))
 
     def test_coherence_spec_names_real_states(self, name, build, spec):
         protocol = build()
@@ -59,12 +63,12 @@ class TestLibraryContract:
         assert symmetry.id_vars <= declared
         assert symmetry.set_vars <= declared
 
-    def test_symmetric_system_accepts_library_spec(self, name, build, spec):
+    def test_symmetric_system_accepts_library_spec(self, name, build, spec,
+                                                   refined):
         """Both levels, with and without POR in between."""
-        protocol = build()
         symmetry = symmetry_spec_for(name)
-        inner = AsyncSystem(refine(protocol), 2)
-        for system in (RendezvousSystem(protocol, 2), inner,
+        inner = AsyncSystem(refined, 2)
+        for system in (RendezvousSystem(build(), 2), inner,
                        PORSystem(inner)):
             assert SymmetricSystem(system, symmetry).inner is system
 
@@ -92,11 +96,9 @@ class TestLibraryContract:
         workload = workload_spec_for(name)
         assert workload.acquire_complete_msgs <= protocol.message_types
 
-    def test_figures_render(self, name, build, spec):
+    def test_figures_render(self, name, build, spec, refined):
         from repro.viz import process_dot, refined_ascii, refined_dot
-        protocol = build()
-        refined = refine(protocol)
-        assert process_dot(protocol.home).startswith("digraph")
+        assert process_dot(build().home).startswith("digraph")
         assert "refined" in refined_ascii(refined, "remote")
         assert refined_dot(refined, "home").startswith("digraph")
 
@@ -114,3 +116,51 @@ class TestLibraryContract:
             elif isinstance(guard, Tau):
                 assert workload.classify(initial.name, TAU,
                                          guard.label) is not None
+
+
+def _shapes(state):
+    """What a guard is, minus its callables: kind, msg or label, sender,
+    target, bindings, successor, and which callables it carries."""
+    return [(type(g).__name__, getattr(g, "msg", None),
+             getattr(g, "label", None), getattr(g, "sender", None),
+             getattr(g, "target", None), getattr(g, "bind_sender", None),
+             getattr(g, "bind_value", None), g.to,
+             *(getattr(g, f, None) is not None
+               for f in ("cond", "update", "payload")))
+            for g in state.guards]
+
+
+#: States msi and mesi take unchanged from invalidate, per process, and
+#: states whose invalidate guards they keep in order among added ones.
+FAMILY = {
+    "msi": (msi_protocol, {
+        "home": ("F", "F.gr", "F.grw", "Sh.gr", "Sh.chk", "W.chk",
+                 "W.grant", "E", "RI", "RI2", "RI3", "WI", "WI2", "WI3"),
+        "remote": ("I", "I.r", "I.grR", "I.w", "I.grW", "S.ev", "S.ia",
+                   "M", "M.lr", "M.id"),
+    }, {"home": ("Sh", "W.send", "W.wait"), "remote": ("S",)}),
+    "mesi": (mesi_protocol, {
+        "home": ("Sh", "Sh.chk", "W.chk", "W.send", "W.wait"),
+        "remote": ("S", "S.ev", "S.ia", "M.lr", "M.id"),
+    }, {"home": (), "remote": ()}),
+}
+
+
+@pytest.mark.parametrize("data_values", [None, 2])
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_invalidate_family_shares_invalidates_states(name, data_values):
+    """msi and mesi extend invalidate: every state they share with it has
+    invalidate's guards, and an extended one keeps them in order."""
+    build, same, extended = FAMILY[name]
+    base = invalidate_protocol(data_values)
+    member = build(data_values)
+    for process in ("home", "remote"):
+        ours = getattr(base, process)
+        theirs = getattr(member, process)
+        for state in same[process]:
+            assert _shapes(theirs.state(state)) == \
+                _shapes(ours.state(state)), (name, state)
+        for state in extended[process]:
+            added = iter(_shapes(theirs.state(state)))
+            assert all(shape in added
+                       for shape in _shapes(ours.state(state))), (name, state)

@@ -40,6 +40,11 @@ class TestStructure:
         lr = mesi.remote.state("M.lr").outputs[0]
         assert lr.msg == "LR" and lr.payload is not None
 
+    def test_messages(self, mesi):
+        assert mesi.message_types == frozenset(
+            {"reqR", "reqW", "grE", "grS", "grM", "evE", "LR", "down",
+             "dnC", "dnD", "invX", "IC", "ID", "evS", "invS", "IA"})
+
 
 class TestFusionDecisions:
     """The dual-reply structure must defeat fusion exactly where it should."""

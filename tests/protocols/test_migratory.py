@@ -31,6 +31,11 @@ class TestStructureMatchesFigures:
     def test_explicit_rw_adds_intent_state(self, migratory_rw):
         assert "I.req" in migratory_rw.remote.states
 
+    def test_messages(self, migratory, migratory_rw):
+        vocabulary = frozenset({"req", "gr", "LR", "inv", "ID"})
+        assert migratory.message_types == vocabulary
+        assert migratory_rw.message_types == vocabulary
+
     def test_home_edge_labels(self, migratory):
         home = migratory.home
         assert [g.msg for g in home.state("F").inputs] == ["req"]

@@ -27,6 +27,11 @@ class TestStructure:
         assert grant.msg == "grU"
         assert grant.payload is None
 
+    def test_messages(self, msi):
+        assert msi.message_types == frozenset(
+            {"reqR", "reqW", "reqU", "grR", "grW", "grU", "upfail",
+             "evS", "invS", "IA", "inv", "ID", "LR"})
+
 
 class TestVerification:
     @pytest.mark.parametrize("n", [1, 2])
