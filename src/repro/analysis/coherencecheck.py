@@ -161,13 +161,18 @@ def _replay_concrete(protocol: Protocol,
                      cex: Counterexample) -> Optional[str]:
     """Replay an all-concrete abstract trace through the real two-node
     rendezvous semantics (defence in depth for refutations); ``None``
-    when it is a run of it, else what went wrong."""
-    from ..check.explorer import replay_actions
+    when it is a run of it, else what went wrong.  The replay goes
+    through the reference ``actions()`` + ``apply()``, not the step memo
+    the swept system shares with it."""
     from ..semantics.rendezvous import RendezvousSystem
 
+    system = RendezvousSystem(protocol, N_CONCRETE)
+    states = [system.initial_state()]
     try:
-        states = replay_actions(RendezvousSystem(protocol, N_CONCRETE),
-                                cex.steps)
+        for action in cex.steps:
+            if action not in system.actions(states[-1]):
+                return f"{action.describe()} is not enabled"
+            states.append(system.apply(states[-1], action))
     except Exception as exc:
         return str(exc)
     return None if states == cex.states else "state divergence"
@@ -187,7 +192,7 @@ def _judge(protocol: Protocol, run: Sweep,
         note = _replay_concrete(protocol, cex)
         if note is None:
             return "refuted", cex, None
-        return "inconclusive", None, (  # pragma: no cover - defensive
+        return "inconclusive", None, (
             f"concrete-looking violation failed replay ({note})")
     if violations:
         shortest = min(violations, key=lambda c: len(c.steps))

@@ -282,9 +282,6 @@ class EnvironmentSystem(RendezvousSystem):
         self.lemmas = tuple(lemmas)
         self.seen_remote_envs: set[Env] = {protocol.remote.initial_env}
         self.stuck: list[RvState] = []
-        self._remote_input_msgs = frozenset(
-            g.msg for sdef in protocol.remote.states.values()
-            for g in sdef.inputs)
         # dispatch by home state: the lemmas to check there, and the
         # gates on Other per (home state, engaged variable)
         self._checks = {
@@ -350,7 +347,7 @@ class EnvironmentSystem(RendezvousSystem):
                        target: int) -> Iterator[Any]:
         if target != self.other:
             return super()._outside_offer(state, idx, guard, target)
-        if guard.msg not in self._remote_input_msgs:
+        if guard.msg not in self.protocol.remote.input_msgs:
             return iter(())  # no environment node could ever accept it
         return iter((OtherRecv(msg=guard.msg, out_index=idx),))
 

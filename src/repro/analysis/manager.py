@@ -18,9 +18,9 @@ stateless Other, a thousand to ten thousand states for the library
 protocols; callers that must stay exploration-free — the refinement
 engine's pre-plan gate — pass ``include_param=False``.
 
-Expensive shared derivations (the section 3.3 pair reports, the
-coherence verdict) are computed once per run and shared across passes
-through the context's :class:`AnalysisCache`.
+The one derivation several passes share, the section 3.3 pair
+reports, is computed once per run and kept in the context's
+:class:`AnalysisCache`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .transients import transient_pass
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..refine.plan import RefinedProtocol, RefinementConfig
     from ..refine.reqreply import PairReport
-    from .coherencecheck import CoherenceVerdict
 
 __all__ = ["PARAM_PASSES", "PROTOCOL_PASSES", "AnalysisCache",
            "AnalysisContext", "analyze_protocol", "analyze_refined"]
@@ -51,17 +50,15 @@ DEFAULT_NODES = 4
 
 
 class AnalysisCache:
-    """Per-run memo for derivations shared across passes.
+    """Per-run memo for the derivation shared across passes.
 
     The fusability pass and the flows pass both need the section 3.3
     pair reports (one :func:`~repro.refine.reqreply.explain_pair` per
-    candidate pair).  Each is computed at most once per analysis run.
+    candidate pair); they are computed at most once per analysis run.
     """
 
     def __init__(self) -> None:
         self._reports: "Optional[tuple[PairReport, ...]]" = None
-        self._coherence: "Optional[CoherenceVerdict]" = None
-        self._coherence_done = False  # set once the answer is known
 
     def pair_reports(self, protocol: Protocol,
                      strict_cycles: bool) -> "tuple[PairReport, ...]":
@@ -71,20 +68,6 @@ class AnalysisCache:
             self._reports = fusability_report(
                 protocol, strict_cycles=strict_cycles)
         return self._reports
-
-    def coherence_verdict(
-            self, ctx: "AnalysisContext") -> "Optional[CoherenceVerdict]":
-        """The parameterized coherence verdict, or ``None`` when no
-        coherence spec is registered for the protocol."""
-        if not self._coherence_done:
-            from ..protocols.invariants import COHERENCE_SPECS
-            from .coherencecheck import check_coherence
-
-            spec = COHERENCE_SPECS.get(ctx.protocol.name)
-            if spec is not None:
-                self._coherence = check_coherence(ctx.protocol, spec)
-            self._coherence_done = True
-        return self._coherence
 
 
 def _default_config() -> "RefinementConfig":
@@ -163,15 +146,19 @@ def _paramcheck_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
 
 
 def _coherence_pass(ctx: AnalysisContext) -> Iterable[Diagnostic]:
+    from ..protocols.invariants import COHERENCE_SPECS
+    from .coherencecheck import check_coherence
+
+    spec = COHERENCE_SPECS.get(ctx.protocol.name)
+    if spec is None:  # no registered coherence spec — nothing to check
+        return []
     try:
-        verdict = ctx.cache.coherence_verdict(ctx)
+        verdict = check_coherence(ctx.protocol, spec)
     except Exception as exc:
         return [make(
             "P4603", f"{ctx.protocol.name}:coherence",
             f"coherence check failed ({exc}); the parameterized coherence "
             "check is inconclusive")]
-    if verdict is None:  # no registered coherence spec — nothing to check
-        return []
     return list(verdict.obligations)
 
 

@@ -170,13 +170,7 @@ def responder_chains(remote: ProcessDef, msg: str) -> Iterator[list[str]]:
         for guard in state.inputs:
             if guard.msg != msg:
                 continue
-            cursor = remote.state(guard.to)
-            chain = [cursor.name]
-            while (cursor.is_internal and len(cursor.guards) == 1
-                   and len(chain) <= len(remote.states) + 1):
-                cursor = remote.state(cursor.taus[0].to)
-                chain.append(cursor.name)
-            yield chain
+            yield remote.responder_chain(guard.to)
 
 
 def n_engaged(state: AsyncState) -> int:

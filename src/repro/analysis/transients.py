@@ -81,7 +81,7 @@ def transient_pass(refined: "RefinedProtocol") -> Iterator[Diagnostic]:
                              "state or drop the pair from fused_pairs")
 
     for msg in sorted(plan.fire_and_forget):
-        if _received_by_remote(protocol.remote, msg):
+        if msg in protocol.remote.input_msgs:
             yield make(
                 "P3402", f"{protocol.name}:{msg}",
                 f"fire-and-forget message {msg!r} is received by the "
@@ -106,8 +106,3 @@ def _offers_reply(process: ProcessDef, request: Output, reply: str) -> bool:
         if isinstance(guard, Input) and guard.msg == reply:
             return True
     return False
-
-
-def _received_by_remote(remote: ProcessDef, msg: str) -> bool:
-    return any(isinstance(g, Input) and g.msg == msg
-               for s in remote.states.values() for g in s.guards)

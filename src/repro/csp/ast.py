@@ -26,6 +26,7 @@ allowed as long as environments stay hashable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
 
 from .env import Env, Value
@@ -306,6 +307,16 @@ class StateDef:
     def taus(self) -> tuple[Tau, ...]:
         return tuple(g for g in self.guards if isinstance(g, Tau))
 
+    def accepting(self, msg: str, env: Env, sender: int,
+                  value: Value) -> Optional[Input]:
+        """The first declared input guard that accepts ``msg`` from
+        ``sender`` (-1 on the remote side) carrying ``value``, or None:
+        the input choice of both levels (paper Tables 1 and 2)."""
+        for guard in self.inputs:
+            if guard.msg == msg and guard.accepts(env, sender, value):
+                return guard
+        return None
+
     @property
     def duplicate_tau_label(self) -> Optional[str]:
         """The first label two of this state's taus share, if any."""
@@ -327,6 +338,13 @@ class StateDef:
     def is_terminal(self) -> bool:
         """A state with no behaviour at all (normally a spec bug)."""
         return not self.guards
+
+    @property
+    def sole_tau(self) -> Optional[Tau]:
+        """The guard of a state whose one guard is a tau, else None."""
+        if len(self.guards) == 1 and isinstance(self.guards[0], Tau):
+            return self.guards[0]
+        return None
 
 
 class ProcessKind:
@@ -381,6 +399,25 @@ class ProcessDef:
                     seen.add(guard.to)
                     stack.append(guard.to)
         return frozenset(seen)
+
+    def responder_chain(self, start: str) -> list[str]:
+        """``start``, then each state reached by the sole tau of a
+        single-guard internal state, up to the first state already held:
+        the local work a fused responder does between consuming a
+        request and sending its reply (section 3.3).  The chain ends in
+        a loop when its last state still has a :attr:`StateDef.sole_tau`."""
+        chain = [start]
+        tau = self.state(start).sole_tau
+        while tau is not None and tau.to not in chain:
+            chain.append(tau.to)
+            tau = self.state(tau.to).sole_tau
+        return chain
+
+    @cached_property
+    def input_msgs(self) -> frozenset[str]:
+        """The message types some input guard of this process receives."""
+        return frozenset(g.msg for state in self.states.values()
+                         for g in state.inputs)
 
     @property
     def message_types(self) -> frozenset[str]:

@@ -260,10 +260,10 @@ def _forward_through_reply(system: AsyncSystem, env: Env, out_guard: Output,
     """Fast-forward through a fused pair: request update, then reply input."""
     env = out_guard.apply_update(env)
     mid = process.state(out_guard.to)
-    for guard in mid.inputs:
-        if guard.msg == repl.msg and guard.accepts(env, sender, repl.payload):
-            return ProcState(state=guard.to,
-                             env=guard.complete(env, sender, repl.payload))
+    guard = mid.accepting(repl.msg, env, sender, repl.payload)
+    if guard is not None:
+        return ProcState(state=guard.to,
+                         env=guard.complete(env, sender, repl.payload))
     raise AbstractionUndefined(
         f"no input guard in {mid.name!r} accepts the in-flight reply "
         f"{repl.describe()}",

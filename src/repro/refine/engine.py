@@ -28,7 +28,7 @@ The engine performs all *static* work here:
 from __future__ import annotations
 
 from ..analysis.manager import analyze_protocol, analyze_refined
-from ..csp.ast import Input, Protocol
+from ..csp.ast import Protocol
 from ..errors import CertificateError, RefinementError, ValidationError
 from .plan import FusedPair, RefinedProtocol, RefinementConfig, RefinementPlan
 from .reqreply import _reject_overlaps, check_pair, detect_fusable_pairs
@@ -141,16 +141,8 @@ def _check_fire_and_forget(protocol: Protocol, config: RefinementConfig,
             raise RefinementError(
                 f"message {msg!r} cannot be both fire-and-forget and part "
                 "of a fused request/reply pair")
-        if _received_by_remote(protocol, msg):
+        if msg in protocol.remote.input_msgs:
             raise RefinementError(
                 f"fire-and-forget message {msg!r} is received by the remote "
                 "node; only remote-to-home notifications can skip the "
                 "handshake (the home's buffer absorbs them)")
-
-
-def _received_by_remote(protocol: Protocol, msg: str) -> bool:
-    for state in protocol.remote.states.values():
-        for guard in state.guards:
-            if isinstance(guard, Input) and guard.msg == msg:
-                return True
-    return False

@@ -321,14 +321,10 @@ def _check_remote_responder(remote: ProcessDef, pair: FusedPair) -> Optional[str
             if guard.msg != pair.request_msg:
                 continue
             found = True
-            cursor = remote.state(guard.to)
-            hops = 0
-            while cursor.is_internal and len(cursor.guards) == 1:
-                cursor = remote.state(cursor.guards[0].to)
-                hops += 1
-                if hops > len(remote.states):
-                    return (f"{remote.name}: internal loop after consuming "
-                            f"{pair.request_msg!r}")
+            cursor = remote.state(remote.responder_chain(guard.to)[-1])
+            if cursor.sole_tau is not None:
+                return (f"{remote.name}: internal loop after consuming "
+                        f"{pair.request_msg!r}")
             if not (len(cursor.guards) == 1
                     and isinstance(cursor.guards[0], Output)
                     and cursor.guards[0].msg == pair.reply_msg):

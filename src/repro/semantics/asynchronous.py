@@ -715,57 +715,16 @@ class AsyncSystem:
             raise SemanticsError(
                 f"home received {msg.describe()} from r{i} but is not "
                 f"awaiting it (state {home.describe()})")
-        out_guard = self._home_pending_output(home)
-        spec = self._home_pending_spec(home)
-
         if msg.kind == NACK:  # row T2
+            spec = self._pending(HOME_ROLE, home)[1]
             new_home = replace(
                 home, state=spec.rewind_to, mode=IDLE, awaiting=None,
                 pending_out=None,
                 out_idx=self._next_out_idx(self.protocol.home, home))
             return Step(action=action, state=base.with_home(new_home))
-
-        # Payload expressions are effect-free functions of the sender's
-        # environment, which is frozen while the sender is transient — so
-        # the value observed at completion equals the one sent with the
-        # request.  Evaluate once here and reuse below instead of
-        # re-evaluating per branch.
-        request_payload = out_guard.eval_payload(home.env)
-
-        if msg.kind == ACK:  # row T1
-            env = out_guard.apply_update(home.env)
-            new_home = HomeNode(state=spec.forward_to, env=env, mode=IDLE,
-                                out_idx=0, buffer=home.buffer)
-            completes = (RendezvousStep(active=HOME_ID, passive=i,
-                                        msg=out_guard.msg,
-                                        payload=request_payload),)
-            return Step(action=action, state=base.with_home(new_home),
-                        completes=completes)
-
-        if msg.kind == REPL:  # fused reply: completes request + reply
-            reply_msg = spec.fused_reply
-            if reply_msg is None or msg.msg != reply_msg:
-                raise SemanticsError(
-                    f"home got unexpected reply {msg.describe()} while "
-                    f"awaiting the reply to {out_guard.msg!r}")
-            assert spec.reply_to is not None
-            env = out_guard.apply_update(home.env)
-            mid_state = self.protocol.home.state(spec.reply_to)
-            in_guard = self._find_input(mid_state, reply_msg, env, i,
-                                        msg.payload, "home")
-            env = in_guard.complete(env, i, msg.payload)
-            new_home = HomeNode(state=in_guard.to, env=env, mode=IDLE,
-                                out_idx=0, buffer=home.buffer)
-            completes = (
-                RendezvousStep(active=HOME_ID, passive=i, msg=out_guard.msg,
-                               payload=request_payload),
-                RendezvousStep(active=i, passive=HOME_ID, msg=reply_msg,
-                               payload=msg.payload),
-            )
-            return Step(action=action, state=base.with_home(new_home),
-                        completes=completes)
-
-        raise SemanticsError(f"unknown message kind {msg.kind!r}")
+        new_home, completes = self._complete(HOME_ROLE, home, i, msg, "home")
+        return Step(action=action, state=base.with_home(new_home),
+                    completes=completes)
 
     def _home_receive_request(self, base: AsyncState, i: int, msg: Msg,
                               action: DeliverToHome) -> Step:
@@ -777,7 +736,7 @@ class AsyncSystem:
         if home.mode == TRANS and home.awaiting == i:
             # Row T3: implicit nack.  The request takes the reserved
             # ack-buffer slot and the home re-enters its communication state.
-            spec = self._home_pending_spec(home)
+            spec = self._pending(HOME_ROLE, home)[1]
             new_home = replace(
                 home, state=spec.rewind_to, mode=IDLE, awaiting=None,
                 pending_out=None,
@@ -797,7 +756,10 @@ class AsyncSystem:
                         state=base.with_home(new_home).with_channels(channels),
                         sends=(nack,))
 
-        satisfies = self._satisfies_current(home, i, msg.msg, msg.payload)
+        # the progress-buffer criterion: would it complete a rendezvous
+        # in the home's current communication state?
+        satisfies = self.protocol.home.state(home.state).accepting(
+            msg.msg, home.env, i, msg.payload) is not None
         reserved = 0
         if self.plan.config.reserve_progress_buffer and not satisfies:
             reserved += 1
@@ -840,7 +802,9 @@ class AsyncSystem:
     def _home_c1(self, state: AsyncState, state_def: StateDef) -> Optional[Step]:
         home = state.home
         for pos, entry in enumerate(home.buffer):
-            guard = self._matching_input(state_def, home.env, entry)
+            assert isinstance(entry.sender, int)
+            guard = state_def.accepting(entry.msg, home.env, entry.sender,
+                                        entry.payload)
             if guard is None:
                 continue
             env = guard.complete(home.env, entry.sender, entry.payload)
@@ -850,7 +814,6 @@ class AsyncSystem:
             new_state = state.with_home(new_home)
             sends: tuple[Msg, ...] = ()
             completes: tuple[RendezvousStep, ...] = ()
-            assert isinstance(entry.sender, int)
             if entry.note:
                 # fire-and-forget: consumption is the completion point
                 completes = (RendezvousStep(active=entry.sender,
@@ -979,51 +942,18 @@ class AsyncSystem:
         if node.mode != TRANS:
             raise SemanticsError(
                 f"remote r{i} received {msg.describe()} while not transient")
-        out_guard = self._remote_pending_output(node)
-        spec = self._remote_pending_spec(node)
-        # Evaluated once per delivery (see the home-side twin above): the
-        # remote's env is frozen while transient, so the retransmitted
-        # request and the completion observable must carry the same value.
-        request_payload = out_guard.eval_payload(node.env)
-
         if msg.kind == NACK:  # row T2: retransmit immediately
-            retry = Msg(kind=REQ, msg=out_guard.msg, payload=request_payload)
+            out_guard = self._pending(REMOTE_ROLE, node)[0]
+            # the env is frozen while transient: the same payload again
+            retry = Msg(kind=REQ, msg=out_guard.msg,
+                        payload=out_guard.eval_payload(node.env))
             channels2 = base.channels.send_to_home(i, retry)
             return Step(action=action, state=base.with_channels(channels2),
                         sends=(retry,))
-
-        if msg.kind == ACK:  # row T1
-            env = out_guard.apply_update(node.env)
-            new_node = RemoteNode(state=spec.forward_to, env=env, mode=IDLE)
-            completes = (RendezvousStep(active=i, passive=HOME_ID,
-                                        msg=out_guard.msg,
-                                        payload=request_payload),)
-            return Step(action=action, state=base.with_remote(i, new_node),
-                        completes=completes)
-
-        if msg.kind == REPL:
-            reply_msg = spec.fused_reply
-            if reply_msg is None or msg.msg != reply_msg:
-                raise SemanticsError(
-                    f"remote r{i} got unexpected reply {msg.describe()} "
-                    f"while awaiting the reply to {out_guard.msg!r}")
-            assert spec.reply_to is not None
-            env = out_guard.apply_update(node.env)
-            mid_state = self.protocol.remote.state(spec.reply_to)
-            in_guard = self._find_input(mid_state, reply_msg, env, -1,
-                                        msg.payload, f"remote r{i}")
-            env = in_guard.complete(env, -1, msg.payload)
-            new_node = RemoteNode(state=in_guard.to, env=env, mode=IDLE)
-            completes = (
-                RendezvousStep(active=i, passive=HOME_ID, msg=out_guard.msg,
-                               payload=request_payload),
-                RendezvousStep(active=HOME_ID, passive=i, msg=reply_msg,
-                               payload=msg.payload),
-            )
-            return Step(action=action, state=base.with_remote(i, new_node),
-                        completes=completes)
-
-        raise SemanticsError(f"unknown message kind {msg.kind!r}")
+        new_node, completes = self._complete(REMOTE_ROLE, node, i, msg,
+                                             f"remote r{i}")
+        return Step(action=action, state=base.with_remote(i, new_node),
+                    completes=completes)
 
     # -- remote: decisions -------------------------------------------------------
 
@@ -1080,7 +1010,7 @@ class AsyncSystem:
         node = state.remotes[i]
         entry = node.buf
         assert entry is not None
-        guard = self._matching_input(state_def, node.env, entry)
+        guard = state_def.accepting(entry.msg, node.env, -1, entry.payload)
         if guard is None:
             nack = Msg(kind=NACK)
             channels = state.channels.send_to_home(i, nack)
@@ -1109,18 +1039,18 @@ class AsyncSystem:
     def _remote_fused_response(self, state: AsyncState, i: int,
                                entry: BufEntry, guard: Input,
                                env: Env) -> Step:
-        cursor = self.protocol.remote.state(guard.to)
-        hops = 0
-        while cursor.is_internal and len(cursor.guards) == 1:
-            tau = cursor.taus[0]
+        remote = self.protocol.remote
+        for name in remote.responder_chain(guard.to):
+            cursor = remote.state(name)
+            tau = cursor.sole_tau
+            if tau is None:
+                break
             if not tau.enabled(env):
                 raise SemanticsError(
                     f"fused-response local action {tau.describe()} disabled")
             env = tau.apply_update(env)
-            cursor = self.protocol.remote.state(tau.to)
-            hops += 1
-            if hops > len(self.protocol.remote.states):
-                raise SemanticsError("fused response stuck in internal loop")
+        else:  # the chain's last tau leads back into it
+            raise SemanticsError("fused response stuck in internal loop")
         reply_msg = self._reply_of[entry.msg]
         if not (len(cursor.guards) == 1
                 and isinstance(cursor.guards[0], Output)
@@ -1155,56 +1085,65 @@ class AsyncSystem:
         """
         return self.capacity - sum(1 for e in home.buffer if not e.note)
 
-    def _satisfies_current(self, home: HomeNode, sender: int, msg: str,
-                           payload: Value) -> bool:
-        """Would this request complete a rendezvous in the home's current
-        communication state?  (The progress-buffer criterion.)"""
-        state_def = self.protocol.home.state(home.state)
-        entry = BufEntry(sender=sender, msg=msg, payload=payload)
-        return self._matching_input(state_def, home.env, entry) is not None
-
-    @staticmethod
-    def _matching_input(state_def: StateDef, env: Env,
-                        entry: BufEntry) -> Optional[Input]:
-        sender = entry.sender if isinstance(entry.sender, int) else -1
-        for guard in state_def.inputs:
-            if guard.msg == entry.msg and guard.accepts(env, sender,
-                                                        entry.payload):
-                return guard
-        return None
-
-    def _home_pending_output(self, home: HomeNode) -> Output:
-        if home.pending_out is None:
-            raise SemanticsError("home has no pending output in TRANS mode")
-        return self.protocol.home.state(home.state).outputs[home.pending_out]
-
-    def _remote_pending_output(self, node: RemoteNode) -> Output:
+    def _pending(self, role: str,
+                 node: Any) -> tuple[Output, TransitionSpec]:
+        """The output guard transient ``node`` (the home, or a remote, by
+        ``role``) awaits an answer to, with its step-table row."""
         if node.pending_out is None:
-            raise SemanticsError("remote has no pending output in TRANS mode")
-        return self.protocol.remote.state(node.state).outputs[node.pending_out]
+            raise SemanticsError(f"{role} has no pending output in TRANS mode")
+        process = self.protocol.home if role == HOME_ROLE else self.protocol.remote
+        return (process.state(node.state).outputs[node.pending_out],
+                self.table.spec(role, node.state, node.pending_out))
 
-    def _home_pending_spec(self, home: HomeNode) -> TransitionSpec:
-        if home.pending_out is None:
-            raise SemanticsError("home has no pending output in TRANS mode")
-        return self.table.spec(HOME_ROLE, home.state, home.pending_out)
-
-    def _remote_pending_spec(self, node: RemoteNode) -> TransitionSpec:
-        if node.pending_out is None:
-            raise SemanticsError("remote has no pending output in TRANS mode")
-        return self.table.spec(REMOTE_ROLE, node.state, node.pending_out)
+    def _complete(self, role: str, node: Any, i: int, msg: Msg,
+                  who: str) -> tuple[Any, tuple[RendezvousStep, ...]]:
+        """Row T1 of both tables and the fused reply: transient ``node``
+        (the home, or remote ``i``, by ``role``; ``who`` in errors) gets
+        the ACK or REPL ``msg`` that completes its pending rendezvous
+        with the other party.  Returns the idle node it becomes and the
+        rendezvous that finish."""
+        out_guard, spec = self._pending(role, node)
+        # Payload expressions are effect-free functions of the sender's
+        # environment, which is frozen while the sender is transient, so
+        # the value observed here equals the one sent with the request.
+        request_payload = out_guard.eval_payload(node.env)
+        home = role == HOME_ROLE
+        me, peer = (HOME_ID, i) if home else (i, HOME_ID)
+        completes: tuple[RendezvousStep, ...] = (RendezvousStep(
+            active=me, passive=peer, msg=out_guard.msg,
+            payload=request_payload),)
+        if msg.kind == ACK:  # row T1
+            state = spec.forward_to
+            env = out_guard.apply_update(node.env)
+        elif msg.kind == REPL:  # fused reply: completes request + reply
+            reply_msg = spec.fused_reply
+            if reply_msg is None or msg.msg != reply_msg:
+                raise SemanticsError(
+                    f"{who} got unexpected reply {msg.describe()} while "
+                    f"awaiting the reply to {out_guard.msg!r}")
+            assert spec.reply_to is not None
+            env = out_guard.apply_update(node.env)
+            process = self.protocol.home if home else self.protocol.remote
+            mid_state = process.state(spec.reply_to)
+            sender = i if home else -1
+            in_guard = mid_state.accepting(reply_msg, env, sender, msg.payload)
+            if in_guard is None:
+                raise SemanticsError(
+                    f"{who}: no input guard in state {mid_state.name!r} "
+                    f"accepts the fused reply {reply_msg!r}")
+            state = in_guard.to
+            env = in_guard.complete(env, sender, msg.payload)
+            completes += (RendezvousStep(active=peer, passive=me,
+                                         msg=reply_msg, payload=msg.payload),)
+        else:
+            raise SemanticsError(f"unknown message kind {msg.kind!r}")
+        if home:
+            return HomeNode(state=state, env=env, mode=IDLE, out_idx=0,
+                            buffer=node.buffer), completes
+        return RemoteNode(state=state, env=env, mode=IDLE), completes
 
     def _next_out_idx(self, process: ProcessDef, home: HomeNode) -> int:
         outputs = process.state(home.state).outputs
         if not outputs or home.pending_out is None:
             return 0
         return (home.pending_out + 1) % len(outputs)
-
-    @staticmethod
-    def _find_input(state_def: StateDef, msg: str, env: Env, sender: int,
-                    payload: Value, who: str) -> Input:
-        for guard in state_def.inputs:
-            if guard.msg == msg and guard.accepts(env, sender, payload):
-                return guard
-        raise SemanticsError(
-            f"{who}: no input guard in state {state_def.name!r} accepts "
-            f"the fused reply {msg!r}")

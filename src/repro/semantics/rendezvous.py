@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Union
 
-from ..csp.ast import Input, Output, Protocol, Tau
+from ..csp.ast import Output, Protocol, Tau
 from ..csp.env import Value
 from ..errors import SemanticsError
 from .state import HOME_ID, ProcId, ProcState, RvState
@@ -159,13 +159,11 @@ class RendezvousSystem:
                 continue
             remote = state.remotes[target]
             payload = guard.eval_payload(state.home.env)
-            for r_guard in self.protocol.remote.state(remote.state).inputs:
-                if r_guard.msg == guard.msg and r_guard.accepts(
-                        remote.env, -1, payload):
-                    yield RendezvousStep(active=HOME_ID, passive=target,
-                                         msg=guard.msg, payload=payload,
-                                         out_index=idx)
-                    break  # one matching input is one rendezvous offer
+            if self.protocol.remote.state(remote.state).accepting(
+                    guard.msg, remote.env, -1, payload) is not None:
+                yield RendezvousStep(active=HOME_ID, passive=target,
+                                     msg=guard.msg, payload=payload,
+                                     out_index=idx)
 
     def _outside_offer(self, state: RvState, idx: int, guard: Output,
                        target: int) -> Iterator[RendezvousAction]:
@@ -185,13 +183,11 @@ class RendezvousSystem:
                 if not guard.enabled(proc.env):
                     continue
                 payload = guard.eval_payload(proc.env)
-                for h_guard in home_def.inputs:
-                    if h_guard.msg == guard.msg and h_guard.accepts(
-                            state.home.env, i, payload):
-                        yield RendezvousStep(active=i, passive=HOME_ID,
-                                             msg=guard.msg, payload=payload,
-                                             out_index=idx)
-                        break
+                if home_def.accepting(guard.msg, state.home.env, i,
+                                      payload) is not None:
+                    yield RendezvousStep(active=i, passive=HOME_ID,
+                                         msg=guard.msg, payload=payload,
+                                         out_index=idx)
 
     # -- transition application ----------------------------------------------
 
@@ -223,48 +219,35 @@ class RendezvousSystem:
         )
 
     def _apply_rendezvous(self, state: RvState, action: RendezvousStep) -> RvState:
+        i = action.remote
         if action.active == HOME_ID:
-            return self._apply_home_active(state, action)
-        return self._apply_remote_active(state, action)
-
-    def _apply_home_active(self, state: RvState, action: RendezvousStep) -> RvState:
-        remote_idx = action.passive
-        assert isinstance(remote_idx, int)
-        home_def = self.protocol.home.state(state.home.state)
-        out_guard = self._output_at(
-            home_def.outputs, state.home.env, action,
-            f"home state {state.home.state!r}")
-        assert out_guard.target is not None
-        if out_guard.target.eval(state.home.env) != remote_idx:
+            active = state.home
+            out_guard = self._output_at(
+                self.protocol.home.state(active.state).outputs, active.env,
+                action, f"home state {active.state!r}")
+            assert out_guard.target is not None
+            if out_guard.target.eval(active.env) != i:
+                raise SemanticsError(
+                    f"home output {out_guard.describe()} does not target "
+                    f"r{i}")
+            passive, process, sender = state.remotes[i], self.protocol.remote, -1
+        else:
+            active = state.remotes[i]
+            out_guard = self._output_at(
+                self.protocol.remote.state(active.state).outputs, active.env,
+                action, f"remote r{i} state {active.state!r}")
+            passive, process, sender = state.home, self.protocol.home, i
+        in_guard = process.state(passive.state).accepting(
+            action.msg, passive.env, sender, action.payload)
+        if in_guard is None:
             raise SemanticsError(
-                f"home output {out_guard.describe()} does not target "
-                f"r{remote_idx}")
-        remote = state.remotes[remote_idx]
-        in_guard = self._matching_input(
-            self.protocol.remote.state(remote.state).inputs,
-            remote.env, action.msg, -1, action.payload)
-        new_home = state.home.moved(
-            out_guard.to, out_guard.apply_update(state.home.env))
-        new_remote = remote.moved(
-            in_guard.to, in_guard.complete(remote.env, -1, action.payload))
-        return state.with_home(new_home).with_remote(remote_idx, new_remote)
-
-    def _apply_remote_active(self, state: RvState, action: RendezvousStep) -> RvState:
-        remote_idx = action.active
-        assert isinstance(remote_idx, int)
-        remote = state.remotes[remote_idx]
-        out_guard = self._output_at(
-            self.protocol.remote.state(remote.state).outputs, remote.env,
-            action, f"remote r{remote_idx} state {remote.state!r}")
-        in_guard = self._matching_input(
-            self.protocol.home.state(state.home.state).inputs,
-            state.home.env, action.msg, remote_idx, action.payload)
-        new_remote = remote.moved(
-            out_guard.to, out_guard.apply_update(remote.env))
-        new_home = state.home.moved(
-            in_guard.to,
-            in_guard.complete(state.home.env, remote_idx, action.payload))
-        return state.with_home(new_home).with_remote(remote_idx, new_remote)
+                f"no input guard accepts {action.msg!r} from {sender}")
+        sent = active.moved(out_guard.to, out_guard.apply_update(active.env))
+        received = passive.moved(
+            in_guard.to, in_guard.complete(passive.env, sender, action.payload))
+        if action.active == HOME_ID:
+            return state.with_home(sent).with_remote(i, received)
+        return state.with_home(received).with_remote(i, sent)
 
     @staticmethod
     def _output_at(outputs: tuple[Output, ...], env, action: RendezvousStep,
@@ -285,14 +268,6 @@ class RendezvousSystem:
                 f"{where}: output guard #{action.out_index} does not offer "
                 f"{action.msg!r} with payload {action.payload!r}")
         return guard
-
-    @staticmethod
-    def _matching_input(inputs: Iterable[Input], env, msg: str, sender: int,
-                        payload: Value) -> Input:
-        for guard in inputs:
-            if guard.msg == msg and guard.accepts(env, sender, payload):
-                return guard
-        raise SemanticsError(f"no input guard accepts {msg!r} from {sender}")
 
     # -- convenience ---------------------------------------------------------
 
@@ -333,13 +308,9 @@ class RendezvousSystem:
             return family
         process = self.protocol.home if who == HOME_ID else self.protocol.remote
         sdef, env = process.state(proc.state), proc.env
-        taus = []
-        for guard in sdef.taus:
-            if guard.enabled(env):
-                fired = self._find_tau(sdef.taus, guard.label, proc,
-                                       process.name)
-                taus.append((TauStep(who, guard.label),
-                             proc.moved(fired.to, fired.apply_update(env))))
+        taus = [(TauStep(who, guard.label),
+                 proc.moved(guard.to, guard.apply_update(env)))
+                for guard in sdef.taus if guard.enabled(env)]
         outputs: list[tuple[Any, ...]] = []
         for idx, guard in enumerate(sdef.outputs):
             if not guard.enabled(env):
@@ -367,13 +338,10 @@ class RendezvousSystem:
         node = self._memo.get(key, _UNSEEN)
         if node is _UNSEEN:
             process = self.protocol.remote if sender < 0 else self.protocol.home
-            node = None
-            for guard in process.state(proc.state).inputs:
-                if guard.msg == msg and guard.accepts(proc.env, sender,
-                                                      payload):
-                    node = proc.moved(guard.to, guard.complete(
-                        proc.env, sender, payload))
-                    break
+            guard = process.state(proc.state).accepting(msg, proc.env, sender,
+                                                        payload)
+            node = None if guard is None else proc.moved(
+                guard.to, guard.complete(proc.env, sender, payload))
             remember(self._memo, key, node)
         return node
 

@@ -137,6 +137,13 @@ class TestStateDef:
     def test_classification_terminal(self):
         assert StateDef("s").is_terminal
 
+    def test_sole_tau(self):
+        only = Tau(label="t", to="s")
+        assert StateDef("s", (only,)).sole_tau is only
+        assert StateDef("s", (only, Tau(label="u", to="s"))).sole_tau is None
+        assert StateDef("s", (Output(msg="m", to="s"),)).sole_tau is None
+        assert StateDef("s").sole_tau is None
+
     def test_guard_partitions(self):
         guards = (Output(msg="a", to="s"), Input(msg="b", to="s"),
                   Tau(label="c", to="s"))
@@ -144,6 +151,37 @@ class TestStateDef:
         assert [g.msg for g in state.outputs] == ["a"]
         assert [g.msg for g in state.inputs] == ["b"]
         assert [g.label for g in state.taus] == ["c"]
+
+
+class TestAccepting:
+    def test_first_of_two_accepting_guards_wins(self):
+        first = Input(msg="m", to="a")
+        state = StateDef("s", (Output(msg="m", to="s"), first,
+                               Input(msg="m", to="b")))
+        assert state.accepting("m", Env(), -1, None) is first
+
+    def test_message_mismatch(self):
+        state = StateDef("s", (Input(msg="m", to="s"),))
+        assert state.accepting("other", Env(), -1, None) is None
+
+    def test_sender_pattern(self):
+        guard = Input(msg="m", to="s", sender=VarSender("o"))
+        state = StateDef("s", (guard,))
+        env = Env({"o": 1})
+        assert state.accepting("m", env, 1, None) is guard
+        assert state.accepting("m", env, 0, None) is None
+
+    def test_cond_sees_value(self):
+        guard = Input(msg="m", to="s", cond=lambda env, i, v: v == DATA)
+        state = StateDef("s", (guard,))
+        assert state.accepting("m", Env(), 0, DATA) is guard
+        assert state.accepting("m", Env(), 0, "other") is None
+
+    def test_later_guard_when_first_refuses(self):
+        picky = Input(msg="m", to="a", sender=VarSender("o"))
+        anyone = Input(msg="m", to="b", sender=AnySender())
+        state = StateDef("s", (picky, anyone))
+        assert state.accepting("m", Env({"o": 1}), 2, None) is anyone
 
 
 class TestProcessDef:
@@ -183,6 +221,49 @@ class TestProcessDef:
         proc = r.build()
         assert proc.tau_closure("a") == frozenset({"a", "b"})
         assert proc.tau_closure("b") == frozenset({"b"})
+
+    def test_responder_chain_straight(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", tau("t1", to="b"))
+        r.state("b", tau("t2", to="c"))
+        r.state("c", out("m", to="a"))
+        assert r.build().responder_chain("a") == ["a", "b", "c"]
+
+    def test_responder_chain_stops_at_first_repeat(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", tau("t1", to="b"))
+        r.state("b", tau("t2", to="c"))
+        r.state("c", tau("t3", to="b"))
+        assert r.build().responder_chain("a") == ["a", "b", "c"]
+
+    def test_responder_chain_self_loop(self):
+        proc = ProcessDef("p", ProcessKind.REMOTE, self._one_state(), "s")
+        assert proc.responder_chain("s") == ["s"]
+
+    def test_responder_chain_non_internal_start(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", out("m", to="b"))
+        r.state("b", tau("t", to="a"))
+        assert r.build().responder_chain("a") == ["a"]
+
+    def test_responder_chain_stops_at_a_choice(self):
+        r = ProcessBuilder.remote("r")
+        r.state("a", tau("t1", to="b"))
+        r.state("b", tau("t2", to="a"), tau("t3", to="a"))
+        assert r.build().responder_chain("a") == ["a", "b"]
+
+    def test_input_msgs(self):
+        states = {
+            "a": StateDef("a", (Output(msg="req", to="b"),
+                                Input(msg="inv", to="a"))),
+            "b": StateDef("b", (Input(msg="gr", to="a"),
+                                Tau(label="t", to="a"))),
+        }
+        proc = ProcessDef("p", ProcessKind.REMOTE, states, "a")
+        assert proc.input_msgs == frozenset({"inv", "gr"})
+
+    def test_input_msgs_of_library_remote(self, migratory):
+        assert migratory.remote.input_msgs == frozenset({"gr", "inv"})
 
 
 class TestProtocol:

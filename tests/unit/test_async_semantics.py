@@ -1,11 +1,20 @@
 """Unit tests for the asynchronous semantics (Tables 1 and 2 row by row)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import RefinementConfig, refine
+from repro.csp.ast import AnySender, ConstTarget
+from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
 from repro.errors import SemanticsError
+from repro.refine.plan import RefinedProtocol, RefinementPlan
+from repro.refine.transitions import HOME as HOME_ROLE
+from repro.refine.transitions import REMOTE as REMOTE_ROLE
+from repro.refine.transitions import build_step_table
 from repro.semantics.asynchronous import (
     AsyncSystem,
+    BufEntry,
     DeliverToHome,
     DeliverToRemote,
     HomeStep,
@@ -15,7 +24,8 @@ from repro.semantics.asynchronous import (
     TRANS,
     IDLE,
 )
-from repro.semantics.network import ACK, REPL, REQ, Channels
+from repro.semantics.network import ACK, REPL, REQ, Channels, Msg
+from repro.semantics.state import HOME_ID
 
 
 def take(system, state, predicate, description=""):
@@ -75,7 +85,7 @@ class TestRemoteTable1:
         state = take(plain2, init, is_action(RemoteSend, remote=0)).state
         # drop the request and fake a nack from home
         _req, channels = state.channels.pop(Channels.to_home(0))
-        from repro.semantics.network import Msg, NACK as NK
+        from repro.semantics.network import NACK as NK
         channels = channels.send_to_remote(0, Msg(kind=NK))
         state = state.with_channels(channels)
         step = take(plain2, state, is_action(DeliverToRemote, remote=0))
@@ -87,7 +97,6 @@ class TestRemoteTable1:
     def test_t3_request_from_home_dropped_in_transient(self, plain2):
         init = plain2.initial_state()
         state = take(plain2, init, is_action(RemoteSend, remote=0)).state
-        from repro.semantics.network import Msg
         channels = state.channels.send_to_remote(0, Msg(kind=REQ, msg="inv"))
         state = state.with_channels(channels)
         step = take(plain2, state, is_action(DeliverToRemote, remote=0))
@@ -168,13 +177,13 @@ class TestHomeTable2:
                          is_action(DeliverToHome, remote=i)).state
         assert len(state.home.buffer) == 2
 
-    def test_progress_buffer_refuses_non_satisfying(self, migratory):
+    def test_progress_buffer_refuses_non_satisfying(
+            self, migratory_refined_plain):
         """In state E with k=2 and one slot used, a second req (which
         cannot complete a rendezvous... actually req satisfies E).  Use I1:
         only LR/ID from the owner satisfy; a req must be nacked when only
         the progress slot remains."""
-        refined = refine(migratory, RefinementConfig(use_reqreply=False))
-        system = AsyncSystem(refined, 3)
+        system = AsyncSystem(migratory_refined_plain, 3)
         t = TestRemoteTable1()
         state = t._drive_r0_to_V(system)
         # r1 requests: home E -> I1 (buffered then consumed)
@@ -217,7 +226,6 @@ class TestHomeTable2:
         assert any(e.sender == 0 and e.msg == "LR" for e in after.home.buffer)
 
     def test_ack_from_unexpected_remote_raises(self, plain2):
-        from repro.semantics.network import Msg
         init = plain2.initial_state()
         state = init.with_channels(
             init.channels.send_to_home(0, Msg(kind=ACK)))
@@ -287,6 +295,131 @@ class TestReqReplyFusion:
         step = take(fused2, state, is_action(DeliverToHome, remote=0))
         assert {c.msg for c in step.completes} == {"inv", "ID"}
         assert step.state.home.state == "I3"
+
+
+def _home_awaiting_inv(system):
+    """Fused migratory: r0 owns the line, r1 asks for it, and the home
+    has sent ``inv`` to r0 and awaits its ``ID`` reply."""
+    state = system.initial_state()
+    for predicate in (is_action(RemoteSend, remote=0),
+                      is_action(DeliverToHome, remote=0),
+                      is_action(HomeStep, kind="C1"),
+                      is_action(HomeStep, kind="REPLY"),
+                      is_action(DeliverToRemote, remote=0),
+                      is_action(RemoteSend, remote=1),
+                      is_action(DeliverToHome, remote=1),
+                      is_action(HomeStep, kind="C1"),
+                      is_action(HomeStep, kind="C2")):
+        state = take(system, state, predicate).state
+    assert state.home.state == "I1" and state.home.awaiting == 0
+    return state
+
+
+def _to_remote(state, i, msg):
+    return state.with_channels(state.channels.send_to_remote(i, msg))
+
+
+def _fused_responder(*work):
+    """A one-remote system whose remote answers a buffered ``inv`` through
+    the internal states ``work`` (each ``(name, tau)``), the step table
+    marking ``inv``/``ID`` as a home-initiated fused pair."""
+    h = ProcessBuilder.home("h")
+    h.state("ask", out("inv", target=ConstTarget(0), to="wait"))
+    h.state("wait", inp("ID", sender=AnySender(), to="ask"))
+    r = ProcessBuilder.remote("r")
+    r.state("idle", inp("inv", to=work[0][0]))
+    for name, guard in work:
+        r.state(name, guard)
+    r.state("reply", out("ID", to="idle"))
+    refined = RefinedProtocol(protocol=protocol("responder", h, r),
+                              plan=RefinementPlan())
+    table = build_step_table(refined).mutate(
+        HOME_ROLE, "ask", 0, fused_reply="ID", reply_to="wait")
+    system = AsyncSystem(refined, 1, table=table)
+    init = system.initial_state()
+    remote = replace(init.remotes[0], buf=BufEntry(sender=HOME_ID, msg="inv"))
+    return system, init.with_remote(0, remote)
+
+
+class TestTransientRowErrors:
+    """The SemanticsError texts of rows T1 and the fused reply, both
+    sides, and of the fused responder's local work."""
+
+    def test_remote_unexpected_reply(self, fused2):
+        state = take(fused2, fused2.initial_state(),
+                     is_action(RemoteSend, remote=0)).state
+        state = _to_remote(state, 0, Msg(kind=REPL, msg="ID"))
+        with pytest.raises(SemanticsError, match=(
+                r"^remote r0 got unexpected reply \S+ while awaiting the "
+                r"reply to 'req'$")):
+            fused2.steps(state)
+
+    def test_remote_reply_to_an_unfused_request(self, plain2):
+        state = take(plain2, plain2.initial_state(),
+                     is_action(RemoteSend, remote=0)).state
+        state = _to_remote(state, 0, Msg(kind=REPL, msg="gr"))
+        with pytest.raises(SemanticsError,
+                           match="^remote r0 got unexpected reply"):
+            plain2.steps(state)
+
+    def test_home_unexpected_reply(self, fused2):
+        state = _home_awaiting_inv(fused2)
+        state = state.with_channels(
+            state.channels.send_to_home(0, Msg(kind=REPL, msg="gr")))
+        with pytest.raises(SemanticsError, match=(
+                r"^home got unexpected reply \S+ while awaiting the reply "
+                r"to 'inv'$")):
+            fused2.steps(state)
+
+    def test_remote_reply_no_input_accepts(self, migratory_refined):
+        table = build_step_table(migratory_refined).mutate(
+            REMOTE_ROLE, "I", 0, reply_to="V")
+        system = AsyncSystem(migratory_refined, 2, table=table)
+        state = system.initial_state()
+        for predicate in (is_action(RemoteSend, remote=0),
+                          is_action(DeliverToHome, remote=0),
+                          is_action(HomeStep, kind="C1"),
+                          is_action(HomeStep, kind="REPLY")):
+            state = take(system, state, predicate).state
+        with pytest.raises(SemanticsError, match=(
+                "^remote r0: no input guard in state 'V' accepts the fused "
+                "reply 'gr'$")):
+            system.steps(state)
+
+    def test_home_reply_no_input_accepts(self, migratory_refined):
+        table = build_step_table(migratory_refined).mutate(
+            HOME_ROLE, "I1", 0, reply_to="F1")
+        system = AsyncSystem(migratory_refined, 2, table=table)
+        state = _home_awaiting_inv(system)
+        state = take(system, state, is_action(DeliverToRemote,
+                                              remote=0)).state
+        state = take(system, state, is_action(RemoteC3, remote=0)).state
+        with pytest.raises(SemanticsError, match=(
+                "^home: no input guard in state 'F1' accepts the fused "
+                "reply 'ID'$")):
+            system.steps(state)
+
+    def test_responder_local_work_runs_in_the_c3_step(self):
+        system, state = _fused_responder(
+            ("work", tau("a", to="more")), ("more", tau("b", to="reply")))
+        step = take(system, state, is_action(RemoteC3, remote=0))
+        assert step.state.remotes[0].state == "idle"
+        assert [m.msg for m in step.sends] == ["ID"]
+
+    def test_responder_disabled_tau(self):
+        system, state = _fused_responder(
+            ("work", tau("a", to="more")),
+            ("more", tau("b", to="reply", cond=lambda env: False)))
+        with pytest.raises(SemanticsError, match=(
+                "^fused-response local action τ:b disabled$")):
+            system.steps(state)
+
+    def test_responder_internal_loop(self):
+        system, state = _fused_responder(
+            ("work", tau("a", to="more")), ("more", tau("b", to="work")))
+        with pytest.raises(SemanticsError,
+                           match="^fused response stuck in internal loop$"):
+            system.steps(state)
 
 
 class TestDeterminismAndHashing:

@@ -21,6 +21,7 @@ from repro.analysis.manager import (
     _coherence_pass,
 )
 from repro.check.explorer import explore
+from repro.check.stats import Counterexample
 from repro.csp.ast import (
     AnySender,
     ConstTarget,
@@ -299,6 +300,30 @@ class TestRefutation:
         assert "grW" in chart
         assert "reqW" in chart
         assert chart.splitlines()[0].split() == ["time", "h", "r0", "r1"]
+
+    def test_witness_is_replayed_through_apply(self, monkeypatch):
+        """The witness is replayed through the reference ``apply()``, not
+        the step memo the swept system shares: a broken ``apply()``
+        leaves the verdict inconclusive, never refuted."""
+        monkeypatch.setattr(RendezvousSystem, "apply",
+                            _raising("apply broke"))
+        verdict = check_coherence(incoherent_invalidate(),
+                                  COHERENCE_SPECS["invalidate"])
+        assert verdict.status == "inconclusive"
+        assert verdict.witness is None
+        assert verdict.reason == (
+            "concrete-looking violation failed replay (apply broke)")
+        assert [d.code for d in verdict.obligations][-1] == "P4603"
+
+    def test_replay_names_a_step_that_is_not_enabled(self):
+        from repro.analysis.coherencecheck import _replay_concrete
+        from repro.semantics.rendezvous import TauStep
+
+        proto = incoherent_invalidate()
+        init = RendezvousSystem(proto, 2).initial_state()
+        step = TauStep(proc=0, label="no-such-tau")
+        cex = Counterexample("swmr", states=[init, init], steps=[step])
+        assert _replay_concrete(proto, cex) == "r0.τ:no-such-tau is not enabled"
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,13 @@ class TestRemoteResponderAnalysis:
         proto = protocol("p", self._home(), r.build())
         reason = check_pair(proto, FusedPair("poke", "yes", HOME_SIDE))
         assert reason is not None
+
+    def test_internal_loop_after_request_rejected(self):
+        r = ProcessBuilder.remote("r")
+        r.state("idle", inp("poke", to="spin"))
+        r.state("spin", tau("a", to="spin2"))
+        r.state("spin2", tau("b", to="spin"))
+        r.state("reply", out("yes", to="idle"))
+        proto = protocol("p", self._home(), r.build())
+        assert check_pair(proto, FusedPair("poke", "yes", HOME_SIDE)) == (
+            "r: internal loop after consuming 'poke'")
