@@ -20,8 +20,9 @@ equal ones — a spurious miss, never a wrong hit).
 from __future__ import annotations
 
 import types
+# hashlib.blake2b itself: importing hashlib would map OpenSSL's libcrypto
+from _blake2 import blake2b
 from dataclasses import fields, is_dataclass
-from hashlib import blake2b
 from typing import Any, Optional
 
 from ..csp.env import Env

@@ -28,6 +28,7 @@ is to rebuild the same runs by replay — see :mod:`repro.check.store`.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Callable, Hashable, Optional, Protocol, Sequence
 
@@ -92,6 +93,11 @@ def explore(
     reductions: tuple[str, ...] = (),
 ) -> ExplorationResult:
     """Breadth-first reachability analysis of ``system``.
+
+    The cyclic collector is off while the sweep runs, and the caller's
+    setting comes back however it ends: states, nodes, messages, actions
+    and store entries are immutable values built from older ones, so no
+    cycle forms and a collection would walk the visited set for nothing.
 
     :param invariants: ``(name, predicate)`` pairs checked on every state.
     :param max_states: emulate a memory cap; exceeding it stops the run with
@@ -170,8 +176,6 @@ def explore(
         name=name, store=visited.name, max_states=max_states,
         max_seconds=max_seconds, reductions=reductions,
         max_bytes=max_bytes))
-    init = system.initial_state()
-    visited.add(init, None)
 
     deadlock_states: list[Hashable] = []
     violations: list[Counterexample] = []
@@ -243,92 +247,100 @@ def explore(
             return f"time budget {max_seconds}s exceeded"
         return None
 
-    # why the run ended early; None while it runs and when it completes
-    stop_reason = None if check_invariants(init) else "invariant violated"
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        init = system.initial_state()
+        visited.add(init, None)
+        # why the run ended early; None while it runs and when it completes
+        stop_reason = None if check_invariants(init) else "invariant violated"
 
-    # Hot-loop bindings (``add`` above): whether parent provenance is
-    # even retained (trace-free stores discard it — building a parent
-    # tuple per transition for them was pure allocation churn), and
-    # whether any invariant needs checking at all.
-    track_parents = visited.supports_traces
-    has_invariants = bool(invariants)
+        # Hot-loop bindings (``add`` above): whether parent provenance is
+        # even retained (trace-free stores discard it — building a parent
+        # tuple per transition for them was pure allocation churn), and
+        # whether any invariant needs checking at all.
+        track_parents = visited.supports_traces
+        has_invariants = bool(invariants)
 
-    n_transitions = n_enabled = deadlock_count = n_levels = 0
-    level: list[Hashable] = [init] if stop_reason is None else []
-    failure: Optional[BaseException] = None
-    while level:
-        next_level: list[Hashable] = []
-        expanded = candidates = new_states = enabled = 0
-        try:
-            for state in level:
-                stop_reason = over_budget()
-                if stop_reason is not None:
-                    break
-                succs, state_enabled = expand_state(system, state)
-                expanded += 1
-                enabled += state_enabled
-                if not succs and not allow_deadlock:
-                    deadlock_states.append(state)
-                    deadlock_count += 1
-                for action, nxt in succs:
-                    candidates += 1
-                    if add(nxt, (state, action) if track_parents else None):
-                        new_states += 1
-                        if has_invariants and not check_invariants(nxt):
-                            stop_reason = "invariant violated"
-                            break
-                        next_level.append(nxt)
-                if graph is not None:
-                    graph.offsets.append(len(graph.targets))
-                if stop_reason is not None:
-                    break
-        except BaseException as exc:
-            # Close the run before the exception leaves: the level in
-            # flight and on_finish go out below exactly as for a budget
-            # stop (so the profile is written), then it is re-raised —
-            # Ctrl-C included, or a caller's next sweep would start.
-            failure = exc
-            stop_reason = ("interrupted" if isinstance(exc, KeyboardInterrupt)
-                           else f"error: {exc}")
-            # deadlocks stay counted but go unwitnessed: a trace may be
-            # rebuilt through the very system that just raised
-            deadlock_states.clear()
-        n_transitions += candidates
-        n_enabled += enabled
-        watcher.on_level(LevelEvent(
-            level=n_levels, frontier=len(level), expanded=expanded,
-            candidates=candidates, new_states=new_states,
-            n_states=len(visited), n_transitions=n_transitions,
-            deadlocks=deadlock_count, collisions=visited.collisions,
+        n_transitions = n_enabled = deadlock_count = n_levels = 0
+        level: list[Hashable] = [init] if stop_reason is None else []
+        failure: Optional[BaseException] = None
+        while level:
+            next_level: list[Hashable] = []
+            expanded = candidates = new_states = enabled = 0
+            try:
+                for state in level:
+                    stop_reason = over_budget()
+                    if stop_reason is not None:
+                        break
+                    succs, state_enabled = expand_state(system, state)
+                    expanded += 1
+                    enabled += state_enabled
+                    if not succs and not allow_deadlock:
+                        deadlock_states.append(state)
+                        deadlock_count += 1
+                    for action, nxt in succs:
+                        candidates += 1
+                        if add(nxt, (state, action) if track_parents else None):
+                            new_states += 1
+                            if has_invariants and not check_invariants(nxt):
+                                stop_reason = "invariant violated"
+                                break
+                            next_level.append(nxt)
+                    if graph is not None:
+                        graph.offsets.append(len(graph.targets))
+                    if stop_reason is not None:
+                        break
+            except BaseException as exc:
+                # Close the run before the exception leaves: the level in
+                # flight and on_finish go out below exactly as for a budget
+                # stop (so the profile is written), then it is re-raised —
+                # Ctrl-C included, or a caller's next sweep would start.
+                failure = exc
+                stop_reason = ("interrupted" if isinstance(exc, KeyboardInterrupt)
+                               else f"error: {exc}")
+                # deadlocks stay counted but go unwitnessed: a trace may be
+                # rebuilt through the very system that just raised
+                deadlock_states.clear()
+            n_transitions += candidates
+            n_enabled += enabled
+            watcher.on_level(LevelEvent(
+                level=n_levels, frontier=len(level), expanded=expanded,
+                candidates=candidates, new_states=new_states,
+                n_states=len(visited), n_transitions=n_transitions,
+                deadlocks=deadlock_count, collisions=visited.collisions,
+                approx_bytes=footprint(),
+                seconds=time.perf_counter() - t0, enabled=enabled,
+                spill_bytes=_store_spill_bytes(visited)))
+            n_levels += 1
+            level = next_level if stop_reason is None else []
+
+        deadlocks = [Counterexample("deadlock-freedom", *build_trace(s))
+                     for s in deadlock_states]
+        result = ExplorationResult(
+            system_name=name,
+            n_states=len(visited),
+            n_transitions=n_transitions,
+            seconds=time.perf_counter() - t0,
+            completed=stop_reason is None,
+            stop_reason=stop_reason,
+            deadlocks=deadlocks,
+            deadlock_count=deadlock_count,
+            violations=violations,
+            graph=graph,
             approx_bytes=footprint(),
-            seconds=time.perf_counter() - t0, enabled=enabled,
-            spill_bytes=_store_spill_bytes(visited)))
-        n_levels += 1
-        level = next_level if stop_reason is None else []
-
-    deadlocks = [Counterexample("deadlock-freedom", *build_trace(s))
-                 for s in deadlock_states]
-    result = ExplorationResult(
-        system_name=name,
-        n_states=len(visited),
-        n_transitions=n_transitions,
-        seconds=time.perf_counter() - t0,
-        completed=stop_reason is None,
-        stop_reason=stop_reason,
-        deadlocks=deadlocks,
-        deadlock_count=deadlock_count,
-        violations=violations,
-        graph=graph,
-        approx_bytes=footprint(),
-        store=visited.name,
-        fingerprint_collisions=visited.collisions,
-        n_enabled=n_enabled,
-        depth=max(n_levels - 1, 0),
-        reductions=reductions,
-        spill_bytes=_store_spill_bytes(visited),
-        spill_merges=int(getattr(visited, "spill_merges", 0)),
-    )
-    watcher.on_finish(result)
+            store=visited.name,
+            fingerprint_collisions=visited.collisions,
+            n_enabled=n_enabled,
+            depth=max(n_levels - 1, 0),
+            reductions=reductions,
+            spill_bytes=_store_spill_bytes(visited),
+            spill_merges=int(getattr(visited, "spill_merges", 0)),
+        )
+        watcher.on_finish(result)
+    finally:
+        if collecting:
+            gc.enable()
     if failure is not None:
         raise failure
     return result

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import struct
 import sys
+# hashlib.blake2b itself: importing hashlib would map OpenSSL's libcrypto
+from _blake2 import blake2b
 from array import array
-from hashlib import blake2b
 from itertools import islice
 from pathlib import Path
 from typing import Any, Hashable, Iterator, Optional, Protocol, Union
@@ -374,7 +375,6 @@ class FingerprintStore:
             self._action_ids: dict[Any, int] = {}
             self._memo_state: Any = None
             self._memo_gid = -1
-            self.add = self._add_witnessed  # type: ignore[method-assign]
         if self._spill_dir is not None:
             try:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
@@ -476,6 +476,8 @@ class FingerprintStore:
         return self._spill.lookup(key)
 
     def add(self, state: Hashable, parent: ParentEntry = None) -> bool:
+        if self.supports_traces:
+            return self._add_witnessed(state, parent)
         key, check = self._locate(state)
         slot = self._probe(key)
         current = (self._vals[slot] if slot >= 0
@@ -492,8 +494,8 @@ class FingerprintStore:
 
     def _add_witnessed(self, state: Hashable,
                        parent: ParentEntry = None) -> bool:
-        """:meth:`add` for a witness store (bound over it at
-        construction, so the column-free path above never tests for it)."""
+        """:meth:`add` for a witness store (not bound over ``add`` on the
+        instance: a store holding its own bound method is a cycle)."""
         key, check = self._locate(state)
         slot = self._probe(key)
         if slot >= 0:

@@ -1,10 +1,20 @@
 """Unit tests for the explicit-state explorer (repro.check.explorer)."""
 
+import gc
+
 import pytest
 
+from repro.analysis import simulation, symbolic
+from repro.analysis.paramcheck import check_parameterized
+from repro.check import explorer
+from repro.check import simulation as check_simulation
 from repro.check.explorer import explore, replay_actions
+from repro.check.spec import SystemSpec, build_system
 from repro.check.store import ExactStore, FingerprintStore
 from repro.errors import CheckError
+from repro.protocols import LIBRARY_PROTOCOLS
+from repro.protocols.invariants import COHERENCE_SPECS, coherence_invariants
+from repro.refine.engine import refine
 
 
 class ChainSystem:
@@ -247,3 +257,131 @@ class TestResultRendering:
 
     def test_approx_bytes_positive(self):
         assert explore(ChainSystem(5, loop=True)).approx_bytes > 0
+
+
+@pytest.fixture
+def collector():
+    """Whatever a test does to the cyclic collector, undone after it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class CollectorProbe(ChainSystem):
+    """A looped chain recording, at each expansion, whether the cyclic
+    collector is on; raises ``fail`` when it expands state 2."""
+
+    def __init__(self, n, fail=None):
+        super().__init__(n, loop=True)
+        self.fail = fail
+        self.collecting = []
+
+    def successors(self, state):
+        self.collecting.append(gc.isenabled())
+        if self.fail is not None and state == 2:
+            raise self.fail
+        return super().successors(state)
+
+
+class TestCollectorPause:
+    """``explore()`` runs without the cyclic collector and gives the
+    caller's setting back however the sweep ends."""
+
+    ENDINGS = {
+        "complete": (lambda: CollectorProbe(5), {}),
+        "state-budget": (lambda: CollectorProbe(50), {"max_states": 3}),
+        "invariant": (lambda: CollectorProbe(5),
+                      {"invariants": [("below-3", lambda s: s < 3)]}),
+        "error": (lambda: CollectorProbe(5, RuntimeError("boom")), {}),
+        "interrupt": (lambda: CollectorProbe(5, KeyboardInterrupt()), {}),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_paused_inside_and_restored_after(self, collector, ending,
+                                              enabled):
+        make, options = self.ENDINGS[ending]
+        system = make()
+        (gc.enable if enabled else gc.disable)()
+        if system.fail is None:
+            result = explore(system, **options)
+            assert result.completed == (ending == "complete")
+        else:
+            with pytest.raises(type(system.fail)):
+                explore(system, **options)
+        assert gc.isenabled() is enabled
+        assert system.collecting and not any(system.collecting)
+
+    def test_an_inner_sweep_leaves_the_outer_pause_alone(self, collector):
+        class Nested(ChainSystem):
+            """Each expansion runs a whole sweep of its own."""
+
+            inner = []
+
+            def successors(self, state):
+                result = explore(ChainSystem(3, loop=True))
+                self.inner.append((result.completed, gc.isenabled()))
+                return super().successors(state)
+
+        gc.enable()
+        assert explore(Nested(4, loop=True)).completed
+        assert Nested.inner == [(True, False)] * 5
+        assert gc.isenabled()
+
+
+def assert_no_cyclic_garbage(sweeps):
+    """``sweeps``, (name, collected) pairs, are non-empty, and no sweep
+    left anything for the cyclic collector."""
+    assert sweeps
+    assert [name for name, collected in sweeps if collected] == []
+
+
+@pytest.fixture
+def sweeps_collected(monkeypatch):
+    """Every ``explore()`` call made through the modules that sweep on
+    their own, each preceded and followed by a full collection: a list of
+    (sweep name, objects the second collection freed)."""
+    log = []
+
+    def collecting(system, **options):
+        gc.collect()
+        result = explore(system, **options)
+        assert result.completed, result.stop_reason
+        log.append((options.get("name", "system"), gc.collect()))
+        return result
+
+    for module in (explorer, simulation, check_simulation, symbolic):
+        monkeypatch.setattr(module, "explore", collecting)
+    return log
+
+
+class TestNoCyclicGarbage:
+    """The premise of the pause: a sweep makes no reference cycles, so a
+    collection right after it finds nothing."""
+
+    INVARIANT = coherence_invariants(COHERENCE_SPECS["invalidate"])
+
+    @pytest.mark.parametrize("spec, options", [
+        (SystemSpec("invalidate", "async", 2), {}),
+        (SystemSpec("invalidate", "async", 2),
+         {"store": "fingerprint", "invariants": INVARIANT}),
+        (SystemSpec("msi", "async", 2, symmetry=True, por=True), {}),
+        (SystemSpec("invalidate", "rendezvous", 4, symmetry=True), {}),
+    ], ids=["async-exact", "async-fingerprint-witness", "msi-sym-por",
+            "rendezvous-n4-sym"])
+    def test_complete_sweep(self, sweeps_collected, spec, options):
+        explorer.explore(build_system(spec), name=spec.protocol, **options)
+        assert_no_cyclic_garbage(sweeps_collected)
+
+    def test_certificate_gate_of_a_first_refine(self, sweeps_collected,
+                                                monkeypatch):
+        monkeypatch.setattr(simulation, "_VERDICTS", {})
+        monkeypatch.setattr(symbolic, "_CONTEXTS", {})
+        refine(LIBRARY_PROTOCOLS["msi"]())
+        assert any(name.endswith("-certificate")
+                   for name, _ in sweeps_collected)
+        assert_no_cyclic_garbage(sweeps_collected)
+
+    def test_paramverify_environment_sweep(self, sweeps_collected):
+        check_parameterized(LIBRARY_PROTOCOLS["msi"]())
+        assert_no_cyclic_garbage(sweeps_collected)

@@ -1,14 +1,19 @@
 """Unit tests for the pluggable visited-state stores (repro.check.store)."""
 
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
 import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.check.store as store_module
+from repro.analysis.memokey import structural_key
 from repro.check.explorer import explore
 from repro.check.spec import SystemSpec, build_system
 from repro.check.store import (
@@ -19,7 +24,7 @@ from repro.check.store import (
 )
 from repro.check.symmetry import normalize
 from repro.csp.env import Env
-from repro.protocols import symmetry_spec_for
+from repro.protocols import LIBRARY_PROTOCOLS, symmetry_spec_for
 from repro.semantics.network import Channels
 from repro.semantics.state import ProcState, RvState
 from tests.conftest import cold_copy
@@ -577,3 +582,55 @@ class TestMakePartitionedStore:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown store"):
             make_store("bloom", 2)
+
+
+class TestNoOpenSSL:
+    """Digests come from CPython's own blake2 module, never through
+    ``hashlib``, whose import maps OpenSSL's libcrypto into the process;
+    the function is the same, so no digest changed."""
+
+    RUN = """
+import sys
+import repro.cli
+rc = repro.cli.main(["check", "migratory", "--level", "async", "-n", "2",
+                     "--store", "fingerprint"])
+print(rc, sorted({"hashlib", "_hashlib"} & sys.modules.keys()))
+"""
+
+    def test_a_fresh_run_imports_no_hashlib(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", self.RUN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
+    def test_blake2b_is_hashlibs_own(self):
+        import _blake2
+        import hashlib
+
+        assert _blake2.blake2b is hashlib.blake2b
+
+    def test_fingerprints_are_pinned(self):
+        system = build_system(SystemSpec("invalidate", "async", 2))
+        init = system.initial_state()
+        (_, successor), *_ = system.successors(init)
+        rendezvous = build_system(SystemSpec("invalidate", "rendezvous", 2))
+        (_, rv_state), *_ = rendezvous.successors(rendezvous.initial_state())
+        assert [fingerprint(s) for s in (init, successor, rv_state)] == [
+            0x323bc033876dc63d, 0x66b5fa92d9b2cbb9, 0xcec0e9295b8cf316]
+
+    #: the key digests bytecode, so each CPython minor version has its own
+    MIGRATORY_KEYS = {
+        (3, 10): "ad216e206c7183e9b9bd2d36a5c582aa",
+        (3, 11): "c62d2d99dedcfa6d63d55476afb3e874",
+        (3, 12): "eaaecac2c44148ae6ba7cac1e4036d07",
+        (3, 13): "044b81cc50284dea7a5da010fc9f238c",
+    }
+
+    def test_structural_key_is_pinned(self):
+        expected = self.MIGRATORY_KEYS.get(sys.version_info[:2])
+        if expected is None:
+            pytest.skip("no structural key pinned for this CPython version")
+        key = structural_key(LIBRARY_PROTOCOLS["migratory"]())
+        assert key.hex() == expected
