@@ -100,8 +100,8 @@ from ..csp.env import Env, Value
 # resolves entered from repro.refine; repro/__init__ imports this package
 # before either, so enter it that way round here
 from .. import refine as _refine_first  # noqa: F401, I001
-from ..semantics.rendezvous import RendezvousSystem, remember
-from ..semantics.state import ProcState, RvState
+from ..semantics.rendezvous import RendezvousSystem
+from ..semantics.state import ProcState, RvState, remember
 
 __all__ = [
     "EnvironmentSystem",

@@ -24,12 +24,13 @@ which unordered containers (``frozenset`` values in variable
 environments, e.g. sharer sets) are sorted.  Canonicalisation matters
 because two equal frozensets built in different insertion orders may
 iterate — and therefore ``repr`` — differently; hashing the raw ``repr``
-would split one state into two.  States advertise an encoding by
-exposing ``canonical_key()`` (see :mod:`repro.semantics.state` /
-:mod:`repro.semantics.asynchronous`); plain hashable states (ints in the
-unit-test toy systems) are used as-is.  A state that also exposes
-``components()`` is fingerprinted component-wise (:func:`_summary`):
-each part is digested once, a probe hashes the digests.  Nothing is
+would split one state into two.  A value type of the semantics is
+encoded as the tuple of its compared fields (``fields_of``, from
+:func:`repro.semantics.state.value`), an ``Env`` as its sorted items;
+plain hashable states (ints in the unit-test toy systems) are used
+as-is.  Both levels' states expose ``components()`` and are
+fingerprinted node by node (:func:`_summary`): each node is digested
+once, into its own memo, and a probe hashes the digests.  Nothing is
 cached per state: a memo that lives as long as the state does makes the
 two-words-a-state store as large as the exact one.
 
@@ -75,11 +76,12 @@ ParentEntry = Optional[tuple[Hashable, Any]]
 
 
 #: Byte encodings of canonical subtrees, keyed by the subtree tuple
-#: itself.  Canonical keys share subtrees heavily (node keys recur across
-#: millions of states), so encoding is one C-level tuple hash plus a join
-#: of cached chunks instead of a Python-level walk of the whole tree.
-#: Value-keyed, so sharing across protocols and stores is harmless; the
-#: bound keeps 10^7-state runs from pinning unbounded encodings.
+#: itself.  Subtrees are shared heavily (a node's fields recur across
+#: millions of states, and symmetry's relabelling rebuilds equal nodes),
+#: so encoding is one C-level tuple hash plus a join of cached chunks
+#: instead of a Python-level walk of the whole tree.  Value-keyed, so
+#: sharing across protocols and stores is harmless; the bound keeps
+#: 10^7-state runs from pinning unbounded encodings.
 _ENC_CACHE: dict[tuple, bytes] = {}
 _ENC_LIMIT = 1 << 20
 
@@ -89,10 +91,11 @@ def _enc(obj: Any) -> bytes:
 
     Tuples become ``t(...)``, frozensets ``f(...)`` with elements sorted
     by their encodings (equal sets encode equally regardless of
-    insertion/iteration order), an object with a ``canonical_key()``
-    that key's encoding, other leaves their ``repr`` — whose quoting and
-    escaping keep string contents from masquerading as structure.
-    Unlike ``hash()``, the result is stable across processes.
+    insertion/iteration order), a value type the encoding of its
+    ``fields_of`` tuple, an ``Env`` that of its ``canonical_key()``,
+    other leaves their ``repr`` — whose quoting and escaping keep string
+    contents from masquerading as structure.  Unlike ``hash()``, the
+    result is stable across processes.
     """
     if type(obj) is tuple:
         cached = _ENC_CACHE.get(obj)
@@ -104,24 +107,11 @@ def _enc(obj: Any) -> bytes:
         return cached
     if isinstance(obj, frozenset):
         return b"f(" + b",".join(sorted(_enc(x) for x in obj)) + b")"
+    fields_of = getattr(obj, "fields_of", None)
+    if fields_of is not None:
+        return _enc(fields_of(obj))
     key = getattr(obj, "canonical_key", None)
     return _enc(key()) if callable(key) else repr(obj).encode()
-
-
-def _encode(state: Hashable) -> bytes:
-    """Canonical byte encoding of ``state``: canonical key -> bytes.
-    :func:`_summary`'s fallback for states without ``components()``.
-
-    Subtree chunks come out of the bounded ``_ENC_CACHE``; the root
-    tuple is joined here without an entry of its own, because it is
-    unique to the state and a cached root would pin one key tuple plus
-    one blob per visited state for as long as the cache lives.
-    """
-    key = getattr(state, "canonical_key", None)
-    root = key() if callable(key) else state
-    if type(root) is tuple:
-        return b"t(" + b",".join(_enc(x) for x in root) + b")"
-    return _enc(root)
 
 
 #: Digests of ``(tag, arity, network)`` summary heads, keyed by value (a
@@ -139,16 +129,16 @@ def _summary(state: Hashable) -> bytes:
     """The bytes every hash of ``state`` is taken over.
 
     For a state that exposes ``components()`` — ``(tag, nodes,
-    network)`` — one 16-byte digest of tag, arity and network, then one
-    per node in order, so position is hashed (80 bytes at n = 3).  A
-    node's digest is kept in the memo slot its class declares,
-    ``_digest_cache``: it dies with the node, and ``replace`` never
-    copies it.  Anything else is its whole canonical encoding
-    (:func:`_encode`).
+    network)``, an ``AsyncState`` or an ``RvState`` — one 16-byte digest
+    of tag, arity and network, then one per node in order, so position
+    is hashed (80 bytes at n = 3).  A node's digest is kept in the memo
+    slot its class declares, ``_digest_cache``: it dies with the node,
+    and ``replace`` never copies it.  Anything else (the toy states of
+    the unit tests) is its whole canonical encoding.
     """
     components = getattr(state, "components", None)
     if components is None:
-        return _encode(state)
+        return _enc(state)
     tag, nodes, network = components()
     head = (tag, len(nodes), network)
     digest = _HEAD_DIGESTS.get(head)

@@ -65,7 +65,7 @@ from ..refine.transitions import (
 )
 from .network import ACK, NACK, NOTE, REPL, REQ, Channels, Msg
 from .rendezvous import RendezvousStep
-from .state import HOME_ID, ProcId, memo
+from .state import HOME_ID, ProcId, memo, remember, value
 
 __all__ = [
     "IDLE",
@@ -96,6 +96,7 @@ TRANS = "trans"
 # ---------------------------------------------------------------------------
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class BufEntry:
     """One buffered request: who sent it, what rendezvous it asks for."""
@@ -104,9 +105,7 @@ class BufEntry:
     msg: str
     payload: Value = None
     note: bool = False  # fire-and-forget entry: cannot be nacked or evicted
-
-    def canonical_key(self) -> tuple:
-        return (self.sender, self.msg, self.payload, self.note)
+    _hash_cache: Optional[int] = memo()
 
     def describe(self) -> str:
         who = "h" if self.sender == HOME_ID else f"r{self.sender}"
@@ -114,6 +113,7 @@ class BufEntry:
         return f"{tag}{who}:{self.msg}"
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class HomeNode:
     """Home-side control: AST state + refinement bookkeeping + buffer."""
@@ -132,26 +132,6 @@ class HomeNode:
     #: 16-byte component digest (:func:`repro.check.store._summary`)
     _digest_cache: Optional[bytes] = memo()
 
-    _FIELDS = ("state", "env", "mode", "out_idx", "awaiting",
-               "pending_out", "buffer")
-
-    def __hash__(self) -> int:
-        # Same formula as the dataclass-generated hash (the field tuple),
-        # memoized like AsyncState.__hash__: home nodes are shared across
-        # many successor states, so the visited store re-hashes each one
-        # many times.
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.state, self.env, self.mode, self.out_idx,
-                           self.awaiting, self.pending_out, self.buffer))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        return (self.state, self.env.canonical_key(), self.mode,
-                self.out_idx, self.awaiting, self.pending_out,
-                tuple(e.canonical_key() for e in self.buffer))
-
     def describe(self) -> str:
         tag = self.state if self.mode == IDLE else \
             f"{self.state}→r{self.awaiting}?"
@@ -159,6 +139,7 @@ class HomeNode:
         return f"{tag}{{{buf}}}"
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class RemoteNode:
     """Remote-side control: AST state + transient flag + 1-slot buffer."""
@@ -173,56 +154,25 @@ class RemoteNode:
     #: symmetry sort key (:func:`repro.check.symmetry._node_key`)
     _sym_cache: Optional[tuple[object, ...]] = memo()
 
-    _FIELDS = ("state", "env", "mode", "pending_out", "buf")
-
-    def __hash__(self) -> int:
-        # Memoized field-tuple hash; see HomeNode.__hash__.
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.state, self.env, self.mode,
-                           self.pending_out, self.buf))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        return (self.state, self.env.canonical_key(), self.mode,
-                self.pending_out,
-                None if self.buf is None else self.buf.canonical_key())
-
     def describe(self) -> str:
         tag = self.state if self.mode == IDLE else f"{self.state}*"
         return tag + (f"{{{self.buf.describe()}}}" if self.buf else "")
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class AsyncState:
     """Global asynchronous state: all nodes plus the network.
 
-    Hashed once per instance (see :class:`~repro.semantics.state.RvState`
-    for the rationale): asynchronous states are deeply nested, and
-    recomputing the structural hash on every visited-set probe dominated
-    exploration profiles.
+    Hashed once per instance (:func:`~repro.semantics.state.value`):
+    asynchronous states are deeply nested, and recomputing the structural
+    hash on every visited-set probe dominated exploration profiles.
     """
 
     home: HomeNode
     remotes: tuple[RemoteNode, ...]
     channels: Channels
     _hash_cache: Optional[int] = memo()
-
-    def __hash__(self) -> int:
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.home, self.remotes, self.channels))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        """Compact primitive encoding, built afresh on every call and
-        memoized nowhere: no sweep asks for it per probe (the fingerprint
-        store digests the nodes and ``channels.queues`` instead)."""
-        return ("async", self.home.canonical_key(),
-                tuple(r.canonical_key() for r in self.remotes),
-                self.channels.canonical_key())
 
     def components(self) -> tuple[str, tuple[Any, ...], Hashable]:
         """``(tag, nodes, network)``: the parts a step replaces one at a
@@ -415,17 +365,16 @@ class Step:
             chan = Channels.to_remote(action.remote)
             pop = (chan, origin.channels.queues[chan][0].kind)
         writes: set[tuple] = set()
-        if self.state.home is not origin.home:
-            for name in HomeNode._FIELDS:
-                if getattr(self.state.home, name) != getattr(origin.home,
-                                                             name):
-                    writes.add(("h", name))
-        for i, (old, new) in enumerate(zip(origin.remotes,
-                                           self.state.remotes)):
+        nodes = zip((origin.home,) + origin.remotes,
+                    (self.state.home,) + self.state.remotes)
+        for i, (old, new) in enumerate(nodes, -1):
             if new is not old:
-                for name in RemoteNode._FIELDS:
-                    if getattr(new, name) != getattr(old, name):
-                        writes.add(("r", i, name))
+                where = ("h",) if i < 0 else ("r", i)
+                for name, was, now in zip(old.__match_args__,
+                                          old.fields_of(old),
+                                          new.fields_of(new)):
+                    if was != now:
+                        writes.add(where + (name,))
         pushes: list[int] = []
         for c, (old_q, new_q) in enumerate(zip(origin.channels.queues,
                                                self.state.channels.queues)):
@@ -439,11 +388,6 @@ class Step:
 # the system
 # ---------------------------------------------------------------------------
 
-
-#: Entry bound of one :class:`AsyncSystem`'s delta memo; the memo is
-#: cleared, not evicted, when it fills (the 241,339 states of
-#: invalidate n = 3 need about 21,000 entries).
-_MEMO_LIMIT = 1 << 16
 
 #: One channel's change, as :meth:`Channels.replay` takes it.
 _ChannelOp = tuple[int, int, tuple[Msg, ...]]
@@ -683,10 +627,7 @@ class AsyncSystem:
                 f"step family {key!r} of owner {owner!r} rewrites more "
                 "than its owner's node and channel ends; it cannot be "
                 "replayed")
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = family
-        return family
+        return remember(self._memo, key, family)
 
     # -- home: message delivery ----------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..csp.env import Value
-from .state import memo
+from .state import memo, value
 
 __all__ = ["REQ", "ACK", "NACK", "REPL", "NOTE", "Msg", "Channels"]
 
@@ -36,6 +36,7 @@ REPL = "REPL"
 NOTE = "NOTE"
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class Msg:
     """One message in flight.
@@ -49,19 +50,6 @@ class Msg:
     payload: Value = None
     _hash_cache: Optional[int] = memo()
     _desc_cache: Optional[str] = memo()
-
-    def __hash__(self) -> int:
-        # Same formula as the dataclass-generated hash (the field tuple),
-        # memoized: every visited-store probe re-hashes the channel
-        # contents, and message objects are widely shared across states.
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.kind, self.msg, self.payload))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        return (self.kind, self.msg, self.payload)
 
     def describe(self) -> str:
         # Memoized: the symmetry driver renders every in-flight message
@@ -80,6 +68,7 @@ class Msg:
         return cached
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class Channels:
     """All 2n directed FIFO channels of an n-remote star, immutably.
@@ -90,20 +79,6 @@ class Channels:
 
     queues: tuple[tuple[Msg, ...], ...]
     _hash_cache: Optional[int] = memo()
-
-    def __hash__(self) -> int:
-        # Same formula as the dataclass-generated hash (the field tuple),
-        # memoized: channel objects are shared across successor states and
-        # re-hashed by every visited-store probe.
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.queues,))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        return tuple(tuple(m.canonical_key() for m in queue)
-                     for queue in self.queues)
 
     @classmethod
     def empty(cls, n_remotes: int) -> "Channels":

@@ -29,13 +29,9 @@ from typing import Any, Iterable, Iterator, Optional, Union
 from ..csp.ast import Output, Protocol, Tau
 from ..csp.env import Value
 from ..errors import SemanticsError
-from .state import HOME_ID, ProcId, ProcState, RvState
+from .state import HOME_ID, ProcId, ProcState, RvState, remember
 
 __all__ = ["RendezvousAction", "TauStep", "RendezvousStep", "RendezvousSystem"]
-
-#: Entry bound of one system's step memo; cleared, not evicted, when it
-#: fills (as the asynchronous level's).
-_MEMO_LIMIT = 1 << 16
 
 #: a memo miss, where None is a value (no input accepts)
 _UNSEEN = object()
@@ -44,14 +40,6 @@ _UNSEEN = object()
 def _put(nodes: tuple[ProcState, ...], i: int,
          node: ProcState) -> tuple[ProcState, ...]:
     return nodes[:i] + (node,) + nodes[i + 1:]
-
-
-def remember(memo: dict[Any, Any], key: Any, value: Any) -> Any:
-    """Store ``value`` under ``key`` in a bounded memo; returns it."""
-    if len(memo) >= _MEMO_LIMIT:
-        memo.clear()
-    memo[key] = value
-    return value
 
 
 @dataclass(frozen=True, slots=True)

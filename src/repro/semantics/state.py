@@ -12,17 +12,19 @@ Process identities: the home node is :data:`HOME_ID`; remote nodes are
 Every value type of the semantics is a slotted frozen dataclass: an
 instance holds its fields plus the memos its class declares with
 :func:`memo`, and nothing else — no instance dict, no attribute added
-later.
+later.  Its identity is its compared fields, read once by :func:`value`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Optional, Union
 
 from ..csp.env import Env
 
-__all__ = ["HOME_ID", "ProcId", "ProcState", "RvState", "memo"]
+__all__ = ["HOME_ID", "ProcId", "ProcState", "RvState", "memo", "remember",
+           "value"]
 
 #: Identity of the home node in transition labels and message records.
 HOME_ID = "h"
@@ -37,6 +39,54 @@ def memo() -> Any:
     return field(default=None, init=False, repr=False, compare=False)
 
 
+def value(cls: type) -> type:
+    """Finish a slotted frozen dataclass as a value type whose identity
+    is its compared fields, read here once.
+
+    The class gets ``fields_of(obj)``, the tuple of those fields in
+    declaration order (named by ``__match_args__``): the canonical
+    encoding (:func:`repro.check.store._enc`) encodes it and
+    :meth:`~repro.semantics.asynchronous.Step.footprint` diffs nodes by
+    it.  And its ``__hash__``, the one the dataclass generated — the
+    hash of that tuple — is memoized in the declared ``_hash_cache``:
+    values are shared across many states, and every store probe and step
+    memo rehashes them.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+    if names != getattr(cls, "__match_args__", None):
+        raise TypeError(f"{cls.__name__}: every compared field must be an "
+                        "init field, in declaration order")
+    get = attrgetter(*names)
+    fields_of = get if len(names) > 1 else (lambda obj: (get(obj),))
+    field_hash = cls.__hash__
+
+    def __hash__(self: Any) -> int:
+        cached = self._hash_cache
+        if cached is None:
+            cached = field_hash(self)
+            object.__setattr__(self, "_hash_cache", cached)
+        return cached
+
+    cls.fields_of = staticmethod(fields_of)
+    cls.__hash__ = __hash__
+    return cls
+
+
+#: Entry bound of one system's step memo, at either level; the memo is
+#: cleared, not evicted, when it fills (the 241,339 states of
+#: asynchronous invalidate n = 3 need about 21,000 entries).
+_MEMO_LIMIT = 1 << 16
+
+
+def remember(memo: dict[Any, Any], key: Any, value: Any) -> Any:
+    """Store ``value`` under ``key`` in a bounded memo; returns it."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
+@value
 @dataclass(frozen=True, slots=True)
 class ProcState:
     """Control state name plus variable environment of one process."""
@@ -46,22 +96,11 @@ class ProcState:
     #: symmetry sort key (:func:`repro.check.symmetry._node_key`)
     _sym_cache: Optional[tuple[object, ...]] = memo()
     _hash_cache: Optional[int] = memo()
-
-    def __hash__(self) -> int:
-        # memoized like RvState's: nodes key the rendezvous step memo
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.state, self.env))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
+    #: 16-byte component digest (:func:`repro.check.store._summary`)
+    _digest_cache: Optional[bytes] = memo()
 
     def moved(self, state: str, env: Env | None = None) -> "ProcState":
         return ProcState(state=state, env=self.env if env is None else env)
-
-    def canonical_key(self) -> tuple:
-        """Compact primitive encoding for fingerprinting (see
-        :mod:`repro.check.store`)."""
-        return (self.state, self.env.canonical_key())
 
     def describe(self) -> str:
         if len(self.env) == 0:
@@ -70,32 +109,26 @@ class ProcState:
         return f"{self.state}[{body}]"
 
 
+@value
 @dataclass(frozen=True, slots=True)
 class RvState:
     """Global state of the rendezvous-level transition system.
 
-    Hashed once per instance: the model checker's visited set probes each
-    state many times, and the structural hash over nested dataclasses is
-    the hot path.  The hash lives in a declared :func:`memo`, invisible
-    to ``==`` and ``replace``.
+    Hashed once per instance (:func:`value`): the model checker's visited
+    set probes each state many times, and the structural hash over
+    nested dataclasses is the hot path.
     """
 
     home: ProcState
     remotes: tuple[ProcState, ...]
     _hash_cache: Optional[int] = memo()
 
-    def __hash__(self) -> int:
-        cached = self._hash_cache
-        if cached is None:
-            cached = hash((self.home, self.remotes))
-            object.__setattr__(self, "_hash_cache", cached)
-        return cached
-
-    def canonical_key(self) -> tuple:
-        """Compact primitive encoding for fingerprinting (see
-        :mod:`repro.check.store`)."""
-        return ("rv", self.home.canonical_key(),
-                tuple(r.canonical_key() for r in self.remotes))
+    def components(self) -> tuple[str, tuple[ProcState, ...], tuple[()]]:
+        """``(tag, nodes, network)`` as :class:`~repro.semantics.
+        asynchronous.AsyncState` gives them: the fingerprint store
+        digests each node once, into its ``_digest_cache``; there is no
+        network."""
+        return "rv", (self.home,) + self.remotes, ()
 
     @property
     def n_remotes(self) -> int:

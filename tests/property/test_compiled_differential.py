@@ -34,13 +34,13 @@ from hypothesis import strategies as st
 from repro import AsyncSystem, refine
 from repro.check.explorer import explore
 from repro.check.properties import check_progress
-from repro.check.store import ExactStore
+from repro.check.store import ExactStore, fingerprint
 from repro.errors import SemanticsError
 from repro.gen import GeneratorParams, random_protocol
 from repro.protocols import LIBRARY_PROTOCOLS
 from repro.protocols.invariants import async_structural_invariants
 from repro.refine.transitions import build_step_table
-from repro.semantics import asynchronous
+from repro.semantics import state as semantics_state
 from tests.conftest import reachable_states
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
@@ -171,7 +171,7 @@ class TestMemo:
         reference = explore(interp, max_states=3000)
         explore(unbounded, max_states=3000)
         assert len(unbounded._memo) > 80
-        monkeypatch.setattr(asynchronous, "_MEMO_LIMIT", 8)
+        monkeypatch.setattr(semantics_state, "_MEMO_LIMIT", 8)
         bounded = AsyncSystem(refined, 3)
         store = ExactStore()
         result = explore(bounded, max_states=3000, store=store)
@@ -187,7 +187,7 @@ class TestMemo:
         frontier = [system.initial_state()]
         for _ in range(6):
             for state in frontier:
-                hash(state), state.canonical_key()  # fill the caches
+                hash(state), fingerprint(state)  # fill the caches
             frontier = [nxt for state in frontier
                         for _action, nxt in system.successors(state)]
             for nxt in frontier:

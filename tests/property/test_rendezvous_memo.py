@@ -28,7 +28,7 @@ from repro.analysis.environment import (
 )
 from repro.analysis.paramcheck import check_parameterized
 from repro.gen import GeneratorParams, random_protocol
-from repro.semantics import rendezvous
+from repro.semantics import state as semantics_state
 from repro.semantics.rendezvous import RendezvousSystem
 
 from tests.conftest import reachable_states
@@ -172,5 +172,5 @@ def test_a_tiny_memo_changes_nothing(monkeypatch, invalidate):
                 check_coherence(invalidate).as_dict())
 
     roomy = sweeps()
-    monkeypatch.setattr(rendezvous, "_MEMO_LIMIT", 2)
+    monkeypatch.setattr(semantics_state, "_MEMO_LIMIT", 2)
     assert sweeps() == roomy

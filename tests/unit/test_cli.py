@@ -452,8 +452,7 @@ class TestErrorsAreOneLine:
     """A library error ends a command with a message, not a traceback."""
 
     @pytest.mark.parametrize("command", ["verify", "check", "soundness",
-                                         "simulate", "lint", "flows",
-                                         "paramverify"])
+                                         "simulate", "lint", "flows"])
     def test_bad_buffer_capacity(self, command, capsys):
         argv = [command, "invalidate", "--buffer", "1"]
         if command in ("verify", "check"):

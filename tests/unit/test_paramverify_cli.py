@@ -14,8 +14,17 @@ from .test_coherencecheck import incoherent_invalidate
 class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["paramverify", "mesi"])
-        assert args.budget == 50_000 and args.buffer == 2
+        assert args.budget == 50_000
         assert not args.json and not args.strict
+
+    def test_refinement_flags_are_rejected(self, capsys):
+        # the verdict reads no refinement config: no flag selects one
+        for flag in (["--buffer", "3"], ["--no-reqreply"],
+                     ["--no-progress-buffer"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["paramverify", "msi", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_all_accepted(self):
         args = build_parser().parse_args(["paramverify", "all"])

@@ -18,13 +18,16 @@ from repro.check.por import (
     PRESERVE_INVARIANTS,
     PORSystem,
 )
+from repro.check.store import _enc
 from repro.errors import CheckError
 from repro.semantics.asynchronous import (
+    AsyncState,
     DeliverToHome,
     DeliverToRemote,
     HomeStep,
     HomeTau,
     RemoteC3,
+    RemoteNode,
     RemoteSend,
     RemoteTau,
 )
@@ -204,38 +207,44 @@ class TestConstruction:
         assert por.apply(state, step.action) == step.state
 
 
+def _keeps(obj, encoding):
+    """Whether any memo slot of ``obj`` holds ``encoding``."""
+    return any(getattr(obj, f.name) == encoding
+               for f in dataclasses.fields(obj) if not f.compare)
+
+
 class TestCanonicalKeyMemoization:
-    """Satellite: canonical keys are built on demand and memoized
-    nowhere — the state, its nodes and its network declare no memo for
-    them (no sweep asks for them per probe) — and stay equal across
-    calls and copies."""
+    """Satellite: a canonical encoding is built on demand from the
+    compared fields (``fields_of``, rebuilt per call) and memoized by no
+    state, node or network — none declares a memo for it (no sweep asks
+    for it per probe) — and stays equal across calls and copies."""
 
     def test_cached_and_stable(self, mig2):
         state = mig2.initial_state()
-        key = state.canonical_key()
-        again = state.canonical_key()
-        assert again == key and again is not key
-        assert dataclasses.replace(state).canonical_key() == key
+        key = _enc(state)
+        assert _enc(state) == key
+        assert AsyncState.fields_of(state) is not AsyncState.fields_of(state)
+        assert _enc(dataclasses.replace(state)) == key
         for obj in (state, state.home, state.channels) + state.remotes:
-            assert not hasattr(obj, "_key_cache")
+            assert not hasattr(obj, "_key_cache") and not _keeps(obj, key)
 
     def test_node_and_channel_keys_cached(self, mig2):
-        # a state's key is assembled from its nodes' and its network's,
-        # each rebuilt per call; a replayed network keeps no key either
+        # a state's encoding is assembled from its nodes' and its
+        # network's, each rebuilt per call; a replayed node or network
+        # keeps none either
         state = mig2.initial_state()
-        first, second = state.canonical_key(), state.canonical_key()
-        assert first == second
-        assert first[1] == state.home.canonical_key()
-        assert first[3] == state.channels.canonical_key()
-        assert state.channels.canonical_key() \
-            is not state.channels.canonical_key()
+        assert _enc(state) == b"t(" + b",".join(
+            _enc(part) for part in (state.home, state.remotes,
+                                    state.channels)) + b")"
+        assert Channels.fields_of(state.channels) \
+            is not Channels.fields_of(state.channels)
         node = dataclasses.replace(state.remotes[0])
-        assert node.canonical_key() == first[2][0]
-        assert node.canonical_key() is not node.canonical_key()
+        assert _enc(node) == _enc(state.remotes[0])
+        assert RemoteNode.fields_of(node) is not RemoteNode.fields_of(node)
         for step in mig2.steps(state):
             for obj in (step.state.channels, step.state.home) \
                     + step.state.remotes:
-                assert not hasattr(obj, "_key_cache")
+                assert not _keeps(obj, _enc(obj))
 
 
 class TestWithRemote:

@@ -100,9 +100,23 @@ def test_every_memo_is_declared():
         "HomeNode": ["_digest_cache", "_hash_cache"],
         "RemoteNode": ["_digest_cache", "_hash_cache", "_sym_cache"],
         "AsyncState": ["_hash_cache"],
-        "ProcState": ["_hash_cache", "_sym_cache"],
+        "BufEntry": ["_hash_cache"],
+        "ProcState": ["_digest_cache", "_hash_cache", "_sym_cache"],
         "RvState": ["_hash_cache"],
         "Msg": ["_desc_cache", "_hash_cache"],
         "Channels": ["_hash_cache"],
         "Step": ["_delta_cache"],
     }
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda c: c.__name__)
+def test_hash_is_the_compared_field_tuple(cls):
+    # the dataclass's own formula, whether generated or memoized by
+    # repro.semantics.state.value
+    obj = EXAMPLES[cls]()
+    compared = tuple(getattr(obj, f.name) for f in fields(cls) if f.compare)
+    assert hash(obj) == hash(compared)
+    fields_of = getattr(cls, "fields_of", None)
+    if fields_of is not None:
+        assert fields_of(obj) == compared
+        assert obj._hash_cache == hash(compared)
