@@ -180,11 +180,12 @@ def run(rows: list[dict[str, Any]]) -> int:
     profiles: dict[str, Any] = {}
     failed = 0
     begin = time.perf_counter()
+    width = max(len(row["id"]) for row in rows)
     for row in rows:
         start = time.perf_counter()
         errors, shown = _run_row(row, profiles)
         seconds = time.perf_counter() - start
-        print(f"{row['id']:<46} {'FAIL' if errors else 'ok':<4}  {shown}, "
+        print(f"{row['id']:<{width}} {'FAIL' if errors else 'ok':<4}  {shown}, "
               f"{seconds:.1f} s", flush=True)
         for error in errors:
             print(f"    {error}", flush=True)

@@ -167,7 +167,7 @@ def explore(
 
         add = record
 
-    def footprint() -> int:
+    def store_bytes() -> int:
         return visited.approx_bytes() + (0 if graph is None else graph.nbytes())
 
     watcher: RunObserver = observer if observer is not None else NullObserver()
@@ -240,7 +240,7 @@ def explore(
         """
         if max_states is not None and len(visited) > max_states:
             return f"state budget {max_states} exceeded"
-        if max_bytes is not None and footprint() > max_bytes:
+        if max_bytes is not None and store_bytes() > max_bytes:
             return f"memory budget {_fmt_bytes(max_bytes)} exceeded"
         if (max_seconds is not None
                 and time.perf_counter() - t0 > max_seconds):
@@ -309,7 +309,7 @@ def explore(
                 candidates=candidates, new_states=new_states,
                 n_states=len(visited), n_transitions=n_transitions,
                 deadlocks=deadlock_count, collisions=visited.collisions,
-                approx_bytes=footprint(),
+                approx_bytes=store_bytes(),
                 seconds=time.perf_counter() - t0, enabled=enabled,
                 spill_bytes=_store_spill_bytes(visited)))
             n_levels += 1
@@ -328,7 +328,7 @@ def explore(
             deadlock_count=deadlock_count,
             violations=violations,
             graph=graph,
-            approx_bytes=footprint(),
+            approx_bytes=store_bytes(),
             store=visited.name,
             fingerprint_collisions=visited.collisions,
             n_enabled=n_enabled,

@@ -11,15 +11,16 @@ subset* of the enabled transitions.
 Independence relation
 ---------------------
 
-Two steps are independent when their footprints
-(:meth:`~repro.semantics.asynchronous.Step.footprint`) touch disjoint
-(node, channel, buffer-slot) objects, with FIFO channels split into a
-*head* (pop side) and a *tail* (push side): popping the head of a
-non-empty queue commutes with pushing its tail.  The relation is static —
-it falls out of the refinement's step-table schema
-(:mod:`repro.refine.transitions`): every Table 1/2 row either acts on the
-home node plus its channel ends, or on exactly one remote ``i`` plus
-*its* channel ends.  Partition the actions accordingly:
+Two steps are independent when they touch disjoint nodes and channel
+ends, with FIFO channels split into a *head* (pop side) and a *tail*
+(push side): popping the head of a non-empty queue commutes with pushing
+its tail.  The relation is static — it falls out of the refinement's
+step-table schema (:mod:`repro.refine.transitions`): every Table 1/2 row
+either acts on the home node plus its channel ends, or on exactly one
+remote ``i`` plus *its* channel ends (the step memo refuses any other
+family, and ``tests/unit/test_por.py::TestActionClasses`` checks every
+step of the library protocols against it).  Partition the actions
+accordingly:
 
 * class ``P(i)`` — everything touching remote ``i``'s node or the head
   of channel home→remote(i): ``DeliverToRemote(i)``, ``RemoteSend(i)``,
@@ -72,7 +73,7 @@ are preserved; per-level counts shrink.
 
 ``preserve="invariants"`` (``repro verify``) additionally requires the
 popped message to be a ``REQ`` whose only write is remote ``i``'s buffer
-slot ``("r", i, "buf")`` — which leaves exactly the REQ-buffering and
+slot ``buf`` (read off the step's delta) — exactly the REQ-buffering and
 T3-drop deliveries.  Checked predicate by predicate against
 :mod:`repro.protocols.invariants`: the coherence invariants read remote
 ``(state, mode)``; ``buffer_capacity`` reads the home buffer;
@@ -89,7 +90,8 @@ the SCC structure the Equation-1/progress checkers want, which is why
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from dataclasses import replace
+from typing import Optional
 
 from ..errors import CheckError
 from ..semantics.asynchronous import (
@@ -102,7 +104,7 @@ from ..semantics.asynchronous import (
     RemoteTau,
     Step,
 )
-from ..semantics.network import REQ
+from ..semantics.network import REQ, Channels
 
 __all__ = ["PRESERVE_COUNTS", "PRESERVE_INVARIANTS", "PORSystem"]
 
@@ -121,7 +123,7 @@ class PORSystem:
     Exposes the same ``initial_state``/``steps``/``successors`` surface
     as the inner system plus :meth:`expand`, which the explorer uses to
     report the full enabled count next to the reduced successor list
-    (the per-level reduction ratio in ``repro.profile/4``).  Compose
+    (the per-level reduction ratio of a profile).  Compose
     with symmetry as ``SymmetricSystem(PORSystem(inner), spec)`` —
     reduction picks the ample step on the concrete state, normalization
     canonicalizes the survivors.
@@ -193,18 +195,18 @@ class PORSystem:
 
     def _invisible(self, state: AsyncState, step: Step, i: int) -> bool:
         """C2 for the invariant-preserving preset: a REQ pop whose only
-        write is remote ``i``'s buffer slot (REQ buffering / T3 drop)."""
-        fp = step.footprint(state)
-        assert fp.pop is not None  # deliveries always pop
-        if fp.pop[1] != REQ:
+        write is remote ``i``'s ``buf`` (REQ buffering / T3 drop), read
+        off the replayed step's memoized delta — no successor is built."""
+        if state.channels.queues[Channels.to_remote(i)][0].kind != REQ:
             return False
-        return fp.writes <= {("r", i, "buf")}
-
-    # -- passthrough ---------------------------------------------------------
-
-    def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
-        return self.inner.apply(state, action)
-
-    @property
-    def protocol(self) -> Any:
-        return self.inner.protocol
+        replayed = step._delta_cache
+        assert replayed is not None  # ample() sees replayed steps only
+        _action, home, moved, _ops, _completes, _sends = replayed[1]
+        if home is not None:
+            return False
+        if moved is None:
+            return True
+        j, node = moved
+        # the dataclass ``==`` compares exactly the ``fields_of`` tuple
+        return j == i and replace(node, buf=state.remotes[i].buf) \
+            == state.remotes[i]

@@ -49,6 +49,7 @@ from ..semantics.asynchronous import (
 )
 from ..semantics.network import Channels, Msg
 from ..semantics.state import ProcState, RvState
+from .explorer import expand_state
 
 __all__ = ["SymmetrySpec", "SymmetricSystem", "normalize"]
 
@@ -126,12 +127,7 @@ class SymmetricSystem:
         """Successors plus the inner system's enabled count (forwarded
         from a reducing inner system such as
         :class:`~repro.check.por.PORSystem`)."""
-        inner_expand = getattr(self.inner, "expand", None)
-        if inner_expand is not None:
-            succs, enabled = inner_expand(state)
-        else:
-            succs = self.inner.successors(state)
-            enabled = len(succs)
+        succs, enabled = expand_state(self.inner, state)
         _normalize = self._normalize
         return ([(action, _normalize(nxt))
                  for action, nxt in succs], enabled)

@@ -83,7 +83,6 @@ __all__ = [
     "RemoteTau",
     "AsyncAction",
     "Step",
-    "StepFootprint",
     "AsyncSystem",
 ]
 
@@ -283,35 +282,6 @@ AsyncAction = (DeliverToHome | DeliverToRemote | HomeStep | HomeTau
 
 
 @dataclass(frozen=True, slots=True)
-class StepFootprint:
-    """The (node, channel, buffer-slot) objects one step touches.
-
-    This is the independence interface the partial-order reduction in
-    :mod:`repro.check.por` builds on: two steps whose footprints are
-    disjoint commute.  Channels are split into *head* (pop side) and
-    *tail* (push side) objects — popping the head of a non-empty FIFO
-    commutes with pushing its tail, which is what makes deliveries
-    independent of the sends feeding the same channel.
-
-    :param owner: which node class the action belongs to — ``HOME_ID``
-        for home decisions/taus and deliveries *to* home, the remote
-        index for everything touching remote ``i``.
-    :param writes: field-level write set, as ``("h", field)`` for home
-        fields and ``("r", i, field)`` for remote ``i``'s fields
-        (``buf`` is the remote's single buffer slot; ``buffer`` the
-        home's k-slot buffer).
-    :param pop: ``(channel index, popped message kind)`` for deliveries,
-        ``None`` otherwise.
-    :param pushes: channel indices receiving a message, in send order.
-    """
-
-    owner: ProcId
-    writes: frozenset[tuple]
-    pop: Optional[tuple[int, str]]
-    pushes: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class Step:
     """One enabled transition with its observables.
 
@@ -323,15 +293,16 @@ class Step:
     A step :meth:`AsyncSystem.steps` replays holds its origin state and
     memoized delta (``_delta_cache``) and builds ``state`` when it is
     first read, then keeps it: a caller that takes one step of many
-    builds one successor.  ``==``, ``repr`` and :meth:`footprint` read
-    ``state`` like any other field.
+    builds one successor.  ``==`` and ``repr`` read ``state`` like any
+    other field.
     """
 
     action: AsyncAction
     state: AsyncState
     completes: tuple[RendezvousStep, ...] = ()
     sends: tuple[Msg, ...] = ()
-    #: ``(origin, delta)`` a replayed step builds its ``state`` from
+    #: ``(origin, delta)`` a replayed step builds its ``state`` from (and
+    #: :meth:`repro.check.por.PORSystem._invisible` reads, building nothing)
     _delta_cache: Optional[tuple[AsyncState, _Delta]] = memo()
 
     def __getattr__(self, name: str) -> Any:
@@ -341,47 +312,6 @@ class Step:
         nxt = _successor(*self._delta_cache)
         _set_state(self, nxt)
         return nxt
-
-    def footprint(self, origin: AsyncState) -> StepFootprint:
-        """Compute this step's footprint relative to its origin state.
-
-        Writes are obtained by structural field diff of ``origin``
-        against the successor — the semantics layer cannot silently grow
-        an effect the footprint misses.  Channel effects are reported
-        separately (``pop``/``pushes``) because FIFO head and tail are
-        distinct objects for commutation purposes.
-        """
-        action = self.action
-        if isinstance(action, (DeliverToRemote, RemoteSend, RemoteC3,
-                               RemoteTau)):
-            owner: ProcId = action.remote
-        else:
-            owner = HOME_ID
-        pop: Optional[tuple[int, str]] = None
-        if isinstance(action, DeliverToHome):
-            chan = Channels.to_home(action.remote)
-            pop = (chan, origin.channels.queues[chan][0].kind)
-        elif isinstance(action, DeliverToRemote):
-            chan = Channels.to_remote(action.remote)
-            pop = (chan, origin.channels.queues[chan][0].kind)
-        writes: set[tuple] = set()
-        nodes = zip((origin.home,) + origin.remotes,
-                    (self.state.home,) + self.state.remotes)
-        for i, (old, new) in enumerate(nodes, -1):
-            if new is not old:
-                where = ("h",) if i < 0 else ("r", i)
-                for name, was, now in zip(old.__match_args__,
-                                          old.fields_of(old),
-                                          new.fields_of(new)):
-                    if was != now:
-                        writes.add(where + (name,))
-        pushes: list[int] = []
-        for c, (old_q, new_q) in enumerate(zip(origin.channels.queues,
-                                               self.state.channels.queues)):
-            base = len(old_q) - (1 if pop is not None and pop[0] == c else 0)
-            pushes.extend([c] * (len(new_q) - base))
-        return StepFootprint(owner=owner, writes=frozenset(writes),
-                             pop=pop, pushes=tuple(pushes))
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,12 @@ def value(cls: type) -> type:
     is its compared fields, read here once.
 
     The class gets ``fields_of(obj)``, the tuple of those fields in
-    declaration order (named by ``__match_args__``): the canonical
-    encoding (:func:`repro.check.store._enc`) encodes it and
-    :meth:`~repro.semantics.asynchronous.Step.footprint` diffs nodes by
-    it.  And its ``__hash__``, the one the dataclass generated — the
-    hash of that tuple — is memoized in the declared ``_hash_cache``:
-    values are shared across many states, and every store probe and step
-    memo rehashes them.
+    declaration order (named by ``__match_args__``), which the canonical
+    encoding (:func:`repro.check.store._enc`) encodes.  And its
+    ``__hash__``, the one the dataclass generated — the hash of that
+    tuple — is memoized in the declared ``_hash_cache``: values are
+    shared across many states, and every store probe and step memo
+    rehashes them.
     """
     names = tuple(f.name for f in fields(cls) if f.compare)
     if names != getattr(cls, "__match_args__", None):

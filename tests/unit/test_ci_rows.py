@@ -74,11 +74,14 @@ def test_runner_passes_the_cheap_row(cheap_row, capsys):
 def test_runner_fails_a_wrong_count_and_a_tight_bound(cheap_row, capsys):
     rows = [dict(cheap_row, id="wrong-count",
                  n_states=cheap_row["n_states"] + 1),
-            dict(cheap_row, id="tight-bound", vmhwm_mib_max=1)]
+            dict(cheap_row, id="tight-bound-of-a-longer-id", vmhwm_mib_max=1)]
     assert ci_rows.run(rows) == 1
     out = capsys.readouterr().out
-    assert [line.split()[:2] for line in out.splitlines()
-            if not line.startswith(" ")][:2] == [["wrong-count", "FAIL"],
-                                                 ["tight-bound", "FAIL"]]
+    lines = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert [line.split()[:2] for line in lines[:2]] == [
+        ["wrong-count", "FAIL"], ["tight-bound-of-a-longer-id", "FAIL"]]
+    # the status column starts one past the longest id, on every row
+    assert lines[0].index("FAIL") == lines[1].index("FAIL") \
+        == len("tight-bound-of-a-longer-id") + 1
     assert f"n_states {cheap_row['n_states'] + 1} -> " in out
     assert "MiB > 1" in out

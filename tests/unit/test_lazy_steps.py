@@ -65,17 +65,6 @@ def test_successor_built_on_first_read_only(swept):
         assert not any(built(s) for s in steps[1:])
 
 
-def test_footprint_of_unread_step_equals_read_one(swept):
-    system, states = swept
-    for state in states:
-        unread = [s.footprint(state) for s in system.steps(state)]
-        read = system.steps(state)
-        for s in read:
-            assert s.state is not None
-        assert unread == [s.footprint(state) for s in read] \
-            == [s.footprint(state) for s in system.interpret(state)]
-
-
 def test_apply_unchanged(swept):
     system, states = swept
     for state in states:

@@ -2,13 +2,15 @@
 
 The differential soundness evidence (verdict agreement between full and
 reduced exploration) lives in ``tests/property/test_por_differential.py``;
-this file pins the *mechanics*: footprints report exactly what a step
-touches, the ample rule only ever picks steps satisfying the documented
+this file pins the *mechanics*: every step touches only what its action
+class may (the assumption the ample argument in docs/ANALYSIS.md rests
+on), the ample rule only ever picks steps satisfying the documented
 side conditions, and the satellite optimizations (memoized canonical
 keys, tuple-sliced ``with_remote``) behave.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -30,8 +32,9 @@ from repro.semantics.asynchronous import (
     RemoteNode,
     RemoteSend,
     RemoteTau,
+    _replayed,
 )
-from repro.semantics.network import REQ, Channels
+from repro.semantics.network import ACK, REQ, Channels, Msg
 from repro.semantics.state import HOME_ID
 from tests.conftest import reachable_states
 
@@ -47,73 +50,165 @@ def reachable(mig2):
     return reachable_states(mig2, allow_deadlock=True)
 
 
+def _touched(origin, successor):
+    """What one step did, diffed node by node and channel by channel: the
+    nodes it rewrote (``HOME_ID`` or a remote index), the channels whose
+    head it popped, and the messages it pushed on each channel's tail."""
+    before = (origin.home,) + origin.remotes
+    after = (successor.home,) + successor.remotes
+    nodes = {who for who, old, new in zip((HOME_ID,) + tuple(
+        range(len(origin.remotes))), before, after) if new != old}
+    pops, pushed = set(), {}
+    for c, (old, new) in enumerate(zip(origin.channels.queues,
+                                       successor.channels.queues)):
+        if new[:len(old)] == old:
+            kept = len(old)
+        else:
+            assert old and new[:len(old) - 1] == old[1:], \
+                f"channel {c} is not a head pop plus tail pushes"
+            pops.add(c)
+            kept = len(old) - 1
+        if new[kept:]:
+            pushed[c] = new[kept:]
+    return nodes, pops, pushed
+
+
+def _changed_fields(old, new):
+    """The names of the compared fields ``new`` changes on ``old``."""
+    return {name for name, was, now in zip(old.__match_args__,
+                                           type(old).fields_of(old),
+                                           type(new).fields_of(new))
+            if was != now}
+
+
+N = 2
+_to_remote, _to_home = Channels.to_remote, Channels.to_home
+_downlinks = set(map(_to_remote, range(N)))
+
+#: per action kind, for acting remote ``i``: the nodes its steps may
+#: rewrite, the channel heads they pop, the channel tails they may push
+ACTION_CLASSES = {
+    DeliverToRemote: lambda i: ({i}, {_to_remote(i)}, {_to_home(i)}),
+    RemoteSend: lambda i: ({i}, set(), {_to_home(i)}),
+    RemoteC3: lambda i: ({i}, set(), {_to_home(i)}),
+    RemoteTau: lambda i: ({i}, set(), {_to_home(i)}),
+    DeliverToHome: lambda i: ({HOME_ID}, {_to_home(i)}, _downlinks),
+    HomeStep: lambda i: ({HOME_ID}, set(), _downlinks),
+    HomeTau: lambda i: ({HOME_ID}, set(), _downlinks),
+}
+
+
+class TestActionClasses:
+    """The static independence the ample rule assumes, checked on every
+    step of every reachable state at n = 2 against ``interpret()``: a
+    ``P(i)`` step touches only remote ``i`` and its channel ends (a
+    delivery pops the head of home→remote(i) and pushes only to
+    remote(i)→home), a home-class step never writes a remote, and
+    ``sends`` is exactly what a step pushes.  The invariants preset's
+    visibility check, read off the replayed delta, agrees with the same
+    diff."""
+
+    @pytest.mark.parametrize("name", ["migratory", "invalidate", "msi",
+                                      "mesi"])
+    def test_steps_touch_only_their_class(self, name, request):
+        system = AsyncSystem(request.getfixturevalue(f"{name}_refined"), N)
+        por = PORSystem(system)
+        kinds, invisible = Counter(), 0
+        for state in reachable_states(system, allow_deadlock=True):
+            for step, replayed in zip(system.interpret(state),
+                                      system.steps(state), strict=True):
+                action = step.action
+                i = getattr(action, "remote", None)
+                nodes, pops, pushed = _touched(state, step.state)
+                may_write, must_pop, may_push = \
+                    ACTION_CLASSES[type(action)](i)
+                assert nodes <= may_write, action
+                assert pops == must_pop, action
+                assert pushed.keys() <= may_push, action
+                assert Counter(m for q in pushed.values() for m in q) \
+                    == Counter(step.sends), action
+                kinds[type(action)] += 1
+                if isinstance(action, DeliverToRemote) and not step.sends:
+                    head = state.channels.queues[_to_remote(i)][0]
+                    only_buf = nodes <= {i} and _changed_fields(
+                        state.remotes[i], step.state.remotes[i]) <= {"buf"}
+                    assert por._invisible(state, replayed, i) \
+                        == (head.kind == REQ and only_buf), action
+                    invisible += head.kind == REQ and only_buf
+        # every kind is seen (migratory's home has no tau)
+        assert ACTION_CLASSES.keys() - kinds.keys() <= {HomeTau}
+        assert invisible  # the ample-candidate shape exists
+
+
+_REMOTE_CLASS = (DeliverToRemote, RemoteSend, RemoteC3, RemoteTau)
+
+
 def all_steps(system, states):
+    """Every (state, step) pair, with ``interpret()`` building the step,
+    and what the step touched per :func:`_touched`."""
     for state in states:
-        for step in system.steps(state):
-            yield state, step
+        for step in system.interpret(state):
+            yield state, step, _touched(state, step.state)
 
 
 class TestFootprint:
-    """footprint() is a structural diff — check it against the action
-    taxonomy on every reachable (state, step) pair of a real protocol."""
+    """What a step touches, one fact per test, on every reachable (state,
+    step) pair of migratory at n = 2.  The footprint is the node-by-node
+    and channel-by-channel diff of ``interpret()``'s successor."""
 
     def test_owner_matches_action_class(self, mig2, reachable):
-        for state, step in all_steps(mig2, reachable):
-            fp = step.footprint(state)
+        for state, step, (nodes, _, _) in all_steps(mig2, reachable):
             action = step.action
-            if isinstance(action, (DeliverToRemote, RemoteSend,
-                                   RemoteC3, RemoteTau)):
-                assert fp.owner == action.remote
-            else:
-                assert fp.owner == HOME_ID
+            owner = (action.remote if isinstance(action, _REMOTE_CLASS)
+                     else HOME_ID)
+            assert nodes <= {owner}, action
 
     def test_deliveries_pop_their_channel_head(self, mig2, reachable):
         seen_req_buffering = False
-        for state, step in all_steps(mig2, reachable):
-            fp = step.footprint(state)
+        for state, step, (nodes, pops, _) in all_steps(mig2, reachable):
             action = step.action
             if isinstance(action, DeliverToRemote):
-                chan = Channels.to_remote(action.remote)
-                assert fp.pop is not None and fp.pop[0] == chan
-                assert fp.pop[1] == state.channels.queues[chan][0].kind
-                if fp.pop[1] == REQ and not step.sends:
+                i = action.remote
+                assert pops == {Channels.to_remote(i)}
+                head = state.channels.head_to_remote(i)
+                if head.kind == REQ and not step.sends and nodes <= {i}:
                     # REQ buffering: the only write is the remote's buffer
-                    if fp.writes == {("r", action.remote, "buf")}:
+                    if _changed_fields(state.remotes[i],
+                                       step.state.remotes[i]) == {"buf"}:
                         seen_req_buffering = True
             elif isinstance(action, DeliverToHome):
-                assert fp.pop is not None
-                assert fp.pop[0] == Channels.to_home(action.remote)
+                assert pops == {Channels.to_home(action.remote)}
             else:
-                assert fp.pop is None
+                assert not pops
         assert seen_req_buffering  # the ample-candidate shape exists
 
     def test_pushes_match_sends(self, mig2, reachable):
-        for state, step in all_steps(mig2, reachable):
-            fp = step.footprint(state)
-            assert len(fp.pushes) == len(step.sends)
+        for state, step, (_, pops, pushed) in all_steps(mig2, reachable):
+            assert Counter(m for q in pushed.values() for m in q) \
+                == Counter(step.sends)
             # in-flight delta is pushes minus the optional pop
             delta = (step.state.channels.total_in_flight
                      - state.channels.total_in_flight)
-            assert delta == len(fp.pushes) - (1 if fp.pop else 0)
+            assert delta == len(step.sends) - len(pops)
 
     def test_writes_localized_to_owner(self, mig2, reachable):
-        """A remote-owned step never writes another node's fields."""
-        for state, step in all_steps(mig2, reachable):
-            fp = step.footprint(state)
-            if fp.owner == HOME_ID:
+        """A remote-owned step never writes another node's fields, and
+        pushes only on its own channel to home."""
+        for state, step, (nodes, _, pushed) in all_steps(mig2, reachable):
+            action = step.action
+            if not isinstance(action, _REMOTE_CLASS):
                 continue
-            for tag in fp.writes:
-                assert tag[0] == "r" and tag[1] == fp.owner
+            assert nodes <= {action.remote}
+            assert pushed.keys() <= {Channels.to_home(action.remote)}
 
     def test_home_decision_writes_home(self, mig2, reachable):
         seen = False
-        for state, step in all_steps(mig2, reachable):
+        for state, step, (nodes, pops, _) in all_steps(mig2, reachable):
             if not isinstance(step.action, (HomeStep, HomeTau)):
                 continue
             seen = True
-            fp = step.footprint(state)
-            assert all(tag[0] == "h" for tag in fp.writes)
-            assert fp.pop is None
+            assert nodes <= {HOME_ID}
+            assert not pops
         assert seen
 
 
@@ -148,10 +243,46 @@ class TestAmpleRule:
                               (RemoteSend, RemoteC3, RemoteTau)):
                     assert other.action.remote != action.remote
             if preserve == PRESERVE_INVARIANTS:
-                fp = ample.footprint(state)
-                assert fp.pop is not None and fp.pop[1] == REQ
-                assert fp.writes <= {("r", action.remote, "buf")}
+                # C2: a REQ pop whose only write is remote i's buf
+                i = action.remote
+                assert state.channels.head_to_remote(i).kind == REQ
+                after = ample.state
+                assert after.home == state.home
+                for j, (old, new) in enumerate(zip(state.remotes,
+                                                   after.remotes)):
+                    assert _changed_fields(old, new) \
+                        <= ({"buf"} if j == i else set())
         assert reduced_states > 0  # the rule actually fires
+
+    def test_invisible_checks_each_clause_of_the_delta(self, mig2,
+                                                       reachable):
+        """The library protocols never separate C2's clauses (a send-free
+        REQ pop writes only ``buf``, any other send-free delivery writes
+        ``mode``), so each is pinned here on an edited delta of a real
+        REQ-buffering delivery."""
+        por = PORSystem(mig2)
+        state, step = next(
+            (s, st) for s in reachable for st in mig2.steps(s)
+            if isinstance(st.action, DeliverToRemote) and not st.sends
+            and st._delta_cache[1][2] is not None
+            and por._invisible(s, st, st.action.remote))
+        i = step.action.remote
+        action, home, (j, node), ops, completes, sends = step._delta_cache[1]
+        assert home is None and j == i
+
+        def invisible(home=None, moved=(i, node), at=state):
+            delta = (action, home, moved, ops, completes, sends)
+            return por._invisible(at, _replayed(at, delta), i)
+
+        assert invisible() and invisible(moved=None)
+        assert not invisible(home=dataclasses.replace(state.home,
+                                                      mode="trans"))
+        assert not invisible(moved=(1 - i, node))
+        assert not invisible(moved=(i, dataclasses.replace(node,
+                                                           mode="trans")))
+        queues = list(state.channels.queues)
+        queues[_to_remote(i)] = (Msg(ACK),) + queues[_to_remote(i)][1:]
+        assert not invisible(at=state.with_channels(Channels(tuple(queues))))
 
     def test_invariants_preset_is_a_refinement_of_counts(self, mig2,
                                                          reachable):
@@ -201,10 +332,6 @@ class TestConstruction:
         por = PORSystem(mig2)
         assert por.initial_state() == mig2.initial_state()
         assert por.n_remotes == 2
-        assert por.protocol is mig2.protocol
-        state = mig2.initial_state()
-        step = mig2.steps(state)[0]
-        assert por.apply(state, step.action) == step.state
 
 
 def _keeps(obj, encoding):

@@ -25,7 +25,6 @@ from repro.semantics.asynchronous import (
     RemoteSend,
     RemoteTau,
     Step,
-    StepFootprint,
 )
 from repro.semantics.network import NACK, REQ, Channels, Msg
 from repro.semantics.rendezvous import RendezvousStep, TauStep
@@ -49,9 +48,6 @@ EXAMPLES = {
     Step: lambda: Step(action=DeliverToHome(0), state=_async_state(),
                        completes=(RendezvousStep(0, HOME_ID, "req"),),
                        sends=(Msg(NACK),)),
-    StepFootprint: lambda: StepFootprint(
-        owner=0, writes=frozenset({("r", 0, "buf")}), pop=(0, REQ),
-        pushes=(1,)),
     DeliverToHome: lambda: DeliverToHome(1),
     DeliverToRemote: lambda: DeliverToRemote(1),
     HomeStep: lambda: HomeStep(kind="C2", detail="inv→r1"),
