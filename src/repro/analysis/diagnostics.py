@@ -112,8 +112,6 @@ CODES: dict[str, CodeInfo] = _registry(
     CodeInfo("P3303", "fusable pair skipped (chained fusion)", "3.3",
              Severity.INFO),
     # -- transient-state sanity on refined machines (Tables 1-2) ------------
-    CodeInfo("P3401", "fused transient has no reply exit", "3.3",
-             Severity.ERROR),
     CodeInfo("P3402", "fire-and-forget message received by remote", "5",
              Severity.ERROR),
     CodeInfo("P3403", "transient-state inventory", "3", Severity.INFO),

@@ -46,6 +46,7 @@ from ..csp.ast import (
     Input,
     Output,
     ProcessDef,
+    ProcessKind,
     Protocol,
     StateDef,
     Tau,
@@ -569,7 +570,6 @@ def _dedupe_names(flows: list[Flow]) -> list[Flow]:
 def _coverage_gaps(protocol: Protocol, flows: list[Flow],
                    table: object) -> Iterator[str]:
     """Transition-table rows and input guards no flow accounts for."""
-    from ..refine.transitions import HOME as T_HOME
     from ..refine.transitions import StepTable
 
     assert isinstance(table, StepTable)
@@ -597,7 +597,7 @@ def _coverage_gaps(protocol: Protocol, flows: list[Flow],
             remote_sends.update(flow.reply_msgs)
 
     for spec in table:
-        covered = (spec.msg in home_sends if spec.role == T_HOME
+        covered = (spec.msg in home_sends if spec.role == ProcessKind.HOME
                    else spec.msg in remote_sends)
         if not covered:
             yield (f"{spec.role}.{spec.state}[{spec.out_index}] "

@@ -45,17 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
+from ..csp.ast import ProcessDef, ProcessKind
 from ..errors import SemanticsError
 # repro.refine before repro.check: the semantics modules both pull in must
 # first be loaded through the refine package (import cycle otherwise)
 from ..refine.abstraction import AbstractionUndefined
 from ..refine.plan import RefinedProtocol
-from ..refine.transitions import (
-    HOME as HOME_ROLE,
-    KIND_REQUEST,
-    StepTable,
-    build_step_table,
-)
+from ..refine.transitions import KIND_REQUEST, StepTable, build_step_table
 from ..check.explorer import explore
 from ..check.simulation import Equation1, StreamedSystem
 from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
@@ -182,7 +178,7 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
     contexts, context_sweep = enumerate_contexts(refined.protocol,
                                                  max_states=max_contexts)
     eq1 = Equation1(system)
-    fused_depth = _fused_response_depths(refined)
+    fused_depth = _fused_response_depths(derived, refined.protocol.remote)
     n_obligations = n_carved = n_interference = 0
 
     def visit(state: AsyncState, steps: list[Step]) -> None:
@@ -194,11 +190,11 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
         for step in steps:
             after = eq1.abstraction(step.state)
             if isinstance(before, AbstractionUndefined):
-                n_carved += _report_undefined(system, state, step, state,
+                n_carved += _report_undefined(derived, state, step, state,
                                               before, emit)
                 continue
             if isinstance(after, AbstractionUndefined):
-                n_carved += _report_undefined(system, state, step,
+                n_carved += _report_undefined(derived, state, step,
                                               step.state, after, emit)
                 continue
             # A step that puts a fused REPL in flight fast-forwards its
@@ -254,12 +250,13 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
     return replace(report, diagnostics=tuple(diagnostics))
 
 
-def _report_undefined(system: AsyncSystem, before: AsyncState, step: Step,
+def _report_undefined(derived: StepTable, before: AsyncState, step: Step,
                       state: AsyncState, image: AbstractionUndefined,
                       emit: _EmitFn) -> int:
     """``abs`` is undefined on one end (``state``) of an edge: 1 if that
-    is the fire-and-forget carve-out, else a P4402/P4403 and 0."""
-    if image.is_note_carveout and system.plan.fire_and_forget:
+    is the fire-and-forget carve-out the AST-derived table declares, else
+    a P4402/P4403 and 0."""
+    if image.is_note_carveout and derived.notes:
         return 1  # abs is undefined *because* state holds a note
     rule = step_rule(before, step)
     if image.is_note_carveout:
@@ -316,7 +313,7 @@ def _check_reply_exits(refined: RefinedProtocol, table: StepTable,
     for spec in table:
         if spec.fused_reply is None or spec.kind != KIND_REQUEST:
             continue
-        process = (refined.protocol.home if spec.role == HOME_ROLE
+        process = (refined.protocol.home if spec.role == ProcessKind.HOME
                    else refined.protocol.remote)
         mid = spec.reply_to
         if mid is None or mid not in process.states:
@@ -334,7 +331,8 @@ def _check_reply_exits(refined: RefinedProtocol, table: StepTable,
                       "reply; un-fuse the pair or add the reply input")
 
 
-def _fused_response_depths(refined: RefinedProtocol) -> dict[str, int]:
+def _fused_response_depths(derived: StepTable,
+                           remote: ProcessDef) -> dict[str, int]:
     """Allowed rendezvous hops, keyed by home-initiated fused reply msg.
 
     The responder's C3 fused response consumes the request, runs its
@@ -343,10 +341,10 @@ def _fused_response_depths(refined: RefinedProtocol) -> dict[str, int]:
     (A *remote*-initiated pair never compresses: the home completes the
     request rendezvous on consuming it from the buffer, one hop, and its
     later reply emission is the second hop — so its reply stays at the
-    default allowance of 1.)
+    default allowance of 1.)  Read off the AST-derived table, never the
+    injected one.
     """
-    return {refined.plan.reply_of[msg]: 2 + max(
-                (len(chain) - 1 for chain
-                 in responder_chains(refined.protocol.remote, msg)),
+    return {derived.reply_of[msg]: 2 + max(
+                (len(chain) - 1 for chain in responder_chains(remote, msg)),
                 default=0)
-            for msg in refined.plan.home_fused_requests}
+            for msg in derived.fused_requests(ProcessKind.HOME)}

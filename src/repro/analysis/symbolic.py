@@ -51,11 +51,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, cast
 
-from ..csp.ast import ProcessDef, Protocol
+from ..csp.ast import ProcessDef, ProcessKind, Protocol
 from ..check.explorer import explore
 from ..check.stats import ExplorationResult
 from ..check.store import ExactStore
-from ..refine.transitions import KIND_REQUEST, REMOTE
+from ..refine.transitions import KIND_REQUEST
 from ..semantics.asynchronous import (
     IDLE,
     AsyncState,
@@ -153,9 +153,9 @@ def _mid_exchange_states(system: AsyncSystem) -> frozenset[str]:
     Embedding either idle fabricates an unreachable configuration.
     """
     states = {spec.reply_to for spec in system.table
-              if spec.role == REMOTE and spec.kind == KIND_REQUEST
-              and spec.reply_to is not None}
-    for msg in system.table.fused_requests("home"):
+              if spec.role == ProcessKind.REMOTE
+              and spec.kind == KIND_REQUEST and spec.reply_to is not None}
+    for msg in system.table.fused_requests(ProcessKind.HOME):
         for chain in responder_chains(system.protocol.remote, msg):
             states.update(chain)
     return frozenset(states)

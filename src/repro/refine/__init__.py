@@ -2,18 +2,11 @@
 
 from .abstraction import AbstractionUndefined, abstract_state
 from .engine import refine
-from .plan import (
-    HOME_SIDE,
-    REMOTE,
-    FusedPair,
-    RefinedProtocol,
-    RefinementConfig,
-    RefinementPlan,
-)
+from .plan import FusedPair, RefinedProtocol, RefinementConfig, RefinementPlan
 from .reqreply import check_pair, detect_fusable_pairs
 
 __all__ = [
-    "AbstractionUndefined", "FusedPair", "HOME_SIDE", "REMOTE",
-    "RefinedProtocol", "RefinementConfig", "RefinementPlan",
-    "abstract_state", "check_pair", "detect_fusable_pairs", "refine",
+    "AbstractionUndefined", "FusedPair", "RefinedProtocol",
+    "RefinementConfig", "RefinementPlan", "abstract_state", "check_pair",
+    "detect_fusable_pairs", "refine",
 ]

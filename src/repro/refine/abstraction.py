@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Union
 
-from ..csp.ast import Output, ProcessDef
+from ..csp.ast import Output, ProcessDef, ProcessKind
 from ..csp.env import Env
 from ..errors import ReproError
 from ..semantics.asynchronous import (
@@ -55,6 +55,7 @@ from ..semantics.asynchronous import (
 )
 from ..semantics.network import ACK, NACK, NOTE, REPL, REQ, Channels, Msg
 from ..semantics.state import ProcState, RvState
+from .transitions import build_step_table
 
 __all__ = ["Abstraction", "AbstractionUndefined", "Image", "abstract_state"]
 
@@ -222,7 +223,10 @@ def _abstract_remote(system: AsyncSystem, i: int, node: RemoteNode,
         # rule 1/3: the request is still pending in the medium or the
         # buffer (or was nacked): rewind
         return ProcState(state=node.state, env=node.env)
-    if out_guard.msg in system.plan.remote_fused_requests:
+    # the table derived from the AST, never the system's own: a mutant
+    # semantics is judged against the unchanged abstraction
+    table = build_step_table(system.refined)
+    if out_guard.msg in table.fused_requests(ProcessKind.REMOTE):
         # fused request already consumed by the home, reply not yet sent:
         # half-forward to the intermediate reply-waiting state
         return ProcState(state=out_guard.to,

@@ -9,11 +9,14 @@ introducing transient states, and (optionally) fusing request/reply pairs.
 Because the transformation of Tables 1 and 2 is *uniform* — the transient
 behaviour depends only on the shape of the communication state, never on
 the protocol's meaning — the refined protocol is represented as the
-original AST plus a plan; :class:`~repro.semantics.asynchronous.AsyncSystem`
-interprets the pair operationally and :func:`repro.viz.dot.refined_dot`
-materializes the transient states for display.  This mirrors the paper,
-where Tables 1/2 are rule schemas applied on the fly, and keeps a single
-authoritative implementation of the rules.
+original AST plus a plan.  How each output guard refines is decided
+from the plan in one place,
+:func:`repro.refine.transitions.build_step_table`, and recorded in its
+rows; :class:`~repro.semantics.asynchronous.AsyncSystem` interprets them
+operationally and :func:`repro.viz.dot.refined_dot` materializes the
+transient states for display.  This mirrors the paper, where Tables 1/2
+are rule schemas applied on the fly, and keeps a single authoritative
+implementation of the rules.
 
 The engine performs all *static* work here:
 
@@ -111,9 +114,10 @@ def _gate_on_certificate(refined: RefinedProtocol) -> None:
     """Refuse to emit a refined protocol that fails its own certificate.
 
     Runs only the refined-machine passes (the rendezvous AST was already
-    vetted by :func:`_gate_on_diagnostics`): transient-state sanity and
-    the P44xx simulation certificate, which discharges the paper's
-    Equation 1 obligation for every transition schema instance.
+    vetted by :func:`_gate_on_diagnostics`): the transient pass and the
+    P44xx simulation certificate, which checks every step-table row's
+    exits and discharges the paper's Equation 1 obligation for every
+    transition schema instance.
     """
     report = analyze_refined(refined, include_protocol_passes=False)
     errors = report.errors

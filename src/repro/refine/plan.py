@@ -18,26 +18,23 @@ demonstrate *why* each mechanism exists):
   the refined protocol is an unacknowledged ``LR`` (the "dotted lines" of
   the paper's Figures 4-5).
 
-:class:`RefinementPlan` is the engine's *output* metadata: which message
-types travel as fused requests, which as replies, plus the config.  The
-asynchronous semantics interprets the original rendezvous AST under this
-plan; the visualization layer materializes the transient states explicitly.
+:class:`RefinementPlan` is the engine's *output*: the config plus the
+fused request/reply pairs it chose.  The plan is the input of
+:func:`~repro.refine.transitions.build_step_table`, the one place that
+decides from it how each output guard refines.  Whoever needs to know
+that — the asynchronous semantics, the certificate, the abstraction,
+the analysis passes and the renderers — asks the step table; the plan
+has no lookups of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..csp.ast import Protocol
 from ..errors import RefinementError
 
-__all__ = ["RefinementConfig", "FusedPair", "RefinementPlan", "RefinedProtocol",
-           "REMOTE", "HOME_SIDE"]
-
-#: Requester-side markers for :class:`FusedPair`.
-REMOTE = "remote"
-HOME_SIDE = "home"
+__all__ = ["RefinementConfig", "FusedPair", "RefinementPlan", "RefinedProtocol"]
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,9 @@ class FusedPair:
     """One request/reply pair fused by the section 3.3 optimization.
 
     ``requester`` names the side that sends ``request_msg`` (and therefore
-    receives ``reply_msg``): :data:`REMOTE` for ``req``/``gr``-style pairs,
-    :data:`HOME_SIDE` for ``inv``/``ID``-style pairs.
+    receives ``reply_msg``), a :class:`~repro.csp.ast.ProcessKind`:
+    ``REMOTE`` for ``req``/``gr``-style pairs, ``HOME`` for
+    ``inv``/``ID``-style pairs.
     """
 
     request_msg: str
@@ -85,41 +83,13 @@ class RefinementPlan:
     config: RefinementConfig = field(default_factory=RefinementConfig)
     fused: tuple[FusedPair, ...] = ()
 
-    # -- derived lookups -----------------------------------------------------
-
-    @property
-    def reply_of(self) -> Mapping[str, str]:
-        """request message type -> reply message type, both directions."""
-        return {pair.request_msg: pair.reply_msg for pair in self.fused}
-
-    @property
-    def remote_fused_requests(self) -> frozenset[str]:
-        return frozenset(p.request_msg for p in self.fused if p.requester == REMOTE)
-
-    @property
-    def home_fused_requests(self) -> frozenset[str]:
-        return frozenset(p.request_msg for p in self.fused
-                         if p.requester == HOME_SIDE)
-
-    @property
-    def reply_msgs(self) -> frozenset[str]:
-        return frozenset(p.reply_msg for p in self.fused)
-
-    @property
-    def fire_and_forget(self) -> frozenset[str]:
-        return self.config.fire_and_forget
-
-    def is_fused_request(self, msg: str, sender_is_home: bool) -> bool:
-        if sender_is_home:
-            return msg in self.home_fused_requests
-        return msg in self.remote_fused_requests
-
     def describe(self) -> str:
         parts = [f"k={self.config.home_buffer_capacity}"]
         if self.fused:
             parts.append("fused: " + ", ".join(p.describe() for p in self.fused))
-        if self.fire_and_forget:
-            parts.append("fire-and-forget: " + ", ".join(sorted(self.fire_and_forget)))
+        if self.config.fire_and_forget:
+            parts.append("fire-and-forget: "
+                         + ", ".join(sorted(self.config.fire_and_forget)))
         if not self.config.reserve_progress_buffer:
             parts.append("NO progress buffer (ablation)")
         if not self.config.reserve_ack_buffer:

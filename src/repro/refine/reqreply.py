@@ -52,13 +52,14 @@ from ..csp.ast import (
     Input,
     Output,
     ProcessDef,
+    ProcessKind,
     Protocol,
     StateDef,
     VarSender,
     VarTarget,
 )
 from ..errors import RefinementError
-from .plan import HOME_SIDE, REMOTE, FusedPair
+from .plan import FusedPair
 
 __all__ = [
     "ConditionResult",
@@ -125,7 +126,7 @@ def explain_pair(protocol: Protocol, pair: FusedPair,
         conditions.append(ConditionResult(condition=name, ok=reason is None,
                                           reason=reason))
 
-    if pair.requester == REMOTE:
+    if pair.requester == ProcessKind.REMOTE:
         run("requester-adjacency (remote h!req; h?repl)",
             _check_requester_adjacency(protocol.remote, pair,
                                        remote_side=True))
@@ -133,7 +134,7 @@ def explain_pair(protocol: Protocol, pair: FusedPair,
             _check_home_responder(protocol.home, pair, strict_cycles))
         run("reply domination (no unsolicited repl)",
             _check_reply_domination(protocol.home, pair))
-    elif pair.requester == HOME_SIDE:
+    elif pair.requester == ProcessKind.HOME:
         run("requester-adjacency (home ri!req; ri?repl)",
             _check_requester_adjacency(protocol.home, pair,
                                        remote_side=False))
@@ -190,7 +191,7 @@ def choose_pairs(reports: tuple[PairReport, ...]) -> tuple[FusedPair, ...]:
     engine's: remote-initiated first, then alphabetical.
     """
     candidates = [report.pair for report in reports if report.fusable]
-    candidates.sort(key=lambda p: (p.requester != REMOTE,
+    candidates.sort(key=lambda p: (p.requester != ProcessKind.REMOTE,
                                    p.request_msg, p.reply_msg))
     pairs: list[FusedPair] = []
     used: set[str] = set()
@@ -233,12 +234,13 @@ def check_pair(protocol: Protocol, pair: FusedPair,
 def candidate_pairs(protocol: Protocol) -> Iterator[FusedPair]:
     """Guess (m1, m2) pairs from requester-side adjacency, both directions."""
     seen: set[tuple[str, str, str]] = set()
-    for requester, process in ((REMOTE, protocol.remote),
-                               (HOME_SIDE, protocol.home)):
+    for process in (protocol.remote, protocol.home):
+        requester = process.kind
         for state in process.states.values():
             for guard in state.outputs:
                 for reply in _adjacent_reply_msgs(
-                        process, guard, remote_side=requester == REMOTE):
+                        process, guard,
+                        remote_side=requester == ProcessKind.REMOTE):
                     key = (guard.msg, reply, requester)
                     if key not in seen:
                         seen.add(key)

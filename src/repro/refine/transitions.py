@@ -9,16 +9,19 @@ reply message acknowledges it and which intermediate state must consume
 that reply.  :func:`build_step_table` materializes exactly that data, one
 :class:`TransitionSpec` per ``(role, state, output-index)``.
 
-The table is the single source of truth for the executable semantics:
-:class:`~repro.semantics.asynchronous.AsyncSystem` looks its control
-targets up here instead of re-deriving them from the AST, so the
-simulator, the model checker and the symbolic certificate checker of
-:mod:`repro.analysis.simulation` all run the *same* transition schema —
-there is nothing to drift.  The abstraction function of
-:mod:`repro.refine.abstraction` deliberately does **not** read the table:
-it stays AST/plan-driven ground truth, which is what lets the certificate
-checker catch a corrupted table (a wrong rewind target makes the executed
-step disagree with ``abs`` and fail its commutation obligation).
+The table is the only record of how each output guard refines (plain
+request, fused request with its reply, reply, or fire-and-forget note);
+:func:`build_step_table` is the one place that reads the plan to decide
+it.  :class:`~repro.semantics.asynchronous.AsyncSystem` looks its control
+targets up here, so the simulator, the model checker and the symbolic
+certificate checker of :mod:`repro.analysis.simulation` all run the
+*same* transition schema — there is nothing to drift — and the
+renderers, the transient pass, the abstraction function and the
+certificate's bookkeeping read its rows too.  The abstraction and the
+certificate derive their table afresh from the AST, never read the one
+a system was handed: that is what lets the certificate checker catch a
+corrupted table (a wrong rewind target makes the executed step disagree
+with ``abs`` and fail its commutation obligation).
 
 ``StepTable.mutate`` is the sanctioned mutation hook the differential
 test harness uses to seed faults (corrupt a rewind target, drop an ack by
@@ -31,23 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Optional
 
+from ..csp.ast import ProcessKind
 from ..errors import RefinementError, SemanticsError
 from .plan import RefinedProtocol
 
 __all__ = [
-    "HOME",
     "KIND_NOTE",
     "KIND_REPLY",
     "KIND_REQUEST",
-    "REMOTE",
     "StepTable",
     "TransitionSpec",
     "build_step_table",
 ]
-
-#: Role markers (which process template owns the output guard).
-HOME = "home"
-REMOTE = "remote"
 
 #: A request for rendezvous: gets the full transient-state machinery.
 KIND_REQUEST = "request"
@@ -61,6 +59,8 @@ KIND_NOTE = "note"
 class TransitionSpec:
     """Control data of one refined output guard (one Tables 1/2 row set).
 
+    ``role`` is the :class:`~repro.csp.ast.ProcessKind` of the process
+    that owns the guard.
     ``rewind_to`` is the communication state a nack / implicit nack
     returns the sender to (rule schema: the state the request was sent
     from), ``forward_to`` the state an ack fast-forwards it to (the
@@ -118,7 +118,7 @@ class StepTable:
             role: frozenset(s.msg for s in self.specs
                             if s.role == role and s.kind == KIND_REQUEST
                             and s.fused_reply is not None)
-            for role in (HOME, REMOTE)}
+            for role in (ProcessKind.HOME, ProcessKind.REMOTE)}
 
     def __iter__(self) -> Iterator[TransitionSpec]:
         return iter(self.specs)
@@ -165,19 +165,23 @@ def build_step_table(refined: RefinedProtocol) -> StepTable:
     """Derive the Tables 1/2 control data for every output guard."""
     plan = refined.plan
     protocol = refined.protocol
+    notes = plan.config.fire_and_forget
+    replies = {pair.reply_msg for pair in plan.fused}
+    reply_of = {(pair.requester, pair.request_msg): pair.reply_msg
+                for pair in plan.fused}
     specs: list[TransitionSpec] = []
-    for role, process in ((HOME, protocol.home), (REMOTE, protocol.remote)):
+    for process in (protocol.home, protocol.remote):
+        role = process.kind
         for state in process.states.values():
             for idx, guard in enumerate(state.outputs):
-                if guard.msg in plan.fire_and_forget:
-                    kind, reply = KIND_NOTE, None
-                elif guard.msg in plan.reply_msgs:
-                    kind, reply = KIND_REPLY, None
-                elif plan.is_fused_request(guard.msg,
-                                           sender_is_home=(role == HOME)):
-                    kind, reply = KIND_REQUEST, plan.reply_of[guard.msg]
+                reply: Optional[str] = None
+                if guard.msg in notes:
+                    kind = KIND_NOTE
+                elif guard.msg in replies:
+                    kind = KIND_REPLY
                 else:
-                    kind, reply = KIND_REQUEST, None
+                    kind = KIND_REQUEST
+                    reply = reply_of.get((role, guard.msg))
                 specs.append(TransitionSpec(
                     role=role, state=state.name, out_index=idx,
                     msg=guard.msg, kind=kind,

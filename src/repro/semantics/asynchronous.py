@@ -50,15 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Hashable, Iterator, Optional
 
-from ..csp.ast import Input, Output, ProcessDef, Protocol, StateDef
+from ..csp.ast import Input, Output, ProcessDef, ProcessKind, Protocol, StateDef
 from ..csp.env import Env, Value
 from ..errors import SemanticsError
 from ..refine.plan import RefinedProtocol
 from ..refine.transitions import (
-    HOME as HOME_ROLE,
     KIND_NOTE,
     KIND_REPLY,
-    REMOTE as REMOTE_ROLE,
     StepTable,
     TransitionSpec,
     build_step_table,
@@ -455,10 +453,8 @@ class AsyncSystem:
         self.table: StepTable = (table if table is not None
                                  else build_step_table(refined))
         self._reply_of = self.table.reply_of
-        self._reply_msgs = self.table.reply_msgs
-        self._notes = self.table.notes
-        self._remote_fused = self.table.fused_requests(REMOTE_ROLE)
-        self._home_fused = self.table.fused_requests(HOME_ROLE)
+        self._remote_fused = self.table.fused_requests(ProcessKind.REMOTE)
+        self._home_fused = self.table.fused_requests(ProcessKind.HOME)
         self._memo: dict[Any, tuple[_Delta, ...]] = {}
 
     # -- construction --------------------------------------------------------
@@ -587,13 +583,13 @@ class AsyncSystem:
                 f"home received {msg.describe()} from r{i} but is not "
                 f"awaiting it (state {home.describe()})")
         if msg.kind == NACK:  # row T2
-            spec = self._pending(HOME_ROLE, home)[1]
+            spec = self._pending(ProcessKind.HOME, home)[1]
             new_home = replace(
                 home, state=spec.rewind_to, mode=IDLE, awaiting=None,
                 pending_out=None,
                 out_idx=self._next_out_idx(self.protocol.home, home))
             return Step(action=action, state=base.with_home(new_home))
-        new_home, completes = self._complete(HOME_ROLE, home, i, msg, "home")
+        new_home, completes = self._complete(ProcessKind.HOME, home, i, msg, "home")
         return Step(action=action, state=base.with_home(new_home),
                     completes=completes)
 
@@ -607,7 +603,7 @@ class AsyncSystem:
         if home.mode == TRANS and home.awaiting == i:
             # Row T3: implicit nack.  The request takes the reserved
             # ack-buffer slot and the home re-enters its communication state.
-            spec = self._pending(HOME_ROLE, home)[1]
+            spec = self._pending(ProcessKind.HOME, home)[1]
             new_home = replace(
                 home, state=spec.rewind_to, mode=IDLE, awaiting=None,
                 pending_out=None,
@@ -720,7 +716,7 @@ class AsyncSystem:
             if not 0 <= target < self.n_remotes:
                 raise SemanticsError(
                     f"home output {guard.describe()} targets r{target}")
-            spec = self.table.spec(HOME_ROLE, home.state, idx)
+            spec = self.table.spec(ProcessKind.HOME, home.state, idx)
             if spec.kind == KIND_REPLY:
                 return self._home_reply(state, guard, idx, target)
             if spec.kind == KIND_NOTE:
@@ -814,14 +810,14 @@ class AsyncSystem:
             raise SemanticsError(
                 f"remote r{i} received {msg.describe()} while not transient")
         if msg.kind == NACK:  # row T2: retransmit immediately
-            out_guard = self._pending(REMOTE_ROLE, node)[0]
+            out_guard = self._pending(ProcessKind.REMOTE, node)[0]
             # the env is frozen while transient: the same payload again
             retry = Msg(kind=REQ, msg=out_guard.msg,
                         payload=out_guard.eval_payload(node.env))
             channels2 = base.channels.send_to_home(i, retry)
             return Step(action=action, state=base.with_channels(channels2),
                         sends=(retry,))
-        new_node, completes = self._complete(REMOTE_ROLE, node, i, msg,
+        new_node, completes = self._complete(ProcessKind.REMOTE, node, i, msg,
                                              f"remote r{i}")
         return Step(action=action, state=base.with_remote(i, new_node),
                     completes=completes)
@@ -853,7 +849,7 @@ class AsyncSystem:
         """Rows C1/C2 of Table 1 (plus the fire-and-forget extension)."""
         node = state.remotes[i]
         payload = guard.eval_payload(node.env)
-        spec = self.table.spec(REMOTE_ROLE, node.state, 0)
+        spec = self.table.spec(ProcessKind.REMOTE, node.state, 0)
         if spec.kind == KIND_NOTE:
             note = Msg(kind=NOTE, msg=guard.msg, payload=payload)
             channels = state.channels.send_to_home(i, note)
@@ -962,7 +958,8 @@ class AsyncSystem:
         ``role``) awaits an answer to, with its step-table row."""
         if node.pending_out is None:
             raise SemanticsError(f"{role} has no pending output in TRANS mode")
-        process = self.protocol.home if role == HOME_ROLE else self.protocol.remote
+        process = (self.protocol.home if role == ProcessKind.HOME
+                   else self.protocol.remote)
         return (process.state(node.state).outputs[node.pending_out],
                 self.table.spec(role, node.state, node.pending_out))
 
@@ -978,7 +975,7 @@ class AsyncSystem:
         # environment, which is frozen while the sender is transient, so
         # the value observed here equals the one sent with the request.
         request_payload = out_guard.eval_payload(node.env)
-        home = role == HOME_ROLE
+        home = role == ProcessKind.HOME
         me, peer = (HOME_ID, i) if home else (i, HOME_ID)
         completes: tuple[RendezvousStep, ...] = (RendezvousStep(
             active=me, passive=peer, msg=out_guard.msg,

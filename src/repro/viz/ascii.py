@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from ..csp.ast import ProcessDef, ProcessKind
 from ..refine.plan import RefinedProtocol
-from .dot import reply_destination
+from ..refine.transitions import KIND_NOTE, KIND_REPLY
+from .dot import ACKED, REPLY_IN, RESPONSE, TAU, UNACKED, refined_guards
 
 __all__ = ["process_ascii", "refined_ascii", "protocol_summary"]
 
@@ -34,46 +35,33 @@ def process_ascii(process: ProcessDef) -> str:
 
 def refined_ascii(refined: RefinedProtocol, side: str) -> str:
     """Text rendering of one refined machine (Figures 4-5 style)."""
-    process = (refined.protocol.home if side == ProcessKind.HOME
-               else refined.protocol.remote)
-    plan = refined.plan
+    process, machine = refined_guards(refined, side)
     home_side = side == ProcessKind.HOME
-    lines = [f"refined {process.name} [{plan.describe()}]"]
-    for state in process.states.values():
+    lines = [f"refined {process.name} [{refined.plan.describe()}]"]
+    for state, rows in machine:
         lines.append(f"  {state.name}")
-        for guard in state.taus:
-            lines.append(f"    {guard.describe():<30} -> {guard.to}")
-        for guard in state.inputs:
-            fused = plan.is_fused_request(guard.msg,
-                                          sender_is_home=not home_side)
-            note = guard.msg in plan.fire_and_forget
-            if fused and not home_side:
-                reply = plan.reply_of[guard.msg]
-                lines.append(f"    ??{guard.msg} ⇒ !!{reply:<18} -> "
+        for kind, guard, reply, to in rows:
+            if kind == TAU:
+                lines.append(f"    {guard.describe():<30} -> {to}")
+                continue
+            msg = guard.msg
+            if kind == RESPONSE:
+                lines.append(f"    ??{msg} ⇒ !!{reply:<18} -> "
                              f"(fused response)")
-            elif guard.msg in plan.reply_msgs:
-                lines.append(f"    ??{guard.msg} (reply){'':<13} "
-                             f"-> {guard.to}  (consumed in transient wait)")
+            elif kind == REPLY_IN:
+                lines.append(f"    ??{msg} (reply){'':<13} "
+                             f"-> {to}  (consumed in transient wait)")
+            elif kind in (UNACKED, ACKED):
+                suffix = " / !!ack" if kind == ACKED else ""
+                lines.append(f"    ??{msg}{suffix:<18} -> {to}")
+            elif kind == KIND_NOTE:
+                lines.append(f"    !!{msg} (no ack){'':<12} -> {to}")
+            elif kind == KIND_REPLY:
+                lines.append(f"    !!{msg} (reply){'':<13} -> {to}")
             else:
-                suffix = "" if (fused or note) else " / !!ack"
-                lines.append(f"    ??{guard.msg}{suffix:<18} -> {guard.to}")
-        for guard in state.outputs:
-            if guard.msg in plan.fire_and_forget:
-                lines.append(f"    !!{guard.msg} (no ack){'':<12} -> {guard.to}")
-            elif guard.msg in plan.reply_msgs:
-                lines.append(f"    !!{guard.msg} (reply){'':<13} -> {guard.to}")
-            else:
-                trans = f"{state.name}·{guard.msg}"
-                fused = plan.is_fused_request(guard.msg,
-                                              sender_is_home=home_side)
-                if fused:
-                    reply = plan.reply_of[guard.msg]
-                    wait = f"??{reply}"
-                    landing = reply_destination(process, guard, reply)
-                else:
-                    wait, landing = "??ack", guard.to
-                lines.append(f"    !!{guard.msg:<26} -> {trans} (dotted)")
-                lines.append(f"      {trans}: {wait} -> {landing}"
+                trans = f"{state.name}·{msg}"
+                lines.append(f"    !!{msg:<26} -> {trans} (dotted)")
+                lines.append(f"      {trans}: ??{reply or 'ack'} -> {to}"
                              + ("; [nack] -> retry next guard"
                                 if home_side else
                                 "; ??nack -> retransmit; ??* ignored"))

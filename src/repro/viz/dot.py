@@ -20,10 +20,11 @@ available, or read directly — node/edge labels follow the paper's
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from ..csp.ast import Input, Output, ProcessDef, ProcessKind, StateDef, Tau
+from ..csp.ast import Guard, Output, ProcessDef, ProcessKind, StateDef, Tau
 from ..refine.plan import RefinedProtocol
+from ..refine.transitions import KIND_NOTE, KIND_REPLY, build_step_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.flows import FlowGraph
@@ -65,19 +66,65 @@ def reply_destination(process: ProcessDef, guard: Output,
     return guard.to
 
 
+#: Row kinds of :func:`refined_guards` besides the step table's output
+#: kinds: a tau; an input acked as it is consumed (C1/C3); one taken
+#: without an ack (a fused request at the home, a note); a fused reply,
+#: taken inside the requester's transient wait; and a remote's fused
+#: response (the home's request consumed, the reply sent, in one step).
+TAU, ACKED, UNACKED, REPLY_IN, RESPONSE = (
+    "tau", "acked", "unacked", "reply-in", "response")
+
+#: ``(kind, guard, reply, to)``: the reply message a row sends or awaits
+#: (``None`` for none) and the state it lands in
+Row = tuple[str, Guard, Optional[str], str]
+
+
+def refined_guards(refined: RefinedProtocol, side: str,
+                   ) -> tuple[ProcessDef, list[tuple[StateDef, list[Row]]]]:
+    """The refined ``side`` machine as both renderers draw it.
+
+    Every row is read off the step table, the one record of how each
+    guard refines: per state, the taus, then the inputs (classified by
+    what the sending side's rows say about the message), then the
+    outputs (their own rows; a request lands past its reply-wait state
+    when a fused reply acknowledges it).
+    """
+    if side == ProcessKind.HOME:
+        process, peer = refined.protocol.home, ProcessKind.REMOTE
+    elif side == ProcessKind.REMOTE:
+        process, peer = refined.protocol.remote, ProcessKind.HOME
+    else:
+        raise ValueError(f"side must be 'home' or 'remote', got {side!r}")
+    table = build_step_table(refined)
+    peer_fused = table.fused_requests(peer)
+    machine = []
+    for state in process.states.values():
+        rows: list[Row] = [(TAU, guard, None, guard.to)
+                           for guard in state.taus]
+        for guard in state.inputs:
+            msg, reply, kind = guard.msg, None, ACKED
+            if msg in peer_fused and side == ProcessKind.REMOTE:
+                kind, reply = RESPONSE, table.reply_of[msg]
+            elif msg in table.reply_msgs:
+                kind = REPLY_IN
+            elif msg in peer_fused or msg in table.notes:
+                kind = UNACKED
+            rows.append((kind, guard, reply, guard.to))
+        for idx, guard in enumerate(state.outputs):
+            spec = table.spec(side, state.name, idx)
+            reply, to = spec.fused_reply, spec.forward_to
+            if reply is not None:
+                to = reply_destination(process, guard, reply)
+            rows.append((spec.kind, guard, reply, to))
+        machine.append((state, rows))
+    return process, machine
+
+
 def refined_dot(refined: RefinedProtocol, side: str,
                 title: str | None = None) -> str:
     """Render one side of the refined machine (``"home"``/``"remote"``)."""
-    if side == ProcessKind.HOME:
-        process = refined.protocol.home
-    elif side == ProcessKind.REMOTE:
-        process = refined.protocol.remote
-    else:
-        raise ValueError(f"side must be 'home' or 'remote', got {side!r}")
-
-    plan = refined.plan
+    process, machine = refined_guards(refined, side)
     home_side = side == ProcessKind.HOME
-    peer = "r" if home_side else "h"
 
     lines = [f'digraph "{_escape(title or f"{process.name} (refined)")}" {{',
              "  rankdir=LR;",
@@ -90,85 +137,54 @@ def refined_dot(refined: RefinedProtocol, side: str,
         lines.append(f'  "{_escape(src)}" -> "{_escape(dst)}" '
                      f'[label="{_escape(label)}"{style}];')
 
-    for state in process.states.values():
+    for state, rows in machine:
         lines.append(f'  "{_escape(state.name)}";')
-        for guard in state.taus:
-            edge(state.name, guard.to, guard.describe(), dotted=False)
-        for guard in state.inputs:
-            _render_input(edge, plan, process, state, guard, home_side, peer)
-        for idx, guard in enumerate(state.outputs):
-            _render_output(lines, edge, plan, process, state, guard, idx,
-                           home_side, peer)
+        for kind, guard, reply, to in rows:
+            if kind == TAU:
+                edge(state.name, to, guard.describe())
+                continue
+            who, msg = _peer_name(guard, home_side), guard.msg
+            if kind == RESPONSE:
+                # the reply edge is drawn from the consuming state
+                # straight through the local chain
+                edge(state.name, to, f"{who}??{msg} ⇒ …!!{reply}")
+            elif kind == REPLY_IN:
+                # drawn dotted for reference only
+                edge(state.name, to, f"{who}??{msg} (in transient)",
+                     dotted=True)
+            elif kind == UNACKED:
+                edge(state.name, to, f"{who}??{msg}")
+            elif kind == ACKED:
+                edge(state.name, to, f"{who}??{msg} / {who}!!ack")
+            elif kind == KIND_NOTE:
+                edge(state.name, to, f"{who}!!{msg} (no ack)")
+            elif kind == KIND_REPLY:
+                # sent without awaiting any acknowledgement
+                edge(state.name, to, f"{who}!!{msg} (reply)")
+            else:
+                trans = f"{state.name}·{msg}"
+                lines.append(f'  "{_escape(trans)}" [style=dotted, '
+                             f'label="{_escape(trans)}"];')
+                edge(state.name, trans, f"{who}!!{msg}")
+                edge(trans, to, f"{who}??{reply or 'ack'}", dotted=True)
+                if home_side:
+                    # explicit or implicit nack returns the home to the
+                    # communication state, where the next output guard
+                    # is attempted (row T2/T3)
+                    edge(trans, state.name, "[nack]", dotted=True)
+                    edge(trans, trans, "r(x)??msg/nack", dotted=True)
+                else:
+                    edge(trans, trans, "h??nack / retransmit", dotted=True)
+                    edge(trans, trans, "h??*", dotted=True)
     lines.append("}")
     return "\n".join(lines)
 
 
-def _peer_name(guard, home_side: bool) -> str:
+def _peer_name(guard: Guard, home_side: bool) -> str:
     if not home_side:
         return "h"
     pattern = getattr(guard, "sender", None) or getattr(guard, "target", None)
     return pattern.describe() if pattern is not None else "r(?)"
-
-
-def _render_input(edge, plan, process: ProcessDef, state: StateDef,
-                  guard: Input, home_side: bool, peer: str) -> None:
-    """Passive side: buffered requests acked (C3/C1) or consumed fused."""
-    who = _peer_name(guard, home_side)
-    fused_request = plan.is_fused_request(guard.msg,
-                                          sender_is_home=not home_side)
-    note = guard.msg in plan.fire_and_forget
-    if fused_request and not home_side:
-        # responder of a home-initiated pair: the reply edge is drawn from
-        # the consuming state straight through the local chain
-        reply = plan.reply_of[guard.msg]
-        edge(state.name, guard.to, f"{who}??{guard.msg} ⇒ …!!{reply}")
-        return
-    if guard.msg in plan.reply_msgs:
-        # reply inputs are consumed inside the requester's transient wait;
-        # drawn dotted for reference only
-        edge(state.name, guard.to, f"{who}??{guard.msg} (in transient)",
-             dotted=True)
-        return
-    suffix = "" if (fused_request or note) else f" / {who}!!ack"
-    edge(state.name, guard.to, f"{who}??{guard.msg}{suffix}")
-
-
-def _render_output(lines, edge, plan, process: ProcessDef, state: StateDef,
-                   guard: Output, idx: int, home_side: bool,
-                   peer: str) -> None:
-    who = _peer_name(guard, home_side)
-    if guard.msg in plan.fire_and_forget:
-        edge(state.name, guard.to, f"{who}!!{guard.msg} (no ack)")
-        return
-    if home_side and guard.msg in plan.reply_msgs:
-        # fused reply: sent without awaiting any acknowledgement
-        edge(state.name, guard.to, f"{who}!!{guard.msg} (reply)")
-        return
-    if not home_side and guard.msg in plan.reply_msgs:
-        edge(state.name, guard.to, f"{who}!!{guard.msg} (reply)")
-        return
-
-    trans = f"{state.name}·{guard.msg}"
-    lines.append(f'  "{_escape(trans)}" [style=dotted, '
-                 f'label="{_escape(trans)}"];')
-    edge(state.name, trans, f"{who}!!{guard.msg}")
-
-    fused = plan.is_fused_request(guard.msg, sender_is_home=home_side)
-    if fused:
-        reply = plan.reply_of[guard.msg]
-        edge(trans, reply_destination(process, guard, reply),
-             f"{who}??{reply}", dotted=True)
-    else:
-        edge(trans, guard.to, f"{who}??ack", dotted=True)
-
-    if home_side:
-        # explicit or implicit nack returns the home to the communication
-        # state, where the next output guard is attempted (row T2/T3)
-        edge(trans, state.name, "[nack]", dotted=True)
-        edge(trans, trans, "r(x)??msg/nack", dotted=True)
-    else:
-        edge(trans, trans, "h??nack / retransmit", dotted=True)
-        edge(trans, trans, "h??*", dotted=True)
 
 
 def flow_dot(graph: "FlowGraph", title: str | None = None) -> str:

@@ -13,6 +13,7 @@ from repro import (
 )
 from repro.protocols.handwritten import HAND_CONFIG, handwritten_migratory
 from repro.refine.abstraction import AbstractionUndefined, abstract_state
+from repro.refine.transitions import build_step_table
 from repro.semantics.network import NOTE
 from tests.conftest import reachable_states
 
@@ -20,7 +21,7 @@ from tests.conftest import reachable_states
 class TestConstruction:
     def test_lr_is_fire_and_forget(self):
         refined = handwritten_migratory()
-        assert refined.plan.fire_and_forget == frozenset({"LR"})
+        assert build_step_table(refined).notes == frozenset({"LR"})
 
     def test_other_pairs_still_fused(self):
         refined = handwritten_migratory()

@@ -15,7 +15,8 @@ from repro import (
     migratory_protocol,
     refine,
 )
-from repro.refine.plan import HOME_SIDE, REMOTE, FusedPair
+from repro.csp.ast import ProcessKind
+from repro.refine.plan import FusedPair
 
 
 class TestStructureMatchesFigures:
@@ -53,8 +54,8 @@ class TestStructureMatchesFigures:
 
     def test_refinement_fuses_figure_4_pairs(self, migratory_refined):
         assert set(migratory_refined.plan.fused) == {
-            FusedPair("req", "gr", REMOTE),
-            FusedPair("inv", "ID", HOME_SIDE),
+            FusedPair("req", "gr", ProcessKind.REMOTE),
+            FusedPair("inv", "ID", ProcessKind.HOME),
         }
 
 

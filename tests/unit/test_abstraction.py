@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.csp.ast import ProcessKind
 from repro.protocols.handwritten import handwritten_migratory
 from repro.refine.abstraction import AbstractionUndefined, abstract_state
 from repro.semantics.asynchronous import (
@@ -161,7 +162,7 @@ class TestHalfForwardedEnv:
         """The half-forwarded requester must carry the *post-request* env
         (the request's update committed with the rendezvous), or fused
         states with env updates would abstract to unreachable contexts."""
-        from repro.refine.transitions import REMOTE, build_step_table
+        from repro.refine.transitions import build_step_table
         system = AsyncSystem(migratory_refined, 1)
         state = system.initial_state()
         for predicate in (
@@ -172,7 +173,8 @@ class TestHalfForwardedEnv:
             state = find_step(system, state, predicate).state
         # concrete r0 is still transient at I (half-forwarded posture)
         assert state.remotes[0].state == "I"
-        spec = build_step_table(migratory_refined).spec(REMOTE, "I", 0)
+        spec = build_step_table(migratory_refined).spec(
+            ProcessKind.REMOTE, "I", 0)
         abs_state = abstract_state(system, state)
         assert abs_state.remotes[0].state == spec.reply_to
 

@@ -14,6 +14,7 @@ from repro.analysis import (
 from repro.csp.ast import (
     AnySender,
     PredSender,
+    ProcessKind,
     SetSender,
     VarSender,
     VarTarget,
@@ -28,7 +29,6 @@ from repro.refine import (
     RefinementPlan,
     refine,
 )
-from repro.refine.plan import HOME_SIDE, REMOTE
 
 
 def tiny_protocol(home_extra=(), remote_extra=()):
@@ -265,34 +265,35 @@ class TestTransientPass:
 
     def test_fused_pair_without_reply_exit_is_error(self):
         # hand-assemble a plan fusing q with a reply the requester's
-        # successor state never inputs
+        # successor state never inputs: one report, the certificate's
+        # static P4403 at the state that should consume the reply
         proto = requester_reply_protocol()
         plan = RefinementPlan(
             fused=(FusedPair(request_msg="q", reply_msg="nope",
-                             requester=REMOTE),))
+                             requester=ProcessKind.REMOTE),))
         report = analyze_refined(RefinedProtocol(proto, plan))
-        broken = [d for d in report if d.code == "P3401"]
-        assert len(broken) == 1
-        assert broken[0].severity is Severity.ERROR
-        assert broken[0].location == "r.s"
-        assert "'nope'" in broken[0].message
+        assert len(report.errors) == 1
+        broken = report.errors[0]
+        assert broken.code == "P4403"
+        assert broken.location == "remote.w"
+        assert "'nope'" in broken.message
 
     def test_correct_fused_pair_accepted(self):
         proto = requester_reply_protocol()
         plan = RefinementPlan(
             fused=(FusedPair(request_msg="q", reply_msg="x",
-                             requester=REMOTE),))
+                             requester=ProcessKind.REMOTE),))
         report = analyze_refined(RefinedProtocol(proto, plan))
-        assert "P3401" not in report.codes()
+        assert not report.errors
 
     def test_home_side_fused_pair_checked_too(self):
         # home sends x and waits for q back; successor h0 does input q
         proto = requester_reply_protocol()
         plan = RefinementPlan(
             fused=(FusedPair(request_msg="x", reply_msg="q",
-                             requester=HOME_SIDE),))
+                             requester=ProcessKind.HOME),))
         report = analyze_refined(RefinedProtocol(proto, plan))
-        assert "P3401" not in report.codes()
+        assert not report.errors
 
     def test_fire_and_forget_to_remote_is_error(self):
         proto = requester_reply_protocol()

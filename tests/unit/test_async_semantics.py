@@ -5,12 +5,10 @@ from dataclasses import replace
 import pytest
 
 from repro import RefinementConfig, refine
-from repro.csp.ast import AnySender, ConstTarget
+from repro.csp.ast import AnySender, ConstTarget, ProcessKind
 from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
 from repro.errors import SemanticsError
 from repro.refine.plan import RefinedProtocol, RefinementPlan
-from repro.refine.transitions import HOME as HOME_ROLE
-from repro.refine.transitions import REMOTE as REMOTE_ROLE
 from repro.refine.transitions import build_step_table
 from repro.semantics.asynchronous import (
     AsyncSystem,
@@ -334,7 +332,7 @@ def _fused_responder(*work):
     refined = RefinedProtocol(protocol=protocol("responder", h, r),
                               plan=RefinementPlan())
     table = build_step_table(refined).mutate(
-        HOME_ROLE, "ask", 0, fused_reply="ID", reply_to="wait")
+        ProcessKind.HOME, "ask", 0, fused_reply="ID", reply_to="wait")
     system = AsyncSystem(refined, 1, table=table)
     init = system.initial_state()
     remote = replace(init.remotes[0], buf=BufEntry(sender=HOME_ID, msg="inv"))
@@ -373,7 +371,7 @@ class TestTransientRowErrors:
 
     def test_remote_reply_no_input_accepts(self, migratory_refined):
         table = build_step_table(migratory_refined).mutate(
-            REMOTE_ROLE, "I", 0, reply_to="V")
+            ProcessKind.REMOTE, "I", 0, reply_to="V")
         system = AsyncSystem(migratory_refined, 2, table=table)
         state = system.initial_state()
         for predicate in (is_action(RemoteSend, remote=0),
@@ -388,7 +386,7 @@ class TestTransientRowErrors:
 
     def test_home_reply_no_input_accepts(self, migratory_refined):
         table = build_step_table(migratory_refined).mutate(
-            HOME_ROLE, "I1", 0, reply_to="F1")
+            ProcessKind.HOME, "I1", 0, reply_to="F1")
         system = AsyncSystem(migratory_refined, 2, table=table)
         state = _home_awaiting_inv(system)
         state = take(system, state, is_action(DeliverToRemote,

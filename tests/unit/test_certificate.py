@@ -18,6 +18,7 @@ import pytest
 from repro.analysis.diagnostics import Severity
 from repro.analysis.simulation import CertificateReport, check_certificate
 from repro.analysis.symbolic import enumerate_contexts
+from repro.csp.ast import ProcessKind
 from repro.errors import CertificateError, RefinementError
 from repro.protocols.handwritten import handwritten_migratory
 from repro.protocols.invalidate import invalidate_protocol
@@ -31,7 +32,7 @@ from repro.refine.plan import (
     RefinementConfig,
     RefinementPlan,
 )
-from repro.refine.transitions import REMOTE, build_step_table
+from repro.refine.transitions import build_step_table
 from repro.semantics.asynchronous import AsyncSystem
 
 
@@ -93,7 +94,7 @@ class TestSeededMutants:
 
     def test_corrupt_ack_forward_target(self, migratory_refined,
                                         migratory_table):
-        mutant = migratory_table.mutate(REMOTE, "V.lr", 0,
+        mutant = migratory_table.mutate(ProcessKind.REMOTE, "V.lr", 0,
                                         forward_to="V.id")
         report = check_certificate(migratory_refined, table=mutant)
         assert not report.ok
@@ -110,7 +111,7 @@ class TestSeededMutants:
                                                   migratory_table):
         """Pretending LR is fused to gr removes its ack handshake; the
         transient requester then has no witness message anywhere."""
-        mutant = migratory_table.mutate(REMOTE, "V.lr", 0,
+        mutant = migratory_table.mutate(ProcessKind.REMOTE, "V.lr", 0,
                                         fused_reply="gr", reply_to="V.id")
         report = check_certificate(migratory_refined, table=mutant)
         assert not report.ok
@@ -141,8 +142,8 @@ class TestSeededMutants:
             self, migratory_refined, migratory_table):
         """mutate() with the row's own values is the identity — the
         harness's faults come from the changes, not the copying."""
-        spec = migratory_table.spec(REMOTE, "V.lr", 0)
-        same = migratory_table.mutate(REMOTE, "V.lr", 0,
+        spec = migratory_table.spec(ProcessKind.REMOTE, "V.lr", 0)
+        same = migratory_table.mutate(ProcessKind.REMOTE, "V.lr", 0,
                                       rewind_to=spec.rewind_to)
         report = check_certificate(migratory_refined, table=same)
         assert report.ok, report.describe()
@@ -264,7 +265,7 @@ class TestBudgets:
 
     def test_error_flood_is_capped(self, migratory_refined,
                                    migratory_table):
-        mutant = migratory_table.mutate(REMOTE, "V.lr", 0,
+        mutant = migratory_table.mutate(ProcessKind.REMOTE, "V.lr", 0,
                                         forward_to="V.id")
         report = check_certificate(migratory_refined, table=mutant,
                                    max_failures=1)

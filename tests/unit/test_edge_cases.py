@@ -9,9 +9,10 @@ import pytest
 
 from repro import RefinementConfig, migratory_protocol, refine
 from repro.check.stats import Counterexample
+from repro.csp.ast import ProcessKind
 from repro.csp.env import Env
 from repro.errors import RefinementError, SemanticsError
-from repro.refine.plan import REMOTE, HOME_SIDE, FusedPair
+from repro.refine.plan import FusedPair
 from repro.refine.reqreply import _reject_overlaps
 from repro.semantics.asynchronous import (
     AsyncState,
@@ -73,12 +74,11 @@ class TestAckBufferAblation:
         assert len(after.home.buffer) == 2        # but nothing was buffered
         assert after.channels.head_to_remote(0).kind == NACK
 
-    def test_t3_with_reservation_and_full_buffer_is_a_bug(self):
+    def test_t3_with_reservation_and_full_buffer_is_a_bug(
+            self, migratory_refined_plain):
         """With the reservation active, a full buffer in a transient home
         is a semantics violation and must raise, not limp along."""
-        refined = refine(migratory_protocol(),
-                         RefinementConfig(use_reqreply=False))
-        system = AsyncSystem(refined, 3)
+        system = AsyncSystem(migratory_refined_plain, 3)
         home = HomeNode(
             state="I1", env=home_env().update({"o": 0, "j": 1}),
             mode=TRANS, awaiting=0, pending_out=0,
@@ -97,11 +97,10 @@ class TestAckBufferAblation:
 
 
 class TestHomeC2Eviction:
-    def test_full_buffer_victim_nacked_to_free_ack_slot(self):
+    def test_full_buffer_victim_nacked_to_free_ack_slot(
+            self, migratory_refined_plain):
         """Row C2(a): 'a nack may be generated' to free a slot."""
-        refined = refine(migratory_protocol(),
-                         RefinementConfig(use_reqreply=False))
-        system = AsyncSystem(refined, 3)
+        system = AsyncSystem(migratory_refined_plain, 3)
         # home idle in I1 (wants to send inv to r0); buffer full of reqs
         # that satisfy nothing in I1
         home = HomeNode(
@@ -201,12 +200,11 @@ class TestHomeT2GuardCycling:
 
 
 class TestRemoteC3Nack:
-    def test_non_matching_request_nacked_and_kept_waiting(self):
+    def test_non_matching_request_nacked_and_kept_waiting(
+            self, migratory_refined_plain):
         """Row C3: a request satisfying no guard is nacked; the remote
         keeps waiting in the same state."""
-        refined = refine(migratory_protocol(),
-                         RefinementConfig(use_reqreply=False))
-        system = AsyncSystem(refined, 1)
+        system = AsyncSystem(migratory_refined_plain, 1)
         # remote passive at I.gr (waiting for gr); home mistakenly sends
         # inv (constructed — cannot happen organically, which is the point)
         node = RemoteNode(state="I.gr", env=remote_env(),
@@ -226,8 +224,8 @@ class TestRemoteC3Nack:
 class TestPlanRejection:
     def test_chained_fusion_rejected(self):
         with pytest.raises(RefinementError, match="both a fused request"):
-            _reject_overlaps([FusedPair("a", "b", REMOTE),
-                              FusedPair("b", "c", HOME_SIDE)])
+            _reject_overlaps([FusedPair("a", "b", ProcessKind.REMOTE),
+                              FusedPair("b", "c", ProcessKind.HOME)])
 
 
 class TestCounterexampleRendering:

@@ -4,14 +4,10 @@ import pytest
 
 from repro import RefinementConfig, refine
 from repro.csp.builder import ProcessBuilder, inp, out, protocol
-from repro.csp.ast import AnySender
+from repro.csp.ast import AnySender, ProcessKind
 from repro.errors import RefinementError, ValidationError
-from repro.refine.plan import (
-    HOME_SIDE,
-    REMOTE,
-    FusedPair,
-    RefinementPlan,
-)
+from repro.refine.plan import FusedPair, RefinedProtocol, RefinementPlan
+from repro.refine.transitions import build_step_table
 
 
 class TestRefinementConfig:
@@ -29,15 +25,16 @@ class TestRefinementConfig:
 
 
 class TestRefinementPlan:
-    def test_lookups(self):
-        plan = RefinementPlan(fused=(FusedPair("req", "gr", REMOTE),
-                                     FusedPair("inv", "ID", HOME_SIDE)))
-        assert plan.reply_of == {"req": "gr", "inv": "ID"}
-        assert plan.remote_fused_requests == frozenset({"req"})
-        assert plan.home_fused_requests == frozenset({"inv"})
-        assert plan.reply_msgs == frozenset({"gr", "ID"})
-        assert plan.is_fused_request("inv", sender_is_home=True)
-        assert not plan.is_fused_request("inv", sender_is_home=False)
+    def test_lookups(self, migratory):
+        """The step table is where the plan's pairs become lookups."""
+        plan = RefinementPlan(fused=(
+            FusedPair("req", "gr", ProcessKind.REMOTE),
+            FusedPair("inv", "ID", ProcessKind.HOME)))
+        table = build_step_table(RefinedProtocol(migratory, plan))
+        assert table.reply_of == {"req": "gr", "inv": "ID"}
+        assert table.fused_requests(ProcessKind.REMOTE) == frozenset({"req"})
+        assert table.fused_requests(ProcessKind.HOME) == frozenset({"inv"})
+        assert table.reply_msgs == frozenset({"gr", "ID"})
 
     def test_describe_mentions_ablation(self):
         plan = RefinementPlan(config=RefinementConfig(
@@ -54,35 +51,34 @@ class TestRefine:
         with pytest.raises(ValidationError):
             refine(protocol("bad", h, r))
 
-    def test_auto_detection_default(self, migratory):
-        refined = refine(migratory)
-        assert len(refined.plan.fused) == 2
-        assert refined.name == "migratory-async"
+    def test_auto_detection_default(self, migratory_refined):
+        assert len(migratory_refined.plan.fused) == 2
+        assert migratory_refined.name == "migratory-async"
 
-    def test_no_reqreply_means_no_fusion(self, migratory):
-        refined = refine(migratory, RefinementConfig(use_reqreply=False))
-        assert refined.plan.fused == ()
+    def test_no_reqreply_means_no_fusion(self, migratory_refined_plain):
+        assert migratory_refined_plain.plan.fused == ()
 
     def test_explicit_pairs_verified(self, migratory):
-        refined = refine(migratory,
-                         fused_pairs=(FusedPair("req", "gr", REMOTE),))
-        assert refined.plan.fused == (FusedPair("req", "gr", REMOTE),)
+        pair = FusedPair("req", "gr", ProcessKind.REMOTE)
+        refined = refine(migratory, fused_pairs=(pair,))
+        assert refined.plan.fused == (pair,)
 
     def test_bad_explicit_pair_rejected(self, migratory):
         with pytest.raises(RefinementError, match="cannot be fused"):
-            refine(migratory, fused_pairs=(FusedPair("req", "ID", REMOTE),))
+            refine(migratory, fused_pairs=(
+                FusedPair("req", "ID", ProcessKind.REMOTE),))
 
     def test_explicit_pairs_with_reqreply_off_rejected(self, migratory):
         with pytest.raises(RefinementError):
             refine(migratory, RefinementConfig(use_reqreply=False),
-                   fused_pairs=(FusedPair("req", "gr", REMOTE),))
+                   fused_pairs=(FusedPair("req", "gr", ProcessKind.REMOTE),))
 
 
 class TestFireAndForget:
     def test_lr_accepted(self, migratory):
         refined = refine(migratory,
                          RefinementConfig(fire_and_forget=frozenset({"LR"})))
-        assert "LR" in refined.plan.fire_and_forget
+        assert "LR" in build_step_table(refined).notes
 
     def test_unknown_message_rejected(self, migratory):
         with pytest.raises(RefinementError, match="does not occur"):

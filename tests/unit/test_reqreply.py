@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.csp.ast import AnySender, VarSender, VarTarget
+from repro.csp.ast import AnySender, ProcessKind, VarSender, VarTarget
 from repro.csp.builder import ProcessBuilder, inp, out, protocol, tau
-from repro.refine.plan import HOME_SIDE, REMOTE, FusedPair
+from repro.refine.plan import FusedPair
 from repro.refine.reqreply import check_pair, detect_fusable_pairs
 
 
 class TestMigratoryDetection:
     def test_detects_both_pairs(self, migratory):
         pairs = set(detect_fusable_pairs(migratory))
-        assert FusedPair("req", "gr", REMOTE) in pairs
-        assert FusedPair("inv", "ID", HOME_SIDE) in pairs
+        assert FusedPair("req", "gr", ProcessKind.REMOTE) in pairs
+        assert FusedPair("inv", "ID", ProcessKind.HOME) in pairs
         assert len(pairs) == 2
 
     def test_lr_never_fused(self, migratory):
@@ -24,7 +24,8 @@ class TestMigratoryDetection:
     def test_inv_lr_pair_rejected(self, migratory):
         # LR is an adjacent input after inv at the home, but the remote
         # responder for inv answers ID, not LR
-        reason = check_pair(migratory, FusedPair("inv", "LR", HOME_SIDE))
+        reason = check_pair(migratory,
+                            FusedPair("inv", "LR", ProcessKind.HOME))
         assert reason is not None and "ID" not in (reason or "")
 
 
@@ -37,7 +38,8 @@ class TestInvalidateDetection:
 
     def test_strict_cycles_rejects_reqw(self, invalidate):
         # the reqW reply path goes through the invalidation loop
-        reason = check_pair(invalidate, FusedPair("reqW", "grW", REMOTE),
+        reason = check_pair(invalidate,
+                            FusedPair("reqW", "grW", ProcessKind.REMOTE),
                             strict_cycles=True)
         assert reason is not None and "cycle" in reason
         pairs = {p.request_msg for p in
@@ -55,7 +57,7 @@ class TestMsiDetection:
         """The upgrade request awaits grU *or* upfail: not fusable."""
         pairs = {p.request_msg for p in detect_fusable_pairs(msi)}
         assert "reqU" not in pairs
-        reason = check_pair(msi, FusedPair("reqU", "grU", REMOTE))
+        reason = check_pair(msi, FusedPair("reqU", "grU", ProcessKind.REMOTE))
         assert reason is not None
 
 
@@ -82,15 +84,15 @@ class TestChainedFusionSelection:
 
     def test_greedy_picks_remote_initiated_pair(self):
         pairs = detect_fusable_pairs(self._lock())
-        assert pairs == (FusedPair("acq", "ok", REMOTE),)
+        assert pairs == (FusedPair("acq", "ok", ProcessKind.REMOTE),)
 
     def test_explicit_overlap_rejected(self):
         from repro import refine
         from repro.errors import RefinementError
         with pytest.raises(RefinementError, match="both a fused"):
             refine(self._lock(),
-                   fused_pairs=(FusedPair("acq", "ok", REMOTE),
-                                FusedPair("ok", "rel", HOME_SIDE)))
+                   fused_pairs=(FusedPair("acq", "ok", ProcessKind.REMOTE),
+                                FusedPair("ok", "rel", ProcessKind.HOME)))
 
     def test_lock_refines_and_simulates_correctly(self):
         from repro import AsyncSystem, refine
@@ -117,14 +119,15 @@ class TestHomeSidePathAnalysis:
         h = self._home_base()
         h.state("mid", out("pong", target=VarTarget("j"), to="wait"))
         proto = protocol("p", h.build(), self._remote())
-        assert check_pair(proto, FusedPair("ping", "pong", REMOTE)) is None
+        assert check_pair(
+            proto, FusedPair("ping", "pong", ProcessKind.REMOTE)) is None
 
     def test_other_message_to_requester_first_rejected(self):
         h = self._home_base()
         h.state("mid", out("poke", target=VarTarget("j"), to="mid2"))
         h.state("mid2", out("pong", target=VarTarget("j"), to="wait"))
         proto = protocol("p", h.build(), self._remote())
-        reason = check_pair(proto, FusedPair("ping", "pong", REMOTE))
+        reason = check_pair(proto, FusedPair("ping", "pong", ProcessKind.REMOTE))
         assert reason is not None and "poke" in reason
 
     def test_waiting_on_requester_rejected(self):
@@ -135,7 +138,7 @@ class TestHomeSidePathAnalysis:
         r.state("send", out("ping", to="recv"))
         r.state("recv", inp("pong", to="send"))
         proto = protocol("p", h.build(), r.build())
-        reason = check_pair(proto, FusedPair("ping", "pong", REMOTE))
+        reason = check_pair(proto, FusedPair("ping", "pong", ProcessKind.REMOTE))
         assert reason is not None and "silently-blocked" in reason
 
     def test_rebinding_requester_var_rejected(self):
@@ -147,7 +150,7 @@ class TestHomeSidePathAnalysis:
         r.state("send", out("ping", to="recv"))
         r.state("recv", inp("pong", to="send"))
         proto = protocol("p", h.build(), r.build())
-        reason = check_pair(proto, FusedPair("ping", "pong", REMOTE))
+        reason = check_pair(proto, FusedPair("ping", "pong", ProcessKind.REMOTE))
         assert reason is not None and "rebind" in reason
 
     def test_missing_sender_binding_rejected(self):
@@ -155,7 +158,7 @@ class TestHomeSidePathAnalysis:
         b.state("wait", inp("ping", sender=AnySender(), to="mid"))
         b.state("mid", out("pong", target=VarTarget("j"), to="wait"))
         proto = protocol("p", b.build(), self._remote())
-        reason = check_pair(proto, FusedPair("ping", "pong", REMOTE))
+        reason = check_pair(proto, FusedPair("ping", "pong", ProcessKind.REMOTE))
         assert reason is not None and "bind" in reason
 
 
@@ -172,7 +175,8 @@ class TestRemoteResponderAnalysis:
         r.state("think", tau("compute", to="reply"))
         r.state("reply", out("yes", to="idle"))
         proto = protocol("p", self._home(), r.build())
-        assert check_pair(proto, FusedPair("poke", "yes", HOME_SIDE)) is None
+        assert check_pair(
+            proto, FusedPair("poke", "yes", ProcessKind.HOME)) is None
 
     def test_branching_after_request_rejected(self):
         r = ProcessBuilder.remote("r")
@@ -180,7 +184,7 @@ class TestRemoteResponderAnalysis:
         r.state("both", inp("other", to="idle"), tau("t", to="reply"))
         r.state("reply", out("yes", to="idle"))
         proto = protocol("p", self._home(), r.build())
-        reason = check_pair(proto, FusedPair("poke", "yes", HOME_SIDE))
+        reason = check_pair(proto, FusedPair("poke", "yes", ProcessKind.HOME))
         assert reason is not None
 
     def test_internal_loop_after_request_rejected(self):
@@ -190,5 +194,6 @@ class TestRemoteResponderAnalysis:
         r.state("spin2", tau("b", to="spin"))
         r.state("reply", out("yes", to="idle"))
         proto = protocol("p", self._home(), r.build())
-        assert check_pair(proto, FusedPair("poke", "yes", HOME_SIDE)) == (
+        assert check_pair(
+                proto, FusedPair("poke", "yes", ProcessKind.HOME)) == (
             "r: internal loop after consuming 'poke'")

@@ -9,29 +9,26 @@ on.
 
 import pytest
 
+from repro.csp.ast import ProcessKind
 from repro.errors import RefinementError, SemanticsError
 from repro.protocols.handwritten import handwritten_migratory
-from repro.protocols.migratory import migratory_protocol
-from repro.refine.engine import refine
 from repro.refine.transitions import (
-    HOME,
     KIND_NOTE,
     KIND_REPLY,
     KIND_REQUEST,
-    REMOTE,
     StepTable,
     build_step_table,
 )
 
 
 @pytest.fixture(scope="module")
-def table():
-    return build_step_table(refine(migratory_protocol()))
+def table(migratory_refined):
+    return build_step_table(migratory_refined)
 
 
 class TestDerivation:
-    def test_one_row_per_output_guard(self, table):
-        refined = refine(migratory_protocol())
+    def test_one_row_per_output_guard(self, table, migratory_refined):
+        refined = migratory_refined
         n_outputs = sum(
             len(state.outputs)
             for process in (refined.protocol.home, refined.protocol.remote)
@@ -39,14 +36,14 @@ class TestDerivation:
         assert len(table) == n_outputs
 
     def test_remote_fused_request_row(self, table):
-        spec = table.spec(REMOTE, "I", 0)
+        spec = table.spec(ProcessKind.REMOTE, "I", 0)
         assert spec.msg == "req"
         assert spec.kind == KIND_REQUEST
         assert spec.fused_reply == "gr"
         assert spec.reply_to == "I.gr"
 
     def test_home_fused_request_row(self, table):
-        spec = table.spec(HOME, "I1", 0)
+        spec = table.spec(ProcessKind.HOME, "I1", 0)
         assert spec.msg == "inv"
         assert spec.kind == KIND_REQUEST
         assert spec.fused_reply == "ID"
@@ -55,7 +52,7 @@ class TestDerivation:
     def test_plain_request_rewind_and_forward(self, table):
         """A nack rewinds to the sending state, an ack fast-forwards to
         the guard's target — the Tables 1/2 rule schema verbatim."""
-        spec = table.spec(REMOTE, "V.lr", 0)
+        spec = table.spec(ProcessKind.REMOTE, "V.lr", 0)
         assert spec.msg == "LR"
         assert spec.kind == KIND_REQUEST
         assert spec.fused_reply is None
@@ -69,8 +66,8 @@ class TestDerivation:
                 assert spec.reply_to is None
 
     def test_derived_lookups(self, table):
-        assert table.fused_requests(REMOTE) == {"req"}
-        assert table.fused_requests(HOME) == {"inv"}
+        assert table.fused_requests(ProcessKind.REMOTE) == {"req"}
+        assert table.fused_requests(ProcessKind.HOME) == {"inv"}
         assert table.reply_of == {"req": "gr", "inv": "ID"}
         assert "gr" in table.reply_msgs and "ID" in table.reply_msgs
         assert table.notes == frozenset()
@@ -83,7 +80,7 @@ class TestDerivation:
                 assert spec.kind == KIND_NOTE
 
     def test_describe_names_the_row(self, table):
-        text = table.spec(REMOTE, "I", 0).describe()
+        text = table.spec(ProcessKind.REMOTE, "I", 0).describe()
         assert "remote.I[0]" in text
         assert "!req" in text
         assert "reply gr@I.gr" in text
@@ -92,32 +89,34 @@ class TestDerivation:
 class TestIndexing:
     def test_spec_raises_on_unknown_row(self, table):
         with pytest.raises(SemanticsError):
-            table.spec(REMOTE, "I", 7)
+            table.spec(ProcessKind.REMOTE, "I", 7)
 
     def test_get_returns_none_on_unknown_row(self, table):
-        assert table.get(REMOTE, "no-such-state", 0) is None
-        assert table.get(REMOTE, "I", 0) is table.spec(REMOTE, "I", 0)
+        assert table.get(ProcessKind.REMOTE, "no-such-state", 0) is None
+        assert table.get(ProcessKind.REMOTE, "I", 0) is table.spec(
+            ProcessKind.REMOTE, "I", 0)
 
     def test_duplicate_keys_rejected(self, table):
-        specs = tuple(table) + (table.spec(REMOTE, "I", 0),)
+        specs = tuple(table) + (table.spec(ProcessKind.REMOTE, "I", 0),)
         with pytest.raises(RefinementError):
             StepTable(specs)
 
 
 class TestMutate:
     def test_mutate_replaces_one_row(self, table):
-        mutant = table.mutate(REMOTE, "V.lr", 0, forward_to="V.id")
-        assert mutant.spec(REMOTE, "V.lr", 0).forward_to == "V.id"
+        mutant = table.mutate(ProcessKind.REMOTE, "V.lr", 0,
+                              forward_to="V.id")
+        assert mutant.spec(ProcessKind.REMOTE, "V.lr", 0).forward_to == "V.id"
         # every other row unchanged
         for spec in table:
-            if spec.key != (REMOTE, "V.lr", 0):
+            if spec.key != (ProcessKind.REMOTE, "V.lr", 0):
                 assert mutant.spec(*spec.key) == spec
 
     def test_mutate_is_a_copy(self, table):
-        original = table.spec(HOME, "I1", 0).rewind_to
-        table.mutate(HOME, "I1", 0, rewind_to="F1")
-        assert table.spec(HOME, "I1", 0).rewind_to == original
+        original = table.spec(ProcessKind.HOME, "I1", 0).rewind_to
+        table.mutate(ProcessKind.HOME, "I1", 0, rewind_to="F1")
+        assert table.spec(ProcessKind.HOME, "I1", 0).rewind_to == original
 
     def test_mutate_unknown_row_raises(self, table):
         with pytest.raises(SemanticsError):
-            table.mutate(REMOTE, "I", 7, rewind_to="I")
+            table.mutate(ProcessKind.REMOTE, "I", 7, rewind_to="I")
