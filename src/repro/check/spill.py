@@ -6,14 +6,14 @@ mapped for lookups.  The hot tier (the table of
 :class:`~repro.check.store.FingerprintStore`) absorbs new states;
 when it crosses the spill threshold it is *merged* into the
 file — a single sequential two-way merge of the existing records with
-the sorted hot entries, written to a temp file and atomically renamed —
-and the hot tier starts over empty.  Lookups binary-search the mapping
-(``struct.unpack_from`` directly on the mmap, no record objects), so
-the store's resident cost is the hot table plus page cache the OS is
-free to drop: exactly the "64 MB allotment" discipline behind the
-paper's Table 3 runs, except the wall is now configurable
-(``--memory-limit``) and crossing it truncates gracefully instead of
-dying.
+the sorted hot entries, streamed to a temp file that then takes the
+live file's name — and the hot tier starts over empty.  Lookups
+binary-search the mapping (``struct.unpack_from`` directly on the
+mmap, no record objects), so the store's resident cost is the hot
+table plus page cache the OS is free to drop: exactly the "64 MB
+allotment" discipline behind the paper's Table 3 runs, except the wall
+is now configurable (``--memory-limit``) and crossing it truncates
+gracefully instead of dying.
 
 File layout (all integers big-endian)::
 
@@ -25,6 +25,17 @@ Records are unique by fingerprint and sorted ascending, which the merge
 maintains; a duplicate fingerprint offered to :meth:`SpillFile.merge`
 keeps the incumbent record (first-writer-wins, matching the hot table's
 semantics).
+
+The temp file never replaces the live one.  The merge unlinks the live
+name first (its mapping stays valid on POSIX) and renames the temp onto
+the freed name: ext4 without ``noauto_da_alloc`` forces a writeback of
+any rename that replaces a non-empty file, which made every merge wait
+on the disk (EXPERIMENTS.md, "Spill merges: unlink, then rename").  The
+cost is a crash window: a process killed between the unlink and the
+rename leaves only ``<name>.tmp``.  Nothing reads a spill file across
+runs — :class:`~repro.check.store.FingerprintStore` deletes the
+``*.spill`` and ``*.spill.tmp`` files of its directory at start — so the
+window loses nothing a later run would use.
 """
 
 from __future__ import annotations
@@ -62,31 +73,33 @@ class SpillFile:
         self._mm: Optional[mmap.mmap] = None
         self._count = 0
         if self.path.exists():
-            self._open()
+            self._file, self._count, self._mm = self._map()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _open(self) -> None:
+    def _map(self) -> tuple[IO[bytes], int, Optional[mmap.mmap]]:
+        """Open and validate the file at :attr:`path`: its handle, record
+        count and read-only mapping (None when it holds no records)."""
         fh = open(self.path, "rb")
-        header = fh.read(HEADER_SIZE)
-        if len(header) != HEADER_SIZE:
+        try:
+            header = fh.read(HEADER_SIZE)
+            if len(header) != HEADER_SIZE:
+                raise CheckError(f"{self.path}: truncated spill header")
+            magic, count = _HEADER.unpack(header)
+            if magic != MAGIC:
+                raise CheckError(f"{self.path}: bad spill magic {magic!r}")
+            expected = HEADER_SIZE + count * RECORD_SIZE
+            actual = os.fstat(fh.fileno()).st_size
+            if actual != expected:
+                raise CheckError(
+                    f"{self.path}: spill file is {actual} bytes, header "
+                    f"promises {expected} ({count} records)")
+            return fh, count, (mmap.mmap(fh.fileno(), 0,
+                                         access=mmap.ACCESS_READ)
+                               if count else None)
+        except BaseException:
             fh.close()
-            raise CheckError(f"{self.path}: truncated spill header")
-        magic, count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            fh.close()
-            raise CheckError(f"{self.path}: bad spill magic {magic!r}")
-        expected = HEADER_SIZE + count * RECORD_SIZE
-        actual = os.fstat(fh.fileno()).st_size
-        if actual != expected:
-            fh.close()
-            raise CheckError(
-                f"{self.path}: spill file is {actual} bytes, header "
-                f"promises {expected} ({count} records)")
-        self._file = fh
-        self._count = count
-        self._mm = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                    if count else None)
+            raise
 
     def close(self) -> None:
         if self._mm is not None:
@@ -132,16 +145,37 @@ class SpillFile:
     def merge(self, entries: Union[dict[int, int],
                                    Iterable[tuple[int, int]]]) -> None:
         """Merge ``{fingerprint: check}``, or ``(fingerprint, check)``
-        pairs unique by fingerprint, into the file, atomically.
+        pairs unique by fingerprint, into the file.
 
         Streams a two-way merge of the existing sorted records and the
-        sorted new entries into ``<path>.tmp``, then ``os.replace``\\ s it
-        over the original and re-maps.  Existing records win fingerprint
-        ties (they were admitted first).
+        sorted new entries into ``<path>.tmp``, unlinks the live file
+        (its mapping keeps answering), renames the temp onto the freed
+        name, and only then swaps the old mapping for the new one.
+        Existing records win fingerprint ties (they were admitted first).
+
+        Any exception — a full disk, a Ctrl-C — deletes the temp and
+        leaves this object answering from the old records.  An exception
+        after the unlink and before the rename also leaves the live name
+        free: the old records then live only in the mapping, which the
+        next merge reads as usual.
         """
         fresh = sorted(entries.items() if isinstance(entries, dict)
                        else entries)
         tmp = self.path.with_name(self.path.name + ".tmp")
+        try:
+            self._write(tmp, fresh)
+            self.path.unlink(missing_ok=True)
+            os.rename(tmp, self.path)
+            mapped = self._map()
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self.close()
+        self._file, self._count, self._mm = mapped
+
+    def _write(self, tmp: Path, fresh: list[tuple[int, int]]) -> None:
+        """Stream the merge of the mapped records and ``fresh`` (sorted)
+        into ``tmp``, header first."""
         old, n_old = self._mm, self._count
         unpack = _RECORD.unpack_from
         pack = _RECORD.pack
@@ -177,6 +211,3 @@ class SpillFile:
                 written += 1
             out.seek(0)
             out.write(_HEADER.pack(MAGIC, written))
-        self.close()
-        os.replace(tmp, self.path)
-        self._open()

@@ -320,10 +320,11 @@ class FingerprintStore:
     space grows.  A 2 MiB bit filter (allocated at the first merge)
     short-circuits most absent-key probes so cold lookups rarely touch
     the mmap.  The store owns the ``*.spill`` files of its directory and
-    starts by deleting them: records it did not write are another run's
-    visited set.  Spilling does not change membership, so it cannot
-    change exploration counts; a spilling store keeps no witnesses (the
-    columns index resident entries).
+    their ``*.spill.tmp`` merge temps, and starts by deleting them:
+    records it did not write are another run's visited set, and a temp
+    is what a run killed mid-merge left.  Spilling does not change
+    membership, so it cannot change exploration counts; a spilling
+    store keeps no witnesses (the columns index resident entries).
 
     ``bits`` truncates the stored key, which exists to make collisions
     reproducible in tests; production use keeps all 64.
@@ -368,8 +369,9 @@ class FingerprintStore:
         if self._spill_dir is not None:
             try:
                 self._spill_dir.mkdir(parents=True, exist_ok=True)
-                for stale in self._spill_dir.glob("*.spill"):
-                    stale.unlink()
+                for pattern in ("*.spill", "*.spill.tmp"):
+                    for stale in self._spill_dir.glob(pattern):
+                        stale.unlink()
             except OSError as exc:
                 raise CheckError(f"cannot use spill directory "
                                  f"{self._spill_dir}: {exc}") from exc

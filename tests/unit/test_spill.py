@@ -5,12 +5,14 @@ import struct
 
 import pytest
 
+import repro.check.spill as spill_module
 from repro.check.spill import (
     HEADER_SIZE,
     MAGIC,
     RECORD_SIZE,
     SpillFile,
 )
+from repro.check.store import FingerprintStore
 from repro.errors import CheckError
 
 
@@ -146,3 +148,136 @@ class TestCorruption:
         raw = path.read_bytes()
         magic, count = struct.unpack_from(">8sQ", raw)
         assert magic == MAGIC and count == 1
+
+
+class _FailingWriter:
+    """A write handle that raises ``exc`` on its ``calls``-th write."""
+
+    def __init__(self, fh, exc, calls):
+        self._fh, self._exc, self._calls = fh, exc, calls
+
+    def write(self, data):
+        self._calls -= 1
+        if self._calls == 0:
+            raise self._exc
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def _inject(monkeypatch, where, exc):
+    """Make the next merge raise ``exc`` while it writes its temp file
+    (on the third record) or at the rename onto the live name."""
+    if where == "write":
+        def opener(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return _FailingWriter(fh, exc, 4) if "w" in mode else fh
+        monkeypatch.setattr(spill_module, "open", opener, raising=False)
+    else:
+        def rename(src, dst):
+            raise exc
+        monkeypatch.setattr(spill_module.os, "rename", rename)
+
+
+FAULTS = [pytest.param(where, exc, id=f"{where}-{type(exc).__name__}")
+          for where in ("write", "rename")
+          for exc in (OSError(28, "No space left on device"),
+                      KeyboardInterrupt())]
+
+
+class TestFailedMerge:
+    """Any exception out of a merge deletes the temp file, and the spill
+    keeps answering from the records it had before."""
+
+    @pytest.mark.parametrize("where, exc", FAULTS)
+    def test_old_records_answer_and_no_temp_is_left(self, path, monkeypatch,
+                                                    where, exc):
+        spill = SpillFile(path)
+        spill.merge({1: 10, 2: 20})
+        _inject(monkeypatch, where, exc)
+        with pytest.raises(type(exc)):
+            spill.merge({3: 30, 1: 99, 4: 40})
+        monkeypatch.undo()
+        assert len(spill) == 2
+        assert spill.spill_bytes == HEADER_SIZE + 2 * RECORD_SIZE
+        assert [spill.lookup(fp) for fp in (1, 2, 3, 4)] == [10, 20, None,
+                                                             None]
+        # the live file goes only once the temp is complete; past that,
+        # the old records live on in the mapping alone
+        listing = [p.name for p in path.parent.iterdir()]
+        assert listing == (["visited.spill"] if where == "write" else [])
+        # ... which the next merge reads like a file
+        spill.merge({3: 30})
+        spill.close()
+        reopened = SpillFile(path)
+        assert [reopened.lookup(fp) for fp in (1, 2, 3, 4)] == [10, 20, 30,
+                                                                None]
+        reopened.close()
+        assert [p.name for p in path.parent.iterdir()] == ["visited.spill"]
+
+    @pytest.mark.parametrize("where, exc", FAULTS)
+    def test_first_merge_leaves_an_empty_directory(self, path, monkeypatch,
+                                                   where, exc):
+        spill = SpillFile(path)
+        _inject(monkeypatch, where, exc)
+        with pytest.raises(type(exc)):
+            spill.merge({i: i for i in range(8)})
+        assert len(spill) == 0 and spill.spill_bytes == 0
+        assert spill.lookup(3) is None
+        assert list(path.parent.iterdir()) == []
+        spill.close()
+
+
+class TestStoreDiskTier:
+    """The fingerprint store over a failing merge, and its startup sweep."""
+
+    STATES = [("state", i) for i in range(12)]
+
+    @pytest.mark.parametrize("where", ["write", "rename"])
+    def test_failed_merge_is_a_check_error(self, tmp_path, monkeypatch,
+                                           where):
+        store = FingerprintStore(spill_dir=tmp_path, spill_threshold=4)
+        for state in self.STATES[:8]:  # two merges
+            assert store.add(state)
+        _inject(monkeypatch, where, OSError(28, "No space left on device"))
+        for state in self.STATES[8:11]:
+            assert store.add(state)
+        with pytest.raises(CheckError, match=r"^cannot write spill file "
+                           r".*visited\.spill: .*No space left on device"):
+            store.add(self.STATES[11])
+        monkeypatch.undo()
+        assert store.spill_merges == 2
+        assert store.spill_bytes() == HEADER_SIZE + 8 * RECORD_SIZE
+        assert all(state in store for state in self.STATES)
+        assert [p.name for p in tmp_path.iterdir()] \
+            == (["visited.spill"] if where == "write" else [])
+        store.close()
+
+    def test_interrupted_merge_propagates(self, tmp_path, monkeypatch):
+        store = FingerprintStore(spill_dir=tmp_path, spill_threshold=4)
+        _inject(monkeypatch, "write", KeyboardInterrupt())
+        for state in self.STATES[:3]:
+            store.add(state)
+        with pytest.raises(KeyboardInterrupt):
+            store.add(self.STATES[3])
+        assert store.spill_merges == 0
+        assert all(state in store for state in self.STATES[:4])
+        assert list(tmp_path.iterdir()) == []
+        store.close()
+
+    def test_startup_sweep_removes_a_killed_merge_temp(self, tmp_path):
+        # a run killed between unlinking visited.spill and renaming its
+        # temp leaves only the temp; another run's file goes too
+        (tmp_path / "visited.spill.tmp").write_bytes(MAGIC + b"\x00" * 40)
+        (tmp_path / "partition-0001.spill").write_bytes(b"junk")
+        (tmp_path / "notes.txt").write_text("not the store's")
+        store = FingerprintStore(spill_dir=tmp_path, spill_threshold=4)
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+        store.close()
