@@ -34,13 +34,11 @@ __all__ = ["transient_pass"]
 
 
 def transient_pass(refined: "RefinedProtocol") -> Iterator[Diagnostic]:
-    from ..refine.transitions import KIND_NOTE, build_step_table
+    from ..refine.transitions import build_step_table
 
     protocol = refined.protocol
     table = build_step_table(refined)
-    # a note is sent and forgotten: no transient
-    counts = {role: sum(1 for spec in table
-                        if spec.role == role and spec.kind != KIND_NOTE)
+    counts = {role: table.transients(role)
               for role in (ProcessKind.REMOTE, ProcessKind.HOME)}
 
     for msg in sorted(table.notes):

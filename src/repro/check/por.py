@@ -86,6 +86,17 @@ suite).  What reduction *drops* is anything reading identity-labelled
 edge orderings — exact transition counts, per-interleaving traces, and
 the SCC structure the Equation-1/progress checkers want, which is why
 ``repro verify --progress`` keeps running on the unreduced system.
+
+Cost
+----
+
+The rule reads nothing but the inner system's memoized deltas
+(:meth:`~repro.semantics.asynchronous.AsyncSystem.deltas`): the action
+of each, the ``sends`` of the candidate deliveries, and for the
+invariants preset the candidate's own delta.  :meth:`PORSystem.expand`
+then builds only the successors it keeps — one at a reduced state —
+with :func:`~repro.semantics.asynchronous._successor`, and builds no
+:class:`~repro.semantics.asynchronous.Step` at all.
 """
 
 from __future__ import annotations
@@ -103,6 +114,9 @@ from ..semantics.asynchronous import (
     RemoteSend,
     RemoteTau,
     Step,
+    _Delta,
+    _replayed,
+    _successor,
 )
 from ..semantics.network import REQ, Channels
 
@@ -116,6 +130,9 @@ PRESERVE_INVARIANTS = "invariants"
 
 _PRESETS = (PRESERVE_COUNTS, PRESERVE_INVARIANTS)
 
+#: the action kinds of ``P(i)`` besides the delivery to remote ``i``
+_LOCAL = (RemoteSend, RemoteC3, RemoteTau)
+
 
 class PORSystem:
     """Wrap an :class:`AsyncSystem` so the explorer sees ample sets.
@@ -127,6 +144,11 @@ class PORSystem:
     with symmetry as ``SymmetricSystem(PORSystem(inner), spec)`` —
     reduction picks the ample step on the concrete state, normalization
     canonicalizes the survivors.
+
+    The ample set is chosen on the inner system's memoized deltas
+    (:meth:`AsyncSystem.deltas`), so a sweep builds no :class:`Step`
+    and only the successors it keeps; :meth:`steps` wraps the same
+    choice in steps for the callers that read ``completes``.
     """
 
     def __init__(self, inner: AsyncSystem, *,
@@ -150,9 +172,10 @@ class PORSystem:
 
     def steps(self, state: AsyncState) -> list[Step]:
         """The ample subset of the inner system's enabled steps."""
-        steps = self.inner.steps(state)
-        ample = self.ample(state, steps)
-        return steps if ample is None else [ample]
+        deltas = self.inner.deltas(state)
+        ample = self.ample(state, deltas)
+        return [_replayed(state, d)
+                for d in (deltas if ample is None else (ample,))]
 
     def successors(self, state: AsyncState,
                    ) -> list[tuple[AsyncAction, AsyncState]]:
@@ -161,47 +184,47 @@ class PORSystem:
     def expand(self, state: AsyncState,
                ) -> tuple[list[tuple[AsyncAction, AsyncState]], int]:
         """Reduced successors plus the full enabled-transition count."""
-        steps = self.inner.steps(state)
-        ample = self.ample(state, steps)
-        chosen = steps if ample is None else [ample]
-        return [(s.action, s.state) for s in chosen], len(steps)
+        deltas = self.inner.deltas(state)
+        ample = self.ample(state, deltas)
+        if ample is not None:
+            return [(ample[0], _successor(state, ample))], len(deltas)
+        return [(d[0], _successor(state, d)) for d in deltas], len(deltas)
 
     # -- the ample rule ------------------------------------------------------
 
     def ample(self, state: AsyncState,
-              steps: list[Step]) -> Optional[Step]:
-        """The ample step at ``state``, or None for full expansion."""
-        if len(steps) < 2:
+              deltas: list[_Delta]) -> Optional[_Delta]:
+        """The ample step's delta among ``state``'s enabled ``deltas``
+        (:meth:`AsyncSystem.deltas`), or None for full expansion."""
+        if len(deltas) < 2:
             return None
         local: set[int] = set()
-        deliveries: dict[int, Step] = {}
-        for step in steps:
-            action = step.action
-            if isinstance(action, (RemoteSend, RemoteC3, RemoteTau)):
+        deliveries: list[_Delta] = []  # by ascending remote: deltas' order
+        for delta in deltas:
+            action = delta[0]
+            if type(action) is DeliverToRemote:
+                deliveries.append(delta)
+            elif isinstance(action, _LOCAL):
                 local.add(action.remote)
-            elif isinstance(action, DeliverToRemote):
-                deliveries[action.remote] = step
-        for i in sorted(deliveries):
+        for delta in deliveries:
+            i = delta[0].remote
             if i in local:
                 continue  # not the sole enabled P(i) step
-            step = deliveries[i]
-            if step.sends:
-                continue  # NACK retransmit: pushes a channel tail
+            if delta[5]:
+                continue  # sends: a NACK retransmit pushes a channel tail
             if (self.preserve == PRESERVE_INVARIANTS
-                    and not self._invisible(state, step, i)):
+                    and not self._invisible(state, delta, i)):
                 continue
-            return step
+            return delta
         return None
 
-    def _invisible(self, state: AsyncState, step: Step, i: int) -> bool:
+    def _invisible(self, state: AsyncState, delta: _Delta, i: int) -> bool:
         """C2 for the invariant-preserving preset: a REQ pop whose only
         write is remote ``i``'s ``buf`` (REQ buffering / T3 drop), read
-        off the replayed step's memoized delta — no successor is built."""
+        off the step's memoized delta — no successor is built."""
         if state.channels.queues[Channels.to_remote(i)][0].kind != REQ:
             return False
-        replayed = step._delta_cache
-        assert replayed is not None  # ample() sees replayed steps only
-        _action, home, moved, _ops, _completes, _sends = replayed[1]
+        _action, home, moved, _ops, _completes, _sends = delta
         if home is not None:
             return False
         if moved is None:

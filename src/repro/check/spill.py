@@ -8,23 +8,27 @@ when it crosses the spill threshold it is *merged* into the
 file — a single sequential two-way merge of the existing records with
 the sorted hot entries, streamed to a temp file that then takes the
 live file's name — and the hot tier starts over empty.  Lookups
-binary-search the mapping (``struct.unpack_from`` directly on the
-mmap, no record objects), so the store's resident cost is the hot
-table plus page cache the OS is free to drop: exactly the "64 MB
-allotment" discipline behind the paper's Table 3 runs, except the wall
-is now configurable (``--memory-limit``) and crossing it truncates
-gracefully instead of dying.
+bisect the mapping's fingerprint words (``bisect_left`` over a strided
+``memoryview`` of the mmap, no record objects), so the store's resident
+cost is the hot table plus page cache the OS is free to drop: exactly
+the "64 MB allotment" discipline behind the paper's Table 3 runs,
+except the wall is now configurable (``--memory-limit``) and crossing
+it truncates gracefully instead of dying.
 
-File layout (all integers big-endian)::
+File layout (all integers in the machine's native byte order)::
 
-    bytes 0..7    magic  b"RSPILL01"
+    bytes 0..7    magic  b"RSPILL02"
     bytes 8..15   record count (u64)
     then count records of 16 bytes: fingerprint (u64), check hash (u64)
 
+Native order lets the mapping be read as machine words: no spill file
+is read across runs (see below), so none travels between machines.
 Records are unique by fingerprint and sorted ascending, which the merge
 maintains; a duplicate fingerprint offered to :meth:`SpillFile.merge`
 keeps the incumbent record (first-writer-wins, matching the hot table's
-semantics).
+semantics).  The merge copies each run of old records that falls
+between two new ones as one slice of the mapping, so its Python-level
+work grows with the new entries, not with the file.
 
 The temp file never replaces the live one.  The merge unlinks the live
 name first (its mapping stays valid on POSIX) and renames the temp onto
@@ -43,6 +47,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
+from bisect import bisect_left
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
@@ -50,9 +55,9 @@ from ..errors import CheckError
 
 __all__ = ["SpillFile", "MAGIC", "RECORD_SIZE"]
 
-MAGIC = b"RSPILL01"
-_HEADER = struct.Struct(">8sQ")
-_RECORD = struct.Struct(">QQ")
+MAGIC = b"RSPILL02"
+_HEADER = struct.Struct("=8sQ")
+_RECORD = struct.Struct("=QQ")
 #: bytes per on-disk record: fingerprint u64 + check hash u64
 RECORD_SIZE = _RECORD.size
 HEADER_SIZE = _HEADER.size
@@ -72,8 +77,9 @@ class SpillFile:
         self._file: Optional[IO[bytes]] = None
         self._mm: Optional[mmap.mmap] = None
         self._count = 0
+        self._view(b"")
         if self.path.exists():
-            self._file, self._count, self._mm = self._map()
+            self._adopt(self._map())
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -101,7 +107,27 @@ class SpillFile:
             fh.close()
             raise
 
+    def _view(self, buffer: Union[bytes, mmap.mmap]) -> None:
+        """Look at ``buffer`` (a mapping, or ``b""`` for no records)
+        through three views: its bytes, its u64 record words, and every
+        second word from the first, the fingerprints."""
+        self._bytes = memoryview(buffer)
+        self._words = self._bytes[HEADER_SIZE:].cast("Q")
+        self._fps = self._words[::2]
+
+    def _adopt(self, mapped: tuple[IO[bytes], int,
+                                   Optional[mmap.mmap]]) -> None:
+        """Take ``mapped`` (what :meth:`_map` returns) as this file's
+        handle, count and mapping."""
+        self._file, self._count, self._mm = mapped
+        if self._mm is not None:
+            self._view(self._mm)
+
     def close(self) -> None:
+        # the views pin the mapping: an exported mmap refuses to close
+        for view in (self._fps, self._words, self._bytes):
+            view.release()
+        self._view(b"")
         if self._mm is not None:
             self._mm.close()
             self._mm = None
@@ -121,20 +147,10 @@ class SpillFile:
 
     def lookup(self, fingerprint: int) -> Optional[int]:
         """The check hash stored for ``fingerprint``, or None if absent."""
-        mm = self._mm
-        if mm is None:
-            return None
-        unpack = _RECORD.unpack_from
-        lo, hi = 0, self._count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rec_fp, check = unpack(mm, HEADER_SIZE + mid * RECORD_SIZE)
-            if rec_fp == fingerprint:
-                return int(check)
-            if rec_fp < fingerprint:
-                lo = mid + 1
-            else:
-                hi = mid
+        fps = self._fps
+        at = bisect_left(fps, fingerprint)
+        if at < len(fps) and fps[at] == fingerprint:
+            return self._words[2 * at + 1]
         return None
 
     def __contains__(self, fingerprint: int) -> bool:
@@ -171,43 +187,31 @@ class SpillFile:
             tmp.unlink(missing_ok=True)
             raise
         self.close()
-        self._file, self._count, self._mm = mapped
+        self._adopt(mapped)
 
     def _write(self, tmp: Path, fresh: list[tuple[int, int]]) -> None:
         """Stream the merge of the mapped records and ``fresh`` (sorted)
-        into ``tmp``, header first."""
-        old, n_old = self._mm, self._count
-        unpack = _RECORD.unpack_from
+        into ``tmp``, header first: each run of old records before a new
+        one's insertion point goes out as one slice of the mapping."""
+        fps, raw = self._fps, self._bytes
+        n_old = len(fps)
         pack = _RECORD.pack
-        written = 0
+        written = done = 0  # records out; old records copied so far
         with open(tmp, "wb") as out:
             out.write(_HEADER.pack(MAGIC, 0))  # count patched below
-            i = j = 0
-            old_fp, old_check = (unpack(old, HEADER_SIZE)
-                                 if old is not None and n_old else (0, 0))
-            while i < n_old and j < len(fresh):
-                new_fp, new_check = fresh[j]
-                if old_fp <= new_fp:
-                    out.write(pack(old_fp, old_check))
-                    written += 1
-                    if old_fp == new_fp:
-                        j += 1  # incumbent wins the tie
-                    i += 1
-                    if i < n_old:
-                        assert old is not None
-                        old_fp, old_check = unpack(
-                            old, HEADER_SIZE + i * RECORD_SIZE)
-                else:
-                    out.write(pack(new_fp, new_check))
-                    written += 1
-                    j += 1
-            while i < n_old:
-                assert old is not None
-                out.write(pack(*unpack(old, HEADER_SIZE + i * RECORD_SIZE)))
+            for fp, check in fresh:
+                at = bisect_left(fps, fp, done)
+                if at > done:
+                    out.write(raw[HEADER_SIZE + done * RECORD_SIZE:
+                                  HEADER_SIZE + at * RECORD_SIZE])
+                    written += at - done
+                    done = at
+                if at < n_old and fps[at] == fp:
+                    continue  # incumbent wins the tie
+                out.write(pack(fp, check))
                 written += 1
-                i += 1
-            for new_fp, new_check in fresh[j:]:
-                out.write(pack(new_fp, new_check))
-                written += 1
+            if done < n_old:
+                out.write(raw[HEADER_SIZE + done * RECORD_SIZE:])
+                written += n_old - done
             out.seek(0)
             out.write(_HEADER.pack(MAGIC, written))

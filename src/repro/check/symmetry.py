@@ -21,9 +21,15 @@ order gives other (equally sound) counts.
 
 The signature's pieces are rendered strings.  Each is built once per
 distinct remote node, channel queue and home environment and looked up
-after that, so a successor costs a few dictionary probes and one small
+after that.  The node's own part comes first in the signature and is
+cached on the node object, so a successor whose remotes' node parts
+already strictly increase is its own representative — the sort's own
+answer — after ``n - 1`` tuple comparisons, with no signature built
+(close to half the successors of an asynchronous ``--symmetry --por``
+sweep).  Any other successor costs a few dictionary probes and one small
 sort; a state that already is its representative is returned as is, and
-relabelling rebuilds only the parts that moved.
+relabelling rebuilds only the parts that moved.  :class:`SymmetricSystem`
+binds its level's normalizer once, at construction.
 
 The home's variables that hold remote ids (or sets of them) must be
 declared via :class:`SymmetrySpec` — the semantics cannot tell an id-typed
@@ -37,17 +43,20 @@ use reduction: their edge labels distinguish remote identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from functools import partial
+from typing import Any, Callable, Optional, Union
 
 from ..csp.env import Env, Value
 from ..errors import CheckError
 from ..semantics.asynchronous import (
     AsyncState,
+    AsyncSystem,
     BufEntry,
     HomeNode,
     RemoteNode,
 )
 from ..semantics.network import Channels, Msg
+from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import ProcState, RvState
 from .explorer import expand_state
 
@@ -112,10 +121,15 @@ class SymmetricSystem:
         self.n = inner.n_remotes
         self._queue_keys: _QueueKeys = {}
         self._home_refs: _HomeRefs = {}
-
-    def _normalize(self, state: _State) -> _State:
-        return _representative(state, self.spec, self._queue_keys,
-                               self._home_refs)
+        self._normalize: Callable[[Any], Any]
+        if isinstance(base, AsyncSystem):
+            self._normalize = partial(_normalize_async, spec,
+                                      self._queue_keys, self._home_refs)
+        elif isinstance(base, RendezvousSystem):
+            self._normalize = partial(_normalize_rv, spec, self._home_refs)
+        else:
+            raise CheckError(
+                f"cannot normalize the states of {type(base).__name__}")
 
     def initial_state(self) -> _State:
         return self._normalize(self.inner.initial_state())
@@ -142,9 +156,9 @@ def normalize(state: _State, spec: SymmetrySpec) -> _State:
 def _representative(state: _State, spec: SymmetrySpec,
                     queue_keys: _QueueKeys, home_refs: _HomeRefs) -> _State:
     if isinstance(state, AsyncState):
-        return _normalize_async(state, spec, queue_keys, home_refs)
+        return _normalize_async(spec, queue_keys, home_refs, state)
     if isinstance(state, RvState):
-        return _normalize_rv(state, spec, home_refs)
+        return _normalize_rv(spec, home_refs, state)
     raise CheckError(f"cannot normalize states of type {type(state)!r}")
 
 
@@ -165,6 +179,20 @@ def _node_key(node: Union[ProcState, RemoteNode]) -> tuple[object, ...]:
             key = (node.state, env)
         object.__setattr__(node, "_sym_cache", key)
     return key
+
+
+def _ascending(remotes: tuple[Union[ProcState, RemoteNode], ...]) -> bool:
+    """Whether the remotes' node keys strictly increase: every full sort
+    key starts with its node key, so the sort then keeps the order."""
+    prev: Optional[tuple[object, ...]] = None
+    for node in remotes:
+        key = node._sym_cache
+        if key is None:
+            key = _node_key(node)
+        if prev is not None and not prev < key:
+            return False
+        prev = key
+    return True
 
 
 def _queue_key(queue: tuple[Msg, ...], table: _QueueKeys) -> tuple[str, ...]:
@@ -215,8 +243,10 @@ def _relabel_env(env: Env, spec: SymmetrySpec,
     return env.update(changes) if changes else env
 
 
-def _normalize_rv(state: RvState, spec: SymmetrySpec,
-                  home_refs: _HomeRefs) -> RvState:
+def _normalize_rv(spec: SymmetrySpec, home_refs: _HomeRefs,
+                  state: RvState) -> RvState:
+    if _ascending(state.remotes):
+        return state
     n = len(state.remotes)
     refs = _home_refs(state.home.env, spec, n, home_refs)
     keys = [(_node_key(proc), refs[i])
@@ -232,9 +262,10 @@ def _normalize_rv(state: RvState, spec: SymmetrySpec,
                    remotes=tuple(state.remotes[old] for old in order))
 
 
-def _normalize_async(state: AsyncState, spec: SymmetrySpec,
-                     queue_keys: _QueueKeys,
-                     home_refs: _HomeRefs) -> AsyncState:
+def _normalize_async(spec: SymmetrySpec, queue_keys: _QueueKeys,
+                     home_refs: _HomeRefs, state: AsyncState) -> AsyncState:
+    if _ascending(state.remotes):
+        return state
     home = state.home
     queues = state.channels.queues
     n = len(state.remotes)

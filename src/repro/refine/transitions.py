@@ -144,6 +144,14 @@ class StepTable:
         """Request message types of ``role`` that a reply acknowledges."""
         return self._fused_requests.get(role, frozenset())
 
+    def transients(self, role: str) -> int:
+        """How many transient states ``role``'s refined machine has: one
+        per request, plain or fused.  A fused reply and a note are sent
+        without one (:class:`~repro.semantics.asynchronous.AsyncSystem`
+        sends either and moves on), so their rows count nothing."""
+        return sum(1 for s in self.specs
+                   if s.role == role and s.kind == KIND_REQUEST)
+
     # -- mutation hook (differential testing) --------------------------------
 
     def mutate(self, role: str, state: str, out_index: int,

@@ -299,8 +299,9 @@ class Step:
     state: AsyncState
     completes: tuple[RendezvousStep, ...] = ()
     sends: tuple[Msg, ...] = ()
-    #: ``(origin, delta)`` a replayed step builds its ``state`` from (and
-    #: :meth:`repro.check.por.PORSystem._invisible` reads, building nothing)
+    #: ``(origin, delta)`` a replayed step builds its ``state`` from; the
+    #: reduced sweep (:class:`repro.check.por.PORSystem`) reads the deltas
+    #: of :meth:`AsyncSystem.deltas` itself and builds no step
     _delta_cache: Optional[tuple[AsyncState, _Delta]] = memo()
 
     def __getattr__(self, name: str) -> Any:
@@ -489,10 +490,10 @@ class AsyncSystem:
     def steps(self, state: AsyncState) -> list[Step]:
         """All enabled transitions, with completion/send observables; a
         replayed step builds its successor when ``state`` is first read."""
-        return [_replayed(state, o) for o in self._outcomes(state)]
+        return [_replayed(state, o) for o in self.deltas(state)]
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
-        return [(o[0], _successor(state, o)) for o in self._outcomes(state)]
+        return [(o[0], _successor(state, o)) for o in self.deltas(state)]
 
     def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
         for step in self.steps(state):
@@ -502,8 +503,12 @@ class AsyncSystem:
 
     # -- delta replay ----------------------------------------------------------
 
-    def _outcomes(self, state: AsyncState) -> list[_Delta]:
-        """:meth:`interpret`, family by family through the memo."""
+    def deltas(self, state: AsyncState) -> list[_Delta]:
+        """:meth:`interpret`, family by family through the memo: one
+        ``(action, home, moved, ops, completes, sends)`` delta per enabled
+        step, in :meth:`interpret`'s order (remote by remote its two
+        deliveries, then the home's steps, then each remote's local
+        steps), no successor built.  :func:`_successor` applies one."""
         out: list[_Delta] = []
         memo = self._memo
         home = state.home

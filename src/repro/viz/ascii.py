@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..csp.ast import ProcessDef, ProcessKind
 from ..refine.plan import RefinedProtocol
-from ..refine.transitions import KIND_NOTE, KIND_REPLY
+from ..refine.transitions import KIND_NOTE, KIND_REPLY, build_step_table
 from .dot import ACKED, REPLY_IN, RESPONSE, TAU, UNACKED, refined_guards
 
 __all__ = ["process_ascii", "refined_ascii", "protocol_summary"]
@@ -74,10 +74,9 @@ def protocol_summary(refined: RefinedProtocol) -> str:
     proto = refined.protocol
     n_home = len(proto.home.states)
     n_remote = len(proto.remote.states)
-    transients_home = sum(len(s.outputs) for s in proto.home.states.values()
-                          if s.outputs)
-    transients_remote = sum(len(s.outputs)
-                            for s in proto.remote.states.values())
+    table = build_step_table(refined)
+    transients_home = table.transients(ProcessKind.HOME)
+    transients_remote = table.transients(ProcessKind.REMOTE)
     return (
         f"{proto.name}: home {n_home} states (+{transients_home} transient), "
         f"remote {n_remote} states (+{transients_remote} transient); "

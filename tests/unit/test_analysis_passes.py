@@ -262,6 +262,8 @@ class TestTransientPass:
         note = report.diagnostics[0]
         assert note.severity is Severity.INFO
         assert "remote" in note.message and "home" in note.message
+        # fused replies go out without a transient: Figures 4/5's count
+        assert "2 remote and 1 home transient" in note.message
 
     def test_fused_pair_without_reply_exit_is_error(self):
         # hand-assemble a plan fusing q with a reply the requester's

@@ -21,7 +21,9 @@ from repro.check.por import (
     PORSystem,
 )
 from repro.check.store import _enc
+from repro.check.symmetry import SymmetricSystem
 from repro.errors import CheckError
+from repro.protocols.symmetry import symmetry_spec_for
 from repro.semantics.asynchronous import (
     AsyncState,
     DeliverToHome,
@@ -32,7 +34,6 @@ from repro.semantics.asynchronous import (
     RemoteNode,
     RemoteSend,
     RemoteTau,
-    _replayed,
 )
 from repro.semantics.network import ACK, REQ, Channels, Msg
 from repro.semantics.state import HOME_ID
@@ -105,7 +106,7 @@ class TestActionClasses:
     delivery pops the head of home→remote(i) and pushes only to
     remote(i)→home), a home-class step never writes a remote, and
     ``sends`` is exactly what a step pushes.  The invariants preset's
-    visibility check, read off the replayed delta, agrees with the same
+    visibility check, read off the memoized delta, agrees with the same
     diff."""
 
     @pytest.mark.parametrize("name", ["migratory", "invalidate", "msi",
@@ -115,8 +116,8 @@ class TestActionClasses:
         por = PORSystem(system)
         kinds, invisible = Counter(), 0
         for state in reachable_states(system, allow_deadlock=True):
-            for step, replayed in zip(system.interpret(state),
-                                      system.steps(state), strict=True):
+            for step, delta in zip(system.interpret(state),
+                                   system.deltas(state), strict=True):
                 action = step.action
                 i = getattr(action, "remote", None)
                 nodes, pops, pushed = _touched(state, step.state)
@@ -132,7 +133,7 @@ class TestActionClasses:
                     head = state.channels.queues[_to_remote(i)][0]
                     only_buf = nodes <= {i} and _changed_fields(
                         state.remotes[i], step.state.remotes[i]) <= {"buf"}
-                    assert por._invisible(state, replayed, i) \
+                    assert por._invisible(state, delta, i) \
                         == (head.kind == REQ and only_buf), action
                     invisible += head.kind == REQ and only_buf
         # every kind is seen (migratory's home has no tau)
@@ -223,11 +224,12 @@ class TestAmpleRule:
         reduced_states = 0
         for state in reachable:
             full = mig2.steps(state)
-            ample = por.ample(state, full)
-            if ample is None:
+            chosen = por.ample(state, mig2.deltas(state))
+            if chosen is None:
                 assert por.steps(state) == full  # C0: never empties
                 continue
             reduced_states += 1
+            ample, = (step for step in full if step.action == chosen[0])
             action = ample.action
             # singleton, a delivery to a remote, from the enabled set
             assert por.steps(state) == [ample]
@@ -261,18 +263,17 @@ class TestAmpleRule:
         ``mode``), so each is pinned here on an edited delta of a real
         REQ-buffering delivery."""
         por = PORSystem(mig2)
-        state, step = next(
-            (s, st) for s in reachable for st in mig2.steps(s)
-            if isinstance(st.action, DeliverToRemote) and not st.sends
-            and st._delta_cache[1][2] is not None
-            and por._invisible(s, st, st.action.remote))
-        i = step.action.remote
-        action, home, (j, node), ops, completes, sends = step._delta_cache[1]
+        state, delta = next(
+            (s, d) for s in reachable for d in mig2.deltas(s)
+            if isinstance(d[0], DeliverToRemote) and not d[5]
+            and d[2] is not None and por._invisible(s, d, d[0].remote))
+        action, home, (j, node), ops, completes, sends = delta
+        i = action.remote
         assert home is None and j == i
 
         def invisible(home=None, moved=(i, node), at=state):
-            delta = (action, home, moved, ops, completes, sends)
-            return por._invisible(at, _replayed(at, delta), i)
+            return por._invisible(
+                at, (action, home, moved, ops, completes, sends), i)
 
         assert invisible() and invisible(moved=None)
         assert not invisible(home=dataclasses.replace(state.home,
@@ -291,13 +292,12 @@ class TestAmpleRule:
         counts = PORSystem(mig2, preserve=PRESERVE_COUNTS)
         inv = PORSystem(mig2, preserve=PRESERVE_INVARIANTS)
         for state in reachable:
-            full = mig2.steps(state)
-            inv_ample = inv.ample(state, full)
+            deltas = mig2.deltas(state)
+            inv_ample = inv.ample(state, deltas)
             if inv_ample is not None:
-                counts_ample = counts.ample(state, full)
+                counts_ample = counts.ample(state, deltas)
                 assert counts_ample is not None
-                assert counts_ample.action.remote \
-                    <= inv_ample.action.remote
+                assert counts_ample[0].remote <= inv_ample[0].remote
 
     def test_deterministic(self, mig2, reachable):
         por = PORSystem(mig2)
@@ -317,6 +317,73 @@ class TestAmpleRule:
                 saw_reduction = True
                 assert len(succs) == 1
         assert saw_reduction
+
+
+def interpreted_ample(system, state, preserve):
+    """The ample rule of :mod:`repro.check.por`'s docstring, chosen from
+    ``interpret()``'s steps and C2 read off their successors: the
+    reference :meth:`PORSystem.ample` is held to."""
+    steps = system.interpret(state)
+    if len(steps) < 2:
+        return None
+    local = {step.action.remote for step in steps
+             if isinstance(step.action, (RemoteSend, RemoteC3, RemoteTau))}
+    deliveries = sorted((step for step in steps
+                         if isinstance(step.action, DeliverToRemote)),
+                        key=lambda step: step.action.remote)
+    for step in deliveries:
+        i = step.action.remote
+        if i in local or step.sends:
+            continue
+        if preserve == PRESERVE_INVARIANTS:
+            nodes, _, _ = _touched(state, step.state)
+            head = state.channels.queues[_to_remote(i)][0]
+            if not (head.kind == REQ and nodes <= {i} and _changed_fields(
+                    state.remotes[i], step.state.remotes[i]) <= {"buf"}):
+                continue
+        return step
+    return None
+
+
+#: states of each budgeted sweep at n = 3
+SWEEP_BUDGET = 3000
+
+
+class TestDeltaAmpleMatchesInterpretedSteps:
+    """The ample set read off the memoized deltas is the one the rule
+    picks from ``interpret()``'s steps, and :meth:`PORSystem.expand`
+    builds exactly its successors, on every state of a budgeted
+    ``--symmetry --por`` sweep of each library protocol at n = 3 — and
+    of the ``--symmetry`` sweep, whose states offer the rule several
+    candidate deliveries more often (a reduced sweep takes the first
+    one as soon as it appears)."""
+
+    @pytest.mark.parametrize("preserve",
+                             [PRESERVE_COUNTS, PRESERVE_INVARIANTS])
+    @pytest.mark.parametrize("name", ["migratory", "invalidate", "msi",
+                                      "mesi"])
+    def test_same_ample_and_successors(self, name, preserve, request):
+        system = AsyncSystem(request.getfixturevalue(f"{name}_refined"), 3)
+        por = PORSystem(system, preserve=preserve)
+        spec = symmetry_spec_for(name)
+        states = [state for swept in (SymmetricSystem(por, spec),
+                                      SymmetricSystem(system, spec))
+                  for state in reachable_states(
+                      swept, max_states=SWEEP_BUDGET, allow_deadlock=True)]
+        reduced = 0
+        for state in states:
+            reference = interpreted_ample(system, state, preserve)
+            chosen = por.ample(state, system.deltas(state))
+            assert (chosen is None) == (reference is None)
+            full = system.interpret(state)
+            kept = full if reference is None else [reference]
+            succs, enabled = por.expand(state)
+            assert enabled == len(full)
+            assert succs == [(step.action, step.state) for step in kept]
+            if reference is not None:
+                assert chosen[0] == reference.action
+                reduced += 1
+        assert reduced  # the rule fires on every protocol
 
 
 class TestConstruction:

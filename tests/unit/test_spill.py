@@ -58,7 +58,7 @@ class TestRoundTrip:
         spill.close()
         # the sorted order is the file's, not an iterator's: read it raw
         raw = path.read_bytes()[HEADER_SIZE:]
-        assert [fp for fp, _check in struct.iter_unpack(">QQ", raw)] \
+        assert [fp for fp, _check in struct.iter_unpack("=QQ", raw)] \
             == [1, 3, 5, 7, 9]
 
     def test_pairs_merge_like_a_dict(self, tmp_path):
@@ -146,7 +146,7 @@ class TestCorruption:
         spill.merge({1: 10})
         spill.close()
         raw = path.read_bytes()
-        magic, count = struct.unpack_from(">8sQ", raw)
+        magic, count = struct.unpack_from("=8sQ", raw)
         assert magic == MAGIC and count == 1
 
 

@@ -1,5 +1,7 @@
 """Unit tests for symmetry reduction (repro.check.symmetry)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -7,7 +9,8 @@ from repro import (
     RendezvousSystem,
     explore,
 )
-from repro.check.por import PORSystem
+from repro.check import symmetry
+from repro.check.por import PRESERVE_COUNTS, PRESERVE_INVARIANTS, PORSystem
 from repro.check.symmetry import SymmetricSystem, SymmetrySpec, normalize
 from repro.errors import CheckError
 from repro.protocols.symmetry import (
@@ -16,6 +19,7 @@ from repro.protocols.symmetry import (
     MSI_SYMMETRY,
     symmetry_spec_for,
 )
+from repro.semantics.network import REQ, Channels, Msg
 from tests.conftest import reachable_states
 
 
@@ -150,6 +154,16 @@ class TestSpecValidation:
             with pytest.raises(CheckError, match="'ownr'"):
                 SymmetricSystem(inner, typo)
 
+    def test_unknown_system_rejected(self, migratory):
+        """The normalizer is bound once, by the unwrapped system's class."""
+        class Other:
+            protocol = migratory
+            n_remotes = 2
+
+        with pytest.raises(CheckError, match="cannot normalize the states "
+                           "of Other"):
+            SymmetricSystem(Other(), MIGRATORY_SYMMETRY)
+
     def test_every_missing_name_is_listed(self, migratory):
         spec = SymmetrySpec(id_vars=frozenset({"o", "ownr"}),
                             set_vars=frozenset({"S"}))
@@ -157,3 +171,91 @@ class TestSpecValidation:
             SymmetricSystem(RendezvousSystem(migratory, 2), spec)
         assert "'S'" in str(err.value) and "'ownr'" in str(err.value)
         assert "'o'" not in str(err.value)
+
+
+#: states of each budgeted sweep at n = 3
+SWEEP_BUDGET = 3000
+PROTOCOLS = ["migratory", "invalidate", "msi", "mesi"]
+
+
+def _full_sort(monkeypatch, system, state):
+    """``system``'s normalizer on ``state`` with the early return off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_ascending", lambda remotes: False)
+        return system._normalize(state)
+
+
+def _agrees_with_full_sort(monkeypatch, system, successors):
+    """Each successor's representative equals the full sort's, and a
+    successor whose node keys strictly increase is returned as is — the
+    very object the full sort returns.  How many returned early."""
+    early = 0
+    for nxt in successors:
+        fast = system._normalize(nxt)
+        full = _full_sort(monkeypatch, system, nxt)
+        assert fast == full
+        if symmetry._ascending(nxt.remotes):
+            assert fast is nxt and full is nxt
+            early += 1
+    return early
+
+
+class TestSortedRemotesReturnEarly:
+    """Both normalizers return a state whose remotes' node keys strictly
+    increase as is; the full sort must agree on every successor of every
+    state of a budgeted sweep of each library protocol at n = 3."""
+
+    @pytest.mark.parametrize("preserve",
+                             [PRESERVE_COUNTS, PRESERVE_INVARIANTS])
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_async_sym_por_sweep(self, name, preserve, request,
+                                 monkeypatch):
+        por = PORSystem(
+            AsyncSystem(request.getfixturevalue(f"{name}_refined"), 3),
+            preserve=preserve)
+        system = SymmetricSystem(por, symmetry_spec_for(name))
+        early = 0
+        for state in reachable_states(system, max_states=SWEEP_BUDGET,
+                                      allow_deadlock=True):
+            early += _agrees_with_full_sort(monkeypatch, system,
+                                            [nxt for _, nxt in
+                                             por.expand(state)[0]])
+        assert early
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_rendezvous_sweep(self, name, request, monkeypatch):
+        inner = RendezvousSystem(request.getfixturevalue(name), 3)
+        system = SymmetricSystem(inner, symmetry_spec_for(name))
+        early = 0
+        for state in reachable_states(system, max_states=SWEEP_BUDGET,
+                                      allow_deadlock=True):
+            early += _agrees_with_full_sort(monkeypatch, system,
+                                            [nxt for _, nxt in
+                                             inner.successors(state)])
+        assert early
+
+    def test_tied_async_node_keys_take_the_full_sort(self,
+                                                     migratory_refined):
+        """Two equal idle remotes, only remote 0 with a request in
+        flight to it: the node keys tie, the channel part orders them."""
+        state = AsyncSystem(migratory_refined, 2).initial_state()
+        queues = list(state.channels.queues)
+        queues[Channels.to_remote(0)] = (Msg(REQ, "inv"),)
+        state = state.with_channels(Channels(tuple(queues)))
+        assert not symmetry._ascending(state.remotes)
+        rep = normalize(state, MIGRATORY_SYMMETRY)
+        assert rep is not state
+        assert rep.channels.queues[Channels.to_remote(1)] \
+            == (Msg(REQ, "inv"),)
+        assert rep.channels.queues[Channels.to_remote(0)] == ()
+
+    def test_tied_rendezvous_node_keys_take_the_full_sort(self, migratory):
+        """Two equal remotes, the home's owner variable naming remote 0:
+        the node keys tie, the home's reference orders them."""
+        state = RendezvousSystem(migratory, 2).initial_state()
+        home = replace(state.home, env=state.home.env.update({"o": 0}))
+        state = replace(state, home=home)
+        assert not symmetry._ascending(state.remotes)
+        rep = normalize(state, MIGRATORY_SYMMETRY)
+        assert rep is not state
+        assert rep.home.env["o"] == 1

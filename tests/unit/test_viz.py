@@ -90,5 +90,5 @@ class TestAscii:
 
     def test_summary_counts_transients(self, migratory_refined):
         text = protocol_summary(migratory_refined)
-        assert "home 6 states (+3 transient)" in text
-        assert "remote 5 states (+3 transient)" in text
+        assert "home 6 states (+1 transient)" in text
+        assert "remote 5 states (+2 transient)" in text
