@@ -95,8 +95,11 @@ The rule reads nothing but the inner system's memoized deltas
 of each, the ``sends`` of the candidate deliveries, and for the
 invariants preset the candidate's own delta.  :meth:`PORSystem.expand`
 then builds only the successors it keeps — one at a reduced state —
-with :func:`~repro.semantics.asynchronous._successor`, and builds no
-:class:`~repro.semantics.asynchronous.Step` at all.
+with :func:`~repro.semantics.asynchronous.successor`, and builds no
+:class:`~repro.semantics.asynchronous.Step` at all.  The delta's fields
+are read by name (``delta.action``, ``delta.sends``).
+:meth:`PORSystem.steps` builds a whole step, successor included, for
+each delta it keeps.
 """
 
 from __future__ import annotations
@@ -110,13 +113,12 @@ from ..semantics.asynchronous import (
     AsyncState,
     AsyncSystem,
     DeliverToRemote,
+    Delta,
     RemoteC3,
     RemoteSend,
     RemoteTau,
     Step,
-    _Delta,
-    _replayed,
-    _successor,
+    successor,
 )
 from ..semantics.network import REQ, Channels
 
@@ -174,7 +176,7 @@ class PORSystem:
         """The ample subset of the inner system's enabled steps."""
         deltas = self.inner.deltas(state)
         ample = self.ample(state, deltas)
-        return [_replayed(state, d)
+        return [Step(d.action, successor(state, d), d.completes, d.sends)
                 for d in (deltas if ample is None else (ample,))]
 
     def successors(self, state: AsyncState,
@@ -187,30 +189,30 @@ class PORSystem:
         deltas = self.inner.deltas(state)
         ample = self.ample(state, deltas)
         if ample is not None:
-            return [(ample[0], _successor(state, ample))], len(deltas)
-        return [(d[0], _successor(state, d)) for d in deltas], len(deltas)
+            return [(ample.action, successor(state, ample))], len(deltas)
+        return [(d.action, successor(state, d)) for d in deltas], len(deltas)
 
     # -- the ample rule ------------------------------------------------------
 
     def ample(self, state: AsyncState,
-              deltas: list[_Delta]) -> Optional[_Delta]:
+              deltas: list[Delta]) -> Optional[Delta]:
         """The ample step's delta among ``state``'s enabled ``deltas``
         (:meth:`AsyncSystem.deltas`), or None for full expansion."""
         if len(deltas) < 2:
             return None
         local: set[int] = set()
-        deliveries: list[_Delta] = []  # by ascending remote: deltas' order
+        deliveries: list[Delta] = []  # by ascending remote: deltas' order
         for delta in deltas:
-            action = delta[0]
+            action = delta.action
             if type(action) is DeliverToRemote:
                 deliveries.append(delta)
             elif isinstance(action, _LOCAL):
                 local.add(action.remote)
         for delta in deliveries:
-            i = delta[0].remote
+            i = delta.action.remote
             if i in local:
                 continue  # not the sole enabled P(i) step
-            if delta[5]:
+            if delta.sends:
                 continue  # sends: a NACK retransmit pushes a channel tail
             if (self.preserve == PRESERVE_INVARIANTS
                     and not self._invisible(state, delta, i)):
@@ -218,18 +220,17 @@ class PORSystem:
             return delta
         return None
 
-    def _invisible(self, state: AsyncState, delta: _Delta, i: int) -> bool:
+    def _invisible(self, state: AsyncState, delta: Delta, i: int) -> bool:
         """C2 for the invariant-preserving preset: a REQ pop whose only
         write is remote ``i``'s ``buf`` (REQ buffering / T3 drop), read
         off the step's memoized delta — no successor is built."""
         if state.channels.queues[Channels.to_remote(i)][0].kind != REQ:
             return False
-        _action, home, moved, _ops, _completes, _sends = delta
-        if home is not None:
+        if delta.home is not None:
             return False
-        if moved is None:
+        if delta.moved is None:
             return True
-        j, node = moved
+        j, node = delta.moved
         # the dataclass ``==`` compares exactly the ``fields_of`` tuple
         return j == i and replace(node, buf=state.remotes[i].buf) \
             == state.remotes[i]

@@ -465,14 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-progress-buffer", action="store_true",
                        help="ablation: drop the progress-buffer reservation")
 
-    def common(p, default_nodes=2):
+    def common(p, default_nodes=2, budgets=True):
+        """A protocol, its node count and refinement flags, and with
+        ``budgets`` the state and time budgets of a sweep."""
         p.add_argument("protocol", choices=sorted(PROTOCOLS))
-        p.add_argument("-n", "--nodes", type=int, default=default_nodes)
+        p.add_argument("-n", "--nodes", type=_positive_int,
+                       default=default_nodes)
         refinement_flags(p)
-        p.add_argument("--budget", type=_positive_int, default=None,
-                       help="state budget (emulates a memory cap)")
-        p.add_argument("--timeout", type=_positive_float, default=None,
-                       help="wall-clock budget in seconds")
+        if budgets:
+            p.add_argument("--budget", type=_positive_int, default=None,
+                           help="state budget (emulates a memory cap)")
+            p.add_argument("--timeout", type=_positive_float, default=None,
+                           help="wall-clock budget in seconds")
 
     def sweep_flags(p):
         """The flags of the one sweep behind ``check`` and ``verify``."""
@@ -640,14 +644,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_paramverify)
 
     p = sub.add_parser("refine", help="show the refinement result")
-    common(p)
+    p.add_argument("protocol", choices=sorted(PROTOCOLS))
+    refinement_flags(p)
     p.add_argument("--figures", action="store_true",
                    help="also print the rendezvous machines (Figures 2-3)")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("simulate", help="run the discrete-event simulator")
-    common(p, default_nodes=8)
+    common(p, default_nodes=8, budgets=False)
     p.add_argument("--workload", choices=["synthetic", "hot"],
                    default="synthetic")
     p.add_argument("--until", type=_finite_positive_float,
@@ -674,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pool", help="multi-line shared-buffer-pool study "
                                     "(paper section 6)")
-    common(p, default_nodes=8)
+    common(p, default_nodes=8, budgets=False)
     p.add_argument("--lines", type=_positive_int, default=32,
                    help="number of concurrently simulated lines")
     p.add_argument("--until", type=_finite_positive_float,

@@ -131,7 +131,10 @@ def _gate_on_certificate(refined: RefinedProtocol) -> None:
 
 def _check_fire_and_forget(protocol: Protocol, config: RefinementConfig,
                            fused: tuple[FusedPair, ...]) -> None:
-    """Fire-and-forget annotations must name real, un-fused message types."""
+    """Fire-and-forget annotations must name real, un-fused message types.
+
+    One the remote receives is the transient pass's P3402, which
+    :func:`_gate_on_certificate` raises."""
     if not config.fire_and_forget:
         return
     known = protocol.message_types
@@ -145,8 +148,3 @@ def _check_fire_and_forget(protocol: Protocol, config: RefinementConfig,
             raise RefinementError(
                 f"message {msg!r} cannot be both fire-and-forget and part "
                 "of a fused request/reply pair")
-        if msg in protocol.remote.input_msgs:
-            raise RefinementError(
-                f"fire-and-forget message {msg!r} is received by the remote "
-                "node; only remote-to-home notifications can skip the "
-                "handshake (the home's buffer absorbs them)")

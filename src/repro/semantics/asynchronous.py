@@ -42,13 +42,13 @@ given the local view, as in a real protocol implementation; all remaining
 nondeterminism — message delivery interleaving and autonomous tau choices —
 is enumerated by :meth:`AsyncSystem.successors`, which is what the model
 checker explores.  The discrete-event simulator drives the same transition
-core through :meth:`AsyncSystem.steps`.
+core through :meth:`AsyncSystem.deltas`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterator, NamedTuple, Optional
 
 from ..csp.ast import Input, Output, ProcessDef, ProcessKind, Protocol, StateDef
 from ..csp.env import Env, Value
@@ -81,6 +81,8 @@ __all__ = [
     "RemoteTau",
     "AsyncAction",
     "Step",
+    "Delta",
+    "successor",
     "AsyncSystem",
 ]
 
@@ -288,29 +290,15 @@ class Step:
     moment its second party commits).  ``sends`` lists messages injected
     into the network by this step, for message-count metrics.
 
-    A step :meth:`AsyncSystem.steps` replays holds its origin state and
-    memoized delta (``_delta_cache``) and builds ``state`` when it is
-    first read, then keeps it: a caller that takes one step of many
-    builds one successor.  ``==`` and ``repr`` read ``state`` like any
-    other field.
+    :meth:`AsyncSystem.interpret` builds these directly from the tables;
+    :meth:`AsyncSystem.steps` builds the same records from the memoized
+    :class:`Delta` records, which the sweeps and the simulator read.
     """
 
     action: AsyncAction
     state: AsyncState
     completes: tuple[RendezvousStep, ...] = ()
     sends: tuple[Msg, ...] = ()
-    #: ``(origin, delta)`` a replayed step builds its ``state`` from; the
-    #: reduced sweep (:class:`repro.check.por.PORSystem`) reads the deltas
-    #: of :meth:`AsyncSystem.deltas` itself and builds no step
-    _delta_cache: Optional[tuple[AsyncState, _Delta]] = memo()
-
-    def __getattr__(self, name: str) -> Any:
-        # reached only through an unset slot: a replayed step's ``state``
-        if name != "state":
-            raise AttributeError(f"'Step' object has no attribute {name!r}")
-        nxt = _successor(*self._delta_cache)
-        _set_state(self, nxt)
-        return nxt
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +306,28 @@ class Step:
 # ---------------------------------------------------------------------------
 
 
-#: One channel's change, as :meth:`Channels.replay` takes it.
+#: One channel's change, as :meth:`Channels.replay` takes it:
+#: ``(channel, messages popped off its head, messages pushed on its tail)``.
 _ChannelOp = tuple[int, int, tuple[Msg, ...]]
-#: One memoized step: ``(action, new home | None, (j, new remote) | None,
-#: channel ops, completes, sends)``.
-_Delta = tuple[AsyncAction, Optional[HomeNode],
-               Optional[tuple[int, RemoteNode]], tuple[_ChannelOp, ...],
-               tuple[RendezvousStep, ...], tuple[Msg, ...]]
+
+
+class Delta(NamedTuple):
+    """One enabled step as the nodes and channel ends it writes — the
+    record :meth:`AsyncSystem.deltas` memoizes and :func:`successor`
+    applies.
+
+    ``home`` is the home's new node (None: unchanged), ``moved`` the
+    ``(j, new node)`` of the one remote it rewrites (None: none), and
+    ``ops`` its channel changes in ascending channel order.  ``completes``
+    and ``sends`` are :class:`Step`'s observables.
+    """
+
+    action: AsyncAction
+    home: Optional[HomeNode]
+    moved: Optional[tuple[int, RemoteNode]]
+    ops: tuple[_ChannelOp, ...]
+    completes: tuple[RendezvousStep, ...]
+    sends: tuple[Msg, ...]
 
 
 def _channel_ops(old: tuple[tuple[Msg, ...], ...],
@@ -346,10 +349,9 @@ def _channel_ops(old: tuple[tuple[Msg, ...], ...],
     return tuple(ops)
 
 
-def _successor(state: AsyncState, delta: _Delta) -> AsyncState:
-    """``state`` after one memoized step — the one place a delta is
-    applied, for :meth:`AsyncSystem.successors` and for a replayed
-    :class:`Step`'s ``state``."""
+def successor(state: AsyncState, delta: Delta) -> AsyncState:
+    """``state`` after the step ``delta`` records — the one place a delta
+    is applied."""
     _action, home, moved, ops, _completes, _sends = delta
     remotes = state.remotes
     if moved is not None:
@@ -359,28 +361,8 @@ def _successor(state: AsyncState, delta: _Delta) -> AsyncState:
                       state.channels.replay(ops) if ops else state.channels)
 
 
-#: :class:`Step`'s slot setters: ``steps()`` fills four slots per step, and
-#: a slot's own setter costs half of ``object.__setattr__`` (no name lookup)
-_set_action = Step.action.__set__
-_set_state = Step.state.__set__
-_set_completes = Step.completes.__set__
-_set_sends = Step.sends.__set__
-_set_delta = Step._delta_cache.__set__
-
-
-def _replayed(state: AsyncState, delta: _Delta) -> Step:
-    """The :class:`Step` of ``delta`` at ``state``, its successor unbuilt
-    (``state`` stays an unset slot until :meth:`Step.__getattr__`)."""
-    step = object.__new__(Step)
-    _set_action(step, delta[0])
-    _set_completes(step, delta[4])
-    _set_sends(step, delta[5])
-    _set_delta(step, (state, delta))
-    return step
-
-
 def _deltas(state: AsyncState, owner: ProcId,
-            steps: list[Step]) -> Optional[tuple[_Delta, ...]]:
+            steps: list[Step]) -> Optional[tuple[Delta, ...]]:
     """The steps of one family at ``state`` as replayable deltas.
 
     None unless every step rewrites only the node its memo key holds
@@ -404,8 +386,8 @@ def _deltas(state: AsyncState, owner: ProcId,
                 return None
         elif home is not None or any(j != owner for j, _ in moved):
             return None
-        out.append((step.action, home, moved[0] if moved else None, ops,
-                    step.completes, step.sends))
+        out.append(Delta(step.action, home, moved[0] if moved else None,
+                         ops, step.completes, step.sends))
     return tuple(out)
 
 
@@ -423,10 +405,11 @@ class AsyncSystem:
     * ``home`` for the home's decision and taus, ``(i, remote)`` for
       remote ``i``'s local steps
 
-    — and is recorded once per key as the replaced node plus channel
-    pops and pushes (:func:`_deltas`).  :meth:`successors` applies each
-    delta at once (:func:`_successor`); :meth:`steps` hands it to its
-    :class:`Step`, which applies it when its ``state`` is first read.
+    — and is recorded once per key as a :class:`Delta`: the replaced
+    node plus channel pops and pushes (:func:`_deltas`).  A caller that
+    takes one step of many reads :meth:`deltas` and builds one
+    successor (:func:`successor`): the simulator, :meth:`apply`, POR's
+    ample step.  :meth:`successors` and :meth:`steps` build every one.
     The memo belongs to the instance
     (the table, the plan and ``n_remotes`` are part of what a key means)
     and holds nodes and messages only, never a state or a
@@ -456,7 +439,7 @@ class AsyncSystem:
         self._reply_of = self.table.reply_of
         self._remote_fused = self.table.fused_requests(ProcessKind.REMOTE)
         self._home_fused = self.table.fused_requests(ProcessKind.HOME)
-        self._memo: dict[Any, tuple[_Delta, ...]] = {}
+        self._memo: dict[Any, tuple[Delta, ...]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -488,28 +471,28 @@ class AsyncSystem:
         return out
 
     def steps(self, state: AsyncState) -> list[Step]:
-        """All enabled transitions, with completion/send observables; a
-        replayed step builds its successor when ``state`` is first read."""
-        return [_replayed(state, o) for o in self.deltas(state)]
+        """All enabled transitions, with completion/send observables."""
+        return [Step(d.action, successor(state, d), d.completes, d.sends)
+                for d in self.deltas(state)]
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
-        return [(o[0], _successor(state, o)) for o in self.deltas(state)]
+        return [(d.action, successor(state, d)) for d in self.deltas(state)]
 
     def apply(self, state: AsyncState, action: AsyncAction) -> AsyncState:
-        for step in self.steps(state):
-            if step.action == action:
-                return step.state
+        for delta in self.deltas(state):
+            if delta.action == action:
+                return successor(state, delta)
         raise SemanticsError(f"action {action!r} not enabled")
 
     # -- delta replay ----------------------------------------------------------
 
-    def deltas(self, state: AsyncState) -> list[_Delta]:
+    def deltas(self, state: AsyncState) -> list[Delta]:
         """:meth:`interpret`, family by family through the memo: one
-        ``(action, home, moved, ops, completes, sends)`` delta per enabled
-        step, in :meth:`interpret`'s order (remote by remote its two
-        deliveries, then the home's steps, then each remote's local
-        steps), no successor built.  :func:`_successor` applies one."""
-        out: list[_Delta] = []
+        :class:`Delta` per enabled step, in :meth:`interpret`'s order
+        (remote by remote its two deliveries, then the home's steps, then
+        each remote's local steps), no successor built.
+        :func:`successor` applies one."""
+        out: list[Delta] = []
         memo = self._memo
         home = state.home
         remotes = state.remotes
@@ -549,7 +532,7 @@ class AsyncSystem:
         return out
 
     def _learn(self, key: Any, state: AsyncState, owner: ProcId,
-               steps: list[Step]) -> tuple[_Delta, ...]:
+               steps: list[Step]) -> tuple[Delta, ...]:
         """Memoize one interpreted family and return its deltas; a family
         :func:`_deltas` cannot express is a :class:`SemanticsError`."""
         family = _deltas(state, owner, steps)

@@ -4,7 +4,7 @@ from .engine import Simulator
 from .metrics import SimMetrics, jain_index
 from .oracle import CoherenceOracle, StarvationOracle
 from .pool import PoolReport, simulate_pool
-from .trace import TraceEvent, derive_message_events
+from .trace import TraceEvent, message_event
 from .policy import (
     AccessClass,
     GatedOption,
@@ -24,7 +24,7 @@ __all__ = [
     "PoolReport",
     "simulate_pool",
     "TraceEvent",
-    "derive_message_events",
+    "message_event",
     "GatedOption",
     "HotLineWorkload",
     "INVALIDATE_WORKLOAD",

@@ -14,10 +14,12 @@ The simulator reuses the exact transition core the model checker verifies
 is by construction a timed scheduling of verified behaviour — nondeterminism
 is *resolved*, never re-implemented.
 
-It asks :meth:`~repro.semantics.asynchronous.AsyncSystem.steps` once per
+It asks :meth:`~repro.semantics.asynchronous.AsyncSystem.deltas` once per
 state it reaches (events, eager settlement and the workload share that
-list; taking a step drops it), and a step builds its successor only when
-its ``state`` is read: of many enabled steps, only the one taken is built.
+list; taking a step drops it) and builds only the successor it takes.
+The taken :class:`~repro.semantics.asynchronous.Delta` says the rest:
+its ``moved`` remote is the one whose gate goes stale, its ``ops`` the
+channels to schedule and the messages sent.
 
 Typical use::
 
@@ -44,12 +46,13 @@ from ..semantics.asynchronous import (
     AsyncSystem,
     DeliverToHome,
     DeliverToRemote,
+    Delta,
     HomeStep,
     HomeTau,
     RemoteC3,
     RemoteSend,
     RemoteTau,
-    Step,
+    successor,
 )
 from ..semantics.network import Channels
 from .metrics import SimMetrics
@@ -102,9 +105,9 @@ class Simulator:
         #: message-level event log (see :mod:`repro.sim.trace`)
         self.trace: list = []
         self.state: AsyncState = self.system.initial_state()
-        #: ``system.steps(self.state)``, asked for once; :meth:`_apply`
+        #: ``system.deltas(self.state)``, asked for once; :meth:`_apply`
         #: drops it with the state it belongs to
-        self._steps: Optional[list[Step]] = None
+        self._deltas: Optional[list[Delta]] = None
         self.now = 0.0
         self.metrics = SimMetrics(n_remotes=n_remotes)
 
@@ -140,12 +143,12 @@ class Simulator:
         self.metrics.end_time = self.now
         return self.metrics
 
-    def _enabled(self) -> list[Step]:
-        """The current state's steps — one ``steps()`` call per state,
+    def _enabled(self) -> list[Delta]:
+        """The current state's deltas — one ``deltas()`` call per state,
         shared by every event and workload query until :meth:`_apply`."""
-        if self._steps is None:
-            self._steps = self.system.steps(self.state)
-        return self._steps
+        if self._deltas is None:
+            self._deltas = self.system.deltas(self.state)
+        return self._deltas
 
     # -- event firing -----------------------------------------------------------
 
@@ -154,9 +157,9 @@ class Simulator:
         remote, to_remote = divmod(channel, 2)
         wanted = (DeliverToHome(remote=remote) if to_remote
                   else DeliverToRemote(remote=remote))
-        for step in self._enabled():
-            if step.action == wanted:
-                self._apply(step)
+        for delta in self._enabled():
+            if delta.action == wanted:
+                self._apply(delta)
                 return
         raise SimulationError(
             f"scheduled delivery on channel {channel} has no matching "
@@ -167,21 +170,21 @@ class Simulator:
         self._gate_pending[remote] = False
         if epoch != self._gate_epoch[remote]:
             return  # the node moved on; the workload will be re-consulted
-        for step in self._enabled():
-            if self._gate_matches(step, remote, kind, label):
+        for delta in self._enabled():
+            if self._gate_matches(delta, remote, kind, label):
                 node_state = self.state.remotes[remote].state
                 access = self.spec.classify(node_state, kind, label)
                 if access in _ACQUIRE_CLASSES:
                     self._outstanding_acquire.setdefault(remote, self.now)
-                self._apply(step)
+                self._apply(delta)
                 return
         # option vanished between scheduling and firing (e.g. an inv
         # arrived); drop silently — _settle reconsults the workload.
 
     @staticmethod
-    def _gate_matches(step: Step, remote: int, kind: str,
+    def _gate_matches(delta: Delta, remote: int, kind: str,
                       label: Optional[str]) -> bool:
-        action = step.action
+        action = delta.action
         if kind == SEND:
             return isinstance(action, RemoteSend) and action.remote == remote
         return (isinstance(action, RemoteTau) and action.remote == remote
@@ -189,34 +192,43 @@ class Simulator:
 
     # -- applying steps and eager settlement ----------------------------------
 
-    def _apply(self, step: Step) -> None:
+    def _apply(self, delta: Delta) -> None:
         before = self.state
-        self.state = step.state
-        self._steps = None
-        self.metrics.record_sends(self.now, step.sends)
-        self.metrics.record_completions(self.now, step.completes)
+        self.state = successor(before, delta)
+        self._deltas = None
+        self.metrics.record_sends(self.now, delta.sends)
+        self.metrics.record_completions(self.now, delta.completes)
         self.metrics.record_buffer(self.now, self.state.home.buffer)
         for oracle in self.oracles:
-            for rendezvous in step.completes:
+            for rendezvous in delta.completes:
                 oracle.observe(self.now, rendezvous)
         if self.record_trace:
-            self._record_trace(before, step)
-        self._track_acquires(step)
-        self._bump_epochs(before, self.state)
-        self._schedule_new_deliveries(before)
+            self._record_trace(before, delta)
+        self._track_acquires(delta)
+        if delta.moved is not None:
+            i, node = delta.moved
+            old = before.remotes[i]
+            if (old.state, old.mode) != (node.state, node.mode):
+                self._gate_epoch[i] += 1
+                self._gate_pending[i] = False
+        self._schedule_deliveries(delta)
 
-    def _record_trace(self, before: AsyncState, step: Step) -> None:
+    def _record_trace(self, before: AsyncState, delta: Delta) -> None:
         from ..semantics.state import HOME_ID
-        from .trace import TraceEvent, derive_message_events
+        from .trace import TraceEvent, message_event
 
-        popped = None
-        if isinstance(step.action, DeliverToRemote):
-            popped = Channels.to_remote(step.action.remote)
-        elif isinstance(step.action, DeliverToHome):
-            popped = Channels.to_home(step.action.remote)
-        self.trace.extend(derive_message_events(
-            self.now, before.channels, step.state.channels, popped))
-        for rendezvous in step.completes:
+        action = delta.action
+        if isinstance(action, (DeliverToRemote, DeliverToHome)):
+            popped = (Channels.to_remote if isinstance(action, DeliverToRemote)
+                      else Channels.to_home)(action.remote)
+            self.trace.append(message_event(
+                self.now, "deliver", popped,
+                before.channels.queues[popped][0]))
+        for channel, _popped, pushed in delta.ops:
+            for message in pushed:
+                self.trace.append(message_event(self.now, "send", channel,
+                                                message))
+        for rendezvous in delta.completes:
             active = ("h" if rendezvous.active == HOME_ID
                       else f"r{rendezvous.active}")
             passive = ("h" if rendezvous.passive == HOME_ID
@@ -225,8 +237,8 @@ class Simulator:
                 time=self.now, kind="complete", src=active, dst=passive,
                 label=rendezvous.msg, payload=rendezvous.payload))
 
-    def _track_acquires(self, step: Step) -> None:
-        for rendezvous in step.completes:
+    def _track_acquires(self, delta: Delta) -> None:
+        for rendezvous in delta.completes:
             if rendezvous.msg not in self.spec.acquire_complete_msgs:
                 continue
             remote = rendezvous.remote
@@ -234,12 +246,12 @@ class Simulator:
             if issued is not None:
                 self.metrics.record_latency(self.now - issued)
 
-    def _schedule_new_deliveries(self, before: AsyncState) -> None:
-        old = before.channels.queues
-        for channel, queue in enumerate(self.state.channels.queues):
-            if queue is old[channel]:
-                continue  # an untouched channel is scheduled already
-            while self._scheduled[channel] < len(queue):
+    def _schedule_deliveries(self, delta: Delta) -> None:
+        """Schedule what ``delta`` pushed (every other channel is
+        scheduled already), by ascending channel."""
+        queues = self.state.channels.queues
+        for channel, _popped, _pushed in delta.ops:
+            while self._scheduled[channel] < len(queues[channel]):
                 delay = self.latency + self._rng.uniform(
                     0, self.latency_jitter)
                 when = max(self.now + delay,
@@ -252,31 +264,31 @@ class Simulator:
     def _settle(self) -> None:
         """Run all eager protocol steps, then consult the workload."""
         for _ in range(_CASCADE_LIMIT):
-            step = self._next_eager_step()
-            if step is None:
+            delta = self._next_eager_step()
+            if delta is None:
                 break
-            self._apply(step)
+            self._apply(delta)
         else:
             raise SimulationError(
                 "protocol did not quiesce within the cascade limit; "
                 "suspected zero-time logic loop")
         self._consult_workload()
 
-    def _next_eager_step(self) -> Optional[Step]:
-        for step in self._enabled():
-            action = step.action
+    def _next_eager_step(self) -> Optional[Delta]:
+        for delta in self._enabled():
+            action = delta.action
             if isinstance(action, (DeliverToHome, DeliverToRemote)):
                 continue  # timed, goes through the heap
             if isinstance(action, (HomeStep, HomeTau, RemoteC3)):
-                return step
+                return delta
             if isinstance(action, RemoteSend):
                 node = self.state.remotes[action.remote].state
                 if self.spec.classify(node, SEND, None) is None:
-                    return step  # protocol-internal send (e.g. LR after evict)
+                    return delta  # protocol-internal send (e.g. LR after evict)
             elif isinstance(action, RemoteTau):
                 node = self.state.remotes[action.remote].state
                 if self.spec.classify(node, TAU, action.label) is None:
-                    return step
+                    return delta
         return None
 
     def _consult_workload(self) -> None:
@@ -299,11 +311,11 @@ class Simulator:
 
     def _gated_options(self) -> list[list[GatedOption]]:
         """Every remote's workload-gated options, in step order, from one
-        pass over the current steps."""
+        pass over the current deltas."""
         options: list[list[GatedOption]] = [[] for _ in range(self.n_remotes)]
         remotes = self.state.remotes
-        for step in self._enabled():
-            action = step.action
+        for delta in self._enabled():
+            action = delta.action
             if isinstance(action, RemoteSend):
                 kind, label = SEND, None
             elif isinstance(action, RemoteTau):
@@ -318,12 +330,3 @@ class Simulator:
                     remote=i, kind=kind, state=node.state, label=label,
                     access_class=access))
         return options
-
-    # -- bookkeeping hooks used by _fire_gate / state changes --------------------
-
-    def _bump_epochs(self, before: AsyncState, after: AsyncState) -> None:
-        for i, (old, new) in enumerate(zip(before.remotes, after.remotes)):
-            if old is not new and (old.state, old.mode) != (new.state,
-                                                             new.mode):
-                self._gate_epoch[i] += 1
-                self._gate_pending[i] = False

@@ -3,10 +3,11 @@
 When a :class:`~repro.sim.engine.Simulator` is constructed with
 ``record_trace=True`` it keeps a :class:`TraceEvent` per message movement:
 
-* ``send``    — a message entered a channel (derived from the exact queue
-  growth between the pre- and post-states, so source/destination are
-  always known);
-* ``deliver`` — a channel head was consumed by its destination;
+* ``send``    — a message entered a channel (one per message the step's
+  :class:`~repro.semantics.asynchronous.Delta` pushes, so
+  source/destination are always known);
+* ``deliver`` — a channel head was consumed by its destination (the
+  channel the delivery action names);
 * ``complete`` — a rendezvous finished (with which message type and
   which remote).
 
@@ -19,9 +20,8 @@ same trace) so regressions show as trace diffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["TraceEvent", "derive_message_events"]
+__all__ = ["TraceEvent", "message_event"]
 
 
 @dataclass(frozen=True)
@@ -53,26 +53,11 @@ def _party(channel_index: int) -> tuple[str, str]:
     return f"r{remote}", "h"
 
 
-def derive_message_events(now: float, before_channels, after_channels,
-                          popped: Optional[int] = None) -> list[TraceEvent]:
-    """Message events implied by one transition's channel delta.
-
-    ``popped`` is the channel index a delivery consumed from (or ``None``
-    for non-delivery steps); any queue growth beyond the pop is a send.
-    """
-    events: list[TraceEvent] = []
-    if popped is not None:
-        message = before_channels.queues[popped][0]
-        src, dst = _party(popped)
-        events.append(TraceEvent(time=now, kind="deliver", src=src, dst=dst,
-                                 label=message.describe(),
-                                 payload=message.payload))
-    for index, (before, after) in enumerate(
-            zip(before_channels.queues, after_channels.queues)):
-        base = len(before) - (1 if index == popped else 0)
-        for message in after[base:]:
-            src, dst = _party(index)
-            events.append(TraceEvent(time=now, kind="send", src=src,
-                                     dst=dst, label=message.describe(),
-                                     payload=message.payload))
-    return events
+def message_event(now: float, kind: str, channel: int,
+                  message) -> TraceEvent:
+    """The ``"send"`` or ``"deliver"`` event of ``message`` on channel
+    index ``channel``: the simulator reads the channel and the message off
+    the step's delta (its pushes, or the delivery action's channel head)."""
+    src, dst = _party(channel)
+    return TraceEvent(time=now, kind=kind, src=src, dst=dst,
+                      label=message.describe(), payload=message.payload)

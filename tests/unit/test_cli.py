@@ -53,6 +53,12 @@ class TestParser:
         ["pool", "migratory", "--think-time", "inf"],
         ["pool", "migratory", "--until", "-100"],
         ["lint", "migratory", "--nodes", "0"],
+        # these once ran into "need at least one remote node", exit 1
+        ["check", "migratory", "--nodes", "0"],
+        ["verify", "migratory", "--nodes", "0"],
+        ["soundness", "migratory", "--nodes", "0"],
+        ["simulate", "migratory", "--nodes", "0"],
+        ["pool", "migratory", "--nodes", "0"],
     ], ids=lambda argv: argv[0] + argv[-2])
     def test_non_positive_counts_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -62,6 +68,23 @@ class TestParser:
         # argparse names a flag with a short alias as "-n/--nodes"
         assert re.search(rf"argument (-\w/)?{argv[-2]}: must be ", err)
         assert f"got {argv[-1]}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "migratory", "-n", "3"],
+        ["refine", "migratory", "--budget", "5"],
+        ["refine", "migratory", "--timeout", "1"],
+        ["simulate", "migratory", "--budget", "5"],
+        ["simulate", "migratory", "--timeout", "1"],
+        ["pool", "migratory", "--budget", "5"],
+        ["pool", "migratory", "--timeout", "1"],
+    ], ids=lambda argv: argv[0] + argv[-2])
+    def test_flags_that_select_nothing_are_usage_errors(self, argv, capsys):
+        # these subcommands read no node count or budget
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert (f"unrecognized arguments: {argv[-2]} {argv[-1]}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text,expected", [
         ("4096", 4096), ("0", 0), ("10b", 10), ("512K", 512 << 10),

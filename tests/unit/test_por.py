@@ -229,7 +229,7 @@ class TestAmpleRule:
                 assert por.steps(state) == full  # C0: never empties
                 continue
             reduced_states += 1
-            ample, = (step for step in full if step.action == chosen[0])
+            ample, = (step for step in full if step.action == chosen.action)
             action = ample.action
             # singleton, a delivery to a remote, from the enabled set
             assert por.steps(state) == [ample]
@@ -265,15 +265,16 @@ class TestAmpleRule:
         por = PORSystem(mig2)
         state, delta = next(
             (s, d) for s in reachable for d in mig2.deltas(s)
-            if isinstance(d[0], DeliverToRemote) and not d[5]
-            and d[2] is not None and por._invisible(s, d, d[0].remote))
-        action, home, (j, node), ops, completes, sends = delta
-        i = action.remote
-        assert home is None and j == i
+            if isinstance(d.action, DeliverToRemote) and not d.sends
+            and d.moved is not None
+            and por._invisible(s, d, d.action.remote))
+        i = delta.action.remote
+        j, node = delta.moved
+        assert delta.home is None and j == i
 
         def invisible(home=None, moved=(i, node), at=state):
             return por._invisible(
-                at, (action, home, moved, ops, completes, sends), i)
+                at, delta._replace(home=home, moved=moved), i)
 
         assert invisible() and invisible(moved=None)
         assert not invisible(home=dataclasses.replace(state.home,
@@ -297,7 +298,8 @@ class TestAmpleRule:
             if inv_ample is not None:
                 counts_ample = counts.ample(state, deltas)
                 assert counts_ample is not None
-                assert counts_ample[0].remote <= inv_ample[0].remote
+                assert (counts_ample.action.remote
+                        <= inv_ample.action.remote)
 
     def test_deterministic(self, mig2, reachable):
         por = PORSystem(mig2)
@@ -381,7 +383,7 @@ class TestDeltaAmpleMatchesInterpretedSteps:
             assert enabled == len(full)
             assert succs == [(step.action, step.state) for step in kept]
             if reference is not None:
-                assert chosen[0] == reference.action
+                assert chosen.action == reference.action
                 reduced += 1
         assert reduced  # the rule fires on every protocol
 

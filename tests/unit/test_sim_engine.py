@@ -162,9 +162,9 @@ class TestSimulatedStatesAreVerifiedStates:
         observed = set()
         original_apply = sim._apply
 
-        def spy(step):
-            observed.add(step.state)
-            original_apply(step)
+        def spy(delta):
+            original_apply(delta)
+            observed.add(sim.state)
 
         sim._apply = spy
         sim.run(until=3000)
@@ -175,22 +175,22 @@ class TestSimulatedStatesAreVerifiedStates:
 class TestOneStepListPerState:
     def test_steps_asked_once_per_state_reached(self, migratory_refined):
         """Every event and workload query at one state shares one
-        ``steps()`` list; taking a step drops it."""
+        ``deltas()`` list; taking a step drops it."""
         sim = Simulator(migratory_refined, 4, HotLineWorkload(seed=5),
                         seed=5)
         reached = [sim.state]
         asked = []
-        steps, apply = sim.system.steps, sim._apply
+        deltas, apply = sim.system.deltas, sim._apply
 
-        def spy_steps(state):
+        def spy_deltas(state):
             asked.append(state)
-            return steps(state)
+            return deltas(state)
 
-        def spy_apply(step):
-            apply(step)
+        def spy_apply(delta):
+            apply(delta)
             reached.append(sim.state)
 
-        sim.system.steps, sim._apply = spy_steps, spy_apply
+        sim.system.deltas, sim._apply = spy_deltas, spy_apply
         sim.run(until=3000)
         assert len(reached) > 100
         assert len(asked) == len(reached)

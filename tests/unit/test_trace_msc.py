@@ -1,45 +1,68 @@
 """Unit tests for trace recording and MSC rendering."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.semantics.asynchronous import (
+    DeliverToRemote,
+    Delta,
+    HomeTau,
+    RemoteSend,
+)
 from repro.semantics.network import ACK, REQ, Channels, Msg
 from repro.sim import AccessClass, Simulator, TraceWorkload
-from repro.sim.trace import TraceEvent, derive_message_events
+from repro.sim.trace import TraceEvent, message_event
 from repro.viz.msc import render_msc
 
 
 class TestDeriveMessageEvents:
-    def test_send_detected_from_queue_growth(self):
-        before = Channels.empty(2)
-        after = before.send_to_home(1, Msg(kind=REQ, msg="req"))
-        events = derive_message_events(5.0, before, after)
-        assert len(events) == 1
+    """The message events the simulator reads off one step's delta: a
+    ``send`` per message its channel ops push, a ``deliver`` for the head
+    its delivery action pops."""
+
+    @pytest.fixture
+    def record(self, migratory_refined):
+        sim = Simulator(migratory_refined, 2, TraceWorkload([]),
+                        record_trace=True)
+
+        def record(channels, action, ops):
+            sim.trace = []
+            sim._record_trace(replace(sim.state, channels=channels),
+                              Delta(action, None, None, ops, (), ()))
+            return sim.trace
+        return record
+
+    def test_send_detected_from_queue_growth(self, record):
+        req = Msg(kind=REQ, msg="req")
+        events = record(Channels.empty(2), RemoteSend(1),
+                        ((Channels.to_home(1), 0, (req,)),))
+        assert events == [message_event(0.0, "send", Channels.to_home(1),
+                                        req)]
         event = events[0]
         assert event.kind == "send"
         assert (event.src, event.dst) == ("r1", "h")
         assert "req" in event.label
 
-    def test_delivery_detected_from_pop(self):
-        before = Channels.empty(1).send_to_remote(0, Msg(kind=ACK))
-        after = Channels.empty(1)
-        events = derive_message_events(7.0, before, after,
-                                       popped=Channels.to_remote(0))
+    def test_delivery_detected_from_pop(self, record):
+        before = Channels.empty(2).send_to_remote(0, Msg(kind=ACK))
+        events = record(before, DeliverToRemote(0),
+                        ((Channels.to_remote(0), 1, ()),))
         assert [e.kind for e in events] == ["deliver"]
         assert (events[0].src, events[0].dst) == ("h", "r0")
 
-    def test_delivery_plus_response_send(self):
+    def test_delivery_plus_response_send(self, record):
         # a delivery that triggers a send in the same step (e.g. C3 ack)
-        before = Channels.empty(1).send_to_remote(
+        before = Channels.empty(2).send_to_remote(
             0, Msg(kind=REQ, msg="inv"))
-        after = Channels.empty(1).send_to_home(0, Msg(kind=ACK))
-        events = derive_message_events(9.0, before, after,
-                                       popped=Channels.to_remote(0))
-        kinds = sorted(e.kind for e in events)
-        assert kinds == ["deliver", "send"]
+        events = record(before, DeliverToRemote(0),
+                        ((Channels.to_remote(0), 1, ()),
+                         (Channels.to_home(0), 0, (Msg(kind=ACK),))))
+        assert [(e.kind, e.src, e.dst) for e in events] == [
+            ("deliver", "h", "r0"), ("send", "r0", "h")]
 
-    def test_no_change_no_events(self):
-        ch = Channels.empty(2)
-        assert derive_message_events(1.0, ch, ch) == []
+    def test_no_change_no_events(self, record):
+        assert record(Channels.empty(2), HomeTau(label="x"), ()) == []
 
 
 class TestSimulatorTrace:

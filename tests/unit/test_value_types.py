@@ -101,7 +101,6 @@ def test_every_memo_is_declared():
         "RvState": ["_hash_cache"],
         "Msg": ["_desc_cache", "_hash_cache"],
         "Channels": ["_hash_cache"],
-        "Step": ["_delta_cache"],
     }
 
 
