@@ -269,11 +269,14 @@ def explore(
             next_level: list[Hashable] = []
             expanded = candidates = new_states = enabled = 0
             try:
-                for state in level:
+                for idx, state in enumerate(level):
                     stop_reason = over_budget()
                     if stop_reason is not None:
                         break
                     succs, state_enabled = expand_state(system, state)
+                    # the level lets go of each state as it is expanded:
+                    # only the store, a trace or the next level keeps it
+                    level[idx] = None
                     expanded += 1
                     enabled += state_enabled
                     if not succs and not allow_deadlock:

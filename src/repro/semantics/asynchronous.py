@@ -41,14 +41,17 @@ Design note: process decisions (which guard to fire) are *deterministic*
 given the local view, as in a real protocol implementation; all remaining
 nondeterminism — message delivery interleaving and autonomous tau choices —
 is enumerated by :meth:`AsyncSystem.successors`, which is what the model
-checker explores.  The discrete-event simulator drives the same transition
-core through :meth:`AsyncSystem.deltas`.
+checker explores.  Each row is written once, as a rule that reads one node
+(plus a channel head) and returns the step as a :class:`Delta`: the node
+it rewrites plus the channel ends it pops and pushes.
+:meth:`AsyncSystem.deltas` memoizes the rules' deltas and the
+discrete-event simulator takes its steps from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Hashable, Iterator, NamedTuple, Optional
+from typing import Any, Hashable, NamedTuple, Optional
 
 from ..csp.ast import Input, Output, ProcessDef, ProcessKind, Protocol, StateDef
 from ..csp.env import Env, Value
@@ -290,9 +293,9 @@ class Step:
     moment its second party commits).  ``sends`` lists messages injected
     into the network by this step, for message-count metrics.
 
-    :meth:`AsyncSystem.interpret` builds these directly from the tables;
-    :meth:`AsyncSystem.steps` builds the same records from the memoized
-    :class:`Delta` records, which the sweeps and the simulator read.
+    A :class:`Delta` applied to its origin state: :meth:`AsyncSystem.steps`
+    builds these from the memoized deltas, :meth:`AsyncSystem.interpret`
+    from a fresh run of the rules.
     """
 
     action: AsyncAction
@@ -313,13 +316,14 @@ _ChannelOp = tuple[int, int, tuple[Msg, ...]]
 
 class Delta(NamedTuple):
     """One enabled step as the nodes and channel ends it writes — the
-    record :meth:`AsyncSystem.deltas` memoizes and :func:`successor`
-    applies.
+    record the Tables 1/2 rules return, :meth:`AsyncSystem.deltas`
+    memoizes and :func:`successor` applies.
 
-    ``home`` is the home's new node (None: unchanged), ``moved`` the
-    ``(j, new node)`` of the one remote it rewrites (None: none), and
-    ``ops`` its channel changes in ascending channel order.  ``completes``
-    and ``sends`` are :class:`Step`'s observables.
+    ``home`` is the home's new node (None: equal to the old one),
+    ``moved`` the ``(j, new node)`` of the one remote it rewrites (None:
+    none, or a node equal to the old one), and ``ops`` its channel
+    changes in ascending channel order.  ``completes`` and ``sends`` are
+    :class:`Step`'s observables.
     """
 
     action: AsyncAction
@@ -328,25 +332,6 @@ class Delta(NamedTuple):
     ops: tuple[_ChannelOp, ...]
     completes: tuple[RendezvousStep, ...]
     sends: tuple[Msg, ...]
-
-
-def _channel_ops(old: tuple[tuple[Msg, ...], ...],
-                 new: tuple[tuple[Msg, ...], ...],
-                 ) -> Optional[tuple[_ChannelOp, ...]]:
-    """``new`` as head pops and tail pushes on ``old``, or None."""
-    ops = []
-    for c, (before, after) in enumerate(zip(old, new)):
-        if after == before:
-            continue
-        kept = len(before)
-        if after[:kept] == before:
-            popped = 0
-        elif after[:kept - 1] == before[1:]:
-            popped = 1
-        else:
-            return None
-        ops.append((c, popped, after[kept - popped:]))
-    return tuple(ops)
 
 
 def successor(state: AsyncState, delta: Delta) -> AsyncState:
@@ -361,59 +346,70 @@ def successor(state: AsyncState, delta: Delta) -> AsyncState:
                       state.channels.replay(ops) if ops else state.channels)
 
 
-def _deltas(state: AsyncState, owner: ProcId,
-            steps: list[Step]) -> Optional[tuple[Delta, ...]]:
-    """The steps of one family at ``state`` as replayable deltas.
+def _applied(state: AsyncState, deltas: list[Delta]) -> list[Step]:
+    """Each of ``state``'s ``deltas`` as a :class:`Step`."""
+    return [Step(d.action, successor(state, d), d.completes, d.sends)
+            for d in deltas]
 
-    None unless every step rewrites only the node its memo key holds
-    (``owner``: the home, or remote ``i``) and changes channels by pops
-    and pushes.
-    Nodes are diffed by value: a rebuilt-but-equal node recorded as a
-    replacement would carry this state's node into every replay.
-    """
-    out = []
-    for step in steps:
-        new = step.state
-        ops = _channel_ops(state.channels.queues, new.channels.queues)
-        if ops is None:
-            return None
-        home = None if new.home == state.home else new.home
-        moved = [(j, node) for j, (old, node)
-                 in enumerate(zip(state.remotes, new.remotes))
-                 if node != old]
-        if owner == HOME_ID:
-            if moved:
-                return None
-        elif home is not None or any(j != owner for j, _ in moved):
-            return None
-        out.append(Delta(step.action, home, moved[0] if moved else None,
-                         ops, step.completes, step.sends))
-    return tuple(out)
+
+def _home_write(action: AsyncAction, old: HomeNode, new: HomeNode,
+                ops: tuple[_ChannelOp, ...] = (),
+                completes: tuple[RendezvousStep, ...] = (),
+                sends: tuple[Msg, ...] = ()) -> Delta:
+    """A home-side step that leaves the home as ``new``."""
+    return Delta(action, None if new == old else new, None, ops, completes,
+                 sends)
+
+
+def _remote_write(action: AsyncAction, i: int, old: RemoteNode,
+                  new: RemoteNode, ops: tuple[_ChannelOp, ...] = (),
+                  completes: tuple[RendezvousStep, ...] = (),
+                  sends: tuple[Msg, ...] = ()) -> Delta:
+    """A step of remote ``i`` that leaves it as ``new``."""
+    return Delta(action, None, None if new == old else (i, new), ops,
+                 completes, sends)
+
+
+def _uplink(action: AsyncAction, i: int, old: RemoteNode, new: RemoteNode,
+            msg: Msg, completes: tuple[RendezvousStep, ...] = ()) -> Delta:
+    """A local step of remote ``i`` that leaves it as ``new`` and sends
+    ``msg`` to the home."""
+    return _remote_write(action, i, old, new,
+                         ((Channels.to_home(i), 0, (msg,)),), completes,
+                         (msg,))
+
+
+def _with_entry(home: HomeNode, entry: BufEntry) -> HomeNode:
+    """``home`` with ``entry`` appended to its buffer."""
+    return HomeNode(state=home.state, env=home.env, mode=home.mode,
+                    out_idx=home.out_idx, awaiting=home.awaiting,
+                    pending_out=home.pending_out,
+                    buffer=home.buffer + (entry,))
 
 
 class AsyncSystem:
     """Executable asynchronous semantics for a refined protocol.
 
-    :meth:`interpret` enumerates a state's steps directly from Tables
-    1/2.  :meth:`steps` and :meth:`successors` give the same answer by
-    replaying memoized *deltas*: every table row reads one node plus the
-    head of one channel and writes that node plus channel ends, so the
-    outcome of a step family is a function of a small key —
+    Every row of Tables 1/2 reads one node plus the head of one channel
+    and writes that node plus channel ends, so the outcome of a step
+    family is a function of a small key —
 
     * ``(i, home, head)`` for the delivery of remote ``i``'s message to
       the home, ``(i, remote, head)`` for a delivery to remote ``i``;
     * ``home`` for the home's decision and taus, ``(i, remote)`` for
       remote ``i``'s local steps
 
-    — and is recorded once per key as a :class:`Delta`: the replaced
-    node plus channel pops and pushes (:func:`_deltas`).  A caller that
-    takes one step of many reads :meth:`deltas` and builds one
+    — and the rule methods (``_deliver_to_home`` …
+    ``_remote_fused_response``) take exactly that key and write each
+    step as a :class:`Delta`: the replaced node plus channel pops and
+    pushes.  :meth:`deltas` memoizes each family once per key.  A caller
+    that takes one step of many reads :meth:`deltas` and builds one
     successor (:func:`successor`): the simulator, :meth:`apply`, POR's
-    ample step.  :meth:`successors` and :meth:`steps` build every one.
-    The memo belongs to the instance
-    (the table, the plan and ``n_remotes`` are part of what a key means)
-    and holds nodes and messages only, never a state or a
-    :class:`Channels`.
+    ample step.  :meth:`successors` and :meth:`steps` build every one,
+    and :meth:`interpret` runs the rules without the memo.  The memo
+    belongs to the instance (the table, the plan and ``n_remotes`` are
+    part of what a key means) and holds nodes and messages only, never a
+    state or a :class:`Channels`.
     """
 
     #: read by ``perf/spans.py:251`` to name this layer's spans
@@ -454,26 +450,27 @@ class AsyncSystem:
     # -- public enumeration API ----------------------------------------------
 
     def interpret(self, state: AsyncState) -> list[Step]:
-        """All enabled transitions, enumerated directly from the tables:
-        what :meth:`steps` replays, and the reference it is tested
-        against."""
-        out: list[Step] = []
+        """:meth:`steps` with no memo: every rule runs afresh, in
+        :meth:`deltas`' order, and each delta is applied."""
+        queues = state.channels.queues
+        out: list[Delta] = []
         for i in range(self.n_remotes):
-            if state.channels.head_to_home(i) is not None:
-                out.append(self._deliver_to_home(state, i))
-            if state.channels.head_to_remote(i) is not None:
-                out.append(self._deliver_to_remote(state, i))
+            if queues[2 * i + 1]:
+                out.append(self._deliver_to_home(i, state.home,
+                                                 queues[2 * i + 1][0]))
+            if queues[2 * i]:
+                out.append(self._deliver_to_remote(i, state.remotes[i],
+                                                   queues[2 * i][0]))
         if state.home.mode == IDLE:
-            out.extend(self._home_steps(state))
-        for i in range(self.n_remotes):
-            if state.remotes[i].mode == IDLE:
-                out.extend(self._remote_steps(state, i))
-        return out
+            out.extend(self._home_steps(state.home))
+        for i, node in enumerate(state.remotes):
+            if node.mode == IDLE:
+                out.extend(self._remote_steps(i, node))
+        return _applied(state, out)
 
     def steps(self, state: AsyncState) -> list[Step]:
         """All enabled transitions, with completion/send observables."""
-        return [Step(d.action, successor(state, d), d.completes, d.sends)
-                for d in self.deltas(state)]
+        return _applied(state, self.deltas(state))
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
         return [(d.action, successor(state, d)) for d in self.deltas(state)]
@@ -487,10 +484,9 @@ class AsyncSystem:
     # -- delta replay ----------------------------------------------------------
 
     def deltas(self, state: AsyncState) -> list[Delta]:
-        """:meth:`interpret`, family by family through the memo: one
-        :class:`Delta` per enabled step, in :meth:`interpret`'s order
-        (remote by remote its two deliveries, then the home's steps, then
-        each remote's local steps), no successor built.
+        """One :class:`Delta` per enabled step, family by family through
+        the memo (remote by remote its two deliveries, then the home's
+        steps, then each remote's local steps), no successor built.
         :func:`successor` applies one."""
         out: list[Delta] = []
         memo = self._memo
@@ -503,22 +499,22 @@ class AsyncSystem:
                 key: Any = (i, home, queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, HOME_ID, [
-                        self._deliver_to_home(state, i)])
+                    family = self._memoize(key, HOME_ID, (
+                        self._deliver_to_home(i, home, queue[0]),))
                 out.extend(family)
             queue = queues[2 * i]
             if queue:
                 key = (i, remotes[i], queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, i, [
-                        self._deliver_to_remote(state, i)])
+                    family = self._memoize(key, i, (
+                        self._deliver_to_remote(i, remotes[i], queue[0]),))
                 out.extend(family)
         if home.mode == IDLE:
             family = memo.get(home)
             if family is None:
-                family = self._learn(home, state, HOME_ID,
-                                     self._home_steps(state))
+                family = self._memoize(home, HOME_ID,
+                                       tuple(self._home_steps(home)))
             out.extend(family)
         for i in range(self.n_remotes):
             node = remotes[i]
@@ -526,33 +522,32 @@ class AsyncSystem:
                 key = (i, node)
                 family = memo.get(key)
                 if family is None:
-                    family = self._learn(key, state, i,
-                                         self._remote_steps(state, i))
+                    family = self._memoize(
+                        key, i, tuple(self._remote_steps(i, node)))
                 out.extend(family)
         return out
 
-    def _learn(self, key: Any, state: AsyncState, owner: ProcId,
-               steps: list[Step]) -> tuple[Delta, ...]:
-        """Memoize one interpreted family and return its deltas; a family
-        :func:`_deltas` cannot express is a :class:`SemanticsError`."""
-        family = _deltas(state, owner, steps)
-        if family is None:
-            raise SemanticsError(
-                f"step family {key!r} of owner {owner!r} rewrites more "
-                "than its owner's node and channel ends; it cannot be "
-                "replayed")
+    def _memoize(self, key: Any, owner: ProcId,
+                 family: tuple[Delta, ...]) -> tuple[Delta, ...]:
+        """Memoize the rules' ``family`` under ``key`` and return it; a
+        family that writes a node its owner (the home, or remote ``i``)
+        does not hold is a :class:`SemanticsError`."""
+        for delta in family:
+            if (delta.home is not None and owner != HOME_ID
+                    or delta.moved is not None and delta.moved[0] != owner):
+                raise SemanticsError(
+                    f"step family {key!r} of owner {owner!r} rewrites more "
+                    "than its owner's node and channel ends; it cannot be "
+                    "replayed")
         return remember(self._memo, key, family)
 
     # -- home: message delivery ----------------------------------------------
 
-    def _deliver_to_home(self, state: AsyncState, i: int) -> Step:
-        msg, channels = state.channels.pop(Channels.to_home(i))
-        base = state.with_channels(channels)
+    def _deliver_to_home(self, i: int, home: HomeNode, msg: Msg) -> Delta:
         action = DeliverToHome(remote=i)
-        home = base.home
-
         if msg.kind == REQ:
-            return self._home_receive_request(base, i, msg, action)
+            return self._home_receive_request(i, home, msg, action)
+        pop = ((Channels.to_home(i), 1, ()),)
 
         if msg.kind == NOTE:
             # fire-and-forget notification: always enters the buffer (the
@@ -560,8 +555,7 @@ class AsyncSystem:
             assert msg.msg is not None
             entry = BufEntry(sender=i, msg=msg.msg, payload=msg.payload,
                              note=True)
-            new_home = replace(home, buffer=home.buffer + (entry,))
-            return Step(action=action, state=base.with_home(new_home))
+            return _home_write(action, home, _with_entry(home, entry), pop)
 
         # ACK / NACK / REPL are only meaningful in a transient state
         # awaiting this remote (rows T1-T2); anything else is a protocol or
@@ -571,34 +565,24 @@ class AsyncSystem:
                 f"home received {msg.describe()} from r{i} but is not "
                 f"awaiting it (state {home.describe()})")
         if msg.kind == NACK:  # row T2
-            spec = self._pending(ProcessKind.HOME, home)[1]
-            new_home = replace(
-                home, state=spec.rewind_to, mode=IDLE, awaiting=None,
-                pending_out=None,
-                out_idx=self._next_out_idx(self.protocol.home, home))
-            return Step(action=action, state=base.with_home(new_home))
+            return _home_write(action, home,
+                               self._rewound(home, home.buffer), pop)
         new_home, completes = self._complete(ProcessKind.HOME, home, i, msg, "home")
-        return Step(action=action, state=base.with_home(new_home),
-                    completes=completes)
+        return _home_write(action, home, new_home, pop, completes)
 
-    def _home_receive_request(self, base: AsyncState, i: int, msg: Msg,
-                              action: DeliverToHome) -> Step:
+    def _home_receive_request(self, i: int, home: HomeNode, msg: Msg,
+                              action: DeliverToHome) -> Delta:
         """Buffering rules: progress/ack reservation, implicit nack (T3-T6)."""
-        home = base.home
         assert msg.msg is not None
         entry = BufEntry(sender=i, msg=msg.msg, payload=msg.payload)
+        pop = (Channels.to_home(i), 1, ())
 
         if home.mode == TRANS and home.awaiting == i:
             # Row T3: implicit nack.  The request takes the reserved
             # ack-buffer slot and the home re-enters its communication state.
-            spec = self._pending(ProcessKind.HOME, home)[1]
-            new_home = replace(
-                home, state=spec.rewind_to, mode=IDLE, awaiting=None,
-                pending_out=None,
-                out_idx=self._next_out_idx(self.protocol.home, home))
             if self._free_slots(home) >= 1:
-                new_home = replace(new_home, buffer=new_home.buffer + (entry,))
-                return Step(action=action, state=base.with_home(new_home))
+                return _home_write(action, home, self._rewound(
+                    home, home.buffer + (entry,)), (pop,))
             if self.plan.config.reserve_ack_buffer:
                 raise SemanticsError(
                     "ack-buffer reservation violated: home is transient "
@@ -606,10 +590,9 @@ class AsyncSystem:
             # ablation: no ack buffer was reserved, so no slot is
             # guaranteed — the request must be nacked outright.
             nack = Msg(kind=NACK)
-            channels = base.channels.send_to_remote(i, nack)
-            return Step(action=action,
-                        state=base.with_home(new_home).with_channels(channels),
-                        sends=(nack,))
+            return _home_write(action, home, self._rewound(home, home.buffer),
+                               ((Channels.to_remote(i), 0, (nack,)), pop),
+                               sends=(nack,))
 
         # the progress-buffer criterion: would it complete a rendezvous
         # in the home's current communication state?
@@ -621,41 +604,30 @@ class AsyncSystem:
         if home.mode == TRANS and self.plan.config.reserve_ack_buffer:
             reserved += 1
         if self._free_slots(home) > reserved:
-            new_home = replace(home, buffer=home.buffer + (entry,))
-            return Step(action=action, state=base.with_home(new_home))
+            return _home_write(action, home, _with_entry(home, entry), (pop,))
         # rows T6 / the communication-state analogue: nack the request
         nack = Msg(kind=NACK)
-        channels = base.channels.send_to_remote(i, nack)
-        return Step(action=action, state=base.with_channels(channels),
-                    sends=(nack,))
+        return Delta(action, None, None,
+                     ((Channels.to_remote(i), 0, (nack,)), pop), (), (nack,))
 
     # -- home: decisions -------------------------------------------------------
 
-    def _home_steps(self, state: AsyncState) -> list[Step]:
-        """The idle home's decision, then its taus."""
-        state_def = self.protocol.home.state(state.home.state)
-        decision = self._home_decision(state, state_def)
-        out = [] if decision is None else [decision]
-        out.extend(self._home_taus(state, state_def))
-        return out
-
-    def _home_decision(self, state: AsyncState,
-                       state_def: StateDef) -> Optional[Step]:
-        """Rows C1/C2 of Table 2 plus fused-reply emission (deterministic).
-
-        The caller guarantees ``home.mode == IDLE`` and passes the home's
-        current :class:`StateDef`.
-        """
+    def _home_steps(self, home: HomeNode) -> list[Delta]:
+        """The idle home's steps: in a communication state its one
+        deterministic decision (rows C1/C2 of Table 2 or a fused reply),
+        elsewhere its enabled taus."""
+        state_def = self.protocol.home.state(home.state)
         if not state_def.is_communication:
-            return None
+            return [_home_write(HomeTau(label=guard.label), home, HomeNode(
+                        state=guard.to, env=guard.apply_update(home.env),
+                        mode=IDLE, out_idx=0, buffer=home.buffer))
+                    for guard in state_def.taus if guard.enabled(home.env)]
+        decision = self._home_c1(home, state_def)
+        if decision is None:
+            decision = self._home_c2_or_reply(home, state_def)
+        return [] if decision is None else [decision]
 
-        c1 = self._home_c1(state, state_def)
-        if c1 is not None:
-            return c1
-        return self._home_c2_or_reply(state, state_def)
-
-    def _home_c1(self, state: AsyncState, state_def: StateDef) -> Optional[Step]:
-        home = state.home
+    def _home_c1(self, home: HomeNode, state_def: StateDef) -> Optional[Delta]:
         for pos, entry in enumerate(home.buffer):
             assert isinstance(entry.sender, int)
             guard = state_def.accepting(entry.msg, home.env, entry.sender,
@@ -666,30 +638,25 @@ class AsyncSystem:
             buffer = home.buffer[:pos] + home.buffer[pos + 1:]
             new_home = HomeNode(state=guard.to, env=env, mode=IDLE,
                                 out_idx=0, buffer=buffer)
-            new_state = state.with_home(new_home)
-            sends: tuple[Msg, ...] = ()
-            completes: tuple[RendezvousStep, ...] = ()
+            action = HomeStep(kind="C1", detail=entry.describe())
             if entry.note:
                 # fire-and-forget: consumption is the completion point
-                completes = (RendezvousStep(active=entry.sender,
-                                            passive=HOME_ID, msg=entry.msg,
-                                            payload=entry.payload),)
-            elif entry.msg in self._remote_fused:
+                return _home_write(action, home, new_home, completes=(
+                    RendezvousStep(active=entry.sender, passive=HOME_ID,
+                                   msg=entry.msg, payload=entry.payload),))
+            if entry.msg in self._remote_fused:
                 # fused: no ack; the eventual reply acknowledges it.  The
                 # completion is reported when the requester gets the reply.
-                pass
-            else:
-                ack = Msg(kind=ACK)
-                new_state = new_state.with_channels(
-                    new_state.channels.send_to_remote(entry.sender, ack))
-                sends = (ack,)
-            return Step(action=HomeStep(kind="C1", detail=entry.describe()),
-                        state=new_state, completes=completes, sends=sends)
+                return _home_write(action, home, new_home)
+            ack = Msg(kind=ACK)
+            return _home_write(
+                action, home, new_home,
+                ((Channels.to_remote(entry.sender), 0, (ack,)),),
+                sends=(ack,))
         return None
 
-    def _home_c2_or_reply(self, state: AsyncState,
-                          state_def: StateDef) -> Optional[Step]:
-        home = state.home
+    def _home_c2_or_reply(self, home: HomeNode,
+                          state_def: StateDef) -> Optional[Delta]:
         outputs = state_def.outputs
         if not outputs:
             return None
@@ -706,7 +673,7 @@ class AsyncSystem:
                     f"home output {guard.describe()} targets r{target}")
             spec = self.table.spec(ProcessKind.HOME, home.state, idx)
             if spec.kind == KIND_REPLY:
-                return self._home_reply(state, guard, idx, target)
+                return self._home_reply(home, guard, target)
             if spec.kind == KIND_NOTE:
                 raise SemanticsError(
                     "fire-and-forget home outputs are not supported")
@@ -714,28 +681,25 @@ class AsyncSystem:
             # actively requesting us
             if any(e.sender == target and not e.note for e in home.buffer):
                 continue
-            return self._home_c2(state, guard, idx, target)
+            return self._home_c2(home, guard, idx, target)
         return None
 
-    def _home_reply(self, state: AsyncState, guard: Output, idx: int,
-                    target: int) -> Step:
+    def _home_reply(self, home: HomeNode, guard: Output, target: int) -> Delta:
         """Emit a fused reply: the requester is waiting, no ack needed."""
-        home = state.home
         payload = guard.eval_payload(home.env)
         repl = Msg(kind=REPL, msg=guard.msg, payload=payload)
-        channels = state.channels.send_to_remote(target, repl)
         new_home = HomeNode(state=guard.to, env=guard.apply_update(home.env),
                             mode=IDLE, out_idx=0, buffer=home.buffer)
-        return Step(action=HomeStep(kind="REPLY", detail=f"{guard.msg}→r{target}"),
-                    state=state.with_home(new_home).with_channels(channels),
-                    sends=(repl,))
+        return _home_write(
+            HomeStep(kind="REPLY", detail=f"{guard.msg}→r{target}"), home,
+            new_home, ((Channels.to_remote(target), 0, (repl,)),),
+            sends=(repl,))
 
-    def _home_c2(self, state: AsyncState, guard: Output, idx: int,
-                 target: int) -> Optional[Step]:
+    def _home_c2(self, home: HomeNode, guard: Output, idx: int,
+                 target: int) -> Optional[Delta]:
         """Row C2: allocate the ack buffer, send the request, go transient."""
-        home = state.home
-        channels = state.channels
-        sends: list[Msg] = []
+        ops: list[_ChannelOp] = []
+        sends: tuple[Msg, ...] = ()
         buffer = home.buffer
         if self._free_slots(home) < 1:
             # free a slot by nacking a buffered request (they are all
@@ -748,51 +712,38 @@ class AsyncSystem:
             victim = buffer[victim_pos]
             assert isinstance(victim.sender, int)
             nack = Msg(kind=NACK)
-            channels = channels.send_to_remote(victim.sender, nack)
-            sends.append(nack)
+            ops.append((Channels.to_remote(victim.sender), 0, (nack,)))
+            sends = (nack,)
             buffer = buffer[:victim_pos] + buffer[victim_pos + 1:]
         req = Msg(kind=REQ, msg=guard.msg, payload=guard.eval_payload(home.env))
-        channels = channels.send_to_remote(target, req)
-        sends.append(req)
-        new_home = replace(home, mode=TRANS, awaiting=target,
-                           pending_out=idx, buffer=buffer)
-        return Step(action=HomeStep(kind="C2", detail=f"{guard.msg}→r{target}"),
-                    state=state.with_home(new_home).with_channels(channels),
-                    sends=tuple(sends))
-
-    def _home_taus(self, state: AsyncState,
-                   state_def: StateDef) -> Iterator[Step]:
-        home = state.home
-        if state_def.is_communication:
-            return
-        for guard in state_def.taus:
-            if guard.enabled(home.env):
-                new_home = HomeNode(state=guard.to,
-                                    env=guard.apply_update(home.env),
-                                    mode=IDLE, out_idx=0, buffer=home.buffer)
-                yield Step(action=HomeTau(label=guard.label),
-                           state=state.with_home(new_home))
+        # the victim is never the target (condition (c)): two channels
+        ops.append((Channels.to_remote(target), 0, (req,)))
+        ops.sort(key=lambda op: op[0])
+        new_home = HomeNode(state=home.state, env=home.env, mode=TRANS,
+                            out_idx=home.out_idx, awaiting=target,
+                            pending_out=idx, buffer=buffer)
+        return _home_write(HomeStep(kind="C2", detail=f"{guard.msg}→r{target}"),
+                           home, new_home, tuple(ops), sends=sends + (req,))
 
     # -- remote: message delivery ----------------------------------------------
 
-    def _deliver_to_remote(self, state: AsyncState, i: int) -> Step:
-        msg, channels = state.channels.pop(Channels.to_remote(i))
-        base = state.with_channels(channels)
+    def _deliver_to_remote(self, i: int, node: RemoteNode, msg: Msg) -> Delta:
         action = DeliverToRemote(remote=i)
-        node = base.remotes[i]
+        pop = (Channels.to_remote(i), 1, ())
 
         if msg.kind == REQ:
             if node.mode == TRANS:
                 # Row T3: ignore requests from home while transient
-                return Step(action=action, state=base)
+                return Delta(action, None, None, (pop,), (), ())
             if node.buf is not None:
                 raise SemanticsError(
                     f"remote r{i} single-slot buffer overflow "
                     f"({node.describe()} receiving {msg.describe()})")
             assert msg.msg is not None
             entry = BufEntry(sender=HOME_ID, msg=msg.msg, payload=msg.payload)
-            return Step(action=action,
-                        state=base.with_remote(i, replace(node, buf=entry)))
+            return _remote_write(action, i, node, RemoteNode(
+                state=node.state, env=node.env, mode=node.mode,
+                pending_out=node.pending_out, buf=entry), (pop,))
 
         if node.mode != TRANS:
             raise SemanticsError(
@@ -802,98 +753,78 @@ class AsyncSystem:
             # the env is frozen while transient: the same payload again
             retry = Msg(kind=REQ, msg=out_guard.msg,
                         payload=out_guard.eval_payload(node.env))
-            channels2 = base.channels.send_to_home(i, retry)
-            return Step(action=action, state=base.with_channels(channels2),
-                        sends=(retry,))
+            return Delta(action, None, None,
+                         (pop, (Channels.to_home(i), 0, (retry,))), (),
+                         (retry,))
         new_node, completes = self._complete(ProcessKind.REMOTE, node, i, msg,
                                              f"remote r{i}")
-        return Step(action=action, state=base.with_remote(i, new_node),
-                    completes=completes)
+        return _remote_write(action, i, node, new_node, (pop,), completes)
 
     # -- remote: decisions -------------------------------------------------------
 
-    def _remote_steps(self, state: AsyncState, i: int) -> list[Step]:
+    def _remote_steps(self, i: int, node: RemoteNode) -> list[Delta]:
         """Idle remote ``i``'s local steps: send, or C3 then taus."""
-        node = state.remotes[i]
         state_def = self.protocol.remote.state(node.state)
         outputs = state_def.outputs
         if outputs:
             guard = outputs[0]  # validated: active states have exactly one
             if guard.enabled(node.env):
-                return [self._remote_send(state, i, guard)]
+                return [self._remote_send(i, node, guard)]
             return []
-        out: list[Step] = []
+        out: list[Delta] = []
         if node.buf is not None and state_def.is_communication:
-            out.append(self._remote_c3(state, i, state_def))
+            out.append(self._remote_c3(i, node, state_def))
         for guard in state_def.taus:
             if guard.enabled(node.env):
-                new_node = replace(node, state=guard.to,
-                                   env=guard.apply_update(node.env))
-                out.append(Step(action=RemoteTau(remote=i, label=guard.label),
-                                state=state.with_remote(i, new_node)))
+                out.append(_remote_write(
+                    RemoteTau(remote=i, label=guard.label), i, node,
+                    RemoteNode(state=guard.to,
+                               env=guard.apply_update(node.env),
+                               mode=node.mode, pending_out=node.pending_out,
+                               buf=node.buf)))
         return out
 
-    def _remote_send(self, state: AsyncState, i: int, guard: Output) -> Step:
+    def _remote_send(self, i: int, node: RemoteNode, guard: Output) -> Delta:
         """Rows C1/C2 of Table 1 (plus the fire-and-forget extension)."""
-        node = state.remotes[i]
         payload = guard.eval_payload(node.env)
         spec = self.table.spec(ProcessKind.REMOTE, node.state, 0)
         if spec.kind == KIND_NOTE:
-            note = Msg(kind=NOTE, msg=guard.msg, payload=payload)
-            channels = state.channels.send_to_home(i, note)
-            new_node = RemoteNode(state=spec.forward_to,
-                                  env=guard.apply_update(node.env),
-                                  mode=IDLE, buf=node.buf)
-            return Step(action=RemoteSend(remote=i),
-                        state=state.with_remote(i, new_node)
-                                  .with_channels(channels),
-                        sends=(note,))
-        req = Msg(kind=REQ, msg=guard.msg, payload=payload)
-        channels = state.channels.send_to_home(i, req)
+            return _uplink(RemoteSend(remote=i), i, node, RemoteNode(
+                state=spec.forward_to, env=guard.apply_update(node.env),
+                mode=IDLE, buf=node.buf),
+                Msg(kind=NOTE, msg=guard.msg, payload=payload))
         # row C2: deleting a pending home request constitutes the implicit
         # nack — the home will learn of it from our request's arrival.
-        new_node = RemoteNode(state=node.state, env=node.env, mode=TRANS,
-                              pending_out=0, buf=None)
-        return Step(action=RemoteSend(remote=i),
-                    state=state.with_remote(i, new_node)
-                              .with_channels(channels),
-                    sends=(req,))
+        return _uplink(RemoteSend(remote=i), i, node, RemoteNode(
+            state=node.state, env=node.env, mode=TRANS, pending_out=0,
+            buf=None), Msg(kind=REQ, msg=guard.msg, payload=payload))
 
-    def _remote_c3(self, state: AsyncState, i: int,
-                   state_def: StateDef) -> Step:
+    def _remote_c3(self, i: int, node: RemoteNode,
+                   state_def: StateDef) -> Delta:
         """Row C3: ack a satisfying home request, nack otherwise."""
-        node = state.remotes[i]
         entry = node.buf
         assert entry is not None
         guard = state_def.accepting(entry.msg, node.env, -1, entry.payload)
         if guard is None:
-            nack = Msg(kind=NACK)
-            channels = state.channels.send_to_home(i, nack)
-            new_node = replace(node, buf=None)
-            return Step(action=RemoteC3(remote=i),
-                        state=state.with_remote(i, new_node)
-                                  .with_channels(channels),
-                        sends=(nack,))
+            return _uplink(RemoteC3(remote=i), i, node, RemoteNode(
+                state=node.state, env=node.env, mode=node.mode,
+                pending_out=node.pending_out, buf=None), Msg(kind=NACK))
 
         env = guard.complete(node.env, -1, entry.payload)
         if entry.msg in self._home_fused:
             # responder side of a home-initiated fused pair: perform local
             # actions only, then answer with the reply (which also serves
             # as the ack of the request).
-            return self._remote_fused_response(state, i, entry, guard, env)
-        ack = Msg(kind=ACK)
-        channels = state.channels.send_to_home(i, ack)
-        new_node = RemoteNode(state=guard.to, env=env, mode=IDLE)
-        completes = (RendezvousStep(active=HOME_ID, passive=i, msg=entry.msg,
-                                    payload=entry.payload),)
-        return Step(action=RemoteC3(remote=i),
-                    state=state.with_remote(i, new_node)
-                              .with_channels(channels),
-                    completes=completes, sends=(ack,))
+            return self._remote_fused_response(i, node, entry, guard, env)
+        return _uplink(RemoteC3(remote=i), i, node,
+                       RemoteNode(state=guard.to, env=env, mode=IDLE),
+                       Msg(kind=ACK), completes=(RendezvousStep(
+                           active=HOME_ID, passive=i, msg=entry.msg,
+                           payload=entry.payload),))
 
-    def _remote_fused_response(self, state: AsyncState, i: int,
+    def _remote_fused_response(self, i: int, node: RemoteNode,
                                entry: BufEntry, guard: Input,
-                               env: Env) -> Step:
+                               env: Env) -> Delta:
         remote = self.protocol.remote
         for name in remote.responder_chain(guard.to):
             cursor = remote.state(name)
@@ -915,14 +846,10 @@ class AsyncSystem:
                 f"in state {cursor.name!r}")
         out_guard = cursor.guards[0]
         payload = out_guard.eval_payload(env)
-        repl = Msg(kind=REPL, msg=reply_msg, payload=payload)
-        channels = state.channels.send_to_home(i, repl)
-        new_node = RemoteNode(state=out_guard.to,
-                              env=out_guard.apply_update(env), mode=IDLE)
-        return Step(action=RemoteC3(remote=i),
-                    state=state.with_remote(i, new_node)
-                              .with_channels(channels),
-                    sends=(repl,))
+        return _uplink(RemoteC3(remote=i), i, node,
+                       RemoteNode(state=out_guard.to,
+                                  env=out_guard.apply_update(env), mode=IDLE),
+                       Msg(kind=REPL, msg=reply_msg, payload=payload))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -997,6 +924,16 @@ class AsyncSystem:
             return HomeNode(state=state, env=env, mode=IDLE, out_idx=0,
                             buffer=node.buffer), completes
         return RemoteNode(state=state, env=env, mode=IDLE), completes
+
+    def _rewound(self, home: HomeNode,
+                 buffer: tuple[BufEntry, ...]) -> HomeNode:
+        """Transient ``home`` back in the communication state its pending
+        request rewinds to, the scan moved past that request (rows T2/T3),
+        holding ``buffer``."""
+        spec = self._pending(ProcessKind.HOME, home)[1]
+        return HomeNode(state=spec.rewind_to, env=home.env, mode=IDLE,
+                        out_idx=self._next_out_idx(self.protocol.home, home),
+                        buffer=buffer)
 
     def _next_out_idx(self, process: ProcessDef, home: HomeNode) -> int:
         outputs = process.state(home.state).outputs

@@ -107,7 +107,7 @@ class Simulator:
         self.state: AsyncState = self.system.initial_state()
         #: ``system.deltas(self.state)``, asked for once; :meth:`_apply`
         #: drops it with the state it belongs to
-        self._deltas: Optional[list[Delta]] = None
+        self._enabled_memo: Optional[list[Delta]] = None
         self.now = 0.0
         self.metrics = SimMetrics(n_remotes=n_remotes)
 
@@ -146,9 +146,9 @@ class Simulator:
     def _enabled(self) -> list[Delta]:
         """The current state's deltas — one ``deltas()`` call per state,
         shared by every event and workload query until :meth:`_apply`."""
-        if self._deltas is None:
-            self._deltas = self.system.deltas(self.state)
-        return self._deltas
+        if self._enabled_memo is None:
+            self._enabled_memo = self.system.deltas(self.state)
+        return self._enabled_memo
 
     # -- event firing -----------------------------------------------------------
 
@@ -195,7 +195,7 @@ class Simulator:
     def _apply(self, delta: Delta) -> None:
         before = self.state
         self.state = successor(before, delta)
-        self._deltas = None
+        self._enabled_memo = None
         self.metrics.record_sends(self.now, delta.sends)
         self.metrics.record_completions(self.now, delta.completes)
         self.metrics.record_buffer(self.now, self.state.home.buffer)

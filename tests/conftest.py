@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,6 +22,8 @@ from repro import (
     refine,
 )
 from repro.check.store import ExactStore
+from repro.gen import random_protocol
+from repro.refine.transitions import build_step_table
 
 
 def reachable_states(system, **explore_kwargs) -> list:
@@ -35,8 +38,13 @@ def reachable_states(system, **explore_kwargs) -> list:
 def perf_module(name: str):
     """One module of the standing benchmark, ``perf/<name>.py``, loaded
     by path (``perf/`` is a directory of scripts, not a package)."""
-    path = Path(__file__).resolve().parents[1] / "perf" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perf_{name}", path)
+    return _script_module("perf", name)
+
+
+def _script_module(directory: str, name: str):
+    path = Path(__file__).resolve().parents[1] / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(
+        f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolves string annotations through sys.modules
     sys.modules[spec.name] = module
@@ -134,3 +142,24 @@ def certificate_sweeps(monkeypatch):
 
     monkeypatch.setattr(simulation.StreamedSystem, "initial_state", counting)
     return count
+
+
+#: The step-table mutants that pass Equation 1 at n = 2 and fail it at
+#: n = 3 (ROADMAP item 3): ``(seed, index)`` into
+#: ``benchmarks/closure_vs_sweep.py::draw_mutants`` over the default
+#: generator shape, four mutants drawn per seed.
+CUTOFF_MUTANTS = ((778, 0), (840, 3))
+
+
+@pytest.fixture(scope="session")
+def cutoff_mutants():
+    """``{(seed, index): (refined, mutated table)}`` for
+    :data:`CUTOFF_MUTANTS`."""
+    draw = _script_module("benchmarks", "closure_vs_sweep").draw_mutants
+    out = {}
+    for seed, index in CUTOFF_MUTANTS:
+        refined = refine(random_protocol(seed))
+        mutants = list(draw(refined, build_step_table(refined),
+                            random.Random(seed), 4))
+        out[seed, index] = refined, mutants[index]
+    return out

@@ -1,12 +1,13 @@
-"""Delta-replay differential: ``interpret()`` is the ground truth.
+"""Delta-replay differential: the memo against a fresh run of the rules.
 
 :meth:`AsyncSystem.steps` and :meth:`AsyncSystem.successors` replay
-memoized per-node deltas; :meth:`AsyncSystem.interpret` enumerates the
-same transitions directly from Tables 1/2.  Replay's only correctness
-argument is agreement with the direct enumeration, so this suite
-cross-checks the two on the library protocols and on *randomly
-generated* ones (the library alone exercises only the table rows it
-happens to contain):
+per-node deltas memoized from the Tables 1/2 rules;
+:meth:`AsyncSystem.interpret` runs the same rules afresh at every state.
+A family memoized at one state must equal the rules' answer at every
+other state with the same key, so this suite cross-checks the two on the
+library protocols and on *randomly generated* ones (the library alone
+exercises only the table rows it happens to contain).  What checks the
+rules themselves is listed in docs/ANALYSIS.md, "The trade".  Checked:
 
 * state/transition/deadlock counts, including budget-truncated runs
   (identical counts under truncation require identical successor

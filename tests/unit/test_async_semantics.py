@@ -175,6 +175,29 @@ class TestHomeTable2:
                          is_action(DeliverToHome, remote=i)).state
         assert len(state.home.buffer) == 2
 
+    def test_c2_evicting_a_request_writes_channels_in_order(
+            self, migratory_refined_plain):
+        """A C2 with a full buffer nacks the first buffered request and
+        sends its own: the delta lists the two pushes in ascending
+        channel order, whichever remote the victim is, and ``sends`` has
+        the nack first."""
+        system = AsyncSystem(migratory_refined_plain, 3)
+        state = TestRemoteTable1()._drive_r0_to_V(system)
+        state = take(system, state, is_action(RemoteSend, remote=1)).state
+        state = take(system, state, is_action(DeliverToHome, remote=1)).state
+        state = take(system, state, is_action(HomeStep, kind="C1")).state
+        assert state.home.state == "I1" and system.capacity == 2
+        full = replace(state.home, buffer=(
+            BufEntry(sender=2, msg="req"), BufEntry(sender=1, msg="req")))
+        delta, = (d for d in system.deltas(replace(state, home=full))
+                  if isinstance(d.action, HomeStep))
+        assert delta.action.kind == "C2" and delta.home.awaiting == 0
+        nack, inv = delta.sends
+        assert nack.kind == "NACK" and inv.msg == "inv"
+        assert delta.ops == ((Channels.to_remote(0), 0, (inv,)),
+                             (Channels.to_remote(2), 0, (nack,)))
+        assert delta.home.buffer == (BufEntry(sender=1, msg="req"),)
+
     def test_progress_buffer_refuses_non_satisfying(
             self, migratory_refined_plain):
         """In state E with k=2 and one slot used, a second req (which

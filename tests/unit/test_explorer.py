@@ -1,6 +1,7 @@
 """Unit tests for the explicit-state explorer (repro.check.explorer)."""
 
 import gc
+import weakref
 
 import pytest
 
@@ -281,6 +282,66 @@ class CollectorProbe(ChainSystem):
         if self.fail is not None and state == 2:
             raise self.fail
         return super().successors(state)
+
+
+class Node:
+    """A state of :class:`BinaryTree` that can be weakly referenced."""
+
+    __slots__ = ("depth", "index", "__weakref__")
+
+    def __init__(self, depth, index):
+        self.depth, self.index = depth, index
+
+    def canonical_key(self):
+        return self.depth, self.index
+
+    def __eq__(self, other):
+        return self.canonical_key() == other.canonical_key()
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+
+class BinaryTree:
+    """Level ``k`` holds the ``2**k`` states ``Node(k, 0..2**k - 1)``.
+    When the last state of a level is expanded, records whether the
+    level's first state is still alive."""
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.refs = {}
+        self.first_alive_at_last = {}
+
+    def node(self, depth, index):
+        node = Node(depth, index)
+        self.refs[depth, index] = weakref.ref(node)
+        return node
+
+    def initial_state(self):
+        return self.node(0, 0)
+
+    def successors(self, state):
+        k, i = state.depth, state.index
+        if i == 2 ** k - 1:
+            self.first_alive_at_last[k] = self.refs[k, 0]() is not None
+        if k == self.depth:
+            return []
+        return [(b, self.node(k + 1, 2 * i + b)) for b in (0, 1)]
+
+
+class TestLevelRelease:
+    """``explore()`` drops each state from its level as it expands it,
+    so a store that keeps no states holds at most the level being built
+    plus what is left of the level being expanded."""
+
+    def test_expanded_states_are_freed_within_their_level(self):
+        tree = BinaryTree(5)
+        result = explore(tree, store=FingerprintStore(), allow_deadlock=True)
+        assert result.completed and result.n_states == 2 ** 6 - 1
+        # level 0's one state is its own last; every wider level's
+        # first state is gone before its last is expanded
+        assert tree.first_alive_at_last == {0: True, **{
+            k: False for k in range(1, 6)}}
 
 
 class TestCollectorPause:

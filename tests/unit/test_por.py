@@ -100,11 +100,13 @@ ACTION_CLASSES = {
 
 
 class TestActionClasses:
-    """The static independence the ample rule assumes, checked on every
-    step of every reachable state at n = 2 against ``interpret()``: a
-    ``P(i)`` step touches only remote ``i`` and its channel ends (a
-    delivery pops the head of home→remote(i) and pushes only to
-    remote(i)→home), a home-class step never writes a remote, and
+    """The static independence the ample rule assumes, checked on the
+    rules' own writes — each successor ``interpret()`` builds from a
+    fresh rule run, diffed against its origin — on every step of every
+    reachable state at n = 2: a ``P(i)`` step touches only remote ``i``
+    and its channel ends (a delivery pops the head of home→remote(i) and
+    pushes only to remote(i)→home), a home-class step never writes a
+    remote, and
     ``sends`` is exactly what a step pushes.  The invariants preset's
     visibility check, read off the memoized delta, agrees with the same
     diff."""

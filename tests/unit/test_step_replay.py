@@ -1,21 +1,21 @@
-"""Steps replayed from the memoized deltas equal the interpreted ones.
+"""Steps replayed from the memo equal a fresh run of the rules.
 
 :meth:`AsyncSystem.steps` builds each step from its memoized
 :class:`~repro.semantics.asynchronous.Delta`, and :meth:`AsyncSystem.apply`
-builds the one successor it is asked for.  Over every reachable state of
-two small systems both must be indistinguishable from
-:meth:`AsyncSystem.interpret`'s steps, and a family no delta can express
-is refused.
+builds the one successor it is asked for.  :meth:`AsyncSystem.interpret`
+runs the rules afresh at every state, so over every reachable state of
+two small systems the comparison checks that a family memoized at one
+state equals the rules' answer at any other state with the same key.  A
+family that writes a node its memo key does not hold is refused.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro import AsyncSystem
 from repro.check.explorer import explore
 from repro.errors import SemanticsError
-from repro.semantics.asynchronous import RemoteC3
+from repro.csp.env import Env
+from repro.semantics.asynchronous import RemoteC3, RemoteNode
 from tests.conftest import reachable_states
 
 
@@ -53,12 +53,13 @@ def test_apply_unchanged(swept):
 
 
 class HomeMovesRemote(AsyncSystem):
-    """A home family that also rewrites remote 0: no delta expresses it."""
+    """A home family that also rewrites remote 0: its owner holds only
+    the home, so no memo entry may record it."""
 
-    def _home_steps(self, state):
-        return [replace(step, state=step.state.with_remote(
-                    0, replace(step.state.remotes[0], state="moved")))
-                for step in super()._home_steps(state)]
+    def _home_steps(self, home):
+        moved = (0, RemoteNode(state="moved", env=Env()))
+        return [delta._replace(moved=moved)
+                for delta in super()._home_steps(home)]
 
 
 def test_family_the_memo_cannot_express_raises(migratory_refined):
