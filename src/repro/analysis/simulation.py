@@ -53,8 +53,8 @@ from ..refine.abstraction import AbstractionUndefined
 from ..refine.plan import RefinedProtocol
 from ..refine.transitions import KIND_REQUEST, StepTable, build_step_table
 from ..check.explorer import explore
-from ..check.simulation import Equation1, StreamedSystem
-from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
+from ..check.simulation import Equation1, Pair, StreamedSystem
+from ..semantics.asynchronous import AsyncAction, AsyncState, AsyncSystem
 from ..semantics.network import REPL
 from .diagnostics import CODES, Diagnostic, Severity, make
 from .memokey import structural_key
@@ -181,39 +181,40 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
     fused_depth = _fused_response_depths(derived, refined.protocol.remote)
     n_obligations = n_carved = n_interference = 0
 
-    def visit(state: AsyncState, steps: list[Step]) -> None:
+    def visit(state: AsyncState, pairs: list[Pair]) -> None:
         nonlocal n_obligations, n_carved, n_interference
-        n_obligations += len(steps)
+        n_obligations += len(pairs)
         if n_engaged(state) >= 2:
-            n_interference += len(steps)
+            n_interference += len(pairs)
         before = eq1.abstraction(state)
-        for step in steps:
-            after = eq1.abstraction(step.state)
+        for delta, nxt in pairs:
+            action = delta.action
+            after = eq1.abstraction(nxt)
             if isinstance(before, AbstractionUndefined):
-                n_carved += _report_undefined(derived, state, step, state,
+                n_carved += _report_undefined(derived, state, action, state,
                                               before, emit)
                 continue
             if isinstance(after, AbstractionUndefined):
-                n_carved += _report_undefined(derived, state, step,
-                                              step.state, after, emit)
+                n_carved += _report_undefined(derived, state, action, nxt,
+                                              after, emit)
                 continue
             # A step that puts a fused REPL in flight fast-forwards its
             # target through both rendezvous at once (plus the responder's
             # internal tau chain for a home-initiated pair), so it may map
             # to several hops; every other step maps to at most one.
             allowed = 1
-            repl = next((m for m in step.sends if m.kind == REPL), None)
+            repl = next((m for m in delta.sends if m.kind == REPL), None)
             if repl is not None and repl.msg is not None:
                 allowed = fused_depth.get(repl.msg, 1)
             if not eq1.holds(before, after, allowed):
-                rule, action = step_rule(state, step), step.action.describe()
-                emit("P4401", step_location(state, step),
-                     f"rule {rule} ({action}) does not commute: abs maps "
-                     f"{before.describe()} -> {after.describe()}, not "
-                     f"reachable in <= {allowed} rendezvous step(s)",
+                rule = step_rule(state, action)
+                emit("P4401", step_location(state, action),
+                     f"rule {rule} ({action.describe()}) does not commute: "
+                     f"abs maps {before.describe()} -> {after.describe()}, "
+                     f"not reachable in <= {allowed} rendezvous step(s)",
                      hint="check the rewind/fast-forward targets of the "
                           "step-table row that fired here",
-                     dedup=f"{rule}:{action}")
+                     dedup=f"{rule}:{action.describe()}")
 
     def fault(state: AsyncState, exc: SemanticsError) -> None:
         emit("P4401", step_location(state),
@@ -250,23 +251,23 @@ def _discharge(refined: RefinedProtocol, table: StepTable,
     return replace(report, diagnostics=tuple(diagnostics))
 
 
-def _report_undefined(derived: StepTable, before: AsyncState, step: Step,
-                      state: AsyncState, image: AbstractionUndefined,
-                      emit: _EmitFn) -> int:
+def _report_undefined(derived: StepTable, before: AsyncState,
+                      action: AsyncAction, state: AsyncState,
+                      image: AbstractionUndefined, emit: _EmitFn) -> int:
     """``abs`` is undefined on one end (``state``) of an edge: 1 if that
     is the fire-and-forget carve-out the AST-derived table declares, else
     a P4402/P4403 and 0."""
     if image.is_note_carveout and derived.notes:
         return 1  # abs is undefined *because* state holds a note
-    rule = step_rule(before, step)
+    rule = step_rule(before, action)
     if image.is_note_carveout:
-        emit("P4402", step_location(before, step),
+        emit("P4402", step_location(before, action),
              f"abs undefined ({image.reason}) on rule {rule} "
              "but the plan declares no fire-and-forget messages: "
              f"{image} (in {state.describe()})",
              dedup=f"{rule}:{image.reason}")
     else:
-        emit("P4403", step_location(before, step),
+        emit("P4403", step_location(before, action),
              f"abs has no preimage ({image.reason}) after rule "
              f"{rule}: {image} (in {state.describe()})",
              hint="a transient state must always hold a witness "

@@ -58,6 +58,7 @@ from ..check.store import ExactStore
 from ..refine.transitions import KIND_REQUEST
 from ..semantics.asynchronous import (
     IDLE,
+    AsyncAction,
     AsyncState,
     AsyncSystem,
     DeliverToHome,
@@ -69,7 +70,6 @@ from ..semantics.asynchronous import (
     RemoteNode,
     RemoteSend,
     RemoteTau,
-    Step,
 )
 from ..semantics.network import Channels
 from ..semantics.rendezvous import RendezvousSystem
@@ -185,9 +185,8 @@ def n_engaged(state: AsyncState) -> int:
     return count
 
 
-def step_rule(before: AsyncState, step: Step) -> str:
-    """A human-stable schema-row label for an executed step."""
-    action = step.action
+def step_rule(before: AsyncState, action: AsyncAction) -> str:
+    """A human-stable schema-row label for ``action`` taken at ``before``."""
     if isinstance(action, RemoteSend):
         return "remote.send"
     if isinstance(action, RemoteC3):
@@ -209,9 +208,9 @@ def step_rule(before: AsyncState, step: Step) -> str:
     return "unknown"
 
 
-def step_location(state: AsyncState, step: Optional[Step] = None) -> str:
+def step_location(state: AsyncState,
+                  action: Optional[AsyncAction] = None) -> str:
     """A ``process.state`` diagnostic anchor for a swept configuration."""
-    action = step.action if step is not None else None
     if isinstance(action, (RemoteSend, RemoteC3, RemoteTau, DeliverToRemote)):
         return f"remote.{state.remotes[action.remote].state}"
     return f"home.{state.home.state}"

@@ -95,11 +95,10 @@ The rule reads nothing but the inner system's memoized deltas
 of each, the ``sends`` of the candidate deliveries, and for the
 invariants preset the candidate's own delta.  :meth:`PORSystem.expand`
 then builds only the successors it keeps — one at a reduced state —
-with :func:`~repro.semantics.asynchronous.successor`, and builds no
-:class:`~repro.semantics.asynchronous.Step` at all.  The delta's fields
-are read by name (``delta.action``, ``delta.sends``).
-:meth:`PORSystem.steps` builds a whole step, successor included, for
-each delta it keeps.
+with :func:`~repro.semantics.asynchronous.successor`.  The delta's
+fields are read by name (``delta.action``, ``delta.sends``).
+:meth:`PORSystem.deltas` returns the deltas it keeps and builds no
+successor at all.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ from ..semantics.asynchronous import (
     RemoteC3,
     RemoteSend,
     RemoteTau,
-    Step,
     successor,
 )
 from ..semantics.network import REQ, Channels
@@ -139,7 +137,7 @@ _LOCAL = (RemoteSend, RemoteC3, RemoteTau)
 class PORSystem:
     """Wrap an :class:`AsyncSystem` so the explorer sees ample sets.
 
-    Exposes the same ``initial_state``/``steps``/``successors`` surface
+    Exposes the same ``initial_state``/``deltas``/``successors`` surface
     as the inner system plus :meth:`expand`, which the explorer uses to
     report the full enabled count next to the reduced successor list
     (the per-level reduction ratio of a profile).  Compose
@@ -148,9 +146,9 @@ class PORSystem:
     canonicalizes the survivors.
 
     The ample set is chosen on the inner system's memoized deltas
-    (:meth:`AsyncSystem.deltas`), so a sweep builds no :class:`Step`
-    and only the successors it keeps; :meth:`steps` wraps the same
-    choice in steps for the callers that read ``completes``.
+    (:meth:`AsyncSystem.deltas`), so a sweep builds only the successors
+    it keeps; :meth:`deltas` returns the same choice to the callers that
+    read ``completes``.
     """
 
     def __init__(self, inner: AsyncSystem, *,
@@ -172,12 +170,11 @@ class PORSystem:
     def initial_state(self) -> AsyncState:
         return self.inner.initial_state()
 
-    def steps(self, state: AsyncState) -> list[Step]:
-        """The ample subset of the inner system's enabled steps."""
+    def deltas(self, state: AsyncState) -> list[Delta]:
+        """The ample subset of the inner system's enabled deltas."""
         deltas = self.inner.deltas(state)
         ample = self.ample(state, deltas)
-        return [Step(d.action, successor(state, d), d.completes, d.sends)
-                for d in (deltas if ample is None else (ample,))]
+        return deltas if ample is None else [ample]
 
     def successors(self, state: AsyncState,
                    ) -> list[tuple[AsyncAction, AsyncState]]:
@@ -188,9 +185,8 @@ class PORSystem:
         """Reduced successors plus the full enabled-transition count."""
         deltas = self.inner.deltas(state)
         ample = self.ample(state, deltas)
-        if ample is not None:
-            return [(ample.action, successor(state, ample))], len(deltas)
-        return [(d.action, successor(state, d)) for d in deltas], len(deltas)
+        kept = deltas if ample is None else (ample,)
+        return [(d.action, successor(state, d)) for d in kept], len(deltas)
 
     # -- the ample rule ------------------------------------------------------
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from ..errors import BudgetExceeded, PropertyViolation
+from ..semantics.asynchronous import successor
 from .explorer import explore
 from .stats import ExplorationResult, _describe
 from .store import ExactStore
@@ -120,12 +121,12 @@ def check_progress(
 ) -> ProgressReport:
     """Check weak-fairness progress (no deadlock, no livelocked terminal SCC).
 
-    Works on any system exposing ``initial_state`` and either ``steps``
+    Works on any system exposing ``initial_state`` and either ``deltas``
     (asynchronous level — progress edges are those completing a rendezvous)
     or ``successors`` + ``is_progress`` (rendezvous level).
     """
-    if not (hasattr(system, "steps") or hasattr(system, "is_progress")):
-        raise TypeError("system supports neither steps() nor "
+    if not (hasattr(system, "deltas") or hasattr(system, "is_progress")):
+        raise TypeError("system supports neither deltas() nor "
                         "successors()+is_progress()")
     store = ExactStore()
     result = explore(WithCompletes(system), max_states=max_states,
@@ -194,9 +195,9 @@ class WithCompletes:
     ``successors()`` drops the ``completes`` observable that progress and
     leads-to label edges by; this view wraps each action that completes
     something as ``Completed((action, completes))`` and passes the rest
-    through — from ``steps()``, or at the rendezvous level from
-    ``successors()``, where a rendezvous completes itself and an action
-    ``is_progress`` rules out (a tau) completes nothing.  States and
+    through — from each delta of ``deltas()``, or at the rendezvous level
+    from ``successors()``, where a rendezvous completes itself and an
+    action ``is_progress`` rules out (a tau) completes nothing.  States and
     their order are the inner system's: its safety sweep, labelled.
     """
 
@@ -206,11 +207,12 @@ class WithCompletes:
     def initial_state(self) -> Hashable:
         return self.inner.initial_state()
 
-    def successors(self, state: Hashable) -> list[tuple[Any, Hashable]]:
+    def successors(self, state: Any) -> list[tuple[Any, Hashable]]:
         inner = self.inner
-        if hasattr(inner, "steps"):
-            return [(Completed((s.action, s.completes)) if s.completes
-                     else s.action, s.state) for s in inner.steps(state)]
+        if hasattr(inner, "deltas"):
+            return [(Completed((d.action, d.completes)) if d.completes
+                     else d.action, successor(state, d))
+                    for d in inner.deltas(state)]
         is_progress = getattr(inner, "is_progress", lambda _action: True)
         return [(Completed((action, (action,))) if is_progress(action)
                  else action, nxt) for action, nxt in inner.successors(state)]

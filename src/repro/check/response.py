@@ -78,7 +78,7 @@ def check_response(
 ) -> ResponseReport:
     """Check ``request leads-to response`` over the reachable graph.
 
-    ``system`` must expose ``steps`` (asynchronous level) or ``successors``
+    ``system`` must expose ``deltas`` (asynchronous level) or ``successors``
     (rendezvous level, where ``completes`` is the action itself, or empty
     for an action the system's ``is_progress`` rules out).
     """

@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..errors import SemanticsError
 from ..refine.abstraction import Abstraction, AbstractionUndefined
-from ..semantics.asynchronous import AsyncState, AsyncSystem, Step
+from ..semantics.asynchronous import AsyncState, AsyncSystem, Delta, successor
 from ..semantics.rendezvous import RendezvousSystem
 from ..semantics.state import RvState
 from .explorer import explore
@@ -126,23 +126,28 @@ class Equation1:
         return cached
 
 
+#: one enabled step of a swept state: its delta and the successor
+Pair = tuple[Delta, AsyncState]
+
+
 class StreamedSystem:
     """``system`` as :func:`~repro.check.explorer.explore` sees it,
     analysed while it is swept instead of from a kept graph.
 
-    ``visit(state, steps)`` is called once per expanded state with the
-    :class:`~repro.semantics.asynchronous.Step` list out of it.  Given
+    ``visit(state, pairs)`` is called once per expanded state with its
+    ``(delta, successor)`` pairs, one per enabled step
+    (:meth:`~repro.semantics.asynchronous.AsyncSystem.deltas`).  Given
     ``roots``, the sweep starts from a synthetic initial state whose
     successors they are, so one ``explore()`` call covers the
     closure of several start states.  A :class:`SemanticsError` out of
-    ``steps()`` goes to ``fault(state, exc)`` when given — the state then
+    ``deltas()`` goes to ``fault(state, exc)`` when given — the state then
     has no successors — and propagates otherwise.
     """
 
     ROOT = "<roots>"
 
     def __init__(self, system: AsyncSystem,
-                 visit: Callable[[AsyncState, list[Step]], None], *,
+                 visit: Callable[[AsyncState, list[Pair]], None], *,
                  roots: Optional[Sequence[AsyncState]] = None,
                  fault: Optional[Callable[[AsyncState, SemanticsError],
                                           None]] = None) -> None:
@@ -159,14 +164,15 @@ class StreamedSystem:
         if state is self.ROOT:
             return [(None, root) for root in self.roots or ()]
         try:
-            steps = self.system.steps(state)
+            deltas = self.system.deltas(state)
         except SemanticsError as exc:
             if self.fault is None:
                 raise
             self.fault(state, exc)
             return []
-        self.visit(state, steps)
-        return [(step.action, step.state) for step in steps]
+        pairs = [(d, successor(state, d)) for d in deltas]
+        self.visit(state, pairs)
+        return [(d.action, nxt) for d, nxt in pairs]
 
 
 @dataclass
@@ -237,17 +243,17 @@ def check_simulation(
             f"initial abstraction mismatch: abs(q0) = {init_abs.describe()} "
             f"but rendezvous initial state is {rv_init.describe()}")
 
-    def visit(state: AsyncState, steps: list[Step]) -> None:
+    def visit(state: AsyncState, pairs: list[Pair]) -> None:
         nonlocal n_edges
         if len(failures) >= max_failures:
             return
         src_abs = image(state)
-        for step in steps:
+        for delta, nxt in pairs:
             n_edges += 1
-            dst_abs = image(step.state)
+            dst_abs = image(nxt)
             if not eq1.holds(src_abs, dst_abs, depth):
                 failures.append(
-                    f"edge {step.action.describe()} maps "
+                    f"edge {delta.action.describe()} maps "
                     f"{src_abs.describe()} -> {dst_abs.describe()}, not "
                     f"reachable in <= {depth} rendezvous steps")
                 if len(failures) >= max_failures:

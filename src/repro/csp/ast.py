@@ -295,15 +295,15 @@ class StateDef:
     name: str
     guards: tuple[Guard, ...] = ()
 
-    @property
+    @cached_property
     def outputs(self) -> tuple[Output, ...]:
         return tuple(g for g in self.guards if isinstance(g, Output))
 
-    @property
+    @cached_property
     def inputs(self) -> tuple[Input, ...]:
         return tuple(g for g in self.guards if isinstance(g, Input))
 
-    @property
+    @cached_property
     def taus(self) -> tuple[Tau, ...]:
         return tuple(g for g in self.guards if isinstance(g, Tau))
 
@@ -324,7 +324,7 @@ class StateDef:
         return next((x for i, x in enumerate(labels) if x in labels[:i]),
                     None)
 
-    @property
+    @cached_property
     def is_communication(self) -> bool:
         """A state offering at least one rendezvous (paper section 2.4)."""
         return bool(self.outputs) or bool(self.inputs)

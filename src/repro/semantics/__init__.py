@@ -1,6 +1,6 @@
 """Operational semantics: rendezvous level and asynchronous (refined) level."""
 
-from .asynchronous import AsyncState, AsyncSystem, Step
+from .asynchronous import AsyncState, AsyncSystem
 from .network import ACK, NACK, NOTE, REPL, REQ, Channels, Msg
 from .rendezvous import RendezvousStep, RendezvousSystem, TauStep
 from .state import HOME_ID, ProcState, RvState
@@ -8,5 +8,5 @@ from .state import HOME_ID, ProcState, RvState
 __all__ = [
     "ACK", "AsyncState", "AsyncSystem", "Channels", "HOME_ID", "Msg",
     "NACK", "NOTE", "ProcState", "REPL", "REQ", "RendezvousStep",
-    "RendezvousSystem", "RvState", "Step", "TauStep",
+    "RendezvousSystem", "RvState", "TauStep",
 ]

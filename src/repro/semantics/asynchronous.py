@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Hashable, NamedTuple, Optional
 
-from ..csp.ast import Input, Output, ProcessDef, ProcessKind, Protocol, StateDef
+from ..csp.ast import Input, Output, ProcessKind, Protocol, StateDef
 from ..csp.env import Env, Value
 from ..errors import SemanticsError
 from ..refine.plan import RefinedProtocol
@@ -83,7 +83,6 @@ __all__ = [
     "RemoteC3",
     "RemoteTau",
     "AsyncAction",
-    "Step",
     "Delta",
     "successor",
     "AsyncSystem",
@@ -284,26 +283,6 @@ AsyncAction = (DeliverToHome | DeliverToRemote | HomeStep | HomeTau
                | RemoteSend | RemoteC3 | RemoteTau)
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
-    """One enabled transition with its observables.
-
-    ``completes`` lists rendezvous that *finish* on this step (each
-    rendezvous of the underlying protocol is reported exactly once, at the
-    moment its second party commits).  ``sends`` lists messages injected
-    into the network by this step, for message-count metrics.
-
-    A :class:`Delta` applied to its origin state: :meth:`AsyncSystem.steps`
-    builds these from the memoized deltas, :meth:`AsyncSystem.interpret`
-    from a fresh run of the rules.
-    """
-
-    action: AsyncAction
-    state: AsyncState
-    completes: tuple[RendezvousStep, ...] = ()
-    sends: tuple[Msg, ...] = ()
-
-
 # ---------------------------------------------------------------------------
 # the system
 # ---------------------------------------------------------------------------
@@ -322,8 +301,12 @@ class Delta(NamedTuple):
     ``home`` is the home's new node (None: equal to the old one),
     ``moved`` the ``(j, new node)`` of the one remote it rewrites (None:
     none, or a node equal to the old one), and ``ops`` its channel
-    changes in ascending channel order.  ``completes`` and ``sends`` are
-    :class:`Step`'s observables.
+    changes in ascending channel order.  ``completes`` lists the
+    rendezvous that *finish* on this step (each rendezvous of the
+    underlying protocol is reported exactly once, at the moment its
+    second party commits), ``sends`` the messages it puts in the network.
+    It is the only record of an asynchronous step: a reader that needs
+    the successor too takes ``(delta, successor(state, delta))``.
     """
 
     action: AsyncAction
@@ -346,10 +329,18 @@ def successor(state: AsyncState, delta: Delta) -> AsyncState:
                       state.channels.replay(ops) if ops else state.channels)
 
 
-def _applied(state: AsyncState, deltas: list[Delta]) -> list[Step]:
-    """Each of ``state``'s ``deltas`` as a :class:`Step`."""
-    return [Step(d.action, successor(state, d), d.completes, d.sends)
-            for d in deltas]
+def _memoize(memo: dict[Any, tuple[Delta, ...]], key: Any, owner: ProcId,
+             family: tuple[Delta, ...]) -> tuple[Delta, ...]:
+    """Write the rules' ``family`` to ``memo`` under ``key`` and return
+    it; a family that writes a node its owner (the home, or remote ``i``)
+    does not hold is a :class:`SemanticsError`."""
+    for delta in family:
+        if (delta.home is not None and owner != HOME_ID
+                or delta.moved is not None and delta.moved[0] != owner):
+            raise SemanticsError(
+                f"step family {key!r} of owner {owner!r} rewrites more than "
+                "its owner's node and channel ends; it cannot be replayed")
+    return remember(memo, key, family)
 
 
 def _home_write(action: AsyncAction, old: HomeNode, new: HomeNode,
@@ -405,8 +396,8 @@ class AsyncSystem:
     pushes.  :meth:`deltas` memoizes each family once per key.  A caller
     that takes one step of many reads :meth:`deltas` and builds one
     successor (:func:`successor`): the simulator, :meth:`apply`, POR's
-    ample step.  :meth:`successors` and :meth:`steps` build every one,
-    and :meth:`interpret` runs the rules without the memo.  The memo
+    ample step.  :meth:`successors` builds every one, and
+    :meth:`interpret` runs the same loop with an empty memo.  The memo
     belongs to the instance (the table, the plan and ``n_remotes`` are
     part of what a key means) and holds nodes and messages only, never a
     state or a :class:`Channels`.
@@ -449,28 +440,17 @@ class AsyncSystem:
 
     # -- public enumeration API ----------------------------------------------
 
-    def interpret(self, state: AsyncState) -> list[Step]:
-        """:meth:`steps` with no memo: every rule runs afresh, in
-        :meth:`deltas`' order, and each delta is applied."""
-        queues = state.channels.queues
-        out: list[Delta] = []
-        for i in range(self.n_remotes):
-            if queues[2 * i + 1]:
-                out.append(self._deliver_to_home(i, state.home,
-                                                 queues[2 * i + 1][0]))
-            if queues[2 * i]:
-                out.append(self._deliver_to_remote(i, state.remotes[i],
-                                                   queues[2 * i][0]))
-        if state.home.mode == IDLE:
-            out.extend(self._home_steps(state.home))
-        for i, node in enumerate(state.remotes):
-            if node.mode == IDLE:
-                out.extend(self._remote_steps(i, node))
-        return _applied(state, out)
+    def deltas(self, state: AsyncState) -> list[Delta]:
+        """One :class:`Delta` per enabled step, no successor built:
+        remote by remote its two deliveries, then the home's steps, then
+        each remote's local steps, family by family through the memo.
+        :func:`successor` applies one."""
+        return self._enabled(state, self._memo)
 
-    def steps(self, state: AsyncState) -> list[Step]:
-        """All enabled transitions, with completion/send observables."""
-        return _applied(state, self.deltas(state))
+    def interpret(self, state: AsyncState) -> list[Delta]:
+        """:meth:`deltas` with no memo: every rule runs afresh, in the
+        same order."""
+        return self._enabled(state, {})
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
         return [(d.action, successor(state, d)) for d in self.deltas(state)]
@@ -481,15 +461,11 @@ class AsyncSystem:
                 return successor(state, delta)
         raise SemanticsError(f"action {action!r} not enabled")
 
-    # -- delta replay ----------------------------------------------------------
-
-    def deltas(self, state: AsyncState) -> list[Delta]:
-        """One :class:`Delta` per enabled step, family by family through
-        the memo (remote by remote its two deliveries, then the home's
-        steps, then each remote's local steps), no successor built.
-        :func:`successor` applies one."""
+    def _enabled(self, state: AsyncState,
+                 memo: dict[Any, tuple[Delta, ...]]) -> list[Delta]:
+        """:meth:`deltas` and :meth:`interpret`: each family read from
+        ``memo``, or run and written there."""
         out: list[Delta] = []
-        memo = self._memo
         home = state.home
         remotes = state.remotes
         queues = state.channels.queues
@@ -499,7 +475,7 @@ class AsyncSystem:
                 key: Any = (i, home, queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._memoize(key, HOME_ID, (
+                    family = _memoize(memo, key, HOME_ID, (
                         self._deliver_to_home(i, home, queue[0]),))
                 out.extend(family)
             queue = queues[2 * i]
@@ -507,14 +483,13 @@ class AsyncSystem:
                 key = (i, remotes[i], queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = self._memoize(key, i, (
+                    family = _memoize(memo, key, i, (
                         self._deliver_to_remote(i, remotes[i], queue[0]),))
                 out.extend(family)
         if home.mode == IDLE:
             family = memo.get(home)
             if family is None:
-                family = self._memoize(home, HOME_ID,
-                                       tuple(self._home_steps(home)))
+                family = _memoize(memo, home, HOME_ID, tuple(self._home_steps(home)))
             out.extend(family)
         for i in range(self.n_remotes):
             node = remotes[i]
@@ -522,24 +497,10 @@ class AsyncSystem:
                 key = (i, node)
                 family = memo.get(key)
                 if family is None:
-                    family = self._memoize(
-                        key, i, tuple(self._remote_steps(i, node)))
+                    family = _memoize(memo, key, i,
+                                      tuple(self._remote_steps(i, node)))
                 out.extend(family)
         return out
-
-    def _memoize(self, key: Any, owner: ProcId,
-                 family: tuple[Delta, ...]) -> tuple[Delta, ...]:
-        """Memoize the rules' ``family`` under ``key`` and return it; a
-        family that writes a node its owner (the home, or remote ``i``)
-        does not hold is a :class:`SemanticsError`."""
-        for delta in family:
-            if (delta.home is not None and owner != HOME_ID
-                    or delta.moved is not None and delta.moved[0] != owner):
-                raise SemanticsError(
-                    f"step family {key!r} of owner {owner!r} rewrites more "
-                    "than its owner's node and channel ends; it cannot be "
-                    "replayed")
-        return remember(self._memo, key, family)
 
     # -- home: message delivery ----------------------------------------------
 
@@ -930,13 +891,8 @@ class AsyncSystem:
         """Transient ``home`` back in the communication state its pending
         request rewinds to, the scan moved past that request (rows T2/T3),
         holding ``buffer``."""
-        spec = self._pending(ProcessKind.HOME, home)[1]
+        spec = self._pending(ProcessKind.HOME, home)[1]  # pending_out set
+        outputs = self.protocol.home.state(home.state).outputs
         return HomeNode(state=spec.rewind_to, env=home.env, mode=IDLE,
-                        out_idx=self._next_out_idx(self.protocol.home, home),
+                        out_idx=(home.pending_out + 1) % len(outputs),
                         buffer=buffer)
-
-    def _next_out_idx(self, process: ProcessDef, home: HomeNode) -> int:
-        outputs = process.state(home.state).outputs
-        if not outputs or home.pending_out is None:
-            return 0
-        return (home.pending_out + 1) % len(outputs)

@@ -1,8 +1,9 @@
 """Delta-replay differential: the memo against a fresh run of the rules.
 
-:meth:`AsyncSystem.steps` and :meth:`AsyncSystem.successors` replay
+:meth:`AsyncSystem.deltas` and :meth:`AsyncSystem.successors` replay
 per-node deltas memoized from the Tables 1/2 rules;
-:meth:`AsyncSystem.interpret` runs the same rules afresh at every state.
+:meth:`AsyncSystem.interpret` runs the same loop with an empty memo, so
+the rules run afresh at every state.
 A family memoized at one state must equal the rules' answer at every
 other state with the same key, so this suite cross-checks the two on the
 library protocols and on *randomly generated* ones (the library alone
@@ -13,7 +14,8 @@ rules themselves is listed in docs/ANALYSIS.md, "The trade".  Checked:
   (identical counts under truncation require identical successor
   *order*, not just identical sets);
 * invariant and progress verdicts;
-* step-level observables (``completes``/``sends``), which carry the
+* every delta field by field, the step-level observables
+  (``completes``/``sends``) among them, which carry the
   payload values — also the regression assertion for the hot-path bug
   where ``eval_payload`` ran more than once per guard: the value sent
   with a request and the value observed at its completion must be the
@@ -42,6 +44,7 @@ from repro.protocols import LIBRARY_PROTOCOLS
 from repro.protocols.invariants import async_structural_invariants
 from repro.refine.transitions import build_step_table
 from repro.semantics import state as semantics_state
+from repro.semantics.asynchronous import successor
 from tests.conftest import reachable_states
 
 SMALL = GeneratorParams(n_remote_states=3, n_home_states=3,
@@ -62,11 +65,8 @@ def protocols(draw):
 class Interpreted(AsyncSystem):
     """The reference: every expansion is the direct enumeration."""
 
-    def steps(self, state):
+    def deltas(self, state):
         return self.interpret(state)
-
-    def successors(self, state):
-        return [(s.action, s.state) for s in self.interpret(state)]
 
 
 def reference_pair(refined, n=2, **kwargs):
@@ -79,17 +79,11 @@ def counts(result):
             result.completed, result.stop_reason)
 
 
-def assert_steps_equal(system, state):
+def assert_deltas_equal(system, state):
     expected = system.interpret(state)
-    replayed = system.steps(state)
-    assert len(replayed) == len(expected)
-    for a, b in zip(expected, replayed):
-        assert a.action == b.action
-        assert a.state == b.state
-        assert a.completes == b.completes
-        assert a.sends == b.sends
-    assert system.successors(state) == [(s.action, s.state)
-                                        for s in expected]
+    assert system.deltas(state) == expected
+    assert system.successors(state) == [(d.action, successor(state, d))
+                                        for d in expected]
 
 
 class TestRandomProtocolDifferential:
@@ -138,10 +132,11 @@ class TestRandomProtocolDifferential:
 
 
 class TestStepObservableParity:
-    """Field-by-field agreement of ``steps()`` with ``interpret()``.
+    """Field-by-field agreement of ``deltas()`` with ``interpret()``.
 
-    Beyond (action, state) pairs this compares the ``completes`` and
-    ``sends`` observables, whose payload fields are the values evaluated
+    Beyond (action, successor) pairs this compares the written nodes and
+    channel ends and the ``completes`` and ``sends`` observables, whose
+    payload fields are the values evaluated
     from the guard payload expressions — the "both sites agree"
     assertion for the eval-once bugfix.
     """
@@ -152,14 +147,14 @@ class TestStepObservableParity:
         system = AsyncSystem(refine(protocol), 2)
         for state in reachable_states(system, max_states=400,
                                       allow_deadlock=True)[:200]:
-            assert_steps_equal(system, state)
+            assert_deltas_equal(system, state)
 
     @pytest.mark.parametrize("name", sorted(LIBRARY_PROTOCOLS))
     def test_library_protocols_on_every_reachable_state(self, name,
                                                         request):
         system = AsyncSystem(request.getfixturevalue(f"{name}_refined"), 2)
         for state in reachable_states(system):
-            assert_steps_equal(system, state)
+            assert_deltas_equal(system, state)
 
 
 class TestMemo:
@@ -178,7 +173,7 @@ class TestMemo:
         result = explore(bounded, max_states=3000, store=store)
         assert counts(result) == counts(reference)
         for state in store:
-            assert_steps_equal(bounded, state)
+            assert_deltas_equal(bounded, state)
             assert len(bounded._memo) <= 8
 
     def test_replayed_state_has_exactly_its_fields(self, migratory_refined):

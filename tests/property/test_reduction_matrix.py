@@ -10,8 +10,9 @@ contract: for every cell of
 
 the two store variants of the *same* reduction combination must report
 the ``n_states``/``n_transitions``/``deadlock_count``/``stop_reason``
-of one reference run — the same reductions over a system that expands
-every state with ``interpret()``, explored with the exact store —
+of one reference run — the same reductions over a system whose
+``deltas()`` is ``interpret()``, so every state's successors come from a
+fresh run of the rules, explored with the exact store —
 including runs truncated mid-level by a state budget, where a single
 reordered replayed successor would shift the counts.  Across
 combinations, reduction only ever shrinks the state count.
@@ -63,7 +64,7 @@ def reference_for(spec):
 
 def variants(spec, **budgets):
     """The reference run plus the two store runs of one reduction
-    combination: ``steps()`` replay over {exact, fingerprint}."""
+    combination: ``deltas()`` replay over {exact, fingerprint}."""
     system = system_for(spec)
     return {
         "reference": explore(reference_for(spec), name="matrix",

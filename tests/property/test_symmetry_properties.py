@@ -272,26 +272,27 @@ def old_normalize(state, spec):
         remotes=remotes, channels=Channels(queues=tuple(queues)))
 
 
+#: each case reads its protocol from a session fixture (``fixture(name)``)
 _ORDER_CASES = {
-    "invalidate-async-3-sym+por": lambda: (
+    "invalidate-async-3-sym+por": lambda fixture: (
         INVALIDATE_SYMMETRY,
-        PORSystem(AsyncSystem(refine(invalidate_protocol()), 3),
+        PORSystem(AsyncSystem(fixture("invalidate_refined"), 3),
                   preserve=PRESERVE_COUNTS),
         5000),
-    "msi-async-2": lambda: (
-        MSI_SYMMETRY, AsyncSystem(refine(msi_protocol()), 2), None),
-    "invalidate-rendezvous-4": lambda: (
-        INVALIDATE_SYMMETRY, RendezvousSystem(invalidate_protocol(), 4),
+    "msi-async-2": lambda fixture: (
+        MSI_SYMMETRY, AsyncSystem(fixture("msi_refined"), 2), None),
+    "invalidate-rendezvous-4": lambda fixture: (
+        INVALIDATE_SYMMETRY, RendezvousSystem(fixture("invalidate"), 4),
         None),
 }
 
 
 class TestOrderOracle:
     @pytest.mark.parametrize("case", sorted(_ORDER_CASES))
-    def test_same_order_as_string_signature(self, case):
+    def test_same_order_as_string_signature(self, case, request):
         """Every successor the reduced sweep normalizes lands on the
         representative the old signature's order gives."""
-        spec, inner, budget = _ORDER_CASES[case]()
+        spec, inner, budget = _ORDER_CASES[case](request.getfixturevalue)
         reps = reachable_states(SymmetricSystem(inner, spec),
                                 max_states=budget)
         checked = moved = 0

@@ -10,15 +10,18 @@ from repro.semantics.asynchronous import (
     DeliverToHome,
     HomeStep,
     RemoteSend,
+    successor,
 )
 from repro.semantics.rendezvous import RendezvousSystem
 from tests.conftest import reachable_states
 
 
-def find_step(system, state, predicate):
-    matches = [s for s in system.steps(state) if predicate(s)]
-    assert matches, [s.action.describe() for s in system.steps(state)]
-    return matches[0]
+def advance(system, state, predicate):
+    """``state`` after its first enabled step matching ``predicate``."""
+    deltas = system.deltas(state)
+    matches = [d for d in deltas if predicate(d)]
+    assert matches, [d.action.describe() for d in deltas]
+    return successor(state, matches[0])
 
 
 class TestInitialState:
@@ -33,20 +36,20 @@ class TestRule1RequestsDiscarded:
     def test_inflight_request_rewinds_sender(self, migratory_refined):
         system = AsyncSystem(migratory_refined, 2)
         init = system.initial_state()
-        sent = find_step(system, init,
-                         lambda s: isinstance(s.action, RemoteSend)
-                         and s.action.remote == 0).state
+        sent = advance(system, init,
+                       lambda s: isinstance(s.action, RemoteSend)
+                       and s.action.remote == 0)
         # r0 is transient with its req in flight; abs discards both
         assert abstract_state(system, sent) == abstract_state(system, init)
 
     def test_buffered_request_rewinds_sender(self, migratory_refined):
         system = AsyncSystem(migratory_refined, 2)
         init = system.initial_state()
-        state = find_step(system, init,
-                          lambda s: isinstance(s.action, RemoteSend)
-                          and s.action.remote == 0).state
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, DeliverToHome)).state
+        state = advance(system, init,
+                        lambda s: isinstance(s.action, RemoteSend)
+                        and s.action.remote == 0)
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, DeliverToHome))
         assert state.home.buffer  # now buffered rather than in flight
         assert abstract_state(system, state) == abstract_state(system, init)
 
@@ -55,14 +58,14 @@ class TestRule2AcksFastForward:
     def test_ack_in_flight_advances_target(self, migratory_refined_plain):
         system = AsyncSystem(migratory_refined_plain, 1)
         state = system.initial_state()
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, RemoteSend)).state
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, DeliverToHome)).state
-        consumed = find_step(
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, RemoteSend))
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, DeliverToHome))
+        consumed = advance(
             system, state,
             lambda s: isinstance(s.action, HomeStep)
-            and s.action.kind == "C1").state
+            and s.action.kind == "C1")
         # ACK to r0 in flight: abs must show the req rendezvous complete
         abs_state = abstract_state(system, consumed)
         assert abs_state.remotes[0].state == "I.gr"
@@ -71,14 +74,14 @@ class TestRule2AcksFastForward:
     def test_half_forward_for_fused_request(self, migratory_refined):
         system = AsyncSystem(migratory_refined, 1)
         state = system.initial_state()
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, RemoteSend)).state
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, DeliverToHome)).state
-        consumed = find_step(
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, RemoteSend))
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, DeliverToHome))
+        consumed = advance(
             system, state,
             lambda s: isinstance(s.action, HomeStep)
-            and s.action.kind == "C1").state
+            and s.action.kind == "C1")
         # no ack exists (fused); the requester is half-forwarded to the
         # reply-waiting state
         abs_state = abstract_state(system, consumed)
@@ -94,7 +97,7 @@ class TestRule2AcksFastForward:
             lambda s: isinstance(s.action, HomeStep) and s.action.kind == "C1",
             lambda s: isinstance(s.action, HomeStep) and s.action.kind == "REPLY",
         ):
-            state = find_step(system, state, predicate).state
+            state = advance(system, state, predicate)
         abs_state = abstract_state(system, state)
         assert abs_state.remotes[0].state == "V"
         assert abs_state.home.state == "E"
@@ -112,7 +115,7 @@ def drive_to_note_in_flight(system):
         lambda s: s.action.describe() == "r0.τ:evict",
         lambda s: isinstance(s.action, RemoteSend),
     ):
-        state = find_step(system, state, predicate).state
+        state = advance(system, state, predicate)
     return state
 
 
@@ -138,8 +141,8 @@ class TestFireAndForgetUndefined:
     def test_note_buffered_reason_is_the_carve_out(self):
         system = AsyncSystem(handwritten_migratory(), 1)
         state = drive_to_note_in_flight(system)
-        state = find_step(system, state,
-                          lambda s: isinstance(s.action, DeliverToHome)).state
+        state = advance(system, state,
+                        lambda s: isinstance(s.action, DeliverToHome))
         assert any(e.note for e in state.home.buffer)
         with pytest.raises(AbstractionUndefined) as excinfo:
             abstract_state(system, state)
@@ -170,7 +173,7 @@ class TestHalfForwardedEnv:
             lambda s: isinstance(s.action, DeliverToHome),
             lambda s: isinstance(s.action, HomeStep) and s.action.kind == "C1",
         ):
-            state = find_step(system, state, predicate).state
+            state = advance(system, state, predicate)
         # concrete r0 is still transient at I (half-forwarded posture)
         assert state.remotes[0].state == "I"
         spec = build_step_table(migratory_refined).spec(
@@ -195,7 +198,7 @@ class TestHalfForwardedEnv:
             lambda s: isinstance(s.action, DeliverToHome),
             lambda s: isinstance(s.action, HomeStep) and s.action.kind == "C1",
         ):
-            state = find_step(system, state, predicate).state
+            state = advance(system, state, predicate)
         with pytest.raises(AbstractionUndefined) as excinfo:
             abstract_state(AsyncSystem(stripped, 1), state)
         assert excinfo.value.reason == \

@@ -1,5 +1,7 @@
 """Unit tests for the protocol AST (repro.csp.ast)."""
 
+import dataclasses
+
 import pytest
 
 from repro.csp.ast import (
@@ -151,6 +153,26 @@ class TestStateDef:
         assert [g.msg for g in state.outputs] == ["a"]
         assert [g.msg for g in state.inputs] == ["b"]
         assert [g.label for g in state.taus] == ["c"]
+
+    def test_guard_filters_computed_once(self):
+        """Each filter is computed once per state (the step rules read
+        them on every memo miss), a ``replace`` that changes the guards
+        computes them afresh, and ``==``, ``hash`` and ``repr`` read the
+        fields alone."""
+        guards = (Output(msg="a", to="s"), Input(msg="b", to="s"),
+                  Tau(label="c", to="s"))
+        state = StateDef("s", guards)
+        assert state.outputs is state.outputs
+        assert state.inputs is state.inputs and state.taus is state.taus
+        assert state.is_communication
+        twin = StateDef("s", guards)
+        assert (state, hash(state), repr(state)) == (twin, hash(twin),
+                                                     repr(twin))
+        internal = dataclasses.replace(state, guards=guards[2:])
+        assert internal.outputs == () and internal.inputs == ()
+        assert [g.label for g in internal.taus] == ["c"]
+        assert not internal.is_communication
+        assert [g.msg for g in state.outputs] == ["a"]
 
 
 class TestAccepting:

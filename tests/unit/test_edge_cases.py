@@ -7,7 +7,7 @@ and rendering corners.
 
 import pytest
 
-from repro import RefinementConfig, migratory_protocol, refine
+from repro import RefinementConfig, refine
 from repro.check.stats import Counterexample
 from repro.csp.ast import ProcessKind
 from repro.csp.env import Env
@@ -24,6 +24,7 @@ from repro.semantics.asynchronous import (
     HomeStep,
     RemoteNode,
     TRANS,
+    successor,
 )
 from repro.semantics.network import NACK, REQ, Channels, Msg
 
@@ -36,17 +37,24 @@ def remote_env():
     return Env({"d": "DATA"})
 
 
+def take(system, state, predicate):
+    """The first enabled step of ``state`` matching ``predicate``: its
+    delta and the successor it leads to."""
+    delta = next(d for d in system.deltas(state) if predicate(d))
+    return delta, successor(state, delta)
+
+
 def make_state(system, home, remotes, channels=None):
     return AsyncState(home=home, remotes=tuple(remotes),
                       channels=channels or Channels.empty(len(remotes)))
 
 
 class TestAckBufferAblation:
-    def test_t3_with_full_buffer_nacks_instead(self):
+    def test_t3_with_full_buffer_nacks_instead(self, migratory):
         """Without the ack-buffer reservation, the implicit-nack request
         can find the buffer full and must itself be nacked (degraded but
         defined behaviour)."""
-        refined = refine(migratory_protocol(), RefinementConfig(
+        refined = refine(migratory, RefinementConfig(
             use_reqreply=False, reserve_ack_buffer=False,
             reserve_progress_buffer=False))
         system = AsyncSystem(refined, 3)
@@ -67,12 +75,11 @@ class TestAckBufferAblation:
         channels = Channels.empty(3).send_to_home(
             0, Msg(kind=REQ, msg="LR", payload="DATA"))
         state = make_state(system, home, remotes, channels)
-        step = next(s for s in system.steps(state)
-                    if s.action == DeliverToHome(remote=0))
-        after = step.state
-        assert after.home.mode == "idle"          # implicit nack happened
-        assert len(after.home.buffer) == 2        # but nothing was buffered
-        assert after.channels.head_to_remote(0).kind == NACK
+        _, nxt = take(system, state,
+                      lambda d: d.action == DeliverToHome(remote=0))
+        assert nxt.home.mode == "idle"          # implicit nack happened
+        assert len(nxt.home.buffer) == 2        # but nothing was buffered
+        assert nxt.channels.head_to_remote(0).kind == NACK
 
     def test_t3_with_reservation_and_full_buffer_is_a_bug(
             self, migratory_refined_plain):
@@ -93,7 +100,7 @@ class TestAckBufferAblation:
             0, Msg(kind=REQ, msg="LR", payload="DATA"))
         state = make_state(system, home, remotes, channels)
         with pytest.raises(SemanticsError, match="ack-buffer reservation"):
-            system.steps(state)
+            system.deltas(state)
 
 
 class TestHomeC2Eviction:
@@ -112,19 +119,18 @@ class TestHomeC2Eviction:
                    RemoteNode(state="I", env=remote_env(), mode=TRANS,
                               pending_out=0)]
         state = make_state(system, home, remotes)
-        step = next(s for s in system.steps(state)
-                    if isinstance(s.action, HomeStep)
-                    and s.action.kind == "C2")
-        after = step.state
-        assert after.home.mode == TRANS and after.home.awaiting == 0
-        assert len(after.home.buffer) == 1          # oldest req evicted
-        assert after.home.buffer[0].sender == 2
-        assert after.channels.head_to_remote(1).kind == NACK
-        assert after.channels.head_to_remote(0).kind == REQ
+        _, nxt = take(system, state,
+                      lambda d: isinstance(d.action, HomeStep)
+                      and d.action.kind == "C2")
+        assert nxt.home.mode == TRANS and nxt.home.awaiting == 0
+        assert len(nxt.home.buffer) == 1          # oldest req evicted
+        assert nxt.home.buffer[0].sender == 2
+        assert nxt.channels.head_to_remote(1).kind == NACK
+        assert nxt.channels.head_to_remote(0).kind == REQ
 
-    def test_all_note_buffer_blocks_c2(self):
+    def test_all_note_buffer_blocks_c2(self, migratory):
         """Notes cannot be nacked; with no evictable entry C2 must wait."""
-        refined = refine(migratory_protocol(), RefinementConfig(
+        refined = refine(migratory, RefinementConfig(
             use_reqreply=False, fire_and_forget=frozenset({"LR"})))
         system = AsyncSystem(refined, 3)
         home = HomeNode(
@@ -139,8 +145,8 @@ class TestHomeC2Eviction:
                    RemoteNode(state="I", env=remote_env()),
                    RemoteNode(state="I", env=remote_env())]
         state = make_state(system, home, remotes)
-        c2 = [s for s in system.steps(state)
-              if isinstance(s.action, HomeStep) and s.action.kind == "C2"]
+        c2 = [d for d in system.deltas(state)
+              if isinstance(d.action, HomeStep) and d.action.kind == "C2"]
         assert len(c2) == 1  # notes are exempt from capacity: room exists
 
 
@@ -155,8 +161,8 @@ class TestRemoteBufferDiscipline:
             0, Msg(kind=REQ, msg="inv"))
         state = AsyncState(home=home, remotes=(node,), channels=channels)
         with pytest.raises(SemanticsError, match="buffer overflow"):
-            [s for s in system.steps(state)
-             if s.action == DeliverToRemote(remote=0)]
+            [d for d in system.deltas(state)
+             if d.action == DeliverToRemote(remote=0)]
 
 
 class TestHomeT2GuardCycling:
@@ -177,25 +183,23 @@ class TestHomeT2GuardCycling:
         r.state("q", out("z", to="p"))
         proto = protocol("cycling", h, r)
 
-        from repro import RefinementConfig, refine
         system = AsyncSystem(refine(proto,
                                     RefinementConfig(use_reqreply=False)), 2)
         state = system.initial_state()
         # C2 attempts guard 0 (m1 -> r0)
-        step = next(s for s in system.steps(state)
-                    if isinstance(s.action, HomeStep))
+        step, nxt = take(system, state,
+                         lambda d: isinstance(d.action, HomeStep))
         assert step.action.detail == "m1→r0"
         # inject a NACK from r0 (as if it refused) and drop the request
-        after = step.state
-        _req, channels = after.channels.pop(Channels.to_remote(0))
+        _req, channels = nxt.channels.pop(Channels.to_remote(0))
         channels = channels.send_to_home(0, Msg(kind=NACK))
-        after = AsyncState(home=after.home, remotes=after.remotes,
-                           channels=channels)
-        after = next(s for s in system.steps(after)
-                     if s.action == DeliverToHome(remote=0)).state
+        nxt = AsyncState(home=nxt.home, remotes=nxt.remotes,
+                         channels=channels)
+        _, nxt = take(system, nxt,
+                      lambda d: d.action == DeliverToHome(remote=0))
         # T2: the scan resumes at the NEXT guard: m2 -> r1
-        step = next(s for s in system.steps(after)
-                    if isinstance(s.action, HomeStep))
+        step, _ = take(system, nxt,
+                       lambda d: isinstance(d.action, HomeStep))
         assert step.action.detail == "m2→r1"
 
 
@@ -213,12 +217,11 @@ class TestRemoteC3Nack:
         state = AsyncState(home=home, remotes=(node,),
                            channels=Channels.empty(1))
         from repro.semantics.asynchronous import RemoteC3
-        step = next(s for s in system.steps(state)
-                    if isinstance(s.action, RemoteC3))
-        after = step.state
-        assert after.remotes[0].state == "I.gr"      # still waiting
-        assert after.remotes[0].buf is None          # request consumed
-        assert after.channels.head_to_home(0).kind == NACK
+        _, nxt = take(system, state,
+                      lambda d: isinstance(d.action, RemoteC3))
+        assert nxt.remotes[0].state == "I.gr"      # still waiting
+        assert nxt.remotes[0].buf is None          # request consumed
+        assert nxt.channels.head_to_home(0).kind == NACK
 
 
 class TestPlanRejection:

@@ -34,6 +34,7 @@ from repro.semantics.asynchronous import (
     RemoteNode,
     RemoteSend,
     RemoteTau,
+    successor,
 )
 from repro.semantics.network import ACK, REQ, Channels, Msg
 from repro.semantics.state import HOME_ID
@@ -101,15 +102,14 @@ ACTION_CLASSES = {
 
 class TestActionClasses:
     """The static independence the ample rule assumes, checked on the
-    rules' own writes — each successor ``interpret()`` builds from a
-    fresh rule run, diffed against its origin — on every step of every
-    reachable state at n = 2: a ``P(i)`` step touches only remote ``i``
-    and its channel ends (a delivery pops the head of home→remote(i) and
-    pushes only to remote(i)→home), a home-class step never writes a
-    remote, and
-    ``sends`` is exactly what a step pushes.  The invariants preset's
-    visibility check, read off the memoized delta, agrees with the same
-    diff."""
+    rules' own writes — the successor of each delta ``interpret()``
+    returns from a fresh rule run, diffed against its origin — on every
+    step of every reachable state at n = 2: a ``P(i)`` step touches only
+    remote ``i`` and its channel ends (a delivery pops the head of
+    home→remote(i) and pushes only to remote(i)→home), a home-class step
+    never writes a remote, and ``sends`` is exactly what a step pushes.
+    The invariants preset's visibility check, read off the memoized
+    delta, agrees with the same diff."""
 
     @pytest.mark.parametrize("name", ["migratory", "invalidate", "msi",
                                       "mesi"])
@@ -118,23 +118,24 @@ class TestActionClasses:
         por = PORSystem(system)
         kinds, invisible = Counter(), 0
         for state in reachable_states(system, allow_deadlock=True):
-            for step, delta in zip(system.interpret(state),
-                                   system.deltas(state), strict=True):
-                action = step.action
+            for fresh, delta in zip(system.interpret(state),
+                                    system.deltas(state), strict=True):
+                action = fresh.action
                 i = getattr(action, "remote", None)
-                nodes, pops, pushed = _touched(state, step.state)
+                nxt = successor(state, fresh)
+                nodes, pops, pushed = _touched(state, nxt)
                 may_write, must_pop, may_push = \
                     ACTION_CLASSES[type(action)](i)
                 assert nodes <= may_write, action
                 assert pops == must_pop, action
                 assert pushed.keys() <= may_push, action
                 assert Counter(m for q in pushed.values() for m in q) \
-                    == Counter(step.sends), action
+                    == Counter(fresh.sends), action
                 kinds[type(action)] += 1
-                if isinstance(action, DeliverToRemote) and not step.sends:
+                if isinstance(action, DeliverToRemote) and not fresh.sends:
                     head = state.channels.queues[_to_remote(i)][0]
                     only_buf = nodes <= {i} and _changed_fields(
-                        state.remotes[i], step.state.remotes[i]) <= {"buf"}
+                        state.remotes[i], nxt.remotes[i]) <= {"buf"}
                     assert por._invisible(state, delta, i) \
                         == (head.kind == REQ and only_buf), action
                     invisible += head.kind == REQ and only_buf
@@ -147,20 +148,23 @@ _REMOTE_CLASS = (DeliverToRemote, RemoteSend, RemoteC3, RemoteTau)
 
 
 def all_steps(system, states):
-    """Every (state, step) pair, with ``interpret()`` building the step,
-    and what the step touched per :func:`_touched`."""
+    """Every (state, delta) pair, with ``interpret()`` running the rules
+    afresh, the delta's successor, and what the step touched per
+    :func:`_touched`."""
     for state in states:
-        for step in system.interpret(state):
-            yield state, step, _touched(state, step.state)
+        for delta in system.interpret(state):
+            nxt = successor(state, delta)
+            yield state, delta, nxt, _touched(state, nxt)
 
 
 class TestFootprint:
     """What a step touches, one fact per test, on every reachable (state,
     step) pair of migratory at n = 2.  The footprint is the node-by-node
-    and channel-by-channel diff of ``interpret()``'s successor."""
+    and channel-by-channel diff of the successor of ``interpret()``'s
+    delta."""
 
     def test_owner_matches_action_class(self, mig2, reachable):
-        for state, step, (nodes, _, _) in all_steps(mig2, reachable):
+        for _, step, _, (nodes, _, _) in all_steps(mig2, reachable):
             action = step.action
             owner = (action.remote if isinstance(action, _REMOTE_CLASS)
                      else HOME_ID)
@@ -168,7 +172,8 @@ class TestFootprint:
 
     def test_deliveries_pop_their_channel_head(self, mig2, reachable):
         seen_req_buffering = False
-        for state, step, (nodes, pops, _) in all_steps(mig2, reachable):
+        for state, step, nxt, (nodes, pops, _) in all_steps(mig2,
+                                                             reachable):
             action = step.action
             if isinstance(action, DeliverToRemote):
                 i = action.remote
@@ -177,7 +182,7 @@ class TestFootprint:
                 if head.kind == REQ and not step.sends and nodes <= {i}:
                     # REQ buffering: the only write is the remote's buffer
                     if _changed_fields(state.remotes[i],
-                                       step.state.remotes[i]) == {"buf"}:
+                                       nxt.remotes[i]) == {"buf"}:
                         seen_req_buffering = True
             elif isinstance(action, DeliverToHome):
                 assert pops == {Channels.to_home(action.remote)}
@@ -186,18 +191,19 @@ class TestFootprint:
         assert seen_req_buffering  # the ample-candidate shape exists
 
     def test_pushes_match_sends(self, mig2, reachable):
-        for state, step, (_, pops, pushed) in all_steps(mig2, reachable):
+        for state, step, nxt, (_, pops, pushed) in all_steps(mig2,
+                                                             reachable):
             assert Counter(m for q in pushed.values() for m in q) \
                 == Counter(step.sends)
-            # in-flight delta is pushes minus the optional pop
-            delta = (step.state.channels.total_in_flight
-                     - state.channels.total_in_flight)
-            assert delta == len(step.sends) - len(pops)
+            # in-flight change is pushes minus the optional pop
+            change = (nxt.channels.total_in_flight
+                      - state.channels.total_in_flight)
+            assert change == len(step.sends) - len(pops)
 
     def test_writes_localized_to_owner(self, mig2, reachable):
         """A remote-owned step never writes another node's fields, and
         pushes only on its own channel to home."""
-        for state, step, (nodes, _, pushed) in all_steps(mig2, reachable):
+        for _, step, _, (nodes, _, pushed) in all_steps(mig2, reachable):
             action = step.action
             if not isinstance(action, _REMOTE_CLASS):
                 continue
@@ -206,7 +212,7 @@ class TestFootprint:
 
     def test_home_decision_writes_home(self, mig2, reachable):
         seen = False
-        for state, step, (nodes, pops, _) in all_steps(mig2, reachable):
+        for _, step, _, (nodes, pops, _) in all_steps(mig2, reachable):
             if not isinstance(step.action, (HomeStep, HomeTau)):
                 continue
             seen = True
@@ -225,21 +231,22 @@ class TestAmpleRule:
         por = PORSystem(mig2, preserve=preserve)
         reduced_states = 0
         for state in reachable:
-            full = mig2.steps(state)
-            chosen = por.ample(state, mig2.deltas(state))
+            full = mig2.deltas(state)
+            chosen = por.ample(state, full)
             if chosen is None:
-                assert por.steps(state) == full  # C0: never empties
+                assert por.deltas(state) == full  # C0: never empties
                 continue
             reduced_states += 1
-            ample, = (step for step in full if step.action == chosen.action)
+            ample, = (d for d in full if d.action == chosen.action)
             action = ample.action
             # singleton, a delivery to a remote, from the enabled set
-            assert por.steps(state) == [ample]
+            assert por.deltas(state) == [ample]
             assert isinstance(action, DeliverToRemote)
             assert ample in full and len(full) >= 2
             # no sends => strictly decreases in-flight (measure proviso)
             assert not ample.sends
-            assert (ample.state.channels.total_in_flight
+            after = successor(state, ample)
+            assert (after.channels.total_in_flight
                     == state.channels.total_in_flight - 1)
             # sole enabled P(i) step: no local step of the same remote
             for other in full:
@@ -250,7 +257,6 @@ class TestAmpleRule:
                 # C2: a REQ pop whose only write is remote i's buf
                 i = action.remote
                 assert state.channels.head_to_remote(i).kind == REQ
-                after = ample.state
                 assert after.home == state.home
                 for j, (old, new) in enumerate(zip(state.remotes,
                                                    after.remotes)):
@@ -306,8 +312,8 @@ class TestAmpleRule:
     def test_deterministic(self, mig2, reachable):
         por = PORSystem(mig2)
         for state in reachable[:200]:
-            first = [s.action for s in por.steps(state)]
-            second = [s.action for s in por.steps(state)]
+            first = [d.action for d in por.deltas(state)]
+            second = [d.action for d in por.deltas(state)]
             assert first == second
 
     def test_expand_reports_full_enabled_count(self, mig2, reachable):
@@ -315,7 +321,7 @@ class TestAmpleRule:
         saw_reduction = False
         for state in reachable:
             succs, enabled = por.expand(state)
-            assert enabled == len(mig2.steps(state))
+            assert enabled == len(mig2.deltas(state))
             assert len(succs) <= enabled
             if len(succs) < enabled:
                 saw_reduction = True
@@ -325,27 +331,28 @@ class TestAmpleRule:
 
 def interpreted_ample(system, state, preserve):
     """The ample rule of :mod:`repro.check.por`'s docstring, chosen from
-    ``interpret()``'s steps and C2 read off their successors: the
+    ``interpret()``'s deltas and C2 read off their successors: the
     reference :meth:`PORSystem.ample` is held to."""
-    steps = system.interpret(state)
-    if len(steps) < 2:
+    deltas = system.interpret(state)
+    if len(deltas) < 2:
         return None
-    local = {step.action.remote for step in steps
-             if isinstance(step.action, (RemoteSend, RemoteC3, RemoteTau))}
-    deliveries = sorted((step for step in steps
-                         if isinstance(step.action, DeliverToRemote)),
-                        key=lambda step: step.action.remote)
-    for step in deliveries:
-        i = step.action.remote
-        if i in local or step.sends:
+    local = {d.action.remote for d in deltas
+             if isinstance(d.action, (RemoteSend, RemoteC3, RemoteTau))}
+    deliveries = sorted((d for d in deltas
+                         if isinstance(d.action, DeliverToRemote)),
+                        key=lambda d: d.action.remote)
+    for delta in deliveries:
+        i = delta.action.remote
+        if i in local or delta.sends:
             continue
         if preserve == PRESERVE_INVARIANTS:
-            nodes, _, _ = _touched(state, step.state)
+            nxt = successor(state, delta)
+            nodes, _, _ = _touched(state, nxt)
             head = state.channels.queues[_to_remote(i)][0]
             if not (head.kind == REQ and nodes <= {i} and _changed_fields(
-                    state.remotes[i], step.state.remotes[i]) <= {"buf"}):
+                    state.remotes[i], nxt.remotes[i]) <= {"buf"}):
                 continue
-        return step
+        return delta
     return None
 
 
@@ -355,7 +362,7 @@ SWEEP_BUDGET = 3000
 
 class TestDeltaAmpleMatchesInterpretedSteps:
     """The ample set read off the memoized deltas is the one the rule
-    picks from ``interpret()``'s steps, and :meth:`PORSystem.expand`
+    picks from ``interpret()``'s deltas, and :meth:`PORSystem.expand`
     builds exactly its successors, on every state of a budgeted
     ``--symmetry --por`` sweep of each library protocol at n = 3 — and
     of the ``--symmetry`` sweep, whose states offer the rule several
@@ -383,7 +390,7 @@ class TestDeltaAmpleMatchesInterpretedSteps:
             kept = full if reference is None else [reference]
             succs, enabled = por.expand(state)
             assert enabled == len(full)
-            assert succs == [(step.action, step.state) for step in kept]
+            assert succs == [(d.action, successor(state, d)) for d in kept]
             if reference is not None:
                 assert chosen.action == reference.action
                 reduced += 1
@@ -439,9 +446,8 @@ class TestCanonicalKeyMemoization:
         node = dataclasses.replace(state.remotes[0])
         assert _enc(node) == _enc(state.remotes[0])
         assert RemoteNode.fields_of(node) is not RemoteNode.fields_of(node)
-        for step in mig2.steps(state):
-            for obj in (step.state.channels, step.state.home) \
-                    + step.state.remotes:
+        for _action, nxt in mig2.successors(state):
+            for obj in (nxt.channels, nxt.home) + nxt.remotes:
                 assert not _keeps(obj, _enc(obj))
 
 

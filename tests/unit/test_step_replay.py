@@ -1,11 +1,12 @@
-"""Steps replayed from the memo equal a fresh run of the rules.
+"""Deltas replayed from the memo equal a fresh run of the rules.
 
-:meth:`AsyncSystem.steps` builds each step from its memoized
-:class:`~repro.semantics.asynchronous.Delta`, and :meth:`AsyncSystem.apply`
-builds the one successor it is asked for.  :meth:`AsyncSystem.interpret`
-runs the rules afresh at every state, so over every reachable state of
-two small systems the comparison checks that a family memoized at one
-state equals the rules' answer at any other state with the same key.  A
+:meth:`AsyncSystem.deltas` reads each step family from the memo, and
+:meth:`AsyncSystem.apply` builds the one successor it is asked for.
+:meth:`AsyncSystem.interpret` runs the same loop with an empty memo, so
+the rules run afresh at every state; over every reachable state of two
+small systems the comparison checks that a family memoized at one state
+equals the rules' answer at any other state with the same key, field by
+field (``home``, ``moved`` and ``ops`` as well as the observables).  A
 family that writes a node its memo key does not hold is refused.
 """
 
@@ -15,7 +16,7 @@ from repro import AsyncSystem
 from repro.check.explorer import explore
 from repro.errors import SemanticsError
 from repro.csp.env import Env
-from repro.semantics.asynchronous import RemoteC3, RemoteNode
+from repro.semantics.asynchronous import RemoteC3, RemoteNode, successor
 from tests.conftest import reachable_states
 
 
@@ -28,26 +29,20 @@ def swept(request):
     return system, reachable_states(system)
 
 
-def observables(steps):
-    return [(s.action, s.state, s.completes, s.sends) for s in steps]
-
-
 def test_observables_equal_interpret(swept):
     system, states = swept
     for state in states:
-        expected = system.interpret(state)
-        assert observables(system.steps(state)) == observables(expected)
-        assert system.steps(state) == expected
+        assert system.deltas(state) == system.interpret(state)
 
 
 def test_apply_unchanged(swept):
     system, states = swept
     for state in states:
         expected = {}
-        for s in system.interpret(state):
-            expected.setdefault(s.action, s.state)
-        for action, successor in expected.items():
-            assert system.apply(state, action) == successor
+        for d in system.interpret(state):
+            expected.setdefault(d.action, successor(state, d))
+        for action, nxt in expected.items():
+            assert system.apply(state, action) == nxt
     with pytest.raises(SemanticsError, match="not enabled"):
         system.apply(system.initial_state(), RemoteC3(remote=0))
 

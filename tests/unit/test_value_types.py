@@ -24,7 +24,6 @@ from repro.semantics.asynchronous import (
     RemoteNode,
     RemoteSend,
     RemoteTau,
-    Step,
 )
 from repro.semantics.network import NACK, REQ, Channels, Msg
 from repro.semantics.rendezvous import RendezvousStep, TauStep
@@ -45,9 +44,6 @@ EXAMPLES = {
     HomeNode: lambda: _async_state().home,
     RemoteNode: lambda: _async_state().remotes[0],
     AsyncState: _async_state,
-    Step: lambda: Step(action=DeliverToHome(0), state=_async_state(),
-                       completes=(RendezvousStep(0, HOME_ID, "req"),),
-                       sends=(Msg(NACK),)),
     DeliverToHome: lambda: DeliverToHome(1),
     DeliverToRemote: lambda: DeliverToRemote(1),
     HomeStep: lambda: HomeStep(kind="C2", detail="inv→r1"),
