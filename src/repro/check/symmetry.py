@@ -27,9 +27,13 @@ already strictly increase is its own representative — the sort's own
 answer — after ``n - 1`` tuple comparisons, with no signature built
 (close to half the successors of an asynchronous ``--symmetry --por``
 sweep).  Any other successor costs a few dictionary probes and one small
-sort; a state that already is its representative is returned as is, and
-relabelling rebuilds only the parts that moved.  :class:`SymmetricSystem`
-binds its level's normalizer once, at construction.
+sort; a state that already is its representative is returned as is.
+Relabelling rebuilds the channel order and the remotes tuple, and the
+home once per distinct (home, permutation) only: the rebuilt home is
+one object per value, the very object the step memo's deltas hold
+(:meth:`~repro.semantics.asynchronous.AsyncSystem.canonical`).
+:class:`SymmetricSystem` binds its level's normalizer once, at
+construction.
 
 The home's variables that hold remote ids (or sets of them) must be
 declared via :class:`SymmetrySpec` — the semantics cannot tell an id-typed
@@ -75,8 +79,9 @@ class SymmetrySpec:
     set_vars: frozenset[str] = frozenset()
 
 
-#: Bound on each per-system key table (:func:`_queue_key`,
-#: :func:`_home_refs`); cleared, not evicted, past this.
+#: Bound on each per-system table (:func:`_queue_key`,
+#: :func:`_home_refs`, :func:`_relabelled`); cleared, not evicted, past
+#: this.
 _TABLE_LIMIT = 1 << 20
 
 _State = Union[RvState, AsyncState]
@@ -85,6 +90,8 @@ _State = Union[RvState, AsyncState]
 _Refs = tuple[tuple[str, ...], tuple[str, ...]]
 _QueueKeys = dict[tuple[Msg, ...], tuple[str, ...]]
 _HomeRefs = dict[Env, tuple[_Refs, ...]]
+#: ``(home, order) -> home relabelled by order`` (:func:`_relabelled`)
+_Relabelled = dict[tuple[HomeNode, tuple[int, ...]], HomeNode]
 
 
 class SymmetricSystem:
@@ -99,9 +106,13 @@ class SymmetricSystem:
     and that remote-node environments are id-free (true for the whole
     library: remotes only hold data).
 
-    Nothing is memoized per state; the two key tables that are not
-    instance caches (:func:`_queue_key`, :func:`_home_refs`) belong to
-    this object and are bounded by :data:`_TABLE_LIMIT`.
+    Nothing is memoized per state; the three tables that are not
+    instance caches (:func:`_queue_key`, :func:`_home_refs`,
+    :func:`_relabelled`) belong to this object and are bounded by
+    :data:`_TABLE_LIMIT`.  At the asynchronous level a relabelled home
+    is put through the base system's
+    :meth:`~repro.semantics.asynchronous.AsyncSystem.canonical`, so it
+    is the very object the step memo's deltas hold for its value.
     """
 
     def __init__(self, inner: Any, spec: SymmetrySpec) -> None:
@@ -121,10 +132,12 @@ class SymmetricSystem:
         self.n = inner.n_remotes
         self._queue_keys: _QueueKeys = {}
         self._home_refs: _HomeRefs = {}
+        self._relabelled: _Relabelled = {}
         self._normalize: Callable[[Any], Any]
         if isinstance(base, AsyncSystem):
             self._normalize = partial(_normalize_async, spec,
-                                      self._queue_keys, self._home_refs)
+                                      self._queue_keys, self._home_refs,
+                                      self._relabelled, base.canonical)
         elif isinstance(base, RendezvousSystem):
             self._normalize = partial(_normalize_rv, spec, self._home_refs)
         else:
@@ -150,16 +163,17 @@ class SymmetricSystem:
 def normalize(state: _State, spec: SymmetrySpec) -> _State:
     """Map ``state`` to its orbit representative (``state`` itself, the
     same object, when it already is one)."""
-    return _representative(state, spec, {}, {})
-
-
-def _representative(state: _State, spec: SymmetrySpec,
-                    queue_keys: _QueueKeys, home_refs: _HomeRefs) -> _State:
     if isinstance(state, AsyncState):
-        return _normalize_async(spec, queue_keys, home_refs, state)
+        return _normalize_async(spec, {}, {}, {}, _same, state)
     if isinstance(state, RvState):
-        return _normalize_rv(spec, home_refs, state)
+        return _normalize_rv(spec, {}, state)
     raise CheckError(f"cannot normalize states of type {type(state)!r}")
+
+
+def _same(home: HomeNode) -> HomeNode:
+    """:func:`normalize`'s stand-in for a system's ``canonical``: with
+    no step memo to share with, a relabelled home is its own object."""
+    return home
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +277,9 @@ def _normalize_rv(spec: SymmetrySpec, home_refs: _HomeRefs,
 
 
 def _normalize_async(spec: SymmetrySpec, queue_keys: _QueueKeys,
-                     home_refs: _HomeRefs, state: AsyncState) -> AsyncState:
+                     home_refs: _HomeRefs, relabelled: _Relabelled,
+                     canonical: Callable[[HomeNode], HomeNode],
+                     state: AsyncState) -> AsyncState:
     if _ascending(state.remotes):
         return state
     home = state.home
@@ -288,27 +304,48 @@ def _normalize_async(spec: SymmetrySpec, queue_keys: _QueueKeys,
     order = sorted(range(n), key=keys.__getitem__)
     if order == list(range(n)):
         return state
-    relabel = {old: new for new, old in enumerate(order)}
 
-    # Only what moved is rebuilt.  Channels.to_remote(i)/.to_home(i) are
-    # 2i/2i + 1, so the new queue tuple is the old pairs in the new order.
+    # Channels.to_remote(i)/.to_home(i) are 2i/2i + 1, so the new queue
+    # tuple is the old pairs in the new order.
     new_queues = tuple(q for old in order
                        for q in (queues[2 * old], queues[2 * old + 1]))
     channels = (state.channels if new_queues == queues
                 else Channels(queues=new_queues))
-    buffer = tuple(
-        BufEntry(sender=relabel[e.sender], msg=e.msg, payload=e.payload,
-                 note=e.note)
-        if isinstance(e.sender, int) and relabel[e.sender] != e.sender else e
-        for e in home.buffer)
-    env = _relabel_env(home.env, spec, relabel)
-    if isinstance(awaiting, int):
-        awaiting = relabel[awaiting]
-    if (env is not home.env or awaiting != home.awaiting
-            or buffer != home.buffer):
-        home = HomeNode(state=home.state, env=env, mode=home.mode,
-                        out_idx=home.out_idx, awaiting=awaiting,
-                        pending_out=home.pending_out, buffer=buffer)
-    return AsyncState(home=home,
+    return AsyncState(home=_relabelled(home, tuple(order), spec, relabelled,
+                                       canonical),
                       remotes=tuple(state.remotes[old] for old in order),
                       channels=channels)
+
+
+def _relabelled(home: HomeNode, order: tuple[int, ...], spec: SymmetrySpec,
+                table: _Relabelled,
+                canonical: Callable[[HomeNode], HomeNode]) -> HomeNode:
+    """``home`` with remote ``order[new]`` renamed ``new`` in its buffer,
+    id variables and ``awaiting``, built once per distinct (home, order)
+    and put through ``canonical`` (a home that names no moved remote
+    keeps its value)."""
+    key = (home, order)
+    image = table.get(key)
+    if image is None:
+        relabel = {old: new for new, old in enumerate(order)}
+        buffer = tuple(
+            BufEntry(sender=relabel[e.sender], msg=e.msg, payload=e.payload,
+                     note=e.note)
+            if isinstance(e.sender, int) and relabel[e.sender] != e.sender
+            else e
+            for e in home.buffer)
+        env = _relabel_env(home.env, spec, relabel)
+        awaiting = home.awaiting
+        if isinstance(awaiting, int):
+            awaiting = relabel[awaiting]
+        image = home
+        if (env is not home.env or awaiting != home.awaiting
+                or buffer != home.buffer):
+            image = HomeNode(state=home.state, env=env, mode=home.mode,
+                             out_idx=home.out_idx, awaiting=awaiting,
+                             pending_out=home.pending_out, buffer=buffer)
+        image = canonical(image)
+        if len(table) > _TABLE_LIMIT:
+            table.clear()
+        table[key] = image
+    return image

@@ -329,18 +329,45 @@ def successor(state: AsyncState, delta: Delta) -> AsyncState:
                       state.channels.replay(ops) if ops else state.channels)
 
 
-def _memoize(memo: dict[Any, tuple[Delta, ...]], key: Any, owner: ProcId,
+def _memoize(memo: dict[Any, tuple[Delta, ...]], values: dict[Any, Any],
+             key: Any, owner: ProcId,
              family: tuple[Delta, ...]) -> tuple[Delta, ...]:
     """Write the rules' ``family`` to ``memo`` under ``key`` and return
     it; a family that writes a node its owner (the home, or remote ``i``)
-    does not hold is a :class:`SemanticsError`."""
+    does not hold is a :class:`SemanticsError`.
+
+    One object per value: each delta's new ``home`` and ``moved`` node,
+    its ``ops`` and its ``sends`` are swapped for their equal object in
+    ``values``, the value table beside ``memo``, which is bounded and
+    cleared with it.  A delta or family whose parts already are those
+    objects is kept as the rules built it."""
+    canonical = values.setdefault
+    interned: list[Delta] = []
+    rebuilt = False
     for delta in family:
-        if (delta.home is not None and owner != HOME_ID
-                or delta.moved is not None and delta.moved[0] != owner):
+        action, home, moved, ops, completes, sends = delta
+        if (home is not None and owner != HOME_ID
+                or moved is not None and moved[0] != owner):
             raise SemanticsError(
                 f"step family {key!r} of owner {owner!r} rewrites more than "
                 "its owner's node and channel ends; it cannot be replayed")
-    return remember(memo, key, family)
+        if home is not None:
+            home = canonical(home, home)
+        if moved is not None:
+            node = canonical(moved[1], moved[1])
+            if node is not moved[1]:
+                moved = (moved[0], node)
+        if ops:
+            ops = canonical(ops, ops)
+        if sends:
+            sends = canonical(sends, sends)
+        if (home is not delta.home or moved is not delta.moved
+                or ops is not delta.ops or sends is not delta.sends):
+            delta = Delta(action, home, moved, ops, completes, sends)
+            rebuilt = True
+        interned.append(delta)
+    return remember(memo, key, tuple(interned) if rebuilt else family,
+                    values)
 
 
 def _home_write(action: AsyncAction, old: HomeNode, new: HomeNode,
@@ -400,7 +427,11 @@ class AsyncSystem:
     :meth:`interpret` runs the same loop with an empty memo.  The memo
     belongs to the instance (the table, the plan and ``n_remotes`` are
     part of what a key means) and holds nodes and messages only, never a
-    state or a :class:`Channels`.
+    state or a :class:`Channels`.  It holds one object per value: a
+    value table beside it (:meth:`canonical`, bounded and cleared with
+    the memo) gives every delta it learns the equal new nodes, channel
+    ops and sends that an earlier one holds, and symmetry's relabelled
+    homes go through the same table.
     """
 
     #: read by ``perf/spans.py:251`` to name this layer's spans
@@ -427,6 +458,7 @@ class AsyncSystem:
         self._remote_fused = self.table.fused_requests(ProcessKind.REMOTE)
         self._home_fused = self.table.fused_requests(ProcessKind.HOME)
         self._memo: dict[Any, tuple[Delta, ...]] = {}
+        self._values: dict[Any, Any] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -438,6 +470,11 @@ class AsyncSystem:
         return AsyncState(home=home, remotes=(remote,) * self.n_remotes,
                           channels=Channels.empty(self.n_remotes))
 
+    def canonical(self, value: Any) -> Any:
+        """The one object of ``value``'s value among the parts the step
+        memo holds: ``value`` itself the first time it is asked for."""
+        return self._values.setdefault(value, value)
+
     # -- public enumeration API ----------------------------------------------
 
     def deltas(self, state: AsyncState) -> list[Delta]:
@@ -445,12 +482,12 @@ class AsyncSystem:
         remote by remote its two deliveries, then the home's steps, then
         each remote's local steps, family by family through the memo.
         :func:`successor` applies one."""
-        return self._enabled(state, self._memo)
+        return self._enabled(state, self._memo, self._values)
 
     def interpret(self, state: AsyncState) -> list[Delta]:
         """:meth:`deltas` with no memo: every rule runs afresh, in the
         same order."""
-        return self._enabled(state, {})
+        return self._enabled(state, {}, {})
 
     def successors(self, state: AsyncState) -> list[tuple[AsyncAction, AsyncState]]:
         return [(d.action, successor(state, d)) for d in self.deltas(state)]
@@ -461,10 +498,11 @@ class AsyncSystem:
                 return successor(state, delta)
         raise SemanticsError(f"action {action!r} not enabled")
 
-    def _enabled(self, state: AsyncState,
-                 memo: dict[Any, tuple[Delta, ...]]) -> list[Delta]:
+    def _enabled(self, state: AsyncState, memo: dict[Any, tuple[Delta, ...]],
+                 values: dict[Any, Any]) -> list[Delta]:
         """:meth:`deltas` and :meth:`interpret`: each family read from
-        ``memo``, or run and written there."""
+        ``memo``, or run and written there with its parts from the value
+        table ``values``."""
         out: list[Delta] = []
         home = state.home
         remotes = state.remotes
@@ -475,7 +513,7 @@ class AsyncSystem:
                 key: Any = (i, home, queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = _memoize(memo, key, HOME_ID, (
+                    family = _memoize(memo, values, key, HOME_ID, (
                         self._deliver_to_home(i, home, queue[0]),))
                 out.extend(family)
             queue = queues[2 * i]
@@ -483,13 +521,14 @@ class AsyncSystem:
                 key = (i, remotes[i], queue[0])
                 family = memo.get(key)
                 if family is None:
-                    family = _memoize(memo, key, i, (
+                    family = _memoize(memo, values, key, i, (
                         self._deliver_to_remote(i, remotes[i], queue[0]),))
                 out.extend(family)
         if home.mode == IDLE:
             family = memo.get(home)
             if family is None:
-                family = _memoize(memo, home, HOME_ID, tuple(self._home_steps(home)))
+                family = _memoize(memo, values, home, HOME_ID,
+                                  tuple(self._home_steps(home)))
             out.extend(family)
         for i in range(self.n_remotes):
             node = remotes[i]
@@ -497,7 +536,7 @@ class AsyncSystem:
                 key = (i, node)
                 family = memo.get(key)
                 if family is None:
-                    family = _memoize(memo, key, i,
+                    family = _memoize(memo, values, key, i,
                                       tuple(self._remote_steps(i, node)))
                 out.extend(family)
         return out

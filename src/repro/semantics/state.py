@@ -77,10 +77,20 @@ def value(cls: type) -> type:
 _MEMO_LIMIT = 1 << 16
 
 
-def remember(memo: dict[Any, Any], key: Any, value: Any) -> Any:
-    """Store ``value`` under ``key`` in a bounded memo; returns it."""
+def remember(memo: dict[Any, Any], key: Any, value: Any,
+             values: Optional[dict[Any, Any]] = None) -> Any:
+    """Store ``value`` under ``key`` in a bounded memo; returns it.
+
+    ``values`` is the memo's value table, when it keeps one: one object
+    per value among the parts of what the memo holds.  It is cleared
+    with the memo, and on its own when it reaches the memo's bound, so
+    it never outlives the memo or grows past its bound."""
     if len(memo) >= _MEMO_LIMIT:
         memo.clear()
+        if values is not None:
+            values.clear()
+    elif values is not None and len(values) >= _MEMO_LIMIT:
+        values.clear()
     memo[key] = value
     return value
 

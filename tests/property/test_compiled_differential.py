@@ -23,8 +23,9 @@ rules themselves is listed in docs/ANALYSIS.md, "The trade".  Checked:
 * a seeded :meth:`StepTable.mutate` fault injection: a corrupted table
   row must surface through replay exactly as through the direct
   enumeration (same exception, same message), never silently absorbed;
-* the memo itself: clearing it mid-run changes nothing, a replayed state
-  starts with an empty hash memo, and two systems never share one.
+* the memo itself: clearing it (and its value table) mid-run changes
+  nothing, a replayed state starts with an empty hash memo, and two
+  systems never share one.
 
 (The file keeps its name, and the tests their IDs, from when the second
 implementation was a generated module.)
@@ -175,6 +176,7 @@ class TestMemo:
         for state in store:
             assert_deltas_equal(bounded, state)
             assert len(bounded._memo) <= 8
+            assert len(bounded._values) <= 8
 
     def test_replayed_state_has_exactly_its_fields(self, migratory_refined):
         """A replayed state is built by its constructor: its fields, and

@@ -22,7 +22,7 @@ from repro.check.store import (
     fingerprint,
     make_store,
 )
-from repro.check.symmetry import normalize
+from repro.check.symmetry import SymmetricSystem, normalize
 from repro.csp.env import Env
 from repro.protocols import LIBRARY_PROTOCOLS, symmetry_spec_for
 from repro.semantics.asynchronous import TRANS, BufEntry, HomeNode, RemoteNode
@@ -378,21 +378,35 @@ class TestComponentFingerprints:
                     assert self.digest_of(cold) is None
                     assert self.digest_of(node) == store_module._digest(cold)
 
-    def test_symmetry_relabelling_never_inherits_a_digest(self, states):
+    def test_symmetry_relabelling_never_inherits_a_digest(self, system,
+                                                          states):
+        """A relabelled home never carries its pre-image's digest.  A
+        symmetric system relabels a home once per (home, permutation)
+        and shares it through the step memo's value table, so the home
+        may already carry a digest: then it is its own."""
         spec = symmetry_spec_for("invalidate")
-        rebuilt = 0
-        for state in states:
+        symmetric = SymmetricSystem(system, spec)
+        pairs = [(state, normalize(state, spec)) for state in states]
+        for state in states[::5]:
+            pairs += [(nxt, image) for (_, nxt), (_, image) in zip(
+                system.successors(state), symmetric.successors(state))]
+        rebuilt = carried = 0
+        for state, image in pairs:
             fingerprint(state)
-            image = normalize(state, spec)
             if image.home is not state.home:
                 rebuilt += 1
-                assert self.digest_of(image.home) is None
+                digest = self.digest_of(image.home)
+                if digest is not None:
+                    carried += 1
+                    assert digest == store_module._digest(
+                        dataclasses.replace(image.home))
                 if image.home != state.home:
                     fingerprint(image)
                     assert self.digest_of(image.home) != \
                         self.digest_of(state.home)
             assert fingerprint(image) == fingerprint(cold_copy(image))
         assert rebuilt  # the relabel path was exercised
+        assert carried  # and met homes the sweep had digested
 
     def test_position_is_hashed(self, states):
         state = next(s for s in states if s.remotes[0] != s.remotes[1])
